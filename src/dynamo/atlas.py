@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import MetaModel, rollout_batch
-from .numgrad import Graph
-from .tasks import SequenceDataset
+from .models import MetaModel, final_logits, model_inputs, pad_tokens, rollout_batch
+from .tasks import SequenceDataset, write_csv
+from .trainer import GraphCache, task_batch, task_loss_graph
 
 
 class AtlasError(Exception):
@@ -86,45 +86,36 @@ def average_embeddings(thetas, weights=None) -> np.ndarray:
 # -- accuracy evaluation -----------------------------------------------------------
 
 
-def _grouped_test_data(ds: SequenceDataset, split: str):
+def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
+                    ds: SequenceDataset, split: str = "test",
+                    chunk: int = 4) -> np.ndarray:
+    """Test accuracy of the meta-model at each of the given embeddings.
+
+    Embeddings are evaluated in chunks with every input row repeated once
+    per embedding, so a whole landscape costs a handful of batched rollouts.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     idxs = ds.indices(split)
     if not idxs:
         raise AtlasError(f"empty split {split!r}")
-    seqs, labels = ds.subset(idxs)
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        by_len.setdefault(len(s), []).append(i)
-    groups = []
-    for T, rows in sorted(by_len.items()):
-        mat = np.array([seqs[i] for i in rows], dtype=np.int64)
-        groups.append((mat, labels[rows]))
-    return groups, len(seqs)
-
-
-def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
-                    ds: SequenceDataset, split: str = "test",
-                    chunk: int = 32) -> np.ndarray:
-    """Test accuracy of the meta-model at each of the given embeddings.
-
-    Embeddings are evaluated in chunks with the input batch tiled per
-    embedding, so a whole landscape costs a handful of batched rollouts.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    groups, n_total = _grouped_test_data(ds, split)
-    M = thetas.shape[0]
+    inputs, lengths = model_inputs(meta, ds, idxs)
+    labels = ds.subset(idxs)[1]
+    if lengths is not None:
+        # rows longest first, so rollout_batch has no permutation to undo
+        order = np.argsort(-lengths, kind="stable")
+        inputs, lengths, labels = inputs[order], lengths[order], labels[order]
+    B, M = len(labels), thetas.shape[0]
     correct = np.zeros(M)
-    for mat, labels in groups:
-        B = mat.shape[0]
-        for lo in range(0, M, chunk):
-            th = thetas[lo:lo + chunk]
-            m = th.shape[0]
-            tiled = np.tile(mat, (m, 1))
-            theta_rows = np.repeat(th, B, axis=0)
-            _, logits = rollout_batch(meta, tiled, theta=theta_rows,
-                                      task_group=task_group)
-            pred = logits[-1].argmax(axis=1).reshape(m, B)
-            correct[lo:lo + m] += (pred == labels[None, :]).sum(axis=1)
-    return correct / n_total
+    for lo in range(0, M, chunk):
+        th = thetas[lo:lo + chunk]
+        m = th.shape[0]
+        rows = np.repeat(np.arange(B), m)
+        logits = final_logits(meta, inputs[rows], theta=np.tile(th, (B, 1)),
+                              task_group=task_group,
+                              lengths=None if lengths is None else lengths[rows])
+        pred = logits.argmax(axis=1).reshape(B, m)
+        correct[lo:lo + m] = (pred == labels[:, None]).sum(axis=0)
+    return correct / B
 
 
 def evaluate_at(meta: MetaModel, theta: np.ndarray, task_group: int,
@@ -161,15 +152,14 @@ def plane_from_pca(atlas: EmbeddingAtlas) -> tuple[np.ndarray, np.ndarray, np.nd
     return atlas.mean, atlas.axes[0], atlas.axes[1]
 
 
-def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                       base_thetas: np.ndarray, plane=None,
-                       grid: tuple[int, int] = (15, 15),
-                       extent_scale: float = 1.5,
-                       best_base_accuracy: float | None = None,
-                       split: str = "test") -> LandscapeGrid:
-    """Accuracy over a 2-plane in embedding space (default: top-2 PCA plane
-    through the embedding mean, spanning `extent_scale` times the base
-    embeddings' bounding box)."""
+def plane_grid(base_thetas: np.ndarray, plane, grid: tuple[int, int],
+               extent_scale: float):
+    """A plane in embedding space and grid coordinates over it.
+
+    The plane (origin, u_axis, v_axis) defaults to the top-2 PCA plane
+    through the base embeddings' mean; the grid spans `extent_scale` times
+    the bounding box of their projections. Returns (origin, u_axis, v_axis,
+    base_uv (N, 2), us, vs)."""
     base_thetas = np.asarray(base_thetas, dtype=np.float64)
     if plane is None:
         origin, u_axis, v_axis = plane_from_pca(fit_pca(base_thetas))
@@ -187,8 +177,19 @@ def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
         half = half * extent_scale if half > 0 else 1.0
         return np.linspace(c - half, c + half, count)
 
-    us = _coords(base_uv[:, 0], grid[0])
-    vs = _coords(base_uv[:, 1], grid[1])
+    return (origin, u_axis, v_axis, base_uv, _coords(base_uv[:, 0], grid[0]),
+            _coords(base_uv[:, 1], grid[1]))
+
+
+def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
+                       base_thetas: np.ndarray, plane=None,
+                       grid: tuple[int, int] = (15, 15),
+                       extent_scale: float = 1.5,
+                       best_base_accuracy: float | None = None,
+                       split: str = "test") -> LandscapeGrid:
+    """Accuracy over a 2-plane in embedding space (see `plane_grid`)."""
+    origin, u_axis, v_axis, base_uv, us, vs = plane_grid(base_thetas, plane, grid,
+                                                         extent_scale)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     thetas = origin + uu[..., None] * u_axis + vv[..., None] * v_axis
     accs = grid_accuracies(meta, thetas.reshape(-1, len(origin)), task_group,
@@ -249,37 +250,6 @@ def in_hull_2d(point, hull: np.ndarray, tol: float = 1e-12) -> bool:
 # -- semi-supervised optimization of the embedding --------------------------------
 
 
-def _build_theta_loss_graph(meta: MetaModel, task_group: int, T: int, B: int) -> Graph:
-    """Mean final-step cross entropy as a function of theta alone; the meta
-    parameters enter as frozen (non-parameter) leaves."""
-    from .models import cell_step_graph
-
-    g = Graph()
-    refs = {name: g.leaf(name, arr.shape, param=False)
-            for name, arr in meta.params.items() if not name.startswith("head")}
-    head_w = g.leaf(f"head{task_group}_w",
-                    meta.params[f"head{task_group}_w"].shape, param=False)
-    head_b = g.leaf(f"head{task_group}_b",
-                    meta.params[f"head{task_group}_b"].shape, param=False)
-    theta = g.leaf("theta", (1, meta.embed_dim))
-    theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
-    h = g.const(np.zeros((B, meta.hidden_dim)))
-    parts = []
-    for t in range(T):
-        x = g.leaf(f"x{t}", (B, meta.vocab_size), param=False)
-        inp = g.concat(theta_rows, g.matmul(x, refs["embed"]))
-        h = cell_step_graph(g, meta.cell_kind, refs, inp, h)
-        lm = g.leaf(f"lm{t}", (B, 1), param=False)
-        parts.append(g.mul(h, lm))
-    h_last = parts[0]
-    for p in parts[1:]:
-        h_last = g.add(h_last, p)
-    logits = g.add(g.matmul(h_last, head_w), head_b)
-    onehot = g.leaf("labels", (B, meta.head_dims[task_group]), param=False)
-    g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
-    return g
-
-
 def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
                  theta_init: np.ndarray | None = None, steps: int = 100,
                  lr: float = 1.0, split: str = "ssl_labeled"
@@ -292,29 +262,14 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     idxs = ds.indices(split)
     if not idxs:
         raise AtlasError(f"empty split {split!r}")
-    seqs, labels = ds.subset(idxs)
-    B = len(seqs)
-    lengths = np.array([len(s) for s in seqs])
-    T = int(lengths.max())
-    mat = np.zeros((B, T), dtype=np.int64)
-    for b, s in enumerate(seqs):
-        mat[b, :len(s)] = s
-    g = _build_theta_loss_graph(meta, task_group, T, B)
-    bindings = {k: v for k, v in meta.params.items() if not k.startswith("head")}
-    bindings[f"head{task_group}_w"] = meta.params[f"head{task_group}_w"]
-    bindings[f"head{task_group}_b"] = meta.params[f"head{task_group}_b"]
-    onehot = np.zeros((B, meta.head_dims[task_group]))
-    onehot[np.arange(B), labels] = 1.0
-    bindings["labels"] = onehot
-    for t in range(T):
-        tok = np.zeros((B, meta.vocab_size))
-        tok[np.arange(B), mat[:, t]] = 1.0
-        bindings[f"x{t}"] = tok
-        bindings[f"lm{t}"] = (lengths == t + 1).astype(float)[:, None]
+    inputs, lengths = model_inputs(meta, ds, idxs)
+    cache = GraphCache(lambda T, B: task_loss_graph(meta, T, B, task_group))
+    g, bindings = task_batch(cache, meta, inputs, lengths, ds.subset(idxs)[1],
+                             task_group)
 
     def loss_at(th):
         bindings["theta"] = th[None, :]
-        return float(g.forward(bindings).data)
+        return float(g.forward(bindings))
 
     theta = (np.zeros(meta.embed_dim) if theta_init is None
              else np.asarray(theta_init, dtype=np.float64).copy())
@@ -325,7 +280,7 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     lr_floor = lr * 1e-9
     for _ in range(steps):
         loss_at(theta)
-        grad = g.backward()["theta"].data.reshape(-1)
+        grad = g.backward()["theta"].reshape(-1)
         while True:
             cand = theta - lr_cur * grad
             cand_loss = loss_at(cand)
@@ -345,13 +300,11 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
 def hidden_state_matrix(model, sequences: list[list[int]], theta=None,
                         task_group=None) -> np.ndarray:
     """Hidden states over a common sequence set, rows ordered by (seq, t)."""
-    from .models import rollout
-
-    rows = []
-    for s in sequences:
-        hs, _ = rollout(model, s, theta=theta, task_group=task_group)
-        rows.append(hs)
-    return np.concatenate(rows, axis=0)
+    if model.cell_kind == "residual_mlp":
+        raise AtlasError("the SVCCA baseline compares recurrent hidden states")
+    tokens, lengths = pad_tokens(sequences)
+    hs, _ = rollout_batch(model, tokens, theta, task_group, lengths=lengths)
+    return hs.swapaxes(0, 1)[np.arange(tokens.shape[1]) < lengths[:, None]]
 
 
 def _svd_reduce(acts: np.ndarray, dims_kept: int, var_kept: float = 0.99):
@@ -437,23 +390,12 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
 # -- CSV exports -------------------------------------------------------------------
 
 
-def _write_csv(path, header: str, rows: list[str], comment: str | None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}\n")
-    lines.append(header + "\n")
-    lines.extend(r + "\n" for r in rows)
-    with open(path, "w") as f:
-        f.writelines(lines)
-
-
 def export_atlas_csv(atlas: EmbeddingAtlas, path, comment=None, top_k: int = 3) -> None:
     d = atlas.embeddings.shape[1]
     k = min(top_k, d)
     meta_keys = sorted({key for m in atlas.metadata for key in m})
-    header = ",".join(["model_id"] + meta_keys
-                      + [f"theta_{j}" for j in range(d)]
-                      + [f"pc_{j}" for j in range(k)])
+    header = (["model_id"] + meta_keys + [f"theta_{j}" for j in range(d)]
+              + [f"pc_{j}" for j in range(k)])
     proj = atlas.project(atlas.embeddings, k)
     rows = []
     for i, (theta, md) in enumerate(zip(atlas.embeddings, atlas.metadata)):
@@ -461,8 +403,8 @@ def export_atlas_csv(atlas: EmbeddingAtlas, path, comment=None, top_k: int = 3) 
         cells += [str(md.get(key, "")) for key in meta_keys]
         cells += [f"{x:.10g}" for x in theta]
         cells += [f"{x:.10g}" for x in proj[i]]
-        rows.append(",".join(cells))
-    _write_csv(path, header, rows, comment)
+        rows.append(cells)
+    write_csv(path, header, rows, comment)
 
 
 def export_spectrum_csv(atlas: EmbeddingAtlas, path, comment=None) -> None:
@@ -472,15 +414,14 @@ def export_spectrum_csv(atlas: EmbeddingAtlas, path, comment=None) -> None:
     for j, lam in enumerate(atlas.spectrum):
         cum += lam
         frac = cum / total if total > 0 else 0.0
-        rows.append(f"{j},{lam:.10g},{frac:.10g}")
-    _write_csv(path, "component,eigenvalue,cumulative_fraction", rows, comment)
+        rows.append([str(j), f"{lam:.10g}", f"{frac:.10g}"])
+    write_csv(path, ["component", "eigenvalue", "cumulative_fraction"], rows, comment)
 
 
 def export_landscape_csv(grid: LandscapeGrid, path, comment=None) -> None:
     d = len(grid.origin)
-    header = ",".join(["u", "v"] + [f"theta_{j}" for j in range(d)]
-                      + ["accuracy"] + (["relative_accuracy"] if grid.relative
-                                        is not None else []))
+    header = (["u", "v"] + [f"theta_{j}" for j in range(d)] + ["accuracy"]
+              + (["relative_accuracy"] if grid.relative is not None else []))
     rows = []
     for i, u in enumerate(grid.us):
         for j, v in enumerate(grid.vs):
@@ -490,18 +431,18 @@ def export_landscape_csv(grid: LandscapeGrid, path, comment=None) -> None:
             cells.append(f"{grid.accuracy[i, j]:.10g}")
             if grid.relative is not None:
                 cells.append(f"{grid.relative[i, j]:.10g}")
-            rows.append(",".join(cells))
-    _write_csv(path, header, rows, comment)
+            rows.append(cells)
+    write_csv(path, header, rows, comment)
 
 
 def export_ssl_csv(thetas: np.ndarray, losses: np.ndarray, accuracies: np.ndarray,
                    path, comment=None) -> None:
     d = thetas.shape[1]
-    header = ",".join(["step"] + [f"theta_{j}" for j in range(d)]
-                      + ["labeled_loss", "test_accuracy"])
+    header = (["step"] + [f"theta_{j}" for j in range(d)]
+              + ["labeled_loss", "test_accuracy"])
     rows = []
     for step in range(len(thetas)):
         cells = [str(step)] + [f"{x:.10g}" for x in thetas[step]]
         cells += [f"{losses[step]:.10g}", f"{accuracies[step]:.10g}"]
-        rows.append(",".join(cells))
-    _write_csv(path, header, rows, comment)
+        rows.append(cells)
+    write_csv(path, header, rows, comment)

@@ -6,8 +6,9 @@ One flat JSON config drives every stage; commands are composable and write
 into a shared run directory. Checkpoints are a JSON manifest next to a blob
 of little-endian float32 tensors (float64 in memory, float32 on disk). Every
 command is deterministic given its config: re-runs produce byte-identical
-CSVs and checkpoints. Exit codes: 0 ok, 2 config error, 3 I/O error, 4
-numeric failure.
+CSVs and checkpoints. Exit codes: 0 ok, 2 config error (including an
+analysis that does not apply to the model family), 3 I/O error, 4 numeric
+failure (a non-finite loss or gradient).
 """
 from __future__ import annotations
 
@@ -386,14 +387,14 @@ def cmd_train_base(args) -> int:
         acc = model_accuracy(model, ds)
         model.info["test_accuracy"] = acc
         save_base_checkpoint(out / "base" / rec["model_id"], model)
-        rows.append(f"{rec['model_id']},{rec['task']},"
-                    f"{rec.get('cell_kind', 'gru')},{rec.get('hidden_dim', 24)},"
-                    f"{rec.get('train_fraction', 1.0)},{rec['seed']},{acc:.10g}")
+        rows.append([rec["model_id"], rec["task"], rec.get("cell_kind", "gru"),
+                     str(rec.get("hidden_dim", 24)), str(rec.get("train_fraction", 1.0)),
+                     str(rec["seed"]), f"{acc:.10g}"])
         print(f"train-base: {rec['model_id']} acc={acc:.3f} "
               f"(epochs={tcfg.epochs}, curve last={curve[-1] if curve else None})")
-    header = "model_id,task,cell_kind,hidden_dim,train_fraction,seed,test_accuracy"
-    lines = [f"# config_hash={chash}\n", header + "\n"] + [r + "\n" for r in rows]
-    (out / "base" / "metrics.csv").write_text("".join(lines))
+    header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
+              "test_accuracy"]
+    tasks_mod.write_csv(out / "base" / "metrics.csv", header, rows, f"config_hash={chash}")
     return EXIT_OK
 
 
@@ -490,13 +491,11 @@ def cmd_analyze(args) -> int:
                 D[i, j] = D[j, i] = atlas_mod.svcca_distance(acts[i], acts[j],
                                                              dims_kept=dkept)
         coords_mds = atlas_mod.classical_mds(D, an.get("mds_dim", 2))
-        lines = [f"# {comment}\n", "model_id," + ",".join(
-            f"mds_{k}" for k in range(coords_mds.shape[1])) + "\n"]
-        for r, i in enumerate(rows):
-            cells = [bases[i].info["model_id"]]
-            cells += [f"{x:.10g}" for x in coords_mds[r]]
-            lines.append(",".join(cells) + "\n")
-        (out / "svcca_mds.csv").write_text("".join(lines))
+        tasks_mod.write_csv(
+            out / "svcca_mds.csv",
+            ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
+            [[bases[i].info["model_id"]] + [f"{x:.10g}" for x in coords_mds[r]]
+             for r, i in enumerate(rows)], comment)
         svcca_labels = [bases[i].info.get("train_fraction") for i in rows]
         if len(set(svcca_labels)) >= 2:
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
@@ -649,13 +648,13 @@ def cmd_average(args) -> int:
         acc = atlas_mod.evaluate_at(state.meta, th, group, ds)
         base_acc = by_id[mid][1].get("test_accuracy")
         base_cell = f"{base_acc:.10g}" if base_acc is not None else ""
-        rows.append(f"{mid},{acc:.10g},{base_cell}")
+        rows.append([mid, f"{acc:.10g}", base_cell])
     avg_theta = atlas_mod.average_embeddings(thetas)
     avg_acc = atlas_mod.evaluate_at(state.meta, avg_theta, group, ds)
-    rows.append(f"average,{avg_acc:.10g},")
-    lines = [f"# config_hash={chash}\n",
-             "model_id,meta_accuracy,base_accuracy\n"] + [r + "\n" for r in rows]
-    (out / "average_report.csv").write_text("".join(lines))
+    rows.append(["average", f"{avg_acc:.10g}", ""])
+    tasks_mod.write_csv(out / "average_report.csv",
+                        ["model_id", "meta_accuracy", "base_accuracy"], rows,
+                        f"config_hash={chash}")
     print(f"average: {'+'.join(ids)} -> acc {avg_acc:.4f}")
     return EXIT_OK
 

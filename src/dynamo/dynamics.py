@@ -14,8 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import atlas as atlas_mod
-from .models import BaseModel, MetaModel, cell_step, cell_step_graph, rollout
+from .models import (
+    MetaModel,
+    cell_step,
+    cell_step_graph,
+    declare_params,
+    pad_tokens,
+    readout_names,
+    rollout_batch,
+)
 from .numgrad import Graph
+from .tasks import write_csv
 
 
 class DynamicsError(Exception):
@@ -62,27 +71,34 @@ def _meta_input(model, theta: np.ndarray | None, x_star: np.ndarray) -> np.ndarr
     return np.asarray(x_star, float)
 
 
+def _require_recurrent(model) -> None:
+    if model.cell_kind == "residual_mlp":
+        raise DynamicsError("fixed-point analysis applies to recurrent cells")
+
+
 def collect_candidates(model, theta, sequences: list[list[int]],
                        samples_per_seq: int, task_group: int | None = None,
                        seed: int = 0) -> np.ndarray:
     """Hidden states subsampled uniformly across time from rollouts."""
+    _require_recurrent(model)
     if not sequences:
         raise DynamicsError("empty candidate batch")
     rng = np.random.default_rng(seed)
-    rows = []
-    for seq in sequences:
-        hs, _ = rollout(model, seq, theta=theta, task_group=task_group)
-        take = rng.integers(0, len(hs), size=samples_per_seq)
-        rows.append(hs[take])
-    return np.concatenate(rows, axis=0)
+    tokens, lengths = pad_tokens(sequences)
+    hs, _ = rollout_batch(model, tokens, theta, task_group, lengths=lengths)
+    return np.concatenate([hs[rng.integers(0, n, size=samples_per_seq), b]
+                           for b, n in enumerate(lengths)], axis=0)
+
+
+def _cell_params(model) -> dict[str, np.ndarray]:
+    """The transition map's own parameters: no embedding, stem or readout."""
+    return {k: v for k, v in model.params.items()
+            if not k.startswith(("head", "embed", "stem", "w_out", "b_out", "w_theta"))}
 
 
 def _build_q_graph(model, n: int) -> Graph:
     g = Graph()
-    refs = {name: g.leaf(name, arr.shape, param=False)
-            for name, arr in model.params.items()
-            if not name.startswith(("head", "embed", "stem", "w_out", "b_out",
-                                    "w_theta"))}
+    refs = declare_params(g, _cell_params(model), trainable=False)
     h = g.leaf("h", (n, model.hidden_dim))
     cell_in = g.leaf("u", (n, _cell_input_dim(model)), param=False)
     h2 = cell_step_graph(g, model.cell_kind, refs, cell_in, h)
@@ -107,8 +123,7 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
     each ball of `dedup_radius`."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
-    if model.cell_kind == "residual_mlp":
-        raise DynamicsError("fixed-point analysis applies to recurrent cells")
+    _require_recurrent(model)
     if x_star is None:
         x_star = np.zeros(model.input_dim)
     candidates = np.atleast_2d(np.asarray(candidates, float))
@@ -119,9 +134,7 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
                              None if theta is None else np.asarray(theta, float),
                              x_star, np.zeros(0, int), np.zeros(0, int))
     g = _build_q_graph(model, n)
-    bindings = {k: v for k, v in model.params.items()
-                if not k.startswith(("head", "embed", "stem", "w_out", "b_out",
-                                     "w_theta"))}
+    bindings = _cell_params(model)
     bindings["u"] = np.tile(u, (n, 1))
 
     h = candidates.copy()
@@ -139,7 +152,7 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
             break
         bindings["h"] = h
         g.forward(bindings)
-        grad = g.backward()["h"].data
+        grad = g.backward()["h"]
         cand = h - step_sizes[:, None] * grad
         bindings["h"] = cand
         g.forward(bindings)
@@ -176,13 +189,8 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
 
 
 def _head_logits(model, points: np.ndarray, task_group: int | None) -> np.ndarray:
-    if isinstance(model, MetaModel):
-        if task_group is None:
-            task_group = next(iter(model.head_dims))
-        w, b = model.head(task_group)
-    else:
-        w, b = model.params["w_out"], model.params["b_out"]
-    return np.atleast_2d(points) @ w + b
+    w_name, b_name = readout_names(model, task_group)
+    return np.atleast_2d(points) @ model.params[w_name] + model.params[b_name]
 
 
 def summarize_attractor(fps: FixedPointSet, model,
@@ -269,22 +277,8 @@ def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
     """Word score over a plane in embedding space: per node, find fixed points
     of the node's conditioned map, take the neutral one, and score one-step
     transitions. Nodes where no fixed point survives are marked NaN."""
-    base_thetas = np.asarray(base_thetas, float)
-    if plane is None:
-        origin, u_axis, v_axis = atlas_mod.plane_from_pca(atlas_mod.fit_pca(base_thetas))
-    else:
-        origin, u_axis, v_axis = (np.asarray(p, float) for p in plane)
-    rel = base_thetas - origin
-    base_u = rel @ u_axis / (u_axis @ u_axis)
-    base_v = rel @ v_axis / (v_axis @ v_axis)
-
-    def _coords(vals, count):
-        lo, hi = float(vals.min()), float(vals.max())
-        c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        half = half * extent_scale if half > 0 else 1.0
-        return np.linspace(c - half, c + half, count)
-
-    us, vs = _coords(base_u, grid[0]), _coords(base_v, grid[1])
+    origin, u_axis, v_axis, _, us, vs = atlas_mod.plane_grid(base_thetas, plane, grid,
+                                                            extent_scale)
     w_pos, w_neg, w_neu = token_sets
     scores = np.full(grid, np.nan)
     for i, u in enumerate(us):
@@ -319,37 +313,29 @@ def spearman(x, y) -> float:
 
 def export_fixed_points_csv(fps: FixedPointSet, model, path, comment=None,
                             task_group: int | None = None) -> None:
-    """Rows: index, residual, top-3 PCA projections of the cloud, margin."""
-    k = min(3, fps.points.shape[1] if len(fps) else 0)
-    if len(fps) >= 2:
-        pca = atlas_mod.fit_pca(fps.points)
-        proj = pca.project(fps.points, k)
-    else:
-        proj = np.zeros((len(fps), k))
+    """Rows: index, residual, PCA projections of the cloud, margin.
+
+    A cloud of K points spans at most K-1 directions, so it gets
+    min(3, H, K-1) projection columns; further ones would hold rounding noise.
+    """
+    k = max(0, min(3, fps.points.shape[1], len(fps) - 1))
+    proj = atlas_mod.fit_pca(fps.points).project(fps.points, k) if k else None
     margins = (readout_margin(_head_logits(model, fps.points, task_group))
                if len(fps) else np.zeros(0))
-    lines = []
-    if comment:
-        lines.append(f"# {comment}\n")
-    header = ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"]
-    lines.append(",".join(header) + "\n")
+    rows = []
     for i in range(len(fps)):
         cells = [str(i), f"{fps.residuals[i]:.10g}"]
         cells += [f"{proj[i, j]:.10g}" for j in range(k)]
         cells.append(f"{margins[i]:.10g}")
-        lines.append(",".join(cells) + "\n")
-    with open(path, "w") as f:
-        f.writelines(lines)
+        rows.append(cells)
+    write_csv(path, ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"],
+              rows, comment)
 
 
 def export_score_map_csv(grid: ScoreGrid, path, comment=None) -> None:
     """Missing nodes export as empty score cells and read back as NaN."""
     d = len(grid.origin)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}\n")
-    header = ["u", "v"] + [f"theta_{j}" for j in range(d)] + ["score"]
-    lines.append(",".join(header) + "\n")
+    rows = []
     for i, u in enumerate(grid.us):
         for j, v in enumerate(grid.vs):
             theta = grid.theta_at(u, v)
@@ -357,9 +343,9 @@ def export_score_map_csv(grid: ScoreGrid, path, comment=None) -> None:
             cells = [f"{u:.10g}", f"{v:.10g}"]
             cells += [f"{x:.10g}" for x in theta]
             cells.append("" if np.isnan(s) else f"{s:.10g}")
-            lines.append(",".join(cells) + "\n")
-    with open(path, "w") as f:
-        f.writelines(lines)
+            rows.append(cells)
+    write_csv(path, ["u", "v"] + [f"theta_{j}" for j in range(d)] + ["score"],
+              rows, comment)
 
 
 def load_score_map_csv(path) -> np.ndarray:

@@ -2,9 +2,17 @@
 
 Three cell families are supported: GRU, vanilla RNN, and a residual MLP
 whose block index plays the role of time. The meta-model is the same cell
-with the model embedding vector appended to the input at every step (GRU /
+with the model embedding vector prepended to the input at every step (GRU /
 vanilla RNN) or injected as a learned bias inside each block (residual MLP),
 plus one readout head per task group.
+
+The recurrence is stepped in one place per engine. `rollout_batch` is the
+only numpy loop over `cell_step`: it runs either family, ragged token batches
+by length, one embedding per row, and selects the readout head; every other
+numpy evaluation calls it. `unroll_graph` is the only loop over
+`cell_step_graph`: it declares each step's input leaves and yields the
+hidden-state ref after each step, and every training and embedding-search
+graph is built on it.
 """
 from __future__ import annotations
 
@@ -13,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numgrad import Graph
+from .tasks import SequenceDataset, bag_of_tokens
 
 CELL_KINDS = ("gru", "vanilla_rnn", "residual_mlp")
 
@@ -40,10 +49,6 @@ class BaseModel:
     num_blocks: int = 0
     info: dict = field(default_factory=dict)
 
-    @property
-    def h0(self) -> np.ndarray:
-        return np.zeros(self.hidden_dim)
-
 
 @dataclass
 class MetaModel:
@@ -58,15 +63,6 @@ class MetaModel:
     params: dict[str, np.ndarray]
     num_blocks: int = 0
 
-    @property
-    def h0(self) -> np.ndarray:
-        return np.zeros(self.hidden_dim)
-
-    def head(self, task_group: int) -> tuple[np.ndarray, np.ndarray]:
-        if task_group not in self.head_dims:
-            raise ModelError(f"no readout head for task group {task_group}")
-        return self.params[f"head{task_group}_w"], self.params[f"head{task_group}_b"]
-
 
 @dataclass
 class StateMap:
@@ -75,14 +71,6 @@ class StateMap:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.weights[0]
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.biases[0]
 
 
 @dataclass
@@ -151,6 +139,100 @@ def cell_step(model, x: np.ndarray, h: np.ndarray, block: int = 0,
 # -- rollouts ----------------------------------------------------------------
 
 
+def readout_names(model, task_group: int | None = None) -> tuple[str, str]:
+    """Parameter names of the readout: `w_out`/`b_out` for a base model, the
+    head of `task_group` for a meta model (optional only with one head)."""
+    if not isinstance(model, MetaModel):
+        return "w_out", "b_out"
+    if task_group is None:
+        if len(model.head_dims) != 1:
+            raise ModelError("task_group required with multiple heads")
+        task_group = next(iter(model.head_dims))
+    if task_group not in model.head_dims:
+        raise ModelError(f"no readout head for task group {task_group}")
+    return f"head{task_group}_w", f"head{task_group}_b"
+
+
+def pad_tokens(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pad a ragged token batch with token 0; returns (B, T) ids and lengths."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    mat = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
+    for b, s in enumerate(sequences):
+        mat[b, :len(s)] = s
+    return mat, lengths
+
+
+def model_inputs(model, ds: SequenceDataset, idxs) -> tuple[np.ndarray, np.ndarray | None]:
+    """Dataset rows as `rollout_batch` inputs: padded token ids and lengths
+    for recurrent cells, bag-of-token features (lengths None) for residual."""
+    if model.cell_kind == "residual_mlp":
+        return bag_of_tokens(ds, idxs), None
+    return pad_tokens([ds.sequences[i] for i in idxs])
+
+
+def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
+                  task_group: int | None = None, lengths: np.ndarray | None = None):
+    """Batched rollout; the one numpy loop over `cell_step`.
+
+    Recurrent cells read (B, T) token ids. With `lengths`, row b steps only
+    through its first lengths[b] tokens and then holds its state, so the last
+    entry is every row's final state. Residual cells read (B, F) features and
+    step once per block. Returns hiddens (T, B, H) and readout logits
+    (T, B, C) at every step, T being the block count for residual cells.
+
+    Meta models require `theta`, one embedding or a (B, d) matrix with one
+    embedding per row, and a valid `task_group`.
+    """
+    w_name, b_name = readout_names(model, task_group)
+    p = model.params
+    if not isinstance(model, MetaModel):
+        theta = None
+    elif theta is None:
+        raise ModelError("meta rollout requires theta")
+    else:
+        theta = np.asarray(theta, dtype=np.float64)
+    if model.cell_kind == "residual_mlp":
+        h = np.asarray(inputs, dtype=np.float64) @ p["stem_w"] + p["stem_b"]
+        hiddens = np.empty((model.num_blocks,) + h.shape)
+        for t in range(model.num_blocks):
+            h = cell_step(model, None, h, block=t, theta=theta)
+            hiddens[t] = h
+        return hiddens, hiddens @ p[w_name] + p[b_name]
+
+    tokens = np.asarray(inputs)
+    B, T = tokens.shape
+    if T == 0:
+        raise ModelError("empty input sequence")
+    if theta is not None and theta.ndim == 1:
+        theta = np.broadcast_to(theta, (B, len(theta)))
+    active = np.full(T, B)
+    order = None
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.min() < 1:
+            raise ModelError("empty input sequence")
+        # longest rows first, so each step updates a leading block of rows
+        order = np.argsort(-lengths, kind="stable")
+        if np.array_equal(order, np.arange(B)):
+            order = None
+        else:
+            tokens, lengths = tokens[order], lengths[order]
+            theta = None if theta is None else theta[order]
+        active = (lengths[None, :] > np.arange(T)[:, None]).sum(axis=1)
+    h = np.zeros((B, model.hidden_dim))
+    hiddens = np.empty((T, B, model.hidden_dim))
+    for t in range(T):
+        k = active[t]
+        x = p["embed"][tokens[:k, t]]
+        if theta is not None:
+            x = np.concatenate([theta[:k], x], axis=-1)
+        h[:k] = cell_step(model, x, h[:k])
+        hiddens[t] = h
+    if order is not None:
+        hiddens = hiddens[:, np.argsort(order)]
+    return hiddens, hiddens @ p[w_name] + p[b_name]
+
+
 def rollout(model, inputs, theta: np.ndarray | None = None,
             task_group: int | None = None):
     """Run a model over one input.
@@ -160,99 +242,20 @@ def rollout(model, inputs, theta: np.ndarray | None = None,
     Residual cells: `inputs` is a feature vector; block index plays the role
     of time and the returned outputs are the per-block features with the
     head logits in place of the final block's entry.
-
-    Meta models consume [theta; x_t] at every step and require theta and a
-    valid task_group.
     """
-    is_meta = isinstance(model, MetaModel)
-    if is_meta:
-        if theta is None:
-            raise ModelError("meta rollout requires theta")
-        theta = np.asarray(theta, dtype=np.float64)
-        if task_group is None:
-            if len(model.head_dims) != 1:
-                raise ModelError("task_group required with multiple heads")
-            task_group = next(iter(model.head_dims))
-        w_out, b_out = model.head(task_group)
-    else:
-        w_out, b_out = model.params["w_out"], model.params["b_out"]
-
     if model.cell_kind == "residual_mlp":
-        feats = np.asarray(inputs, dtype=np.float64)
-        h = feats @ model.params["stem_w"] + model.params["stem_b"]
-        hiddens, outputs = [], []
-        for t in range(model.num_blocks):
-            h = cell_step(model, None, h, block=t, theta=theta if is_meta else None)
-            hiddens.append(h)
-            outputs.append(h)
-        outputs[-1] = hiddens[-1] @ w_out + b_out
-        return np.stack(hiddens), outputs
-
-    tokens = np.asarray(inputs)
-    if tokens.size == 0:
-        raise ModelError("empty input sequence")
-    emb = model.params["embed"][tokens]
-    if is_meta:
-        emb = np.concatenate([np.broadcast_to(theta, (len(tokens), len(theta))), emb],
-                             axis=-1)
-    h = model.h0
-    hiddens = []
-    for t in range(len(tokens)):
-        h = cell_step(model, emb[t], h)
-        hiddens.append(h)
-    hiddens = np.stack(hiddens)
-    logits = hiddens @ w_out + b_out
-    return hiddens, logits
+        feats = np.asarray(inputs, dtype=np.float64)[None, :]
+        hiddens, logits = rollout_batch(model, feats, theta, task_group)
+        return hiddens[:, 0], list(hiddens[:-1, 0]) + [logits[-1, 0]]
+    hiddens, logits = rollout_batch(model, np.asarray(inputs, dtype=np.int64)[None, :],
+                                    theta, task_group)
+    return hiddens[:, 0], logits[:, 0]
 
 
-def rollout_batch(model, token_mat: np.ndarray, theta: np.ndarray | None = None,
-                  task_group: int | None = None):
-    """Fixed-length batched rollout for recurrent cells.
-
-    token_mat is (B, T); returns (hiddens (T, B, H), logits (T, B, C)).
-    For meta models `theta` may be a single vector or a (B, d) matrix with one
-    embedding per row (used when sweeping many embeddings in one pass).
-    """
-    is_meta = isinstance(model, MetaModel)
-    B, T = token_mat.shape
-    if is_meta:
-        if task_group is None:
-            task_group = next(iter(model.head_dims))
-        w_out, b_out = model.head(task_group)
-        theta = np.asarray(theta, dtype=np.float64)
-        theta_rows = theta if theta.ndim == 2 else np.broadcast_to(theta, (B, len(theta)))
-    else:
-        w_out, b_out = model.params["w_out"], model.params["b_out"]
-    if T == 0:
-        raise ModelError("empty input sequence")
-    h = np.zeros((B, model.hidden_dim))
-    hiddens = np.empty((T, B, model.hidden_dim))
-    for t in range(T):
-        x = model.params["embed"][token_mat[:, t]]
-        if is_meta:
-            x = np.concatenate([theta_rows, x], axis=-1)
-        h = cell_step(model, x, h)
-        hiddens[t] = h
-    logits = hiddens @ w_out + b_out
-    return hiddens, logits
-
-
-def final_logits(model, sequences: list[list[int]], theta=None, task_group=None) -> np.ndarray:
-    """Last-step logits for a ragged batch of sequences (grouped by length)."""
-    if model.cell_kind == "residual_mlp":
-        raise ModelError("final_logits is for recurrent models")
-    n = len(sequences)
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(sequences):
-        by_len.setdefault(len(s), []).append(i)
-    out = None
-    for T, idxs in sorted(by_len.items()):
-        mat = np.array([sequences[i] for i in idxs], dtype=np.int64)
-        _, logits = rollout_batch(model, mat, theta=theta, task_group=task_group)
-        if out is None:
-            out = np.empty((n, logits.shape[-1]))
-        out[idxs] = logits[-1]
-    return out
+def final_logits(model, inputs: np.ndarray, theta=None, task_group=None,
+                 lengths=None) -> np.ndarray:
+    """Every row's last-step logits from `rollout_batch`."""
+    return rollout_batch(model, inputs, theta, task_group, lengths)[1][-1]
 
 
 # -- initialization ----------------------------------------------------------
@@ -334,7 +337,7 @@ def init_state_map(meta_hidden: int, base_hidden: int, num_blocks: int,
     return StateMap(weights, biases)
 
 
-# -- graph builders (trainer-side mirrors of the numpy steps) -----------------
+# -- graph builders (mirrors of the numpy steps) -------------------------------
 
 
 def declare_params(g: Graph, params: dict[str, np.ndarray], prefix: str = "",
@@ -342,6 +345,42 @@ def declare_params(g: Graph, params: dict[str, np.ndarray], prefix: str = "",
     """Declare one graph leaf per named parameter; returns name -> node ref."""
     return {name: g.leaf(prefix + name, arr.shape, param=trainable)
             for name, arr in params.items()}
+
+
+def graph_params(model, task_group: int | None = None) -> dict[str, np.ndarray]:
+    """The parameters a graph of `model` reads: all but unused readout heads."""
+    head = readout_names(model, task_group)
+    return {k: v for k, v in model.params.items()
+            if not k.startswith("head") or k in head}
+
+
+def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
+                 theta_rows: int | None = None):
+    """Graph twin of `rollout_batch`: declares each step's inputs and yields
+    the hidden-state ref after every step.
+
+    Recurrent cells read one-hot token leaves `x{t}` (B, vocab) for T steps,
+    with the embedding rows `theta_rows` (meta models) concatenated before
+    the token embedding. Residual cells read the feature leaf `feat` (B, F)
+    through the stem and yield once per block (T is ignored). Callers add a
+    step's loss nodes before taking the next step, which fixes the node
+    order and so the order of numgrad's gradient sums.
+    """
+    if model.cell_kind == "residual_mlp":
+        feat = g.leaf("feat", (B, model.input_dim), param=False)
+        h = g.add(g.matmul(feat, refs["stem_w"]), refs["stem_b"])
+        for t in range(model.num_blocks):
+            h = cell_step_graph(g, model.cell_kind, refs, None, h, block=t,
+                                theta_rows=theta_rows)
+            yield h
+        return
+    h = g.const(np.zeros((B, model.hidden_dim)))
+    for t in range(T):
+        x = g.matmul(g.leaf(f"x{t}", (B, model.vocab_size), param=False), refs["embed"])
+        if theta_rows is not None:
+            x = g.concat(theta_rows, x)
+        h = cell_step_graph(g, model.cell_kind, refs, x, h)
+        yield h
 
 
 def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: int,

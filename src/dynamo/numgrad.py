@@ -1,9 +1,10 @@
-"""Dense float64 tensors and reverse-mode autodiff over fixed computation graphs.
+"""Reverse-mode autodiff over fixed computation graphs of dense float64 arrays.
 
 Graphs are built once from a fixed primitive vocabulary (matmul, add/sub/mul,
-elementwise nonlinearities, concat/slice, reductions, log-softmax) and then
+elementwise nonlinearities, concat, reductions, log-softmax) and then
 bound with fresh leaf values on every forward call, so the same unrolled cell
-can be reused across training steps.
+can be reused across training steps. A forward output or a gradient that is
+not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -30,28 +31,17 @@ class BackwardBeforeForward(NumgradError):
     pass
 
 
-class Tensor:
-    """Row-major float64 array. Rejects NaN/Inf at construction."""
+class NumericError(NumgradError):
+    """A graph output or gradient stopped being finite."""
 
-    __slots__ = ("data",)
 
-    def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Tensor entries must be finite")
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{what} is not finite")
+    return arr
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
     return np.asarray(x, dtype=np.float64)
 
 
@@ -160,12 +150,6 @@ class Graph:
             raise ShapeMismatch(f"concat: {sa} | {sb}")
         return self._push("concat", (a, b), sa[1], (sa[0], sa[1] + sb[1]))
 
-    def slice_cols(self, a: int, lo: int, hi: int) -> int:
-        sa = self._shapes[a]
-        if len(sa) != 2 or not (0 <= lo <= hi <= sa[1]):
-            raise ShapeMismatch(f"slice_cols [{lo}:{hi}] of {sa}")
-        return self._push("slice_cols", (a,), (lo, hi), (sa[0], hi - lo))
-
     def reduce_sum(self, a: int, axis: int | None = None) -> int:
         return self._reduce("reduce_sum", a, axis)
 
@@ -212,7 +196,10 @@ class Graph:
     def output(self, node: int) -> None:
         self._out = node
 
-    def forward(self, bindings: dict) -> Tensor:
+    def forward(self, bindings: dict) -> np.ndarray:
+        """Evaluate every node; returns the output node's value.
+
+        Raises NumericError if the output is not finite."""
         if self._out is None:
             raise NumgradError("graph has no output node")
         vals: list = [None] * len(self._kinds)
@@ -253,9 +240,6 @@ class Graph:
                 vals[nid] = np.abs(vals[ins[0]])
             elif kind == "concat":
                 vals[nid] = np.concatenate((vals[ins[0]], vals[ins[1]]), axis=1)
-            elif kind == "slice_cols":
-                lo, hi = aux
-                vals[nid] = vals[ins[0]][:, lo:hi]
             elif kind == "reduce_sum":
                 vals[nid] = vals[ins[0]].sum(axis=aux)
             elif kind == "reduce_mean":
@@ -268,7 +252,7 @@ class Graph:
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
         self._values = vals
-        return Tensor(np.asarray(vals[self._out]))
+        return _finite(np.array(vals[self._out], dtype=np.float64), "graph output")
 
     def value(self, ref) -> np.ndarray:
         """Value of a node (or mark name) from the latest forward pass."""
@@ -277,7 +261,10 @@ class Graph:
         nid = self._marks[ref] if isinstance(ref, str) else ref
         return self._values[nid]
 
-    def backward(self, seed: float = 1.0) -> dict[str, Tensor]:
+    def backward(self, seed: float = 1.0) -> dict[str, np.ndarray]:
+        """Gradients of the output with respect to every parameter leaf.
+
+        Raises NumericError if a gradient is not finite."""
         if self._values is None:
             raise BackwardBeforeForward("backward called before forward")
         out = self._out
@@ -329,11 +316,6 @@ class Graph:
             elif kind == "concat":
                 acc(ins[0], g[:, :aux])
                 acc(ins[1], g[:, aux:])
-            elif kind == "slice_cols":
-                lo, hi = aux
-                full = np.zeros(self._shapes[ins[0]])
-                full[:, lo:hi] = g
-                acc(ins[0], full)
             elif kind == "reduce_sum":
                 if aux is None:
                     acc(ins[0], np.broadcast_to(g, self._shapes[ins[0]]))
@@ -359,7 +341,8 @@ class Graph:
             g = grads[nid]
             if g is None:
                 g = np.zeros(self._shapes[nid])
-            out_grads[name] = Tensor(np.broadcast_to(g, self._shapes[nid]).copy())
+            out_grads[name] = _finite(np.broadcast_to(g, self._shapes[nid]).copy(),
+                                      f"gradient of {name!r}")
         return out_grads
 
 
@@ -377,16 +360,16 @@ def grad_check(graph: Graph, point: dict, step: float) -> float:
     worst = 0.0
     for name in graph._param_names:
         base = point[name]
-        an = analytic[name].data
+        an = analytic[name]
         num = np.zeros_like(base)
         flat = base.reshape(-1)
         nflat = num.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = float(graph.forward(point).data)
+            hi = float(graph.forward(point))
             flat[i] = orig - step
-            lo = float(graph.forward(point).data)
+            lo = float(graph.forward(point))
             flat[i] = orig
             nflat[i] = (hi - lo) / (2.0 * step)
         err = np.abs(an - num) / np.maximum(1.0, np.abs(an))

@@ -71,7 +71,7 @@ class SequenceDataset:
         return [self.sequences[i] for i in idxs], np.array(
             [self.labels[i] for i in idxs], dtype=np.int64)
 
-    def base_train_subset(self, fraction: float, offset: int = 0) -> list[int]:
+    def base_train_subset(self, fraction: float) -> list[int]:
         """First floor(fraction * |base_train|) indices of the base share.
 
         The base share keeps the split shuffle's order, so sub-fractions are
@@ -79,7 +79,6 @@ class SequenceDataset:
         """
         pool = self.indices("base_train")
         n = int(np.floor(fraction * len(pool)))
-        del offset  # reserved for disjoint-subset experiments
         return pool[:n]
 
     def token_values(self) -> np.ndarray:
@@ -227,6 +226,15 @@ def bag_of_tokens(ds: SequenceDataset, idxs) -> np.ndarray:
 
 
 # -- file format ---------------------------------------------------------------
+
+
+def write_csv(path, header: list[str], rows, comment: str | None = None) -> None:
+    """Write a CSV export: an optional `# comment` line, the header, then one
+    line per row of string cells."""
+    lines = [f"# {comment}\n"] if comment else []
+    lines += [",".join(cells) + "\n" for cells in [header, *rows]]
+    with open(path, "w") as f:
+        f.writelines(lines)
 
 
 def save_dataset(ds: SequenceDataset, path: str | Path) -> None:

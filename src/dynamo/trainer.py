@@ -8,6 +8,15 @@ embedding, and takes one optimizer step on (meta params, that model's state
 map, that model's embedding) against hidden-trajectory + weighted output
 losses. Ragged sequence lengths are handled by masking inside a cached
 unrolled graph, so per-sequence time averages stay exact.
+
+Every graph here unrolls the model through `models.unroll_graph`, and every
+numpy rollout (the base trajectories, accuracies, reference losses) goes
+through `models.rollout_batch`. Two graphs exist: the final-step task loss
+(`task_loss_graph`, shared by base training and the embedding search in
+`atlas.ssl_optimize`) and the joint emulation loss. Both are kept in a
+`GraphCache` keyed by batch shape and bound batch by batch through one
+binder (`_input_bindings`). A non-finite loss or gradient raises
+`NumericError` from numgrad's forward or backward pass.
 """
 from __future__ import annotations
 
@@ -21,14 +30,17 @@ from .models import (
     MetaModel,
     StateMap,
     apply_state_map,
-    cell_step_graph,
     declare_params,
+    final_logits,
+    graph_params,
     init_meta_model,
     init_state_map,
+    readout_names,
     rollout_batch,
+    unroll_graph,
 )
-from .numgrad import Graph
-from .tasks import SequenceDataset, bag_of_tokens
+from .numgrad import Graph, NumericError  # noqa: F401  (re-exported for callers)
+from .tasks import SequenceDataset, write_csv
 
 OPTIMIZERS = ("adam_decoupled_wd", "sgd_nesterov")
 HIDDEN_METRICS = ("L2_squared", "L1")
@@ -37,10 +49,6 @@ OUTPUT_DIVERGENCES = ("squared_L2_on_logits", "KL_on_softmax")
 
 class TrainerError(Exception):
     pass
-
-
-class NumericError(TrainerError):
-    """A loss or gradient stopped being finite."""
 
 
 @dataclass
@@ -204,147 +212,156 @@ def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray,
     return float(((mo - bo) ** 2).sum(axis=-1).mean())
 
 
-# -- joint loss graphs -----------------------------------------------------------
+# -- loss graphs, their cache and their batches -----------------------------------
 
 
-class _LossGraphCache:
-    """Unrolled joint-loss graphs keyed by structural signature."""
+class GraphCache:
+    """Loss graphs built once per structural key (padded length, batch
+    width, ...) and reused by every later batch with the same key."""
 
-    def __init__(self, meta: MetaModel, cfg: TrainConfig):
-        self.meta = meta
-        self.cfg = cfg
+    def __init__(self, build):
+        self._build = build
         self._graphs: dict[tuple, Graph] = {}
 
-    def recurrent(self, T: int, B: int, base_hidden: int, task_group: int) -> Graph:
-        key = ("rec", T, B, base_hidden, task_group)
+    def get(self, *key) -> Graph:
         g = self._graphs.get(key)
         if g is None:
-            g = _build_recurrent_loss_graph(self.meta, self.cfg, T, B,
-                                            base_hidden, task_group)
-            self._graphs[key] = g
-        return g
-
-    def residual(self, B: int, base_hidden: int, task_group: int) -> Graph:
-        key = ("res", B, base_hidden, task_group)
-        g = self._graphs.get(key)
-        if g is None:
-            g = _build_residual_loss_graph(self.meta, self.cfg, B,
-                                           base_hidden, task_group)
-            self._graphs[key] = g
+            g = self._graphs[key] = self._build(*key)
         return g
 
 
-def _build_recurrent_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
-                                base_hidden: int, task_group: int) -> Graph:
+def _sum(g: Graph, terms: list[int]) -> int:
+    total = terms[0]
+    for term in terms[1:]:
+        total = g.add(total, term)
+    return total
+
+
+def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Graph:
+    """Mean cross entropy of the final-step readout against one-hot `labels`.
+
+    A base model's parameters are the trainable leaves (base training). A
+    meta model's parameters are frozen and only the embedding leaf `theta`
+    is trainable (the semi-supervised embedding search). Recurrent rows end
+    at their own length through the last-step masks `lm{t}`.
+    """
     g = Graph()
-    refs = declare_params(g, {k: v for k, v in meta.params.items()
-                              if not k.startswith("head")})
-    head_w = g.leaf(f"head{task_group}_w", meta.params[f"head{task_group}_w"].shape)
-    head_b = g.leaf(f"head{task_group}_b", meta.params[f"head{task_group}_b"].shape)
-    v_w = g.leaf("vmap_w0", (meta.hidden_dim, base_hidden))
-    v_b = g.leaf("vmap_b0", (base_hidden,))
-    theta = g.leaf("theta", (1, meta.embed_dim))
-    ones = g.const(np.ones((B, 1)))
-    theta_rows = g.matmul(ones, theta)
-    h = g.const(np.zeros((B, meta.hidden_dim)))
-    hidden_terms, out_terms = [], []
-    kl = cfg.output_divergence == "KL_on_softmax"
+    is_meta = isinstance(model, MetaModel)
+    w_name, b_name = readout_names(model, task_group)
+    refs = declare_params(g, graph_params(model, task_group), trainable=not is_meta)
+    theta_rows = None
+    if is_meta:
+        theta = g.leaf("theta", (1, model.embed_dim))
+        theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
+    parts = []
+    for t, h in enumerate(unroll_graph(g, model, refs, T, B, theta_rows)):
+        if model.cell_kind != "residual_mlp":
+            parts.append(g.mul(h, g.leaf(f"lm{t}", (B, 1), param=False)))
+    h_last = _sum(g, parts) if parts else h
+    logits = g.add(g.matmul(h_last, refs[w_name]), refs[b_name])
+    onehot = g.leaf("labels", g.shape(logits), param=False)
+    g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
+    return g
+
+
+def _input_bindings(model, inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
+    """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch."""
+    if lengths is None:
+        return {"feat": inputs}
+    return {f"x{t}": _onehot(inputs[:, t], model.vocab_size)
+            for t in range(inputs.shape[1])}
+
+
+def task_batch(cache: GraphCache, model, inputs: np.ndarray,
+               lengths: np.ndarray | None, labels: np.ndarray,
+               task_group: int | None = None) -> tuple[Graph, dict]:
+    """The cached task-loss graph for one labelled batch and its bindings;
+    a meta model's `theta` is left for the caller to bind."""
+    T = 0 if lengths is None else inputs.shape[1]
+    g = cache.get(T, len(inputs))
+    bindings = graph_params(model, task_group)
+    bindings.update(_input_bindings(model, inputs, lengths))
     for t in range(T):
-        x = g.leaf(f"x{t}", (B, meta.vocab_size), param=False)
-        inp = g.concat(theta_rows, g.matmul(x, refs["embed"]))
-        h = cell_step_graph(g, meta.cell_kind, refs, inp, h)
+        bindings[f"lm{t}"] = (lengths == t + 1).astype(float)[:, None]
+    _, b_name = readout_names(model, task_group)
+    bindings["labels"] = _onehot(labels, model.params[b_name].size)
+    return g, bindings
+
+
+def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
+    """Rows of a `model_inputs` batch, padding trimmed to the longest row."""
+    if lengths is None:
+        return inputs[rows], None
+    lengths = lengths[rows]
+    return inputs[rows, :lengths.max()], lengths
+
+
+def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
+                          base_hidden: int, task_group: int) -> Graph:
+    """Joint loss of the meta model at one embedding against one base batch:
+    mapped hidden-state distance plus `lam` times the output divergence.
+
+    Recurrent bases weight each step by the leaves `wh{t}`/`wo{t}` (masked
+    per-sequence time means). Residual bases use one state map per block,
+    compare unmapped block features before the last block, and compare head
+    outputs after it.
+    """
+    residual = meta.cell_kind == "residual_mlp"
+    if residual and base_hidden != meta.hidden_dim:
+        raise TrainerError("residual family requires meta hidden dim == base hidden dim")
+    g = Graph()
+    w_name, b_name = readout_names(meta, task_group)
+    refs = declare_params(g, graph_params(meta, task_group))
+    maps = [(g.leaf(f"vmap_w{k}", (meta.hidden_dim, base_hidden)),
+             g.leaf(f"vmap_b{k}", (base_hidden,))) for k in range(max(1, meta.num_blocks))]
+    theta = g.leaf("theta", (1, meta.embed_dim))
+    theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
+    nb = meta.num_blocks
+    C = meta.head_dims[task_group]
+    kl = cfg.output_divergence == "KL_on_softmax"
+    whid = 1.0 / (B * nb * base_hidden) if residual else None
+    hidden_terms, out_terms = [], []
+    for t, h in enumerate(unroll_graph(g, meta, refs, T, B, theta_rows)):
+        v_w, v_b = maps[t if residual else 0]
         mapped = g.add(g.matmul(h, v_w), v_b)
         diff = g.sub(mapped, g.leaf(f"hb{t}", (B, base_hidden), param=False))
         rows = (g.l1(diff, axis=1) if cfg.hidden_metric == "L1"
                 else g.squared_l2(diff, axis=1))
+        if residual:
+            hidden_terms.append(g.affine(g.reduce_sum(rows), whid))
+            if t < nb - 1:
+                # feature stream: unmapped per-coordinate squared distance
+                fd = g.sub(h, g.leaf(f"fb{t}", (B, base_hidden), param=False))
+                out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)), whid))
+            continue
         wh = g.leaf(f"wh{t}", (B,), param=False)
         hidden_terms.append(g.reduce_sum(g.mul(rows, wh)))
-        logits = g.add(g.matmul(h, head_w), head_b)
+        logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
         wo = g.leaf(f"wo{t}", (B,), param=False)
         if kl:
-            pb = g.leaf(f"pb{t}", (B, meta.head_dims[task_group]), param=False)
+            pb = g.leaf(f"pb{t}", (B, C), param=False)
             ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb), axis=1), -1.0)
             out_terms.append(g.reduce_sum(g.mul(ce, wo)))
         else:
-            ob = g.leaf(f"ob{t}", (B, meta.head_dims[task_group]), param=False)
+            ob = g.leaf(f"ob{t}", (B, C), param=False)
             out_terms.append(g.reduce_sum(g.mul(g.squared_l2(g.sub(logits, ob), axis=1), wo)))
-    hidden_total = hidden_terms[0]
-    for term in hidden_terms[1:]:
-        hidden_total = g.add(hidden_total, term)
-    out_total = out_terms[0]
-    for term in out_terms[1:]:
-        out_total = g.add(out_total, term)
-    if kl:
+    if residual:
+        logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
+        if kl:
+            pb = g.leaf("pb", (B, C), param=False)
+            ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0 / (B * nb))
+            out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
+        else:
+            ob = g.leaf("ob", (B, C), param=False)
+            out_terms.append(g.affine(g.squared_l2(g.sub(logits, ob)), 1.0 / (B * nb)))
+    hidden_total = _sum(g, hidden_terms)
+    out_total = _sum(g, out_terms)
+    if kl and not residual:
         out_total = g.add(out_total, g.leaf("kl_const", (), param=False))
     g.mark("hidden_loss", hidden_total)
     g.mark("output_loss", out_total)
     g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))
     return g
-
-
-def _build_residual_loss_graph(meta: MetaModel, cfg: TrainConfig, B: int,
-                               base_hidden: int, task_group: int) -> Graph:
-    if base_hidden != meta.hidden_dim:
-        raise TrainerError("residual family requires meta hidden dim == base hidden dim")
-    g = Graph()
-    refs = declare_params(g, {k: v for k, v in meta.params.items()
-                              if not k.startswith("head")})
-    head_w = g.leaf(f"head{task_group}_w", meta.params[f"head{task_group}_w"].shape)
-    head_b = g.leaf(f"head{task_group}_b", meta.params[f"head{task_group}_b"].shape)
-    theta = g.leaf("theta", (1, meta.embed_dim))
-    ones = g.const(np.ones((B, 1)))
-    theta_rows = g.matmul(ones, theta)
-    feat = g.leaf("feat", (B, meta.input_dim), param=False)
-    h = g.add(g.matmul(feat, refs["stem_w"]), refs["stem_b"])
-    nb = meta.num_blocks
-    hidden_terms, out_terms = [], []
-    kl = cfg.output_divergence == "KL_on_softmax"
-    whid = 1.0 / (B * nb * base_hidden)
-    for t in range(nb):
-        h = cell_step_graph(g, "residual_mlp", refs, None, h, block=t,
-                            theta_rows=theta_rows)
-        v_w = g.leaf(f"vmap_w{t}", (meta.hidden_dim, base_hidden))
-        v_b = g.leaf(f"vmap_b{t}", (base_hidden,))
-        mapped = g.add(g.matmul(h, v_w), v_b)
-        diff = g.sub(mapped, g.leaf(f"hb{t}", (B, base_hidden), param=False))
-        rows = (g.l1(diff, axis=1) if cfg.hidden_metric == "L1"
-                else g.squared_l2(diff, axis=1))
-        hidden_terms.append(g.affine(g.reduce_sum(rows), whid))
-        if t < nb - 1:
-            # feature stream: unmapped per-coordinate squared distance
-            fd = g.sub(h, g.leaf(f"fb{t}", (B, base_hidden), param=False))
-            out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)),
-                                      1.0 / (B * nb * base_hidden)))
-    logits = g.add(g.matmul(h, head_w), head_b)
-    C = meta.head_dims[task_group]
-    if kl:
-        pb = g.leaf("pb", (B, C), param=False)
-        ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0 / (B * nb))
-        out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
-    else:
-        ob = g.leaf("ob", (B, C), param=False)
-        out_terms.append(g.affine(g.squared_l2(g.sub(logits, ob)), 1.0 / (B * nb)))
-    hidden_total = hidden_terms[0]
-    for term in hidden_terms[1:]:
-        hidden_total = g.add(hidden_total, term)
-    out_total = out_terms[0]
-    for term in out_terms[1:]:
-        out_total = g.add(out_total, term)
-    g.mark("hidden_loss", hidden_total)
-    g.mark("output_loss", out_total)
-    g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))
-    return g
-
-
-def _pad_batch(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a ragged token batch with token 0; returns (B, T) ids and lengths."""
-    B = len(sequences)
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    T = int(lengths.max())
-    mat = np.zeros((B, T), dtype=np.int64)
-    for b, s in enumerate(sequences):
-        mat[b, :len(s)] = s
-    return mat, lengths
 
 
 def _onehot(ids: np.ndarray, width: int) -> np.ndarray:
@@ -354,87 +371,46 @@ def _onehot(ids: np.ndarray, width: int) -> np.ndarray:
 
 
 def meta_emulation_losses(meta: MetaModel, base: BaseModel, vmap: StateMap,
-                          theta: np.ndarray, sequences: list[list[int]],
-                          cfg: TrainConfig) -> tuple[float, float, float]:
-    """Reference evaluation of (hidden, output, total) losses for one batch,
-    computed with plain rollouts rather than the training graph."""
-    normalize = cfg.normalize_hidden_by_dim
-    htot = otot = 0.0
-    if base.cell_kind == "residual_mlp":
-        feats = sequences  # already features for the residual family
-        for f in feats:
-            hs_b, outs_b = models.rollout(base, f)
-            hs_m, outs_m = models.rollout(meta, f, theta=theta,
-                                          task_group=base.task_group)
-            htot += hidden_loss(hs_m, hs_b, vmap, cfg.hidden_metric, residual=True)
-            nb = base.num_blocks
-            terms = []
-            for t in range(nb - 1):
-                d = outs_m[t] - outs_b[t]
-                terms.append(float((d * d).sum()) / base.hidden_dim)
-            if cfg.output_divergence == "KL_on_softmax":
-                terms.append(float(kl_from_logits(outs_b[-1][None, :],
-                                                  outs_m[-1][None, :])[0]))
-            else:
-                d = outs_m[-1] - outs_b[-1]
-                terms.append(float((d * d).sum()))
-            otot += sum(terms) / nb
-        n = len(feats)
+                          theta: np.ndarray, inputs, cfg: TrainConfig
+                          ) -> tuple[float, float, float]:
+    """Reference evaluation of (hidden, output, total) losses for one batch of
+    token sequences (or residual feature rows), computed with plain rollouts
+    rather than the training graph."""
+    residual = base.cell_kind == "residual_mlp"
+    if residual:
+        x, lengths = np.asarray(inputs, dtype=np.float64), None
     else:
-        for seq in sequences:
-            hs_b, logits_b = models.rollout(base, seq)
-            hs_m, logits_m = models.rollout(meta, seq, theta=theta,
-                                            task_group=base.task_group)
-            htot += hidden_loss(hs_m, hs_b, vmap, cfg.hidden_metric,
-                                normalize_by_dim=normalize)
-            otot += output_loss(logits_m, logits_b, cfg.output_divergence)
-        n = len(sequences)
-    htot /= n
-    otot /= n
+        x, lengths = models.pad_tokens(inputs)
+    hs_b, out_b = rollout_batch(base, x, lengths=lengths)
+    hs_m, out_m = rollout_batch(meta, x, theta=theta, task_group=base.task_group,
+                                lengths=lengths)
+    htot = otot = 0.0
+    for b in range(len(x)):
+        T = base.num_blocks if residual else lengths[b]
+        htot += hidden_loss(hs_m[:T, b], hs_b[:T, b], vmap, cfg.hidden_metric,
+                            normalize_by_dim=cfg.normalize_hidden_by_dim,
+                            residual=residual)
+        if residual:
+            d = hs_m[:-1, b] - hs_b[:-1, b]
+            last = output_loss(out_m[-1:, b], out_b[-1:, b], cfg.output_divergence)
+            otot += (float((d * d).sum()) / base.hidden_dim + last) / T
+        else:
+            otot += output_loss(out_m[:T, b], out_b[:T, b], cfg.output_divergence)
+    htot /= len(x)
+    otot /= len(x)
     return htot, otot, htot + cfg.lam * otot
 
 
 # -- base-model training ---------------------------------------------------------
 
 
-def _build_base_task_graph(model: BaseModel, T: int, B: int) -> Graph:
-    g = Graph()
-    refs = declare_params(g, model.params)
-    if model.cell_kind == "residual_mlp":
-        feat = g.leaf("feat", (B, model.input_dim), param=False)
-        h = g.add(g.matmul(feat, refs["stem_w"]), refs["stem_b"])
-        for t in range(model.num_blocks):
-            h = cell_step_graph(g, "residual_mlp", refs, None, h, block=t)
-        h_last = h
-    else:
-        h = g.const(np.zeros((B, model.hidden_dim)))
-        parts = []
-        for t in range(T):
-            x = g.leaf(f"x{t}", (B, model.vocab_size), param=False)
-            h = cell_step_graph(g, model.cell_kind, refs, g.matmul(x, refs["embed"]), h)
-            lm = g.leaf(f"lm{t}", (B, 1), param=False)
-            parts.append(g.mul(h, lm))
-        h_last = parts[0]
-        for p in parts[1:]:
-            h_last = g.add(h_last, p)
-    logits = g.add(g.matmul(h_last, refs["w_out"]), refs["b_out"])
-    onehot = g.leaf("labels", (B, model.output_dim), param=False)
-    g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
-    return g
-
-
 def model_accuracy(model: BaseModel, ds: SequenceDataset, split: str = "test") -> float:
     idxs = ds.indices(split)
     if not idxs:
         raise TrainerError(f"empty split {split!r}")
-    seqs, labels = ds.subset(idxs)
-    if model.cell_kind == "residual_mlp":
-        feats = bag_of_tokens(ds, idxs)
-        _, outs = models.rollout(model, feats)
-        logits = outs[-1]
-    else:
-        logits = models.final_logits(model, seqs)
-    return float((logits.argmax(axis=1) == labels).mean())
+    inputs, lengths = models.model_inputs(model, ds, idxs)
+    logits = final_logits(model, inputs, lengths=lengths)
+    return float((logits.argmax(axis=1) == ds.subset(idxs)[1]).mean())
 
 
 def train_base(model: BaseModel, ds: SequenceDataset, cfg: TrainConfig,
@@ -448,46 +424,22 @@ def train_base(model: BaseModel, ds: SequenceDataset, cfg: TrainConfig,
     if not idxs:
         raise TrainerError("base_train sub-fraction selected zero examples")
     rng = np.random.default_rng(cfg.seed)
-    handles = dict(model.params)
-    opt = Optimizer(handles, cfg)
-    graphs: dict[tuple, Graph] = {}
+    opt = Optimizer(dict(model.params), cfg)
+    cache = GraphCache(lambda T, B: task_loss_graph(model, T, B))
+    inputs, lengths = models.model_inputs(model, ds, idxs)
+    labels = ds.subset(idxs)[1]
     n_batches = int(np.ceil(len(idxs) / cfg.batch_size))
     total_steps = max(1, cfg.epochs * n_batches)
     acc_curve: list[float] = []
     step = 0
-    is_residual = model.cell_kind == "residual_mlp"
-    feats_all = bag_of_tokens(ds, idxs) if is_residual else None
     for _ in range(cfg.epochs):
         order = rng.permutation(len(idxs))
         for k in range(n_batches):
             rows = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
-            batch_idx = [idxs[r] for r in rows]
-            labels = np.array([ds.labels[i] for i in batch_idx])
-            B = len(rows)
-            bindings = dict(model.params)
-            bindings["labels"] = _onehot(labels, model.output_dim)
-            if is_residual:
-                key = (0, B)
-                g = graphs.get(key)
-                if g is None:
-                    g = graphs[key] = _build_base_task_graph(model, 0, B)
-                bindings["feat"] = feats_all[rows]
-            else:
-                seqs = [ds.sequences[i] for i in batch_idx]
-                mat, lengths = _pad_batch(seqs)
-                T = mat.shape[1]
-                key = (T, B)
-                g = graphs.get(key)
-                if g is None:
-                    g = graphs[key] = _build_base_task_graph(model, T, B)
-                for t in range(T):
-                    bindings[f"x{t}"] = _onehot(mat[:, t], model.vocab_size)
-                    bindings[f"lm{t}"] = (lengths == t + 1).astype(float)[:, None]
-            loss = float(g.forward(bindings).data)
-            if not np.isfinite(loss):
-                raise NumericError(f"base training loss became {loss}")
-            grads = {k2: v.data for k2, v in g.backward().items()}
-            opt.step(grads, cfg.lr * lr_multiplier(cfg, step, total_steps))
+            g, bindings = task_batch(cache, model, *_take(inputs, lengths, rows),
+                                     labels[rows])
+            g.forward(bindings)
+            opt.step(g.backward(), cfg.lr * lr_multiplier(cfg, step, total_steps))
             step += 1
         acc_curve.append(model_accuracy(model, ds))
     return model, acc_curve
@@ -569,11 +521,11 @@ class MetaTrainer:
         self.bases = bases
         self.datasets = datasets
         self.cfg = cfg
-        self.cache = _LossGraphCache(state.meta, cfg)
+        self.cache = GraphCache(lambda T, B, hidden, group: _emulation_loss_graph(
+            state.meta, cfg, T, B, hidden, group))
         self.rng = np.random.default_rng(cfg.seed)
-        self._residual = bases[0].cell_kind == "residual_mlp"
-        self._feats = ([bag_of_tokens(ds, ds.indices("meta_unlabeled"))
-                        for ds in datasets] if self._residual else None)
+        self.pools = [models.model_inputs(b, ds, ds.indices("meta_unlabeled"))
+                      for b, ds in zip(bases, datasets)]
         handles: dict[str, np.ndarray] = dict(state.meta.params)
         no_decay = set()
         for i, vm in enumerate(state.state_maps):
@@ -585,29 +537,46 @@ class MetaTrainer:
             no_decay.add(f"theta{i}")
         self.opt = Optimizer(handles, cfg, no_decay=no_decay)
 
-    def _bindings_recurrent(self, i: int, seqs: list[list[int]]) -> tuple[Graph, dict]:
+    def bindings(self, i: int, inputs: np.ndarray,
+                 lengths: np.ndarray | None) -> tuple[Graph, dict]:
+        """The joint-loss graph for base i on one `model_inputs` batch, bound
+        to the current parameters and to the base's own rollout."""
         base = self.bases[i]
         cfg = self.cfg
         meta = self.state.meta
-        mat, lengths = _pad_batch(seqs)
-        B, T = mat.shape
-        g = self.cache.recurrent(T, B, base.hidden_dim, base.task_group)
-        hs_b, logits_b = rollout_batch(base, mat)
+        tg = base.task_group
+        B = len(inputs)
+        T = 0 if lengths is None else inputs.shape[1]
+        g = self.cache.get(T, B, base.hidden_dim, tg)
+        hs_b, logits_b = rollout_batch(base, inputs)
+        bindings = graph_params(meta, tg)
+        bindings.update(_input_bindings(meta, inputs, lengths))
+        bindings["theta"] = self.state.embeddings[i][None, :]
+        vmap = self.state.state_maps[i]
+        for t in range(len(vmap.weights)):
+            bindings[f"vmap_w{t}"] = vmap.weights[t]
+            bindings[f"vmap_b{t}"] = vmap.biases[t]
+        kl = cfg.output_divergence == "KL_on_softmax"
+        if lengths is None:
+            nb = base.num_blocks
+            for t in range(nb):
+                bindings[f"hb{t}"] = hs_b[t]
+                if t < nb - 1:
+                    bindings[f"fb{t}"] = hs_b[t]
+            if kl:
+                p = _softmax(logits_b[-1])
+                bindings["pb"] = p
+                plogp = (p * np.log(np.clip(p, 1e-300, None))).sum()
+                bindings["kl_const"] = float(plogp) / (B * nb)
+            else:
+                bindings["ob"] = logits_b[-1]
+            return g, bindings
         wnorm = 1.0 / (lengths * B)
         mask = np.arange(T)[:, None] < lengths[None, :]
         hscale = 1.0 / base.hidden_dim if cfg.normalize_hidden_by_dim else 1.0
-        bindings = {k: v for k, v in meta.params.items() if not k.startswith("head")}
-        tg = base.task_group
-        bindings[f"head{tg}_w"] = meta.params[f"head{tg}_w"]
-        bindings[f"head{tg}_b"] = meta.params[f"head{tg}_b"]
-        bindings["vmap_w0"] = self.state.state_maps[i].weights[0]
-        bindings["vmap_b0"] = self.state.state_maps[i].biases[0]
-        bindings["theta"] = self.state.embeddings[i][None, :]
-        kl = cfg.output_divergence == "KL_on_softmax"
         kl_const = 0.0
         for t in range(T):
             w = mask[t] * wnorm
-            bindings[f"x{t}"] = _onehot(mat[:, t], meta.vocab_size)
             bindings[f"hb{t}"] = hs_b[t]
             bindings[f"wh{t}"] = w * hscale
             bindings[f"wo{t}"] = w
@@ -620,37 +589,6 @@ class MetaTrainer:
                 bindings[f"ob{t}"] = logits_b[t]
         if kl:
             bindings["kl_const"] = kl_const
-        return g, bindings
-
-    def _bindings_residual(self, i: int, rows: np.ndarray) -> tuple[Graph, dict]:
-        base = self.bases[i]
-        meta = self.state.meta
-        feats = self._feats[i][rows]
-        B = feats.shape[0]
-        g = self.cache.residual(B, base.hidden_dim, base.task_group)
-        bindings = {k: v for k, v in meta.params.items() if not k.startswith("head")}
-        tg = base.task_group
-        bindings[f"head{tg}_w"] = meta.params[f"head{tg}_w"]
-        bindings[f"head{tg}_b"] = meta.params[f"head{tg}_b"]
-        bindings["theta"] = self.state.embeddings[i][None, :]
-        bindings["feat"] = feats
-        h = feats @ base.params["stem_w"] + base.params["stem_b"]
-        nb = base.num_blocks
-        for t in range(nb):
-            h = models.cell_step(base, None, h, block=t)
-            bindings[f"hb{t}"] = h
-            if t < nb - 1:
-                bindings[f"fb{t}"] = h
-            bindings[f"vmap_w{t}"] = self.state.state_maps[i].weights[t]
-            bindings[f"vmap_b{t}"] = self.state.state_maps[i].biases[t]
-        logits_b = h @ base.params["w_out"] + base.params["b_out"]
-        if self.cfg.output_divergence == "KL_on_softmax":
-            p = _softmax(logits_b)
-            bindings["pb"] = p
-            plogp = (p * np.log(np.clip(p, 1e-300, None))).sum()
-            bindings["kl_const"] = float(plogp) / (B * nb)
-        else:
-            bindings["ob"] = logits_b
         return g, bindings
 
     def _grad_names(self, i: int, task_group: int) -> dict[str, str]:
@@ -675,26 +613,17 @@ class MetaTrainer:
         N = len(self.bases)
         for tau in range(total):
             i = int(self.rng.integers(0, N))
-            if self._residual:
-                pool = len(self._feats[i])
-                rows = self.rng.choice(pool, size=min(cfg.batch_size, pool),
-                                       replace=pool < cfg.batch_size)
-                g, bindings = self._bindings_residual(i, rows)
-            else:
-                pool = self.datasets[i].indices("meta_unlabeled")
-                take = self.rng.choice(len(pool), size=min(cfg.batch_size, len(pool)),
-                                       replace=len(pool) < cfg.batch_size)
-                seqs = [self.datasets[i].sequences[pool[k]] for k in take]
-                g, bindings = self._bindings_recurrent(i, seqs)
-            total_loss_val = float(g.forward(bindings).data)
-            if not np.isfinite(total_loss_val):
-                raise NumericError(f"meta loss became {total_loss_val} at step {tau}")
+            inputs, lengths = self.pools[i]
+            n = len(inputs)
+            rows = self.rng.choice(n, size=min(cfg.batch_size, n),
+                                   replace=n < cfg.batch_size)
+            g, bindings = self.bindings(i, *_take(inputs, lengths, rows))
+            total_loss_val = float(g.forward(bindings))
             hid = float(g.value("hidden_loss"))
             out = float(g.value("output_loss"))
             grads_graph = g.backward()
             name_map = self._grad_names(i, self.bases[i].task_group)
-            grads = {handle: grads_graph[leaf].data
-                     for leaf, handle in name_map.items()}
+            grads = {handle: grads_graph[leaf] for leaf, handle in name_map.items()}
             lr = cfg.lr * lr_multiplier(cfg, self.state.step, cfg.max_steps or total)
             theta_lr = None
             if cfg.theta_lr is not None:
@@ -715,24 +644,13 @@ def train_meta(bases: list[BaseModel], datasets: list[SequenceDataset],
 
 
 def export_loss_history(history, path, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}\n")
-    lines.append("step,model_id,hidden_loss,output_loss,total_loss\n")
-    for step, mid, hid, out, tot in history:
-        lines.append(f"{step},{mid},{hid:.10g},{out:.10g},{tot:.10g}\n")
-    with open(path, "w") as f:
-        f.writelines(lines)
+    rows = [[str(step), str(mid), f"{hid:.10g}", f"{out:.10g}", f"{tot:.10g}"]
+            for step, mid, hid, out, tot in history]
+    write_csv(path, ["step", "model_id", "hidden_loss", "output_loss", "total_loss"],
+              rows, comment)
 
 
 # -- diagnostics ------------------------------------------------------------------
-
-
-def conjugacy_residual(state: MetaTrainState, base: BaseModel, n: int,
-                       sequences: list[list[int]]) -> dict:
-    """One-step conjugacy defect for base n under the trained state."""
-    return conjugacy_defect(state.meta, base, state.state_maps[n],
-                            state.embeddings[n], sequences)
 
 
 def conjugacy_defect(meta, base: BaseModel, vmap: StateMap,
@@ -742,15 +660,13 @@ def conjugacy_defect(meta, base: BaseModel, vmap: StateMap,
     For each step t the defect compares pushing the meta state forward and
     then mapping, against mapping first and stepping through the base cell.
     """
-    vals = []
-    for seq in sequences:
-        hs_m, _ = models.rollout(meta, seq, theta=theta, task_group=base.task_group)
-        emb_b = base.params["embed"][np.asarray(seq)]
-        prev = np.zeros(meta.hidden_dim)
-        for t in range(len(seq)):
-            lhs = apply_state_map(vmap, hs_m[t])
-            rhs = models.cell_step(base, emb_b[t], apply_state_map(vmap, prev))
-            vals.append(float(np.linalg.norm(lhs - rhs)))
-            prev = hs_m[t]
-    arr = np.array(vals)
-    return {"mean": float(arr.mean()), "max": float(arr.max()), "count": len(arr)}
+    tokens, lengths = models.pad_tokens(sequences)
+    hs_m, _ = rollout_batch(meta, tokens, theta=theta, task_group=base.task_group,
+                            lengths=lengths)
+    valid = np.arange(tokens.shape[1])[:, None] < lengths[None, :]
+    prev = np.concatenate([np.zeros_like(hs_m[:1]), hs_m[:-1]])
+    lhs = apply_state_map(vmap, hs_m[valid])
+    rhs = models.cell_step(base, base.params["embed"][tokens.T[valid]],
+                           apply_state_map(vmap, prev[valid]))
+    vals = np.linalg.norm(lhs - rhs, axis=1)
+    return {"mean": float(vals.mean()), "max": float(vals.max()), "count": len(vals)}

@@ -288,3 +288,41 @@ def test_full_rerun_is_byte_identical(tmp_path):
              "analysis_summary.json", "ssl_trajectory.csv", "ssl_result.json"]
     for f in files:
         assert filecmp.cmp(a / f, b / f, shallow=False), f
+
+
+@pytest.fixture(scope="module")
+def residual_pipeline(tmp_path_factory):
+    """A tiny residual-MLP population with its meta model."""
+    root = tmp_path_factory.mktemp("residual")
+    cfg = _mini_config(
+        population=[{"task": "valence", "count": 2, "cell_kind": "residual_mlp",
+                     "hidden_dim": 6, "input_dim": 12, "num_blocks": 2,
+                     "task_group": 0}],
+        meta={"embed_dim": 2})
+    path = _write_config(root, cfg)
+    out = root / "run"
+    for stage in ("gen-data", "train-base", "train-meta"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    return path, out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("analyze",), 0),
+    (("analyze", "--svcca"), 2),    # SVCCA compares recurrent hidden states
+    (("ssl",), 0),
+    (("average", "--ids", "base_000,base_001"), 0),
+    (("fixed-points", "--theta", "base_000"), 2),  # recurrent cells only
+])
+def test_residual_run_commands_exit_cleanly(residual_pipeline, argv, code):
+    path, out = residual_pipeline
+    assert _run(*argv, "--config", str(path), "--out", str(out)) == code
+
+
+def test_nonfinite_base_checkpoint_is_numeric_failure(tmp_path):
+    path = _write_config(tmp_path, _mini_config())
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    blob = out / "base" / "base_000.bin"
+    blob.write_bytes(np.full(blob.stat().st_size // 4, np.nan, dtype="<f4").tobytes())
+    assert _run("train-meta", "--config", str(path), "--out", str(out)) == 4

@@ -253,8 +253,16 @@ def test_export_fixed_points_csv(tmp_path):
                             task_group=0)
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=w"
-    assert lines[1].startswith("index,residual")
+    assert lines[1] == "index,residual,margin"  # one point spans no direction
     assert len(lines) == 2 + len(fps)
+    # three points span at most two directions: no pc_2 column of rounding noise
+    pts = np.random.default_rng(1).standard_normal((3, 4))
+    three = FixedPointSet(pts, np.zeros(3), np.zeros(2), np.zeros(3),
+                          np.arange(3), np.zeros(3, int))
+    export_fixed_points_csv(three, meta, path, task_group=0)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "index,residual,pc_0,pc_1,margin"
+    assert len(lines) == 1 + 3
 
 
 def test_readout_margin_and_spearman():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamo.models import (
     BaseModel,
@@ -7,6 +9,7 @@ from dynamo.models import (
     ModelError,
     StateMap,
     apply_state_map,
+    cell_step,
     cell_step_graph,
     declare_params,
     final_logits,
@@ -14,6 +17,7 @@ from dynamo.models import (
     init_base_model,
     init_meta_model,
     init_state_map,
+    pad_tokens,
     residual_block_step,
     rollout,
     rollout_batch,
@@ -215,7 +219,8 @@ def test_rollout_batch_matches_single():
 def test_final_logits_ragged():
     m = init_base_model("gru", 8, 3, 4, 2, 0, seed=6)
     seqs = [[1, 2, 3], [4, 5], [6, 1, 2]]
-    out = final_logits(m, seqs)
+    tokens, lengths = pad_tokens(seqs)
+    out = final_logits(m, tokens, lengths=lengths)
     for i, s in enumerate(seqs):
         _, logits = rollout(m, s)
         assert np.allclose(out[i], logits[-1], atol=1e-14)
@@ -259,7 +264,7 @@ def test_apply_state_map():
 
 def test_init_state_map_shapes():
     v = init_state_map(6, 4, num_blocks=0, seed=0)
-    assert v.weight.shape == (6, 4) and v.bias.shape == (4,)
+    assert v.weights[0].shape == (6, 4) and v.biases[0].shape == (4,)
     v3 = init_state_map(6, 4, num_blocks=3, seed=0)
     assert len(v3.weights) == 3
 
@@ -307,3 +312,61 @@ def test_model_embedding_rejects_nonfinite():
         ModelEmbedding(np.array([1.0, np.nan]))
     e = ModelEmbedding(np.zeros(3), model_id="base_0")
     assert e.model_id == "base_0"
+
+
+def _row_oracle(model, row, length, theta_row, head):
+    """One row stepped through `cell_step` with 1-D vectors."""
+    p = model.params
+    steps = []
+    if model.cell_kind == "residual_mlp":
+        h = row @ p["stem_w"] + p["stem_b"]
+        for t in range(model.num_blocks):
+            h = cell_step(model, None, h, block=t, theta=theta_row)
+            steps.append(h)
+    else:
+        h = np.zeros(model.hidden_dim)
+        for tok in row[:length]:
+            x = p["embed"][tok]
+            if theta_row is not None:
+                x = np.concatenate([theta_row, x])
+            h = cell_step(model, x, h)
+            steps.append(h)
+    hs = np.stack(steps)
+    return hs, hs @ p[head[0]] + p[head[1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["gru", "vanilla_rnn", "meta_gru", "residual_mlp",
+                             "meta_residual_mlp"]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_rollout_batch_matches_row_by_row_oracle(case, seed, data):
+    rng = np.random.default_rng(seed)
+    kind = case.removeprefix("meta_")
+    residual = kind == "residual_mlp"
+    B = data.draw(st.integers(1, 5))
+    if case.startswith("meta_"):
+        model = init_meta_model(kind, 7, 5 if residual else 3, 4, 2, {0: 2, 1: 3},
+                                seed=seed, num_blocks=3)
+        theta, group, head = rng.standard_normal((B, 2)), 1, ("head1_w", "head1_b")
+    else:
+        model = init_base_model(kind, 7, 5 if residual else 3, 4, 2, 0, seed=seed,
+                                num_blocks=3)
+        theta, group, head = None, None, ("w_out", "b_out")
+    if residual:
+        inputs, lengths = rng.standard_normal((B, 5)), None
+    else:
+        lengths = np.array(data.draw(st.lists(st.integers(1, 6), min_size=B,
+                                              max_size=B)))
+        # padding past each length holds arbitrary tokens and must not matter
+        inputs = rng.integers(0, 7, size=(B, lengths.max()))
+    hiddens, logits = rollout_batch(model, inputs, theta=theta, task_group=group,
+                                    lengths=lengths)
+    for b in range(B):
+        n = model.num_blocks if residual else lengths[b]
+        hs, lg = _row_oracle(model, inputs[b], n, None if theta is None else theta[b],
+                             head)
+        for got, want in ((hiddens[:n, b], hs), (logits[:n, b], lg)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        # finished rows hold their final state
+        assert np.array_equal(hiddens[n:, b], np.broadcast_to(hiddens[n - 1, b],
+                                                              hiddens[n:, b].shape))

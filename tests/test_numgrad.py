@@ -5,20 +5,29 @@ from dynamo.numgrad import (
     BackwardBeforeForward,
     Graph,
     NonScalarOutput,
+    NumericError,
     ShapeMismatch,
-    Tensor,
     UnboundLeaf,
     grad_check,
 )
 
 
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Tensor([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Tensor([np.inf])
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert t.shape == (2, 2)
+def test_forward_and_backward_reject_nonfinite():
+    g = Graph()
+    x = g.leaf("x", (1, 2))
+    g.output(g.reduce_sum(g.mul(x, x)))
+    with pytest.raises(NumericError):
+        g.forward({"x": np.array([[1.0, np.nan]])})
+    with pytest.raises(NumericError):
+        g.forward({"x": np.array([[np.inf, 0.0]])})
+    assert g.forward({"x": np.array([[1.0, 2.0]])}) == pytest.approx(5.0)
+    # a finite output whose gradient overflows
+    g2 = Graph()
+    y = g2.leaf("y", (1, 2))
+    g2.output(g2.reduce_sum(g2.affine(y, 1e300)))
+    g2.forward({"y": np.zeros((1, 2))})
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        g2.backward(seed=1e10)
 
 
 def test_forward_identity_matmul():
@@ -27,7 +36,7 @@ def test_forward_identity_matmul():
     x = g.leaf("x", (2, 1), param=False)
     g.output(g.matmul(a, x))
     out = g.forward({"A": np.eye(2), "x": np.array([[3.0], [4.0]])})
-    assert np.allclose(out.data, [[3.0], [4.0]])
+    assert np.allclose(out, [[3.0], [4.0]])
 
 
 def test_forward_sigmoid_at_zero():
@@ -46,7 +55,7 @@ def test_forward_squared_l2_hand_value():
     b = g.leaf("b", (1, 2), param=False)
     g.output(g.squared_l2(g.sub(a, b)))
     out = g.forward({"a": np.array([[1.0, 2.0]]), "b": np.zeros((1, 2))})
-    assert out.data == pytest.approx(5.0)
+    assert out == pytest.approx(5.0)
 
 
 def test_forward_deterministic():
@@ -57,8 +66,8 @@ def test_forward_deterministic():
     h = g.tanh(g.matmul(x, w))
     g.output(g.reduce_mean(g.mul(h, h)))
     binds = {"w": rng.standard_normal((3, 3)), "x": rng.standard_normal((2, 3))}
-    a = g.forward(binds).data.copy()
-    b = g.forward(binds).data.copy()
+    a = g.forward(binds).copy()
+    b = g.forward(binds).copy()
     assert np.array_equal(a, b)
 
 
@@ -84,7 +93,7 @@ def test_backward_square_and_constant():
     g.output(g.mul(x, x))
     g.forward({"x": 3.0})
     grads = g.backward()
-    assert grads["x"].data == pytest.approx(6.0)
+    assert grads["x"] == pytest.approx(6.0)
 
     # f(x) = c -> grad 0
     g2 = Graph()
@@ -92,7 +101,7 @@ def test_backward_square_and_constant():
     g2.output(g2.reduce_sum(g2.const(np.array(7.0))))
     g2.forward({"x": np.zeros(2)})
     grads2 = g2.backward()
-    assert np.allclose(grads2["x"].data, 0.0)
+    assert np.allclose(grads2["x"], 0.0)
 
 
 def test_backward_requires_forward_and_scalar_output():
@@ -150,7 +159,7 @@ def _single_op_graphs():
     return specs
 
 
-UNARY_OPS = ["sigmoid", "tanh", "relu", "abs", "affine", "slice_cols",
+UNARY_OPS = ["sigmoid", "tanh", "relu", "abs", "affine",
              "reduce_sum_all", "reduce_sum_rows", "reduce_mean_all",
              "reduce_mean_rows", "log_softmax"]
 
@@ -172,8 +181,6 @@ def test_unary_op_gradients_match_fd(opname):
             y = g.abs(a)
         elif opname == "affine":
             y = g.affine(a, -1.7, 0.3)
-        elif opname == "slice_cols":
-            y = g.slice_cols(a, 1, 3)
         elif opname == "reduce_sum_all":
             y = g.reduce_sum(a)
         elif opname == "reduce_sum_rows":
@@ -185,10 +192,8 @@ def test_unary_op_gradients_match_fd(opname):
         elif opname == "log_softmax":
             y = g.log_softmax(a)
         if g.shape(y) != ():
-            if len(g.shape(y)) == 2 and g.shape(y)[1] <= 3 and g.shape(y) == (2, 3):
+            if g.shape(y) == (2, 3):
                 y = g.reduce_sum(g.mul(y, mix))
-            elif g.shape(y) == (2, 2):
-                y = g.reduce_sum(g.mul(y, g.slice_cols(mix, 0, 2)))
             else:
                 y = g.reduce_sum(g.mul(y, g.reduce_sum(mix, axis=1)))
         g.output(y)
@@ -245,18 +250,18 @@ def test_softmax_log_loss_values_and_grad():
     y = np.zeros((1, 4))
     y[0, 2] = 1.0
     out = g.forward({"z": np.zeros((1, 4)), "y": y})
-    assert out.data == pytest.approx(np.log(4.0))
+    assert out == pytest.approx(np.log(4.0))
     # saturated case: big logit on the true class
     z = np.zeros((1, 4))
     z[0, 2] = 100.0
-    assert g.forward({"z": z, "y": y}).data == pytest.approx(0.0, abs=1e-12)
+    assert g.forward({"z": z, "y": y}) == pytest.approx(0.0, abs=1e-12)
     # (1,0) vs label 0 -> ln(1 + e^-1)
     g2 = Graph()
     logits2 = g2.leaf("z", (1, 2))
     onehot2 = g2.leaf("y", (1, 2), param=False)
     g2.output(g2.reduce_mean(g2.softmax_log_loss(logits2, onehot2)))
     val = g2.forward({"z": np.array([[1.0, 0.0]]), "y": np.array([[1.0, 0.0]])})
-    assert val.data == pytest.approx(np.log(1 + np.exp(-1)))
+    assert val == pytest.approx(np.log(1 + np.exp(-1)))
     rng = np.random.default_rng(3)
     assert grad_check(g2, {"z": rng.standard_normal((1, 2)),
                            "y": np.array([[0.0, 1.0]])}, 1e-5) < 1e-6
@@ -284,12 +289,12 @@ def test_backward_linearity_of_sum():
         g1, o1, _, _ = graph_one()
         g1.output(o1)
         g1.forward({"w": w0, "x": x0})
-        ga = g1.backward()["w"].data
+        ga = g1.backward()["w"]
 
         g2, o2, _, _ = graph_two()
         g2.output(o2)
         g2.forward({"w": w0, "x": x0})
-        gb = g2.backward()["w"].data
+        gb = g2.backward()["w"]
 
         gs = Graph()
         w = gs.leaf("w", (3, 3))
@@ -298,7 +303,7 @@ def test_backward_linearity_of_sum():
                    gs.reduce_mean(gs.sigmoid(gs.matmul(x, w))))
         gs.output(s)
         gs.forward({"w": w0, "x": x0})
-        gsum = gs.backward()["w"].data
+        gsum = gs.backward()["w"]
         assert np.allclose(gsum, ga + gb, atol=1e-12)
 
 

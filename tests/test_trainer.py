@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from dynamo import models
-from dynamo.models import StateMap, init_base_model, init_meta_model
+from dynamo.models import (
+    StateMap,
+    init_base_model,
+    init_meta_model,
+    model_inputs,
+    pad_tokens,
+)
 from dynamo.numgrad import grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
+    GraphCache,
     MetaTrainer,
     TrainConfig,
     TrainerError,
@@ -18,6 +25,8 @@ from dynamo.trainer import (
     meta_emulation_losses,
     model_accuracy,
     output_loss,
+    task_batch,
+    task_loss_graph,
     train_base,
     train_meta,
 )
@@ -136,8 +145,8 @@ def test_graph_loss_matches_reference(divergence, metric):
     trainer, ds, bases = _tiny_setup(divergence=divergence, metric=metric)
     pool = ds.indices("meta_unlabeled")
     seqs = [ds.sequences[i] for i in pool[:3]]
-    g, bindings = trainer._bindings_recurrent(0, seqs)
-    tot_graph = float(g.forward(bindings).data)
+    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    tot_graph = float(g.forward(bindings))
     h_graph = float(g.value("hidden_loss"))
     o_graph = float(g.value("output_loss"))
     h, o, tot = meta_emulation_losses(trainer.state.meta, bases[0],
@@ -152,7 +161,7 @@ def test_graph_loss_matches_reference(divergence, metric):
 def test_joint_loss_gradients_pass_grad_check(metric):
     trainer, ds, _ = _tiny_setup(metric=metric)
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:2]]
-    g, bindings = trainer._bindings_recurrent(0, seqs)
+    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
 
@@ -162,14 +171,36 @@ def test_residual_graph_loss_matches_reference():
     cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0)
     state = init_meta_state(bases, {"embed_dim": 2}, seed=1)
     trainer = MetaTrainer(state, bases, [ds], cfg)
-    rows = np.array([0, 1, 2])
-    g, bindings = trainer._bindings_residual(0, rows)
-    tot_graph = float(g.forward(bindings).data)
-    feats = trainer._feats[0][rows]
+    feats = trainer.pools[0][0][:3]
+    g, bindings = trainer.bindings(0, feats, None)
+    tot_graph = float(g.forward(bindings))
     h, o, tot = meta_emulation_losses(state.meta, bases[0], state.state_maps[0],
                                       state.embeddings[0], list(feats), cfg)
     assert tot_graph == pytest.approx(tot, abs=1e-10)
     assert grad_check(g, bindings, 1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
+def test_task_loss_graph_passes_grad_check(kind):
+    ds = _tiny_dataset()
+    idxs = ds.indices("base_train")[:3]
+    labels = ds.subset(idxs)[1]
+    width = 12 if kind == "residual_mlp" else 3
+    # base training: every parameter is trainable
+    base = init_base_model(kind, 12, width, 4, 2, 0, seed=1, num_blocks=2)
+    cache = GraphCache(lambda T, B: task_loss_graph(base, T, B))
+    g, bindings = task_batch(cache, base, *model_inputs(base, ds, idxs), labels)
+    assert grad_check(g, bindings, 1e-5) < 1e-4
+    g.forward(bindings)
+    assert set(g.backward()) == set(base.params)
+    # embedding search: the meta parameters are frozen, theta alone is trainable
+    meta = init_meta_model(kind, 12, width, 4, 2, {0: 3, 1: 2}, seed=2, num_blocks=2)
+    cache = GraphCache(lambda T, B: task_loss_graph(meta, T, B, 1))
+    g, bindings = task_batch(cache, meta, *model_inputs(meta, ds, idxs), labels, 1)
+    bindings["theta"] = np.random.default_rng(3).standard_normal((1, 2))
+    assert grad_check(g, bindings, 1e-5) < 1e-4
+    g.forward(bindings)
+    assert set(g.backward()) == {"theta"}
 
 
 # -- optimizer behaviour -------------------------------------------------------
@@ -180,14 +211,14 @@ def test_one_step_decreases_frozen_batch_loss():
         trainer, ds, _ = _tiny_setup(seed=seed)
         trainer.cfg.lr = 1e-5
         seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
-        g, bindings = trainer._bindings_recurrent(0, seqs)
-        before = float(g.forward(bindings).data)
+        g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+        before = float(g.forward(bindings))
         grads_graph = g.backward()
         name_map = trainer._grad_names(0, 0)
-        grads = {h: grads_graph[leaf].data for leaf, h in name_map.items()}
+        grads = {h: grads_graph[leaf] for leaf, h in name_map.items()}
         trainer.opt.step(grads, 1e-5)
-        g2, bindings2 = trainer._bindings_recurrent(0, seqs)
-        after = float(g2.forward(bindings2).data)
+        g2, bindings2 = trainer.bindings(0, *pad_tokens(seqs))
+        after = float(g2.forward(bindings2))
         assert after < before
 
 
@@ -223,11 +254,11 @@ def test_update_locality_unsampled_models_untouched():
 def test_lambda_zero_heads_get_zero_gradient():
     trainer, ds, _ = _tiny_setup(lam=0.0)
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:3]]
-    g, bindings = trainer._bindings_recurrent(0, seqs)
+    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
     g.forward(bindings)
     grads = g.backward()
-    assert np.allclose(grads["head0_w"].data, 0.0)
-    assert np.allclose(grads["head0_b"].data, 0.0)
+    assert np.allclose(grads["head0_w"], 0.0)
+    assert np.allclose(grads["head0_b"], 0.0)
     # and the head is excluded from the update cohort
     assert "head0_w" not in trainer._grad_names(0, 0)
 
