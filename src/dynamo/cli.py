@@ -7,15 +7,19 @@ into a shared run directory. Checkpoints are a JSON manifest next to a blob
 of little-endian float32 tensors (float64 in memory, float32 on disk). Every
 command is deterministic given its config: re-runs produce byte-identical
 CSVs and checkpoints. Exit codes: 0 ok, 2 config error (including an
-analysis that does not apply to the model family), 3 I/O error, 4 numeric
-failure (a non-finite loss or gradient).
+analysis that does not apply to the model family), 3 I/O error (including a
+corrupt or non-finite checkpoint), 4 numeric failure (a non-finite loss or
+gradient, or trained state that is not finite in float32, in which case no
+checkpoint is written).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -181,43 +185,69 @@ def train_config_from(section: dict, seed: int, defaults: dict | None = None) ->
 
 def save_checkpoint(prefix, tensors: dict[str, np.ndarray], manifest_extra: dict) -> None:
     """Write `<prefix>.json` (manifest with a tensor index) and `<prefix>.bin`
-    (concatenated row-major little-endian float32)."""
+    (concatenated row-major little-endian float32). Raises NumericError, and
+    writes neither file, if a tensor is not finite or overflows float32."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     index = []
     blobs = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        raw = arr.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            arr = np.asarray(tensors[name], dtype=np.float64).astype("<f4")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"tensor {name!r} is not finite in float32; "
+                               f"checkpoint {prefix} not written")
+        raw = arr.tobytes()
         index.append({"name": name, "shape": list(arr.shape), "offset": offset,
                       "length": len(raw)})
         blobs.append(raw)
         offset += len(raw)
     manifest = {"format_version": 1, "tensors": index}
     manifest.update(manifest_extra)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     prefix.with_suffix(".json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True))
     prefix.with_suffix(".bin").write_bytes(b"".join(blobs))
 
 
 def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint written by `save_checkpoint`. Raises IOFailure on a
+    missing file, bad JSON, a missing index key, a tensor whose byte range
+    does not fit its shape or the blob, or a value that is not finite."""
     prefix = Path(prefix)
     try:
-        manifest = json.loads(prefix.with_suffix(".json").read_text())
+        raw = prefix.with_suffix(".json").read_bytes()
         blob = prefix.with_suffix(".bin").read_bytes()
     except OSError as e:
         raise IOFailure(f"cannot read checkpoint {prefix}: {e}") from e
+    try:
+        manifest = json.loads(raw)
+        index = [(e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"]),
+                  int(e["length"])) for e in manifest["tensors"]]
+    except (ValueError, KeyError, TypeError) as e:
+        raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
     tensors = {}
     seen_ranges = []
-    for entry in manifest["tensors"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["length"]
-        if hi > len(blob) or any(lo < h and o < hi for o, h in seen_ranges):
+    for name, shape, lo, length in index:
+        hi = lo + length
+        if (min(shape, default=0) < 0 or length != 4 * math.prod(shape) or lo < 0
+                or hi > len(blob) or any(lo < h and o < hi for o, h in seen_ranges)):
             raise IOFailure(f"corrupt tensor index in {prefix}")
         seen_ranges.append((lo, hi))
         flat = np.frombuffer(blob[lo:hi], dtype="<f4").astype(np.float64)
-        tensors[entry["name"]] = flat.reshape(entry["shape"])
+        if not np.all(np.isfinite(flat)):
+            raise IOFailure(f"tensor {name!r} in checkpoint {prefix} is not finite")
+        tensors[name] = flat.reshape(shape)
     return tensors, manifest
+
+
+@contextmanager
+def _manifest_fields(prefix):
+    """Turn a missing or malformed manifest field into IOFailure."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
 
 
 def save_base_checkpoint(prefix, model: BaseModel) -> None:
@@ -231,9 +261,10 @@ def save_base_checkpoint(prefix, model: BaseModel) -> None:
 
 def load_base_checkpoint(prefix) -> BaseModel:
     tensors, mf = load_checkpoint(prefix)
-    return BaseModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                     mf["hidden_dim"], mf["output_dim"], mf["task_group"],
-                     tensors, num_blocks=mf["num_blocks"], info=mf.get("info", {}))
+    with _manifest_fields(prefix):
+        return BaseModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
+                         mf["hidden_dim"], mf["output_dim"], mf["task_group"],
+                         tensors, num_blocks=mf["num_blocks"], info=mf.get("info", {}))
 
 
 def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
@@ -266,25 +297,26 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
 
 def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
     tensors, mf = load_checkpoint(prefix)
-    head_dims = {int(k): v for k, v in mf["head_dims"].items()}
-    params = {k[len("meta/"):]: v for k, v in tensors.items()
-              if k.startswith("meta/")}
-    meta = MetaModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                     mf["hidden_dim"], mf["embed_dim"], head_dims, params,
-                     num_blocks=mf["num_blocks"])
-    n = len(mf["bases"])
-    maps = []
-    for i in range(n):
-        weights, biases, t = [], [], 0
-        while f"vmap{i}/w{t}" in tensors:
-            weights.append(tensors[f"vmap{i}/w{t}"])
-            biases.append(tensors[f"vmap{i}/b{t}"])
-            t += 1
-        maps.append(StateMap(weights, biases))
-    state = MetaTrainState(meta, maps, tensors["embeddings"],
-                           step=mf.get("steps_trained", 0),
-                           base_ids=[b["model_id"] for b in mf["bases"]])
-    return state, mf
+    with _manifest_fields(prefix):
+        head_dims = {int(k): v for k, v in mf["head_dims"].items()}
+        params = {k[len("meta/"):]: v for k, v in tensors.items()
+                  if k.startswith("meta/")}
+        meta = MetaModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
+                         mf["hidden_dim"], mf["embed_dim"], head_dims, params,
+                         num_blocks=mf["num_blocks"])
+        n = len(mf["bases"])
+        maps = []
+        for i in range(n):
+            weights, biases, t = [], [], 0
+            while f"vmap{i}/w{t}" in tensors:
+                weights.append(tensors[f"vmap{i}/w{t}"])
+                biases.append(tensors[f"vmap{i}/b{t}"])
+                t += 1
+            maps.append(StateMap(weights, biases))
+        state = MetaTrainState(meta, maps, tensors["embeddings"],
+                               step=mf.get("steps_trained", 0),
+                               base_ids=[b["model_id"] for b in mf["bases"]])
+        return state, mf
 
 
 # -- shared command plumbing --------------------------------------------------------
@@ -441,6 +473,10 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args, cfg)
     datasets = _load_datasets(cfg, out)
     state, mf = load_meta_checkpoint(out / "meta")
+    if args.svcca and state.meta.cell_kind == "residual_mlp":
+        # checked before any output is written, so a refused run leaves none
+        raise ConfigError("--svcca compares recurrent hidden states; "
+                          "this run's population is residual_mlp")
     chash = config_hash(cfg)
     comment = f"config_hash={chash}"
     an = cfg.get("analysis", {})

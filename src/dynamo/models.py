@@ -10,9 +10,10 @@ The recurrence is stepped in one place per engine. `rollout_batch` is the
 only numpy loop over `cell_step`: it runs either family, ragged token batches
 by length, one embedding per row, and selects the readout head; every other
 numpy evaluation calls it. `unroll_graph` is the only loop over
-`cell_step_graph`: it declares each step's input leaves and yields the
-hidden-state ref after each step, and every training and embedding-search
-graph is built on it.
+`cell_step_graph`: it declares each step's input leaves (token ids `x{t}`
+for recurrent cells) and yields the hidden-state ref after each step, and
+every training and embedding-search graph is built on it. A recurrent step
+is one fused numgrad `gru_cell` or `rnn_cell` node.
 """
 from __future__ import annotations
 
@@ -359,12 +360,13 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
     """Graph twin of `rollout_batch`: declares each step's inputs and yields
     the hidden-state ref after every step.
 
-    Recurrent cells read one-hot token leaves `x{t}` (B, vocab) for T steps,
-    with the embedding rows `theta_rows` (meta models) concatenated before
-    the token embedding. Residual cells read the feature leaf `feat` (B, F)
-    through the stem and yield once per block (T is ignored). Callers add a
-    step's loss nodes before taking the next step, which fixes the node
-    order and so the order of numgrad's gradient sums.
+    Recurrent cells read token-id leaves `x{t}` (B,) for T steps, gather
+    their embedding rows, and concatenate the embedding rows `theta_rows`
+    (meta models) before them; each step is one fused `gru_cell` or
+    `rnn_cell` node. Residual cells read the feature leaf `feat` (B, F)
+    through the stem and yield once per block (T is ignored). Recurrent
+    callers build their loss terms once over `g.stack` of the yielded
+    states; residual callers add a block's loss nodes before the next block.
     """
     if model.cell_kind == "residual_mlp":
         feat = g.leaf("feat", (B, model.input_dim), param=False)
@@ -376,7 +378,7 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
         return
     h = g.const(np.zeros((B, model.hidden_dim)))
     for t in range(T):
-        x = g.matmul(g.leaf(f"x{t}", (B, model.vocab_size), param=False), refs["embed"])
+        x = g.gather_rows(refs["embed"], g.leaf(f"x{t}", (B,), param=False))
         if theta_rows is not None:
             x = g.concat(theta_rows, x)
         h = cell_step_graph(g, model.cell_kind, refs, x, h)
@@ -391,15 +393,10 @@ def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: i
     embedding rows as `theta_rows` (meta only); `x` is ignored.
     """
     if cell_kind == "gru":
-        xh = g.concat(x, h)
-        z = g.sigmoid(g.add(g.matmul(xh, refs["w_z"]), refs["b_z"]))
-        r = g.sigmoid(g.add(g.matmul(xh, refs["w_r"]), refs["b_r"]))
-        xrh = g.concat(x, g.mul(r, h))
-        hc = g.tanh(g.add(g.matmul(xrh, refs["w_h"]), refs["b_h"]))
-        return g.add(g.mul(g.affine(z, -1.0, 1.0), hc), g.mul(z, h))
+        return g.gru_cell(x, h, refs["w_z"], refs["b_z"], refs["w_r"], refs["b_r"],
+                          refs["w_h"], refs["b_h"])
     if cell_kind == "vanilla_rnn":
-        pre = g.add(g.add(g.matmul(x, refs["w_x"]), g.matmul(h, refs["w_h"])), refs["b"])
-        return g.tanh(pre)
+        return g.rnn_cell(x, h, refs["w_x"], refs["w_h"], refs["b"])
     if cell_kind == "residual_mlp":
         pre = g.add(g.matmul(h, refs[f"blk{block}_a1"]), refs[f"blk{block}_b1"])
         if theta_rows is not None:

@@ -1,10 +1,24 @@
 """Reverse-mode autodiff over fixed computation graphs of dense float64 arrays.
 
-Graphs are built once from a fixed primitive vocabulary (matmul, add/sub/mul,
-elementwise nonlinearities, concat, reductions, log-softmax) and then
-bound with fresh leaf values on every forward call, so the same unrolled cell
-can be reused across training steps. A forward output or a gradient that is
-not finite raises NumericError.
+Graphs are built once from a fixed primitive vocabulary and then bound with
+fresh leaf values on every forward call, so the same unrolled cell can be
+reused across training steps. The vocabulary:
+
+- leaves and constants;
+- add/sub/mul (numpy broadcasting), affine, matmul;
+- sigmoid, tanh, relu, abs;
+- column concat of two nodes, `stack` (row-wise concat of many equally
+  shaped nodes), `gather_rows` (rows of a table picked by an id leaf, whose
+  backward scatter-adds into the table);
+- sum/mean reductions and row-wise log-softmax;
+- the fused recurrent steps `gru_cell` and `rnn_cell`, one node per
+  unrolled step with a hand-written BPTT backward.
+
+Python dispatch per node, not arithmetic, dominates small graphs, which is
+why the cells are single nodes. Forward keeps every node's value for
+backward; `gru_cell` also saves [x; h], z, r, [x; r*h] and the candidate
+state hc. A forward output or a gradient that is not finite raises
+NumericError.
 """
 from __future__ import annotations
 
@@ -84,6 +98,7 @@ class Graph:
         self._marks: dict[str, int] = {}
         self._out: int | None = None
         self._values: list | None = None
+        self._saved: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -174,6 +189,45 @@ class Graph:
             raise ShapeMismatch(f"log_softmax expects 2-D, got {sa}")
         return self._push("log_softmax", (a,), None, sa)
 
+    def gather_rows(self, table: int, ids: int) -> int:
+        """Rows `table[ids]` of a 2-D node, `ids` a (N,) node of row indices
+        (bound as numbers, read as integers; it gets no gradient)."""
+        st, si = self._shapes[table], self._shapes[ids]
+        if len(st) != 2 or len(si) != 1:
+            raise ShapeMismatch(f"gather_rows: table {st}, ids {si}")
+        return self._push("gather_rows", (table, ids), None, (si[0], st[1]))
+
+    def stack(self, refs) -> int:
+        """Row-wise concatenation of equally shaped (B, K) nodes into one
+        (len(refs) * B, K) node; row t * B + b is row b of refs[t]."""
+        refs = tuple(refs)
+        shape = self._shapes[refs[0]]
+        if len(shape) != 2 or any(self._shapes[r] != shape for r in refs):
+            raise ShapeMismatch(f"stack: {[self._shapes[r] for r in refs]}")
+        return self._push("stack", refs, shape[0], (len(refs) * shape[0], shape[1]))
+
+    def gru_cell(self, x: int, h: int, w_z: int, b_z: int, w_r: int, b_r: int,
+                 w_h: int, b_h: int) -> int:
+        """One GRU step, h' = (1-z)*hc + z*h with z, r = sigmoid([x; h] w + b)
+        and hc = tanh([x; r*h] w_h + b_h), computed as `models.gru_step` does."""
+        return self._cell("gru_cell", x, h, (w_z, b_z, w_r, b_r, w_h, b_h))
+
+    def rnn_cell(self, x: int, h: int, w_x: int, w_h: int, b: int) -> int:
+        """One vanilla RNN step, h' = tanh(x w_x + h w_h + b)."""
+        return self._cell("rnn_cell", x, h, (w_x, w_h, b))
+
+    def _cell(self, kind, x, h, params):
+        sx, sh = self._shapes[x], self._shapes[h]
+        if len(sx) != 2 or len(sh) != 2 or sx[0] != sh[0]:
+            raise ShapeMismatch(f"{kind}: x {sx}, h {sh}")
+        nx, H = sx[1], sh[1]
+        want = ([(nx + H, H), (H,)] * 3 if kind == "gru_cell"
+                else [(nx, H), (H, H), (H,)])
+        got = [self._shapes[p] for p in params]
+        if got != want:
+            raise ShapeMismatch(f"{kind}: parameter shapes {got}, expected {want}")
+        return self._push(kind, (x, h) + tuple(params), nx, sh)
+
     # -- composites -------------------------------------------------------
 
     def squared_l2(self, a: int, axis: int | None = None) -> int:
@@ -203,6 +257,7 @@ class Graph:
         if self._out is None:
             raise NumgradError("graph has no output node")
         vals: list = [None] * len(self._kinds)
+        saved: dict = {}
         for nid, kind in enumerate(self._kinds):
             ins = self._inputs[nid]
             aux = self._aux[nid]
@@ -249,9 +304,26 @@ class Graph:
                 m = x.max(axis=1, keepdims=True)
                 z = x - m
                 vals[nid] = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            elif kind == "gather_rows":
+                vals[nid] = vals[ins[0]][vals[ins[1]].astype(np.intp)]
+            elif kind == "stack":
+                vals[nid] = np.concatenate([vals[i] for i in ins], axis=0)
+            elif kind == "gru_cell":
+                x, h, w_z, b_z, w_r, b_r, w_h, b_h = (vals[i] for i in ins)
+                xh = np.concatenate((x, h), axis=1)
+                z = 1.0 / (1.0 + np.exp(-(xh @ w_z + b_z)))
+                r = 1.0 / (1.0 + np.exp(-(xh @ w_r + b_r)))
+                xrh = np.concatenate((x, r * h), axis=1)
+                hc = np.tanh(xrh @ w_h + b_h)
+                vals[nid] = (1.0 - z) * hc + z * h
+                saved[nid] = (xh, z, r, xrh, hc)
+            elif kind == "rnn_cell":
+                x, h, w_x, w_h, b = (vals[i] for i in ins)
+                vals[nid] = np.tanh(x @ w_x + h @ w_h + b)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
         self._values = vals
+        self._saved = saved
         return _finite(np.array(vals[self._out], dtype=np.float64), "graph output")
 
     def value(self, ref) -> np.ndarray:
@@ -332,6 +404,24 @@ class Graph:
                 y = vals[nid]
                 sm = np.exp(y)
                 acc(ins[0], g - sm * g.sum(axis=1, keepdims=True))
+            elif kind == "gather_rows":
+                table = np.zeros(self._shapes[ins[0]])
+                np.add.at(table, vals[ins[1]].astype(np.intp), g)
+                acc(ins[0], table)
+            elif kind == "stack":
+                for k, i in enumerate(ins):
+                    acc(i, g[k * aux:(k + 1) * aux])
+            elif kind == "gru_cell":
+                self._gru_backward(nid, g, acc)
+            elif kind == "rnn_cell":
+                x, h, w_x, w_h, _ = (vals[i] for i in ins)
+                y = vals[nid]
+                ga = g * (1.0 - y * y)
+                acc(ins[4], ga.sum(axis=0))
+                acc(ins[1], ga @ w_h.T)
+                acc(ins[3], h.T @ ga)
+                acc(ins[0], ga @ w_x.T)
+                acc(ins[2], x.T @ ga)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
@@ -344,6 +434,31 @@ class Graph:
             out_grads[name] = _finite(np.broadcast_to(g, self._shapes[nid]).copy(),
                                       f"gradient of {name!r}")
         return out_grads
+
+    def _gru_backward(self, nid: int, g: np.ndarray, acc) -> None:
+        """BPTT through one `gru_cell` from the [x; h], z, r, [x; r*h] and hc
+        that forward saved. The sums run in the order of the equivalent
+        matmul/sigmoid/tanh graph, so both give the same gradients."""
+        ins = self._inputs[nid]
+        nx = self._aux[nid]
+        h, w_z, w_r, w_h = (self._values[ins[i]] for i in (1, 2, 4, 6))
+        xh, z, r, xrh, hc = self._saved[nid]
+        dz = g * h - g * hc
+        da_h = g * (1.0 - z) * (1.0 - hc * hc)
+        acc(ins[7], da_h.sum(axis=0))
+        acc(ins[6], xrh.T @ da_h)
+        dxrh = da_h @ w_h.T
+        drh = dxrh[:, nx:]
+        dh = g * z + drh * r
+        da_r = drh * h * r * (1.0 - r)
+        acc(ins[5], da_r.sum(axis=0))
+        acc(ins[4], xh.T @ da_r)
+        da_z = dz * z * (1.0 - z)
+        acc(ins[3], da_z.sum(axis=0))
+        acc(ins[2], xh.T @ da_z)
+        dxh = da_r @ w_r.T + da_z @ w_z.T
+        acc(ins[0], dxrh[:, :nx] + dxh[:, :nx])
+        acc(ins[1], dh + dxh[:, nx:])
 
 
 def grad_check(graph: Graph, point: dict, step: float) -> float:

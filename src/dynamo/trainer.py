@@ -6,17 +6,19 @@ model uniformly, draws a minibatch from that model's unlabeled split, rolls
 the base out without gradients, rolls the meta-model out at that model's
 embedding, and takes one optimizer step on (meta params, that model's state
 map, that model's embedding) against hidden-trajectory + weighted output
-losses. Ragged sequence lengths are handled by masking inside a cached
-unrolled graph, so per-sequence time averages stay exact.
+losses. Ragged sequence lengths are handled by per-row weights inside a
+cached unrolled graph, so per-sequence time averages stay exact.
 
-Every graph here unrolls the model through `models.unroll_graph`, and every
-numpy rollout (the base trajectories, accuracies, reference losses) goes
-through `models.rollout_batch`. Two graphs exist: the final-step task loss
+Every graph here unrolls the model through `models.unroll_graph`, whose
+inputs are token-id leaves `x{t}`, and every numpy rollout (the base
+trajectories, accuracies, reference losses) goes through
+`models.rollout_batch`. Two graphs exist: the final-step task loss
 (`task_loss_graph`, shared by base training and the embedding search in
-`atlas.ssl_optimize`) and the joint emulation loss. Both are kept in a
-`GraphCache` keyed by batch shape and bound batch by batch through one
-binder (`_input_bindings`). A non-finite loss or gradient raises
-`NumericError` from numgrad's forward or backward pass.
+`atlas.ssl_optimize`) and the joint emulation loss. For recurrent models
+both build their loss terms once over the T * B stacked states rather than
+step by step. Both are kept in a `GraphCache` keyed by batch shape and bound
+batch by batch through one binder (`_input_bindings`). A non-finite loss or
+gradient raises `NumericError` from numgrad's forward or backward pass.
 """
 from __future__ import annotations
 
@@ -243,7 +245,8 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Gra
     A base model's parameters are the trainable leaves (base training). A
     meta model's parameters are frozen and only the embedding leaf `theta`
     is trainable (the semi-supervised embedding search). Recurrent rows end
-    at their own length through the last-step masks `lm{t}`.
+    at their own length: the readout reads row `last[b]` of the stacked
+    states, (lengths[b] - 1) * B + b.
     """
     g = Graph()
     is_meta = isinstance(model, MetaModel)
@@ -253,23 +256,22 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Gra
     if is_meta:
         theta = g.leaf("theta", (1, model.embed_dim))
         theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
-    parts = []
-    for t, h in enumerate(unroll_graph(g, model, refs, T, B, theta_rows)):
-        if model.cell_kind != "residual_mlp":
-            parts.append(g.mul(h, g.leaf(f"lm{t}", (B, 1), param=False)))
-    h_last = _sum(g, parts) if parts else h
+    hs = list(unroll_graph(g, model, refs, T, B, theta_rows))
+    if model.cell_kind == "residual_mlp":
+        h_last = hs[-1]
+    else:
+        h_last = g.gather_rows(g.stack(hs), g.leaf("last", (B,), param=False))
     logits = g.add(g.matmul(h_last, refs[w_name]), refs[b_name])
     onehot = g.leaf("labels", g.shape(logits), param=False)
     g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
     return g
 
 
-def _input_bindings(model, inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
+def _input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
     """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch."""
     if lengths is None:
         return {"feat": inputs}
-    return {f"x{t}": _onehot(inputs[:, t], model.vocab_size)
-            for t in range(inputs.shape[1])}
+    return {f"x{t}": ids for t, ids in enumerate(inputs.T.astype(np.float64))}
 
 
 def task_batch(cache: GraphCache, model, inputs: np.ndarray,
@@ -278,11 +280,12 @@ def task_batch(cache: GraphCache, model, inputs: np.ndarray,
     """The cached task-loss graph for one labelled batch and its bindings;
     a meta model's `theta` is left for the caller to bind."""
     T = 0 if lengths is None else inputs.shape[1]
-    g = cache.get(T, len(inputs))
+    B = len(inputs)
+    g = cache.get(T, B)
     bindings = graph_params(model, task_group)
-    bindings.update(_input_bindings(model, inputs, lengths))
-    for t in range(T):
-        bindings[f"lm{t}"] = (lengths == t + 1).astype(float)[:, None]
+    bindings.update(_input_bindings(inputs, lengths))
+    if T:
+        bindings["last"] = (lengths - 1) * B + np.arange(B)
     _, b_name = readout_names(model, task_group)
     bindings["labels"] = _onehot(labels, model.params[b_name].size)
     return g, bindings
@@ -296,15 +299,25 @@ def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
     return inputs[rows, :lengths.max()], lengths
 
 
+def _hidden_rows(g: Graph, cfg: TrainConfig, h: int, vmap: tuple[int, int],
+                 target: str, shape: tuple[int, int]) -> int:
+    """Per-row hidden metric between the mapped states `h` and the leaf `target`."""
+    v_w, v_b = vmap
+    diff = g.sub(g.add(g.matmul(h, v_w), v_b), g.leaf(target, shape, param=False))
+    return g.l1(diff, axis=1) if cfg.hidden_metric == "L1" else g.squared_l2(diff, axis=1)
+
+
 def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
                           base_hidden: int, task_group: int) -> Graph:
     """Joint loss of the meta model at one embedding against one base batch:
     mapped hidden-state distance plus `lam` times the output divergence.
 
-    Recurrent bases weight each step by the leaves `wh{t}`/`wo{t}` (masked
-    per-sequence time means). Residual bases use one state map per block,
-    compare unmapped block features before the last block, and compare head
-    outputs after it.
+    Recurrent bases: both terms are built once over the T * B stacked states
+    (row t * B + b is step t of sequence b) and weighted per row by the
+    leaves `wh`/`wo` (masked per-sequence time means), against the base's
+    stacked states `hb` and softmax `pb` (KL) or logits `ob`. Residual bases
+    use one state map per block, compare unmapped block features before the
+    last block, and compare head outputs after it.
     """
     residual = meta.cell_kind == "residual_mlp"
     if residual and base_hidden != meta.hidden_dim:
@@ -316,36 +329,20 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
              g.leaf(f"vmap_b{k}", (base_hidden,))) for k in range(max(1, meta.num_blocks))]
     theta = g.leaf("theta", (1, meta.embed_dim))
     theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
-    nb = meta.num_blocks
+    states = unroll_graph(g, meta, refs, T, B, theta_rows)
     C = meta.head_dims[task_group]
     kl = cfg.output_divergence == "KL_on_softmax"
-    whid = 1.0 / (B * nb * base_hidden) if residual else None
-    hidden_terms, out_terms = [], []
-    for t, h in enumerate(unroll_graph(g, meta, refs, T, B, theta_rows)):
-        v_w, v_b = maps[t if residual else 0]
-        mapped = g.add(g.matmul(h, v_w), v_b)
-        diff = g.sub(mapped, g.leaf(f"hb{t}", (B, base_hidden), param=False))
-        rows = (g.l1(diff, axis=1) if cfg.hidden_metric == "L1"
-                else g.squared_l2(diff, axis=1))
-        if residual:
+    if residual:
+        nb = meta.num_blocks
+        whid = 1.0 / (B * nb * base_hidden)
+        hidden_terms, out_terms = [], []
+        for t, h in enumerate(states):
+            rows = _hidden_rows(g, cfg, h, maps[t], f"hb{t}", (B, base_hidden))
             hidden_terms.append(g.affine(g.reduce_sum(rows), whid))
             if t < nb - 1:
                 # feature stream: unmapped per-coordinate squared distance
                 fd = g.sub(h, g.leaf(f"fb{t}", (B, base_hidden), param=False))
                 out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)), whid))
-            continue
-        wh = g.leaf(f"wh{t}", (B,), param=False)
-        hidden_terms.append(g.reduce_sum(g.mul(rows, wh)))
-        logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
-        wo = g.leaf(f"wo{t}", (B,), param=False)
-        if kl:
-            pb = g.leaf(f"pb{t}", (B, C), param=False)
-            ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb), axis=1), -1.0)
-            out_terms.append(g.reduce_sum(g.mul(ce, wo)))
-        else:
-            ob = g.leaf(f"ob{t}", (B, C), param=False)
-            out_terms.append(g.reduce_sum(g.mul(g.squared_l2(g.sub(logits, ob), axis=1), wo)))
-    if residual:
         logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
         if kl:
             pb = g.leaf("pb", (B, C), param=False)
@@ -354,10 +351,22 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         else:
             ob = g.leaf("ob", (B, C), param=False)
             out_terms.append(g.affine(g.squared_l2(g.sub(logits, ob)), 1.0 / (B * nb)))
-    hidden_total = _sum(g, hidden_terms)
-    out_total = _sum(g, out_terms)
-    if kl and not residual:
-        out_total = g.add(out_total, g.leaf("kl_const", (), param=False))
+        hidden_total = _sum(g, hidden_terms)
+        out_total = _sum(g, out_terms)
+    else:
+        hs = g.stack(states)
+        TB = T * B
+        rows = _hidden_rows(g, cfg, hs, maps[0], "hb", (TB, base_hidden))
+        hidden_total = g.reduce_sum(g.mul(rows, g.leaf("wh", (TB,), param=False)))
+        logits = g.add(g.matmul(hs, refs[w_name]), refs[b_name])
+        wo = g.leaf("wo", (TB,), param=False)
+        if kl:
+            pb = g.leaf("pb", (TB, C), param=False)
+            ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb), axis=1), -1.0)
+            out_total = g.add(g.reduce_sum(g.mul(ce, wo)), g.leaf("kl_const", (), param=False))
+        else:
+            ob = g.leaf("ob", (TB, C), param=False)
+            out_total = g.reduce_sum(g.mul(g.squared_l2(g.sub(logits, ob), axis=1), wo))
     g.mark("hidden_loss", hidden_total)
     g.mark("output_loss", out_total)
     g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))
@@ -550,7 +559,7 @@ class MetaTrainer:
         g = self.cache.get(T, B, base.hidden_dim, tg)
         hs_b, logits_b = rollout_batch(base, inputs)
         bindings = graph_params(meta, tg)
-        bindings.update(_input_bindings(meta, inputs, lengths))
+        bindings.update(_input_bindings(inputs, lengths))
         bindings["theta"] = self.state.embeddings[i][None, :]
         vmap = self.state.state_maps[i]
         for t in range(len(vmap.weights)):
@@ -571,24 +580,21 @@ class MetaTrainer:
             else:
                 bindings["ob"] = logits_b[-1]
             return g, bindings
-        wnorm = 1.0 / (lengths * B)
-        mask = np.arange(T)[:, None] < lengths[None, :]
+        TB = T * B
+        w = (np.arange(T)[:, None] < lengths[None, :]) * (1.0 / (lengths * B))
+        w = w.reshape(TB)
         hscale = 1.0 / base.hidden_dim if cfg.normalize_hidden_by_dim else 1.0
-        kl_const = 0.0
-        for t in range(T):
-            w = mask[t] * wnorm
-            bindings[f"hb{t}"] = hs_b[t]
-            bindings[f"wh{t}"] = w * hscale
-            bindings[f"wo{t}"] = w
-            if kl:
-                p = _softmax(logits_b[t])
-                bindings[f"pb{t}"] = p
-                plogp = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
-                kl_const += float((plogp.sum(axis=1) * w).sum())
-            else:
-                bindings[f"ob{t}"] = logits_b[t]
+        bindings["hb"] = hs_b.reshape(TB, base.hidden_dim)
+        bindings["wh"] = w * hscale
+        bindings["wo"] = w
+        logits_b = logits_b.reshape(TB, -1)
         if kl:
-            bindings["kl_const"] = kl_const
+            p = _softmax(logits_b)
+            bindings["pb"] = p
+            plogp = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
+            bindings["kl_const"] = float((plogp.sum(axis=1) * w).sum())
+        else:
+            bindings["ob"] = logits_b
         return g, bindings
 
     def _grad_names(self, i: int, task_group: int) -> dict[str, str]:

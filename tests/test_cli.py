@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dynamo.cli import (
     validate_config,
 )
 from dynamo.models import init_base_model
+from dynamo.numgrad import NumericError
 
 
 def _mini_config(**overrides):
@@ -122,6 +124,14 @@ def test_checkpoint_offsets_validated(tmp_path):
     from dynamo.cli import IOFailure
     with pytest.raises(IOFailure):
         load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39, -1e39])
+def test_save_checkpoint_refuses_state_not_finite_in_float32(tmp_path, bad):
+    tensors = {"a": np.zeros(3), "b": np.array([np.finfo(np.float32).max, bad])}
+    with pytest.raises(NumericError):
+        save_checkpoint(tmp_path / "sub" / "ck", tensors, {})
+    assert not (tmp_path / "sub").exists()  # neither file, nor the directory
 
 
 def test_base_checkpoint_round_trip(tmp_path):
@@ -315,14 +325,66 @@ def residual_pipeline(tmp_path_factory):
 ])
 def test_residual_run_commands_exit_cleanly(residual_pipeline, argv, code):
     path, out = residual_pipeline
+    analysis = [out / f for f in ("atlas.csv", "spectrum.csv", "landscape.csv",
+                                  "analysis_summary.json")]
+    if code:
+        for f in analysis:
+            f.unlink(missing_ok=True)
     assert _run(*argv, "--config", str(path), "--out", str(out)) == code
+    if code:
+        # a refused command leaves no partial analysis behind
+        assert not [f.name for f in analysis if f.exists()]
 
 
-def test_nonfinite_base_checkpoint_is_numeric_failure(tmp_path):
+def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):
     path = _write_config(tmp_path, _mini_config())
     out = tmp_path / "run"
     for stage in ("gen-data", "train-base"):
         assert _run(stage, "--config", str(path), "--out", str(out)) == 0
     blob = out / "base" / "base_000.bin"
     blob.write_bytes(np.full(blob.stat().st_size // 4, np.nan, dtype="<f4").tobytes())
+    assert _run("train-meta", "--config", str(path), "--out", str(out)) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_meta_run_is_numeric_failure_and_saves_nothing(tmp_path):
+    cfg = _mini_config()
+    cfg["meta_training"].update(optimizer="sgd_nesterov", lr=1e6)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
     assert _run("train-meta", "--config", str(path), "--out", str(out)) == 4
+    assert not (out / "meta.json").exists()
+    assert not (out / "meta.bin").exists()
+
+
+def _truncate_json(ck):
+    ck.write_text(ck.read_text()[:200])
+
+
+def _drop_manifest_key(ck):
+    manifest = json.loads(ck.read_text())
+    del manifest["hidden_dim"]
+    ck.write_text(json.dumps(manifest))
+
+
+def _shape_length_mismatch(ck):
+    manifest = json.loads(ck.read_text())
+    manifest["tensors"][0]["shape"][0] += 1
+    ck.write_text(json.dumps(manifest))
+
+
+def _nonfinite_value(ck):
+    blob = ck.with_suffix(".bin")
+    blob.write_bytes(np.array([np.inf], dtype="<f4").tobytes() + blob.read_bytes()[4:])
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_json, _drop_manifest_key,
+                                     _shape_length_mismatch, _nonfinite_value])
+def test_corrupt_meta_checkpoint_is_io_failure(pipeline, tmp_path, corrupt):
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    corrupt(run / "meta.json")
+    assert _run("ssl", "--config", str(path), "--out", str(run)) == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamo.numgrad import (
     BackwardBeforeForward,
@@ -314,3 +316,115 @@ def test_value_probe_and_marks():
     g.output(g.reduce_sum(h))
     g.forward({"x": np.array([[0.5, -0.5]])})
     assert np.allclose(g.value("hidden"), np.tanh([[0.5, -0.5]]))
+
+
+# -- fused primitives ---------------------------------------------------------------
+
+_GRU_PARAMS = ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")
+
+
+def _cell_point(rng, kind, B, nx, H):
+    """Random cell inputs, parameters and an output mix, keyed by leaf name."""
+    shapes = {"x": (B, nx), "h": (B, H), "m": (B, H)}
+    if kind == "gru":
+        shapes.update({n: (nx + H, H) if n[0] == "w" else (H,) for n in _GRU_PARAMS})
+    else:
+        shapes.update(w_x=(nx, H), w_h=(H, H), b=(H,))
+    return {n: rng.standard_normal(s) for n, s in shapes.items()}
+
+
+def _fused_cell(g, kind, r):
+    if kind == "gru":
+        return g.gru_cell(r["x"], r["h"], *(r[n] for n in _GRU_PARAMS))
+    return g.rnn_cell(r["x"], r["h"], r["w_x"], r["w_h"], r["b"])
+
+
+def _composite_cell(g, kind, r):
+    """The same cell from matmul/concat/sigmoid/tanh nodes: the oracle."""
+    x, h = r["x"], r["h"]
+    if kind == "rnn":
+        return g.tanh(g.add(g.add(g.matmul(x, r["w_x"]), g.matmul(h, r["w_h"])), r["b"]))
+    xh = g.concat(x, h)
+    z = g.sigmoid(g.add(g.matmul(xh, r["w_z"]), r["b_z"]))
+    rg = g.sigmoid(g.add(g.matmul(xh, r["w_r"]), r["b_r"]))
+    hc = g.tanh(g.add(g.matmul(g.concat(x, g.mul(rg, h)), r["w_h"]), r["b_h"]))
+    return g.add(g.mul(g.affine(z, -1.0, 1.0), hc), g.mul(z, h))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["gru", "rnn"]), B=st.integers(1, 3),
+       nx=st.integers(1, 3), H=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_fused_cells_match_composite_and_fd(kind, B, nx, H, seed):
+    point = _cell_point(np.random.default_rng(seed), kind, B, nx, H)
+    values, grads = [], []
+    for build in (_fused_cell, _composite_cell):
+        g = Graph()
+        refs = {n: g.leaf(n, v.shape, param=n != "m") for n, v in point.items()}
+        cell = g.mark("cell", build(g, kind, refs))
+        g.output(g.reduce_sum(g.mul(cell, refs["m"])))
+        if build is _fused_cell:
+            assert grad_check(g, point, 1e-5) < 1e-6
+        g.forward(point)
+        values.append(g.value("cell"))
+        grads.append(g.backward())
+    fused, composite = values
+    assert np.all(np.abs(fused - composite) <= 1e-12 * np.abs(composite))
+    for name, want in grads[1].items():
+        np.testing.assert_allclose(grads[0][name], want, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(V=st.integers(2, 6), K=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_gather_rows_scatter_adds_repeated_ids(V, K, seed, data):
+    rng = np.random.default_rng(seed)
+    ids = data.draw(st.lists(st.integers(0, V - 2), min_size=1, max_size=6))
+    ids = np.array(ids + ids[:1])  # one id repeats; row V - 1 is never selected
+    g = Graph()
+    table = g.leaf("table", (V, K))
+    rows = g.mark("rows", g.gather_rows(table, g.leaf("ids", (len(ids),), param=False)))
+    g.output(g.reduce_sum(g.mul(g.tanh(rows), g.leaf("m", (len(ids), K), param=False))))
+    point = {"table": rng.standard_normal((V, K)), "ids": ids,
+             "m": rng.standard_normal((len(ids), K))}
+    assert grad_check(g, point, 1e-5) < 1e-6
+    g.forward(point)
+    assert np.array_equal(g.value("rows"), point["table"][ids])
+    grad = g.backward()["table"]
+    assert np.all(grad[V - 1] == 0.0)
+    onehot = np.eye(V)[ids]
+    upstream = point["m"] * (1.0 - np.tanh(point["table"][ids]) ** 2)
+    np.testing.assert_allclose(grad, onehot.T @ upstream, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(T=st.integers(1, 4), B=st.integers(1, 3), K=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_stack_concatenates_rows_and_splits_gradient(T, B, K, seed):
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    parts = [g.leaf(f"p{t}", (B, K)) for t in range(T)]
+    stacked = g.mark("stack", g.stack(parts))
+    g.output(g.reduce_sum(g.mul(g.tanh(stacked), g.leaf("m", (T * B, K), param=False))))
+    point = {f"p{t}": rng.standard_normal((B, K)) for t in range(T)}
+    point["m"] = rng.standard_normal((T * B, K))
+    assert grad_check(g, point, 1e-5) < 1e-6
+    g.forward(point)
+    assert np.array_equal(g.value("stack"),
+                          np.concatenate([point[f"p{t}"] for t in range(T)]))
+
+
+def test_fused_ops_reject_bad_shapes():
+    g = Graph()
+    x, h = g.leaf("x", (2, 3)), g.leaf("h", (2, 4))
+    w, b = g.leaf("w", (7, 4)), g.leaf("b", (4,))
+    g.gru_cell(x, h, w, b, w, b, w, b)
+    with pytest.raises(ShapeMismatch):
+        g.gru_cell(x, h, w, b, w, b, b, b)
+    with pytest.raises(ShapeMismatch):
+        g.gru_cell(x, g.leaf("h3", (3, 4)), w, b, w, b, w, b)
+    with pytest.raises(ShapeMismatch):
+        g.rnn_cell(x, h, g.leaf("wx", (3, 4)), w, b)
+    with pytest.raises(ShapeMismatch):
+        g.stack([x, h])
+    with pytest.raises(ShapeMismatch):
+        g.gather_rows(x, g.leaf("ids", (2, 1), param=False))

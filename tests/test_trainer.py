@@ -27,6 +27,7 @@ from dynamo.trainer import (
     output_loss,
     task_batch,
     task_loss_graph,
+    _emulation_loss_graph,
     train_base,
     train_meta,
 )
@@ -178,6 +179,15 @@ def test_residual_graph_loss_matches_reference():
                                       state.embeddings[0], list(feats), cfg)
     assert tot_graph == pytest.approx(tot, abs=1e-10)
     assert grad_check(g, bindings, 1e-5) < 1e-4
+
+
+def test_emulation_graph_node_budget_per_step():
+    # each unrolled step is the token leaf, its embedding rows, the theta
+    # concat and one fused cell; the loss terms are built once over all steps
+    meta = init_meta_model("gru", 30, 8, 32, 4, {0: 2}, seed=0)
+    nodes = {T: len(_emulation_loss_graph(meta, TrainConfig(), T, 16, 16, 0)._kinds)
+             for T in (8, 24)}
+    assert nodes[24] - nodes[8] <= 5 * 16
 
 
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
