@@ -257,6 +257,12 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     """Gradient descent on the labeled-split loss with respect to theta only,
     with step-halving backoff so the recorded loss never increases.
 
+    A step costs one backward pass and one forward pass per trial point: the
+    gradient is taken from the forward pass that accepted the current theta,
+    which the graph still holds unless the last trial was refused at the
+    step-size floor. Over `steps` steps with `b` halvings that makes
+    steps + 1 + b forward passes, plus one per refused step.
+
     Returns (theta_final, thetas (steps+1, d), losses (steps+1,)).
     """
     idxs = ds.indices(split)
@@ -278,8 +284,10 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     losses = [cur]
     lr_cur = lr
     lr_floor = lr * 1e-9
+    held = True  # the graph holds the forward pass at theta
     for _ in range(steps):
-        loss_at(theta)
+        if not held:
+            loss_at(theta)
         grad = g.backward()["theta"].reshape(-1)
         while True:
             cand = theta - lr_cur * grad
@@ -287,7 +295,8 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
             if cand_loss <= cur or lr_cur <= lr_floor:
                 break
             lr_cur *= 0.5
-        if cand_loss <= cur:
+        held = cand_loss <= cur
+        if held:
             theta, cur = cand, cand_loss
         thetas.append(theta.copy())
         losses.append(cur)

@@ -276,6 +276,9 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
             tensors[f"vmap{i}/w{t}"] = vm.weights[t]
             tensors[f"vmap{i}/b{t}"] = vm.biases[t]
     tensors["embeddings"] = state.embeddings
+    with np.errstate(over="ignore"):  # save_checkpoint refuses what overflows
+        by_model = {info["model_id"]: [float(np.float32(x)) for x in state.embeddings[i]]
+                    for i, info in enumerate(base_infos)}
     manifest = {
         "kind": "meta_model",
         "cell_kind": meta.cell_kind,
@@ -286,9 +289,7 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
         "num_blocks": meta.num_blocks,
         "head_dims": {str(k): v for k, v in meta.head_dims.items()},
         "bases": base_infos,
-        "embeddings_by_model": {
-            info["model_id"]: [float(np.float32(x)) for x in state.embeddings[i]]
-            for i, info in enumerate(base_infos)},
+        "embeddings_by_model": by_model,
         "steps_trained": state.step,
     }
     manifest.update(extra or {})
@@ -636,8 +637,7 @@ def cmd_fixed_points(args) -> int:
         summ = dyn.summarize_attractor(fps, state.meta, group)
         rho = dyn.spearman(summ.positions, summ.margins)
         report.update({"extent": summ.extent, "thickness": summ.thickness,
-                       "extent_thickness_ratio": (summ.extent / summ.thickness
-                                                  if summ.thickness > 0 else None),
+                       "extent_thickness_ratio": summ.extent_thickness_ratio,
                        "margin_spearman": rho})
     if args.score_map and ds.valence:
         vals = ds.token_values()

@@ -6,6 +6,15 @@ descent with per-candidate step halving on q(h) = ||F(x*, h) - h||^2 from a
 batch of candidate states, then deduplicating by a radius filter. Retained
 residuals are always re-evaluated through the plain numpy step, independently
 of the descent graph.
+
+The summed q is a sum of per-row terms and the cell acts on each row alone,
+so the gradient for row i depends only on row i. Each descent iteration is
+therefore one forward and one backward pass at the trial states: the pass
+gives q for the acceptance test and the next gradient of every accepted row,
+while a rejected row keeps the gradient of its unchanged state. The same
+independence lets `score_map` descend the candidates of every grid node in
+one batch, each row conditioned on its own node's embedding, and then check
+residuals and deduplicate node by node.
 """
 from __future__ import annotations
 
@@ -52,6 +61,15 @@ class AttractorSummary:
     positions: np.ndarray       # (K,) sorted projections along the axis
     readouts: np.ndarray        # (K, C) head logits, ordered along the axis
     margins: np.ndarray         # (K,) scalar margins, same order
+
+    @property
+    def extent_thickness_ratio(self) -> float | None:
+        """extent / thickness, or None when the cloud has no measurable
+        thickness: fewer than 3 points, or thickness within rounding of 0
+        relative to the extent (a ratio there would only scale the noise)."""
+        if len(self.positions) < 3 or self.thickness <= 1e-9 * self.extent:
+            return None
+        return self.extent / self.thickness
 
 
 def readout_margin(logits: np.ndarray) -> np.ndarray:
@@ -127,19 +145,25 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
     if x_star is None:
         x_star = np.zeros(model.input_dim)
     candidates = np.atleast_2d(np.asarray(candidates, float))
-    n = candidates.shape[0]
-    u = _meta_input(model, theta, x_star)
-    if n == 0:
-        return FixedPointSet(np.zeros((0, model.hidden_dim)), np.zeros(0),
-                             None if theta is None else np.asarray(theta, float),
-                             x_star, np.zeros(0, int), np.zeros(0, int))
+    u_rows = np.tile(_meta_input(model, theta, x_star), (len(candidates), 1))
+    h, steps_used = _descend(model, u_rows, candidates, tol, max_steps, lr)
+    return _retain(model, theta, x_star, u_rows, h, steps_used, tol, dedup_radius)
+
+
+def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
+             max_steps: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row descent of q from `candidates`, row i under cell input
+    `u_rows[i]`; returns the final states and the steps each row took.
+    One forward and one backward pass per iteration, at the trial states
+    (see the module docstring)."""
+    n = len(candidates)
     g = _build_q_graph(model, n)
     bindings = _cell_params(model)
-    bindings["u"] = np.tile(u, (n, 1))
-
+    bindings["u"] = u_rows
     h = candidates.copy()
     bindings["h"] = h
     g.forward(bindings)
+    grad = g.backward()["h"]
     q = g.value("q").copy()
     # stop comfortably inside the tolerance: descending further would slide
     # candidates along slow manifolds and collapse their diversity
@@ -150,25 +174,29 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
     for _ in range(max_steps):
         if not active.any():
             break
-        bindings["h"] = h
-        g.forward(bindings)
-        grad = g.backward()["h"]
         cand = h - step_sizes[:, None] * grad
         bindings["h"] = cand
         g.forward(bindings)
+        grad_new = g.backward()["h"]
         q_new = g.value("q")
         improved = active & (q_new < q)
         h[improved] = cand[improved]
         q[improved] = q_new[improved]
+        grad[improved] = grad_new[improved]
         steps_used[active] += 1
         step_sizes[improved] *= 1.1
         stuck = active & ~improved
         step_sizes[stuck] *= 0.5
         active = (q > stop2) & (step_sizes > 1e-16)
+    return h, steps_used
 
-    # independent residual re-evaluation through the plain numpy step
+
+def _retain(model, theta, x_star: np.ndarray, u_rows: np.ndarray, h: np.ndarray,
+            steps_used: np.ndarray, tol: float, dedup_radius: float) -> FixedPointSet:
+    """Keep the descended states whose residual, re-evaluated through the
+    plain numpy step, is <= tol, then deduplicate them by `dedup_radius`."""
     theta_arr = None if theta is None else np.asarray(theta, float)
-    stepped = cell_step(model, np.tile(u, (n, 1)), h)
+    stepped = cell_step(model, u_rows, h)
     residuals = np.linalg.norm(stepped - h, axis=1)
     keep = residuals <= tol
     pts, res = h[keep], residuals[keep]
@@ -181,11 +209,8 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
         if all(np.linalg.norm(pts[r] - pts[k]) > dedup_radius for k in kept_rows):
             kept_rows.append(r)
     kept_rows = np.array(kept_rows, dtype=int)
-    if len(kept_rows):
-        return FixedPointSet(pts[kept_rows], res[kept_rows], theta_arr, x_star,
-                             idx[kept_rows], used[kept_rows])
-    return FixedPointSet(np.zeros((0, model.hidden_dim)), np.zeros(0), theta_arr,
-                         x_star, np.zeros(0, int), np.zeros(0, int))
+    return FixedPointSet(pts[kept_rows], res[kept_rows], theta_arr, x_star,
+                         idx[kept_rows], used[kept_rows])
 
 
 def _head_logits(model, points: np.ndarray, task_group: int | None) -> np.ndarray:
@@ -276,23 +301,33 @@ def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
               dedup_radius: float = 1e-2, seed: int = 0) -> ScoreGrid:
     """Word score over a plane in embedding space: per node, find fixed points
     of the node's conditioned map, take the neutral one, and score one-step
-    transitions. Nodes where no fixed point survives are marked NaN."""
+    transitions. Nodes where no fixed point survives are marked NaN.
+
+    The candidates of every node descend together in one batch, each row
+    under its own node's embedding; the residual check and dedup then run
+    per node, so each node gets the points `find_fixed_points` would give."""
+    if tol <= 0:
+        raise DynamicsError("tol must be positive")
     origin, u_axis, v_axis, _, us, vs = atlas_mod.plane_grid(base_thetas, plane, grid,
                                                             extent_scale)
     w_pos, w_neg, w_neu = token_sets
+    x_star = np.zeros(meta.input_dim)
+    thetas = [origin + u * u_axis + v * v_axis for u in us for v in vs]
+    cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
+                                task_group=task_group, seed=seed) for theta in thetas]
+    u_rows = np.concatenate([np.tile(_meta_input(meta, theta, x_star), (len(c), 1))
+                             for theta, c in zip(thetas, cands)])
+    h, steps_used = _descend(meta, u_rows, np.concatenate(cands), tol, max_steps, lr=0.2)
     scores = np.full(grid, np.nan)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            theta = origin + u * u_axis + v * v_axis
-            cands = collect_candidates(meta, theta, sequences, samples_per_seq,
-                                       task_group=task_group, seed=seed)
-            fps = find_fixed_points(meta, theta, None, cands, tol=tol,
-                                    max_steps=max_steps, dedup_radius=dedup_radius)
-            if len(fps) == 0:
-                continue
-            h_star = neutral_fixed_point(fps, meta, task_group)
-            scores[i, j] = word_score(meta, theta, h_star, w_pos, w_neg, w_neu,
-                                      task_group)
+    bounds = np.cumsum([len(c) for c in cands])[:-1]
+    nodes = zip(thetas, *(np.split(a, bounds) for a in (u_rows, h, steps_used)))
+    for k, (theta, u_k, h_k, steps_k) in enumerate(nodes):
+        fps = _retain(meta, theta, x_star, u_k, h_k, steps_k, tol, dedup_radius)
+        if len(fps) == 0:
+            continue
+        h_star = neutral_fixed_point(fps, meta, task_group)
+        scores[divmod(k, grid[1])] = word_score(meta, theta, h_star, w_pos, w_neg,
+                                                w_neu, task_group)
     return ScoreGrid(origin, u_axis, v_axis, us, vs, scores)
 
 

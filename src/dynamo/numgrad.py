@@ -17,8 +17,10 @@ reused across training steps. The vocabulary:
 Python dispatch per node, not arithmetic, dominates small graphs, which is
 why the cells are single nodes. Forward keeps every node's value for
 backward; `gru_cell` also saves [x; h], z, r, [x; r*h] and the candidate
-state hc. A forward output or a gradient that is not finite raises
-NumericError.
+state hc. Backward visits only nodes on a path to a parameter leaf, and
+computes no gradient term for an input off such a path (frozen weights,
+bound data, constants), so a frozen model costs no weight products. A
+forward output or a gradient that is not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -99,10 +101,12 @@ class Graph:
         self._out: int | None = None
         self._values: list | None = None
         self._saved: dict = {}
+        self._plan: tuple[list[bool], list[int]] | None = None
 
     # -- construction ---------------------------------------------------
 
     def _push(self, kind, inputs, aux, shape) -> int:
+        self._plan = None
         self._kinds.append(kind)
         self._inputs.append(inputs)
         self._aux.append(aux)
@@ -333,15 +337,32 @@ class Graph:
         nid = self._marks[ref] if isinstance(ref, str) else ref
         return self._values[nid]
 
+    def _backward_plan(self) -> tuple[list[bool], list[int]]:
+        """`needs[n]`: a parameter leaf is node n or one of its ancestors;
+        and the nodes backward visits, in reverse order. Kept until the
+        graph grows."""
+        if self._plan is None:
+            params = {self._leaf_id[name] for name in self._param_names}
+            needs = [False] * len(self._kinds)
+            for nid, ins in enumerate(self._inputs):
+                needs[nid] = nid in params or any(needs[i] for i in ins)
+            order = [nid for nid in range(len(self._kinds) - 1, -1, -1)
+                     if needs[nid] and self._inputs[nid]]
+            self._plan = (needs, order)
+        return self._plan
+
     def backward(self, seed: float = 1.0) -> dict[str, np.ndarray]:
         """Gradients of the output with respect to every parameter leaf.
 
-        Raises NumericError if a gradient is not finite."""
+        Only terms that reach a parameter leaf are computed; each kept sum
+        runs in the same order as over the full graph. Raises NumericError
+        if a gradient is not finite."""
         if self._values is None:
             raise BackwardBeforeForward("backward called before forward")
         out = self._out
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
+        needs, order = self._backward_plan()
         vals = self._values
         grads: list = [None] * len(self._kinds)
         grads[out] = np.float64(seed)
@@ -352,29 +373,33 @@ class Graph:
             else:
                 grads[nid] = grads[nid] + g
 
-        for nid in range(len(self._kinds) - 1, -1, -1):
+        for nid in order:
             g = grads[nid]
             if g is None:
                 continue
             kind = self._kinds[nid]
             ins = self._inputs[nid]
             aux = self._aux[nid]
-            if kind in ("leaf", "const"):
-                continue
-            if kind == "add":
-                acc(ins[0], _unbroadcast(g, self._shapes[ins[0]]))
-                acc(ins[1], _unbroadcast(g, self._shapes[ins[1]]))
-            elif kind == "sub":
-                acc(ins[0], _unbroadcast(g, self._shapes[ins[0]]))
-                acc(ins[1], _unbroadcast(-g, self._shapes[ins[1]]))
+            if kind in ("add", "sub"):
+                a, b = ins
+                if needs[a]:
+                    acc(a, _unbroadcast(g, self._shapes[a]))
+                if needs[b]:
+                    acc(b, _unbroadcast(-g if kind == "sub" else g, self._shapes[b]))
             elif kind == "mul":
-                acc(ins[0], _unbroadcast(g * vals[ins[1]], self._shapes[ins[0]]))
-                acc(ins[1], _unbroadcast(g * vals[ins[0]], self._shapes[ins[1]]))
+                a, b = ins
+                if needs[a]:
+                    acc(a, _unbroadcast(g * vals[b], self._shapes[a]))
+                if needs[b]:
+                    acc(b, _unbroadcast(g * vals[a], self._shapes[b]))
             elif kind == "affine":
                 acc(ins[0], g * aux[0])
             elif kind == "matmul":
-                acc(ins[0], g @ vals[ins[1]].T)
-                acc(ins[1], vals[ins[0]].T @ g)
+                a, b = ins
+                if needs[a]:
+                    acc(a, g @ vals[b].T)
+                if needs[b]:
+                    acc(b, vals[a].T @ g)
             elif kind == "sigmoid":
                 y = vals[nid]
                 acc(ins[0], g * y * (1.0 - y))
@@ -386,8 +411,11 @@ class Graph:
             elif kind == "abs":
                 acc(ins[0], g * np.sign(vals[ins[0]]))
             elif kind == "concat":
-                acc(ins[0], g[:, :aux])
-                acc(ins[1], g[:, aux:])
+                a, b = ins
+                if needs[a]:
+                    acc(a, g[:, :aux])
+                if needs[b]:
+                    acc(b, g[:, aux:])
             elif kind == "reduce_sum":
                 if aux is None:
                     acc(ins[0], np.broadcast_to(g, self._shapes[ins[0]]))
@@ -405,23 +433,30 @@ class Graph:
                 sm = np.exp(y)
                 acc(ins[0], g - sm * g.sum(axis=1, keepdims=True))
             elif kind == "gather_rows":
-                table = np.zeros(self._shapes[ins[0]])
-                np.add.at(table, vals[ins[1]].astype(np.intp), g)
-                acc(ins[0], table)
+                if needs[ins[0]]:
+                    table = np.zeros(self._shapes[ins[0]])
+                    np.add.at(table, vals[ins[1]].astype(np.intp), g)
+                    acc(ins[0], table)
             elif kind == "stack":
                 for k, i in enumerate(ins):
-                    acc(i, g[k * aux:(k + 1) * aux])
+                    if needs[i]:
+                        acc(i, g[k * aux:(k + 1) * aux])
             elif kind == "gru_cell":
-                self._gru_backward(nid, g, acc)
+                self._gru_backward(nid, g, acc, [needs[i] for i in ins])
             elif kind == "rnn_cell":
                 x, h, w_x, w_h, _ = (vals[i] for i in ins)
                 y = vals[nid]
                 ga = g * (1.0 - y * y)
-                acc(ins[4], ga.sum(axis=0))
-                acc(ins[1], ga @ w_h.T)
-                acc(ins[3], h.T @ ga)
-                acc(ins[0], ga @ w_x.T)
-                acc(ins[2], x.T @ ga)
+                if needs[ins[4]]:
+                    acc(ins[4], ga.sum(axis=0))
+                if needs[ins[1]]:
+                    acc(ins[1], ga @ w_h.T)
+                if needs[ins[3]]:
+                    acc(ins[3], h.T @ ga)
+                if needs[ins[0]]:
+                    acc(ins[0], ga @ w_x.T)
+                if needs[ins[2]]:
+                    acc(ins[2], x.T @ ga)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
@@ -435,30 +470,44 @@ class Graph:
                                       f"gradient of {name!r}")
         return out_grads
 
-    def _gru_backward(self, nid: int, g: np.ndarray, acc) -> None:
+    def _gru_backward(self, nid: int, g: np.ndarray, acc, need: list[bool]) -> None:
         """BPTT through one `gru_cell` from the [x; h], z, r, [x; r*h] and hc
         that forward saved. The sums run in the order of the equivalent
-        matmul/sigmoid/tanh graph, so both give the same gradients."""
+        matmul/sigmoid/tanh graph, so both give the same gradients. `need`
+        flags the inputs (x, h, w_z, b_z, w_r, b_r, w_h, b_h) that take a
+        gradient; the products that reach none of them are skipped."""
         ins = self._inputs[nid]
         nx = self._aux[nid]
         h, w_z, w_r, w_h = (self._values[ins[i]] for i in (1, 2, 4, 6))
         xh, z, r, xrh, hc = self._saved[nid]
-        dz = g * h - g * hc
+        need_xh = need[0] or need[1]
+        need_r = need_xh or need[4] or need[5]
+        need_z = need_xh or need[2] or need[3]
         da_h = g * (1.0 - z) * (1.0 - hc * hc)
-        acc(ins[7], da_h.sum(axis=0))
-        acc(ins[6], xrh.T @ da_h)
-        dxrh = da_h @ w_h.T
-        drh = dxrh[:, nx:]
-        dh = g * z + drh * r
-        da_r = drh * h * r * (1.0 - r)
-        acc(ins[5], da_r.sum(axis=0))
-        acc(ins[4], xh.T @ da_r)
-        da_z = dz * z * (1.0 - z)
-        acc(ins[3], da_z.sum(axis=0))
-        acc(ins[2], xh.T @ da_z)
-        dxh = da_r @ w_r.T + da_z @ w_z.T
-        acc(ins[0], dxrh[:, :nx] + dxh[:, :nx])
-        acc(ins[1], dh + dxh[:, nx:])
+        if need[7]:
+            acc(ins[7], da_h.sum(axis=0))
+        if need[6]:
+            acc(ins[6], xrh.T @ da_h)
+        if need_r:
+            dxrh = da_h @ w_h.T
+            drh = dxrh[:, nx:]
+            da_r = drh * h * r * (1.0 - r)
+            if need[5]:
+                acc(ins[5], da_r.sum(axis=0))
+            if need[4]:
+                acc(ins[4], xh.T @ da_r)
+        if need_z:
+            da_z = (g * h - g * hc) * z * (1.0 - z)
+            if need[3]:
+                acc(ins[3], da_z.sum(axis=0))
+            if need[2]:
+                acc(ins[2], xh.T @ da_z)
+        if need_xh:
+            dxh = da_r @ w_r.T + da_z @ w_z.T
+            if need[0]:
+                acc(ins[0], dxrh[:, :nx] + dxh[:, :nx])
+            if need[1]:
+                acc(ins[1], g * z + drh * r + dxh[:, nx:])
 
 
 def grad_check(graph: Graph, point: dict, step: float) -> float:

@@ -127,8 +127,10 @@ class Optimizer:
                 eff_lr = theta_lr
             if cfg.optimizer == "adam_decoupled_wd":
                 b1, b2 = cfg.betas
-                m = self._m.setdefault(name, np.zeros_like(p))
-                v = self._v.setdefault(name, np.zeros_like(p))
+                if name not in self._m:
+                    self._m[name] = np.zeros_like(p)
+                    self._v[name] = np.zeros_like(p)
+                m, v = self._m[name], self._v[name]
                 t = self._t.get(name, 0) + 1
                 self._t[name] = t
                 m *= b1
@@ -142,7 +144,9 @@ class Optimizer:
                     p -= eff_lr * cfg.weight_decay * p
             else:
                 mu = cfg.momentum
-                buf = self._m.setdefault(name, np.zeros_like(p))
+                if name not in self._m:
+                    self._m[name] = np.zeros_like(p)
+                buf = self._m[name]
                 buf *= mu
                 buf += g
                 p -= eff_lr * (g + mu * buf)

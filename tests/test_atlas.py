@@ -204,6 +204,25 @@ def test_ssl_freezes_meta_and_loss_never_increases():
     assert np.array_equal(thetas[-1], theta)
 
 
+def test_ssl_runs_one_forward_per_trial_point(pass_counts):
+    # each forward pass is the initial one, a step's accepted trial, or a
+    # refused trial (one step halving); the accepted point's pass is reused
+    meta = _tiny_meta()
+    ds = _tiny_ds()
+    steps = 6
+    _, _, losses = ssl_optimize(meta, 0, ds, steps=steps, lr=200.0)
+    cur, accepted, backoffs = pass_counts["forward"][0], 0, 0
+    for loss in pass_counts["forward"][1:]:
+        if loss <= cur:
+            cur, accepted = loss, accepted + 1
+        else:
+            backoffs += 1
+    assert backoffs > 0 and accepted == steps
+    assert len(pass_counts["forward"]) == steps + 1 + backoffs
+    assert pass_counts["backward"] == steps
+    assert losses[-1] == cur
+
+
 def test_ssl_empty_split_errors():
     meta = _tiny_meta()
     ds = _tiny_ds()

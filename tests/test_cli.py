@@ -1,6 +1,7 @@
 import filecmp
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dynamo.cli import (
     save_checkpoint,
     validate_config,
 )
+from dynamo import dynamics
 from dynamo.models import init_base_model
 from dynamo.numgrad import NumericError
 
@@ -354,9 +356,38 @@ def test_diverging_meta_run_is_numeric_failure_and_saves_nothing(tmp_path):
     out = tmp_path / "run"
     for stage in ("gen-data", "train-base"):
         assert _run(stage, "--config", str(path), "--out", str(out)) == 0
-    assert _run("train-meta", "--config", str(path), "--out", str(out)) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("train-meta", "--config", str(path), "--out", str(out)) == 4
     assert not (out / "meta.json").exists()
     assert not (out / "meta.bin").exists()
+    # numgrad's saturating exp may overflow while training; the refused
+    # checkpoint itself warns nothing
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and w.filename.endswith("cli.py")]
+
+
+_DIRECTION = np.linspace(-1.0, 1.0, 8) + 0.3
+
+
+@pytest.mark.parametrize("points", [
+    np.stack([0.1 * _DIRECTION, 0.12 * _DIRECTION + 0.01]),
+    np.outer(np.linspace(-0.02, 0.03, 5), _DIRECTION) + 0.05,
+], ids=["two_points", "collinear"])
+def test_fixed_points_report_no_ratio_without_thickness(pipeline, tmp_path,
+                                                        monkeypatch, points):
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    k = len(points)
+    fps = dynamics.FixedPointSet(points, np.zeros(k), None, np.zeros(4),
+                                 np.arange(k), np.zeros(k, int))
+    monkeypatch.setattr(dynamics, "find_fixed_points", lambda *a, **kw: fps)
+    assert _run("fixed-points", "--config", str(path), "--out", str(run),
+                "--theta", "base_000") == 0
+    report = json.loads((run / "fixed_points_base_000.json").read_text())
+    assert report["num_fixed_points"] == k and report["extent"] > 0
+    assert report["extent_thickness_ratio"] is None
 
 
 def _truncate_json(ck):

@@ -143,6 +143,26 @@ def test_summarize_attractor_gaussian_cloud_ratio():
     assert 4.0 < mean_ratio < 10.0
 
 
+def test_extent_thickness_ratio_needs_a_measurable_thickness():
+    meta = init_meta_model("gru", 8, 3, 3, 2, {0: 2}, seed=1)
+
+    def summary(pts):
+        k = len(pts)
+        return summarize_attractor(FixedPointSet(pts, np.zeros(k), None, np.zeros(3),
+                                                 np.arange(k), np.zeros(k, int)),
+                                   meta, 0)
+
+    # two points span one direction: the off-axis spread is rounding noise
+    pair = summary(np.array([[0.3, -0.2, 0.1], [0.31, -0.19, 0.12]]))
+    assert pair.extent > 0 and pair.extent_thickness_ratio is None
+    # collinear points off the coordinate axes: thickness is rounding noise
+    line = summary(np.outer(np.linspace(-1.0, 1.0, 7), [0.6, -0.3, 0.2]) + 0.1)
+    assert line.thickness <= 1e-9 * line.extent
+    assert line.extent_thickness_ratio is None
+    tri = summary(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.2, 0.0]]))
+    assert tri.extent_thickness_ratio == tri.extent / tri.thickness
+
+
 def test_summarize_attractor_needs_two_points():
     meta = init_meta_model("gru", 8, 3, 3, 2, {0: 2}, seed=1)
     fps = FixedPointSet(np.zeros((1, 3)), np.zeros(1), None, np.zeros(3),
@@ -229,6 +249,47 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     grid2 = score_map(meta, 0, base_thetas, seqs, sets, grid=(1, 1),
                       extent_scale=1.0, samples_per_seq=2, tol=1e-5, seed=1)
     assert np.array_equal(grid.scores, grid2.scores)
+
+
+def test_score_map_grid_matches_per_node_calls():
+    # every node's candidates descend in one batch; each node must still get,
+    # bitwise, what its own find_fixed_points call gives
+    meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=7)
+    base_thetas = np.array([[0.6, 0.1], [-0.5, 0.2], [0.1, -0.7]])
+    seqs = [[1, 2, 3, 4], [5, 6, 7], [2, 2, 0, 1, 3]]
+    sets = ([0, 1], [2], [6])
+    kw = dict(tol=1e-4, max_steps=60, dedup_radius=1e-3)
+    grid = score_map(meta, 0, base_thetas, seqs, sets, grid=(3, 3),
+                     extent_scale=3.0, samples_per_seq=2, seed=2, **kw)
+    want = np.full((3, 3), np.nan)
+    steps = set()
+    for i, u in enumerate(grid.us):
+        for j, v in enumerate(grid.vs):
+            theta = grid.theta_at(u, v)
+            cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=2)
+            fps = find_fixed_points(meta, theta, None, cands, **kw)
+            steps.update(fps.descent_steps.tolist())
+            if len(fps):
+                h_star = neutral_fixed_point(fps, meta, 0)
+                want[i, j] = word_score(meta, theta, h_star, *sets, 0)
+    assert len(steps) > 1  # the nodes converge after different step counts
+    assert not np.isnan(want).all()
+    assert grid.scores.tobytes() == want.tobytes()
+
+
+def test_find_fixed_points_runs_one_forward_and_backward_per_iteration(pass_counts):
+    meta = _contraction_meta()
+    cands = np.random.default_rng(2).standard_normal((6, 4))
+    # a tolerance no row reaches in 5 steps: the descent runs 5 iterations
+    fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-12, max_steps=5)
+    assert len(fps) == 0
+    assert len(pass_counts["forward"]) == 5 + 1
+    assert pass_counts["backward"] == 5 + 1
+    # candidates already at the fixed point: no iteration
+    find_fixed_points(meta, np.zeros(2), None, np.zeros((3, 4)), tol=1e-6,
+                      max_steps=5)
+    assert len(pass_counts["forward"]) == 6 + 1
+    assert pass_counts["backward"] == 6 + 1
 
 
 def test_score_map_missing_marker_round_trips(tmp_path):

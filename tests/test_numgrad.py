@@ -428,3 +428,103 @@ def test_fused_ops_reject_bad_shapes():
         g.stack([x, h])
     with pytest.raises(ShapeMismatch):
         g.gather_rows(x, g.leaf("ids", (2, 1), param=False))
+
+
+# -- pruned backward -----------------------------------------------------------------
+
+_PRUNE_OPS = ("add", "sub", "mul", "bias", "matmul", "affine", "sigmoid", "tanh",
+              "relu", "abs", "concat", "gather", "stack", "gru", "rnn", "log_softmax")
+
+
+def _prune_leaves(B, H, V):
+    """Float leaves of `_random_graph` and their shapes; `ids`, `ids2` and the
+    output mix `m` are bound data."""
+    shapes = {"a": (B, H), "b": (B, H), "k": (B, H), "bias": (H,), "w": (H, H),
+              "w2": (2 * H, H), "table": (V, H), "rx": (H, H), "rh": (H, H),
+              "rb": (H,)}
+    shapes.update({n: (2 * H, H) if n[0] == "w" else (H,) for n in _GRU_PARAMS})
+    return shapes
+
+
+def _random_graph(ops, pick, frozen, B, H, V):
+    """Grows a pool of (B, H) nodes from leaves `a` and `b`, one node per op
+    with operands chosen by `pick(n)` in [0, n); leaves in `frozen` are
+    declared with param=False. `relu` and `abs` read only `k`, which is bound
+    away from their kinks."""
+    g = Graph()
+    r = {n: g.leaf(n, s, param=n not in frozen)
+         for n, s in _prune_leaves(B, H, V).items()}
+    ids, ids2 = g.leaf("ids", (B,), param=False), g.leaf("ids2", (B,), param=False)
+    m = g.leaf("m", (B, H), param=False)
+    pool = [r["a"], r["b"]]
+    for op in ops:
+        x, y = pool[pick(len(pool))], pool[pick(len(pool))]
+        if op == "add":
+            node = g.add(x, y)
+        elif op == "sub":
+            node = g.sub(x, g.mul(y, g.const(np.full((B, H), 0.25))))
+        elif op == "mul":
+            node = g.mul(x, g.sigmoid(y))
+        elif op == "bias":
+            node = g.add(x, r["bias"])
+        elif op == "matmul":
+            node = g.matmul(x, r["w"])
+        elif op == "affine":
+            node = g.affine(x, -1.7, 0.3)
+        elif op == "sigmoid":
+            node = g.sigmoid(x)
+        elif op == "tanh":
+            node = g.tanh(x)
+        elif op == "relu":
+            node = g.add(x, g.relu(r["k"]))
+        elif op == "abs":
+            node = g.mul(x, g.abs(r["k"]))
+        elif op == "concat":
+            node = g.matmul(g.concat(x, y), r["w2"])
+        elif op == "gather":
+            node = g.add(x, g.gather_rows(r["table"], ids))
+        elif op == "stack":
+            node = g.gather_rows(g.stack([x, y]), ids2)
+        elif op == "gru":
+            node = g.gru_cell(x, y, *(r[n] for n in _GRU_PARAMS))
+        elif op == "rnn":
+            node = g.rnn_cell(x, y, r["rx"], r["rh"], r["rb"])
+        else:
+            node = g.log_softmax(x)
+        pool.append(node)
+    last, other = pool[-1], pool[pick(len(pool) - 1)]
+    g.output(g.add(g.reduce_sum(g.mul(g.log_softmax(last), m)),
+                   g.reduce_sum(g.reduce_mean(g.mul(other, other), axis=1))))
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.permutations(_PRUNE_OPS), B=st.integers(1, 3), H=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, data):
+    V = 4
+    rng = np.random.default_rng(seed)
+    point = {n: 0.5 * rng.standard_normal(s) for n, s in _prune_leaves(B, H, V).items()}
+    point["k"] = rng.choice([-1.0, 1.0], (B, H)) * rng.uniform(0.5, 1.5, (B, H))
+    point.update(ids=rng.integers(0, V, B).astype(float),
+                 ids2=rng.integers(0, 2 * B, B).astype(float),
+                 m=rng.standard_normal((B, H)))
+    picks = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=2 * len(ops) + 1,
+                               max_size=2 * len(ops) + 1))
+    names = set(_prune_leaves(1, 1, 1))
+    frozen = data.draw(st.sets(st.sampled_from(sorted(names))))
+
+    def build(declared_frozen):
+        it = iter(picks)
+        g = _random_graph(ops, lambda n: next(it) % n, declared_frozen, B, H, V)
+        g.forward(point)
+        return g, g.backward()
+
+    full = build(set())[1]
+    # the drawn subset, then each leaf as the only parameter
+    for declared in [frozen] + [names - {n} for n in sorted(names)]:
+        pruned = build(declared)[1]
+        assert set(pruned) == names - declared
+        for name, grad in pruned.items():
+            assert grad.tobytes() == full[name].tobytes(), name
+    assert grad_check(build(frozen)[0], point, 1e-5) < 1e-6
