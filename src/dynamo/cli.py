@@ -2,15 +2,19 @@
 meta training, embedding-space analyses, semi-supervised embedding
 optimization, fixed-point analysis, and model averaging.
 
-One flat JSON config drives every stage; commands are composable and write
-into a shared run directory. Checkpoints are a JSON manifest next to a blob
-of little-endian float32 tensors (float64 in memory, float32 on disk). Every
-command is deterministic given its config: re-runs produce byte-identical
-CSVs and checkpoints. Exit codes: 0 ok, 2 config error (including an
-analysis that does not apply to the model family), 3 I/O error (including a
-corrupt or non-finite checkpoint), 4 numeric failure (a non-finite loss or
-gradient, or trained state that is not finite in float32, in which case no
-checkpoint is written).
+One flat JSON config drives every stage. The schema under "configuration"
+below (`_CONFIG` and its sections) is the config reference: every key, its
+type and its default. Commands are composable and write into a shared run
+directory, `run_<config hash>` unless `--out` or `out_dir` names one;
+`--seed` overrides the config's seed, and so the hash, for every command.
+Checkpoints are a JSON manifest next to a blob of little-endian float32
+tensors (float64 in memory, float32 on disk). Every command is deterministic
+given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
+codes: 0 ok, 2 config error (including an unknown cell kind, an analysis that
+does not apply to the model family, or a task no base model was trained on),
+3 I/O error (including a corrupt or non-finite checkpoint), 4 numeric failure
+(a non-finite loss or gradient, or trained state that is not finite in
+float32, in which case no checkpoint is written).
 """
 from __future__ import annotations
 
@@ -21,13 +25,14 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import atlas as atlas_mod
 from . import dynamics as dyn
 from . import tasks as tasks_mod
-from .models import BaseModel, MetaModel, StateMap, init_base_model
+from .models import CELL_KINDS, BaseModel, MetaModel, ModelError, StateMap, init_base_model
 from .tasks import SequenceDataset, TaskSpec
 from .trainer import (
     MetaTrainState,
@@ -55,95 +60,120 @@ class IOFailure(Exception):
 
 
 # -- configuration ---------------------------------------------------------------
+#
+# The schema: each section maps a key to (type, default). A type is a Python
+# type or a tuple of types, a tuple of allowed strings, a nested section, or a
+# one-element list holding the section of each list entry. _REQUIRED marks a
+# key the config must give. A default of None leaves the key out of the
+# resolved config, so that TrainConfig and trainer.init_meta_state supply it.
 
-_TASK_KEYS = {"name": str, "kind": str, "vocab_size": int, "num_classes": int,
-              "t_min": int, "t_max": int, "noise_rate": (int, float),
-              "num_sequences": int, "seed": int}
-_SPLIT_KEYS = {"base_train": (int, float), "meta_unlabeled": (int, float),
-               "ssl_labeled": (int, float), "seed": int}
-_POP_KEYS = {"task": str, "count": int, "cell_kind": str, "hidden_dim": int,
-             "input_dim": int, "train_fraction": (int, float),
-             "task_group": int, "num_blocks": int, "lr": (int, float),
-             "epochs": int}
-_TRAIN_KEYS = {"optimizer": str, "lr": (int, float), "epochs": int,
-               "max_steps": int, "batch_size": int,
-               "weight_decay": (int, float), "cosine": bool,
-               "cosine_freq": (int, float), "lambda": (int, float),
-               "hidden_metric": str, "output_divergence": str,
-               "normalize_hidden_by_dim": bool, "theta_lr": (int, float),
-               "momentum": (int, float)}
-_META_KEYS = {"cell_kind": str, "hidden_dim": int, "input_dim": int,
-              "embed_dim": int}
-_ANALYSIS_KEYS = {"grid": int, "extent_scale": (int, float),
-                  "variance_threshold": (int, float), "top_k": int,
-                  "svcca_dims": int, "svcca_sequences": int, "mds_dim": int,
-                  "landscape_task": str}
-_SSL_KEYS = {"steps": int, "lr": (int, float), "task": str}
-_FP_KEYS = {"tol": (int, float), "dedup_radius": (int, float),
-            "max_steps": int, "candidates": int, "samples_per_seq": int,
-            "batch_sequences": int, "score_grid": int}
-_TOP_KEYS = {"seed": int, "out_dir": str, "tasks": list, "splits": dict,
-             "population": list, "base_training": dict, "meta": dict,
-             "meta_training": dict, "analysis": dict, "ssl": dict,
-             "fixed_points": dict}
+_REQUIRED = object()
+_NUM = (int, float)
+
+_TASK = {"name": (str, _REQUIRED), "kind": (str, _REQUIRED),
+         "vocab_size": (int, _REQUIRED), "num_classes": (int, _REQUIRED),
+         "t_min": (int, _REQUIRED), "t_max": (int, _REQUIRED),
+         "noise_rate": (_NUM, 0.05), "num_sequences": (int, _REQUIRED),
+         "seed": (int, 0)}
+_SPLITS = {"base_train": (_NUM, 0.44), "meta_unlabeled": (_NUM, 0.45),
+           "ssl_labeled": (_NUM, 0.01), "seed": (int, 0)}
+_POPULATION = {"task": (str, _REQUIRED), "count": (int, _REQUIRED),
+               "cell_kind": (CELL_KINDS, "gru"), "hidden_dim": (int, 24),
+               "input_dim": (int, 12), "train_fraction": (_NUM, 1.0),
+               "task_group": (int, 0), "num_blocks": (int, 0),
+               # per-entry overrides of base_training
+               "lr": (_NUM, None), "epochs": (int, None)}
+_TRAINING = {key: (kind, None) for key, kind in {
+    "optimizer": str, "lr": _NUM, "epochs": int, "max_steps": int,
+    "batch_size": int, "weight_decay": _NUM, "cosine": bool,
+    "cosine_freq": _NUM, "lambda": _NUM, "hidden_metric": str,
+    "output_divergence": str, "normalize_hidden_by_dim": bool,
+    "theta_lr": _NUM, "momentum": _NUM}.items()}
+_META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (int, None),
+         "input_dim": (int, None), "embed_dim": (int, None)}
+_ANALYSIS = {"grid": (int, 15), "extent_scale": (_NUM, 1.5),
+             "variance_threshold": (_NUM, 0.95), "top_k": (int, 3),
+             "svcca_dims": (int, 20), "svcca_sequences": (int, 50),
+             "mds_dim": (int, 2),
+             "landscape_task": (str, None)}  # resolved to the first task
+_SSL = {"steps": (int, 100), "lr": (_NUM, 1.0),
+        "task": (str, None)}  # resolved to the first task; fixed-points uses it too
+_FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
+                 "max_steps": (int, 5000), "candidates": (int, 512),
+                 "samples_per_seq": (int, 2), "batch_sequences": (int, 64),
+                 "score_grid": (int, 7)}
+_CONFIG = {"seed": (int, 0), "out_dir": (str, None), "tasks": ([_TASK], []),
+           "splits": (_SPLITS, {}), "population": ([_POPULATION], []),
+           "base_training": (_TRAINING, {}), "meta": (_META, {}),
+           "meta_training": (_TRAINING, {}), "analysis": (_ANALYSIS, {}),
+           "ssl": (_SSL, {}), "fixed_points": (_FIXED_POINTS, {})}
 
 
-def _check_keys(obj: dict, allowed: dict, where: str) -> None:
+def _resolve(obj, section: dict, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    for key, val in obj.items():
-        if key not in allowed:
+    for key in obj:
+        if key not in section:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        want = allowed[key]
-        if want is list and not isinstance(val, list):
-            raise ConfigError(f"{where}.{key} must be a list")
-        if want is dict and not isinstance(val, dict):
-            raise ConfigError(f"{where}.{key} must be an object")
-        if want not in (list, dict) and not isinstance(val, want):
-            if not (isinstance(want, tuple) and isinstance(val, want)):
-                raise ConfigError(f"{where}.{key} has the wrong type")
+    resolved = {}
+    for key, (kind, default) in section.items():
+        if key in obj:
+            resolved[key] = _resolve_value(obj[key], kind, f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where} missing {key!r}")
+        elif default is not None:
+            resolved[key] = _resolve_value(default, kind, f"{where}.{key}")
+    return resolved
+
+
+def _resolve_value(val, kind, where: str):
+    if isinstance(kind, dict):
+        return _resolve(val, kind, where)
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_resolve(v, kind[0], f"{where}[{i}]") for i, v in enumerate(val)]
+    if isinstance(kind, tuple) and isinstance(kind[0], str):
+        if val not in kind:
+            raise ConfigError(f"{where} must be one of {', '.join(kind)}")
+    elif not isinstance(val, kind):
+        raise ConfigError(f"{where} has the wrong type")
+    return val
+
+
+def _split_fractions(splits: dict) -> tuple[float, float, float]:
+    return splits["base_train"], splits["meta_unlabeled"], splits["ssl_labeled"]
 
 
 def validate_config(cfg: dict) -> dict:
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if not cfg.get("tasks"):
+    """Check `cfg` against the schema and return a resolved copy with every
+    section and every default filled in. Raises ConfigError."""
+    cfg = _resolve(cfg, _CONFIG, "config")
+    names = [task["name"] for task in cfg["tasks"]]
+    if not names:
         raise ConfigError("config.tasks must list at least one task")
-    names = set()
-    for i, task in enumerate(cfg["tasks"]):
-        _check_keys(task, _TASK_KEYS, f"tasks[{i}]")
-        for key in ("name", "kind", "vocab_size", "num_classes", "t_min",
-                    "t_max", "num_sequences"):
-            if key not in task:
-                raise ConfigError(f"tasks[{i}] missing {key!r}")
-        if task["name"] in names:
-            raise ConfigError(f"duplicate task name {task['name']!r}")
-        names.add(task["name"])
-    splits = cfg.get("splits", {})
-    _check_keys(splits, _SPLIT_KEYS, "splits")
-    fractions = (splits.get("base_train", 0.44), splits.get("meta_unlabeled", 0.45),
-                 splits.get("ssl_labeled", 0.01))
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate task name {name!r}")
+    fractions = _split_fractions(cfg["splits"])
     if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
-    for i, entry in enumerate(cfg.get("population", [])):
-        _check_keys(entry, _POP_KEYS, f"population[{i}]")
-        for key in ("task", "count"):
-            if key not in entry:
-                raise ConfigError(f"population[{i}] missing {key!r}")
+    for i, entry in enumerate(cfg["population"]):
         if entry["task"] not in names:
             raise ConfigError(f"population[{i}] references unknown task "
                               f"{entry['task']!r}")
         if entry["count"] < 1:
             raise ConfigError(f"population[{i}].count must be positive")
-    _check_keys(cfg.get("base_training", {}), _TRAIN_KEYS, "base_training")
-    _check_keys(cfg.get("meta", {}), _META_KEYS, "meta")
-    _check_keys(cfg.get("meta_training", {}), _TRAIN_KEYS, "meta_training")
-    _check_keys(cfg.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
-    _check_keys(cfg.get("ssl", {}), _SSL_KEYS, "ssl")
-    _check_keys(cfg.get("fixed_points", {}), _FP_KEYS, "fixed_points")
+    for section, key in (("ssl", "task"), ("analysis", "landscape_task")):
+        name = cfg[section].setdefault(key, names[0])
+        if name not in names:
+            raise ConfigError(f"{section}.{key} references unknown task {name!r}")
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path, seed: int | None = None) -> tuple[dict, str]:
+    """Read the JSON config at `path`, apply a `--seed` override, and return
+    the resolved config with the hash of the config as written (seed applied)."""
     try:
         raw = Path(path).read_text()
     except OSError as e:
@@ -152,7 +182,11 @@ def load_config(path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    return validate_config(cfg)
+    resolved = validate_config(cfg)
+    if seed is not None:
+        cfg = dict(cfg, seed=seed)
+        resolved["seed"] = seed
+    return resolved, config_hash(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -164,11 +198,9 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def train_config_from(section: dict, seed: int, defaults: dict | None = None) -> TrainConfig:
-    merged = dict(defaults or {})
-    merged.update(section)
+def train_config_from(section: dict, seed: int) -> TrainConfig:
     kwargs = {}
-    for key, val in merged.items():
+    for key, val in section.items():
         if key == "lambda":
             kwargs["lam"] = float(val)
         elif key in ("lr", "weight_decay", "cosine_freq", "theta_lr", "momentum"):
@@ -323,111 +355,108 @@ def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
 # -- shared command plumbing --------------------------------------------------------
 
 
-def _out_dir(args, cfg) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(cfg.get("out_dir", f"run_{config_hash(cfg)}"))
+class Run(NamedTuple):
+    """What a command reads: the resolved config, the run directory, the
+    config hash, the task datasets and, when asked for, the meta checkpoint."""
+
+    cfg: dict
+    out: Path
+    chash: str
+    datasets: dict[str, SequenceDataset]
+    state: MetaTrainState | None
+    mf: dict | None
+
+    @property
+    def comment(self) -> str:
+        return f"config_hash={self.chash}"
+
+    def task_group(self, task_name: str) -> int:
+        """The readout head of the base models trained on `task_name`."""
+        for base in self.mf["bases"]:
+            if base.get("task") == task_name:
+                return base.get("task_group", 0)
+        raise ConfigError(f"no base model was trained on task {task_name!r}, "
+                          "so no readout head serves it")
+
+
+def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
+    cfg, chash = load_config(args.config, args.seed)
+    out = Path(args.out or cfg.get("out_dir", f"run_{chash}"))
+    loaded = {}
+    for task in cfg["tasks"] if datasets else ():
+        path = out / "data" / task["name"]
+        try:
+            loaded[task["name"]] = tasks_mod.load_dataset(path)
+        except tasks_mod.TaskError as e:
+            raise IOFailure(f"missing dataset {path} (run gen-data first): {e}")
+    state, mf = load_meta_checkpoint(out / "meta") if meta else (None, None)
+    return Run(cfg, out, chash, loaded, state, mf)
 
 
 def _gen_task_dataset(task: dict, splits: dict) -> SequenceDataset:
-    spec = TaskSpec(kind=task["kind"], vocab_size=task["vocab_size"],
-                    num_classes=task["num_classes"], t_min=task["t_min"],
-                    t_max=task["t_max"], noise_rate=task.get("noise_rate", 0.05),
-                    seed=task.get("seed", 0), num_sequences=task["num_sequences"])
-    ds = tasks_mod.generate(spec)
-    fractions = (splits.get("base_train", 0.44), splits.get("meta_unlabeled", 0.45),
-                 splits.get("ssl_labeled", 0.01))
-    return tasks_mod.split_dataset(ds, fractions, seed=splits.get("seed", 0))
-
-
-def _load_datasets(cfg: dict, out: Path) -> dict[str, SequenceDataset]:
-    datasets = {}
-    for task in cfg["tasks"]:
-        path = out / "data" / task["name"]
-        try:
-            datasets[task["name"]] = tasks_mod.load_dataset(path)
-        except tasks_mod.TaskError as e:
-            raise IOFailure(f"missing dataset {path} (run gen-data first): {e}")
-    return datasets
+    spec = TaskSpec(**{k: v for k, v in task.items() if k != "name"})
+    return tasks_mod.split_dataset(tasks_mod.generate(spec), _split_fractions(splits),
+                                   seed=splits["seed"])
 
 
 def _population_models(cfg: dict) -> list[dict]:
     """Expand population entries to one record per base model."""
     records = []
-    idx = 0
-    for entry in cfg.get("population", []):
-        for k in range(entry["count"]):
-            rec = dict(entry)
-            rec["model_id"] = f"base_{idx:03d}"
-            rec["member"] = k
-            rec["seed"] = derived_seed(cfg.get("seed", 0), 1, idx)
-            records.append(rec)
-            idx += 1
+    for entry in cfg["population"]:
+        for _ in range(entry["count"]):
+            idx = len(records)
+            records.append(dict(entry, model_id=f"base_{idx:03d}",
+                                seed=derived_seed(cfg["seed"], 1, idx)))
     if not records:
         raise ConfigError("config.population is empty")
     return records
-
-
-def _task_cfg(cfg: dict, name: str) -> dict:
-    for task in cfg["tasks"]:
-        if task["name"] == name:
-            return task
-    raise ConfigError(f"unknown task {name!r}")
 
 
 # -- commands ------------------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    for task in cfg["tasks"]:
-        ds = _gen_task_dataset(task, cfg.get("splits", {}))
-        tasks_mod.save_dataset(ds, out / "data" / task["name"])
+    run = _open_run(args, datasets=False)
+    (run.out / "data").mkdir(parents=True, exist_ok=True)
+    for task in run.cfg["tasks"]:
+        ds = _gen_task_dataset(task, run.cfg["splits"])
+        tasks_mod.save_dataset(ds, run.out / "data" / task["name"])
         print(f"gen-data: wrote {task['name']} "
               f"({len(ds)} sequences, vocab {ds.vocab_size})")
     return EXIT_OK
 
 
 def cmd_train_base(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    chash = config_hash(cfg)
-    records = _population_models(cfg)
-    (out / "base").mkdir(parents=True, exist_ok=True)
+    run = _open_run(args)
+    records = _population_models(run.cfg)
+    tasks = {task["name"]: task for task in run.cfg["tasks"]}
+    (run.out / "base").mkdir(parents=True, exist_ok=True)
     rows = []
     for rec in records:
-        ds = datasets[rec["task"]]
-        task = _task_cfg(cfg, rec["task"])
+        task = tasks[rec["task"]]
         model = init_base_model(
-            rec.get("cell_kind", "gru"), task["vocab_size"],
-            rec.get("input_dim", 12), rec.get("hidden_dim", 24),
-            task["num_classes"], rec.get("task_group", 0), seed=rec["seed"],
-            num_blocks=rec.get("num_blocks", 0),
+            rec["cell_kind"], task["vocab_size"], rec["input_dim"], rec["hidden_dim"],
+            task["num_classes"], rec["task_group"], seed=rec["seed"],
+            num_blocks=rec["num_blocks"],
             info={"model_id": rec["model_id"], "task": rec["task"],
-                  "train_fraction": rec.get("train_fraction", 1.0),
-                  "seed": rec["seed"], "cell_kind": rec.get("cell_kind", "gru"),
-                  "task_group": rec.get("task_group", 0)})
+                  "train_fraction": rec["train_fraction"], "seed": rec["seed"],
+                  "cell_kind": rec["cell_kind"], "task_group": rec["task_group"]})
         overrides = {k: rec[k] for k in ("lr", "epochs") if k in rec}
-        tcfg = train_config_from(dict(cfg.get("base_training", {}), **overrides),
+        tcfg = train_config_from(dict(run.cfg["base_training"], **overrides),
                                  seed=rec["seed"])
-        _, curve = train_base(model, ds, tcfg,
-                              subfraction=rec.get("train_fraction", 1.0))
+        ds = run.datasets[rec["task"]]
+        _, curve = train_base(model, ds, tcfg, subfraction=rec["train_fraction"])
         acc = model_accuracy(model, ds)
         model.info["test_accuracy"] = acc
-        save_base_checkpoint(out / "base" / rec["model_id"], model)
-        rows.append([rec["model_id"], rec["task"], rec.get("cell_kind", "gru"),
-                     str(rec.get("hidden_dim", 24)), str(rec.get("train_fraction", 1.0)),
+        save_base_checkpoint(run.out / "base" / rec["model_id"], model)
+        rows.append([rec["model_id"], rec["task"], rec["cell_kind"],
+                     str(rec["hidden_dim"]), str(rec["train_fraction"]),
                      str(rec["seed"]), f"{acc:.10g}"])
         print(f"train-base: {rec['model_id']} acc={acc:.3f} "
               f"(epochs={tcfg.epochs}, curve last={curve[-1] if curve else None})")
     header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
               "test_accuracy"]
-    tasks_mod.write_csv(out / "base" / "metrics.csv", header, rows, f"config_hash={chash}")
+    tasks_mod.write_csv(run.out / "base" / "metrics.csv", header, rows, run.comment)
     return EXIT_OK
 
 
@@ -440,29 +469,23 @@ def _load_population(out: Path) -> list[BaseModel]:
 
 
 def cmd_train_meta(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    bases = _load_population(out)
-    chash = config_hash(cfg)
-    section = dict(cfg.get("meta_training", {}))
+    run = _open_run(args)
+    bases = _load_population(run.out)
+    section = dict(run.cfg["meta_training"])
     if args.lam is not None:
         section["lambda"] = args.lam
     if args.metric is not None:
         section["hidden_metric"] = {"l1": "L1", "l2": "L2_squared"}[args.metric]
     if args.steps is not None:
         section["max_steps"] = args.steps
-    tcfg = train_config_from(section, seed=derived_seed(cfg.get("seed", 0), 2))
-    ds_list = [datasets[b.info["task"]] for b in bases]
-    state = train_meta(bases, ds_list, tcfg, dict(cfg.get("meta", {})))
+    tcfg = train_config_from(section, seed=derived_seed(run.cfg["seed"], 2))
+    ds_list = [run.datasets[b.info["task"]] for b in bases]
+    state = train_meta(bases, ds_list, tcfg, dict(run.cfg["meta"]))
     base_infos = [dict(b.info) for b in bases]
-    save_meta_checkpoint(out / "meta", state, base_infos,
-                         extra={"config_hash": chash, "lambda": tcfg.lam,
+    save_meta_checkpoint(run.out / "meta", state, base_infos,
+                         extra={"config_hash": run.chash, "lambda": tcfg.lam,
                                 "hidden_metric": tcfg.hidden_metric})
-    export_loss_history(state.history, out / "meta_loss.csv",
-                        comment=f"config_hash={chash}")
+    export_loss_history(state.history, run.out / "meta_loss.csv", comment=run.comment)
     final = state.history[-1] if state.history else (0, 0, 0.0, 0.0, 0.0)
     print(f"train-meta: {len(bases)} bases, {state.step} steps, "
           f"final total loss {final[4]:.4f}")
@@ -470,43 +493,33 @@ def cmd_train_meta(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    state, mf = load_meta_checkpoint(out / "meta")
+    run = _open_run(args, meta=True)
+    out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
     if args.svcca and state.meta.cell_kind == "residual_mlp":
         # checked before any output is written, so a refused run leaves none
         raise ConfigError("--svcca compares recurrent hidden states; "
                           "this run's population is residual_mlp")
-    chash = config_hash(cfg)
-    comment = f"config_hash={chash}"
-    an = cfg.get("analysis", {})
-    metadata = [dict(b) for b in mf["bases"]]
+    metadata = [dict(b) for b in run.mf["bases"]]
     atlas = atlas_mod.fit_pca(state.embeddings, metadata)
-    atlas_mod.export_atlas_csv(atlas, out / "atlas.csv", comment,
-                               top_k=an.get("top_k", 3))
+    atlas_mod.export_atlas_csv(atlas, out / "atlas.csv", comment, top_k=an["top_k"])
     atlas_mod.export_spectrum_csv(atlas, out / "spectrum.csv", comment)
-    k95 = atlas_mod.components_for_variance(atlas.spectrum,
-                                            an.get("variance_threshold", 0.95))
+    k95 = atlas_mod.components_for_variance(atlas.spectrum, an["variance_threshold"])
     summary = {"components_for_variance": k95,
-               "variance_threshold": an.get("variance_threshold", 0.95)}
+               "variance_threshold": an["variance_threshold"]}
     coords = atlas.project(state.embeddings, 2)
     for key in ("train_fraction", "task", "cell_kind"):
         vals = [m.get(key) for m in metadata]
         if len(set(vals)) >= 2:
             summary[f"silhouette_{key}"] = atlas_mod.silhouette(coords, vals)
 
-    task_name = an.get("landscape_task", cfg["tasks"][0]["name"])
-    ds = datasets[task_name]
+    task_name = an["landscape_task"]
+    ds = run.datasets[task_name]
     group_rows = [i for i, m in enumerate(metadata) if m.get("task") == task_name]
     if group_rows:
-        group = metadata[group_rows[0]].get("task_group", 0)
-        best_base = max(m.get("test_accuracy", 0.0) for m in metadata
-                        if m.get("task") == task_name)
-        grid_n = an.get("grid", 15)
+        best_base = max(metadata[i].get("test_accuracy", 0.0) for i in group_rows)
         grid = atlas_mod.accuracy_landscape(
-            state.meta, group, ds, state.embeddings[group_rows],
-            grid=(grid_n, grid_n), extent_scale=an.get("extent_scale", 1.5),
+            state.meta, run.task_group(task_name), ds, state.embeddings[group_rows],
+            grid=(an["grid"], an["grid"]), extent_scale=an["extent_scale"],
             best_base_accuracy=best_base or None)
         atlas_mod.export_landscape_csv(grid, out / "landscape.csv", comment)
         summary["landscape_argmax_accuracy"] = grid.argmax_accuracy
@@ -516,18 +529,17 @@ def cmd_analyze(args) -> int:
     if args.svcca:
         bases = _load_population(out)
         rows = [i for i, b in enumerate(bases) if b.info.get("task") == task_name]
-        seqs, _ = ds.subset(ds.indices("test")[:an.get("svcca_sequences", 50)])
+        seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
         acts = [atlas_mod.hidden_state_matrix(bases[i], seqs) for i in rows]
         n = len(acts)
         D = np.zeros((n, n))
-        dims = an.get("svcca_dims", 20)
         for i in range(n):
             for j in range(i + 1, n):
-                dkept = min(dims, acts[i].shape[1], acts[j].shape[1],
+                dkept = min(an["svcca_dims"], acts[i].shape[1], acts[j].shape[1],
                             acts[i].shape[0])
                 D[i, j] = D[j, i] = atlas_mod.svcca_distance(acts[i], acts[j],
                                                              dims_kept=dkept)
-        coords_mds = atlas_mod.classical_mds(D, an.get("mds_dim", 2))
+        coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
         tasks_mod.write_csv(
             out / "svcca_mds.csv",
             ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
@@ -547,36 +559,30 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ssl(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    state, mf = load_meta_checkpoint(out / "meta")
-    chash = config_hash(cfg)
-    ssl_cfg = cfg.get("ssl", {})
-    task_name = ssl_cfg.get("task", cfg["tasks"][0]["name"])
-    ds = datasets[task_name]
-    group = next((b.get("task_group", 0) for b in mf["bases"]
-                  if b.get("task") == task_name),
-                 int(sorted(mf["head_dims"])[0]))
-    steps = args.steps if args.steps is not None else ssl_cfg.get("steps", 100)
+    run = _open_run(args, meta=True)
+    ssl_cfg, state = run.cfg["ssl"], run.state
+    task_name = ssl_cfg["task"]
+    group = run.task_group(task_name)
+    ds = run.datasets[task_name]
+    steps = args.steps if args.steps is not None else ssl_cfg["steps"]
     before = {k: v.copy() for k, v in state.meta.params.items()}
     theta, thetas, losses = atlas_mod.ssl_optimize(
-        state.meta, group, ds, steps=steps, lr=ssl_cfg.get("lr", 1.0))
+        state.meta, group, ds, steps=steps, lr=ssl_cfg["lr"])
     frozen = all(np.array_equal(state.meta.params[k], v) for k, v in before.items())
     print(f"ssl: frozen-meta assertion {'ok' if frozen else 'VIOLATED'}")
     accs = atlas_mod.grid_accuracies(state.meta, thetas, group, ds)
-    atlas_mod.export_ssl_csv(thetas, losses, accs, out / "ssl_trajectory.csv",
-                             comment=f"config_hash={chash}")
-    best_base = max((b.get("test_accuracy", 0.0) for b in mf["bases"]
-                     if b.get("task") == task_name), default=0.0)
+    atlas_mod.export_ssl_csv(thetas, losses, accs, run.out / "ssl_trajectory.csv",
+                             comment=run.comment)
+    best_base = max(b.get("test_accuracy", 0.0) for b in run.mf["bases"]
+                    if b.get("task") == task_name)
     delta = float(accs[-1]) - best_base
     result = {"theta_final": [float(x) for x in theta],
               "test_accuracy": float(accs[-1]),
               "best_base_accuracy": best_base,
               "improvement_over_best_base": delta,
               "steps": steps}
-    (out / "ssl_result.json").write_text(json.dumps(result, indent=1,
-                                                    sort_keys=True))
+    (run.out / "ssl_result.json").write_text(json.dumps(result, indent=1,
+                                                        sort_keys=True))
     print(f"ssl: final acc {accs[-1]:.4f} vs best base {best_base:.4f} "
           f"(delta {delta:+.4f})")
     return EXIT_OK
@@ -604,32 +610,24 @@ def _resolve_theta(source: str, state: MetaTrainState, mf: dict) -> tuple[str, n
 
 
 def cmd_fixed_points(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    state, mf = load_meta_checkpoint(out / "meta")
-    chash = config_hash(cfg)
-    fp = cfg.get("fixed_points", {})
-    task_name = cfg.get("ssl", {}).get("task", cfg["tasks"][0]["name"])
-    ds = datasets[task_name]
-    group = next((b.get("task_group", 0) for b in mf["bases"]
-                  if b.get("task") == task_name), 0)
-    label, theta = _resolve_theta(args.theta, state, mf)
-    pool = ds.indices("meta_unlabeled")[:fp.get("batch_sequences", 64)]
+    run = _open_run(args, meta=True)
+    fp, state, seed = run.cfg["fixed_points"], run.state, run.cfg["seed"]
+    task_name = run.cfg["ssl"]["task"]
+    group = run.task_group(task_name)
+    ds = run.datasets[task_name]
+    label, theta = _resolve_theta(args.theta, state, run.mf)
+    pool = ds.indices("meta_unlabeled")[:fp["batch_sequences"]]
     seqs, _ = ds.subset(pool)
-    n_cand = fp.get("candidates", 512)
+    n_cand = fp["candidates"]
     per_seq = max(1, int(np.ceil(n_cand / max(1, len(seqs)))))
     cands = dyn.collect_candidates(state.meta, theta, seqs, per_seq,
-                                   task_group=group,
-                                   seed=derived_seed(cfg.get("seed", 0), 3))
+                                   task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]
-    max_steps = args.steps if args.steps is not None else fp.get("max_steps", 5000)
-    fps = dyn.find_fixed_points(state.meta, theta, None, cands,
-                                tol=fp.get("tol", 1e-4),
-                                max_steps=max_steps,
-                                dedup_radius=fp.get("dedup_radius", 1e-2))
-    dyn.export_fixed_points_csv(fps, state.meta, out / f"fixed_points_{label}.csv",
-                                comment=f"config_hash={chash}", task_group=group)
+    max_steps = args.steps if args.steps is not None else fp["max_steps"]
+    fps = dyn.find_fixed_points(state.meta, theta, None, cands, tol=fp["tol"],
+                                max_steps=max_steps, dedup_radius=fp["dedup_radius"])
+    dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
+                                comment=run.comment, task_group=group)
     report = {"theta_source": args.theta, "label": label,
               "num_fixed_points": len(fps),
               "max_residual": float(fps.residuals.max()) if len(fps) else None}
@@ -644,16 +642,14 @@ def cmd_fixed_points(args) -> int:
         sets = ([t for t in range(ds.vocab_size) if vals[t] > 0],
                 [t for t in range(ds.vocab_size) if vals[t] < 0],
                 [t for t in range(ds.vocab_size) if vals[t] == 0])
-        gsz = fp.get("score_grid", 7)
+        gsz = fp["score_grid"]
         grid = dyn.score_map(state.meta, group, state.embeddings, seqs[:16], sets,
-                             grid=(gsz, gsz), samples_per_seq=2,
-                             tol=fp.get("tol", 1e-4),
-                             max_steps=min(max_steps, 2000),
-                             dedup_radius=fp.get("dedup_radius", 1e-2),
-                             seed=derived_seed(cfg.get("seed", 0), 4))
-        dyn.export_score_map_csv(grid, out / f"score_map_{label}.csv",
-                                 comment=f"config_hash={chash}")
-    (out / f"fixed_points_{label}.json").write_text(
+                             grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
+                             tol=fp["tol"], max_steps=min(max_steps, 2000),
+                             dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
+        dyn.export_score_map_csv(grid, run.out / f"score_map_{label}.csv",
+                                 comment=run.comment)
+    (run.out / f"fixed_points_{label}.json").write_text(
         json.dumps(report, indent=1, sort_keys=True))
     print(f"fixed-points[{label}]: {len(fps)} points"
           + (f", extent/thickness={report.get('extent_thickness_ratio'):.2f}"
@@ -662,35 +658,30 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_average(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    datasets = _load_datasets(cfg, out)
-    state, mf = load_meta_checkpoint(out / "meta")
-    chash = config_hash(cfg)
+    run = _open_run(args, meta=True)
     ids = args.ids.split(",")
-    by_id = {b["model_id"]: (i, b) for i, b in enumerate(mf["bases"])}
+    by_id = {b["model_id"]: (i, b) for i, b in enumerate(run.mf["bases"])}
     for mid in ids:
         if mid not in by_id:
             raise ConfigError(f"unknown base model id {mid!r}")
     tasks_used = {by_id[m][1].get("task") for m in ids}
     if len(tasks_used) != 1:
         raise ConfigError("averaging requires models from a single task")
-    task_name = tasks_used.pop()
-    ds = datasets[task_name]
+    ds = run.datasets[tasks_used.pop()]
+    meta = run.state.meta
     group = by_id[ids[0]][1].get("task_group", 0)
     rows = []
-    thetas = [state.embeddings[by_id[m][0]] for m in ids]
+    thetas = [run.state.embeddings[by_id[m][0]] for m in ids]
     for mid, th in zip(ids, thetas):
-        acc = atlas_mod.evaluate_at(state.meta, th, group, ds)
+        acc = atlas_mod.evaluate_at(meta, th, group, ds)
         base_acc = by_id[mid][1].get("test_accuracy")
         base_cell = f"{base_acc:.10g}" if base_acc is not None else ""
         rows.append([mid, f"{acc:.10g}", base_cell])
     avg_theta = atlas_mod.average_embeddings(thetas)
-    avg_acc = atlas_mod.evaluate_at(state.meta, avg_theta, group, ds)
+    avg_acc = atlas_mod.evaluate_at(meta, avg_theta, group, ds)
     rows.append(["average", f"{avg_acc:.10g}", ""])
-    tasks_mod.write_csv(out / "average_report.csv",
-                        ["model_id", "meta_accuracy", "base_accuracy"], rows,
-                        f"config_hash={chash}")
+    tasks_mod.write_csv(run.out / "average_report.csv",
+                        ["model_id", "meta_accuracy", "base_accuracy"], rows, run.comment)
     print(f"average: {'+'.join(ids)} -> acc {avg_acc:.4f}")
     return EXIT_OK
 
@@ -757,7 +748,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, tasks_mod.TaskError, TrainerError,
+    except (ConfigError, ModelError, tasks_mod.TaskError, TrainerError,
             atlas_mod.AtlasError, dyn.DynamicsError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -74,16 +74,6 @@ class StateMap:
     biases: list[np.ndarray]
 
 
-@dataclass
-class ModelEmbedding:
-    theta: np.ndarray
-    model_id: str = "free"
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("embedding entries must be finite")
-
-
 # -- single-step cell maps ---------------------------------------------------
 
 

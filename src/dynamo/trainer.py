@@ -366,7 +366,7 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         wo = g.leaf("wo", (TB,), param=False)
         if kl:
             pb = g.leaf("pb", (TB, C), param=False)
-            ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb), axis=1), -1.0)
+            ce = g.softmax_log_loss(logits, pb)
             out_total = g.add(g.reduce_sum(g.mul(ce, wo)), g.leaf("kl_const", (), param=False))
         else:
             ob = g.leaf("ob", (TB, C), param=False)

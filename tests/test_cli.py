@@ -9,6 +9,7 @@ import pytest
 from dynamo.cli import (
     ConfigError,
     config_hash,
+    derived_seed,
     load_base_checkpoint,
     load_checkpoint,
     load_config,
@@ -99,6 +100,41 @@ def test_config_hash_is_stable():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
+
+
+def test_validate_config_returns_resolved_copy():
+    task = {k: v for k, v in _mini_config()["tasks"][0].items()
+            if k not in ("noise_rate", "seed")}
+    cfg = {"tasks": [task], "population": [{"task": "valence", "count": 1}]}
+    written = json.loads(json.dumps(cfg))
+    resolved = validate_config(cfg)
+    assert cfg == written  # the config as written is left alone
+    assert resolved["seed"] == 0 and "out_dir" not in resolved
+    assert resolved["tasks"][0]["noise_rate"] == 0.05 and resolved["tasks"][0]["seed"] == 0
+    assert resolved["population"][0] == {
+        "task": "valence", "count": 1, "cell_kind": "gru", "hidden_dim": 24,
+        "input_dim": 12, "train_fraction": 1.0, "task_group": 0, "num_blocks": 0}
+    assert resolved["base_training"] == resolved["meta"] == {}  # trainer defaults
+    assert resolved["fixed_points"]["samples_per_seq"] == 2
+    assert resolved["ssl"]["task"] == resolved["analysis"]["landscape_task"] == "valence"
+    for section in ({"ssl": {"task": "topic"}}, {"analysis": {"landscape_task": "x"}}):
+        with pytest.raises(ConfigError):
+            validate_config(dict(cfg, **section))
+
+
+@pytest.mark.parametrize("section,update,codes", [
+    ("population", {"cell_kind": "lstm"}, (2, 2)),
+    ("population", {"cell_kind": "residual_mlp"}, (0, 2)),  # no num_blocks
+    ("meta", {"cell_kind": "lstm"}, (2, 2)),
+], ids=["unknown_base_cell", "residual_without_blocks", "unknown_meta_cell"])
+def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
+    cfg = _mini_config()
+    (cfg[section][0] if section == "population" else cfg[section]).update(update)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert tuple(_run(stage, "--config", str(path), "--out", str(out))
+                 for stage in ("gen-data", "train-base")) == codes
+    assert not list(out.glob("base/base_*"))
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -279,6 +315,67 @@ def test_average_command(pipeline):
     assert own == avg  # averaging a single model is the identity
     assert _run("average", "--config", str(path), "--out", str(out),
                 "--ids", "base_000,missing") == 2
+
+
+def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):
+    _, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = _mini_config()
+    cfg["fixed_points"]["samples_per_seq"] = 3
+    path = _write_config(tmp_path, cfg)
+    seen = {}
+    score_map = dynamics.score_map
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return score_map(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "score_map", spy)
+    assert _run("fixed-points", "--config", str(path), "--out", str(run),
+                "--theta", "base_000", "--score-map") == 0
+    assert seen["samples_per_seq"] == 3
+
+
+def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, _mini_config())
+    seeds = []
+    collect = dynamics.collect_candidates
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "collect_candidates", spy)
+    for argv in (("gen-data",), ("train-base",), ("train-meta",), ("analyze",),
+                 ("ssl",), ("fixed-points", "--theta", "base_000"),
+                 ("average", "--ids", "base_000,base_001")):
+        assert _run(*argv, "--config", str(path), "--seed", "7") == 0, argv
+    runs = [p.name for p in tmp_path.glob("run_*")]
+    assert runs == [f"run_{config_hash(_mini_config(seed=7))}"]
+    manifest = json.loads((tmp_path / runs[0] / "base" / "base_000.json").read_text())
+    assert manifest["info"]["seed"] == derived_seed(7, 1, 0)
+    assert seeds == [derived_seed(7, 3)]
+
+
+def test_task_without_base_models_has_no_readout_head(tmp_path):
+    cfg = _mini_config(ssl={"steps": 3, "lr": 0.5, "task": "topic"})
+    cfg["tasks"].append(dict(cfg["tasks"][0], name="topic",
+                             kind="topic_classification", num_classes=3))
+    cfg["analysis"]["landscape_task"] = "topic"
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base", "train-meta"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    written = sorted(out.iterdir())
+    assert _run("ssl", "--config", str(path), "--out", str(out)) == 2
+    assert _run("fixed-points", "--config", str(path), "--out", str(out),
+                "--theta", "base_000") == 2
+    assert sorted(out.iterdir()) == written  # refused before writing anything
+    # analyze skips the landscape of a task that no base model was trained on
+    assert _run("analyze", "--config", str(path), "--out", str(out)) == 0
+    assert (out / "atlas.csv").exists() and not (out / "landscape.csv").exists()
 
 
 def test_full_rerun_is_byte_identical(tmp_path):

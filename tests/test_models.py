@@ -306,14 +306,6 @@ def test_residual_graph_matches_numpy():
     assert np.allclose(g.value("f_next"), want, atol=1e-14)
 
 
-def test_model_embedding_rejects_nonfinite():
-    from dynamo.models import ModelEmbedding
-    with pytest.raises(ValueError):
-        ModelEmbedding(np.array([1.0, np.nan]))
-    e = ModelEmbedding(np.zeros(3), model_id="base_0")
-    assert e.model_id == "base_0"
-
-
 def _row_oracle(model, row, length, theta_row, head):
     """One row stepped through `cell_step` with 1-D vectors."""
     p = model.params
