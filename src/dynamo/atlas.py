@@ -3,6 +3,7 @@ averaging, accuracy landscapes, semi-supervised embedding optimization, the
 SVCCA + classical-MDS pairwise baseline, and cluster-quality scoring."""
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -316,37 +317,49 @@ def hidden_state_matrix(model, sequences: list[list[int]], theta=None,
     return hs.swapaxes(0, 1)[np.arange(tokens.shape[1]) < lengths[:, None]]
 
 
-def _svd_reduce(acts: np.ndarray, dims_kept: int, var_kept: float = 0.99):
-    Xc = acts - acts.mean(axis=0)
-    u, s, _ = np.linalg.svd(Xc, full_matrices=False)
+def _svd_basis(acts: np.ndarray, var_kept: float = 0.99):
+    """Left singular vectors of the centred activations, their rank, the
+    count of them that keeps `var_kept` of the variance, and the unit count."""
+    u, s, _ = np.linalg.svd(acts - acts.mean(axis=0), full_matrices=False)
     nz = s > max(1e-10 * s[0], 1e-300) if s.size else np.zeros(0, dtype=bool)
     rank = int(nz.sum())
     if rank == 0:
         raise AtlasError("activation matrix has zero variance")
     energy = np.cumsum(s[:rank] ** 2) / np.sum(s[:rank] ** 2)
-    k99 = int(np.searchsorted(energy, var_kept - 1e-15) + 1)
-    k = min(k99, dims_kept, rank)
-    if k < min(dims_kept, acts.shape[1]) and rank < min(dims_kept, acts.shape[1]):
-        warnings.warn(f"rank-deficient activations: keeping {k} directions")
-    return u[:, :k]
+    return u, rank, int(np.searchsorted(energy, var_kept - 1e-15) + 1), acts.shape[1]
 
 
 def svcca_distance(acts_a: np.ndarray, acts_b: np.ndarray, dims_kept: int = 20) -> float:
     """CCA-based dissimilarity between two activation matrices over the same
     samples: sqrt(mean over canonical pairs of 2*(1 - rho))."""
     A, B = np.asarray(acts_a, float), np.asarray(acts_b, float)
-    if A.shape[0] != B.shape[0]:
-        raise AtlasError("activation matrices need the same sample count")
-    if dims_kept > min(A.shape[1], B.shape[1], A.shape[0]):
+    if len(A) == len(B) and dims_kept > min(A.shape[1], B.shape[1], len(A)):
         raise AtlasError("dims_kept exceeds the usable dimension count")
-    qa = _svd_reduce(A, dims_kept)
-    qb = _svd_reduce(B, dims_kept)
-    rho = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    rho = np.clip(rho, 0.0, 1.0)
-    # correlations cannot exceed 1; values this close are numerically 1
-    rho[rho > 1.0 - 1e-12] = 1.0
-    r = min(qa.shape[1], qb.shape[1])
-    return float(np.sqrt(np.mean(2.0 * (1.0 - rho[:r]))))
+    return float(svcca_distances([A, B], dims_kept)[0, 1])
+
+
+def svcca_distances(acts: list[np.ndarray], dims_kept: int) -> np.ndarray:
+    """`svcca_distance` of every pair of activation matrices over the same
+    samples, keeping at most `dims_kept` directions (fewer when a pair has
+    fewer units or samples). Each matrix is decomposed once."""
+    acts = [np.asarray(a, float) for a in acts]
+    if len({len(a) for a in acts}) > 1:
+        raise AtlasError("activation matrices need the same sample count")
+    bases = [_svd_basis(a) for a in acts]
+    D = np.zeros((len(acts), len(acts)))
+    for i, j in itertools.combinations(range(len(acts)), 2):
+        dims = min(dims_kept, bases[i][3], bases[j][3], len(acts[i]))
+        q = []
+        for u, rank, k99, width in (bases[i], bases[j]):
+            k = min(k99, dims, rank)
+            if k < min(dims, width) and rank < min(dims, width):
+                warnings.warn(f"rank-deficient activations: keeping {k} directions")
+            q.append(u[:, :k])
+        rho = np.clip(np.linalg.svd(q[0].T @ q[1], compute_uv=False), 0.0, 1.0)
+        # correlations cannot exceed 1; values this close are numerically 1
+        rho[rho > 1.0 - 1e-12] = 1.0
+        D[i, j] = D[j, i] = np.sqrt(np.mean(2.0 * (1.0 - rho)))
+    return D
 
 
 def classical_mds(distances: np.ndarray, out_dim: int) -> np.ndarray:

@@ -530,15 +530,9 @@ def cmd_analyze(args) -> int:
         bases = _load_population(out)
         rows = [i for i, b in enumerate(bases) if b.info.get("task") == task_name]
         seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
-        acts = [atlas_mod.hidden_state_matrix(bases[i], seqs) for i in rows]
-        n = len(acts)
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dkept = min(an["svcca_dims"], acts[i].shape[1], acts[j].shape[1],
-                            acts[i].shape[0])
-                D[i, j] = D[j, i] = atlas_mod.svcca_distance(acts[i], acts[j],
-                                                             dims_kept=dkept)
+        D = atlas_mod.svcca_distances(
+            [atlas_mod.hidden_state_matrix(bases[i], seqs) for i in rows],
+            an["svcca_dims"])
         coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
         tasks_mod.write_csv(
             out / "svcca_mds.csv",
@@ -714,7 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="embedding-space analyses and exports")
     common(p)
     p.add_argument("--svcca", action="store_true",
-                   help="also run the pairwise SVCCA+MDS baseline (quadratic cost)")
+                   help="also run the pairwise SVCCA+MDS baseline (quadratic cost); "
+                        "it compares recurrent hidden states, so a residual_mlp "
+                        "run is refused with exit 2")
     p = sub.add_parser("ssl", help="optimize an embedding on the labeled split")
     common(p)
     p.add_argument("--steps", type=int, default=None)

@@ -6,14 +6,14 @@ with the model embedding vector prepended to the input at every step (GRU /
 vanilla RNN) or injected as a learned bias inside each block (residual MLP),
 plus one readout head per task group.
 
-The recurrence is stepped in one place per engine. `rollout_batch` is the
-only numpy loop over `cell_step`: it runs either family, ragged token batches
-by length, one embedding per row, and selects the readout head; every other
-numpy evaluation calls it. `unroll_graph` is the only loop over
-`cell_step_graph`: it declares each step's input leaves (token ids `x{t}`
-for recurrent cells) and yields the hidden-state ref after each step, and
-every training and embedding-search graph is built on it. A recurrent step
-is one fused numgrad `gru_cell` or `rnn_cell` node.
+A recurrent cell's arithmetic is written once, as `numgrad.gru_step` and
+`numgrad.rnn_step`; the numpy rollouts here and numgrad's `recurrence` node
+both call it, so graph and numpy forward values agree bit for bit.
+`rollout_batch` is the only numpy loop over `cell_step`: it runs either
+family, ragged token batches by length, one embedding per row, and selects
+the readout head; every other numpy evaluation calls it. `unroll_graph`
+builds every training and embedding-search graph: one `recurrence` node over
+a time-major `tokens` leaf, or residual blocks through `cell_step_graph`.
 """
 from __future__ import annotations
 
@@ -21,18 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numgrad
 from .numgrad import Graph
 from .tasks import SequenceDataset, bag_of_tokens
 
 CELL_KINDS = ("gru", "vanilla_rnn", "residual_mlp")
+# weight names of each recurrent cell, in the order numgrad's steps take them
+CELL_PARAMS = {"gru": ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h"),
+               "vanilla_rnn": ("w_x", "w_h", "b")}
 
 
 class ModelError(Exception):
     pass
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -79,16 +79,11 @@ class StateMap:
 
 def gru_step(params: dict, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """h' = (1-z)*hcand + z*h with z, r gates on [x; h] and hcand on [x; r*h]."""
-    xh = np.concatenate([x, h], axis=-1)
-    z = _sigmoid(xh @ params["w_z"] + params["b_z"])
-    r = _sigmoid(xh @ params["w_r"] + params["b_r"])
-    xrh = np.concatenate([x, r * h], axis=-1)
-    hcand = np.tanh(xrh @ params["w_h"] + params["b_h"])
-    return (1.0 - z) * hcand + z * h
+    return numgrad.gru_step(x, h, *(params[n] for n in CELL_PARAMS["gru"]))[0]
 
 
 def vanilla_rnn_step(params: dict, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.tanh(x @ params["w_x"] + h @ params["w_h"] + params["b"])
+    return numgrad.rnn_step(x, h, *(params[n] for n in CELL_PARAMS["vanilla_rnn"]))[0]
 
 
 def residual_block_step(block_params: dict, features: np.ndarray,
@@ -346,19 +341,21 @@ def graph_params(model, task_group: int | None = None) -> dict[str, np.ndarray]:
 
 
 def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
-                 theta_rows: int | None = None):
-    """Graph twin of `rollout_batch`: declares each step's inputs and yields
-    the hidden-state ref after every step.
+                 theta: int | None = None):
+    """Graph twin of `rollout_batch`: declares the model's input leaf and
+    yields hidden-state refs; a meta model passes its (1, d) embedding `theta`.
 
-    Recurrent cells read token-id leaves `x{t}` (B,) for T steps, gather
-    their embedding rows, and concatenate the embedding rows `theta_rows`
-    (meta models) before them; each step is one fused `gru_cell` or
-    `rnn_cell` node. Residual cells read the feature leaf `feat` (B, F)
-    through the stem and yield once per block (T is ignored). Recurrent
-    callers build their loss terms once over `g.stack` of the yielded
-    states; residual callers add a block's loss nodes before the next block.
+    Recurrent cells read one time-major token-id leaf `tokens` (T * B,), put
+    the embedding rows before its `embed` rows, and run all T steps as one
+    `recurrence` node; the one yielded ref is its (T * B, H) states, row
+    t * B + b for step t of sequence b. Residual cells read the feature leaf
+    `feat` (B, F) through the stem and yield once per block (T is ignored),
+    so callers add a block's loss nodes before the next block.
     """
-    if model.cell_kind == "residual_mlp":
+    residual = model.cell_kind == "residual_mlp"
+    theta_rows = (None if theta is None
+                  else g.matmul(g.const(np.ones((B if residual else T * B, 1))), theta))
+    if residual:
         feat = g.leaf("feat", (B, model.input_dim), param=False)
         h = g.add(g.matmul(feat, refs["stem_w"]), refs["stem_b"])
         for t in range(model.num_blocks):
@@ -366,27 +363,23 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
                                 theta_rows=theta_rows)
             yield h
         return
-    h = g.const(np.zeros((B, model.hidden_dim)))
-    for t in range(T):
-        x = g.gather_rows(refs["embed"], g.leaf(f"x{t}", (B,), param=False))
-        if theta_rows is not None:
-            x = g.concat(theta_rows, x)
-        h = cell_step_graph(g, model.cell_kind, refs, x, h)
-        yield h
+    x = g.gather_rows(refs["embed"], g.leaf("tokens", (T * B,), param=False))
+    if theta_rows is not None:
+        x = g.concat(theta_rows, x)
+    yield cell_step_graph(g, model.cell_kind, refs, x,
+                          g.const(np.zeros((B, model.hidden_dim))))
 
 
 def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: int,
                     block: int = 0, theta_rows: int | None = None) -> int:
-    """Graph twin of `cell_step`. `x` is (B, cell_in); `h` is (B, H).
+    """Graph twin of `cell_step`. Recurrent cells run one `recurrence` node
+    over time-major `x` (T * B, cell_in) from `h` (B, H); T = 1 is one step.
 
     For residual cells, pass the block features as `h` and the broadcast
     embedding rows as `theta_rows` (meta only); `x` is ignored.
     """
-    if cell_kind == "gru":
-        return g.gru_cell(x, h, refs["w_z"], refs["b_z"], refs["w_r"], refs["b_r"],
-                          refs["w_h"], refs["b_h"])
-    if cell_kind == "vanilla_rnn":
-        return g.rnn_cell(x, h, refs["w_x"], refs["w_h"], refs["b"])
+    if cell_kind in CELL_PARAMS:
+        return g.recurrence(cell_kind, x, h, [refs[n] for n in CELL_PARAMS[cell_kind]])
     if cell_kind == "residual_mlp":
         pre = g.add(g.matmul(h, refs[f"blk{block}_a1"]), refs[f"blk{block}_b1"])
         if theta_rows is not None:

@@ -1,26 +1,26 @@
 """Reverse-mode autodiff over fixed computation graphs of dense float64 arrays.
 
 Graphs are built once from a fixed primitive vocabulary and then bound with
-fresh leaf values on every forward call, so the same unrolled cell can be
+fresh leaf values on every forward call, so the same unrolled model can be
 reused across training steps. The vocabulary:
 
 - leaves and constants;
 - add/sub/mul (numpy broadcasting), affine, matmul;
 - sigmoid, tanh, relu, abs;
-- column concat of two nodes, `stack` (row-wise concat of many equally
-  shaped nodes), `gather_rows` (rows of a table picked by an id leaf, whose
-  backward scatter-adds into the table);
+- column concat of two nodes, `gather_rows` (rows of a table picked by an
+  id leaf, whose backward scatter-adds into the table);
 - sum/mean reductions and row-wise log-softmax;
-- the fused recurrent steps `gru_cell` and `rnn_cell`, one node per
-  unrolled step with a hand-written BPTT backward.
+- `recurrence`: all T steps of a GRU or vanilla RNN over time-major
+  (T * B, .) rows as one node. Forward calls `gru_step`/`rnn_step`, as the
+  numpy rollouts in `models` do; backward carries only the state gradient
+  from step to step, then forms each weight gradient with one product over
+  all T * B rows.
 
-Python dispatch per node, not arithmetic, dominates small graphs, which is
-why the cells are single nodes. Forward keeps every node's value for
-backward; `gru_cell` also saves [x; h], z, r, [x; r*h] and the candidate
-state hc. Backward visits only nodes on a path to a parameter leaf, and
-computes no gradient term for an input off such a path (frozen weights,
-bound data, constants), so a frozen model costs no weight products. A
-forward output or a gradient that is not finite raises NumericError.
+Python dispatch per node, not arithmetic, dominates small graphs. Backward
+visits only nodes on a path to a parameter leaf, and computes no gradient
+term for an input off such a path, so a frozen model costs no weight
+products. Both passes run with overflow warnings off; a forward output or a
+gradient that is not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -79,6 +79,34 @@ def _broadcast_shape(sa, sb, node_label):
         return np.broadcast_shapes(sa, sb)
     except ValueError:
         raise ShapeMismatch(f"{node_label}: cannot broadcast {sa} with {sb}") from None
+
+
+def _rows(parts: list) -> np.ndarray:
+    """Row-wise concatenation; a single part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_step(x, h, w_z, b_z, w_r, b_r, w_h, b_h):
+    """One GRU step, h' = (1-z)*hc + z*h with z, r = sigmoid([x; h] w + b) and
+    hc = tanh([x; r*h] w_h + b_h); returns h' and [x; h], z, r, [x; r*h], hc."""
+    xh = np.concatenate((x, h), axis=-1)
+    z = _sigmoid(xh @ w_z + b_z)
+    r = _sigmoid(xh @ w_r + b_r)
+    xrh = np.concatenate((x, r * h), axis=-1)
+    hc = np.tanh(xrh @ w_h + b_h)
+    return (1.0 - z) * hc + z * h, (xh, z, r, xrh, hc)
+
+
+def rnn_step(x, h, w_x, w_h, b):
+    """One vanilla RNN step, h' = tanh(x w_x + h w_h + b); it saves nothing."""
+    return np.tanh(x @ w_x + h @ w_h + b), ()
+
+
+CELLS = {"gru": gru_step, "vanilla_rnn": rnn_step}
 
 
 class Graph:
@@ -201,36 +229,21 @@ class Graph:
             raise ShapeMismatch(f"gather_rows: table {st}, ids {si}")
         return self._push("gather_rows", (table, ids), None, (si[0], st[1]))
 
-    def stack(self, refs) -> int:
-        """Row-wise concatenation of equally shaped (B, K) nodes into one
-        (len(refs) * B, K) node; row t * B + b is row b of refs[t]."""
-        refs = tuple(refs)
-        shape = self._shapes[refs[0]]
-        if len(shape) != 2 or any(self._shapes[r] != shape for r in refs):
-            raise ShapeMismatch(f"stack: {[self._shapes[r] for r in refs]}")
-        return self._push("stack", refs, shape[0], (len(refs) * shape[0], shape[1]))
-
-    def gru_cell(self, x: int, h: int, w_z: int, b_z: int, w_r: int, b_r: int,
-                 w_h: int, b_h: int) -> int:
-        """One GRU step, h' = (1-z)*hc + z*h with z, r = sigmoid([x; h] w + b)
-        and hc = tanh([x; r*h] w_h + b_h), computed as `models.gru_step` does."""
-        return self._cell("gru_cell", x, h, (w_z, b_z, w_r, b_r, w_h, b_h))
-
-    def rnn_cell(self, x: int, h: int, w_x: int, w_h: int, b: int) -> int:
-        """One vanilla RNN step, h' = tanh(x w_x + h w_h + b)."""
-        return self._cell("rnn_cell", x, h, (w_x, w_h, b))
-
-    def _cell(self, kind, x, h, params):
-        sx, sh = self._shapes[x], self._shapes[h]
-        if len(sx) != 2 or len(sh) != 2 or sx[0] != sh[0]:
-            raise ShapeMismatch(f"{kind}: x {sx}, h {sh}")
+    def recurrence(self, kind: str, x: int, h0: int, params) -> int:
+        """T steps of the cell `kind` ("gru" or "vanilla_rnn") from h0 (B, H).
+        `x` is (T * B, nx), row t * B + b the input of sequence b at step t;
+        the output stacks the T states in that layout, (T * B, H). `params`
+        are (w_z, b_z, w_r, b_r, w_h, b_h) for a GRU, (w_x, w_h, b) for an RNN."""
+        sx, sh, params = self._shapes[x], self._shapes[h0], tuple(params)
+        if (kind not in CELLS or len(sx) != 2 or len(sh) != 2
+                or not 0 < sh[0] <= sx[0] or sx[0] % sh[0]):
+            raise ShapeMismatch(f"recurrence {kind}: x {sx}, h0 {sh}")
         nx, H = sx[1], sh[1]
-        want = ([(nx + H, H), (H,)] * 3 if kind == "gru_cell"
-                else [(nx, H), (H, H), (H,)])
+        want = [(nx + H, H), (H,)] * 3 if kind == "gru" else [(nx, H), (H, H), (H,)]
         got = [self._shapes[p] for p in params]
         if got != want:
-            raise ShapeMismatch(f"{kind}: parameter shapes {got}, expected {want}")
-        return self._push(kind, (x, h) + tuple(params), nx, sh)
+            raise ShapeMismatch(f"recurrence {kind}: weights {got}, expected {want}")
+        return self._push("recurrence", (x, h0) + params, kind, (sx[0], sh[1]))
 
     # -- composites -------------------------------------------------------
 
@@ -254,6 +267,7 @@ class Graph:
     def output(self, node: int) -> None:
         self._out = node
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, bindings: dict) -> np.ndarray:
         """Evaluate every node; returns the output node's value.
 
@@ -289,8 +303,7 @@ class Graph:
             elif kind == "matmul":
                 vals[nid] = vals[ins[0]] @ vals[ins[1]]
             elif kind == "sigmoid":
-                x = vals[ins[0]]
-                vals[nid] = 1.0 / (1.0 + np.exp(-x))
+                vals[nid] = _sigmoid(vals[ins[0]])
             elif kind == "tanh":
                 vals[nid] = np.tanh(vals[ins[0]])
             elif kind == "relu":
@@ -310,20 +323,14 @@ class Graph:
                 vals[nid] = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             elif kind == "gather_rows":
                 vals[nid] = vals[ins[0]][vals[ins[1]].astype(np.intp)]
-            elif kind == "stack":
-                vals[nid] = np.concatenate([vals[i] for i in ins], axis=0)
-            elif kind == "gru_cell":
-                x, h, w_z, b_z, w_r, b_r, w_h, b_h = (vals[i] for i in ins)
-                xh = np.concatenate((x, h), axis=1)
-                z = 1.0 / (1.0 + np.exp(-(xh @ w_z + b_z)))
-                r = 1.0 / (1.0 + np.exp(-(xh @ w_r + b_r)))
-                xrh = np.concatenate((x, r * h), axis=1)
-                hc = np.tanh(xrh @ w_h + b_h)
-                vals[nid] = (1.0 - z) * hc + z * h
-                saved[nid] = (xh, z, r, xrh, hc)
-            elif kind == "rnn_cell":
-                x, h, w_x, w_h, b = (vals[i] for i in ins)
-                vals[nid] = np.tanh(x @ w_x + h @ w_h + b)
+            elif kind == "recurrence":
+                x, h, *params = (vals[i] for i in ins)
+                B, hs, saved[nid] = len(h), [], []
+                for s in range(0, len(x), B):
+                    h, inter = CELLS[aux](x[s:s + B], h, *params)
+                    hs.append(h)
+                    saved[nid].append(inter)
+                vals[nid] = _rows(hs)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
         self._values = vals
@@ -351,6 +358,7 @@ class Graph:
             self._plan = (needs, order)
         return self._plan
 
+    @np.errstate(over="ignore", invalid="ignore")
     def backward(self, seed: float = 1.0) -> dict[str, np.ndarray]:
         """Gradients of the output with respect to every parameter leaf.
 
@@ -437,26 +445,8 @@ class Graph:
                     table = np.zeros(self._shapes[ins[0]])
                     np.add.at(table, vals[ins[1]].astype(np.intp), g)
                     acc(ins[0], table)
-            elif kind == "stack":
-                for k, i in enumerate(ins):
-                    if needs[i]:
-                        acc(i, g[k * aux:(k + 1) * aux])
-            elif kind == "gru_cell":
-                self._gru_backward(nid, g, acc, [needs[i] for i in ins])
-            elif kind == "rnn_cell":
-                x, h, w_x, w_h, _ = (vals[i] for i in ins)
-                y = vals[nid]
-                ga = g * (1.0 - y * y)
-                if needs[ins[4]]:
-                    acc(ins[4], ga.sum(axis=0))
-                if needs[ins[1]]:
-                    acc(ins[1], ga @ w_h.T)
-                if needs[ins[3]]:
-                    acc(ins[3], h.T @ ga)
-                if needs[ins[0]]:
-                    acc(ins[0], ga @ w_x.T)
-                if needs[ins[2]]:
-                    acc(ins[2], x.T @ ga)
+            elif kind == "recurrence":
+                self._recurrence_backward(nid, g, acc, [needs[i] for i in ins])
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
@@ -470,44 +460,58 @@ class Graph:
                                       f"gradient of {name!r}")
         return out_grads
 
-    def _gru_backward(self, nid: int, g: np.ndarray, acc, need: list[bool]) -> None:
-        """BPTT through one `gru_cell` from the [x; h], z, r, [x; r*h] and hc
-        that forward saved. The sums run in the order of the equivalent
-        matmul/sigmoid/tanh graph, so both give the same gradients. `need`
-        flags the inputs (x, h, w_z, b_z, w_r, b_r, w_h, b_h) that take a
-        gradient; the products that reach none of them are skipped."""
+    def _recurrence_backward(self, nid: int, g: np.ndarray, acc,
+                             need: list[bool]) -> None:
+        """BPTT through one `recurrence` node: each step back carries the state
+        gradient with the per-step composite graph's products, in its order;
+        each weight, bias and input gradient is then one product or sum."""
         ins = self._inputs[nid]
-        nx = self._aux[nid]
-        h, w_z, w_r, w_h = (self._values[ins[i]] for i in (1, 2, 4, 6))
-        xh, z, r, xrh, hc = self._saved[nid]
-        need_xh = need[0] or need[1]
-        need_r = need_xh or need[4] or need[5]
-        need_z = need_xh or need[2] or need[3]
-        da_h = g * (1.0 - z) * (1.0 - hc * hc)
-        if need[7]:
-            acc(ins[7], da_h.sum(axis=0))
-        if need[6]:
-            acc(ins[6], xrh.T @ da_h)
-        if need_r:
-            dxrh = da_h @ w_h.T
-            drh = dxrh[:, nx:]
-            da_r = drh * h * r * (1.0 - r)
-            if need[5]:
-                acc(ins[5], da_r.sum(axis=0))
-            if need[4]:
-                acc(ins[4], xh.T @ da_r)
-        if need_z:
-            da_z = (g * h - g * hc) * z * (1.0 - z)
-            if need[3]:
-                acc(ins[3], da_z.sum(axis=0))
-            if need[2]:
-                acc(ins[2], xh.T @ da_z)
-        if need_xh:
-            dxh = da_r @ w_r.T + da_z @ w_z.T
+        x, h0, *params = (self._values[i] for i in ins)
+        steps, y = self._saved[nid], self._values[nid]
+        B, nx, gru = len(h0), x.shape[1], self._aux[nid] == "gru"
+        keep = need[0] or any(need[2:])  # the steps' gradients reach more than h0
+        carry, grads = None, []
+        for t in range(len(steps) - 1, -1, -1):
+            s = slice(t * B, (t + 1) * B)
+            gt = g[s] if carry is None else g[s] + carry
+            if gru:  # h' = (1-z)*hc + z*h, from h = hp
+                w_z, _, w_r, _, w_h, _ = params
+                _, z, r, _, hc = steps[t]
+                hp = y[(t - 1) * B:t * B] if t else h0
+                da_h = gt * (1.0 - z) * (1.0 - hc * hc)
+                dxrh = da_h @ w_h.T  # gradient of [x; r*h]
+                drh = dxrh[:, nx:]
+                da_r = drh * hp * r * (1.0 - r)
+                da_z = (gt * hp - gt * hc) * z * (1.0 - z)
+                dxh = da_r @ w_r.T + da_z @ w_z.T  # gradient of [x; h]
+                carry = gt * z + drh * r + dxh[:, nx:]
+                grads.append((da_z, da_r, da_h, dxrh, dxh) if keep else ())
+            else:  # h' = tanh(x w_x + h w_h + b)
+                da = gt * (1.0 - y[s] * y[s])
+                carry = da @ params[1].T
+                grads.append((da,) if keep else ())
+        stacked = lambda j: _rows([gr[j] for gr in reversed(grads)])  # noqa: E731
+        if gru:
+            for k, i, j in ((2, 0, 0), (4, 0, 1), (6, 3, 2)):
+                da = stacked(j) if need[k] or need[k + 1] else None
+                if need[k]:  # rows of the weight's input, [x; h] or [x; r*h]
+                    acc(ins[k], _rows([st[i] for st in steps]).T @ da)
+                if need[k + 1]:
+                    acc(ins[k + 1], da.sum(axis=0))
             if need[0]:
-                acc(ins[0], dxrh[:, :nx] + dxh[:, :nx])
-            if need[1]:
-                acc(ins[1], g * z + drh * r + dxh[:, nx:])
+                acc(ins[0], stacked(3)[:, :nx] + stacked(4)[:, :nx])
+        elif keep:
+            da, w_x = stacked(0), params[0]
+            if need[2]:
+                acc(ins[2], x.T @ da)
+            if need[3]:
+                acc(ins[3], np.concatenate((h0, y[:-B])).T @ da)
+            if need[4]:
+                acc(ins[4], da.sum(axis=0))
+            if need[0]:
+                acc(ins[0], da @ w_x.T)
+        if need[1]:
+            acc(ins[1], carry)
 
 
 def grad_check(graph: Graph, point: dict, step: float) -> float:

@@ -9,15 +9,15 @@ map, that model's embedding) against hidden-trajectory + weighted output
 losses. Ragged sequence lengths are handled by per-row weights inside a
 cached unrolled graph, so per-sequence time averages stay exact.
 
-Every graph here unrolls the model through `models.unroll_graph`, whose
-inputs are token-id leaves `x{t}`, and every numpy rollout (the base
-trajectories, accuracies, reference losses) goes through
-`models.rollout_batch`. Two graphs exist: the final-step task loss
+Every graph here unrolls the model through `models.unroll_graph`, and every
+numpy rollout (the base trajectories, accuracies, reference losses) goes
+through `models.rollout_batch`. Two graphs exist: the final-step task loss
 (`task_loss_graph`, shared by base training and the embedding search in
-`atlas.ssl_optimize`) and the joint emulation loss. For recurrent models
-both build their loss terms once over the T * B stacked states rather than
-step by step. Both are kept in a `GraphCache` keyed by batch shape and bound
-batch by batch through one binder (`_input_bindings`). A non-finite loss or
+`atlas.ssl_optimize`) and the joint emulation loss. A recurrent model is
+one numgrad `recurrence` node over a time-major `tokens` leaf, and the loss
+terms are built once over its T * B states, so no node count grows with T.
+Both graphs are kept in a `GraphCache` keyed by batch shape and bound batch
+by batch through one binder (`_input_bindings`). A non-finite loss or
 gradient raises `NumericError` from numgrad's forward or backward pass.
 """
 from __future__ import annotations
@@ -256,15 +256,10 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Gra
     is_meta = isinstance(model, MetaModel)
     w_name, b_name = readout_names(model, task_group)
     refs = declare_params(g, graph_params(model, task_group), trainable=not is_meta)
-    theta_rows = None
-    if is_meta:
-        theta = g.leaf("theta", (1, model.embed_dim))
-        theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
-    hs = list(unroll_graph(g, model, refs, T, B, theta_rows))
-    if model.cell_kind == "residual_mlp":
-        h_last = hs[-1]
-    else:
-        h_last = g.gather_rows(g.stack(hs), g.leaf("last", (B,), param=False))
+    theta = g.leaf("theta", (1, model.embed_dim)) if is_meta else None
+    h_last = list(unroll_graph(g, model, refs, T, B, theta))[-1]
+    if model.cell_kind != "residual_mlp":
+        h_last = g.gather_rows(h_last, g.leaf("last", (B,), param=False))
     logits = g.add(g.matmul(h_last, refs[w_name]), refs[b_name])
     onehot = g.leaf("labels", g.shape(logits), param=False)
     g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
@@ -275,7 +270,7 @@ def _input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
     """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch."""
     if lengths is None:
         return {"feat": inputs}
-    return {f"x{t}": ids for t, ids in enumerate(inputs.T.astype(np.float64))}
+    return {"tokens": inputs.T.reshape(-1).astype(np.float64)}
 
 
 def task_batch(cache: GraphCache, model, inputs: np.ndarray,
@@ -332,8 +327,7 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     maps = [(g.leaf(f"vmap_w{k}", (meta.hidden_dim, base_hidden)),
              g.leaf(f"vmap_b{k}", (base_hidden,))) for k in range(max(1, meta.num_blocks))]
     theta = g.leaf("theta", (1, meta.embed_dim))
-    theta_rows = g.matmul(g.const(np.ones((B, 1))), theta)
-    states = unroll_graph(g, meta, refs, T, B, theta_rows)
+    states = unroll_graph(g, meta, refs, T, B, theta)
     C = meta.head_dims[task_group]
     kl = cfg.output_divergence == "KL_on_softmax"
     if residual:
@@ -358,7 +352,7 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         hidden_total = _sum(g, hidden_terms)
         out_total = _sum(g, out_terms)
     else:
-        hs = g.stack(states)
+        hs = next(states)
         TB = T * B
         rows = _hidden_rows(g, cfg, hs, maps[0], "hb", (TB, base_hidden))
         hidden_total = g.reduce_sum(g.mul(rows, g.leaf("wh", (TB,), param=False)))

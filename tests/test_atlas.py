@@ -18,7 +18,9 @@ from dynamo.atlas import (
     silhouette,
     ssl_optimize,
     svcca_distance,
+    svcca_distances,
 )
+from dynamo import atlas
 from dynamo.models import init_base_model, init_meta_model
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 
@@ -273,6 +275,28 @@ def test_svcca_rank_deficiency_warns():
     B = rng.standard_normal((100, 4))
     with pytest.warns(UserWarning):
         svcca_distance(A, B, dims_kept=4)
+
+
+def test_svcca_distances_reduce_each_matrix_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((60, 2))
+    acts = [rng.standard_normal((60, w)) for w in (5, 8, 3)]
+    acts.append(np.concatenate([base, base, base], axis=1))  # rank 2 in 6 units
+    calls = []
+    basis = atlas._svd_basis
+    monkeypatch.setattr(atlas, "_svd_basis", lambda a: calls.append(1) or basis(a))
+    with pytest.warns(UserWarning):
+        D = svcca_distances(acts, dims_kept=6)
+    assert len(calls) == len(acts)
+    with pytest.warns(UserWarning):  # the pairs with the rank-2 matrix
+        for i in range(len(acts)):
+            assert D[i, i] == 0.0
+            for j in range(len(acts)):
+                if i != j:
+                    dims = min(6, acts[i].shape[1], acts[j].shape[1])
+                    assert D[i, j] == svcca_distance(acts[i], acts[j], dims)
+    with pytest.raises(AtlasError):
+        svcca_distances([acts[0], acts[1][:50]], dims_kept=3)
 
 
 def test_classical_mds_collinear_exact():

@@ -445,7 +445,6 @@ def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):
     assert _run("train-meta", "--config", str(path), "--out", str(out)) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_meta_run_is_numeric_failure_and_saves_nothing(tmp_path):
     cfg = _mini_config()
     cfg["meta_training"].update(optimizer="sgd_nesterov", lr=1e6)
@@ -458,10 +457,8 @@ def test_diverging_meta_run_is_numeric_failure_and_saves_nothing(tmp_path):
         assert _run("train-meta", "--config", str(path), "--out", str(out)) == 4
     assert not (out / "meta.json").exists()
     assert not (out / "meta.bin").exists()
-    # numgrad's saturating exp may overflow while training; the refused
-    # checkpoint itself warns nothing
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
-                and w.filename.endswith("cli.py")]
+    # overflow while diverging is reported once, as the numeric failure
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 _DIRECTION = np.linspace(-1.0, 1.0, 8) + 0.3

@@ -1,13 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynamo.models import CELL_PARAMS, cell_step
 from dynamo.numgrad import (
     BackwardBeforeForward,
     Graph,
     NonScalarOutput,
     NumericError,
+    NumgradError,
     ShapeMismatch,
     UnboundLeaf,
     grad_check,
@@ -320,29 +324,23 @@ def test_value_probe_and_marks():
 
 # -- fused primitives ---------------------------------------------------------------
 
-_GRU_PARAMS = ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")
 
-
-def _cell_point(rng, kind, B, nx, H):
-    """Random cell inputs, parameters and an output mix, keyed by leaf name."""
-    shapes = {"x": (B, nx), "h": (B, H), "m": (B, H)}
+def _recurrence_point(rng, kind, T, B, d, nin, H):
+    """Random inputs of a `recurrence` over [theta rows; data] columns, keyed
+    by leaf name: `theta` (1, d), `xin` (T*B, nin), `h0`, the cell weights
+    and the output mix `m`."""
+    nx = d + nin
+    shapes = {"theta": (1, d), "xin": (T * B, nin), "h0": (B, H), "m": (T * B, H)}
     if kind == "gru":
-        shapes.update({n: (nx + H, H) if n[0] == "w" else (H,) for n in _GRU_PARAMS})
+        shapes.update({n: (nx + H, H) if n[0] == "w" else (H,) for n in CELL_PARAMS[kind]})
     else:
         shapes.update(w_x=(nx, H), w_h=(H, H), b=(H,))
     return {n: rng.standard_normal(s) for n, s in shapes.items()}
 
 
-def _fused_cell(g, kind, r):
-    if kind == "gru":
-        return g.gru_cell(r["x"], r["h"], *(r[n] for n in _GRU_PARAMS))
-    return g.rnn_cell(r["x"], r["h"], r["w_x"], r["w_h"], r["b"])
-
-
-def _composite_cell(g, kind, r):
-    """The same cell from matmul/concat/sigmoid/tanh nodes: the oracle."""
-    x, h = r["x"], r["h"]
-    if kind == "rnn":
+def _composite_step(g, kind, r, x, h):
+    """One cell step from matmul/concat/sigmoid/tanh nodes: the oracle."""
+    if kind == "vanilla_rnn":
         return g.tanh(g.add(g.add(g.matmul(x, r["w_x"]), g.matmul(h, r["w_h"])), r["b"]))
     xh = g.concat(x, h)
     z = g.sigmoid(g.add(g.matmul(xh, r["w_z"]), r["b_z"]))
@@ -351,26 +349,55 @@ def _composite_cell(g, kind, r):
     return g.add(g.mul(g.affine(z, -1.0, 1.0), hc), g.mul(z, h))
 
 
+def _recurrence_graph(kind, point, T, B, composite):
+    """sum(m * states) of T steps over x = [theta rows; xin], from one
+    `recurrence` node or, with `composite`, from per-step oracle nodes that
+    read the rows of step t through `gather_rows`."""
+    g = Graph()
+    r = {n: g.leaf(n, v.shape, param=n != "m") for n, v in point.items()}
+    x = g.concat(g.matmul(g.const(np.ones((T * B, 1))), r["theta"]), r["xin"])
+    if not composite:
+        weights = [r[n] for n in CELL_PARAMS[kind]]
+        hs = g.mark("states", g.recurrence(kind, x, r["h0"], weights))
+        g.output(g.reduce_sum(g.mul(hs, r["m"])))
+        return g
+    h, terms = r["h0"], []
+    for t in range(T):
+        rows = g.const(np.arange(t * B, (t + 1) * B))
+        h = _composite_step(g, kind, r, g.gather_rows(x, rows), h)
+        terms.append(g.reduce_sum(g.mul(h, g.gather_rows(r["m"], rows))))
+    total = terms[0]
+    for term in terms[1:]:
+        total = g.add(total, term)
+    g.output(total)
+    return g
+
+
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["gru", "rnn"]), B=st.integers(1, 3),
-       nx=st.integers(1, 3), H=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_fused_cells_match_composite_and_fd(kind, B, nx, H, seed):
-    point = _cell_point(np.random.default_rng(seed), kind, B, nx, H)
-    values, grads = [], []
-    for build in (_fused_cell, _composite_cell):
-        g = Graph()
-        refs = {n: g.leaf(n, v.shape, param=n != "m") for n, v in point.items()}
-        cell = g.mark("cell", build(g, kind, refs))
-        g.output(g.reduce_sum(g.mul(cell, refs["m"])))
-        if build is _fused_cell:
-            assert grad_check(g, point, 1e-5) < 1e-6
-        g.forward(point)
-        values.append(g.value("cell"))
-        grads.append(g.backward())
-    fused, composite = values
-    assert np.all(np.abs(fused - composite) <= 1e-12 * np.abs(composite))
-    for name, want in grads[1].items():
-        np.testing.assert_allclose(grads[0][name], want, rtol=1e-12, atol=1e-15)
+@given(kind=st.sampled_from(["gru", "vanilla_rnn"]), T=st.integers(1, 6),
+       B=st.integers(1, 4), d=st.integers(1, 2), nin=st.integers(1, 3),
+       H=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_fused_cells_match_composite_and_fd(kind, T, B, d, nin, H, seed):
+    point = _recurrence_point(np.random.default_rng(seed), kind, T, B, d, nin, H)
+    fused = _recurrence_graph(kind, point, T, B, composite=False)
+    assert grad_check(fused, point, 1e-5) < 1e-6
+    fused.forward(point)
+    # forward: bit for bit the numpy rollout's steps
+    cell = SimpleNamespace(cell_kind=kind, params=point)
+    h, want = point["h0"], []
+    for t in range(T):
+        x = np.concatenate((np.repeat(point["theta"], B, axis=0),
+                            point["xin"][t * B:(t + 1) * B]), axis=1)
+        h = cell_step(cell, x, h)
+        want.append(h)
+    assert fused.value("states").tobytes() == np.concatenate(want).tobytes()
+    # gradients of theta, x, h0 and every weight: the per-step composite graph
+    composite = _recurrence_graph(kind, point, T, B, composite=True)
+    composite.forward(point)
+    oracle = composite.backward()
+    for name, grad in fused.backward().items():
+        np.testing.assert_allclose(grad, oracle[name], rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,36 +423,21 @@ def test_gather_rows_scatter_adds_repeated_ids(V, K, seed, data):
     np.testing.assert_allclose(grad, onehot.T @ upstream, rtol=1e-12, atol=1e-15)
 
 
-@settings(max_examples=30, deadline=None)
-@given(T=st.integers(1, 4), B=st.integers(1, 3), K=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 16))
-def test_stack_concatenates_rows_and_splits_gradient(T, B, K, seed):
-    rng = np.random.default_rng(seed)
-    g = Graph()
-    parts = [g.leaf(f"p{t}", (B, K)) for t in range(T)]
-    stacked = g.mark("stack", g.stack(parts))
-    g.output(g.reduce_sum(g.mul(g.tanh(stacked), g.leaf("m", (T * B, K), param=False))))
-    point = {f"p{t}": rng.standard_normal((B, K)) for t in range(T)}
-    point["m"] = rng.standard_normal((T * B, K))
-    assert grad_check(g, point, 1e-5) < 1e-6
-    g.forward(point)
-    assert np.array_equal(g.value("stack"),
-                          np.concatenate([point[f"p{t}"] for t in range(T)]))
-
-
 def test_fused_ops_reject_bad_shapes():
     g = Graph()
-    x, h = g.leaf("x", (2, 3)), g.leaf("h", (2, 4))
+    x, h = g.leaf("x", (6, 3)), g.leaf("h", (2, 4))
     w, b = g.leaf("w", (7, 4)), g.leaf("b", (4,))
-    g.gru_cell(x, h, w, b, w, b, w, b)
+    g.recurrence("gru", x, h, [w, b, w, b, w, b])
+    with pytest.raises(ShapeMismatch):  # a bias where a weight belongs
+        g.recurrence("gru", x, h, [w, b, w, b, b, b])
+    with pytest.raises(ShapeMismatch):  # 6 input rows are not T steps of 4
+        g.recurrence("gru", x, g.leaf("h4", (4, 4)), [w, b, w, b, w, b])
+    with pytest.raises(ShapeMismatch):  # fewer input rows than one step
+        g.recurrence("gru", g.leaf("x1", (1, 3)), h, [w, b, w, b, w, b])
     with pytest.raises(ShapeMismatch):
-        g.gru_cell(x, h, w, b, w, b, b, b)
-    with pytest.raises(ShapeMismatch):
-        g.gru_cell(x, g.leaf("h3", (3, 4)), w, b, w, b, w, b)
-    with pytest.raises(ShapeMismatch):
-        g.rnn_cell(x, h, g.leaf("wx", (3, 4)), w, b)
-    with pytest.raises(ShapeMismatch):
-        g.stack([x, h])
+        g.recurrence("vanilla_rnn", x, h, [g.leaf("wx", (3, 4)), w, b])
+    with pytest.raises(NumgradError):
+        g.recurrence("lstm", x, h, [w, b])
     with pytest.raises(ShapeMismatch):
         g.gather_rows(x, g.leaf("ids", (2, 1), param=False))
 
@@ -433,16 +445,16 @@ def test_fused_ops_reject_bad_shapes():
 # -- pruned backward -----------------------------------------------------------------
 
 _PRUNE_OPS = ("add", "sub", "mul", "bias", "matmul", "affine", "sigmoid", "tanh",
-              "relu", "abs", "concat", "gather", "stack", "gru", "rnn", "log_softmax")
+              "relu", "abs", "concat", "gather", "gru", "rnn", "log_softmax")
 
 
 def _prune_leaves(B, H, V):
-    """Float leaves of `_random_graph` and their shapes; `ids`, `ids2` and the
-    output mix `m` are bound data."""
+    """Float leaves of `_random_graph` and their shapes; `ids`, `ids2`,
+    `steps` and the output mix `m` are bound data."""
     shapes = {"a": (B, H), "b": (B, H), "k": (B, H), "bias": (H,), "w": (H, H),
               "w2": (2 * H, H), "table": (V, H), "rx": (H, H), "rh": (H, H),
               "rb": (H,)}
-    shapes.update({n: (2 * H, H) if n[0] == "w" else (H,) for n in _GRU_PARAMS})
+    shapes.update({n: (2 * H, H) if n[0] == "w" else (H,) for n in CELL_PARAMS["gru"]})
     return shapes
 
 
@@ -455,6 +467,7 @@ def _random_graph(ops, pick, frozen, B, H, V):
     r = {n: g.leaf(n, s, param=n not in frozen)
          for n, s in _prune_leaves(B, H, V).items()}
     ids, ids2 = g.leaf("ids", (B,), param=False), g.leaf("ids2", (B,), param=False)
+    steps = g.leaf("steps", (2 * B,), param=False)
     m = g.leaf("m", (B, H), param=False)
     pool = [r["a"], r["b"]]
     for op in ops:
@@ -483,12 +496,12 @@ def _random_graph(ops, pick, frozen, B, H, V):
             node = g.matmul(g.concat(x, y), r["w2"])
         elif op == "gather":
             node = g.add(x, g.gather_rows(r["table"], ids))
-        elif op == "stack":
-            node = g.gather_rows(g.stack([x, y]), ids2)
-        elif op == "gru":
-            node = g.gru_cell(x, y, *(r[n] for n in _GRU_PARAMS))
-        elif op == "rnn":
-            node = g.rnn_cell(x, y, r["rx"], r["rh"], r["rb"])
+        elif op in ("gru", "rnn"):
+            # two steps over rows of x from state y, then B of the 2B states
+            w = ([r[n] for n in CELL_PARAMS["gru"]] if op == "gru"
+                 else [r["rx"], r["rh"], r["rb"]])
+            kind = "gru" if op == "gru" else "vanilla_rnn"
+            node = g.gather_rows(g.recurrence(kind, g.gather_rows(x, steps), y, w), ids2)
         else:
             node = g.log_softmax(x)
         pool.append(node)
@@ -508,6 +521,7 @@ def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, 
     point["k"] = rng.choice([-1.0, 1.0], (B, H)) * rng.uniform(0.5, 1.5, (B, H))
     point.update(ids=rng.integers(0, V, B).astype(float),
                  ids2=rng.integers(0, 2 * B, B).astype(float),
+                 steps=rng.integers(0, B, 2 * B).astype(float),
                  m=rng.standard_normal((B, H)))
     picks = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=2 * len(ops) + 1,
                                max_size=2 * len(ops) + 1))

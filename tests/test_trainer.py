@@ -182,12 +182,15 @@ def test_residual_graph_loss_matches_reference():
 
 
 def test_emulation_graph_node_budget_per_step():
-    # each unrolled step is the token leaf, its embedding rows, the theta
-    # concat and one fused cell; the loss terms are built once over all steps
+    # the whole unroll is one recurrence node over one token leaf, and the
+    # loss terms are built once over its stacked states: no node per step
     meta = init_meta_model("gru", 30, 8, 32, 4, {0: 2}, seed=0)
-    nodes = {T: len(_emulation_loss_graph(meta, TrainConfig(), T, 16, 16, 0)._kinds)
-             for T in (8, 24)}
-    assert nodes[24] - nodes[8] <= 5 * 16
+    base = init_base_model("gru", 30, 8, 16, 2, 0, seed=1)
+    emulation = {T: len(_emulation_loss_graph(meta, TrainConfig(), T, 16, 16, 0)._kinds)
+                 for T in (8, 24)}
+    task = {T: len(task_loss_graph(base, T, 32)._kinds) for T in (8, 24)}
+    assert emulation[8] == emulation[24] == 42
+    assert task[8] == task[24] == 23
 
 
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
