@@ -1,6 +1,11 @@
 """Analyses over the learned embedding space: PCA and spectra, model
 averaging, accuracy landscapes, semi-supervised embedding optimization, the
-SVCCA + classical-MDS pairwise baseline, and cluster-quality scoring."""
+SVCCA + classical-MDS pairwise baseline, and cluster-quality scoring.
+
+Every grid over a plane in embedding space is a `PlaneGrid` from
+`plane_grid`: it alone turns grid coordinates into embeddings, and
+`export_grid_csv` alone writes it. The accuracy landscape here and
+`dynamics.score_map` each fill value columns on one."""
 from __future__ import annotations
 
 import itertools
@@ -32,9 +37,6 @@ class EmbeddingAtlas:
     def project(self, thetas: np.ndarray, k: int | None = None) -> np.ndarray:
         k = self.axes.shape[0] if k is None else k
         return (np.atleast_2d(thetas) - self.mean) @ self.axes[:k].T
-
-    def reconstruct(self, coords: np.ndarray) -> np.ndarray:
-        return self.mean + np.atleast_2d(coords) @ self.axes[:coords.shape[-1]]
 
 
 def fit_pca(embeddings: np.ndarray, metadata: list[dict] | None = None) -> EmbeddingAtlas:
@@ -72,16 +74,11 @@ def components_for_variance(spectrum: np.ndarray, threshold: float) -> int:
     return int(np.searchsorted(cum, threshold - 1e-15) + 1)
 
 
-def average_embeddings(thetas, weights=None) -> np.ndarray:
+def average_embeddings(thetas) -> np.ndarray:
     thetas = [np.asarray(t, dtype=np.float64) for t in thetas]
     if not thetas:
         raise AtlasError("cannot average an empty set of embeddings")
-    if weights is None:
-        return np.mean(thetas, axis=0)
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(thetas) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise AtlasError("weights must be nonnegative and sum to 1")
-    return np.tensordot(w, np.stack(thetas), axes=1)
+    return np.mean(thetas, axis=0)
 
 
 # -- accuracy evaluation -----------------------------------------------------------
@@ -126,44 +123,51 @@ def evaluate_at(meta: MetaModel, theta: np.ndarray, task_group: int,
                                  ds, split)[0])
 
 
-# -- accuracy landscape ---------------------------------------------------------
+# -- grids over a plane in embedding space -----------------------------------------
 
 
 @dataclass
-class LandscapeGrid:
+class PlaneGrid:
+    """Nodes (us[i], vs[j]) over the plane origin + u * u_axis + v * v_axis,
+    and the named value columns an analysis fills in, each (nu, nv); NaN
+    marks a node without a value."""
+
     origin: np.ndarray
     u_axis: np.ndarray
     v_axis: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    accuracy: np.ndarray            # (nu, nv)
     base_uv: np.ndarray             # (N, 2) projections of the base embeddings
-    relative: np.ndarray | None = None
-    argmax_uv: tuple[float, float] = (0.0, 0.0)
-    argmax_theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    argmax_accuracy: float = 0.0
+    values: dict[str, np.ndarray] = field(default_factory=dict)
 
     def theta_at(self, u: float, v: float) -> np.ndarray:
         return self.origin + u * self.u_axis + v * self.v_axis
 
+    @property
+    def thetas(self) -> np.ndarray:
+        """(nu * nv, d) embedding of every node, row-major over (u, v)."""
+        return np.array([self.theta_at(u, v) for u in self.us for v in self.vs])
 
-def plane_from_pca(atlas: EmbeddingAtlas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if atlas.axes.shape[0] < 2:
-        raise AtlasError("need at least a 2-D embedding space for a plane")
-    return atlas.mean, atlas.axes[0], atlas.axes[1]
+    def argmax(self, column: str) -> tuple[tuple[float, float], float]:
+        """(u, v) and value of the first node holding the largest `column`."""
+        vals = self.values[column]
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        return (float(self.us[i]), float(self.vs[j])), float(vals[i, j])
 
 
 def plane_grid(base_thetas: np.ndarray, plane, grid: tuple[int, int],
-               extent_scale: float):
-    """A plane in embedding space and grid coordinates over it.
+               extent_scale: float) -> PlaneGrid:
+    """A grid over a plane in embedding space, with no value columns yet.
 
     The plane (origin, u_axis, v_axis) defaults to the top-2 PCA plane
     through the base embeddings' mean; the grid spans `extent_scale` times
-    the bounding box of their projections. Returns (origin, u_axis, v_axis,
-    base_uv (N, 2), us, vs)."""
+    the bounding box of their projections."""
     base_thetas = np.asarray(base_thetas, dtype=np.float64)
     if plane is None:
-        origin, u_axis, v_axis = plane_from_pca(fit_pca(base_thetas))
+        pca = fit_pca(base_thetas)
+        if pca.axes.shape[0] < 2:
+            raise AtlasError("need at least a 2-D embedding space for a plane")
+        origin, u_axis, v_axis = pca.mean, pca.axes[0], pca.axes[1]
     else:
         origin, u_axis, v_axis = (np.asarray(p, dtype=np.float64) for p in plane)
         if np.linalg.matrix_rank(np.stack([u_axis, v_axis])) < 2:
@@ -178,8 +182,8 @@ def plane_grid(base_thetas: np.ndarray, plane, grid: tuple[int, int],
         half = half * extent_scale if half > 0 else 1.0
         return np.linspace(c - half, c + half, count)
 
-    return (origin, u_axis, v_axis, base_uv, _coords(base_uv[:, 0], grid[0]),
-            _coords(base_uv[:, 1], grid[1]))
+    return PlaneGrid(origin, u_axis, v_axis, _coords(base_uv[:, 0], grid[0]),
+                     _coords(base_uv[:, 1], grid[1]), base_uv)
 
 
 def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
@@ -187,22 +191,15 @@ def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
                        grid: tuple[int, int] = (15, 15),
                        extent_scale: float = 1.5,
                        best_base_accuracy: float | None = None,
-                       split: str = "test") -> LandscapeGrid:
-    """Accuracy over a 2-plane in embedding space (see `plane_grid`)."""
-    origin, u_axis, v_axis, base_uv, us, vs = plane_grid(base_thetas, plane, grid,
-                                                         extent_scale)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    thetas = origin + uu[..., None] * u_axis + vv[..., None] * v_axis
-    accs = grid_accuracies(meta, thetas.reshape(-1, len(origin)), task_group,
-                           ds, split).reshape(grid)
-    k = int(np.argmax(accs))
-    ki, kj = divmod(k, grid[1])
-    out = LandscapeGrid(origin, u_axis, v_axis, us, vs, accs, base_uv)
-    out.argmax_uv = (float(us[ki]), float(vs[kj]))
-    out.argmax_theta = out.theta_at(*out.argmax_uv)
-    out.argmax_accuracy = float(accs[ki, kj])
+                       split: str = "test") -> PlaneGrid:
+    """Accuracy over a 2-plane in embedding space (see `plane_grid`): the
+    column `accuracy`, and `relative_accuracy` against the best base model
+    when its accuracy is given and nonzero."""
+    out = plane_grid(base_thetas, plane, grid, extent_scale)
+    accs = grid_accuracies(meta, out.thetas, task_group, ds, split).reshape(grid)
+    out.values["accuracy"] = accs
     if best_base_accuracy:
-        out.relative = accs / best_base_accuracy
+        out.values["relative_accuracy"] = accs / best_base_accuracy
     return out
 
 
@@ -307,13 +304,13 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
 # -- pairwise representation baseline (SVCCA + classical MDS) ---------------------
 
 
-def hidden_state_matrix(model, sequences: list[list[int]], theta=None,
-                        task_group=None) -> np.ndarray:
-    """Hidden states over a common sequence set, rows ordered by (seq, t)."""
+def hidden_state_matrix(model, sequences: list[list[int]]) -> np.ndarray:
+    """A base model's hidden states over a common sequence set, rows ordered
+    by (seq, t)."""
     if model.cell_kind == "residual_mlp":
         raise AtlasError("the SVCCA baseline compares recurrent hidden states")
     tokens, lengths = pad_tokens(sequences)
-    hs, _ = rollout_batch(model, tokens, theta, task_group, lengths=lengths)
+    hs, _ = rollout_batch(model, tokens, lengths=lengths)
     return hs.swapaxes(0, 1)[np.arange(tokens.shape[1]) < lengths[:, None]]
 
 
@@ -325,8 +322,7 @@ def _svd_basis(acts: np.ndarray, var_kept: float = 0.99):
     rank = int(nz.sum())
     if rank == 0:
         raise AtlasError("activation matrix has zero variance")
-    energy = np.cumsum(s[:rank] ** 2) / np.sum(s[:rank] ** 2)
-    return u, rank, int(np.searchsorted(energy, var_kept - 1e-15) + 1), acts.shape[1]
+    return u, rank, components_for_variance(s[:rank] ** 2, var_kept), acts.shape[1]
 
 
 def svcca_distance(acts_a: np.ndarray, acts_b: np.ndarray, dims_kept: int = 20) -> float:
@@ -440,20 +436,19 @@ def export_spectrum_csv(atlas: EmbeddingAtlas, path, comment=None) -> None:
     write_csv(path, ["component", "eigenvalue", "cumulative_fraction"], rows, comment)
 
 
-def export_landscape_csv(grid: LandscapeGrid, path, comment=None) -> None:
-    d = len(grid.origin)
-    header = (["u", "v"] + [f"theta_{j}" for j in range(d)] + ["accuracy"]
-              + (["relative_accuracy"] if grid.relative is not None else []))
+def export_grid_csv(grid: PlaneGrid, path, comment=None) -> None:
+    """One row per node, row-major over (u, v): u, v, theta_*, then each
+    value column; a NaN value is written as an empty cell."""
+    names = list(grid.values)
+    header = ["u", "v"] + [f"theta_{j}" for j in range(len(grid.origin))] + names
     rows = []
-    for i, u in enumerate(grid.us):
-        for j, v in enumerate(grid.vs):
-            theta = grid.theta_at(u, v)
-            cells = [f"{u:.10g}", f"{v:.10g}"]
-            cells += [f"{x:.10g}" for x in theta]
-            cells.append(f"{grid.accuracy[i, j]:.10g}")
-            if grid.relative is not None:
-                cells.append(f"{grid.relative[i, j]:.10g}")
-            rows.append(cells)
+    for k, theta in enumerate(grid.thetas):
+        i, j = divmod(k, len(grid.vs))
+        cells = [f"{grid.us[i]:.10g}", f"{grid.vs[j]:.10g}"]
+        cells += [f"{x:.10g}" for x in theta]
+        vals = (grid.values[n][i, j] for n in names)
+        cells += ["" if np.isnan(x) else f"{x:.10g}" for x in vals]
+        rows.append(cells)
     write_csv(path, header, rows, comment)
 
 

@@ -12,9 +12,9 @@ tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
 codes: 0 ok, 2 config error (including an unknown cell kind, an analysis that
 does not apply to the model family, or a task no base model was trained on),
-3 I/O error (including a corrupt or non-finite checkpoint), 4 numeric failure
-(a non-finite loss or gradient, or trained state that is not finite in
-float32, in which case no checkpoint is written).
+3 I/O error (including a corrupt or non-finite checkpoint, or a corrupt
+dataset), 4 numeric failure (a non-finite loss or gradient, or trained state
+that is not finite in float32, in which case no checkpoint is written).
 """
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ from . import tasks as tasks_mod
 from .models import CELL_KINDS, BaseModel, MetaModel, ModelError, StateMap, init_base_model
 from .tasks import SequenceDataset, TaskSpec
 from .trainer import (
+    HIDDEN_METRICS,
+    OPTIMIZERS,
+    OUTPUT_DIVERGENCES,
     MetaTrainState,
     NumericError,
     TrainConfig,
@@ -84,10 +87,10 @@ _POPULATION = {"task": (str, _REQUIRED), "count": (int, _REQUIRED),
                # per-entry overrides of base_training
                "lr": (_NUM, None), "epochs": (int, None)}
 _TRAINING = {key: (kind, None) for key, kind in {
-    "optimizer": str, "lr": _NUM, "epochs": int, "max_steps": int,
+    "optimizer": OPTIMIZERS, "lr": _NUM, "epochs": int, "max_steps": int,
     "batch_size": int, "weight_decay": _NUM, "cosine": bool,
-    "cosine_freq": _NUM, "lambda": _NUM, "hidden_metric": str,
-    "output_divergence": str, "normalize_hidden_by_dim": bool,
+    "cosine_freq": _NUM, "lambda": _NUM, "hidden_metric": HIDDEN_METRICS,
+    "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool,
     "theta_lr": _NUM, "momentum": _NUM}.items()}
 _META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (int, None),
          "input_dim": (int, None), "embed_dim": (int, None)}
@@ -347,8 +350,7 @@ def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
                 t += 1
             maps.append(StateMap(weights, biases))
         state = MetaTrainState(meta, maps, tensors["embeddings"],
-                               step=mf.get("steps_trained", 0),
-                               base_ids=[b["model_id"] for b in mf["bases"]])
+                               step=mf.get("steps_trained", 0))
         return state, mf
 
 
@@ -388,7 +390,7 @@ def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
         try:
             loaded[task["name"]] = tasks_mod.load_dataset(path)
         except tasks_mod.TaskError as e:
-            raise IOFailure(f"missing dataset {path} (run gen-data first): {e}")
+            raise IOFailure(f"{e} (gen-data writes the datasets)") from e
     state, mf = load_meta_checkpoint(out / "meta") if meta else (None, None)
     return Run(cfg, out, chash, loaded, state, mf)
 
@@ -521,9 +523,9 @@ def cmd_analyze(args) -> int:
             state.meta, run.task_group(task_name), ds, state.embeddings[group_rows],
             grid=(an["grid"], an["grid"]), extent_scale=an["extent_scale"],
             best_base_accuracy=best_base or None)
-        atlas_mod.export_landscape_csv(grid, out / "landscape.csv", comment)
-        summary["landscape_argmax_accuracy"] = grid.argmax_accuracy
-        summary["landscape_argmax_uv"] = list(grid.argmax_uv)
+        atlas_mod.export_grid_csv(grid, out / "landscape.csv", comment)
+        argmax_uv, summary["landscape_argmax_accuracy"] = grid.argmax("accuracy")
+        summary["landscape_argmax_uv"] = list(argmax_uv)
         summary["best_base_accuracy"] = best_base
 
     if args.svcca:
@@ -641,8 +643,8 @@ def cmd_fixed_points(args) -> int:
                              grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
                              tol=fp["tol"], max_steps=min(max_steps, 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
-        dyn.export_score_map_csv(grid, run.out / f"score_map_{label}.csv",
-                                 comment=run.comment)
+        atlas_mod.export_grid_csv(grid, run.out / f"score_map_{label}.csv",
+                                  comment=run.comment)
     (run.out / f"fixed_points_{label}.json").write_text(
         json.dumps(report, indent=1, sort_keys=True))
     print(f"fixed-points[{label}]: {len(fps)} points"

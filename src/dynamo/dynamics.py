@@ -14,7 +14,8 @@ gives q for the acceptance test and the next gradient of every accepted row,
 while a rejected row keeps the gradient of its unchanged state. The same
 independence lets `score_map` descend the candidates of every grid node in
 one batch, each row conditioned on its own node's embedding, and then check
-residuals and deduplicate node by node.
+residuals and deduplicate node by node. The map is the `score` column of an
+`atlas.PlaneGrid`, written like every plane grid by `atlas.export_grid_csv`.
 """
 from __future__ import annotations
 
@@ -44,10 +45,7 @@ class DynamicsError(Exception):
 class FixedPointSet:
     points: np.ndarray          # (K, H)
     residuals: np.ndarray       # (K,) independently re-evaluated ||F(x*,h)-h||
-    theta: np.ndarray | None
-    x_star: np.ndarray
-    candidate_index: np.ndarray  # (K,) provenance: which candidate converged here
-    descent_steps: np.ndarray    # (K,)
+    descent_steps: np.ndarray   # (K,)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -114,22 +112,17 @@ def _cell_params(model) -> dict[str, np.ndarray]:
             if not k.startswith(("head", "embed", "stem", "w_out", "b_out", "w_theta"))}
 
 
-def _build_q_graph(model, n: int) -> Graph:
+def _build_q_graph(model, n: int, width: int) -> Graph:
+    """q for n states under cell inputs `u` of the given width."""
     g = Graph()
     refs = declare_params(g, _cell_params(model), trainable=False)
     h = g.leaf("h", (n, model.hidden_dim))
-    cell_in = g.leaf("u", (n, _cell_input_dim(model)), param=False)
+    cell_in = g.leaf("u", (n, width), param=False)
     h2 = cell_step_graph(g, model.cell_kind, refs, cell_in, h)
     q = g.squared_l2(g.sub(h2, h), axis=1)
     g.mark("q", q)
     g.output(g.reduce_sum(q))
     return g
-
-
-def _cell_input_dim(model) -> int:
-    if isinstance(model, MetaModel):
-        return model.input_dim + model.embed_dim
-    return model.input_dim
 
 
 def find_fixed_points(model, theta, x_star: np.ndarray | None,
@@ -147,7 +140,7 @@ def find_fixed_points(model, theta, x_star: np.ndarray | None,
     candidates = np.atleast_2d(np.asarray(candidates, float))
     u_rows = np.tile(_meta_input(model, theta, x_star), (len(candidates), 1))
     h, steps_used = _descend(model, u_rows, candidates, tol, max_steps, lr)
-    return _retain(model, theta, x_star, u_rows, h, steps_used, tol, dedup_radius)
+    return _retain(model, u_rows, h, steps_used, tol, dedup_radius)
 
 
 def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
@@ -157,7 +150,7 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
     One forward and one backward pass per iteration, at the trial states
     (see the module docstring)."""
     n = len(candidates)
-    g = _build_q_graph(model, n)
+    g = _build_q_graph(model, *u_rows.shape)
     bindings = _cell_params(model)
     bindings["u"] = u_rows
     h = candidates.copy()
@@ -191,17 +184,13 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
     return h, steps_used
 
 
-def _retain(model, theta, x_star: np.ndarray, u_rows: np.ndarray, h: np.ndarray,
-            steps_used: np.ndarray, tol: float, dedup_radius: float) -> FixedPointSet:
+def _retain(model, u_rows: np.ndarray, h: np.ndarray, steps_used: np.ndarray,
+            tol: float, dedup_radius: float) -> FixedPointSet:
     """Keep the descended states whose residual, re-evaluated through the
     plain numpy step, is <= tol, then deduplicate them by `dedup_radius`."""
-    theta_arr = None if theta is None else np.asarray(theta, float)
-    stepped = cell_step(model, u_rows, h)
-    residuals = np.linalg.norm(stepped - h, axis=1)
+    residuals = np.linalg.norm(cell_step(model, u_rows, h) - h, axis=1)
     keep = residuals <= tol
-    pts, res = h[keep], residuals[keep]
-    idx = np.nonzero(keep)[0]
-    used = steps_used[keep]
+    pts, res, used = h[keep], residuals[keep], steps_used[keep]
 
     order = np.argsort(res, kind="stable")
     kept_rows: list[int] = []
@@ -209,8 +198,7 @@ def _retain(model, theta, x_star: np.ndarray, u_rows: np.ndarray, h: np.ndarray,
         if all(np.linalg.norm(pts[r] - pts[k]) > dedup_radius for k in kept_rows):
             kept_rows.append(r)
     kept_rows = np.array(kept_rows, dtype=int)
-    return FixedPointSet(pts[kept_rows], res[kept_rows], theta_arr, x_star,
-                         idx[kept_rows], used[kept_rows])
+    return FixedPointSet(pts[kept_rows], res[kept_rows], used[kept_rows])
 
 
 def _head_logits(model, points: np.ndarray, task_group: int | None) -> np.ndarray:
@@ -280,39 +268,26 @@ def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
                  - np.abs(margins(w_neu)).sum())
 
 
-@dataclass
-class ScoreGrid:
-    origin: np.ndarray
-    u_axis: np.ndarray
-    v_axis: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
-    scores: np.ndarray      # (nu, nv); NaN marks nodes with no fixed point
-
-    def theta_at(self, u: float, v: float) -> np.ndarray:
-        return self.origin + u * self.u_axis + v * self.v_axis
-
-
 def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
               sequences: list[list[int]], token_sets: tuple[list, list, list],
               plane=None, grid: tuple[int, int] = (7, 7),
               extent_scale: float = 1.5, samples_per_seq: int = 4,
               tol: float = 1e-4, max_steps: int = 5000,
-              dedup_radius: float = 1e-2, seed: int = 0) -> ScoreGrid:
-    """Word score over a plane in embedding space: per node, find fixed points
-    of the node's conditioned map, take the neutral one, and score one-step
-    transitions. Nodes where no fixed point survives are marked NaN.
+              dedup_radius: float = 1e-2, seed: int = 0) -> atlas_mod.PlaneGrid:
+    """Word score over a plane in embedding space (`atlas.plane_grid`), as
+    the grid's `score` column: per node, find fixed points of the node's
+    conditioned map, take the neutral one, and score one-step transitions.
+    Nodes where no fixed point survives are marked NaN.
 
     The candidates of every node descend together in one batch, each row
     under its own node's embedding; the residual check and dedup then run
     per node, so each node gets the points `find_fixed_points` would give."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
-    origin, u_axis, v_axis, _, us, vs = atlas_mod.plane_grid(base_thetas, plane, grid,
-                                                            extent_scale)
+    out = atlas_mod.plane_grid(base_thetas, plane, grid, extent_scale)
     w_pos, w_neg, w_neu = token_sets
     x_star = np.zeros(meta.input_dim)
-    thetas = [origin + u * u_axis + v * v_axis for u in us for v in vs]
+    thetas = out.thetas
     cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
                                 task_group=task_group, seed=seed) for theta in thetas]
     u_rows = np.concatenate([np.tile(_meta_input(meta, theta, x_star), (len(c), 1))
@@ -322,13 +297,14 @@ def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
     bounds = np.cumsum([len(c) for c in cands])[:-1]
     nodes = zip(thetas, *(np.split(a, bounds) for a in (u_rows, h, steps_used)))
     for k, (theta, u_k, h_k, steps_k) in enumerate(nodes):
-        fps = _retain(meta, theta, x_star, u_k, h_k, steps_k, tol, dedup_radius)
+        fps = _retain(meta, u_k, h_k, steps_k, tol, dedup_radius)
         if len(fps) == 0:
             continue
         h_star = neutral_fixed_point(fps, meta, task_group)
         scores[divmod(k, grid[1])] = word_score(meta, theta, h_star, w_pos, w_neg,
                                                 w_neu, task_group)
-    return ScoreGrid(origin, u_axis, v_axis, us, vs, scores)
+    out.values["score"] = scores
+    return out
 
 
 def spearman(x, y) -> float:
@@ -365,31 +341,3 @@ def export_fixed_points_csv(fps: FixedPointSet, model, path, comment=None,
         rows.append(cells)
     write_csv(path, ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"],
               rows, comment)
-
-
-def export_score_map_csv(grid: ScoreGrid, path, comment=None) -> None:
-    """Missing nodes export as empty score cells and read back as NaN."""
-    d = len(grid.origin)
-    rows = []
-    for i, u in enumerate(grid.us):
-        for j, v in enumerate(grid.vs):
-            theta = grid.theta_at(u, v)
-            s = grid.scores[i, j]
-            cells = [f"{u:.10g}", f"{v:.10g}"]
-            cells += [f"{x:.10g}" for x in theta]
-            cells.append("" if np.isnan(s) else f"{s:.10g}")
-            rows.append(cells)
-    write_csv(path, ["u", "v"] + [f"theta_{j}" for j in range(d)] + ["score"],
-              rows, comment)
-
-
-def load_score_map_csv(path) -> np.ndarray:
-    """Score column of an exported score map; empty cells come back as NaN."""
-    rows = []
-    with open(path) as f:
-        for line in f:
-            if line.startswith("#") or line.startswith("u,"):
-                continue
-            cell = line.rstrip("\n").split(",")[-1]
-            rows.append(float(cell) if cell else np.nan)
-    return np.array(rows)

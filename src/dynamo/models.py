@@ -7,8 +7,9 @@ vanilla RNN) or injected as a learned bias inside each block (residual MLP),
 plus one readout head per task group.
 
 A recurrent cell's arithmetic is written once, as `numgrad.gru_step` and
-`numgrad.rnn_step`; the numpy rollouts here and numgrad's `recurrence` node
-both call it, so graph and numpy forward values agree bit for bit.
+`numgrad.rnn_step` (`numgrad.CELLS`); `cell_step` here and numgrad's
+`recurrence` node both call it, so graph and numpy forward values agree bit
+for bit.
 `rollout_batch` is the only numpy loop over `cell_step`: it runs either
 family, ragged token batches by length, one embedding per row, and selects
 the readout head; every other numpy evaluation calls it. `unroll_graph`
@@ -77,15 +78,6 @@ class StateMap:
 # -- single-step cell maps ---------------------------------------------------
 
 
-def gru_step(params: dict, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h' = (1-z)*hcand + z*h with z, r gates on [x; h] and hcand on [x; r*h]."""
-    return numgrad.gru_step(x, h, *(params[n] for n in CELL_PARAMS["gru"]))[0]
-
-
-def vanilla_rnn_step(params: dict, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return numgrad.rnn_step(x, h, *(params[n] for n in CELL_PARAMS["vanilla_rnn"]))[0]
-
-
 def residual_block_step(block_params: dict, features: np.ndarray,
                         theta: np.ndarray | None = None,
                         w_theta: np.ndarray | None = None) -> np.ndarray:
@@ -97,8 +89,8 @@ def residual_block_step(block_params: dict, features: np.ndarray,
     return np.maximum(features + z @ block_params["a2"] + block_params["b2"], 0.0)
 
 
-def apply_state_map(vmap: StateMap, h_meta: np.ndarray, block: int = 0) -> np.ndarray:
-    return h_meta @ vmap.weights[block] + vmap.biases[block]
+def apply_state_map(vmap: StateMap, h_meta: np.ndarray) -> np.ndarray:
+    return h_meta @ vmap.weights[0] + vmap.biases[0]
 
 
 def _block_params(params: dict, t: int) -> dict:
@@ -111,10 +103,9 @@ def cell_step(model, x: np.ndarray, h: np.ndarray, block: int = 0,
     """One application of the model's transition map. For meta models, `x`
     must already include the embedding (recurrent) or `theta` is passed
     through to the block bias (residual)."""
-    if model.cell_kind == "gru":
-        return gru_step(model.params, x, h)
-    if model.cell_kind == "vanilla_rnn":
-        return vanilla_rnn_step(model.params, x, h)
+    if model.cell_kind in CELL_PARAMS:
+        weights = (model.params[n] for n in CELL_PARAMS[model.cell_kind])
+        return numgrad.CELLS[model.cell_kind](x, h, *weights)[0]
     if model.cell_kind == "residual_mlp":
         w_theta = model.params.get("w_theta") if theta is not None else None
         return residual_block_step(_block_params(model.params, block), h,
@@ -326,10 +317,10 @@ def init_state_map(meta_hidden: int, base_hidden: int, num_blocks: int,
 # -- graph builders (mirrors of the numpy steps) -------------------------------
 
 
-def declare_params(g: Graph, params: dict[str, np.ndarray], prefix: str = "",
+def declare_params(g: Graph, params: dict[str, np.ndarray],
                    trainable: bool = True) -> dict[str, int]:
     """Declare one graph leaf per named parameter; returns name -> node ref."""
-    return {name: g.leaf(prefix + name, arr.shape, param=trainable)
+    return {name: g.leaf(name, arr.shape, param=trainable)
             for name, arr in params.items()}
 
 

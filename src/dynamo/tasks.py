@@ -198,15 +198,6 @@ def split_dataset(ds: SequenceDataset, fractions: tuple[float, float, float],
     return ds
 
 
-def task_loss(logits: np.ndarray, label: int) -> float:
-    """Softmax cross-entropy of final-step logits against an integer label."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[-1]:
-        raise TaskError(f"label {label} out of range for {logits.shape[-1]} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
-
-
 def integrator_accuracy(ds: SequenceDataset, idxs) -> float:
     """Accuracy of the hand-coded cumulative-valence integrator baseline."""
     vals = ds.token_values()
@@ -256,25 +247,34 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> SequenceDataset:
+    """Read a dataset written by `save_dataset`. Raises TaskError on a missing
+    file, bad JSON, a missing manifest key, a malformed line, a token or label
+    out of range, or a split index outside the dataset."""
     path = Path(path)
     try:
         manifest = json.loads(path.with_suffix(".json").read_text())
         body = path.with_suffix(".txt").read_text()
+        lines = [line.split("\t") for line in body.splitlines()]
+        valence = manifest.get("valence")
+        ds = SequenceDataset(
+            kind=manifest["kind"],
+            vocab_size=manifest["vocab_size"],
+            num_classes=manifest["num_classes"],
+            sequences=[[int(t) for t in toks.split(",")] for _, toks in lines],
+            labels=[int(lab) for lab, _ in lines],
+            splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
+            valence={int(k): v for k, v in valence.items()} if valence else None,
+            seed=manifest["seed"],
+        )
+        in_range = (all(0 <= min(s) and max(s) < ds.vocab_size for s in ds.sequences)
+                    and all(0 <= lab < ds.num_classes for lab in ds.labels)
+                    and all(type(i) is int and 0 <= i < len(ds)
+                            for idxs in ds.splits.values() for i in idxs))
     except OSError as e:
         raise TaskError(f"cannot read dataset {path}: {e}") from e
-    sequences, labels = [], []
-    for line in body.splitlines():
-        lab, toks = line.split("\t")
-        labels.append(int(lab))
-        sequences.append([int(t) for t in toks.split(",")])
-    valence = manifest.get("valence")
-    return SequenceDataset(
-        kind=manifest["kind"],
-        vocab_size=manifest["vocab_size"],
-        num_classes=manifest["num_classes"],
-        sequences=sequences,
-        labels=labels,
-        splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
-        valence={int(k): v for k, v in valence.items()} if valence else None,
-        seed=manifest["seed"],
-    )
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise TaskError(f"corrupt dataset {path}: {e!r}") from e
+    if not in_range:
+        raise TaskError(f"corrupt dataset {path}: a token, label or split index "
+                        "is out of range")
+    return ds

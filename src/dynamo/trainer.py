@@ -10,15 +10,17 @@ losses. Ragged sequence lengths are handled by per-row weights inside a
 cached unrolled graph, so per-sequence time averages stay exact.
 
 Every graph here unrolls the model through `models.unroll_graph`, and every
-numpy rollout (the base trajectories, accuracies, reference losses) goes
-through `models.rollout_batch`. Two graphs exist: the final-step task loss
+numpy rollout (the base trajectories, accuracies) goes through
+`models.rollout_batch`. Two graphs exist: the final-step task loss
 (`task_loss_graph`, shared by base training and the embedding search in
-`atlas.ssl_optimize`) and the joint emulation loss. A recurrent model is
+`atlas.ssl_optimize`) and the joint emulation loss (`_emulation_loss_graph`,
+the only implementation of the emulation objective). A recurrent model is
 one numgrad `recurrence` node over a time-major `tokens` leaf, and the loss
 terms are built once over its T * B states, so no node count grows with T.
 Both graphs are kept in a `GraphCache` keyed by batch shape and bound batch
 by batch through one binder (`_input_bindings`). A non-finite loss or
-gradient raises `NumericError` from numgrad's forward or backward pass.
+gradient raises `NumericError` from numgrad's forward or backward pass, and
+so does a parameter update that leaves the float32 range (`Optimizer.step`).
 """
 from __future__ import annotations
 
@@ -41,12 +43,15 @@ from .models import (
     rollout_batch,
     unroll_graph,
 )
-from .numgrad import Graph, NumericError  # noqa: F401  (re-exported for callers)
+from .numgrad import Graph, NumericError
 from .tasks import SequenceDataset, write_csv
 
 OPTIMIZERS = ("adam_decoupled_wd", "sgd_nesterov")
 HIDDEN_METRICS = ("L2_squared", "L1")
 OUTPUT_DIVERGENCES = ("squared_L2_on_logits", "KL_on_softmax")
+# float64 magnitudes from this one up (FLT_MAX plus half its last-place unit)
+# round to infinity in float32, the precision checkpoints store
+_F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
 
 
 class TrainerError(Exception):
@@ -104,6 +109,9 @@ class Optimizer:
     Each step updates only the supplied subset of parameters; moment buffers
     and bias-correction counters are tracked per parameter so that sparsely
     updated parameters (state maps, embeddings) see consistent statistics.
+    A step that leaves a parameter not finite in float32, the precision
+    checkpoints store, raises `NumericError`, so a diverging run stops at
+    its first bad step.
     """
 
     def __init__(self, handles: dict[str, np.ndarray], cfg: TrainConfig,
@@ -140,8 +148,6 @@ class Optimizer:
                 mhat = m / (1 - b1 ** t)
                 vhat = v / (1 - b2 ** t)
                 p -= eff_lr * mhat / (np.sqrt(vhat) + cfg.eps)
-                if cfg.weight_decay and name not in self.no_decay:
-                    p -= eff_lr * cfg.weight_decay * p
             else:
                 mu = cfg.momentum
                 if name not in self._m:
@@ -150,72 +156,17 @@ class Optimizer:
                 buf *= mu
                 buf += g
                 p -= eff_lr * (g + mu * buf)
-                if cfg.weight_decay and name not in self.no_decay:
-                    p -= eff_lr * cfg.weight_decay * p
-
-
-# -- reference (numpy) losses ---------------------------------------------------
-
-
-def _metric_rows(diff: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "L1":
-        return np.abs(diff).sum(axis=-1)
-    return (diff * diff).sum(axis=-1)
-
-
-def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
-                metric: str = "L2_squared", normalize_by_dim: bool = False,
-                residual: bool = False) -> float:
-    """Time-mean distance between mapped meta hidden states and base hidden
-    states. The residual family uses one map per block and averages over
-    feature coordinates as well."""
-    T = len(meta_traj)
-    if len(base_traj) != T:
-        raise TrainerError(f"trajectory length mismatch {T} vs {len(base_traj)}")
-    if T < 1:
-        raise TrainerError("empty trajectory")
-    total = 0.0
-    dim = base_traj[0].shape[-1]
-    for t in range(T):
-        block = t if residual else 0
-        mapped = apply_state_map(vmap, meta_traj[t], block=block)
-        total += _metric_rows(mapped - base_traj[t], metric)
-    total /= T
-    if residual or normalize_by_dim:
-        total /= dim
-    return float(total)
+            if cfg.weight_decay and name not in self.no_decay:
+                p -= eff_lr * cfg.weight_decay * p
+            if not np.abs(p).max() < _F32_OVERFLOW:
+                raise NumericError(f"parameter {name!r} is not finite in float32 "
+                                   "after an optimizer step; training diverged")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_from_logits(base_logits: np.ndarray, meta_logits: np.ndarray) -> np.ndarray:
-    """Row-wise KL(softmax(base) || softmax(meta))."""
-    p = _softmax(base_logits)
-    zb = base_logits - base_logits.max(axis=-1, keepdims=True)
-    lp = zb - np.log(np.exp(zb).sum(axis=-1, keepdims=True))
-    zm = meta_logits - meta_logits.max(axis=-1, keepdims=True)
-    lq = zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))
-    return (p * (lp - lq)).sum(axis=-1)
-
-
-def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray,
-                divergence: str = "KL_on_softmax") -> float:
-    """Time-mean divergence between per-step meta and base outputs."""
-    T = len(meta_outputs)
-    if len(base_outputs) != T:
-        raise TrainerError("output trajectory length mismatch")
-    mo, bo = np.asarray(meta_outputs), np.asarray(base_outputs)
-    if mo.shape != bo.shape:
-        raise TrainerError(
-            f"output shape mismatch {mo.shape} vs {bo.shape}; check that the "
-            "meta readout head matches the base model's task group")
-    if divergence == "KL_on_softmax":
-        return float(kl_from_logits(bo, mo).mean())
-    return float(((mo - bo) ** 2).sum(axis=-1).mean())
 
 
 # -- loss graphs, their cache and their batches -----------------------------------
@@ -377,37 +328,6 @@ def _onehot(ids: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def meta_emulation_losses(meta: MetaModel, base: BaseModel, vmap: StateMap,
-                          theta: np.ndarray, inputs, cfg: TrainConfig
-                          ) -> tuple[float, float, float]:
-    """Reference evaluation of (hidden, output, total) losses for one batch of
-    token sequences (or residual feature rows), computed with plain rollouts
-    rather than the training graph."""
-    residual = base.cell_kind == "residual_mlp"
-    if residual:
-        x, lengths = np.asarray(inputs, dtype=np.float64), None
-    else:
-        x, lengths = models.pad_tokens(inputs)
-    hs_b, out_b = rollout_batch(base, x, lengths=lengths)
-    hs_m, out_m = rollout_batch(meta, x, theta=theta, task_group=base.task_group,
-                                lengths=lengths)
-    htot = otot = 0.0
-    for b in range(len(x)):
-        T = base.num_blocks if residual else lengths[b]
-        htot += hidden_loss(hs_m[:T, b], hs_b[:T, b], vmap, cfg.hidden_metric,
-                            normalize_by_dim=cfg.normalize_hidden_by_dim,
-                            residual=residual)
-        if residual:
-            d = hs_m[:-1, b] - hs_b[:-1, b]
-            last = output_loss(out_m[-1:, b], out_b[-1:, b], cfg.output_divergence)
-            otot += (float((d * d).sum()) / base.hidden_dim + last) / T
-        else:
-            otot += output_loss(out_m[:T, b], out_b[:T, b], cfg.output_divergence)
-    htot /= len(x)
-    otot /= len(x)
-    return htot, otot, htot + cfg.lam * otot
-
-
 # -- base-model training ---------------------------------------------------------
 
 
@@ -462,7 +382,6 @@ class MetaTrainState:
     embeddings: np.ndarray  # (N, d), row n is theta_n
     step: int = 0
     history: list[tuple[int, int, float, float, float]] = field(default_factory=list)
-    base_ids: list[str] = field(default_factory=list)
 
 
 def init_meta_state(bases: list[BaseModel], meta_cfg: dict, seed: int) -> MetaTrainState:
@@ -509,8 +428,7 @@ def init_meta_state(bases: list[BaseModel], meta_cfg: dict, seed: int) -> MetaTr
                            num_blocks if residual else 0, seed=seed + 1 + i)
             for i, b in enumerate(bases)]
     thetas = np.zeros((len(bases), embed_dim))
-    ids = [b.info.get("model_id", f"base_{i}") for i, b in enumerate(bases)]
-    return MetaTrainState(meta, maps, thetas, base_ids=ids)
+    return MetaTrainState(meta, maps, thetas)
 
 
 class MetaTrainer:
@@ -628,12 +546,9 @@ class MetaTrainer:
             grads_graph = g.backward()
             name_map = self._grad_names(i, self.bases[i].task_group)
             grads = {handle: grads_graph[leaf] for leaf, handle in name_map.items()}
-            lr = cfg.lr * lr_multiplier(cfg, self.state.step, cfg.max_steps or total)
-            theta_lr = None
-            if cfg.theta_lr is not None:
-                theta_lr = cfg.theta_lr * lr_multiplier(cfg, self.state.step,
-                                                        cfg.max_steps or total)
-            self.opt.step(grads, lr, theta_lr=theta_lr)
+            mult = lr_multiplier(cfg, self.state.step, cfg.max_steps or total)
+            theta_lr = None if cfg.theta_lr is None else cfg.theta_lr * mult
+            self.opt.step(grads, cfg.lr * mult, theta_lr=theta_lr)
             self.state.history.append((self.state.step, i, hid, out, total_loss_val))
             self.state.step += 1
         return self.state

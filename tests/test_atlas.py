@@ -9,7 +9,7 @@ from dynamo.atlas import (
     components_for_variance,
     convex_hull_2d,
     evaluate_at,
-    export_landscape_csv,
+    export_grid_csv,
     export_spectrum_csv,
     fit_pca,
     grid_accuracies,
@@ -77,7 +77,7 @@ def test_fit_pca_invariants_and_reconstruction():
     assert atlas.spectrum.sum() == pytest.approx(total_var, abs=1e-8)
     assert np.all(np.diff(atlas.spectrum) <= 1e-12)
     coords = atlas.project(X)
-    assert np.allclose(atlas.reconstruct(coords), X, atol=1e-8)
+    assert np.allclose(atlas.mean + coords @ atlas.axes, X, atol=1e-8)
 
 
 def test_fit_pca_needs_two_rows():
@@ -97,12 +97,8 @@ def test_components_for_variance():
 def test_average_embeddings():
     assert np.allclose(average_embeddings([[2.0, 0.0], [0.0, 2.0]]), [1.0, 1.0])
     assert np.allclose(average_embeddings([[3.0, 4.0]]), [3.0, 4.0])
-    assert np.allclose(average_embeddings([[1.0, 2.0], [9.0, 9.0]],
-                                          weights=[1.0, 0.0]), [1.0, 2.0])
     with pytest.raises(AtlasError):
         average_embeddings([])
-    with pytest.raises(AtlasError):
-        average_embeddings([[1.0], [2.0]], weights=[0.7, 0.7])
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -141,17 +137,25 @@ def test_landscape_contains_exact_node_values(tmp_path):
     base_thetas = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.4], [0.0, -0.4]])
     grid = accuracy_landscape(meta, 0, ds, base_thetas, grid=(3, 3),
                               extent_scale=1.0, best_base_accuracy=0.8)
-    assert grid.accuracy.shape == (3, 3)
-    assert np.all(grid.accuracy >= 0.0) and np.all(grid.accuracy <= 1.0)
+    acc = grid.values["accuracy"]
+    assert acc.shape == (3, 3)
+    assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
     # grid node values equal direct evaluation at the same theta
     th = grid.theta_at(grid.us[1], grid.vs[2])
-    assert grid.accuracy[1, 2] == evaluate_at(meta, th, 0, ds)
-    assert grid.argmax_accuracy == grid.accuracy.max()
-    assert grid.relative is not None
-    export_landscape_csv(grid, tmp_path / "land.csv", comment="config_hash=x")
+    assert np.array_equal(grid.thetas[1 * 3 + 2], th)
+    assert acc[1, 2] == evaluate_at(meta, th, 0, ds)
+    (u, v), best = grid.argmax("accuracy")
+    assert best == acc.max()
+    assert acc[list(grid.us).index(u), list(grid.vs).index(v)] == best
+    assert np.array_equal(grid.values["relative_accuracy"], acc / 0.8)
+    export_grid_csv(grid, tmp_path / "land.csv", comment="config_hash=x")
     lines = (tmp_path / "land.csv").read_text().splitlines()
-    assert lines[0].startswith("#") and lines[1].startswith("u,v,theta_0")
+    assert lines[0] == "# config_hash=x"
+    assert lines[1] == "u,v,theta_0,theta_1,accuracy,relative_accuracy"
     assert len(lines) == 2 + 9
+    cells = [float(x) for x in lines[2 + 1 * 3 + 2].split(",")]
+    want = [grid.us[1], grid.vs[2], *th, acc[1, 2], acc[1, 2] / 0.8]
+    assert cells == pytest.approx(want)
 
 
 def test_landscape_1x1_grid_is_single_evaluation():
@@ -161,7 +165,8 @@ def test_landscape_1x1_grid_is_single_evaluation():
     grid = accuracy_landscape(meta, 0, ds, base_thetas, grid=(1, 1),
                               extent_scale=1.0)
     th = grid.theta_at(grid.us[0], grid.vs[0])
-    assert grid.accuracy[0, 0] == evaluate_at(meta, th, 0, ds)
+    assert grid.values["accuracy"][0, 0] == evaluate_at(meta, th, 0, ds)
+    assert "relative_accuracy" not in grid.values
 
 
 def test_landscape_rejects_dependent_plane():

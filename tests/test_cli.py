@@ -126,7 +126,11 @@ def test_validate_config_returns_resolved_copy():
     ("population", {"cell_kind": "lstm"}, (2, 2)),
     ("population", {"cell_kind": "residual_mlp"}, (0, 2)),  # no num_blocks
     ("meta", {"cell_kind": "lstm"}, (2, 2)),
-], ids=["unknown_base_cell", "residual_without_blocks", "unknown_meta_cell"])
+    ("base_training", {"optimizer": "rmsprop"}, (2, 2)),
+    ("meta_training", {"hidden_metric": "L3"}, (2, 2)),
+    ("meta_training", {"output_divergence": "hellinger"}, (2, 2)),
+], ids=["unknown_base_cell", "residual_without_blocks", "unknown_meta_cell",
+        "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence"])
 def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     cfg = _mini_config()
     (cfg[section][0] if section == "population" else cfg[section]).update(update)
@@ -217,6 +221,27 @@ def test_train_base_missing_dataset_is_io_error(tmp_path):
     path = _write_config(tmp_path, cfg)
     assert _run("train-base", "--config", str(path),
                 "--out", str(tmp_path / "empty")) == 3
+
+
+@pytest.mark.parametrize("suffix,corrupt", [
+    (".json", lambda text: "{"),
+    (".json", lambda text: text.replace('"vocab_size"', '"vocab"')),
+    (".json", lambda text: text.replace('"test": [', '"test": [1000000,')),
+    (".txt", lambda text: text.replace("\t", " ", 1)),
+    (".txt", lambda text: text.replace(",", ",x,", 1)),
+    (".txt", lambda text: "1\t3,12\n" + text),  # vocab_size is 12
+    (".txt", lambda text: "1\t-1\n" + text),
+    (".txt", lambda text: "2\t3,4\n" + text),  # two classes
+], ids=["bad_json", "missing_key", "split_index", "line_without_tab",
+        "non_integer_token", "token_past_vocab", "negative_token", "label_past_classes"])
+def test_corrupt_dataset_is_io_error(tmp_path, suffix, corrupt):
+    path = _write_config(tmp_path, _mini_config())
+    out = tmp_path / "run"
+    assert _run("gen-data", "--config", str(path), "--out", str(out)) == 0
+    data = out / "data" / f"valence{suffix}"
+    data.write_text(corrupt(data.read_text()))
+    assert _run("train-base", "--config", str(path), "--out", str(out)) == 3
+    assert not (out / "base").exists()
 
 
 def test_train_base_outputs(pipeline):
@@ -474,8 +499,7 @@ def test_fixed_points_report_no_ratio_without_thickness(pipeline, tmp_path,
     run = tmp_path / "run"
     shutil.copytree(out, run)
     k = len(points)
-    fps = dynamics.FixedPointSet(points, np.zeros(k), None, np.zeros(4),
-                                 np.arange(k), np.zeros(k, int))
+    fps = dynamics.FixedPointSet(points, np.zeros(k), np.zeros(k, int))
     monkeypatch.setattr(dynamics, "find_fixed_points", lambda *a, **kw: fps)
     assert _run("fixed-points", "--config", str(path), "--out", str(run),
                 "--theta", "base_000") == 0

@@ -6,9 +6,7 @@ from dynamo.dynamics import (
     FixedPointSet,
     collect_candidates,
     export_fixed_points_csv,
-    export_score_map_csv,
     find_fixed_points,
-    load_score_map_csv,
     neutral_fixed_point,
     readout_margin,
     score_map,
@@ -16,7 +14,8 @@ from dynamo.dynamics import (
     summarize_attractor,
     word_score,
 )
-from dynamo.models import gru_step, init_base_model, init_meta_model
+from dynamo.atlas import export_grid_csv
+from dynamo.models import cell_step, init_base_model, init_meta_model
 
 
 def _contraction_meta(seed=0, hidden=4):
@@ -61,7 +60,7 @@ def test_fixed_point_residuals_reevaluate_independently():
     fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-5)
     u = np.concatenate([np.zeros(2), np.zeros(3)])
     for h, r in zip(fps.points, fps.residuals):
-        again = np.linalg.norm(gru_step(meta.params, u, h) - h)
+        again = np.linalg.norm(cell_step(meta, u, h) - h)
         assert again == pytest.approx(r, abs=1e-15)
         assert again <= 1e-5
 
@@ -104,8 +103,7 @@ def test_summarize_attractor_segment_has_zero_thickness():
     meta = init_meta_model("gru", 8, 3, 3, 2, {0: 2}, seed=1)
     ts = np.linspace(-1.0, 1.0, 9)
     pts = np.outer(ts, np.array([1.0, 0.0, 0.0]))
-    fps = FixedPointSet(pts, np.zeros(9), np.zeros(2), np.zeros(3),
-                        np.arange(9), np.zeros(9, int))
+    fps = FixedPointSet(pts, np.zeros(9), np.zeros(9, int))
     summ = summarize_attractor(fps, meta, 0)
     assert summ.thickness == pytest.approx(0.0, abs=1e-12)
     assert summ.extent == pytest.approx(2.0)
@@ -117,10 +115,8 @@ def test_summarize_attractor_permutation_invariant():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((12, 3)) * np.array([5.0, 0.3, 0.3])
     perm = rng.permutation(12)
-    f1 = FixedPointSet(pts, np.zeros(12), None, np.zeros(3),
-                       np.arange(12), np.zeros(12, int))
-    f2 = FixedPointSet(pts[perm], np.zeros(12), None, np.zeros(3),
-                       np.arange(12), np.zeros(12, int))
+    f1 = FixedPointSet(pts, np.zeros(12), np.zeros(12, int))
+    f2 = FixedPointSet(pts[perm], np.zeros(12), np.zeros(12, int))
     s1 = summarize_attractor(f1, meta, 0)
     s2 = summarize_attractor(f2, meta, 0)
     assert s1.extent == pytest.approx(s2.extent)
@@ -135,8 +131,7 @@ def test_summarize_attractor_gaussian_cloud_ratio():
     ratios = []
     for _ in range(5):
         pts = rng.standard_normal((200, 6))
-        fps = FixedPointSet(pts, np.zeros(200), None, np.zeros(3),
-                            np.arange(200), np.zeros(200, int))
+        fps = FixedPointSet(pts, np.zeros(200), np.zeros(200, int))
         s = summarize_attractor(fps, meta, 0)
         ratios.append(s.extent / s.thickness)
     mean_ratio = np.mean(ratios)
@@ -148,8 +143,7 @@ def test_extent_thickness_ratio_needs_a_measurable_thickness():
 
     def summary(pts):
         k = len(pts)
-        return summarize_attractor(FixedPointSet(pts, np.zeros(k), None, np.zeros(3),
-                                                 np.arange(k), np.zeros(k, int)),
+        return summarize_attractor(FixedPointSet(pts, np.zeros(k), np.zeros(k, int)),
                                    meta, 0)
 
     # two points span one direction: the off-axis spread is rounding noise
@@ -165,8 +159,7 @@ def test_extent_thickness_ratio_needs_a_measurable_thickness():
 
 def test_summarize_attractor_needs_two_points():
     meta = init_meta_model("gru", 8, 3, 3, 2, {0: 2}, seed=1)
-    fps = FixedPointSet(np.zeros((1, 3)), np.zeros(1), None, np.zeros(3),
-                        np.zeros(1, int), np.zeros(1, int))
+    fps = FixedPointSet(np.zeros((1, 3)), np.zeros(1), np.zeros(1, int))
     with pytest.raises(DynamicsError):
         summarize_attractor(fps, meta, 0)
 
@@ -177,8 +170,7 @@ def _neutral_setup(margins, residuals):
     meta.params["head0_w"] = np.array([[0.0, 1.0], [0.0, 0.0]])
     meta.params["head0_b"] = np.zeros(2)
     pts = np.array([[m, 0.0] for m in margins])
-    return meta, FixedPointSet(pts, np.asarray(residuals, float), None,
-                               np.zeros(3), np.arange(len(margins)),
+    return meta, FixedPointSet(pts, np.asarray(residuals, float),
                                np.zeros(len(margins), int))
 
 
@@ -193,8 +185,7 @@ def test_neutral_fixed_point_selection_and_ties():
     assert np.allclose(neutral_fixed_point(fps2, meta2, 0), [-0.3, 0.0])
 
     with pytest.raises(DynamicsError):
-        neutral_fixed_point(FixedPointSet(np.zeros((0, 2)), np.zeros(0), None,
-                                          np.zeros(3), np.zeros(0, int),
+        neutral_fixed_point(FixedPointSet(np.zeros((0, 2)), np.zeros(0),
                                           np.zeros(0, int)), meta, 0)
 
 
@@ -208,7 +199,7 @@ def test_word_score_trivial_cases():
     # one positive token: score equals that token's one-step margin
     emb = meta2.params["embed"][np.array([1])]
     x = np.concatenate([np.zeros((1, 2)), emb], axis=1)
-    h = gru_step(meta2.params, x, np.zeros((1, 4)))
+    h = cell_step(meta2, x, np.zeros((1, 4)))
     margin = float((h @ meta2.params["head0_w"] + meta2.params["head0_b"])[0, 1]
                    - (h @ meta2.params["head0_w"] + meta2.params["head0_b"])[0, 0])
     assert s == pytest.approx(margin)
@@ -244,11 +235,11 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     fps = find_fixed_points(meta, theta, None, cands, tol=1e-5)
     h_star = neutral_fixed_point(fps, meta, 0)
     want = word_score(meta, theta, h_star, [0], [2], [6], 0)
-    assert grid.scores[0, 0] == pytest.approx(want)
+    assert grid.values["score"][0, 0] == pytest.approx(want)
 
     grid2 = score_map(meta, 0, base_thetas, seqs, sets, grid=(1, 1),
                       extent_scale=1.0, samples_per_seq=2, tol=1e-5, seed=1)
-    assert np.array_equal(grid.scores, grid2.scores)
+    assert np.array_equal(grid.values["score"], grid2.values["score"])
 
 
 def test_score_map_grid_matches_per_node_calls():
@@ -274,7 +265,7 @@ def test_score_map_grid_matches_per_node_calls():
                 want[i, j] = word_score(meta, theta, h_star, *sets, 0)
     assert len(steps) > 1  # the nodes converge after different step counts
     assert not np.isnan(want).all()
-    assert grid.scores.tobytes() == want.tobytes()
+    assert grid.values["score"].tobytes() == want.tobytes()
 
 
 def test_find_fixed_points_runs_one_forward_and_backward_per_iteration(pass_counts):
@@ -298,11 +289,17 @@ def test_score_map_missing_marker_round_trips(tmp_path):
     grid = score_map(meta, 0, base_thetas, [[1, 2]], ([0], [2], [6]),
                      grid=(2, 2), samples_per_seq=1, tol=1e-15, max_steps=0,
                      seed=1)
-    assert np.all(np.isnan(grid.scores))
+    assert list(grid.values) == ["score"]
+    assert np.all(np.isnan(grid.values["score"]))
     path = tmp_path / "scores.csv"
-    export_score_map_csv(grid, path, comment="config_hash=z")
-    back = load_score_map_csv(path)
-    assert len(back) == 4 and np.all(np.isnan(back))
+    export_grid_csv(grid, path, comment="config_hash=z")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# config_hash=z", "u,v,theta_0,theta_1,score"]
+    assert len(lines) == 2 + 4
+    for line, theta in zip(lines[2:], grid.thetas):
+        cells = line.split(",")
+        assert [float(x) for x in cells[2:4]] == pytest.approx(theta)
+        assert cells[-1] == ""
 
 
 def test_export_fixed_points_csv(tmp_path):
@@ -318,8 +315,7 @@ def test_export_fixed_points_csv(tmp_path):
     assert len(lines) == 2 + len(fps)
     # three points span at most two directions: no pc_2 column of rounding noise
     pts = np.random.default_rng(1).standard_normal((3, 4))
-    three = FixedPointSet(pts, np.zeros(3), np.zeros(2), np.zeros(3),
-                          np.arange(3), np.zeros(3, int))
+    three = FixedPointSet(pts, np.zeros(3), np.zeros(3, int))
     export_fixed_points_csv(three, meta, path, task_group=0)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,residual,pc_0,pc_1,margin"

@@ -13,7 +13,6 @@ from dynamo.models import (
     cell_step_graph,
     declare_params,
     final_logits,
-    gru_step,
     init_base_model,
     init_meta_model,
     init_state_map,
@@ -21,9 +20,13 @@ from dynamo.models import (
     residual_block_step,
     rollout,
     rollout_batch,
-    vanilla_rnn_step,
 )
 from dynamo.numgrad import Graph
+
+
+def _cell(kind, params):
+    """A model around bare cell weights, as `cell_step` reads it."""
+    return BaseModel(kind, 0, 0, 0, 0, 0, params)
 
 
 def _zero_gru_params(i, h):
@@ -61,12 +64,12 @@ def _gru_step_scalar(params, x, h):
 
 def test_gru_step_zero_params_halves_hidden():
     h = np.array([2.0, -4.0, 6.0])
-    out = gru_step(_zero_gru_params(2, 3), np.zeros(2), h)
+    out = cell_step(_cell("gru", _zero_gru_params(2, 3)), np.zeros(2), h)
     assert np.allclose(out, 0.5 * h)
 
 
 def test_gru_step_zero_everything():
-    out = gru_step(_zero_gru_params(2, 3), np.zeros(2), np.zeros(3))
+    out = cell_step(_cell("gru", _zero_gru_params(2, 3)), np.zeros(2), np.zeros(3))
     assert np.allclose(out, 0.0)
 
 
@@ -75,24 +78,26 @@ def test_gru_step_matches_scalar_loop_oracle():
     for _ in range(5):
         params = _rand_gru_params(rng, 3, 3)
         x, h = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.allclose(gru_step(params, x, h), _gru_step_scalar(params, x, h),
-                           atol=1e-12)
+        assert np.allclose(cell_step(_cell("gru", params), x, h),
+                           _gru_step_scalar(params, x, h), atol=1e-12)
 
 
 def test_vanilla_rnn_step():
     p = {"w_x": np.zeros((1, 1)), "w_h": np.zeros((1, 1)), "b": np.zeros(1)}
-    assert np.allclose(vanilla_rnn_step(p, np.array([1.0]), np.array([2.0])), 0.0)
+    rnn = _cell("vanilla_rnn", p)
+    assert np.allclose(cell_step(rnn, np.array([1.0]), np.array([2.0])), 0.0)
 
-    p = {"w_x": np.eye(1), "w_h": np.zeros((1, 1)), "b": np.zeros(1)}
-    out = vanilla_rnn_step(p, np.array([0.5]), np.array([3.0]))
+    p["w_x"] = np.eye(1)
+    out = cell_step(rnn, np.array([0.5]), np.array([3.0]))
     assert out[0] == pytest.approx(np.tanh(0.5))
     assert abs(out[0] - 0.4621) < 1e-3
 
     rng = np.random.default_rng(0)
-    p = {"w_x": rng.standard_normal((4, 6)), "w_h": rng.standard_normal((6, 6)),
-         "b": rng.standard_normal(6)}
+    rnn = _cell("vanilla_rnn", {"w_x": rng.standard_normal((4, 6)),
+                                "w_h": rng.standard_normal((6, 6)),
+                                "b": rng.standard_normal(6)})
     for _ in range(10):
-        out = vanilla_rnn_step(p, rng.standard_normal(4), rng.standard_normal(6))
+        out = cell_step(rnn, rng.standard_normal(4), rng.standard_normal(6))
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
@@ -163,8 +168,8 @@ def test_rollout_matches_composed_steps():
     tokens = [2, 5]
     hs, _ = rollout(m, tokens)
     x = m.params["embed"][tokens]
-    h1 = gru_step(m.params, x[0], np.zeros(4))
-    h2 = gru_step(m.params, x[1], h1)
+    h1 = cell_step(m, x[0], np.zeros(4))
+    h2 = cell_step(m, x[1], h1)
     assert np.allclose(hs[0], h1, atol=1e-14)
     assert np.allclose(hs[1], h2, atol=1e-14)
 
@@ -184,7 +189,7 @@ def test_meta_rollout_at_zero_theta_matches_zero_padded_input():
     padded = np.concatenate([np.zeros((3, 2)), emb], axis=-1)
     h = np.zeros(5)
     for t in range(3):
-        h = gru_step(plain.params, padded[t], h)
+        h = cell_step(plain, padded[t], h)
     assert np.allclose(hs_meta[-1], h, atol=1e-14)
 
 
@@ -282,7 +287,7 @@ def test_cell_step_graph_matches_numpy(kind):
     g.mark("h_next", out)
     xv, hv = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
     g.forward(dict(m.params) | {"x_in": xv, "h_in": hv})
-    want = (gru_step if kind == "gru" else vanilla_rnn_step)(m.params, xv, hv)
+    want = cell_step(m, xv, hv)
     assert np.allclose(g.value("h_next"), want, atol=1e-14)
 
 

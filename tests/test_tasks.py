@@ -14,7 +14,6 @@ from dynamo.tasks import (
     load_dataset,
     save_dataset,
     split_dataset,
-    task_loss,
 )
 
 
@@ -138,20 +137,6 @@ def test_base_train_subfraction_floor_rule():
     assert len(sub) == 12  # floor(0.25 * 50)
     assert sub == ds.indices("base_train")[:12]
     assert ds.base_train_subset(1.0) == ds.indices("base_train")
-
-
-def test_task_loss_values():
-    # uniform logits -> ln C
-    assert task_loss(np.zeros(4), 1) == pytest.approx(np.log(4))
-    # saturated true-class logit -> ~0
-    z = np.zeros(3)
-    z[0] = 100.0
-    assert task_loss(z, 0) == pytest.approx(0.0, abs=1e-12)
-    # (1, 0) label 0 -> ln(1 + e^-1)
-    assert task_loss(np.array([1.0, 0.0]), 0) == pytest.approx(np.log(1 + np.exp(-1)))
-    assert abs(task_loss(np.array([1.0, 0.0]), 0) - 0.3133) < 1e-4
-    with pytest.raises(TaskError):
-        task_loss(np.zeros(2), 2)
 
 
 def test_integrator_solves_valence_task():

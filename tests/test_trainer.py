@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -9,28 +11,109 @@ from dynamo.models import (
     model_inputs,
     pad_tokens,
 )
-from dynamo.numgrad import grad_check
+from dynamo.numgrad import NumericError, grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
     GraphCache,
     MetaTrainer,
+    Optimizer,
     TrainConfig,
     TrainerError,
     conjugacy_defect,
     export_loss_history,
-    hidden_loss,
     init_meta_state,
-    kl_from_logits,
     lr_multiplier,
-    meta_emulation_losses,
     model_accuracy,
-    output_loss,
     task_batch,
     task_loss_graph,
     _emulation_loss_graph,
+    _softmax,
     train_base,
     train_meta,
 )
+
+
+# -- numpy reference of the emulation loss --------------------------------------
+#
+# The oracle the training graph (`trainer._emulation_loss_graph`) is checked
+# against: the same objective written with plain per-sequence rollouts.
+
+
+def _metric_rows(diff: np.ndarray, metric: str) -> np.ndarray:
+    if metric == "L1":
+        return np.abs(diff).sum(axis=-1)
+    return (diff * diff).sum(axis=-1)
+
+
+def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
+                metric: str = "L2_squared", normalize_by_dim: bool = False,
+                residual: bool = False) -> float:
+    """Time-mean distance between mapped meta hidden states and base hidden
+    states. The residual family uses one map per block and averages over
+    feature coordinates as well."""
+    T = len(meta_traj)
+    if len(base_traj) != T:
+        raise TrainerError(f"trajectory length mismatch {T} vs {len(base_traj)}")
+    total = 0.0
+    dim = base_traj[0].shape[-1]
+    for t in range(T):
+        block = t if residual else 0
+        mapped = meta_traj[t] @ vmap.weights[block] + vmap.biases[block]
+        total += _metric_rows(mapped - base_traj[t], metric)
+    total /= T
+    if residual or normalize_by_dim:
+        total /= dim
+    return float(total)
+
+
+def kl_from_logits(base_logits: np.ndarray, meta_logits: np.ndarray) -> np.ndarray:
+    """Row-wise KL(softmax(base) || softmax(meta))."""
+    p = _softmax(base_logits)
+    zb = base_logits - base_logits.max(axis=-1, keepdims=True)
+    lp = zb - np.log(np.exp(zb).sum(axis=-1, keepdims=True))
+    zm = meta_logits - meta_logits.max(axis=-1, keepdims=True)
+    lq = zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))
+    return (p * (lp - lq)).sum(axis=-1)
+
+
+def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray,
+                divergence: str = "KL_on_softmax") -> float:
+    """Time-mean divergence between per-step meta and base outputs."""
+    mo, bo = np.asarray(meta_outputs), np.asarray(base_outputs)
+    if mo.shape != bo.shape:
+        raise TrainerError(f"output shape mismatch {mo.shape} vs {bo.shape}")
+    if divergence == "KL_on_softmax":
+        return float(kl_from_logits(bo, mo).mean())
+    return float(((mo - bo) ** 2).sum(axis=-1).mean())
+
+
+def meta_emulation_losses(meta, base, vmap: StateMap, theta: np.ndarray, inputs,
+                          cfg: TrainConfig) -> tuple[float, float, float]:
+    """(hidden, output, total) losses for one batch of token sequences (or
+    residual feature rows), from plain rollouts rather than the graph."""
+    residual = base.cell_kind == "residual_mlp"
+    if residual:
+        x, lengths = np.asarray(inputs, dtype=np.float64), None
+    else:
+        x, lengths = pad_tokens(inputs)
+    hs_b, out_b = models.rollout_batch(base, x, lengths=lengths)
+    hs_m, out_m = models.rollout_batch(meta, x, theta=theta, task_group=base.task_group,
+                                       lengths=lengths)
+    htot = otot = 0.0
+    for b in range(len(x)):
+        T = base.num_blocks if residual else lengths[b]
+        htot += hidden_loss(hs_m[:T, b], hs_b[:T, b], vmap, cfg.hidden_metric,
+                            normalize_by_dim=cfg.normalize_hidden_by_dim,
+                            residual=residual)
+        if residual:
+            d = hs_m[:-1, b] - hs_b[:-1, b]
+            last = output_loss(out_m[-1:, b], out_b[-1:, b], cfg.output_divergence)
+            otot += (float((d * d).sum()) / base.hidden_dim + last) / T
+        else:
+            otot += output_loss(out_m[:T, b], out_b[:T, b], cfg.output_divergence)
+    htot /= len(x)
+    otot /= len(x)
+    return htot, otot, htot + cfg.lam * otot
 
 
 def _tiny_dataset(n=60, seed=3, noise=0.0):
@@ -135,6 +218,13 @@ def test_perfect_emulation_gives_zero_loss():
     cfg = TrainConfig(weight_decay=0.0, normalize_hidden_by_dim=False)
     h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), seqs, cfg)
     assert tot == pytest.approx(0.0, abs=1e-12)
+    # the training graph, the only emulation loss in the package, agrees
+    state = init_meta_state([base], {"hidden_dim": 4, "embed_dim": 2, "input_dim": 3},
+                            seed=0)
+    state.meta, state.state_maps[0] = meta, v
+    trainer = MetaTrainer(state, [base], [ds], cfg)
+    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    assert float(g.forward(bindings)) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- graph against reference --------------------------------------------------
@@ -404,7 +494,7 @@ def test_conjugacy_zero_map_collapse_statistics():
     seqs = [[1, 2, 3]]
     stats = conjugacy_defect(meta, base, vmap, np.zeros(2), seqs)
     emb = base.params["embed"][np.array(seqs[0])]
-    wants = [np.linalg.norm(models.gru_step(base.params, emb[t], np.zeros(4)))
+    wants = [np.linalg.norm(models.cell_step(base, emb[t], np.zeros(4)))
              for t in range(3)]
     assert stats["max"] == pytest.approx(max(wants))
     assert stats["mean"] == pytest.approx(np.mean(wants))
@@ -430,6 +520,29 @@ def test_export_loss_history(tmp_path):
     assert lines[0] == "# config_hash=abc"
     assert lines[1] == "step,model_id,hidden_loss,output_loss,total_loss"
     assert lines[2].startswith("0,1,0.5,")
+
+
+@pytest.mark.parametrize("value,storable", [  # the last float64 float32 holds, the next
+    (3.4028235677973362e38, True), (3.4028235677973366e38, False), (np.nan, False)])
+def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable):
+    cfg = TrainConfig(optimizer="sgd_nesterov", weight_decay=0.0)
+    opt = Optimizer({"w": np.array([value])}, cfg)
+    with nullcontext() if storable else pytest.raises(NumericError):
+        opt.step({"w": np.zeros(1)}, 1.0)
+
+
+def test_diverging_meta_run_stops_at_first_bad_step():
+    ds = _tiny_dataset()
+    bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10)]
+    cfg = TrainConfig(optimizer="sgd_nesterov", lr=1e6, max_steps=30, batch_size=4,
+                      weight_decay=0.0, seed=1)
+    state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
+    trainer = MetaTrainer(state, bases, [ds], cfg)
+    with pytest.raises(NumericError, match="not finite in float32"):
+        trainer.run()
+    assert state.step < cfg.max_steps - 1
+    with pytest.raises(NumericError):
+        train_meta(bases, [ds], cfg, {"hidden_dim": 4, "embed_dim": 2})
 
 
 def test_config_validation():
