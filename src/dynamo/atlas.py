@@ -3,9 +3,9 @@ averaging, accuracy landscapes, semi-supervised embedding optimization, the
 SVCCA + classical-MDS pairwise baseline, and cluster-quality scoring.
 
 Every grid over a plane in embedding space is a `PlaneGrid` from
-`plane_grid`: it alone turns grid coordinates into embeddings, and
-`export_grid_csv` alone writes it. The accuracy landscape here and
-`dynamics.score_map` each fill value columns on one."""
+`plane_grid`, the only code that turns grid coordinates into embeddings; the
+accuracy landscape here and `dynamics.score_map` fill value columns on one.
+Exporters pass numbers to `tasks.write_csv`, which formats every cell."""
 from __future__ import annotations
 
 import itertools
@@ -34,9 +34,15 @@ class EmbeddingAtlas:
     axes: np.ndarray                # (d, d), rows are principal axes
     spectrum: np.ndarray            # (d,) covariance eigenvalues, descending
 
-    def project(self, thetas: np.ndarray, k: int | None = None) -> np.ndarray:
-        k = self.axes.shape[0] if k is None else k
+    def project(self, thetas: np.ndarray, k: int) -> np.ndarray:
         return (np.atleast_2d(thetas) - self.mean) @ self.axes[:k].T
+
+    def spectrum_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and rows of spectrum.csv: each component's eigenvalue and the
+        cumulative fraction of variance (0 throughout when the spectrum is all 0)."""
+        cumulative = np.cumsum(self.spectrum) / (self.spectrum.sum() or 1.0)
+        header = ["component", "eigenvalue", "cumulative_fraction"]
+        return header, list(zip(range(len(cumulative)), self.spectrum, cumulative))
 
 
 def fit_pca(embeddings: np.ndarray, metadata: list[dict] | None = None) -> EmbeddingAtlas:
@@ -83,19 +89,22 @@ def average_embeddings(thetas) -> np.ndarray:
 
 # -- accuracy evaluation -----------------------------------------------------------
 
+# Embeddings per `grid_accuracies` rollout: `rollout_batch` keeps the (T, B, H)
+# trajectory, and chunks of 32 took atlas-dynamics peak RSS from 64 to 92 MB.
+GRID_CHUNK = 4
+
 
 def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
-                    ds: SequenceDataset, split: str = "test",
-                    chunk: int = 4) -> np.ndarray:
+                    ds: SequenceDataset) -> np.ndarray:
     """Test accuracy of the meta-model at each of the given embeddings.
 
-    Embeddings are evaluated in chunks with every input row repeated once
-    per embedding, so a whole landscape costs a handful of batched rollouts.
+    Embeddings are evaluated GRID_CHUNK at a time, every input row repeated
+    once per embedding, so a whole landscape costs a handful of rollouts.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    idxs = ds.indices(split)
+    idxs = ds.indices("test")
     if not idxs:
-        raise AtlasError(f"empty split {split!r}")
+        raise AtlasError("empty split 'test'")
     inputs, lengths = model_inputs(meta, ds, idxs)
     labels = ds.subset(idxs)[1]
     if lengths is not None:
@@ -104,8 +113,8 @@ def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
         inputs, lengths, labels = inputs[order], lengths[order], labels[order]
     B, M = len(labels), thetas.shape[0]
     correct = np.zeros(M)
-    for lo in range(0, M, chunk):
-        th = thetas[lo:lo + chunk]
+    for lo in range(0, M, GRID_CHUNK):
+        th = thetas[lo:lo + GRID_CHUNK]
         m = th.shape[0]
         rows = np.repeat(np.arange(B), m)
         logits = final_logits(meta, inputs[rows], theta=np.tile(th, (B, 1)),
@@ -114,13 +123,6 @@ def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
         pred = logits.argmax(axis=1).reshape(B, m)
         correct[lo:lo + m] = (pred == labels[:, None]).sum(axis=0)
     return correct / B
-
-
-def evaluate_at(meta: MetaModel, theta: np.ndarray, task_group: int,
-                ds: SequenceDataset, split: str = "test") -> float:
-    """Final-step argmax accuracy of the meta-model conditioned on theta."""
-    return float(grid_accuracies(meta, np.asarray(theta)[None, :], task_group,
-                                 ds, split)[0])
 
 
 # -- grids over a plane in embedding space -----------------------------------------
@@ -155,23 +157,18 @@ class PlaneGrid:
         return (float(self.us[i]), float(self.vs[j])), float(vals[i, j])
 
 
-def plane_grid(base_thetas: np.ndarray, plane, grid: tuple[int, int],
+def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int],
                extent_scale: float) -> PlaneGrid:
     """A grid over a plane in embedding space, with no value columns yet.
 
-    The plane (origin, u_axis, v_axis) defaults to the top-2 PCA plane
-    through the base embeddings' mean; the grid spans `extent_scale` times
-    the bounding box of their projections."""
+    The plane (origin, u_axis, v_axis) is the top-2 PCA plane through the
+    base embeddings' mean; the grid spans `extent_scale` times the bounding
+    box of their projections."""
     base_thetas = np.asarray(base_thetas, dtype=np.float64)
-    if plane is None:
-        pca = fit_pca(base_thetas)
-        if pca.axes.shape[0] < 2:
-            raise AtlasError("need at least a 2-D embedding space for a plane")
-        origin, u_axis, v_axis = pca.mean, pca.axes[0], pca.axes[1]
-    else:
-        origin, u_axis, v_axis = (np.asarray(p, dtype=np.float64) for p in plane)
-        if np.linalg.matrix_rank(np.stack([u_axis, v_axis])) < 2:
-            raise AtlasError("plane basis must be linearly independent")
+    pca = fit_pca(base_thetas)
+    if pca.axes.shape[0] < 2:
+        raise AtlasError("need at least a 2-D embedding space for a plane")
+    origin, u_axis, v_axis = pca.mean, pca.axes[0], pca.axes[1]
     rel = base_thetas - origin
     base_uv = np.stack([rel @ u_axis / (u_axis @ u_axis),
                         rel @ v_axis / (v_axis @ v_axis)], axis=1)
@@ -187,16 +184,14 @@ def plane_grid(base_thetas: np.ndarray, plane, grid: tuple[int, int],
 
 
 def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                       base_thetas: np.ndarray, plane=None,
-                       grid: tuple[int, int] = (15, 15),
+                       base_thetas: np.ndarray, grid: tuple[int, int] = (15, 15),
                        extent_scale: float = 1.5,
-                       best_base_accuracy: float | None = None,
-                       split: str = "test") -> PlaneGrid:
+                       best_base_accuracy: float | None = None) -> PlaneGrid:
     """Accuracy over a 2-plane in embedding space (see `plane_grid`): the
     column `accuracy`, and `relative_accuracy` against the best base model
     when its accuracy is given and nonzero."""
-    out = plane_grid(base_thetas, plane, grid, extent_scale)
-    accs = grid_accuracies(meta, out.thetas, task_group, ds, split).reshape(grid)
+    out = plane_grid(base_thetas, grid, extent_scale)
+    accs = grid_accuracies(meta, out.thetas, task_group, ds).reshape(grid)
     out.values["accuracy"] = accs
     if best_base_accuracy:
         out.values["relative_accuracy"] = accs / best_base_accuracy
@@ -249,10 +244,9 @@ def in_hull_2d(point, hull: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                 theta_init: np.ndarray | None = None, steps: int = 100,
-                 lr: float = 1.0, split: str = "ssl_labeled"
+                 steps: int = 100, lr: float = 1.0
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient descent on the labeled-split loss with respect to theta only,
+    """Gradient descent from theta = 0 on the ssl_labeled loss in theta only,
     with step-halving backoff so the recorded loss never increases.
 
     A step costs one backward pass and one forward pass per trial point: the
@@ -263,9 +257,9 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
 
     Returns (theta_final, thetas (steps+1, d), losses (steps+1,)).
     """
-    idxs = ds.indices(split)
+    idxs = ds.indices("ssl_labeled")
     if not idxs:
-        raise AtlasError(f"empty split {split!r}")
+        raise AtlasError("empty split 'ssl_labeled'")
     inputs, lengths = model_inputs(meta, ds, idxs)
     cache = GraphCache(lambda T, B: task_loss_graph(meta, T, B, task_group))
     g, bindings = task_batch(cache, meta, inputs, lengths, ds.subset(idxs)[1],
@@ -275,8 +269,7 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
         bindings["theta"] = th[None, :]
         return float(g.forward(bindings))
 
-    theta = (np.zeros(meta.embed_dim) if theta_init is None
-             else np.asarray(theta_init, dtype=np.float64).copy())
+    theta = np.zeros(meta.embed_dim)
     thetas = [theta.copy()]
     cur = loss_at(theta)
     losses = [cur]
@@ -411,55 +404,26 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
 def export_atlas_csv(atlas: EmbeddingAtlas, path, comment=None, top_k: int = 3) -> None:
     d = atlas.embeddings.shape[1]
     k = min(top_k, d)
-    meta_keys = sorted({key for m in atlas.metadata for key in m})
+    meta_keys = sorted({key for m in atlas.metadata for key in m} - {"model_id"})
     header = (["model_id"] + meta_keys + [f"theta_{j}" for j in range(d)]
               + [f"pc_{j}" for j in range(k)])
     proj = atlas.project(atlas.embeddings, k)
-    rows = []
-    for i, (theta, md) in enumerate(zip(atlas.embeddings, atlas.metadata)):
-        cells = [str(md.get("model_id", f"base_{i}"))]
-        cells += [str(md.get(key, "")) for key in meta_keys]
-        cells += [f"{x:.10g}" for x in theta]
-        cells += [f"{x:.10g}" for x in proj[i]]
-        rows.append(cells)
+    # metadata cells are Python's str of the manifest value, so train_fraction
+    # reads 1.0 here as in base/metrics.csv, not the cell rule's 1
+    rows = [[str(md.get("model_id", f"base_{i}"))]
+            + [str(md.get(key, "")) for key in meta_keys] + [*theta, *proj[i]]
+            for i, (theta, md) in enumerate(zip(atlas.embeddings, atlas.metadata))]
     write_csv(path, header, rows, comment)
-
-
-def export_spectrum_csv(atlas: EmbeddingAtlas, path, comment=None) -> None:
-    total = atlas.spectrum.sum()
-    rows = []
-    cum = 0.0
-    for j, lam in enumerate(atlas.spectrum):
-        cum += lam
-        frac = cum / total if total > 0 else 0.0
-        rows.append([str(j), f"{lam:.10g}", f"{frac:.10g}"])
-    write_csv(path, ["component", "eigenvalue", "cumulative_fraction"], rows, comment)
 
 
 def export_grid_csv(grid: PlaneGrid, path, comment=None) -> None:
     """One row per node, row-major over (u, v): u, v, theta_*, then each
-    value column; a NaN value is written as an empty cell."""
+    value column; a NaN value is an empty cell."""
     names = list(grid.values)
     header = ["u", "v"] + [f"theta_{j}" for j in range(len(grid.origin))] + names
     rows = []
     for k, theta in enumerate(grid.thetas):
         i, j = divmod(k, len(grid.vs))
-        cells = [f"{grid.us[i]:.10g}", f"{grid.vs[j]:.10g}"]
-        cells += [f"{x:.10g}" for x in theta]
-        vals = (grid.values[n][i, j] for n in names)
-        cells += ["" if np.isnan(x) else f"{x:.10g}" for x in vals]
-        rows.append(cells)
-    write_csv(path, header, rows, comment)
-
-
-def export_ssl_csv(thetas: np.ndarray, losses: np.ndarray, accuracies: np.ndarray,
-                   path, comment=None) -> None:
-    d = thetas.shape[1]
-    header = (["step"] + [f"theta_{j}" for j in range(d)]
-              + ["labeled_loss", "test_accuracy"])
-    rows = []
-    for step in range(len(thetas)):
-        cells = [str(step)] + [f"{x:.10g}" for x in thetas[step]]
-        cells += [f"{losses[step]:.10g}", f"{accuracies[step]:.10g}"]
-        rows.append(cells)
+        rows.append([grid.us[i], grid.vs[j], *theta,
+                     *(grid.values[n][i, j] for n in names)])
     write_csv(path, header, rows, comment)

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,7 +43,6 @@ from .trainer import (
     NumericError,
     TrainConfig,
     TrainerError,
-    export_loss_history,
     model_accuracy,
     train_base,
     train_meta,
@@ -156,6 +156,8 @@ def validate_config(cfg: dict) -> dict:
     if not names:
         raise ConfigError("config.tasks must list at least one task")
     for i, name in enumerate(names):
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):  # a file stem and a CSV cell
+            raise ConfigError(f"task name {name!r} must match [A-Za-z0-9_-]+")
         if name in names[:i]:
             raise ConfigError(f"duplicate task name {name!r}")
     fractions = _split_fractions(cfg["splits"])
@@ -451,9 +453,9 @@ def cmd_train_base(args) -> int:
         acc = model_accuracy(model, ds)
         model.info["test_accuracy"] = acc
         save_base_checkpoint(run.out / "base" / rec["model_id"], model)
-        rows.append([rec["model_id"], rec["task"], rec["cell_kind"],
-                     str(rec["hidden_dim"]), str(rec["train_fraction"]),
-                     str(rec["seed"]), f"{acc:.10g}"])
+        # train_fraction is Python's str of the float (1.0, not the cell rule's 1)
+        rows.append([rec["model_id"], rec["task"], rec["cell_kind"], rec["hidden_dim"],
+                     str(rec["train_fraction"]), rec["seed"], acc])
         print(f"train-base: {rec['model_id']} acc={acc:.3f} "
               f"(epochs={tcfg.epochs}, curve last={curve[-1] if curve else None})")
     header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
@@ -487,7 +489,9 @@ def cmd_train_meta(args) -> int:
     save_meta_checkpoint(run.out / "meta", state, base_infos,
                          extra={"config_hash": run.chash, "lambda": tcfg.lam,
                                 "hidden_metric": tcfg.hidden_metric})
-    export_loss_history(state.history, run.out / "meta_loss.csv", comment=run.comment)
+    tasks_mod.write_csv(run.out / "meta_loss.csv",
+                        ["step", "model_id", "hidden_loss", "output_loss", "total_loss"],
+                        state.history, run.comment)
     final = state.history[-1] if state.history else (0, 0, 0.0, 0.0, 0.0)
     print(f"train-meta: {len(bases)} bases, {state.step} steps, "
           f"final total loss {final[4]:.4f}")
@@ -504,7 +508,7 @@ def cmd_analyze(args) -> int:
     metadata = [dict(b) for b in run.mf["bases"]]
     atlas = atlas_mod.fit_pca(state.embeddings, metadata)
     atlas_mod.export_atlas_csv(atlas, out / "atlas.csv", comment, top_k=an["top_k"])
-    atlas_mod.export_spectrum_csv(atlas, out / "spectrum.csv", comment)
+    tasks_mod.write_csv(out / "spectrum.csv", *atlas.spectrum_table(), comment)
     k95 = atlas_mod.components_for_variance(atlas.spectrum, an["variance_threshold"])
     summary = {"components_for_variance": k95,
                "variance_threshold": an["variance_threshold"]}
@@ -539,8 +543,8 @@ def cmd_analyze(args) -> int:
         tasks_mod.write_csv(
             out / "svcca_mds.csv",
             ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
-            [[bases[i].info["model_id"]] + [f"{x:.10g}" for x in coords_mds[r]]
-             for r, i in enumerate(rows)], comment)
+            [[bases[i].info["model_id"], *coords_mds[r]] for r, i in enumerate(rows)],
+            comment)
         svcca_labels = [bases[i].info.get("train_fraction") for i in rows]
         if len(set(svcca_labels)) >= 2:
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
@@ -567,8 +571,11 @@ def cmd_ssl(args) -> int:
     frozen = all(np.array_equal(state.meta.params[k], v) for k, v in before.items())
     print(f"ssl: frozen-meta assertion {'ok' if frozen else 'VIOLATED'}")
     accs = atlas_mod.grid_accuracies(state.meta, thetas, group, ds)
-    atlas_mod.export_ssl_csv(thetas, losses, accs, run.out / "ssl_trajectory.csv",
-                             comment=run.comment)
+    header = ["step", *(f"theta_{j}" for j in range(len(theta))), "labeled_loss",
+              "test_accuracy"]
+    rows = [[k, *th, loss, acc]
+            for k, (th, loss, acc) in enumerate(zip(thetas, losses, accs))]
+    tasks_mod.write_csv(run.out / "ssl_trajectory.csv", header, rows, run.comment)
     best_base = max(b.get("test_accuracy", 0.0) for b in run.mf["bases"]
                     if b.get("task") == task_name)
     delta = float(accs[-1]) - best_base
@@ -620,7 +627,7 @@ def cmd_fixed_points(args) -> int:
                                    task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]
     max_steps = args.steps if args.steps is not None else fp["max_steps"]
-    fps = dyn.find_fixed_points(state.meta, theta, None, cands, tol=fp["tol"],
+    fps = dyn.find_fixed_points(state.meta, theta, candidates=cands, tol=fp["tol"],
                                 max_steps=max_steps, dedup_radius=fp["dedup_radius"])
     dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
                                 comment=run.comment, task_group=group)
@@ -664,21 +671,15 @@ def cmd_average(args) -> int:
     if len(tasks_used) != 1:
         raise ConfigError("averaging requires models from a single task")
     ds = run.datasets[tasks_used.pop()]
-    meta = run.state.meta
     group = by_id[ids[0]][1].get("task_group", 0)
-    rows = []
     thetas = [run.state.embeddings[by_id[m][0]] for m in ids]
-    for mid, th in zip(ids, thetas):
-        acc = atlas_mod.evaluate_at(meta, th, group, ds)
-        base_acc = by_id[mid][1].get("test_accuracy")
-        base_cell = f"{base_acc:.10g}" if base_acc is not None else ""
-        rows.append([mid, f"{acc:.10g}", base_cell])
-    avg_theta = atlas_mod.average_embeddings(thetas)
-    avg_acc = atlas_mod.evaluate_at(meta, avg_theta, group, ds)
-    rows.append(["average", f"{avg_acc:.10g}", ""])
+    thetas.append(atlas_mod.average_embeddings(thetas))
+    accs = atlas_mod.grid_accuracies(run.state.meta, np.stack(thetas), group, ds)
+    rows = [[mid, acc, by_id[mid][1].get("test_accuracy")] for mid, acc in zip(ids, accs)]
+    rows.append(["average", accs[-1], None])
     tasks_mod.write_csv(run.out / "average_report.csv",
                         ["model_id", "meta_accuracy", "base_accuracy"], rows, run.comment)
-    print(f"average: {'+'.join(ids)} -> acc {avg_acc:.4f}")
+    print(f"average: {'+'.join(ids)} -> acc {accs[-1]:.4f}")
     return EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Fixed-point analysis of embedding-conditioned recurrent maps, line-attractor
 summaries, and token-valence scoring of one-step transitions.
 
-Approximate fixed points of h -> F(x*, h) are found by running gradient
-descent with per-candidate step halving on q(h) = ||F(x*, h) - h||^2 from a
-batch of candidate states, then deduplicating by a radius filter. Retained
-residuals are always re-evaluated through the plain numpy step, independently
-of the descent graph.
+Approximate fixed points of h -> F(x*, h) at the zero input x* = 0 are found
+by gradient descent with per-candidate step halving on q(h) = ||F(x*, h) - h||^2
+from a batch of candidate states, then deduplicated by a radius filter.
+Retained residuals are always re-evaluated through the plain numpy step,
+independently of the descent graph.
 
 The summed q is a sum of per-row terms and the cell acts on each row alone,
 so the gradient for row i depends only on row i. Each descent iteration is
@@ -15,7 +15,7 @@ while a rejected row keeps the gradient of its unchanged state. The same
 independence lets `score_map` descend the candidates of every grid node in
 one batch, each row conditioned on its own node's embedding, and then check
 residuals and deduplicate node by node. The map is the `score` column of an
-`atlas.PlaneGrid`, written like every plane grid by `atlas.export_grid_csv`.
+`atlas.PlaneGrid`, which `atlas.export_grid_csv` writes.
 """
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ from .models import (
 )
 from .numgrad import Graph
 from .tasks import write_csv
+
+
+DESCENT_RATE = 0.2  # each candidate's first step size in every fixed-point descent
 
 
 class DynamicsError(Exception):
@@ -79,12 +82,14 @@ def readout_margin(logits: np.ndarray) -> np.ndarray:
     return np.linalg.norm(logits - logits.mean(axis=-1, keepdims=True), axis=-1)
 
 
-def _meta_input(model, theta: np.ndarray | None, x_star: np.ndarray) -> np.ndarray:
+def _cell_input(model, theta: np.ndarray | None) -> np.ndarray:
+    """The cell input at x* = 0: [theta; 0] for a meta model, 0 for a base."""
+    x_star = np.zeros(model.input_dim)
     if isinstance(model, MetaModel):
         if theta is None:
             raise DynamicsError("meta models need an embedding vector")
-        return np.concatenate([np.asarray(theta, float), np.asarray(x_star, float)])
-    return np.asarray(x_star, float)
+        return np.concatenate([np.asarray(theta, float), x_star])
+    return x_star
 
 
 def _require_recurrent(model) -> None:
@@ -125,26 +130,23 @@ def _build_q_graph(model, n: int, width: int) -> Graph:
     return g
 
 
-def find_fixed_points(model, theta, x_star: np.ndarray | None,
-                      candidates: np.ndarray, tol: float = 1e-4,
-                      max_steps: int = 5000, dedup_radius: float = 1e-2,
-                      lr: float = 0.2) -> FixedPointSet:
+def find_fixed_points(model, theta, candidates: np.ndarray, tol: float = 1e-4,
+                      max_steps: int = 5000, dedup_radius: float = 1e-2
+                      ) -> FixedPointSet:
     """Descend q(h) from each candidate; retain points with re-evaluated
     residual <= tol; deduplicate greedily keeping the lowest residual in
     each ball of `dedup_radius`."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
     _require_recurrent(model)
-    if x_star is None:
-        x_star = np.zeros(model.input_dim)
     candidates = np.atleast_2d(np.asarray(candidates, float))
-    u_rows = np.tile(_meta_input(model, theta, x_star), (len(candidates), 1))
-    h, steps_used = _descend(model, u_rows, candidates, tol, max_steps, lr)
+    u_rows = np.tile(_cell_input(model, theta), (len(candidates), 1))
+    h, steps_used = _descend(model, u_rows, candidates, tol, max_steps)
     return _retain(model, u_rows, h, steps_used, tol, dedup_radius)
 
 
 def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
-             max_steps: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
+             max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row descent of q from `candidates`, row i under cell input
     `u_rows[i]`; returns the final states and the steps each row took.
     One forward and one backward pass per iteration, at the trial states
@@ -161,7 +163,7 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
     # stop comfortably inside the tolerance: descending further would slide
     # candidates along slow manifolds and collapse their diversity
     stop2 = (0.9 * tol) ** 2
-    step_sizes = np.full(n, lr)
+    step_sizes = np.full(n, DESCENT_RATE)
     steps_used = np.zeros(n, dtype=int)
     active = (q > stop2)
     for _ in range(max_steps):
@@ -243,11 +245,9 @@ def neutral_fixed_point(fps: FixedPointSet, model,
 
 def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
                w_pos: list[int], w_neg: list[int], w_neu: list[int],
-               task_group: int | None = None) -> float:
+               task_group: int) -> float:
     """Sum of one-step readout margins from h* over the positive set, minus
     the negative set, minus absolute margins over the neutral set."""
-    if task_group is None:
-        task_group = next(iter(meta.head_dims))
     if meta.head_dims[task_group] != 2:
         raise DynamicsError("word scores need a binary readout head")
     theta = np.asarray(theta, float)
@@ -270,7 +270,7 @@ def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
 
 def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
               sequences: list[list[int]], token_sets: tuple[list, list, list],
-              plane=None, grid: tuple[int, int] = (7, 7),
+              grid: tuple[int, int] = (7, 7),
               extent_scale: float = 1.5, samples_per_seq: int = 4,
               tol: float = 1e-4, max_steps: int = 5000,
               dedup_radius: float = 1e-2, seed: int = 0) -> atlas_mod.PlaneGrid:
@@ -284,15 +284,14 @@ def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
     per node, so each node gets the points `find_fixed_points` would give."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
-    out = atlas_mod.plane_grid(base_thetas, plane, grid, extent_scale)
+    out = atlas_mod.plane_grid(base_thetas, grid, extent_scale)
     w_pos, w_neg, w_neu = token_sets
-    x_star = np.zeros(meta.input_dim)
     thetas = out.thetas
     cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
                                 task_group=task_group, seed=seed) for theta in thetas]
-    u_rows = np.concatenate([np.tile(_meta_input(meta, theta, x_star), (len(c), 1))
+    u_rows = np.concatenate([np.tile(_cell_input(meta, theta), (len(c), 1))
                              for theta, c in zip(thetas, cands)])
-    h, steps_used = _descend(meta, u_rows, np.concatenate(cands), tol, max_steps, lr=0.2)
+    h, steps_used = _descend(meta, u_rows, np.concatenate(cands), tol, max_steps)
     scores = np.full(grid, np.nan)
     bounds = np.cumsum([len(c) for c in cands])[:-1]
     nodes = zip(thetas, *(np.split(a, bounds) for a in (u_rows, h, steps_used)))
@@ -330,14 +329,10 @@ def export_fixed_points_csv(fps: FixedPointSet, model, path, comment=None,
     min(3, H, K-1) projection columns; further ones would hold rounding noise.
     """
     k = max(0, min(3, fps.points.shape[1], len(fps) - 1))
-    proj = atlas_mod.fit_pca(fps.points).project(fps.points, k) if k else None
-    margins = (readout_margin(_head_logits(model, fps.points, task_group))
-               if len(fps) else np.zeros(0))
-    rows = []
-    for i in range(len(fps)):
-        cells = [str(i), f"{fps.residuals[i]:.10g}"]
-        cells += [f"{proj[i, j]:.10g}" for j in range(k)]
-        cells.append(f"{margins[i]:.10g}")
-        rows.append(cells)
+    proj = (atlas_mod.fit_pca(fps.points).project(fps.points, k) if k
+            else np.zeros((len(fps), 0)))
+    margins = readout_margin(_head_logits(model, fps.points, task_group))
+    rows = [[i, res, *p, m]
+            for i, (res, p, m) in enumerate(zip(fps.residuals, proj, margins))]
     write_csv(path, ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"],
               rows, comment)

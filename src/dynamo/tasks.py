@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 SPLIT_TAGS = ("base_train", "meta_unlabeled", "ssl_labeled", "test")
+VALENCE_SIGNS = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}
 
 
 class TaskError(Exception):
@@ -86,7 +87,7 @@ class SequenceDataset:
         vals = np.zeros(self.vocab_size)
         if self.valence:
             for tok, tag in self.valence.items():
-                vals[tok] = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}[tag]
+                vals[tok] = VALENCE_SIGNS[tag]
         return vals
 
 
@@ -219,11 +220,21 @@ def bag_of_tokens(ds: SequenceDataset, idxs) -> np.ndarray:
 # -- file format ---------------------------------------------------------------
 
 
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return str(x)
+    return "" if x is None or x != x else f"{x:.10g}"  # x != x only for NaN
+
+
 def write_csv(path, header: list[str], rows, comment: str | None = None) -> None:
     """Write a CSV export: an optional `# comment` line, the header, then one
-    line per row of string cells."""
+    line per row. Every cell of every table is formatted here: a string as
+    is, an integer (Python or numpy) with `str`, any other real number with
+    `.10g`, and NaN or None as an empty cell."""
     lines = [f"# {comment}\n"] if comment else []
-    lines += [",".join(cells) + "\n" for cells in [header, *rows]]
+    lines += [",".join(map(_cell, cells)) + "\n" for cells in [header, *rows]]
     with open(path, "w") as f:
         f.writelines(lines)
 
@@ -249,7 +260,7 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> SequenceDataset:
     """Read a dataset written by `save_dataset`. Raises TaskError on a missing
     file, bad JSON, a missing manifest key, a malformed line, a token or label
-    out of range, or a split index outside the dataset."""
+    out of range, a split index outside the dataset, or a bad valence entry."""
     path = Path(path)
     try:
         manifest = json.loads(path.with_suffix(".json").read_text())
@@ -269,12 +280,14 @@ def load_dataset(path: str | Path) -> SequenceDataset:
         in_range = (all(0 <= min(s) and max(s) < ds.vocab_size for s in ds.sequences)
                     and all(0 <= lab < ds.num_classes for lab in ds.labels)
                     and all(type(i) is int and 0 <= i < len(ds)
-                            for idxs in ds.splits.values() for i in idxs))
+                            for idxs in ds.splits.values() for i in idxs)
+                    and all(0 <= tok < ds.vocab_size and tag in VALENCE_SIGNS
+                            for tok, tag in (ds.valence or {}).items()))
     except OSError as e:
         raise TaskError(f"cannot read dataset {path}: {e}") from e
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise TaskError(f"corrupt dataset {path}: {e!r}") from e
     if not in_range:
-        raise TaskError(f"corrupt dataset {path}: a token, label or split index "
-                        "is out of range")
+        raise TaskError(f"corrupt dataset {path}: a token, label, split index "
+                        "or valence entry is out of range")
     return ds

@@ -44,7 +44,7 @@ from .models import (
     unroll_graph,
 )
 from .numgrad import Graph, NumericError
-from .tasks import SequenceDataset, write_csv
+from .tasks import SequenceDataset
 
 OPTIMIZERS = ("adam_decoupled_wd", "sgd_nesterov")
 HIDDEN_METRICS = ("L2_squared", "L1")
@@ -331,10 +331,10 @@ def _onehot(ids: np.ndarray, width: int) -> np.ndarray:
 # -- base-model training ---------------------------------------------------------
 
 
-def model_accuracy(model: BaseModel, ds: SequenceDataset, split: str = "test") -> float:
-    idxs = ds.indices(split)
+def model_accuracy(model: BaseModel, ds: SequenceDataset) -> float:
+    idxs = ds.indices("test")
     if not idxs:
-        raise TrainerError(f"empty split {split!r}")
+        raise TrainerError("empty split 'test'")
     inputs, lengths = models.model_inputs(model, ds, idxs)
     logits = final_logits(model, inputs, lengths=lengths)
     return float((logits.argmax(axis=1) == ds.subset(idxs)[1]).mean())
@@ -381,6 +381,7 @@ class MetaTrainState:
     state_maps: list[StateMap]
     embeddings: np.ndarray  # (N, d), row n is theta_n
     step: int = 0
+    # (step, base index, hidden, output, total loss) per step: meta_loss.csv rows
     history: list[tuple[int, int, float, float, float]] = field(default_factory=list)
 
 
@@ -529,11 +530,10 @@ class MetaTrainer:
         names["theta"] = f"theta{i}"
         return names
 
-    def run(self, steps: int | None = None) -> MetaTrainState:
+    def run(self) -> MetaTrainState:
         cfg = self.cfg
-        total = cfg.max_steps if steps is None else steps
         N = len(self.bases)
-        for tau in range(total):
+        for _ in range(cfg.max_steps):
             i = int(self.rng.integers(0, N))
             inputs, lengths = self.pools[i]
             n = len(inputs)
@@ -546,7 +546,7 @@ class MetaTrainer:
             grads_graph = g.backward()
             name_map = self._grad_names(i, self.bases[i].task_group)
             grads = {handle: grads_graph[leaf] for leaf, handle in name_map.items()}
-            mult = lr_multiplier(cfg, self.state.step, cfg.max_steps or total)
+            mult = lr_multiplier(cfg, self.state.step, cfg.max_steps)
             theta_lr = None if cfg.theta_lr is None else cfg.theta_lr * mult
             self.opt.step(grads, cfg.lr * mult, theta_lr=theta_lr)
             self.state.history.append((self.state.step, i, hid, out, total_loss_val))
@@ -560,13 +560,6 @@ def train_meta(bases: list[BaseModel], datasets: list[SequenceDataset],
     state = init_meta_state(bases, meta_cfg or {}, seed=cfg.seed)
     trainer = MetaTrainer(state, bases, datasets, cfg)
     return trainer.run()
-
-
-def export_loss_history(history, path, comment: str | None = None) -> None:
-    rows = [[str(step), str(mid), f"{hid:.10g}", f"{out:.10g}", f"{tot:.10g}"]
-            for step, mid, hid, out, tot in history]
-    write_csv(path, ["step", "model_id", "hidden_loss", "output_loss", "total_loss"],
-              rows, comment)
 
 
 # -- diagnostics ------------------------------------------------------------------

@@ -1,6 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dynamo.numgrad import Graph
+
+
+@pytest.fixture(scope="session")
+def perfbench_tracer():
+    """perfbench/tracer.py (the benchmark's span tracer), loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -8,9 +8,7 @@ from dynamo.atlas import (
     classical_mds,
     components_for_variance,
     convex_hull_2d,
-    evaluate_at,
     export_grid_csv,
-    export_spectrum_csv,
     fit_pca,
     grid_accuracies,
     hidden_state_matrix,
@@ -22,7 +20,7 @@ from dynamo.atlas import (
 )
 from dynamo import atlas
 from dynamo.models import init_base_model, init_meta_model
-from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
+from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset, write_csv
 
 
 def _random_orthogonal(rng, n):
@@ -76,7 +74,7 @@ def test_fit_pca_invariants_and_reconstruction():
     total_var = ((X - X.mean(axis=0)) ** 2).sum() / len(X)
     assert atlas.spectrum.sum() == pytest.approx(total_var, abs=1e-8)
     assert np.all(np.diff(atlas.spectrum) <= 1e-12)
-    coords = atlas.project(X)
+    coords = atlas.project(X, X.shape[1])
     assert np.allclose(atlas.mean + coords @ atlas.axes, X, atol=1e-8)
 
 
@@ -104,31 +102,32 @@ def test_average_embeddings():
 # -- evaluation -------------------------------------------------------------------
 
 
-def test_evaluate_at_deterministic_and_matches_grid():
+def test_grid_accuracies_deterministic_and_batch_independent():
     meta = _tiny_meta()
     ds = _tiny_ds()
     theta = np.array([0.2, -0.1])
-    a = evaluate_at(meta, theta, 0, ds)
-    b = evaluate_at(meta, theta, 0, ds)
-    assert a == b
-    accs = grid_accuracies(meta, np.stack([theta, np.zeros(2)]), 0, ds)
-    assert accs[0] == a
+    a = grid_accuracies(meta, theta, 0, ds)
+    assert a.shape == (1,) and grid_accuracies(meta, theta, 0, ds)[0] == a[0]
+    # a theta's accuracy does not depend on the others in its call or chunk
+    thetas = np.array([[0, 0], [1, -2], theta, [-0.5, 0.3], [2, 2], [0.1, 0.1]])
+    accs = grid_accuracies(meta, thetas, 0, ds)
+    assert list(accs) == [grid_accuracies(meta, th, 0, ds)[0] for th in thetas]
 
 
-def test_evaluate_at_single_example_split():
+def test_grid_accuracies_single_example_split():
     meta = _tiny_meta()
     ds = _tiny_ds()
     ds.splits["test"] = ds.splits["test"][:1]
-    acc = evaluate_at(meta, np.zeros(2), 0, ds)
+    acc = grid_accuracies(meta, np.zeros(2), 0, ds)[0]
     assert acc in (0.0, 1.0)
 
 
-def test_evaluate_at_empty_split_errors():
+def test_grid_accuracies_empty_split_errors():
     meta = _tiny_meta()
     ds = _tiny_ds()
     ds.splits["test"] = []
     with pytest.raises(AtlasError):
-        evaluate_at(meta, np.zeros(2), 0, ds)
+        grid_accuracies(meta, np.zeros(2), 0, ds)
 
 
 def test_landscape_contains_exact_node_values(tmp_path):
@@ -143,7 +142,7 @@ def test_landscape_contains_exact_node_values(tmp_path):
     # grid node values equal direct evaluation at the same theta
     th = grid.theta_at(grid.us[1], grid.vs[2])
     assert np.array_equal(grid.thetas[1 * 3 + 2], th)
-    assert acc[1, 2] == evaluate_at(meta, th, 0, ds)
+    assert acc[1, 2] == grid_accuracies(meta, th, 0, ds)[0]
     (u, v), best = grid.argmax("accuracy")
     assert best == acc.max()
     assert acc[list(grid.us).index(u), list(grid.vs).index(v)] == best
@@ -165,16 +164,8 @@ def test_landscape_1x1_grid_is_single_evaluation():
     grid = accuracy_landscape(meta, 0, ds, base_thetas, grid=(1, 1),
                               extent_scale=1.0)
     th = grid.theta_at(grid.us[0], grid.vs[0])
-    assert grid.values["accuracy"][0, 0] == evaluate_at(meta, th, 0, ds)
+    assert grid.values["accuracy"][0, 0] == grid_accuracies(meta, th, 0, ds)[0]
     assert "relative_accuracy" not in grid.values
-
-
-def test_landscape_rejects_dependent_plane():
-    meta = _tiny_meta()
-    ds = _tiny_ds()
-    with pytest.raises(AtlasError):
-        accuracy_landscape(meta, 0, ds, np.zeros((2, 2)),
-                           plane=(np.zeros(2), np.ones(2), 2 * np.ones(2)))
 
 
 def test_hull_helpers():
@@ -366,7 +357,10 @@ def test_hidden_state_matrix_shapes():
 
 def test_spectrum_csv_export(tmp_path):
     atlas = fit_pca(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.2]]))
-    export_spectrum_csv(atlas, tmp_path / "spec.csv", comment="config_hash=y")
+    write_csv(tmp_path / "spec.csv", *atlas.spectrum_table(), comment="config_hash=y")
     lines = (tmp_path / "spec.csv").read_text().splitlines()
     assert lines[1] == "component,eigenvalue,cumulative_fraction"
     assert len(lines) == 2 + 2
+    assert lines[-1].split(",")[::2] == ["1", "1"]  # the last component closes the sum
+    _, rows = fit_pca(np.ones((3, 2))).spectrum_table()
+    assert [list(r) for r in rows] == [[0, 0.0, 0.0], [1, 0.0, 0.0]]  # all-zero spectrum

@@ -19,6 +19,7 @@ from dynamo.cli import (
     validate_config,
 )
 from dynamo import dynamics
+from dynamo.atlas import fit_pca
 from dynamo.models import init_base_model
 from dynamo.numgrad import NumericError
 
@@ -129,16 +130,25 @@ def test_validate_config_returns_resolved_copy():
     ("base_training", {"optimizer": "rmsprop"}, (2, 2)),
     ("meta_training", {"hidden_metric": "L3"}, (2, 2)),
     ("meta_training", {"output_divergence": "hellinger"}, (2, 2)),
+    ("tasks", {"name": "a/b"}, (2, 2)),  # a task name is a file stem and a CSV cell
+    ("tasks", {"name": "../escaped"}, (2, 2)),
+    ("tasks", {"name": "val,ence"}, (2, 2)),
+    ("tasks", {"name": "v1.5"}, (2, 2)),  # with_suffix would cut it to v1
 ], ids=["unknown_base_cell", "residual_without_blocks", "unknown_meta_cell",
-        "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence"])
+        "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence",
+        "task_name_slash", "task_name_dotdot", "task_name_comma", "task_name_dot"])
 def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     cfg = _mini_config()
-    (cfg[section][0] if section == "population" else cfg[section]).update(update)
+    (cfg[section][0] if isinstance(cfg[section], list) else cfg[section]).update(update)
+    if section == "tasks":  # keep the population on the renamed task
+        cfg["population"][0]["task"] = update["name"]
     path = _write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert tuple(_run(stage, "--config", str(path), "--out", str(out))
                  for stage in ("gen-data", "train-base")) == codes
     assert not list(out.glob("base/base_*"))
+    if codes[0] == 2:
+        assert sorted(tmp_path.iterdir()) == [path]  # nothing written anywhere
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -232,8 +242,12 @@ def test_train_base_missing_dataset_is_io_error(tmp_path):
     (".txt", lambda text: "1\t3,12\n" + text),  # vocab_size is 12
     (".txt", lambda text: "1\t-1\n" + text),
     (".txt", lambda text: "2\t3,4\n" + text),  # two classes
+    (".json", lambda text: text.replace('"positive"', '"positiv"', 1)),
+    (".json", lambda text: text.replace('"0": ', '"99": ', 1)),
+    (".json", lambda text: text.replace('"11": ', '"-1": ', 1)),  # would relabel 11
 ], ids=["bad_json", "missing_key", "split_index", "line_without_tab",
-        "non_integer_token", "token_past_vocab", "negative_token", "label_past_classes"])
+        "non_integer_token", "token_past_vocab", "negative_token", "label_past_classes",
+        "unknown_valence_tag", "valence_token_past_vocab", "negative_valence_token"])
 def test_corrupt_dataset_is_io_error(tmp_path, suffix, corrupt):
     path = _write_config(tmp_path, _mini_config())
     out = tmp_path / "run"
@@ -268,13 +282,13 @@ def test_train_meta_outputs(pipeline):
 
 def test_meta_checkpoint_accuracy_reproducible(pipeline, tmp_path):
     _, out = pipeline
-    from dynamo.atlas import evaluate_at
+    from dynamo.atlas import grid_accuracies
     from dynamo.tasks import load_dataset
     ds = load_dataset(out / "data" / "valence")
     s1, _ = load_meta_checkpoint(out / "meta")
     s2, _ = load_meta_checkpoint(out / "meta")
-    a1 = evaluate_at(s1.meta, s1.embeddings[0], 0, ds)
-    a2 = evaluate_at(s2.meta, s2.embeddings[0], 0, ds)
+    a1 = grid_accuracies(s1.meta, s1.embeddings[0], 0, ds)
+    a2 = grid_accuracies(s2.meta, s2.embeddings[0], 0, ds)
     assert a1 == a2
 
 
@@ -282,11 +296,16 @@ def test_analyze_outputs(pipeline):
     path, out = pipeline
     assert _run("analyze", "--config", str(path), "--out", str(out),
                 "--svcca") == 0
-    spectrum = (out / "spectrum.csv").read_text().splitlines()
-    assert spectrum[1] == "component,eigenvalue,cumulative_fraction"
-    assert len(spectrum) == 2 + 2  # d = 2 rows, descending
-    eig = [float(r.split(",")[1]) for r in spectrum[2:]]
+    spectrum = [r.split(",") for r in (out / "spectrum.csv").read_text().splitlines()]
+    assert spectrum[1] == ["component", "eigenvalue", "cumulative_fraction"]
+    assert [r[0] for r in spectrum[2:]] == ["0", "1"]  # d = 2 rows, descending
+    eig = [float(r[1]) for r in spectrum[2:]]
     assert eig == sorted(eig, reverse=True)
+    want = fit_pca(load_meta_checkpoint(out / "meta")[0].embeddings).spectrum
+    cum = 0.0
+    for row, lam in zip(spectrum[2:], want):  # the loop that np.cumsum replaced
+        cum += lam
+        assert [float(x) for x in row[1:]] == pytest.approx([lam, cum / want.sum()], rel=1e-9)
     atlas_lines = (out / "atlas.csv").read_text().splitlines()
     assert len(atlas_lines) == 2 + 2
     summary = json.loads((out / "analysis_summary.json").read_text())
@@ -340,6 +359,42 @@ def test_average_command(pipeline):
     assert own == avg  # averaging a single model is the identity
     assert _run("average", "--config", str(path), "--out", str(out),
                 "--ids", "base_000,missing") == 2
+
+
+@pytest.fixture(scope="module")
+def traced_analyses(pipeline, perfbench_tracer):
+    """The pipeline's run directory after the analysis commands, and the tracer."""
+    path, out = pipeline
+    tracer = perfbench_tracer.Tracer().install()
+    try:
+        for argv in (("analyze", "--svcca"), ("ssl",),
+                     ("fixed-points", "--theta", "base_000", "--score-map"),
+                     ("average", "--ids", "base_000,base_001")):
+            assert _run(*argv, "--config", str(path), "--out", str(out)) == 0
+    finally:
+        tracer.uninstall()
+    return out, tracer
+
+
+def test_every_table_is_rectangular(traced_analyses):
+    out, _ = traced_analyses
+    tables = {t.name: t for t in out.rglob("*.csv")}
+    assert set(tables) >= {"metrics.csv", "meta_loss.csv", "atlas.csv", "spectrum.csv",
+                           "landscape.csv", "svcca_mds.csv", "ssl_trajectory.csv",
+                           "fixed_points_base_000.csv", "score_map_base_000.csv",
+                           "average_report.csv"}
+    for name, table in tables.items():
+        rows = [ln.split(",") for ln in table.read_text().splitlines() if ln[0] != "#"]
+        assert len(set(rows[0])) == len(rows[0]), name
+        assert {len(row) for row in rows} == {len(rows[0])}, name
+
+
+def test_perfbench_tracer_reads_every_traced_call(traced_analyses):
+    # a signature change would drop the span attributes (e.g. candidates) into `absent`
+    _, tracer = traced_analyses
+    assert tracer.absent == []
+    spans = [s for s in tracer.spans if s[0] == "dynamics.find_fixed_points"]
+    assert spans and all(s[4]["candidates"] == 12 for s in spans)
 
 
 def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):

@@ -39,7 +39,7 @@ def test_contraction_map_unique_fixed_point():
     rng = np.random.default_rng(0)
     for n_cand in (3, 25):
         cands = rng.standard_normal((n_cand, 4))
-        fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-6)
+        fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-6)
         assert len(fps) == 1
         assert np.linalg.norm(fps.points[0]) < 1e-6
         assert fps.residuals[0] <= 1e-6
@@ -48,7 +48,7 @@ def test_contraction_map_unique_fixed_point():
 def test_identity_map_every_candidate_is_fixed():
     meta = _near_identity_meta()
     cands = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 1.0, 0.0]])
-    fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-4,
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-4,
                             dedup_radius=1e-2)
     # the two far-apart candidates survive; the near-duplicate collapses
     assert len(fps) == 2
@@ -57,7 +57,7 @@ def test_identity_map_every_candidate_is_fixed():
 def test_fixed_point_residuals_reevaluate_independently():
     meta = _contraction_meta(seed=3)
     cands = np.random.default_rng(1).standard_normal((10, 4))
-    fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5)
     u = np.concatenate([np.zeros(2), np.zeros(3)])
     for h, r in zip(fps.points, fps.residuals):
         again = np.linalg.norm(cell_step(meta, u, h) - h)
@@ -68,16 +68,16 @@ def test_fixed_point_residuals_reevaluate_independently():
 def test_find_fixed_points_validates_inputs():
     meta = _contraction_meta()
     with pytest.raises(DynamicsError):
-        find_fixed_points(meta, np.zeros(2), None, np.zeros((2, 4)), tol=0.0)
+        find_fixed_points(meta, np.zeros(2), np.zeros((2, 4)), tol=0.0)
     res = init_base_model("residual_mlp", 0, 4, 4, 2, 0, seed=0, num_blocks=2)
     with pytest.raises(DynamicsError):
-        find_fixed_points(res, None, None, np.zeros((2, 4)))
+        find_fixed_points(res, None, np.zeros((2, 4)))
 
 
 def test_empty_result_is_valid():
     # repelling-ish start far away with zero descent budget
     meta = _contraction_meta()
-    fps = find_fixed_points(meta, np.zeros(2), None, 100 * np.ones((3, 4)),
+    fps = find_fixed_points(meta, np.zeros(2), 100 * np.ones((3, 4)),
                             tol=1e-12, max_steps=0)
     assert len(fps) == 0
 
@@ -232,7 +232,7 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
                      extent_scale=1.0, samples_per_seq=2, tol=1e-5, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
     cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=1)
-    fps = find_fixed_points(meta, theta, None, cands, tol=1e-5)
+    fps = find_fixed_points(meta, theta, cands, tol=1e-5)
     h_star = neutral_fixed_point(fps, meta, 0)
     want = word_score(meta, theta, h_star, [0], [2], [6], 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
@@ -258,7 +258,7 @@ def test_score_map_grid_matches_per_node_calls():
         for j, v in enumerate(grid.vs):
             theta = grid.theta_at(u, v)
             cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=2)
-            fps = find_fixed_points(meta, theta, None, cands, **kw)
+            fps = find_fixed_points(meta, theta, cands, **kw)
             steps.update(fps.descent_steps.tolist())
             if len(fps):
                 h_star = neutral_fixed_point(fps, meta, 0)
@@ -272,12 +272,12 @@ def test_find_fixed_points_runs_one_forward_and_backward_per_iteration(pass_coun
     meta = _contraction_meta()
     cands = np.random.default_rng(2).standard_normal((6, 4))
     # a tolerance no row reaches in 5 steps: the descent runs 5 iterations
-    fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-12, max_steps=5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-12, max_steps=5)
     assert len(fps) == 0
     assert len(pass_counts["forward"]) == 5 + 1
     assert pass_counts["backward"] == 5 + 1
     # candidates already at the fixed point: no iteration
-    find_fixed_points(meta, np.zeros(2), None, np.zeros((3, 4)), tol=1e-6,
+    find_fixed_points(meta, np.zeros(2), np.zeros((3, 4)), tol=1e-6,
                       max_steps=5)
     assert len(pass_counts["forward"]) == 6 + 1
     assert pass_counts["backward"] == 6 + 1
@@ -305,7 +305,7 @@ def test_score_map_missing_marker_round_trips(tmp_path):
 def test_export_fixed_points_csv(tmp_path):
     meta = _contraction_meta()
     cands = np.random.default_rng(0).standard_normal((6, 4))
-    fps = find_fixed_points(meta, np.zeros(2), None, cands, tol=1e-5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5)
     path = tmp_path / "fps.csv"
     export_fixed_points_csv(fps, meta, path, comment="config_hash=w",
                             task_group=0)

@@ -14,6 +14,7 @@ from dynamo.tasks import (
     load_dataset,
     save_dataset,
     split_dataset,
+    write_csv,
 )
 
 
@@ -173,3 +174,13 @@ def test_bag_of_tokens_features():
     feats = bag_of_tokens(ds, [0, 1])
     assert np.allclose(feats[0], [2 / 3, 1 / 3, 0, 0, 0, 0])
     assert np.allclose(feats[1], [0, 0, 0, 0, 0, 1.0])
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(0, 1, 0.5, 0.25, 0.75, "1.0", np.int64(-4), np.float64(1 / 3)),
+            [True, 12345678901, 0.1 + 0.2, -0.0, 1e300, 1e-20, np.nan, None]]
+    write_csv(path, list("abcdefgh"), rows, comment="config_hash=abc")
+    assert path.read_text().splitlines() == [
+        "# config_hash=abc", "a,b,c,d,e,f,g,h", "0,1,0.5,0.25,0.75,1.0,-4,0.3333333333",
+        "1,12345678901,0.3,-0,1e+300,1e-20,,"]

@@ -20,7 +20,6 @@ from dynamo.trainer import (
     TrainConfig,
     TrainerError,
     conjugacy_defect,
-    export_loss_history,
     init_meta_state,
     lr_multiplier,
     model_accuracy,
@@ -510,16 +509,6 @@ def test_lr_multiplier_schedule():
     assert 0.0 < end < 1.0
     cfg_off = TrainConfig(cosine=False)
     assert lr_multiplier(cfg_off, 50, 100) == 1.0
-
-
-def test_export_loss_history(tmp_path):
-    hist = [(0, 1, 0.5, 0.25, 0.75), (1, 0, 0.4, 0.2, 0.6)]
-    path = tmp_path / "loss.csv"
-    export_loss_history(hist, path, comment="config_hash=abc")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config_hash=abc"
-    assert lines[1] == "step,model_id,hidden_loss,output_loss,total_loss"
-    assert lines[2].startswith("0,1,0.5,")
 
 
 @pytest.mark.parametrize("value,storable", [  # the last float64 float32 holds, the next
