@@ -158,8 +158,8 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
     h = candidates.copy()
     bindings["h"] = h
     g.forward(bindings)
+    q = g.value("q")
     grad = g.backward()["h"]
-    q = g.value("q").copy()
     # stop comfortably inside the tolerance: descending further would slide
     # candidates along slow manifolds and collapse their diversity
     stop2 = (0.9 * tol) ** 2
@@ -172,8 +172,8 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
         cand = h - step_sizes[:, None] * grad
         bindings["h"] = cand
         g.forward(bindings)
-        grad_new = g.backward()["h"]
         q_new = g.value("q")
+        grad_new = g.backward()["h"]
         improved = active & (q_new < q)
         h[improved] = cand[improved]
         q[improved] = q_new[improved]

@@ -19,8 +19,10 @@ reused across training steps. The vocabulary:
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
 term for an input off such a path, so a frozen model costs no weight
-products. Both passes run with overflow warnings off; a forward output or a
-gradient that is not finite raises NumericError.
+products. Backward consumes the forward pass it differentiates: it frees
+the node values and recurrence steps, so a cached graph holds no batch
+between steps. Both passes run with overflow warnings off; a forward output
+or a gradient that is not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ class NumericError(NumgradError):
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{what} is not finite")
     return arr
 
@@ -338,9 +340,11 @@ class Graph:
         return _finite(np.array(vals[self._out], dtype=np.float64), "graph output")
 
     def value(self, ref) -> np.ndarray:
-        """Value of a node (or mark name) from the latest forward pass."""
+        """Value of a node (or mark name) from the latest forward pass, until
+        backward consumes it."""
         if self._values is None:
-            raise BackwardBeforeForward("no forward pass has been run")
+            raise BackwardBeforeForward("no forward pass to read: none has run "
+                                        "since the last backward")
         nid = self._marks[ref] if isinstance(ref, str) else ref
         return self._values[nid]
 
@@ -363,10 +367,14 @@ class Graph:
         """Gradients of the output with respect to every parameter leaf.
 
         Only terms that reach a parameter leaf are computed; each kept sum
-        runs in the same order as over the full graph. Raises NumericError
-        if a gradient is not finite."""
+        runs in the same order as over the full graph. Backward consumes the
+        forward pass: it drops the node values and the recurrence steps, so
+        the graph holds no batch between steps, and `value` or a second
+        backward needs a new forward. Each returned gradient is an array of
+        its own, sharing memory with no other gradient and no bound leaf.
+        Raises NumericError if a gradient is not finite."""
         if self._values is None:
-            raise BackwardBeforeForward("backward called before forward")
+            raise BackwardBeforeForward("backward needs a forward pass of its own")
         out = self._out
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
@@ -450,14 +458,21 @@ class Graph:
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
-        out_grads = {}
+        self._values, self._saved = None, {}
+        out_grads: dict[str, np.ndarray] = {}
+        handed = set()  # ids of the arrays already returned
         for name in self._param_names:
             nid = self._leaf_id[name]
-            g = grads[nid]
+            g, shape = grads[nid], self._shapes[nid]
             if g is None:
-                g = np.zeros(self._shapes[nid])
-            out_grads[name] = _finite(np.broadcast_to(g, self._shapes[nid]).copy(),
-                                      f"gradient of {name!r}")
+                g = np.zeros(shape)
+            elif (not isinstance(g, np.ndarray) or g.base is not None
+                  or g.shape != shape or id(g) in handed):
+                # a view, a numpy scalar, a broadcast, or `add` handing one
+                # array to two leaves: the caller gets an array of its own
+                g = np.broadcast_to(g, shape).copy()
+            handed.add(id(g))
+            out_grads[name] = _finite(g, f"gradient of {name!r}")
         return out_grads
 
     def _recurrence_backward(self, nid: int, g: np.ndarray, acc,

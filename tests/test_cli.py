@@ -2,6 +2,7 @@ import filecmp
 import json
 import shutil
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dynamo.cli import (
     validate_config,
 )
 from dynamo import dynamics
+from dynamo import trainer as trainer_module
 from dynamo.atlas import fit_pca
 from dynamo.models import init_base_model
 from dynamo.numgrad import NumericError
@@ -204,16 +206,27 @@ def test_base_checkpoint_round_trip(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One tiny full pipeline run shared by the command tests."""
+def traced_pipeline(tmp_path_factory, perfbench_tracer):
+    """One tiny full pipeline run shared by the command tests, its training
+    commands run under the benchmark's tracer; the tracer is returned too."""
     root = tmp_path_factory.mktemp("pipe")
     cfg = _mini_config()
     path = _write_config(root, cfg)
     out = root / "run"
     assert _run("gen-data", "--config", str(path), "--out", str(out)) == 0
-    assert _run("train-base", "--config", str(path), "--out", str(out)) == 0
-    assert _run("train-meta", "--config", str(path), "--out", str(out)) == 0
-    return path, out
+    tracer = perfbench_tracer.Tracer().install()
+    try:
+        assert _run("train-base", "--config", str(path), "--out", str(out)) == 0
+        assert _run("train-meta", "--config", str(path), "--out", str(out)) == 0
+    finally:
+        tracer.uninstall()
+    return path, out, tracer
+
+
+@pytest.fixture(scope="module")
+def pipeline(traced_pipeline):
+    """The shared pipeline's config path and run directory."""
+    return traced_pipeline[:2]
 
 
 def test_gen_data_outputs_and_determinism(tmp_path):
@@ -362,10 +375,11 @@ def test_average_command(pipeline):
 
 
 @pytest.fixture(scope="module")
-def traced_analyses(pipeline, perfbench_tracer):
-    """The pipeline's run directory after the analysis commands, and the tracer."""
-    path, out = pipeline
-    tracer = perfbench_tracer.Tracer().install()
+def traced_analyses(traced_pipeline):
+    """The pipeline's run directory after the analysis commands, and the
+    tracer of its training and analysis commands."""
+    path, out, tracer = traced_pipeline
+    tracer.install()
     try:
         for argv in (("analyze", "--svcca"), ("ssl",),
                      ("fixed-points", "--theta", "base_000", "--score-map"),
@@ -395,6 +409,50 @@ def test_perfbench_tracer_reads_every_traced_call(traced_analyses):
     assert tracer.absent == []
     spans = [s for s in tracer.spans if s[0] == "dynamics.find_fixed_points"]
     assert spans and all(s[4]["candidates"] == 12 for s in spans)
+
+
+def test_traced_train_meta_rolls_each_base_once_per_chunk(traced_analyses):
+    # perfbench sees the chunked base rollouts as rollout_batch spans
+    out, tracer = traced_analyses
+    spans = tracer.spans
+
+    def under(sid, name):
+        while sid >= 0 and spans[sid][0] != name:
+            sid = spans[sid][3]
+        return sid >= 0
+
+    rolls = [sid for sid, s in enumerate(spans) if s[0] == "models.rollout_batch"
+             and under(sid, "trainer.train_meta")]
+    rows = [ln.split(",") for ln in (out / "meta_loss.csv").read_text().splitlines()[2:]]
+    per_roll = trainer_module.BASE_ROLL_ROWS // _mini_config()["meta_training"]["batch_size"]
+    steps = Counter(row[1] for row in rows)
+    assert len(rolls) == sum(-(-n // per_roll) for n in steps.values()) > 0
+    assert {s[0] for s in spans} >= {"trainer.train_base", "trainer.train_meta"}
+
+
+@pytest.mark.parametrize("population,meta", [
+    ([{"task": "valence", "count": 2, "cell_kind": "gru", "hidden_dim": 5,
+       "input_dim": 4, "task_group": 0},
+      {"task": "valence", "count": 1, "cell_kind": "vanilla_rnn", "hidden_dim": 3,
+       "input_dim": 4, "task_group": 0}],
+     {"hidden_dim": 8, "input_dim": 4, "embed_dim": 2}),
+    ([{"task": "valence", "count": 2, "cell_kind": "residual_mlp", "hidden_dim": 6,
+       "input_dim": 12, "num_blocks": 2, "task_group": 0}],
+     {"embed_dim": 2}),
+], ids=["recurrent", "residual"])
+def test_base_roll_rows_leave_meta_outputs_unchanged(tmp_path, monkeypatch,
+                                                     population, meta):
+    # one rollout per step (1 row) and per sixteen 4-row batches (64 rows)
+    path = _write_config(tmp_path, _mini_config(population=population, meta=meta))
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    outputs = []
+    for rows in (1, 64):
+        monkeypatch.setattr(trainer_module, "BASE_ROLL_ROWS", rows)
+        assert _run("train-meta", "--config", str(path), "--out", str(out)) == 0
+        outputs.append([(out / f).read_bytes() for f in ("meta.bin", "meta_loss.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):

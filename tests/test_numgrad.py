@@ -121,6 +121,49 @@ def test_backward_requires_forward_and_scalar_output():
         g.backward()
 
 
+def test_backward_consumes_the_forward_pass():
+    g = Graph()
+    x = g.leaf("x", (2, 2))
+    h = g.mark("h", g.tanh(x))
+    g.output(g.reduce_sum(g.mul(h, h)))
+    point = {"x": np.array([[0.1, -0.2], [0.3, 0.4]])}
+    g.forward(point)
+    first = g.backward()["x"]
+    assert g._values is None and g._saved == {}
+    with pytest.raises(BackwardBeforeForward):
+        g.backward()
+    with pytest.raises(BackwardBeforeForward):
+        g.value("h")
+    g.forward(point)
+    assert g.backward()["x"].tobytes() == first.tobytes()
+
+
+def _assert_own_memory(grads: dict, bound: dict) -> None:
+    """Each returned gradient is a writeable array that owns its memory and
+    shares none with another gradient or a bound leaf."""
+    named = sorted(grads.items())
+    for k, (name, grad) in enumerate(named):
+        assert grad.flags.owndata and grad.flags.writeable, name
+        others = named[k + 1:] + [(f"bound {n}", v) for n, v in bound.items()]
+        for other, arr in others:
+            assert not np.shares_memory(grad, arr), (name, other)
+
+
+def test_add_hands_each_parameter_its_own_gradient():
+    # `add` passes one upstream array to both inputs, here two parameters
+    g = Graph()
+    a, b = g.leaf("a", (2, 3)), g.leaf("b", (2, 3))
+    c = g.leaf("c", (2, 3), param=False)
+    g.output(g.reduce_sum(g.mul(g.add(a, b), c)))
+    rng = np.random.default_rng(0)
+    point = {n: rng.standard_normal((2, 3)) for n in "abc"}
+    g.forward(point)
+    grads = g.backward()
+    assert np.array_equal(grads["a"], point["c"])
+    assert np.array_equal(grads["b"], point["c"])
+    _assert_own_memory(grads, point)
+
+
 def test_backward_linear_least_squares_vs_fd():
     # f(W) = ||Wx - y||^2, small fixed instance, central differences step 1e-5
     rng = np.random.default_rng(42)
@@ -532,7 +575,9 @@ def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, 
         it = iter(picks)
         g = _random_graph(ops, lambda n: next(it) % n, declared_frozen, B, H, V)
         g.forward(point)
-        return g, g.backward()
+        grads = g.backward()
+        _assert_own_memory(grads, point)
+        return g, grads
 
     full = build(set())[1]
     # the drawn subset, then each leaf as the only parameter

@@ -1,9 +1,11 @@
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from dynamo import models
+from dynamo import trainer as trainer_module
 from dynamo.models import (
     StateMap,
     init_base_model,
@@ -136,6 +138,12 @@ def _tiny_setup(lam=1.0, divergence="KL_on_softmax", metric="L2_squared",
     return trainer, ds, bases
 
 
+def _bind(trainer, inputs, lengths):
+    """Base 0's joint-loss graph and bindings on one batch, rolled out alone."""
+    return trainer.bindings(0, inputs, lengths,
+                            models.rollout_batch(trainer.bases[0], inputs))
+
+
 # -- losses -----------------------------------------------------------------
 
 
@@ -222,7 +230,7 @@ def test_perfect_emulation_gives_zero_loss():
                             seed=0)
     state.meta, state.state_maps[0] = meta, v
     trainer = MetaTrainer(state, [base], [ds], cfg)
-    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *pad_tokens(seqs))
     assert float(g.forward(bindings)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -235,7 +243,7 @@ def test_graph_loss_matches_reference(divergence, metric):
     trainer, ds, bases = _tiny_setup(divergence=divergence, metric=metric)
     pool = ds.indices("meta_unlabeled")
     seqs = [ds.sequences[i] for i in pool[:3]]
-    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *pad_tokens(seqs))
     tot_graph = float(g.forward(bindings))
     h_graph = float(g.value("hidden_loss"))
     o_graph = float(g.value("output_loss"))
@@ -251,7 +259,7 @@ def test_graph_loss_matches_reference(divergence, metric):
 def test_joint_loss_gradients_pass_grad_check(metric):
     trainer, ds, _ = _tiny_setup(metric=metric)
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:2]]
-    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *pad_tokens(seqs))
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
 
@@ -262,7 +270,7 @@ def test_residual_graph_loss_matches_reference():
     state = init_meta_state(bases, {"embed_dim": 2}, seed=1)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     feats = trainer.pools[0][0][:3]
-    g, bindings = trainer.bindings(0, feats, None)
+    g, bindings = _bind(trainer, feats, None)
     tot_graph = float(g.forward(bindings))
     h, o, tot = meta_emulation_losses(state.meta, bases[0], state.state_maps[0],
                                       state.embeddings[0], list(feats), cfg)
@@ -313,13 +321,13 @@ def test_one_step_decreases_frozen_batch_loss():
         trainer, ds, _ = _tiny_setup(seed=seed)
         trainer.cfg.lr = 1e-5
         seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
-        g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+        g, bindings = _bind(trainer, *pad_tokens(seqs))
         before = float(g.forward(bindings))
         grads_graph = g.backward()
         name_map = trainer._grad_names(0, 0)
         grads = {h: grads_graph[leaf] for leaf, h in name_map.items()}
         trainer.opt.step(grads, 1e-5)
-        g2, bindings2 = trainer.bindings(0, *pad_tokens(seqs))
+        g2, bindings2 = _bind(trainer, *pad_tokens(seqs))
         after = float(g2.forward(bindings2))
         assert after < before
 
@@ -353,10 +361,36 @@ def test_update_locality_unsampled_models_untouched():
             assert np.array_equal(state.state_maps[i].weights[0], v_before[i][0])
 
 
+def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
+    ds = _tiny_dataset(n=100)  # 40 meta_unlabeled sequences
+    bases = [init_base_model(kind, 12, 3, 3, 2, 0, seed=10 + i)
+             for i, kind in enumerate(["gru", "vanilla_rnn", "gru"])]
+    cfg = TrainConfig(max_steps=40, batch_size=16, weight_decay=0.0, seed=2)
+    state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
+    trainer = MetaTrainer(state, bases, [ds] * 3, cfg)
+    calls, rollout_batch = [], trainer_module.rollout_batch
+
+    def counted(model, inputs):
+        calls.append((model, len(inputs)))
+        return rollout_batch(model, inputs)
+
+    monkeypatch.setattr(trainer_module, "rollout_batch", counted)
+    trainer.run()
+    steps = Counter(rec[1] for rec in state.history)
+    for i, base in enumerate(bases):
+        rows = [n for model, n in calls if model is base]
+        assert len(rows) == -(-steps[i] // 4), i
+        assert rows == [64] * (len(rows) - 1) + [16 * (steps[i] - 4 * (len(rows) - 1))]
+    # every graph the run cached has given up its last forward pass
+    assert trainer.cache._graphs
+    for g in trainer.cache._graphs.values():
+        assert g._values is None and g._saved == {}
+
+
 def test_lambda_zero_heads_get_zero_gradient():
     trainer, ds, _ = _tiny_setup(lam=0.0)
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:3]]
-    g, bindings = trainer.bindings(0, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *pad_tokens(seqs))
     g.forward(bindings)
     grads = g.backward()
     assert np.allclose(grads["head0_w"], 0.0)
