@@ -4,17 +4,20 @@ optimization, fixed-point analysis, and model averaging.
 
 One flat JSON config drives every stage. The schema under "configuration"
 below (`_CONFIG` and its sections) is the config reference: every key, its
-type and its default. Commands are composable and write into a shared run
-directory, `run_<config hash>` unless `--out` or `out_dir` names one;
-`--seed` overrides the config's seed, and so the hash, for every command.
+type and its default. The config, with `--seed` in place of its seed, is a
+run's only input: `--seed` enters the config hash, and no other flag sets a
+value that the config sets. Commands are composable and write into a shared
+run directory, `--out` or else `run_<config hash>`; the remaining flags name
+what a command reads or adds (`--theta`, `--ids`, `--svcca`, `--score-map`).
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
 codes: 0 ok, 2 config error (including an unknown cell kind, an analysis that
 does not apply to the model family, or a task no base model was trained on),
-3 I/O error (including a corrupt or non-finite checkpoint, or a corrupt
-dataset), 4 numeric failure (a non-finite loss or gradient, or trained state
-that is not finite in float32, in which case no checkpoint is written).
+3 I/O error (including a corrupt or non-finite checkpoint, a corrupt dataset,
+or an output that cannot be written), 4 numeric failure (a non-finite loss or
+gradient, or trained state that is not finite in float32, in which case no
+checkpoint is written).
 """
 from __future__ import annotations
 
@@ -86,12 +89,15 @@ _POPULATION = {"task": (str, _REQUIRED), "count": (int, _REQUIRED),
                "task_group": (int, 0), "num_blocks": (int, 0),
                # per-entry overrides of base_training
                "lr": (_NUM, None), "epochs": (int, None)}
-_TRAINING = {key: (kind, None) for key, kind in {
-    "optimizer": OPTIMIZERS, "lr": _NUM, "epochs": int, "max_steps": int,
-    "batch_size": int, "weight_decay": _NUM, "cosine": bool,
-    "cosine_freq": _NUM, "lambda": _NUM, "hidden_metric": HIDDEN_METRICS,
-    "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool,
-    "theta_lr": _NUM, "momentum": _NUM}.items()}
+# the keys both training sections take
+_TRAINING = {"optimizer": OPTIMIZERS, "lr": _NUM, "batch_size": int,
+             "weight_decay": _NUM, "cosine": bool, "cosine_freq": _NUM,
+             "momentum": _NUM}
+_BASE_TRAINING = {key: (kind, None) for key, kind in {
+    **_TRAINING, "epochs": int}.items()}
+_META_TRAINING = {key: (kind, None) for key, kind in {
+    **_TRAINING, "max_steps": int, "lambda": _NUM, "hidden_metric": HIDDEN_METRICS,
+    "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool}.items()}
 _META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (int, None),
          "input_dim": (int, None), "embed_dim": (int, None)}
 _ANALYSIS = {"grid": (int, 15), "extent_scale": (_NUM, 1.5),
@@ -105,10 +111,10 @@ _FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
                  "max_steps": (int, 5000), "candidates": (int, 512),
                  "samples_per_seq": (int, 2), "batch_sequences": (int, 64),
                  "score_grid": (int, 7)}
-_CONFIG = {"seed": (int, 0), "out_dir": (str, None), "tasks": ([_TASK], []),
+_CONFIG = {"seed": (int, 0), "tasks": ([_TASK], []),
            "splits": (_SPLITS, {}), "population": ([_POPULATION], []),
-           "base_training": (_TRAINING, {}), "meta": (_META, {}),
-           "meta_training": (_TRAINING, {}), "analysis": (_ANALYSIS, {}),
+           "base_training": (_BASE_TRAINING, {}), "meta": (_META, {}),
+           "meta_training": (_META_TRAINING, {}), "analysis": (_ANALYSIS, {}),
            "ssl": (_SSL, {}), "fixed_points": (_FIXED_POINTS, {})}
 
 
@@ -163,12 +169,16 @@ def validate_config(cfg: dict) -> dict:
     fractions = _split_fractions(cfg["splits"])
     if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
+    heads = {}
     for i, entry in enumerate(cfg["population"]):
         if entry["task"] not in names:
             raise ConfigError(f"population[{i}] references unknown task "
                               f"{entry['task']!r}")
         if entry["count"] < 1:
             raise ConfigError(f"population[{i}].count must be positive")
+        if heads.setdefault(entry["task"], entry["task_group"]) != entry["task_group"]:
+            raise ConfigError(f"population[{i}] gives task {entry['task']!r} a second "
+                              "task_group; each task has one readout head")
     for section, key in (("ssl", "task"), ("analysis", "landscape_task")):
         name = cfg[section].setdefault(key, names[0])
         if name not in names:
@@ -208,7 +218,7 @@ def train_config_from(section: dict, seed: int) -> TrainConfig:
     for key, val in section.items():
         if key == "lambda":
             kwargs["lam"] = float(val)
-        elif key in ("lr", "weight_decay", "cosine_freq", "theta_lr", "momentum"):
+        elif key in ("lr", "weight_decay", "cosine_freq", "momentum"):
             kwargs[key] = float(val)
         else:
             kwargs[key] = val
@@ -385,7 +395,7 @@ class Run(NamedTuple):
 
 def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
     cfg, chash = load_config(args.config, args.seed)
-    out = Path(args.out or cfg.get("out_dir", f"run_{chash}"))
+    out = Path(args.out or f"run_{chash}")
     loaded = {}
     for task in cfg["tasks"] if datasets else ():
         path = out / "data" / task["name"]
@@ -475,14 +485,8 @@ def _load_population(out: Path) -> list[BaseModel]:
 def cmd_train_meta(args) -> int:
     run = _open_run(args)
     bases = _load_population(run.out)
-    section = dict(run.cfg["meta_training"])
-    if args.lam is not None:
-        section["lambda"] = args.lam
-    if args.metric is not None:
-        section["hidden_metric"] = {"l1": "L1", "l2": "L2_squared"}[args.metric]
-    if args.steps is not None:
-        section["max_steps"] = args.steps
-    tcfg = train_config_from(section, seed=derived_seed(run.cfg["seed"], 2))
+    tcfg = train_config_from(run.cfg["meta_training"],
+                             seed=derived_seed(run.cfg["seed"], 2))
     ds_list = [run.datasets[b.info["task"]] for b in bases]
     state = train_meta(bases, ds_list, tcfg, dict(run.cfg["meta"]))
     base_infos = [dict(b.info) for b in bases]
@@ -532,7 +536,7 @@ def cmd_analyze(args) -> int:
         summary["landscape_argmax_uv"] = list(argmax_uv)
         summary["best_base_accuracy"] = best_base
 
-    if args.svcca:
+    if args.svcca and group_rows:
         bases = _load_population(out)
         rows = [i for i, b in enumerate(bases) if b.info.get("task") == task_name]
         seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
@@ -564,10 +568,9 @@ def cmd_ssl(args) -> int:
     task_name = ssl_cfg["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
-    steps = args.steps if args.steps is not None else ssl_cfg["steps"]
     before = {k: v.copy() for k, v in state.meta.params.items()}
     theta, thetas, losses = atlas_mod.ssl_optimize(
-        state.meta, group, ds, steps=steps, lr=ssl_cfg["lr"])
+        state.meta, group, ds, steps=ssl_cfg["steps"], lr=ssl_cfg["lr"])
     frozen = all(np.array_equal(state.meta.params[k], v) for k, v in before.items())
     print(f"ssl: frozen-meta assertion {'ok' if frozen else 'VIOLATED'}")
     accs = atlas_mod.grid_accuracies(state.meta, thetas, group, ds)
@@ -583,7 +586,7 @@ def cmd_ssl(args) -> int:
               "test_accuracy": float(accs[-1]),
               "best_base_accuracy": best_base,
               "improvement_over_best_base": delta,
-              "steps": steps}
+              "steps": ssl_cfg["steps"]}
     (run.out / "ssl_result.json").write_text(json.dumps(result, indent=1,
                                                         sort_keys=True))
     print(f"ssl: final acc {accs[-1]:.4f} vs best base {best_base:.4f} "
@@ -626,9 +629,8 @@ def cmd_fixed_points(args) -> int:
     cands = dyn.collect_candidates(state.meta, theta, seqs, per_seq,
                                    task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]
-    max_steps = args.steps if args.steps is not None else fp["max_steps"]
     fps = dyn.find_fixed_points(state.meta, theta, candidates=cands, tol=fp["tol"],
-                                max_steps=max_steps, dedup_radius=fp["dedup_radius"])
+                                max_steps=fp["max_steps"], dedup_radius=fp["dedup_radius"])
     dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
                                 comment=run.comment, task_group=group)
     report = {"theta_source": args.theta, "label": label,
@@ -648,7 +650,7 @@ def cmd_fixed_points(args) -> int:
         gsz = fp["score_grid"]
         grid = dyn.score_map(state.meta, group, state.embeddings, seqs[:16], sets,
                              grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
-                             tol=fp["tol"], max_steps=min(max_steps, 2000),
+                             tol=fp["tol"], max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
         atlas_mod.export_grid_csv(grid, run.out / f"score_map_{label}.csv",
                                   comment=run.comment)
@@ -670,8 +672,9 @@ def cmd_average(args) -> int:
     tasks_used = {by_id[m][1].get("task") for m in ids}
     if len(tasks_used) != 1:
         raise ConfigError("averaging requires models from a single task")
-    ds = run.datasets[tasks_used.pop()]
-    group = by_id[ids[0]][1].get("task_group", 0)
+    task_name = tasks_used.pop()
+    ds = run.datasets[task_name]
+    group = run.task_group(task_name)
     thetas = [run.state.embeddings[by_id[m][0]] for m in ids]
     thetas.append(atlas_mod.average_embeddings(thetas))
     accs = atlas_mod.grid_accuracies(run.state.meta, np.stack(thetas), group, ds)
@@ -703,25 +706,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("train-meta", help="joint meta/state-map/embedding training")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="output-loss weight override")
-    p.add_argument("--metric", choices=["l1", "l2"], default=None,
-                   help="hidden-distance override")
-    p.add_argument("--steps", type=int, default=None, help="step-count override")
     p = sub.add_parser("analyze", help="embedding-space analyses and exports")
     common(p)
     p.add_argument("--svcca", action="store_true",
                    help="also run the pairwise SVCCA+MDS baseline (quadratic cost); "
                         "it compares recurrent hidden states, so a residual_mlp "
-                        "run is refused with exit 2")
+                        "run is refused with exit 2; skipped, like the landscape, "
+                        "when no base model was trained on analysis.landscape_task")
     p = sub.add_parser("ssl", help="optimize an embedding on the labeled split")
     common(p)
-    p.add_argument("--steps", type=int, default=None)
     p = sub.add_parser("fixed-points", help="fixed-point / attractor analysis")
     common(p)
     p.add_argument("--theta", required=True,
                    help="base id, centroid:<key>=<value>, or comma-separated floats")
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--score-map", action="store_true")
     p = sub.add_parser("average", help="evaluate the mean of base embeddings")
     common(p)
@@ -751,7 +748,7 @@ def main(argv=None) -> int:
             atlas_mod.AtlasError, dyn.DynamicsError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except IOFailure as e:
+    except (IOFailure, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import atlas as atlas_mod
 from .models import (
+    CELL_PARAMS,
     MetaModel,
     cell_step,
     cell_step_graph,
@@ -112,9 +113,8 @@ def collect_candidates(model, theta, sequences: list[list[int]],
 
 
 def _cell_params(model) -> dict[str, np.ndarray]:
-    """The transition map's own parameters: no embedding, stem or readout."""
-    return {k: v for k, v in model.params.items()
-            if not k.startswith(("head", "embed", "stem", "w_out", "b_out", "w_theta"))}
+    """The recurrent cell's own weights: no embedding, stem or readout."""
+    return {name: model.params[name] for name in CELL_PARAMS[model.cell_kind]}
 
 
 def _build_q_graph(model, n: int, width: int) -> Graph:

@@ -69,6 +69,13 @@ class TrainerError(Exception):
 
 @dataclass
 class TrainConfig:
+    """Optimizer and schedule of one training run. Base training reads
+    `epochs` and meta training reads `max_steps` plus the emulation-loss
+    fields (`lam` to `normalize_hidden_by_dim`); both read the rest.
+    `cli.train_config_from` fills it from the config's `base_training` or
+    `meta_training` section, whose keys are these fields (`lambda` for
+    `lam`); `betas` and `eps` are fixed."""
+
     optimizer: str = "adam_decoupled_wd"
     lr: float = 1e-3
     cosine: bool = True
@@ -84,7 +91,6 @@ class TrainConfig:
     hidden_metric: str = "L2_squared"
     output_divergence: str = "KL_on_softmax"
     normalize_hidden_by_dim: bool = True
-    theta_lr: float | None = None  # defaults to the shared lr
     seed: int = 0
 
     def validate(self):
@@ -115,9 +121,10 @@ def lr_multiplier(cfg: TrainConfig, step: int, total: int) -> float:
 class Optimizer:
     """Adam with decoupled weight decay, or Nesterov SGD, over named arrays.
 
-    Each step updates only the supplied subset of parameters; moment buffers
-    and bias-correction counters are tracked per parameter so that sparsely
-    updated parameters (state maps, embeddings) see consistent statistics.
+    Each step updates only the supplied subset of parameters at one learning
+    rate, embeddings included; moment buffers and bias-correction counters
+    are tracked per parameter so that sparsely updated parameters (state
+    maps, embeddings) see consistent statistics.
     A step that leaves a parameter not finite in float32, the precision
     checkpoints store, raises `NumericError`, so a diverging run stops at
     its first bad step.
@@ -132,16 +139,12 @@ class Optimizer:
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
 
-    def step(self, grads: dict[str, np.ndarray], lr: float,
-             theta_lr: float | None = None) -> None:
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         cfg = self.cfg
         for name, g in grads.items():
             p = self.handles[name]
             if g.shape != p.shape:
                 g = g.reshape(p.shape)
-            eff_lr = lr
-            if theta_lr is not None and name.startswith("theta"):
-                eff_lr = theta_lr
             if cfg.optimizer == "adam_decoupled_wd":
                 b1, b2 = cfg.betas
                 if name not in self._m:
@@ -156,7 +159,7 @@ class Optimizer:
                 v += (1 - b2) * (g * g)
                 mhat = m / (1 - b1 ** t)
                 vhat = v / (1 - b2 ** t)
-                p -= eff_lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                p -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
             else:
                 mu = cfg.momentum
                 if name not in self._m:
@@ -164,9 +167,9 @@ class Optimizer:
                 buf = self._m[name]
                 buf *= mu
                 buf += g
-                p -= eff_lr * (g + mu * buf)
+                p -= lr * (g + mu * buf)
             if cfg.weight_decay and name not in self.no_decay:
-                p -= eff_lr * cfg.weight_decay * p
+                p -= lr * cfg.weight_decay * p
             if not np.abs(p).max() < _F32_OVERFLOW:
                 raise NumericError(f"parameter {name!r} is not finite in float32 "
                                    "after an optimizer step; training diverged")
@@ -577,8 +580,7 @@ class MetaTrainer:
             name_map = self._grad_names(i, self.bases[i].task_group)
             grads = {handle: grads_graph[leaf] for leaf, handle in name_map.items()}
             mult = lr_multiplier(cfg, self.state.step, cfg.max_steps)
-            theta_lr = None if cfg.theta_lr is None else cfg.theta_lr * mult
-            self.opt.step(grads, cfg.lr * mult, theta_lr=theta_lr)
+            self.opt.step(grads, cfg.lr * mult)
             self.state.history.append((self.state.step, i, hid, out, total_loss_val))
             self.state.step += 1
         return self.state

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from dynamo.cli import (
+    _BASE_TRAINING,
+    _META_TRAINING,
     ConfigError,
+    build_parser,
     config_hash,
     derived_seed,
     load_base_checkpoint,
@@ -17,6 +21,7 @@ from dynamo.cli import (
     load_meta_checkpoint,
     main,
     save_checkpoint,
+    train_config_from,
     validate_config,
 )
 from dynamo import dynamics
@@ -24,6 +29,7 @@ from dynamo import trainer as trainer_module
 from dynamo.atlas import fit_pca
 from dynamo.models import init_base_model
 from dynamo.numgrad import NumericError
+from dynamo.trainer import TrainConfig
 
 
 def _mini_config(**overrides):
@@ -120,7 +126,10 @@ def test_validate_config_returns_resolved_copy():
     assert resolved["base_training"] == resolved["meta"] == {}  # trainer defaults
     assert resolved["fixed_points"]["samples_per_seq"] == 2
     assert resolved["ssl"]["task"] == resolved["analysis"]["landscape_task"] == "valence"
-    for section in ({"ssl": {"task": "topic"}}, {"analysis": {"landscape_task": "x"}}):
+    second_head = [{"task": "valence", "count": 1},
+                   {"task": "valence", "count": 1, "task_group": 1}]
+    for section in ({"ssl": {"task": "topic"}}, {"analysis": {"landscape_task": "x"}},
+                    {"population": second_head}):
         with pytest.raises(ConfigError):
             validate_config(dict(cfg, **section))
 
@@ -151,6 +160,57 @@ def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     assert not list(out.glob("base/base_*"))
     if codes[0] == 2:
         assert sorted(tmp_path.iterdir()) == [path]  # nothing written anywhere
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("base_training", "max_steps", 3),
+    ("base_training", "lambda", 0.5),
+    ("base_training", "hidden_metric", "L1"),
+    ("base_training", "output_divergence", "KL_on_softmax"),
+    ("base_training", "normalize_hidden_by_dim", False),
+    ("meta_training", "epochs", 2),
+    ("base_training", "theta_lr", 0.1),
+    ("meta_training", "theta_lr", 0.1),
+    (None, "out_dir", "elsewhere"),
+])
+def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = _mini_config()
+    (cfg[section] if section else cfg)[key] = value
+    path = _write_config(tmp_path, cfg)
+    assert _run("gen-data", "--config", str(path)) == 2
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash>, no out_dir
+
+
+# one value per key, each unlike TrainConfig's default
+_TRAINING_VALUES = {
+    "optimizer": "sgd_nesterov", "lr": 0.5, "batch_size": 3, "weight_decay": 0.5,
+    "cosine": False, "cosine_freq": 0.5, "momentum": 0.5, "epochs": 3, "max_steps": 3,
+    "lambda": 0.5, "hidden_metric": "L1", "output_divergence": "squared_L2_on_logits",
+    "normalize_hidden_by_dim": False}
+
+
+@pytest.mark.parametrize("section", [_BASE_TRAINING, _META_TRAINING],
+                         ids=["base_training", "meta_training"])
+def test_every_training_key_sets_its_train_config_field(section):
+    default = dataclasses.asdict(TrainConfig(seed=0))
+    for key in section:
+        tcfg = dataclasses.asdict(train_config_from({key: _TRAINING_VALUES[key]}, seed=0))
+        changed = [f for f in default if tcfg[f] != default[f]]
+        assert changed == ["lam" if key == "lambda" else key], key
+
+
+def test_parser_options_are_run_inputs_only():
+    # the config sets every value a run computes with; a flag only names the
+    # config, the run directory, the seed, or what a command reads or adds
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    options = {name: {opt for action in p._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, p in subparsers.items()}
+    common = {"--config", "--out", "--seed"}
+    assert options == {"gen-data": common, "train-base": common, "train-meta": common,
+                       "analyze": common | {"--svcca"}, "ssl": common,
+                       "fixed-points": common | {"--theta", "--score-map"},
+                       "average": common | {"--ids"}}
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -512,8 +572,10 @@ def test_task_without_base_models_has_no_readout_head(tmp_path):
                 "--theta", "base_000") == 2
     assert sorted(out.iterdir()) == written  # refused before writing anything
     # analyze skips the landscape of a task that no base model was trained on
-    assert _run("analyze", "--config", str(path), "--out", str(out)) == 0
+    # and the SVCCA baseline of its bases
+    assert _run("analyze", "--config", str(path), "--out", str(out), "--svcca") == 0
     assert (out / "atlas.csv").exists() and not (out / "landscape.csv").exists()
+    assert not (out / "svcca_mds.csv").exists()
 
 
 def test_full_rerun_is_byte_identical(tmp_path):
@@ -571,6 +633,34 @@ def test_residual_run_commands_exit_cleanly(residual_pipeline, argv, code):
     if code:
         # a refused command leaves no partial analysis behind
         assert not [f.name for f in analysis if f.exists()]
+
+
+def _file_in_place_of_out(out):
+    out.parent.joinpath("file").write_text("")
+    return ("gen-data",), out.parent / "file" / "run"
+
+
+def _file_in_place_of_base_dir(out):
+    out.joinpath("base").write_text("")
+    return ("train-base",), out
+
+
+def _directory_in_place_of_atlas_csv(out):
+    out.joinpath("atlas.csv").mkdir()
+    return ("analyze",), out
+
+
+@pytest.mark.parametrize("block", [_file_in_place_of_out, _file_in_place_of_base_dir,
+                                   _directory_in_place_of_atlas_csv])
+def test_unwritable_output_is_io_error(pipeline, tmp_path, capsys, block):
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run, ignore=shutil.ignore_patterns("base", "atlas.csv"))
+    argv, target = block(run)
+    capsys.readouterr()
+    assert _run(*argv, "--config", str(path), "--out", str(target)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
 
 
 def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):
