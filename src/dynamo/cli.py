@@ -459,15 +459,14 @@ def cmd_train_base(args) -> int:
         tcfg = train_config_from(dict(run.cfg["base_training"], **overrides),
                                  seed=rec["seed"])
         ds = run.datasets[rec["task"]]
-        _, curve = train_base(model, ds, tcfg, subfraction=rec["train_fraction"])
+        train_base(model, ds, tcfg, subfraction=rec["train_fraction"])
         acc = model_accuracy(model, ds)
         model.info["test_accuracy"] = acc
         save_base_checkpoint(run.out / "base" / rec["model_id"], model)
         # train_fraction is Python's str of the float (1.0, not the cell rule's 1)
         rows.append([rec["model_id"], rec["task"], rec["cell_kind"], rec["hidden_dim"],
                      str(rec["train_fraction"]), rec["seed"], acc])
-        print(f"train-base: {rec['model_id']} acc={acc:.3f} "
-              f"(epochs={tcfg.epochs}, curve last={curve[-1] if curve else None})")
+        print(f"train-base: {rec['model_id']} acc={acc:.3f} (epochs={tcfg.epochs})")
     header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
               "test_accuracy"]
     tasks_mod.write_csv(run.out / "base" / "metrics.csv", header, rows, run.comment)
@@ -568,11 +567,8 @@ def cmd_ssl(args) -> int:
     task_name = ssl_cfg["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
-    before = {k: v.copy() for k, v in state.meta.params.items()}
     theta, thetas, losses = atlas_mod.ssl_optimize(
         state.meta, group, ds, steps=ssl_cfg["steps"], lr=ssl_cfg["lr"])
-    frozen = all(np.array_equal(state.meta.params[k], v) for k, v in before.items())
-    print(f"ssl: frozen-meta assertion {'ok' if frozen else 'VIOLATED'}")
     accs = atlas_mod.grid_accuracies(state.meta, thetas, group, ds)
     header = ["step", *(f"theta_{j}" for j in range(len(theta))), "labeled_loss",
               "test_accuracy"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -209,12 +210,12 @@ def integrator_accuracy(ds: SequenceDataset, idxs) -> float:
 
 def bag_of_tokens(ds: SequenceDataset, idxs) -> np.ndarray:
     """Length-normalized token count features, for the residual-MLP family."""
-    out = np.zeros((len(idxs), ds.vocab_size))
-    for row, i in enumerate(idxs):
-        seq = ds.sequences[i]
-        cnt = np.bincount(np.asarray(seq), minlength=ds.vocab_size)
-        out[row] = cnt / len(seq)
-    return out
+    seqs = [ds.sequences[i] for i in idxs]
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
+    rows = np.repeat(np.arange(len(seqs)), lengths)
+    counts = np.bincount(rows * ds.vocab_size + tokens, minlength=len(seqs) * ds.vocab_size)
+    return counts.reshape(len(seqs), ds.vocab_size) / lengths[:, None]
 
 
 # -- file format ---------------------------------------------------------------

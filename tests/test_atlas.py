@@ -202,6 +202,21 @@ def test_ssl_freezes_meta_and_loss_never_increases():
     assert np.array_equal(thetas[-1], theta)
 
 
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
+def test_ssl_leaves_every_meta_parameter_unchanged(kind):
+    # the embedding search moves theta alone: every meta array, the heads of
+    # both task groups included, keeps its object and its bytes
+    width = 12 if kind == "residual_mlp" else 3
+    meta = init_meta_model(kind, 12, width, 4, 2, {0: 2, 1: 3}, seed=1, num_blocks=2)
+    arrays = dict(meta.params)
+    before = {k: v.tobytes() for k, v in arrays.items()}
+    theta, _, _ = ssl_optimize(meta, 0, _tiny_ds(), steps=5, lr=0.5)
+    assert np.any(theta != 0)
+    assert meta.params.keys() == arrays.keys()
+    for k, v in arrays.items():
+        assert meta.params[k] is v and v.tobytes() == before[k], k
+
+
 def test_ssl_runs_one_forward_per_trial_point(pass_counts):
     # each forward pass is the initial one, a step's accepted trial, or a
     # refused trial (one step halving); the accepted point's pass is reused

@@ -1,3 +1,4 @@
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,11 +212,12 @@ def _single_op_graphs():
 UNARY_OPS = ["sigmoid", "tanh", "relu", "abs", "affine",
              "reduce_sum_all", "reduce_sum_rows", "reduce_mean_all",
              "reduce_mean_rows", "log_softmax"]
+KINKED_AT_0 = ("relu", "abs")
 
 
 @pytest.mark.parametrize("opname", UNARY_OPS)
 def test_unary_op_gradients_match_fd(opname):
-    rng = np.random.default_rng(hash(opname) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(opname.encode()))
     for _ in range(10):
         g = Graph()
         a = g.leaf("a", (2, 3))
@@ -246,14 +248,20 @@ def test_unary_op_gradients_match_fd(opname):
             else:
                 y = g.reduce_sum(g.mul(y, g.reduce_sum(mix, axis=1)))
         g.output(y)
-        point = {"a": rng.standard_normal((2, 3)) + 0.05,
-                 "m": rng.standard_normal((2, 3))}
+        a_val = rng.standard_normal((2, 3))
+        if opname in KINKED_AT_0:
+            # a central difference across the kink estimates no derivative:
+            # keep |a| far above the 1e-5 step, on both sides of 0
+            a_val += np.copysign(0.1, a_val)
+        else:
+            a_val += 0.05
+        point = {"a": a_val, "m": rng.standard_normal((2, 3))}
         assert grad_check(g, point, 1e-5) < 1e-4, opname
 
 
 @pytest.mark.parametrize("opname,build", _single_op_graphs())
 def test_binary_op_gradients_match_fd(opname, build):
-    rng = np.random.default_rng(hash(opname) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(opname.encode()))
     for _ in range(10):
         g = Graph()
         if opname == "matmul":

@@ -176,6 +176,16 @@ def test_bag_of_tokens_features():
     assert np.allclose(feats[1], [0, 0, 0, 0, 0, 1.0])
 
 
+def test_bag_of_tokens_matches_per_row_counts_bitwise():
+    rng = np.random.default_rng(5)
+    seqs = [list(rng.integers(0, 9, size=rng.integers(1, 30))) for _ in range(40)]
+    ds = SequenceDataset("valence_sentiment", 9, 2, sequences=seqs, labels=[0] * 40)
+    idxs = [int(i) for i in rng.permutation(40)[:25]] + [3, 3]
+    want = np.array([np.bincount(seqs[i], minlength=9) / len(seqs[i]) for i in idxs])
+    assert bag_of_tokens(ds, idxs).tobytes() == want.tobytes()
+    assert bag_of_tokens(ds, []).shape == (0, 9)
+
+
 def test_write_csv_cell_rule(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(0, 1, 0.5, 0.25, 0.75, "1.0", np.int64(-4), np.float64(1 / 3)),

@@ -3,6 +3,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamo import models
 from dynamo import trainer as trainer_module
@@ -16,6 +18,7 @@ from dynamo.models import (
 from dynamo.numgrad import NumericError, grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
+    OPTIMIZERS,
     GraphCache,
     MetaTrainer,
     Optimizer,
@@ -115,6 +118,55 @@ def meta_emulation_losses(meta, base, vmap: StateMap, theta: np.ndarray, inputs,
     htot /= len(x)
     otot /= len(x)
     return htot, otot, htot + cfg.lam * otot
+
+
+# -- per-parameter reference of the optimizer ---------------------------------------
+#
+# The oracle `trainer.Optimizer` is checked against bitwise: Adam with decoupled
+# weight decay and Nesterov SGD written one array at a time, each array with
+# its own moments and bias-correction count.
+
+
+class ReferenceOptimizer:
+    def __init__(self, handles: dict[str, np.ndarray], cfg: TrainConfig,
+                 no_decay: set[str] = frozenset()):
+        self.handles = handles
+        self.cfg = cfg
+        self.no_decay = set(no_decay)
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        self._t: dict[str, int] = {}
+
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        cfg = self.cfg
+        for name, g in grads.items():
+            p = self.handles[name]
+            g = g.reshape(p.shape)
+            if cfg.optimizer == "adam_decoupled_wd":
+                b1, b2 = cfg.betas
+                if name not in self._m:
+                    self._m[name] = np.zeros_like(p)
+                    self._v[name] = np.zeros_like(p)
+                m, v = self._m[name], self._v[name]
+                t = self._t.get(name, 0) + 1
+                self._t[name] = t
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * (g * g)
+                mhat = m / (1 - b1 ** t)
+                vhat = v / (1 - b2 ** t)
+                p -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            else:
+                mu = cfg.momentum
+                if name not in self._m:
+                    self._m[name] = np.zeros_like(p)
+                buf = self._m[name]
+                buf *= mu
+                buf += g
+                p -= lr * (g + mu * buf)
+            if cfg.weight_decay and name not in self.no_decay:
+                p -= lr * cfg.weight_decay * p
 
 
 def _tiny_dataset(n=60, seed=3, noise=0.0):
@@ -345,20 +397,21 @@ def test_zero_steps_leaves_state_at_init():
 
 
 def test_update_locality_unsampled_models_untouched():
+    # weight decay would move any map or embedding a step touched
     ds = _tiny_dataset()
-    bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i) for i in range(3)]
-    cfg = TrainConfig(max_steps=1, batch_size=2, weight_decay=0.0, seed=4)
+    bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i) for i in range(6)]
+    cfg = TrainConfig(max_steps=3, batch_size=2, weight_decay=0.1, seed=4)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
-    v_before = [[w.copy() for w in vm.weights] for vm in state.state_maps]
-    trainer = MetaTrainer(state, bases, [ds] * 3, cfg)
-    trainer.run()
-    sampled = state.history[0][1]
-    for i in range(3):
-        if i == sampled:
-            assert not np.array_equal(state.embeddings[i], np.zeros(2))
+    maps = [[a.copy() for a in vm.weights + vm.biases] for vm in state.state_maps]
+    MetaTrainer(state, bases, [ds] * 6, cfg).run()
+    sampled = {rec[1] for rec in state.history}
+    assert len(sampled) < 6
+    for i, vm in enumerate(state.state_maps):
+        kept = [np.array_equal(a, b) for a, b in zip(vm.weights + vm.biases, maps[i])]
+        if i in sampled:
+            assert not kept[0] and np.any(state.embeddings[i] != 0)
         else:
-            assert np.array_equal(state.embeddings[i], np.zeros(2))
-            assert np.array_equal(state.state_maps[i].weights[0], v_before[i][0])
+            assert all(kept) and np.all(state.embeddings[i] == 0), i
 
 
 def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
@@ -448,8 +501,7 @@ def test_train_base_zero_epochs_is_noop():
     ds = _tiny_dataset()
     model = init_base_model("gru", 12, 3, 4, 2, 0, seed=2)
     before = {k: v.copy() for k, v in model.params.items()}
-    _, curve = train_base(model, ds, TrainConfig(epochs=0, seed=0))
-    assert curve == []
+    train_base(model, ds, TrainConfig(epochs=0, seed=0))
     for k, v in before.items():
         assert np.array_equal(model.params[k], v)
 
@@ -457,10 +509,9 @@ def test_train_base_zero_epochs_is_noop():
 def test_train_base_learns_tiny_valence():
     ds = _tiny_dataset(n=200, seed=8)
     model = init_base_model("gru", 12, 4, 8, 2, 0, seed=2)
-    _, curve = train_base(model, ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8,
-                                                 weight_decay=0.0, seed=0))
-    assert curve[-1] > 0.7
-    assert curve[-1] == model_accuracy(model, ds)
+    train_base(model, ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8,
+                                      weight_decay=0.0, seed=0))
+    assert model_accuracy(model, ds) > 0.7
 
 
 def test_train_base_empty_split_errors():
@@ -474,9 +525,9 @@ def test_train_base_empty_split_errors():
 def test_train_base_residual_runs():
     ds = _tiny_dataset(n=120, seed=9)
     model = init_base_model("residual_mlp", 12, 12, 6, 2, 0, seed=2, num_blocks=2)
-    _, curve = train_base(model, ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8,
-                                                 weight_decay=0.0, seed=0))
-    assert curve[-1] > 0.6
+    train_base(model, ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8,
+                                      weight_decay=0.0, seed=0))
+    assert model_accuracy(model, ds) > 0.6
 
 
 def test_train_base_deterministic():
@@ -545,11 +596,79 @@ def test_lr_multiplier_schedule():
     assert lr_multiplier(cfg_off, 50, 100) == 1.0
 
 
+_SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(optimizer=st.sampled_from(OPTIMIZERS), weight_decay=st.sampled_from([0.0, 0.05]),
+       layout=st.lists(st.lists(_SHAPES, min_size=1, max_size=3), min_size=1, max_size=4),
+       block=st.sampled_from([1, 3, 7, trainer_module.STEP_BLOCK]),
+       data=st.data())
+def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
+        optimizer, weight_decay, layout, block, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    groups = {f"g{k}": {f"g{k}p{j}": rng.standard_normal(shape)
+                        for j, shape in enumerate(shapes)}
+              for k, shapes in enumerate(layout)}
+    no_decay = set(data.draw(st.lists(st.sampled_from(sorted(groups)), unique=True),
+                             label="no_decay"))
+    cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay)
+    ref = ReferenceOptimizer(
+        {name: arr.copy() for params in groups.values() for name, arr in params.items()},
+        cfg, {name for k in no_decay for name in groups[k]})
+    default_block = trainer_module.STEP_BLOCK
+    trainer_module.STEP_BLOCK = block  # blocks that split parameters and groups
+    try:
+        opt = Optimizer(groups, cfg, no_decay=no_decay)
+        schedule = data.draw(st.lists(st.lists(st.sampled_from(sorted(groups)), min_size=1,
+                                               unique=True), min_size=1, max_size=6),
+                             label="schedule")
+        for stepped in schedule:
+            grads = {name: rng.standard_normal(arr.shape)
+                     for k in stepped for name, arr in groups[k].items()}
+            lr = float(rng.uniform(1e-3, 0.5))
+            opt.step(grads, lr)
+            ref.step(grads, lr)
+            for name, want in ref.handles.items():
+                assert opt.params[name].tobytes() == want.tobytes(), name
+    finally:
+        trainer_module.STEP_BLOCK = default_block
+
+
+def test_meta_trainer_binds_state_to_the_optimizer_buffer():
+    trainer, ds, _ = _tiny_setup(n_bases=3)
+    state, flat = trainer.state, trainer.opt.flat
+    maps = [a for vm in state.state_maps for a in vm.weights + vm.biases]
+    arrays = [*state.meta.params.values(), *maps, state.embeddings]
+    assert all(np.shares_memory(a, flat) for a in arrays)
+    assert state.embeddings.base is flat.base
+    before = [a.copy() for a in arrays]
+    trainer.cfg.max_steps = 1
+    trainer.run()
+    i = state.history[0][1]
+    moved = [not np.array_equal(a, b) for a, b in zip(arrays, before)]
+    assert moved[-1] and np.any(state.embeddings[i] != 0)
+    assert all(moved[:len(state.meta.params)])  # the core and the head of group 0
+    assert moved[len(state.meta.params) + 2 * i]  # base i's map weight
+
+
+def test_bases_of_one_dataset_and_input_family_share_one_pool():
+    ds, other = _tiny_dataset(), _tiny_dataset(seed=4)
+    bases = [init_base_model(kind, 12, 3, 3, 2, 0, seed=10 + i)
+             for i, kind in enumerate(["gru", "vanilla_rnn", "gru"])]
+    state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
+    trainer = MetaTrainer(state, bases, [ds, ds, other], TrainConfig())
+    assert trainer.pools[0] is trainer.pools[1]
+    assert trainer.pools[2] is not trainer.pools[0]
+    want = model_inputs(bases[2], other, other.indices("meta_unlabeled"))
+    assert all(np.array_equal(a, b) for a, b in zip(trainer.pools[2], want))
+
+
 @pytest.mark.parametrize("value,storable", [  # the last float64 float32 holds, the next
     (3.4028235677973362e38, True), (3.4028235677973366e38, False), (np.nan, False)])
 def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable):
     cfg = TrainConfig(optimizer="sgd_nesterov", weight_decay=0.0)
-    opt = Optimizer({"w": np.array([value])}, cfg)
+    opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
     with nullcontext() if storable else pytest.raises(NumericError):
         opt.step({"w": np.zeros(1)}, 1.0)
 
