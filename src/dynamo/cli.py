@@ -91,8 +91,7 @@ _POPULATION = {"task": (str, _REQUIRED), "count": (int, _REQUIRED),
                "lr": (_NUM, None), "epochs": (int, None)}
 # the keys both training sections take
 _TRAINING = {"optimizer": OPTIMIZERS, "lr": _NUM, "batch_size": int,
-             "weight_decay": _NUM, "cosine": bool, "cosine_freq": _NUM,
-             "momentum": _NUM}
+             "weight_decay": _NUM, "cosine_freq": _NUM, "momentum": _NUM}
 _BASE_TRAINING = {key: (kind, None) for key, kind in {
     **_TRAINING, "epochs": int}.items()}
 _META_TRAINING = {key: (kind, None) for key, kind in {
@@ -145,7 +144,7 @@ def _resolve_value(val, kind, where: str):
     if isinstance(kind, tuple) and isinstance(kind[0], str):
         if val not in kind:
             raise ConfigError(f"{where} must be one of {', '.join(kind)}")
-    elif not isinstance(val, kind):
+    elif not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"{where} has the wrong type")
     return val
 

@@ -4,18 +4,19 @@ summaries, and token-valence scoring of one-step transitions.
 Approximate fixed points of h -> F(x*, h) at the zero input x* = 0 are found
 by gradient descent with per-candidate step halving on q(h) = ||F(x*, h) - h||^2
 from a batch of candidate states, then deduplicated by a radius filter.
-Retained residuals are always re-evaluated through the plain numpy step,
-independently of the descent graph.
+Retained residuals are always re-evaluated through `models.cell_step`,
+independently of the descent.
 
 The summed q is a sum of per-row terms and the cell acts on each row alone,
 so the gradient for row i depends only on row i. Each descent iteration is
-therefore one forward and one backward pass at the trial states: the pass
-gives q for the acceptance test and the next gradient of every accepted row,
-while a rejected row keeps the gradient of its unchanged state. The same
-independence lets `score_map` descend the candidates of every grid node in
-one batch, each row conditioned on its own node's embedding, and then check
-residuals and deduplicate node by node. The map is the `score` column of an
-`atlas.PlaneGrid`, which `atlas.export_grid_csv` writes.
+therefore one cell step and one step VJP (`numgrad.CELLS`/`CELL_VJPS`) at
+the trial states, with no graph: they give q for the acceptance test and the
+next gradient of every accepted row, while a rejected row keeps the gradient
+of its unchanged state. The same independence lets `score_map` descend the
+candidates of every grid node in one batch, each row conditioned on its own
+node's embedding, and then check residuals and deduplicate node by node. The
+map is the `score` column of an `atlas.PlaneGrid`, which
+`atlas.export_grid_csv` writes.
 """
 from __future__ import annotations
 
@@ -24,17 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import atlas as atlas_mod
-from .models import (
-    CELL_PARAMS,
-    MetaModel,
-    cell_step,
-    cell_step_graph,
-    declare_params,
-    pad_tokens,
-    readout_names,
-    rollout_batch,
-)
-from .numgrad import Graph
+from .models import CELL_PARAMS, MetaModel, cell_step, pad_tokens, readout_names, rollout_batch
+from .numgrad import CELL_VJPS, CELLS, NumericError
 from .tasks import write_csv
 
 
@@ -112,22 +104,26 @@ def collect_candidates(model, theta, sequences: list[list[int]],
                            for b, n in enumerate(lengths)], axis=0)
 
 
-def _cell_params(model) -> dict[str, np.ndarray]:
-    """The recurrent cell's own weights: no embedding, stem or readout."""
-    return {name: model.params[name] for name in CELL_PARAMS[model.cell_kind]}
+def _cell_params(model) -> list[np.ndarray]:
+    """The recurrent cell's own weights, in the order its step takes them."""
+    return [model.params[name] for name in CELL_PARAMS[model.cell_kind]]
 
 
-def _build_q_graph(model, n: int, width: int) -> Graph:
-    """q for n states under cell inputs `u` of the given width."""
-    g = Graph()
-    refs = declare_params(g, _cell_params(model), trainable=False)
-    h = g.leaf("h", (n, model.hidden_dim))
-    cell_in = g.leaf("u", (n, width), param=False)
-    h2 = cell_step_graph(g, model.cell_kind, refs, cell_in, h)
-    q = g.squared_l2(g.sub(h2, h), axis=1)
-    g.mark("q", q)
-    g.output(g.reduce_sum(q))
-    return g
+@np.errstate(over="ignore", invalid="ignore")
+def _q_and_grad(model, u_rows: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row q at states `h` under cell inputs `u_rows`, and its gradient
+    in h: one cell step and one step VJP. With d = F - h the gradient is
+    -(d + d) + vjp(d + d), summed in that order. Raises NumericError if the
+    sum of q or the gradient is not finite."""
+    weights = _cell_params(model)
+    h_new, saved = CELLS[model.cell_kind](u_rows, h, *weights)
+    d = h_new - h
+    q = (d * d).sum(axis=1)
+    dd = d + d
+    grad = -dd + CELL_VJPS[model.cell_kind](dd, h, h_new, saved, *weights)[0]
+    if not (np.isfinite(q.sum()) and np.isfinite(grad).all()):
+        raise NumericError("fixed-point descent left the finite range")
+    return q, grad
 
 
 def find_fixed_points(model, theta, candidates: np.ndarray, tol: float = 1e-4,
@@ -149,17 +145,11 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
              max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row descent of q from `candidates`, row i under cell input
     `u_rows[i]`; returns the final states and the steps each row took.
-    One forward and one backward pass per iteration, at the trial states
-    (see the module docstring)."""
+    One cell step and one step VJP per iteration, at the trial states (see
+    the module docstring)."""
     n = len(candidates)
-    g = _build_q_graph(model, *u_rows.shape)
-    bindings = _cell_params(model)
-    bindings["u"] = u_rows
     h = candidates.copy()
-    bindings["h"] = h
-    g.forward(bindings)
-    q = g.value("q")
-    grad = g.backward()["h"]
+    q, grad = _q_and_grad(model, u_rows, h)
     # stop comfortably inside the tolerance: descending further would slide
     # candidates along slow manifolds and collapse their diversity
     stop2 = (0.9 * tol) ** 2
@@ -170,10 +160,7 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
         if not active.any():
             break
         cand = h - step_sizes[:, None] * grad
-        bindings["h"] = cand
-        g.forward(bindings)
-        q_new = g.value("q")
-        grad_new = g.backward()["h"]
+        q_new, grad_new = _q_and_grad(model, u_rows, cand)
         improved = active & (q_new < q)
         h[improved] = cand[improved]
         q[improved] = q_new[improved]
@@ -188,8 +175,10 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
 
 def _retain(model, u_rows: np.ndarray, h: np.ndarray, steps_used: np.ndarray,
             tol: float, dedup_radius: float) -> FixedPointSet:
-    """Keep the descended states whose residual, re-evaluated through the
-    plain numpy step, is <= tol, then deduplicate them by `dedup_radius`."""
+    """Keep the descended states whose residual, re-evaluated by one more
+    `models.cell_step`, is <= tol, then deduplicate them by `dedup_radius`.
+    The re-check reads the stored state, not the descent's last q, so a
+    fault in the descent cannot pass it."""
     residuals = np.linalg.norm(cell_step(model, u_rows, h) - h, axis=1)
     keep = residuals <= tol
     pts, res, used = h[keep], residuals[keep], steps_used[keep]

@@ -364,7 +364,7 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
 def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: int,
                     block: int = 0, theta_rows: int | None = None) -> int:
     """Graph twin of `cell_step`. Recurrent cells run one `recurrence` node
-    over time-major `x` (T * B, cell_in) from `h` (B, H); T = 1 is one step.
+    over all T steps of time-major `x` (T * B, cell_in) from `h` (B, H).
 
     For residual cells, pass the block features as `h` and the broadcast
     embedding rows as `theta_rows` (meta only); `x` is ignored.

@@ -12,9 +12,10 @@ reused across training steps. The vocabulary:
 - sum/mean reductions and row-wise log-softmax;
 - `recurrence`: all T steps of a GRU or vanilla RNN over time-major
   (T * B, .) rows as one node. Forward calls `gru_step`/`rnn_step`, as the
-  numpy rollouts in `models` do; backward carries only the state gradient
-  from step to step, then forms each weight gradient with one product over
-  all T * B rows.
+  numpy rollouts in `models` do; backward carries the state gradient back
+  through `gru_step_vjp`/`rnn_step_vjp` (`CELL_VJPS`, which the fixed-point
+  descent in `dynamics` calls too), then forms each weight gradient with
+  one product over all T * B rows.
 
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
@@ -108,7 +109,30 @@ def rnn_step(x, h, w_x, w_h, b):
     return np.tanh(x @ w_x + h @ w_h + b), ()
 
 
+def gru_step_vjp(g, h, h_new, saved, w_z, b_z, w_r, b_r, w_h, b_h):
+    """Gradient of h for the gradient `g` of h_new = `gru_step`(x, h), and those
+    of the z, r and hc pre-activations, [x; r*h] and [x; h], which the weight
+    and input gradients are formed from."""
+    _, z, r, _, hc = saved
+    nx = len(w_h) - h.shape[1]
+    da_h = g * (1.0 - z) * (1.0 - hc * hc)
+    dxrh = da_h @ w_h.T
+    drh = dxrh[:, nx:]
+    da_r = drh * h * r * (1.0 - r)
+    da_z = (g * h - g * hc) * z * (1.0 - z)
+    dxh = da_r @ w_r.T + da_z @ w_z.T
+    return g * z + drh * r + dxh[:, nx:], (da_z, da_r, da_h, dxrh, dxh)
+
+
+def rnn_step_vjp(g, h, h_new, saved, w_x, w_h, b):
+    """Gradient of h for the gradient `g` of h_new = `rnn_step`(x, h), and that
+    of the pre-activation."""
+    da = g * (1.0 - h_new * h_new)
+    return da @ w_h.T, (da,)
+
+
 CELLS = {"gru": gru_step, "vanilla_rnn": rnn_step}
+CELL_VJPS = {"gru": gru_step_vjp, "vanilla_rnn": rnn_step_vjp}
 
 
 class Graph:
@@ -478,33 +502,20 @@ class Graph:
     def _recurrence_backward(self, nid: int, g: np.ndarray, acc,
                              need: list[bool]) -> None:
         """BPTT through one `recurrence` node: each step back carries the state
-        gradient with the per-step composite graph's products, in its order;
-        each weight, bias and input gradient is then one product or sum."""
+        gradient through the cell's step VJP; each weight, bias and input
+        gradient is then one product or sum over all T * B rows."""
         ins = self._inputs[nid]
         x, h0, *params = (self._values[i] for i in ins)
         steps, y = self._saved[nid], self._values[nid]
         B, nx, gru = len(h0), x.shape[1], self._aux[nid] == "gru"
+        vjp = CELL_VJPS[self._aux[nid]]
         keep = need[0] or any(need[2:])  # the steps' gradients reach more than h0
-        carry, grads = None, []
+        carry, grads, h_new = None, [], y[len(y) - B:]
         for t in range(len(steps) - 1, -1, -1):
-            s = slice(t * B, (t + 1) * B)
-            gt = g[s] if carry is None else g[s] + carry
-            if gru:  # h' = (1-z)*hc + z*h, from h = hp
-                w_z, _, w_r, _, w_h, _ = params
-                _, z, r, _, hc = steps[t]
-                hp = y[(t - 1) * B:t * B] if t else h0
-                da_h = gt * (1.0 - z) * (1.0 - hc * hc)
-                dxrh = da_h @ w_h.T  # gradient of [x; r*h]
-                drh = dxrh[:, nx:]
-                da_r = drh * hp * r * (1.0 - r)
-                da_z = (gt * hp - gt * hc) * z * (1.0 - z)
-                dxh = da_r @ w_r.T + da_z @ w_z.T  # gradient of [x; h]
-                carry = gt * z + drh * r + dxh[:, nx:]
-                grads.append((da_z, da_r, da_h, dxrh, dxh) if keep else ())
-            else:  # h' = tanh(x w_x + h w_h + b)
-                da = gt * (1.0 - y[s] * y[s])
-                carry = da @ params[1].T
-                grads.append((da,) if keep else ())
+            gt, h = g[t * B:(t + 1) * B], y[(t - 1) * B:t * B] if t else h0
+            carry, parts = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *params)
+            grads.append(parts if keep else ())
+            h_new = h
         stacked = lambda j: _rows([gr[j] for gr in reversed(grads)])  # noqa: E731
         if gru:
             for k, i, j in ((2, 0, 0), (4, 0, 1), (6, 3, 2)):

@@ -75,6 +75,7 @@ BASE_ROLL_ROWS = 64
 # L2 per core). 16384 keeps a block's five operand rows (640 KiB) in L2 and
 # the scratch at 256 KiB whatever the model's size.
 STEP_BLOCK = 16384
+ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8  # fixed: no config key sets them
 
 
 class TrainerError(Exception):
@@ -88,14 +89,11 @@ class TrainConfig:
     fields (`lam` to `normalize_hidden_by_dim`); both read the rest.
     `cli.train_config_from` fills it from the config's `base_training` or
     `meta_training` section, whose keys are these fields (`lambda` for
-    `lam`); `betas` and `eps` are fixed."""
+    `lam`)."""
 
     optimizer: str = "adam_decoupled_wd"
     lr: float = 1e-3
-    cosine: bool = True
     cosine_freq: float = 7.0 / 32.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     momentum: float = 0.9
     weight_decay: float = 1e-4
     epochs: int = 0            # base-model training
@@ -123,8 +121,9 @@ class TrainConfig:
 
 
 def lr_multiplier(cfg: TrainConfig, step: int, total: int) -> float:
-    """Cosine annealing sweeping `cosine_freq` of a full cycle over the run."""
-    if not cfg.cosine or total <= 0:
+    """Cosine annealing sweeping `cosine_freq` of a full cycle over the run;
+    `cosine_freq` 0 keeps the multiplier at exactly 1."""
+    if total <= 0:
         return 1.0
     return 0.5 * (1.0 + np.cos(2.0 * np.pi * cfg.cosine_freq * step / total))
 
@@ -208,7 +207,7 @@ class Optimizer:
                 g[max(lo, a) - a:min(hi, b) - a] = grad[max(lo, a) - lo:min(hi, b) - lo]
         p, m = self._buf[0, a:b], self._buf[1, a:b]
         if cfg.optimizer == "adam_decoupled_wd":
-            b1, b2 = cfg.betas
+            b1, b2 = ADAM_BETAS
             v = self._buf[2, a:b]
             m *= b1
             m += np.multiply(g, 1 - b1, out=s)
@@ -216,7 +215,7 @@ class Optimizer:
             v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
             np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
             np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
-            g += cfg.eps
+            g += ADAM_EPS
             p -= np.divide(s, g, out=s)
         else:
             mu = cfg.momentum
@@ -321,10 +320,10 @@ def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
 
 
 def _hidden_rows(g: Graph, cfg: TrainConfig, h: int, vmap: tuple[int, int],
-                 target: str, shape: tuple[int, int]) -> int:
-    """Per-row hidden metric between the mapped states `h` and the leaf `target`."""
+                 target: int) -> int:
+    """Per-row hidden metric between the mapped states `h` and the node `target`."""
     v_w, v_b = vmap
-    diff = g.sub(g.add(g.matmul(h, v_w), v_b), g.leaf(target, shape, param=False))
+    diff = g.sub(g.add(g.matmul(h, v_w), v_b), target)
     return g.l1(diff, axis=1) if cfg.hidden_metric == "L1" else g.squared_l2(diff, axis=1)
 
 
@@ -337,8 +336,8 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     (row t * B + b is step t of sequence b) and weighted per row by the
     leaves `wh`/`wo` (masked per-sequence time means), against the base's
     stacked states `hb` and softmax `pb` (KL) or logits `ob`. Residual bases
-    use one state map per block, compare unmapped block features before the
-    last block, and compare head outputs after it.
+    use one state map per block, compare block features with the base's
+    `hb{t}` both mapped and (before the last block) unmapped, then outputs.
     """
     residual = meta.cell_kind == "residual_mlp"
     if residual and base_hidden != meta.hidden_dim:
@@ -357,11 +356,12 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         whid = 1.0 / (B * nb * base_hidden)
         hidden_terms, out_terms = [], []
         for t, h in enumerate(states):
-            rows = _hidden_rows(g, cfg, h, maps[t], f"hb{t}", (B, base_hidden))
+            hb = g.leaf(f"hb{t}", (B, base_hidden), param=False)
+            rows = _hidden_rows(g, cfg, h, maps[t], hb)
             hidden_terms.append(g.affine(g.reduce_sum(rows), whid))
             if t < nb - 1:
                 # feature stream: unmapped per-coordinate squared distance
-                fd = g.sub(h, g.leaf(f"fb{t}", (B, base_hidden), param=False))
+                fd = g.sub(h, hb)
                 out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)), whid))
         logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
         if kl:
@@ -376,7 +376,8 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     else:
         hs = next(states)
         TB = T * B
-        rows = _hidden_rows(g, cfg, hs, maps[0], "hb", (TB, base_hidden))
+        rows = _hidden_rows(g, cfg, hs, maps[0],
+                            g.leaf("hb", (TB, base_hidden), param=False))
         hidden_total = g.reduce_sum(g.mul(rows, g.leaf("wh", (TB,), param=False)))
         logits = g.add(g.matmul(hs, refs[w_name]), refs[b_name])
         wo = g.leaf("wo", (TB,), param=False)
@@ -572,8 +573,6 @@ class MetaTrainer:
             nb = base.num_blocks
             for t in range(nb):
                 bindings[f"hb{t}"] = hs_b[t]
-                if t < nb - 1:
-                    bindings[f"fb{t}"] = hs_b[t]
             if kl:
                 p = _softmax(logits_b[-1])
                 bindings["pb"] = p

@@ -171,6 +171,8 @@ def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     ("meta_training", "epochs", 2),
     ("base_training", "theta_lr", 0.1),
     ("meta_training", "theta_lr", 0.1),
+    ("base_training", "cosine", False),
+    ("meta_training", "cosine", True),
     (None, "out_dir", "elsewhere"),
 ])
 def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, key, value):
@@ -182,10 +184,24 @@ def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, k
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash>, no out_dir
 
 
+@pytest.mark.parametrize("section,key", [
+    ("population", "count"), ("base_training", "epochs"), ("meta_training", "lr"),
+    (None, "seed")])
+def test_bool_is_not_a_number_in_the_config(tmp_path, monkeypatch, section, key):
+    # bool subclasses int: true must not pass for a count, a rate or a seed
+    monkeypatch.chdir(tmp_path)
+    cfg = _mini_config()
+    entry = cfg[section] if section else cfg
+    (entry[0] if isinstance(entry, list) else entry)[key] = True
+    path = _write_config(tmp_path, cfg)
+    assert _run("gen-data", "--config", str(path)) == 2
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
+
+
 # one value per key, each unlike TrainConfig's default
 _TRAINING_VALUES = {
     "optimizer": "sgd_nesterov", "lr": 0.5, "batch_size": 3, "weight_decay": 0.5,
-    "cosine": False, "cosine_freq": 0.5, "momentum": 0.5, "epochs": 3, "max_steps": 3,
+    "cosine_freq": 0.5, "momentum": 0.5, "epochs": 3, "max_steps": 3,
     "lambda": 0.5, "hidden_metric": "L1", "output_divergence": "squared_L2_on_logits",
     "normalize_hidden_by_dim": False}
 

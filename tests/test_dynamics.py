@@ -1,9 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynamo import numgrad
 from dynamo.dynamics import (
     DynamicsError,
     FixedPointSet,
+    _q_and_grad,
     collect_candidates,
     export_fixed_points_csv,
     find_fixed_points,
@@ -15,7 +21,15 @@ from dynamo.dynamics import (
     word_score,
 )
 from dynamo.atlas import export_grid_csv
-from dynamo.models import cell_step, init_base_model, init_meta_model
+from dynamo.models import (
+    CELL_PARAMS,
+    cell_step,
+    cell_step_graph,
+    declare_params,
+    init_base_model,
+    init_meta_model,
+)
+from dynamo.numgrad import Graph, NumericError
 
 
 def _contraction_meta(seed=0, hidden=4):
@@ -72,6 +86,13 @@ def test_find_fixed_points_validates_inputs():
     res = init_base_model("residual_mlp", 0, 4, 4, 2, 0, seed=0, num_blocks=2)
     with pytest.raises(DynamicsError):
         find_fixed_points(res, None, np.zeros((2, 4)))
+
+
+def test_descent_from_a_state_that_is_not_finite_is_a_numeric_error():
+    # the descent checks q and its gradient, and warns about nothing on the way
+    cands = np.array([[np.inf, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+    with pytest.raises(NumericError):
+        find_fixed_points(_contraction_meta(), np.zeros(2), cands)
 
 
 def test_empty_result_is_valid():
@@ -268,19 +289,60 @@ def test_score_map_grid_matches_per_node_calls():
     assert grid.values["score"].tobytes() == want.tobytes()
 
 
-def test_find_fixed_points_runs_one_forward_and_backward_per_iteration(pass_counts):
+def _build_q_graph(model, n: int, width: int) -> Graph:
+    """The descent's q for n states under cell inputs `u` of the given width,
+    as a numgrad graph: the oracle of `dynamics._q_and_grad`."""
+    g = Graph()
+    cell = {name: model.params[name] for name in CELL_PARAMS[model.cell_kind]}
+    refs = declare_params(g, cell, trainable=False)
+    h = g.leaf("h", (n, model.hidden_dim))
+    cell_in = g.leaf("u", (n, width), param=False)
+    h2 = cell_step_graph(g, model.cell_kind, refs, cell_in, h)
+    q = g.squared_l2(g.sub(h2, h), axis=1)
+    g.mark("q", q)
+    g.output(g.reduce_sum(q))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["gru", "vanilla_rnn"]), n=st.integers(1, 40),
+       H=st.integers(1, 6), d=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_q_and_grad_match_the_graph_bitwise(kind, n, H, d, seed):
+    rng = np.random.default_rng(seed)
+    meta = init_meta_model(kind, 8, 3, H, d, {0: 2}, seed=seed)
+    u = np.concatenate([rng.standard_normal((n, d)),  # one embedding per row
+                        meta.params["embed"][rng.integers(0, 8, n)]], axis=1)
+    h = 2.0 * rng.standard_normal((n, H))
+    g = _build_q_graph(meta, n, u.shape[1])
+    g.forward({**{k: meta.params[k] for k in CELL_PARAMS[kind]}, "u": u, "h": h})
+    q_graph = g.value("q").copy()
+    grad_graph = g.backward()["h"]
+    q, grad = _q_and_grad(meta, u, h)
+    assert q.tobytes() == q_graph.tobytes()
+    assert grad.tobytes() == grad_graph.tobytes()
+
+
+def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,
+                                                                     pass_counts):
+    counts = Counter()
+    for name, table in (("step", numgrad.CELLS), ("vjp", numgrad.CELL_VJPS)):
+        def counted(*args, _fn=table["gru"], _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setitem(table, "gru", counted)
     meta = _contraction_meta()
     cands = np.random.default_rng(2).standard_normal((6, 4))
-    # a tolerance no row reaches in 5 steps: the descent runs 5 iterations
+    # a tolerance no row reaches in 5 steps: the descent runs 5 iterations,
+    # each one cell step and one VJP, plus those at the candidates and the
+    # retained residuals' re-check through one more cell step
     fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-12, max_steps=5)
     assert len(fps) == 0
-    assert len(pass_counts["forward"]) == 5 + 1
-    assert pass_counts["backward"] == 5 + 1
+    assert counts == {"step": 5 + 1 + 1, "vjp": 5 + 1}
     # candidates already at the fixed point: no iteration
-    find_fixed_points(meta, np.zeros(2), np.zeros((3, 4)), tol=1e-6,
-                      max_steps=5)
-    assert len(pass_counts["forward"]) == 6 + 1
-    assert pass_counts["backward"] == 6 + 1
+    counts.clear()
+    find_fixed_points(meta, np.zeros(2), np.zeros((3, 4)), tol=1e-6, max_steps=5)
+    assert counts == {"step": 1 + 1, "vjp": 1}
+    assert pass_counts == {"forward": [], "backward": 0}  # no graph runs
 
 
 def test_score_map_missing_marker_round_trips(tmp_path):

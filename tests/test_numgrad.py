@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from dynamo.models import CELL_PARAMS, cell_step
 from dynamo.numgrad import (
+    CELL_VJPS,
+    CELLS,
     BackwardBeforeForward,
     Graph,
     NonScalarOutput,
@@ -472,6 +474,59 @@ def test_gather_rows_scatter_adds_repeated_ids(V, K, seed, data):
     onehot = np.eye(V)[ids]
     upstream = point["m"] * (1.0 - np.tanh(point["table"][ids]) ** 2)
     np.testing.assert_allclose(grad, onehot.T @ upstream, rtol=1e-12, atol=1e-15)
+
+
+def _step_grads(kind, point, saved, parts):
+    """Input and weight gradients from a step VJP's pre-activation gradients,
+    formed as `recurrence`'s backward forms them over its stacked steps."""
+    if kind == "vanilla_rnn":
+        (da,) = parts
+        return {"x": da @ point["w_x"].T, "w_x": point["x"].T @ da,
+                "w_h": point["h"].T @ da, "b": da.sum(axis=0)}
+    xh, _, _, xrh, _ = saved
+    da_z, da_r, da_h, dxrh, dxh = parts
+    nx = point["x"].shape[1]
+    return {"x": dxrh[:, :nx] + dxh[:, :nx],
+            "w_z": xh.T @ da_z, "b_z": da_z.sum(axis=0),
+            "w_r": xh.T @ da_r, "b_r": da_r.sum(axis=0),
+            "w_h": xrh.T @ da_h, "b_h": da_h.sum(axis=0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["gru", "vanilla_rnn"]), B=st.integers(1, 4),
+       nx=st.integers(1, 3), H=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_step_vjps_match_fd(kind, B, nx, H, seed):
+    # inputs drawn from [-1, 1] keep every gate off saturation, where central
+    # differences lose their digits
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (B, nx), "h": (B, H)}
+    if kind == "gru":
+        shapes.update({n: (nx + H, H) if n[0] == "w" else (H,) for n in CELL_PARAMS[kind]})
+    else:
+        shapes.update(w_x=(nx, H), w_h=(H, H), b=(H,))
+    point = {n: rng.uniform(-1.0, 1.0, s) for n, s in shapes.items()}
+    cotangent = rng.uniform(-1.0, 1.0, (B, H))
+
+    def step():
+        return CELLS[kind](point["x"], point["h"], *(point[n] for n in CELL_PARAMS[kind]))
+
+    h_new, saved = step()
+    dh, parts = CELL_VJPS[kind](cotangent, point["h"], h_new, saved,
+                                *(point[n] for n in CELL_PARAMS[kind]))
+    analytic = {"h": dh, **_step_grads(kind, point, saved, parts)}
+    assert sorted(analytic) == sorted(point)
+    for name, grad in analytic.items():
+        flat, num = point[name].reshape(-1), np.zeros(point[name].size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1e-6
+            hi = (step()[0] * cotangent).sum()
+            flat[i] = orig - 1e-6
+            lo = (step()[0] * cotangent).sum()
+            flat[i] = orig
+            num[i] = (hi - lo) / 2e-6
+        np.testing.assert_allclose(grad.reshape(-1), num, rtol=1e-6, atol=1e-8,
+                                   err_msg=name)
 
 
 def test_fused_ops_reject_bad_shapes():

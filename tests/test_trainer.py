@@ -143,7 +143,7 @@ class ReferenceOptimizer:
             p = self.handles[name]
             g = g.reshape(p.shape)
             if cfg.optimizer == "adam_decoupled_wd":
-                b1, b2 = cfg.betas
+                b1, b2 = trainer_module.ADAM_BETAS
                 if name not in self._m:
                     self._m[name] = np.zeros_like(p)
                     self._v[name] = np.zeros_like(p)
@@ -156,7 +156,7 @@ class ReferenceOptimizer:
                 v += (1 - b2) * (g * g)
                 mhat = m / (1 - b1 ** t)
                 vhat = v / (1 - b2 ** t)
-                p -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                p -= lr * mhat / (np.sqrt(vhat) + trainer_module.ADAM_EPS)
             else:
                 mu = cfg.momentum
                 if name not in self._m:
@@ -588,12 +588,13 @@ def test_conjugacy_zero_map_collapse_statistics():
 
 
 def test_lr_multiplier_schedule():
-    cfg = TrainConfig(cosine=True, cosine_freq=7 / 32)
+    cfg = TrainConfig(cosine_freq=7 / 32)
     assert lr_multiplier(cfg, 0, 100) == pytest.approx(1.0)
     end = lr_multiplier(cfg, 100, 100)
     assert 0.0 < end < 1.0
-    cfg_off = TrainConfig(cosine=False)
-    assert lr_multiplier(cfg_off, 50, 100) == 1.0
+    # cosine_freq 0 is a constant learning rate, exactly
+    cfg_off = TrainConfig(cosine_freq=0.0)
+    assert all(lr_multiplier(cfg_off, step, 100) == 1.0 for step in range(101))
 
 
 _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
