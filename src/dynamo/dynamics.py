@@ -8,8 +8,9 @@ Retained residuals are always re-evaluated through `models.cell_step`,
 independently of the descent.
 
 The summed q is a sum of per-row terms and the cell acts on each row alone,
-so the gradient for row i depends only on row i. Each descent iteration is
-therefore one cell step and one step VJP (`numgrad.CELLS`/`CELL_VJPS`) at
+so the gradient for row i depends only on row i. The cell inputs are
+projected once per descent (`models.project_inputs`); each iteration is then
+one state-only cell step and one step VJP (`numgrad.CELLS`/`CELL_VJPS`) at
 the trial states, with no graph: they give q for the acceptance test and the
 next gradient of every accepted row, while a rejected row keeps the gradient
 of its unchanged state. The same independence lets `score_map` descend the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import atlas as atlas_mod
-from .models import CELL_PARAMS, MetaModel, cell_step, pad_tokens, readout_names, rollout_batch
+from .models import MetaModel, cell_step, pad_tokens, project_inputs, readout_names, rollout_batch
 from .numgrad import CELL_VJPS, CELLS, NumericError
 from .tasks import write_csv
 
@@ -104,23 +105,18 @@ def collect_candidates(model, theta, sequences: list[list[int]],
                            for b, n in enumerate(lengths)], axis=0)
 
 
-def _cell_params(model) -> list[np.ndarray]:
-    """The recurrent cell's own weights, in the order its step takes them."""
-    return [model.params[name] for name in CELL_PARAMS[model.cell_kind]]
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _q_and_grad(model, u_rows: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row q at states `h` under cell inputs `u_rows`, and its gradient
-    in h: one cell step and one step VJP. With d = F - h the gradient is
-    -(d + d) + vjp(d + d), summed in that order. Raises NumericError if the
-    sum of q or the gradient is not finite."""
-    weights = _cell_params(model)
-    h_new, saved = CELLS[model.cell_kind](u_rows, h, *weights)
+def _q_and_grad(kind: str, xp: np.ndarray, state: tuple,
+                h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row q at states `h` under the projected cell inputs `xp`, and its
+    gradient in h: one state-only cell step and one step VJP. With d = F - h
+    the gradient is -(d + d) + vjp(d + d), summed in that order. Raises
+    NumericError if the sum of q or the gradient is not finite."""
+    h_new, saved = CELLS[kind](xp, h, *state)
     d = h_new - h
     q = (d * d).sum(axis=1)
     dd = d + d
-    grad = -dd + CELL_VJPS[model.cell_kind](dd, h, h_new, saved, *weights)[0]
+    grad = -dd + CELL_VJPS[kind](dd, h, h_new, saved, *state)[0]
     if not (np.isfinite(q.sum()) and np.isfinite(grad).all()):
         raise NumericError("fixed-point descent left the finite range")
     return q, grad
@@ -145,11 +141,12 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
              max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row descent of q from `candidates`, row i under cell input
     `u_rows[i]`; returns the final states and the steps each row took.
-    One cell step and one step VJP per iteration, at the trial states (see
-    the module docstring)."""
+    The inputs are projected once; each iteration is one state-only cell
+    step and one step VJP at the trial states (see the module docstring)."""
     n = len(candidates)
     h = candidates.copy()
-    q, grad = _q_and_grad(model, u_rows, h)
+    kind, (xp, state) = model.cell_kind, project_inputs(model, u_rows)
+    q, grad = _q_and_grad(kind, xp, state, h)
     # stop comfortably inside the tolerance: descending further would slide
     # candidates along slow manifolds and collapse their diversity
     stop2 = (0.9 * tol) ** 2
@@ -160,7 +157,7 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
         if not active.any():
             break
         cand = h - step_sizes[:, None] * grad
-        q_new, grad_new = _q_and_grad(model, u_rows, cand)
+        q_new, grad_new = _q_and_grad(kind, xp, state, cand)
         improved = active & (q_new < q)
         h[improved] = cand[improved]
         q[improved] = q_new[improved]

@@ -7,10 +7,12 @@ vanilla RNN) or injected as a learned bias inside each block (residual MLP),
 plus one readout head per task group.
 
 A recurrent cell's arithmetic is written once, as `numgrad.gru_step` and
-`numgrad.rnn_step` (`numgrad.CELLS`); `cell_step` here and numgrad's
-`recurrence` node both call it, so graph and numpy forward values agree bit
-for bit.
-`rollout_batch` is the only numpy loop over `cell_step`: it runs either
+`numgrad.rnn_step` (`numgrad.CELLS`), which step the state from inputs
+projected once through the cell's input weights (`project_inputs`).
+`cell_step`, `rollout_batch` and numgrad's `recurrence` node all call them;
+each projects its own block of rows, so graph and numpy forward values
+agree to rounding.
+`rollout_batch` is the only numpy rollout loop: it runs either
 family, ragged token batches by length, one embedding per row, and selects
 the readout head; every other numpy evaluation calls it. `unroll_graph`
 builds every training and embedding-search graph: one `recurrence` node over
@@ -98,14 +100,23 @@ def _block_params(params: dict, t: int) -> dict:
             "a2": params[f"blk{t}_a2"], "b2": params[f"blk{t}_b2"]}
 
 
+def project_inputs(model, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The recurrent cell's input share of the rows `x` (G, n, H), projected
+    as the `recurrence` node projects them, and its state weights."""
+    weights = (model.params[n] for n in CELL_PARAMS[model.cell_kind])
+    w_in, b_in, state = numgrad.CELL_SPLITS[model.cell_kind](x.shape[-1], *weights)
+    return np.matmul(x, w_in) + b_in, state
+
+
 def cell_step(model, x: np.ndarray, h: np.ndarray, block: int = 0,
               theta: np.ndarray | None = None) -> np.ndarray:
     """One application of the model's transition map. For meta models, `x`
     must already include the embedding (recurrent) or `theta` is passed
     through to the block bias (residual)."""
     if model.cell_kind in CELL_PARAMS:
-        weights = (model.params[n] for n in CELL_PARAMS[model.cell_kind])
-        return numgrad.CELLS[model.cell_kind](x, h, *weights)[0]
+        h = np.asarray(h, dtype=np.float64)
+        xp, state = project_inputs(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        return numgrad.CELLS[model.cell_kind](xp, np.atleast_2d(h), *state)[0].reshape(h.shape)
     if model.cell_kind == "residual_mlp":
         w_theta = model.params.get("w_theta") if theta is not None else None
         return residual_block_step(_block_params(model.params, block), h,
@@ -149,7 +160,8 @@ def model_inputs(model, ds: SequenceDataset, idxs) -> tuple[np.ndarray, np.ndarr
 
 def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
                   task_group: int | None = None, lengths: np.ndarray | None = None):
-    """Batched rollout; the one numpy loop over `cell_step`.
+    """Batched rollout, the one numpy rollout loop: a recurrent step adds the
+    projected token row to the row's projected theta and steps only the state.
 
     Recurrent cells read (B, T) token ids. With `lengths`, row b steps only
     through its first lengths[b] tokens and then holds its state, so the last
@@ -196,14 +208,20 @@ def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
             tokens, lengths = tokens[order], lengths[order]
             theta = None if theta is None else theta[order]
         active = (lengths[None, :] > np.arange(T)[:, None]).sum(axis=1)
+    # the cell input is [theta; token embedding]: rows :d of the input weights read theta
+    d = 0 if theta is None else theta.shape[1]
+    w_in, b_in, state = numgrad.CELL_SPLITS[model.cell_kind](
+        d + p["embed"].shape[1], *(p[n] for n in CELL_PARAMS[model.cell_kind]))
+    emb = np.matmul(p["embed"], w_in[:, d:]) + b_in  # (G, vocab, H)
+    th = None if theta is None else np.matmul(theta, w_in[:, :d])
     h = np.zeros((B, model.hidden_dim))
     hiddens = np.empty((T, B, model.hidden_dim))
     for t in range(T):
         k = active[t]
-        x = p["embed"][tokens[:k, t]]
-        if theta is not None:
-            x = np.concatenate([theta[:k], x], axis=-1)
-        h[:k] = cell_step(model, x, h[:k])
+        xp = np.take(emb, tokens[:k, t], axis=1)
+        if th is not None:
+            xp += th[:, :k]
+        h[:k] = numgrad.CELLS[model.cell_kind](xp, h[:k], *state)[0]
         hiddens[t] = h
     if order is not None:
         hiddens = hiddens[:, np.argsort(order)]

@@ -11,11 +11,15 @@ reused across training steps. The vocabulary:
   id leaf, whose backward scatter-adds into the table);
 - sum/mean reductions and row-wise log-softmax;
 - `recurrence`: all T steps of a GRU or vanilla RNN over time-major
-  (T * B, .) rows as one node. Forward calls `gru_step`/`rnn_step`, as the
-  numpy rollouts in `models` do; backward carries the state gradient back
-  through `gru_step_vjp`/`rnn_step_vjp` (`CELL_VJPS`, which the fixed-point
-  descent in `dynamics` calls too), then forms each weight gradient with
-  one product over all T * B rows.
+  (T * B, .) rows as one node. `CELL_SPLITS` splits the stored [x; h]-row
+  weights into gate-major input weights (G, nx, H), biases (G, 1, H) and
+  state weights, G being 3 gates for a GRU and 1 for an RNN. Forward
+  projects all T * B input rows once, and each step (`gru_step`/`rnn_step`,
+  as the numpy rollouts in `models` call them) multiplies only the state.
+  Backward carries only the state gradient back through `gru_step_vjp`/
+  `rnn_step_vjp` (`CELL_VJPS`, which the fixed-point descent in `dynamics`
+  calls too), then forms the input gradient and each weight's input and
+  state row blocks with one product over all T * B rows.
 
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
@@ -93,44 +97,67 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def gru_step(x, h, w_z, b_z, w_r, b_r, w_h, b_h):
-    """One GRU step, h' = (1-z)*hc + z*h with z, r = sigmoid([x; h] w + b) and
-    hc = tanh([x; r*h] w_h + b_h); returns h' and [x; h], z, r, [x; r*h], hc."""
-    xh = np.concatenate((x, h), axis=-1)
-    z = _sigmoid(xh @ w_z + b_z)
-    r = _sigmoid(xh @ w_r + b_r)
-    xrh = np.concatenate((x, r * h), axis=-1)
-    hc = np.tanh(xrh @ w_h + b_h)
-    return (1.0 - z) * hc + z * h, (xh, z, r, xrh, hc)
+def gru_split(nx, w_z, b_z, w_r, b_r, w_h, b_h):
+    """The stored [x; h]-row GRU weights as input weights (3, nx, H) and
+    biases (3, 1, H) of the z, r and hc gates, and state weights: z and r
+    as (2, H, H), hc as (H, H)."""
+    return (np.stack((w_z[:nx], w_r[:nx], w_h[:nx])), np.stack((b_z, b_r, b_h))[:, None],
+            (np.stack((w_z[nx:], w_r[nx:])), w_h[nx:]))
 
 
-def rnn_step(x, h, w_x, w_h, b):
-    """One vanilla RNN step, h' = tanh(x w_x + h w_h + b); it saves nothing."""
-    return np.tanh(x @ w_x + h @ w_h + b), ()
+def rnn_split(nx, w_x, w_h, b):
+    """The RNN weights as input weights (1, nx, H), bias (1, 1, H) and the
+    state weight."""
+    return w_x[None], b[None, None], (w_h,)
 
 
-def gru_step_vjp(g, h, h_new, saved, w_z, b_z, w_r, b_r, w_h, b_h):
-    """Gradient of h for the gradient `g` of h_new = `gru_step`(x, h), and those
-    of the z, r and hc pre-activations, [x; r*h] and [x; h], which the weight
-    and input gradients are formed from."""
-    _, z, r, _, hc = saved
-    nx = len(w_h) - h.shape[1]
-    da_h = g * (1.0 - z) * (1.0 - hc * hc)
-    dxrh = da_h @ w_h.T
-    drh = dxrh[:, nx:]
-    da_r = drh * h * r * (1.0 - r)
-    da_z = (g * h - g * hc) * z * (1.0 - z)
-    dxh = da_r @ w_r.T + da_z @ w_z.T
-    return g * z + drh * r + dxh[:, nx:], (da_z, da_r, da_h, dxrh, dxh)
+def gru_step(xp, h, u_zr, u_h):
+    """One GRU step from the input share `xp` (3, B, H) of the z, r and hc
+    pre-activations: z, r = sigmoid(xp[:2] + h u_zr), hc = tanh(xp[2] +
+    (r*h) u_h) and h' = hc + z*(h - hc); returns h' and (z and r as one
+    (2, B, H) array, r*h, hc, h - hc)."""
+    zr = np.matmul(h, u_zr)
+    zr += xp[:2]
+    np.exp(np.negative(zr, out=zr), out=zr)  # sigmoid in place, bit for bit `_sigmoid`
+    np.reciprocal(np.add(zr, 1.0, out=zr), out=zr)
+    rh = zr[1] * h
+    hc = rh @ u_h
+    np.tanh(np.add(hc, xp[2], out=hc), out=hc)
+    d = h - hc
+    return zr[0] * d + hc, (zr, rh, hc, d)
 
 
-def rnn_step_vjp(g, h, h_new, saved, w_x, w_h, b):
-    """Gradient of h for the gradient `g` of h_new = `rnn_step`(x, h), and that
-    of the pre-activation."""
+def rnn_step(xp, h, w_h):
+    """One vanilla RNN step from the input share `xp` (1, B, H),
+    h' = tanh(xp + h w_h); it saves nothing."""
+    a = h @ w_h
+    return np.tanh(np.add(a, xp[0], out=a), out=a), ()
+
+
+def gru_step_vjp(g, h, h_new, saved, u_zr, u_h):
+    """Gradient of h for the gradient `g` of h_new = `gru_step`(xp, h), and
+    those of the z, r and hc pre-activations as one (3, B, H) array."""
+    zr, _, hc, d = saved
+    da = np.empty((3,) + g.shape)
+    gz = g * zr[0]
+    np.multiply(g - gz, 1.0 - hc * hc, out=da[2])
+    drh = da[2] @ u_h.T
+    np.multiply(g, d, out=da[0])
+    np.multiply(drh, h, out=da[1])
+    da[:2] *= zr
+    da[:2] *= 1.0 - zr  # z(1-z) and r(1-r)
+    dzr = np.matmul(da[:2], u_zr.transpose(0, 2, 1))
+    return gz + drh * zr[1] + dzr[0] + dzr[1], da
+
+
+def rnn_step_vjp(g, h, h_new, saved, w_h):
+    """Gradient of h for the gradient `g` of h_new = `rnn_step`(xp, h), and
+    that of the pre-activation as a (1, B, H) array."""
     da = g * (1.0 - h_new * h_new)
-    return da @ w_h.T, (da,)
+    return da @ w_h.T, da[None]
 
 
+CELL_SPLITS = {"gru": gru_split, "vanilla_rnn": rnn_split}
 CELLS = {"gru": gru_step, "vanilla_rnn": rnn_step}
 CELL_VJPS = {"gru": gru_step_vjp, "vanilla_rnn": rnn_step_vjp}
 
@@ -351,12 +378,14 @@ class Graph:
                 vals[nid] = vals[ins[0]][vals[ins[1]].astype(np.intp)]
             elif kind == "recurrence":
                 x, h, *params = (vals[i] for i in ins)
-                B, hs, saved[nid] = len(h), [], []
+                w_in, b_in, state = CELL_SPLITS[aux](x.shape[1], *params)
+                xp = np.matmul(x, w_in) + b_in
+                B, hs, steps = len(h), [], []
                 for s in range(0, len(x), B):
-                    h, inter = CELLS[aux](x[s:s + B], h, *params)
+                    h, inter = CELLS[aux](xp[:, s:s + B], h, *state)
                     hs.append(h)
-                    saved[nid].append(inter)
-                vals[nid] = _rows(hs)
+                    steps.append(inter)
+                vals[nid], saved[nid] = _rows(hs), (w_in, state, steps)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
         self._values = vals
@@ -460,14 +489,14 @@ class Graph:
                 if aux is None:
                     acc(ins[0], np.broadcast_to(g, self._shapes[ins[0]]))
                 else:
-                    acc(ins[0], np.expand_dims(g, aux) * np.ones(self._shapes[ins[0]]))
+                    acc(ins[0], np.broadcast_to(np.expand_dims(g, aux), self._shapes[ins[0]]))
             elif kind == "reduce_mean":
                 src = self._shapes[ins[0]]
                 if aux is None:
                     n = int(np.prod(src)) if src else 1
                     acc(ins[0], np.broadcast_to(g / n, src))
                 else:
-                    acc(ins[0], np.expand_dims(g, aux) * np.ones(src) / src[aux])
+                    acc(ins[0], np.broadcast_to(np.expand_dims(g, aux) / src[aux], src))
             elif kind == "log_softmax":
                 y = vals[nid]
                 sm = np.exp(y)
@@ -501,43 +530,37 @@ class Graph:
 
     def _recurrence_backward(self, nid: int, g: np.ndarray, acc,
                              need: list[bool]) -> None:
-        """BPTT through one `recurrence` node: each step back carries the state
-        gradient through the cell's step VJP; each weight, bias and input
-        gradient is then one product or sum over all T * B rows."""
+        """BPTT through one `recurrence` node: each step back carries only the
+        state gradient through the cell's step VJP. The input gradient and the
+        input and state row blocks of each weight are then one product each
+        over all T * B rows, put back in the stored [x; h] row layout."""
         ins = self._inputs[nid]
         x, h0, *params = (self._values[i] for i in ins)
-        steps, y = self._saved[nid], self._values[nid]
-        B, nx, gru = len(h0), x.shape[1], self._aux[nid] == "gru"
-        vjp = CELL_VJPS[self._aux[nid]]
-        keep = need[0] or any(need[2:])  # the steps' gradients reach more than h0
-        carry, grads, h_new = None, [], y[len(y) - B:]
+        (w_in, state, steps), y = self._saved[nid], self._values[nid]
+        B, vjp = len(h0), CELL_VJPS[self._aux[nid]]
+        carry, das, h_new = None, [], y[len(y) - B:]
         for t in range(len(steps) - 1, -1, -1):
             gt, h = g[t * B:(t + 1) * B], y[(t - 1) * B:t * B] if t else h0
-            carry, parts = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *params)
-            grads.append(parts if keep else ())
+            carry, da = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *state)
+            das.append(da)
             h_new = h
-        stacked = lambda j: _rows([gr[j] for gr in reversed(grads)])  # noqa: E731
-        if gru:
-            for k, i, j in ((2, 0, 0), (4, 0, 1), (6, 3, 2)):
-                da = stacked(j) if need[k] or need[k + 1] else None
-                if need[k]:  # rows of the weight's input, [x; h] or [x; r*h]
-                    acc(ins[k], _rows([st[i] for st in steps]).T @ da)
-                if need[k + 1]:
-                    acc(ins[k + 1], da.sum(axis=0))
-            if need[0]:
-                acc(ins[0], stacked(3)[:, :nx] + stacked(4)[:, :nx])
-        elif keep:
-            da, w_x = stacked(0), params[0]
-            if need[2]:
-                acc(ins[2], x.T @ da)
-            if need[3]:
-                acc(ins[3], np.concatenate((h0, y[:-B])).T @ da)
-            if need[4]:
-                acc(ins[4], da.sum(axis=0))
-            if need[0]:
-                acc(ins[0], da @ w_x.T)
         if need[1]:
             acc(ins[1], carry)
+        da = np.concatenate(das[::-1], axis=1)  # (G, T * B, H)
+        if need[0]:
+            acc(ins[0], np.matmul(da, w_in.transpose(0, 2, 1)).sum(axis=0))
+        if not any(need[2:]):
+            return
+        dw_in, db = np.matmul(x.T, da), da.sum(axis=1)
+        h_prev = np.concatenate((h0, y[:-B]))
+        if self._aux[nid] == "gru":  # state rows: h for z and r, r*h for hc
+            dw_st = [*np.matmul(h_prev.T, da[:2]), _rows([st[1] for st in steps]).T @ da[2]]
+            grads = [p for k in range(3) for p in (_rows([dw_in[k], dw_st[k]]), db[k])]
+        else:
+            grads = [dw_in[0], h_prev.T @ da[0], db[0]]
+        for k, grad in enumerate(grads, 2):
+            if need[k]:
+                acc(ins[k], grad)
 
 
 def grad_check(graph: Graph, point: dict, step: float) -> float:

@@ -28,6 +28,7 @@ from dynamo.models import (
     declare_params,
     init_base_model,
     init_meta_model,
+    project_inputs,
 )
 from dynamo.numgrad import Graph, NumericError
 
@@ -317,7 +318,7 @@ def test_q_and_grad_match_the_graph_bitwise(kind, n, H, d, seed):
     g.forward({**{k: meta.params[k] for k in CELL_PARAMS[kind]}, "u": u, "h": h})
     q_graph = g.value("q").copy()
     grad_graph = g.backward()["h"]
-    q, grad = _q_and_grad(meta, u, h)
+    q, grad = _q_and_grad(kind, *project_inputs(meta, u), h)  # u projected as the graph does
     assert q.tobytes() == q_graph.tobytes()
     assert grad.tobytes() == grad_graph.tobytes()
 

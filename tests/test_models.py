@@ -367,3 +367,34 @@ def test_rollout_batch_matches_row_by_row_oracle(case, seed, data):
         # finished rows hold their final state
         assert np.array_equal(hiddens[n:, b], np.broadcast_to(hiddens[n - 1, b],
                                                               hiddens[n:, b].shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["gru", "vanilla_rnn"]), meta=st.booleans(),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_rollout_batch_matches_the_recurrence_states(kind, meta, seed, data):
+    # rollout_batch projects the embedding table and the theta rows apart,
+    # the recurrence node each [theta; embedding] row: equal to rounding
+    rng = np.random.default_rng(seed)
+    B = data.draw(st.integers(1, 5))
+    lengths = np.array(data.draw(st.lists(st.integers(1, 6), min_size=B, max_size=B)))
+    T, d = int(lengths.max()), 2 if meta else 0
+    model = (init_meta_model(kind, 7, 3, 4, d, {0: 2}, seed=seed) if meta
+             else init_base_model(kind, 7, 3, 4, 2, 0, seed=seed))
+    tokens = rng.integers(0, 7, size=(B, T))
+    theta = rng.standard_normal((B, d)) if meta else None
+    g = Graph()
+    refs = declare_params(g, model.params)
+    bind = dict(model.params, tokens=tokens.T.reshape(-1))  # time-major rows
+    x = g.gather_rows(refs["embed"], g.leaf("tokens", (T * B,), param=False))
+    if meta:
+        bind["theta_rows"] = np.tile(theta, (T, 1))
+        x = g.concat(g.leaf("theta_rows", (T * B, d), param=False), x)
+    states = cell_step_graph(g, kind, refs, x, g.const(np.zeros((B, 4))))
+    g.output(g.reduce_sum(states))
+    g.forward(bind)
+    want = g.value(states).reshape(T, B, 4)
+    hiddens, _ = rollout_batch(model, tokens, theta=theta, task_group=0, lengths=lengths)
+    valid = np.arange(T)[:, None] < lengths[None, :]  # the node steps through padding
+    got, want = hiddens[valid], want[valid]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

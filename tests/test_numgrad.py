@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynamo.models import CELL_PARAMS, cell_step
 from dynamo.numgrad import (
+    CELL_SPLITS,
     CELL_VJPS,
     CELLS,
     BackwardBeforeForward,
@@ -435,15 +436,26 @@ def test_fused_cells_match_composite_and_fd(kind, T, B, d, nin, H, seed):
     fused = _recurrence_graph(kind, point, T, B, composite=False)
     assert grad_check(fused, point, 1e-5) < 1e-6
     fused.forward(point)
-    # forward: bit for bit the numpy rollout's steps
-    cell = SimpleNamespace(cell_kind=kind, params=point)
+    states = fused.value("states")
+    # forward: bit for bit a numpy loop that projects all T * B rows once and
+    # steps the cell on the state alone
+    x = np.concatenate((np.repeat(point["theta"], T * B, axis=0), point["xin"]), axis=1)
+    w_in, b_in, state = CELL_SPLITS[kind](d + nin, *(point[n] for n in CELL_PARAMS[kind]))
+    xp = np.matmul(x, w_in) + b_in
     h, want = point["h0"], []
     for t in range(T):
-        x = np.concatenate((np.repeat(point["theta"], B, axis=0),
-                            point["xin"][t * B:(t + 1) * B]), axis=1)
-        h = cell_step(cell, x, h)
+        h = CELLS[kind](xp[:, t * B:(t + 1) * B], h, *state)[0]
         want.append(h)
-    assert fused.value("states").tobytes() == np.concatenate(want).tobytes()
+    assert states.tobytes() == np.concatenate(want).tobytes()
+    # and to rounding, per-step `cell_step`: a projection over other row
+    # blocks rounds differently
+    cell = SimpleNamespace(cell_kind=kind, params=point)
+    h, per_step = point["h0"], []
+    for t in range(T):
+        h = cell_step(cell, x[t * B:(t + 1) * B], h)
+        per_step.append(h)
+    per_step = np.concatenate(per_step)
+    assert np.all(np.abs(states - per_step) <= 1e-12 * np.maximum(1.0, np.abs(per_step)))
     # gradients of theta, x, h0 and every weight: the per-step composite graph
     composite = _recurrence_graph(kind, point, T, B, composite=True)
     composite.forward(point)
@@ -476,20 +488,27 @@ def test_gather_rows_scatter_adds_repeated_ids(V, K, seed, data):
     np.testing.assert_allclose(grad, onehot.T @ upstream, rtol=1e-12, atol=1e-15)
 
 
-def _step_grads(kind, point, saved, parts):
-    """Input and weight gradients from a step VJP's pre-activation gradients,
-    formed as `recurrence`'s backward forms them over its stacked steps."""
+def _step(kind, point):
+    """`CELLS[kind]` on the state `h` after projecting `x` through
+    `CELL_SPLITS`; returns (h_new, saved) and the state weights."""
+    weights = (point[n] for n in CELL_PARAMS[kind])
+    w_in, b_in, state = CELL_SPLITS[kind](point["x"].shape[1], *weights)
+    return CELLS[kind](np.matmul(point["x"], w_in) + b_in, point["h"], *state), state
+
+
+def _step_grads(kind, point, saved, da):
+    """Input and weight gradients from a step VJP's pre-activation gradients
+    `da` (G, B, H), formed as `recurrence`'s backward forms them over its
+    stacked steps: the input and state row blocks of each stored weight."""
+    x, h = point["x"], point["h"]
+    w_in = CELL_SPLITS[kind](x.shape[1], *(point[n] for n in CELL_PARAMS[kind]))[0]
+    grads = {"x": np.matmul(da, w_in.transpose(0, 2, 1)).sum(axis=0)}
     if kind == "vanilla_rnn":
-        (da,) = parts
-        return {"x": da @ point["w_x"].T, "w_x": point["x"].T @ da,
-                "w_h": point["h"].T @ da, "b": da.sum(axis=0)}
-    xh, _, _, xrh, _ = saved
-    da_z, da_r, da_h, dxrh, dxh = parts
-    nx = point["x"].shape[1]
-    return {"x": dxrh[:, :nx] + dxh[:, :nx],
-            "w_z": xh.T @ da_z, "b_z": da_z.sum(axis=0),
-            "w_r": xh.T @ da_r, "b_r": da_r.sum(axis=0),
-            "w_h": xrh.T @ da_h, "b_h": da_h.sum(axis=0)}
+        return grads | {"w_x": x.T @ da[0], "w_h": h.T @ da[0], "b": da[0].sum(axis=0)}
+    for k, (gate, rows) in enumerate((("z", h), ("r", h), ("h", saved[1]))):  # saved[1] = r*h
+        grads[f"w_{gate}"] = np.concatenate((x.T @ da[k], rows.T @ da[k]))
+        grads[f"b_{gate}"] = da[k].sum(axis=0)
+    return grads
 
 
 @settings(max_examples=30, deadline=None)
@@ -506,23 +525,19 @@ def test_step_vjps_match_fd(kind, B, nx, H, seed):
         shapes.update(w_x=(nx, H), w_h=(H, H), b=(H,))
     point = {n: rng.uniform(-1.0, 1.0, s) for n, s in shapes.items()}
     cotangent = rng.uniform(-1.0, 1.0, (B, H))
-
-    def step():
-        return CELLS[kind](point["x"], point["h"], *(point[n] for n in CELL_PARAMS[kind]))
-
-    h_new, saved = step()
-    dh, parts = CELL_VJPS[kind](cotangent, point["h"], h_new, saved,
-                                *(point[n] for n in CELL_PARAMS[kind]))
-    analytic = {"h": dh, **_step_grads(kind, point, saved, parts)}
+    (h_new, saved), state = _step(kind, point)
+    dh, da = CELL_VJPS[kind](cotangent, point["h"], h_new, saved, *state)
+    assert da.shape == (3 if kind == "gru" else 1, B, H)  # one block per gate
+    analytic = {"h": dh, **_step_grads(kind, point, saved, da)}
     assert sorted(analytic) == sorted(point)
     for name, grad in analytic.items():
         flat, num = point[name].reshape(-1), np.zeros(point[name].size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + 1e-6
-            hi = (step()[0] * cotangent).sum()
+            hi = (_step(kind, point)[0][0] * cotangent).sum()
             flat[i] = orig - 1e-6
-            lo = (step()[0] * cotangent).sum()
+            lo = (_step(kind, point)[0][0] * cotangent).sum()
             flat[i] = orig
             num[i] = (hi - lo) / 2e-6
         np.testing.assert_allclose(grad.reshape(-1), num, rtol=1e-6, atol=1e-8,
