@@ -24,10 +24,12 @@ reused across training steps. The vocabulary:
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
 term for an input off such a path, so a frozen model costs no weight
-products. Backward consumes the forward pass it differentiates: it frees
-the node values and recurrence steps, so a cached graph holds no batch
-between steps. Both passes run with overflow warnings off; a forward output
-or a gradient that is not finite raises NumericError.
+products. Backward consumes the forward pass it differentiates and frees it
+as the reverse sweep passes: each visited node's value and gradient once
+its rule has run, a recurrence's saved steps once its BPTT has. So it never
+holds every value and every gradient at once, and a cached graph holds no
+batch between steps. Both passes run with overflow warnings off; a forward
+output or a gradient that is not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -421,18 +423,21 @@ class Graph:
 
         Only terms that reach a parameter leaf are computed; each kept sum
         runs in the same order as over the full graph. Backward consumes the
-        forward pass: it drops the node values and the recurrence steps, so
-        the graph holds no batch between steps, and `value` or a second
-        backward needs a new forward. Each returned gradient is an array of
-        its own, sharing memory with no other gradient and no bound leaf.
-        Raises NumericError if a gradient is not finite."""
+        forward pass as it sweeps: each visited node's value and gradient are
+        freed once its rule has run, and a recurrence's saved steps once its
+        BPTT has, so the graph holds no batch between steps, and `value` or a
+        second backward needs a new forward. Leaf gradients are not visited:
+        they are returned, each an array of its own, sharing memory with no
+        other gradient and no bound leaf. Raises NumericError if a gradient
+        is not finite."""
         if self._values is None:
             raise BackwardBeforeForward("backward needs a forward pass of its own")
         out = self._out
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
         needs, order = self._backward_plan()
-        vals = self._values
+        vals, saved = self._values, self._saved
+        self._values, self._saved = None, {}
         grads: list = [None] * len(self._kinds)
         grads[out] = np.float64(seed)
 
@@ -443,7 +448,10 @@ class Graph:
                 grads[nid] = grads[nid] + g
 
         for nid in order:
-            g = grads[nid]
+            # every consumer of nid has a higher id and was swept already, so
+            # nid's value and gradient live only while its rule runs
+            g, y = grads[nid], vals[nid]
+            vals[nid] = grads[nid] = None
             if g is None:
                 continue
             kind = self._kinds[nid]
@@ -470,10 +478,8 @@ class Graph:
                 if needs[b]:
                     acc(b, vals[a].T @ g)
             elif kind == "sigmoid":
-                y = vals[nid]
                 acc(ins[0], g * y * (1.0 - y))
             elif kind == "tanh":
-                y = vals[nid]
                 acc(ins[0], g * (1.0 - y * y))
             elif kind == "relu":
                 acc(ins[0], g * (vals[ins[0]] > 0.0))
@@ -498,7 +504,6 @@ class Graph:
                 else:
                     acc(ins[0], np.broadcast_to(np.expand_dims(g, aux) / src[aux], src))
             elif kind == "log_softmax":
-                y = vals[nid]
                 sm = np.exp(y)
                 acc(ins[0], g - sm * g.sum(axis=1, keepdims=True))
             elif kind == "gather_rows":
@@ -507,11 +512,11 @@ class Graph:
                     np.add.at(table, vals[ins[1]].astype(np.intp), g)
                     acc(ins[0], table)
             elif kind == "recurrence":
-                self._recurrence_backward(nid, g, acc, [needs[i] for i in ins])
+                self._recurrence_backward(nid, g, acc, [needs[i] for i in ins],
+                                          vals, y, saved.pop(nid))
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
-        self._values, self._saved = None, {}
         out_grads: dict[str, np.ndarray] = {}
         handed = set()  # ids of the arrays already returned
         for name in self._param_names:
@@ -528,15 +533,16 @@ class Graph:
             out_grads[name] = _finite(g, f"gradient of {name!r}")
         return out_grads
 
-    def _recurrence_backward(self, nid: int, g: np.ndarray, acc,
-                             need: list[bool]) -> None:
-        """BPTT through one `recurrence` node: each step back carries only the
+    def _recurrence_backward(self, nid: int, g: np.ndarray, acc, need: list[bool],
+                             vals: list, y: np.ndarray, saved: tuple) -> None:
+        """BPTT through one `recurrence` node, given the node values, its
+        output `y` and what its forward saved: each step back carries only the
         state gradient through the cell's step VJP. The input gradient and the
         input and state row blocks of each weight are then one product each
         over all T * B rows, put back in the stored [x; h] row layout."""
         ins = self._inputs[nid]
-        x, h0, *params = (self._values[i] for i in ins)
-        (w_in, state, steps), y = self._saved[nid], self._values[nid]
+        x, h0 = vals[ins[0]], vals[ins[1]]
+        w_in, state, steps = saved
         B, vjp = len(h0), CELL_VJPS[self._aux[nid]]
         carry, das, h_new = None, [], y[len(y) - B:]
         for t in range(len(steps) - 1, -1, -1):

@@ -8,9 +8,11 @@ meta-model out at that model's embedding, and takes one optimizer step on
 hidden-trajectory + weighted output losses. The bases are frozen, so their
 targets are a fixed function of the batch: the run draws its whole schedule
 first and rolls each base out without gradients once per `BASE_ROLL_ROWS`
-rows of its upcoming batches, each step binding its own slice. Ragged
-sequence lengths are handled by per-row weights inside a cached unrolled
-graph, so per-sequence time averages stay exact.
+rows of its upcoming batches. Each rollout is split at once into per-batch
+targets and dropped, so between its steps a base holds only the batches of
+its current rollout that no step has used yet. Ragged sequence lengths are
+handled by per-row weights inside a cached unrolled graph, so per-sequence
+time averages stay exact.
 
 Every graph here unrolls the model through `models.unroll_graph`, and every
 numpy rollout (the base trajectories, accuracies) goes through
@@ -33,6 +35,7 @@ optimizer's buffer: the models' parameter arrays are views into it.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +68,9 @@ _F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
 # scheduled batches are rolled together up to this many rows, at least one
 # batch. On train-ragged, 52 rollouts of 64 rows took 56-60 ms against
 # 105-149 ms for 200 of 16; wider is not safely faster (a 256-row residual
-# rollout took 73 ms once, 64 rows 0.2-0.6 ms) and holds more rows per base.
+# rollout took 73 ms once, 64 rows 0.2-0.6 ms). It bounds what a base holds
+# between its steps: the targets of at most this many rows (one batch if
+# larger), less the batches already used.
 BASE_ROLL_ROWS = 64
 # Buffer columns `Optimizer.step` updates at once, through two scratch
 # arrays of this many float64s shared by every group. Adam steps of a
@@ -617,18 +622,25 @@ class MetaTrainer:
     def _rolled(self, i: int, batches: list[np.ndarray]):
         """Base i's (hiddens, logits) on each of its scheduled `batches` in
         turn, from one rollout per `BASE_ROLL_ROWS` rows of them, made when
-        the previous rollout's batches are used up."""
+        the previous rollout's batches are used up. The rollout is copied
+        into per-batch targets and dropped at once, and each target is let go
+        when it is handed out: the base holds only the batches of its current
+        rollout it has not used, and nothing after its last."""
         inputs, lengths = self.pools[i]
         per_roll = max(1, BASE_ROLL_ROWS // len(batches[0]))
         for c in range(0, len(batches), per_roll):
             chunk = batches[c:c + per_roll]
             hs, logits = rollout_batch(self.bases[i],
                                        _take(inputs, lengths, np.concatenate(chunk))[0])
-            a = 0
+            targets, a = deque(), 0
             for rows in chunk:
                 T = len(hs) if lengths is None else lengths[rows].max()
-                yield hs[:T, a:a + len(rows)], logits[:T, a:a + len(rows)]
+                cols = slice(a, a + len(rows))
+                targets.append((hs[:T, cols].copy(), logits[:T, cols].copy()))
                 a += len(rows)
+            del hs, logits
+            while targets:
+                yield targets.popleft()
 
     def run(self) -> MetaTrainState:
         cfg = self.cfg

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,22 @@ def pass_counts(monkeypatch):
     monkeypatch.setattr(Graph, "forward", counted_forward)
     monkeypatch.setattr(Graph, "backward", counted_backward)
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn)` calls `fn()` under tracemalloc and returns the peak
+    bytes it had allocated above what was allocated when it started."""
+    def run(fn) -> int:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+    return run

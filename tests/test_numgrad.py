@@ -142,6 +142,29 @@ def test_backward_consumes_the_forward_pass():
     assert g.backward()["x"].tobytes() == first.tobytes()
 
 
+
+def test_backward_frees_values_and_gradients_as_it_sweeps(traced_peak):
+    # a chain of k tanh nodes: the forward holds k values; a sweep that kept
+    # every value and every gradient to its end would peak near 2k of them
+    k, shape = 10, (256, 256)
+    g = Graph()
+    node = g.leaf("x", shape)
+    for _ in range(k):
+        node = g.tanh(node)
+    g.output(g.reduce_sum(node))
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, shape)
+    grads = {}
+    peak = traced_peak(lambda: (g.forward({"x": x}), grads.update(g.backward())))
+    assert peak < 1.5 * k * x.nbytes, peak / (k * x.nbytes)
+    ys = [x]
+    for _ in range(k):
+        ys.append(np.tanh(ys[-1]))
+    want = np.broadcast_to(np.float64(1.0), shape)
+    for y in ys[:0:-1]:
+        want = want * (1.0 - y * y)
+    assert grads["x"].tobytes() == want.tobytes()
+
+
 def _assert_own_memory(grads: dict, bound: dict) -> None:
     """Each returned gradient is a writeable array that owns its memory and
     shares none with another gradient or a bound leaf."""

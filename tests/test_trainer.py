@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from contextlib import nullcontext
 
@@ -438,6 +439,58 @@ def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
     assert trainer.cache._graphs
     for g in trainer.cache._graphs.values():
         assert g._values is None and g._saved == {}
+
+
+def test_rolled_lets_go_of_consumed_targets(monkeypatch):
+    ds = _tiny_dataset(n=100)  # 40 meta_unlabeled sequences
+    bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10)]
+    state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
+    trainer = MetaTrainer(state, bases, [ds], TrainConfig(batch_size=16))
+    rolled, rollout_batch = [], trainer_module.rollout_batch
+
+    def recorded(model, inputs):
+        out = rollout_batch(model, inputs)
+        rolled.append([weakref.ref(a) for a in out])
+        return out
+
+    monkeypatch.setattr(trainer_module, "rollout_batch", recorded)
+    rng = np.random.default_rng(0)
+    targets = trainer._rolled(0, [rng.choice(40, 16, replace=False) for _ in range(6)])
+    used = [weakref.ref(a) for _ in range(3) for a in next(targets)]
+    # one 64-row rollout, split into four batches and dropped; three are used
+    assert len(rolled) == 1 and all(r() is None for r in rolled[0] + used)
+    last = next(targets)  # the rollout's last batch
+    assert all(r() is None for r in rolled[0])
+    del last
+    for _ in range(2):  # the second rollout: two batches
+        used = [weakref.ref(a) for a in next(targets)]
+        assert all(r() is None for r in used)
+    assert len(rolled) == 2 and all(r() is None for r in rolled[1])
+
+
+def test_meta_training_memory_grows_only_by_per_base_state(traced_peak):
+    # 64-row batches: each rollout is one batch, used by the step that draws
+    # it, so a base adds only its state: its parameters, its state map and
+    # embedding, and the optimizer's three rows of those (values, moments)
+    spec = TaskSpec("valence_sentiment", vocab_size=12, num_classes=2, t_min=20,
+                    t_max=30, noise_rate=0.0, seed=3, num_sequences=200)
+    ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=3)
+    cfg = TrainConfig(max_steps=60, batch_size=64, weight_decay=0.0, seed=2)
+
+    def peak(n):
+        bases = [init_base_model("gru", 12, 3, 16, 2, 0, seed=10 + i) for i in range(n)]
+        out = {}
+        used = traced_peak(lambda: out.update(state=train_meta(
+            bases, [ds] * n, cfg, {"hidden_dim": 16, "embed_dim": 2})))
+        state = out["state"]
+        assert {rec[1] for rec in state.history} == set(range(n))
+        vm = state.state_maps[-1]
+        fitted = sum(a.nbytes for a in vm.weights + vm.biases) + state.embeddings[-1].nbytes
+        return used, sum(a.nbytes for a in bases[-1].params.values()) + 4 * fitted
+
+    small, _ = peak(2)
+    large, per_base = peak(10)
+    assert large - small <= 8 * per_base, (large - small, per_base)
 
 
 def test_lambda_zero_heads_get_zero_gradient():
