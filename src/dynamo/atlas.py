@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import MetaModel, final_logits, model_inputs, pad_tokens, rollout_batch
 from .tasks import SequenceDataset, write_csv
-from .trainer import GraphCache, task_batch, task_loss_graph
+from .trainer import task_batch, task_loss_graph
 
 
 class AtlasError(Exception):
@@ -261,9 +261,8 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     if not idxs:
         raise AtlasError("empty split 'ssl_labeled'")
     inputs, lengths = model_inputs(meta, ds, idxs)
-    cache = GraphCache(lambda T, B: task_loss_graph(meta, T, B, task_group))
-    g, bindings = task_batch(cache, meta, inputs, lengths, ds.subset(idxs)[1],
-                             task_group)
+    g, bindings = task_batch(lambda T, B: task_loss_graph(meta, T, B, task_group),
+                             meta, inputs, lengths, ds.subset(idxs)[1], task_group)
 
     def loss_at(th):
         bindings["theta"] = th[None, :]

@@ -72,6 +72,7 @@ class IOFailure(Exception):
 # one-element list holding the section of each list entry. _REQUIRED marks a
 # key the config must give. A default of None leaves the key out of the
 # resolved config, so that TrainConfig and trainer.init_meta_state supply it.
+# An int is at least 0, and at least 1 for a key that sizes an array or a grid.
 
 _REQUIRED = object()
 _NUM = (int, float)
@@ -146,6 +147,12 @@ def _resolve_value(val, kind, where: str):
             raise ConfigError(f"{where} must be one of {', '.join(kind)}")
     elif not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"{where} has the wrong type")
+    elif kind is int:
+        sizes = {"hidden_dim", "input_dim", "embed_dim", "grid", "svcca_dims",
+                 "svcca_sequences", "mds_dim", "batch_sequences", "score_grid"}
+        low = 1 if where.rpartition(".")[2] in sizes else 0
+        if val < low:
+            raise ConfigError(f"{where} must be >= {low}")
     return val
 
 
@@ -199,7 +206,7 @@ def load_config(path, seed: int | None = None) -> tuple[dict, str]:
     resolved = validate_config(cfg)
     if seed is not None:
         cfg = dict(cfg, seed=seed)
-        resolved["seed"] = seed
+        resolved["seed"] = _resolve_value(seed, int, "--seed")
     return resolved, config_hash(cfg)
 
 
@@ -607,6 +614,8 @@ def _resolve_theta(source: str, state: MetaTrainState, mf: dict) -> tuple[str, n
     if len(vec) != state.meta.embed_dim:
         raise ConfigError(f"theta source has dim {len(vec)}, "
                           f"expected {state.meta.embed_dim}")
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"theta source {source!r} is not finite")
     return "explicit", vec
 
 

@@ -22,21 +22,24 @@ numpy rollout (the base trajectories, accuracies) goes through
 the only implementation of the emulation objective). A recurrent model is
 one numgrad `recurrence` node over a time-major `tokens` leaf, and the loss
 terms are built once over its T * B states, so no node count grows with T.
-Both graphs are kept in a `GraphCache` keyed by batch shape and bound batch
-by batch through one binder (`_input_bindings`). A non-finite loss or
-gradient raises `NumericError` from numgrad's forward or backward pass, and
-so does a parameter update that leaves the float32 range (`Optimizer.step`).
+Each run builds a graph once per batch shape (`functools.cache`, whose
+`cache_info()` counts hits and misses) and binds it batch by batch through
+one binder (`_input_bindings`). A non-finite loss or gradient raises
+`NumericError` from numgrad's forward or backward pass, and so does a
+parameter update that leaves the float32 range (`Optimizer.step`).
 
 The optimizer steps update groups, not single arrays: a base model is one
 group; in meta training the meta core, each readout head, each state map and
 each embedding are. Each group keeps one set of statistics and one
-bias-correction count, and the parameters of every group live in the
-optimizer's buffer: the models' parameter arrays are views into it.
+bias-correction count, and is updated in one pass over its columns of the
+optimizer's buffer, where the parameters of every group live: the models'
+parameter arrays are views into it.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -72,14 +75,6 @@ _F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
 # between its steps: the targets of at most this many rows (one batch if
 # larger), less the batches already used.
 BASE_ROLL_ROWS = 64
-# Buffer columns `Optimizer.step` updates at once, through two scratch
-# arrays of this many float64s shared by every group. Adam steps of a
-# train-residual base (one 35,394-column group) took a median 383 us at
-# 8192, 322 at 16384, 305 at 32768 and 288 at 65536, against 467 us for a
-# per-parameter loop (12 interleaved rounds on a 2-core Xeon with 2 MiB of
-# L2 per core). 16384 keeps a block's five operand rows (640 KiB) in L2 and
-# the scratch at 256 KiB whatever the model's size.
-STEP_BLOCK = 16384
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8  # fixed: no config key sets them
 
 
@@ -165,9 +160,10 @@ class Optimizer:
     parameter of a touched group) at one learning rate, and keeps one
     bias-correction count per group, so sparsely updated groups (state maps,
     embeddings) see consistent statistics. Groups named in `no_decay` get no
-    weight decay. A group is updated `STEP_BLOCK` columns at a time, every
-    element through the same operations in the same order. A step that
-    leaves a parameter not finite in float32, the precision checkpoints
+    weight decay. A group is updated in one pass over its columns: its
+    gradients are copied into a scratch row as wide as the widest group, and
+    every element goes through the same operations in the same order. A step
+    that leaves a parameter not finite in float32, the precision checkpoints
     store, raises `NumericError` naming it, so a diverging run stops at its
     first bad step.
     """
@@ -192,50 +188,40 @@ class Optimizer:
                 self._group_of[name] = group
                 lo += arr.size
             group.hi = lo
-        self._scratch = np.empty((2, min(STEP_BLOCK, n)))
+        self._scratch = np.empty((2, max(g.hi - g.lo for g in self._group_of.values())))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        cfg = self.cfg
         for group in dict.fromkeys(self._group_of[name] for name in grads):
             group.t += 1
-            flat_grads = [grads[name].reshape(-1) for name, _, _ in group.params]
-            for a in range(group.lo, group.hi, STEP_BLOCK):
-                self._step_block(group, flat_grads, a, min(a + STEP_BLOCK, group.hi), lr)
-
-    def _step_block(self, group: _Group, flat_grads: list[np.ndarray],
-                    a: int, b: int, lr: float) -> None:
-        """Update columns [a, b) of `group`, whose gradients `flat_grads` are
-        in the group's parameter order."""
-        cfg = self.cfg
-        g, s = self._scratch[0, :b - a], self._scratch[1, :b - a]
-        for (_, lo, hi), grad in zip(group.params, flat_grads):
-            if lo < b and a < hi:
-                g[max(lo, a) - a:min(hi, b) - a] = grad[max(lo, a) - lo:min(hi, b) - lo]
-        p, m = self._buf[0, a:b], self._buf[1, a:b]
-        if cfg.optimizer == "adam_decoupled_wd":
-            b1, b2 = ADAM_BETAS
-            v = self._buf[2, a:b]
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=s)
-            v *= b2
-            v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
-            np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
-            np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
-            g += ADAM_EPS
-            p -= np.divide(s, g, out=s)
-        else:
-            mu = cfg.momentum
-            m *= mu
-            m += g
-            s = np.add(np.multiply(m, mu, out=s), g, out=s)
-            p -= np.multiply(s, lr, out=s)
-        if cfg.weight_decay and group.decay:
-            p -= np.multiply(p, lr * cfg.weight_decay, out=s)
-        if not np.abs(p, out=s).max() < _F32_OVERFLOW:
-            name = next(name for name, lo, hi in group.params if lo < b and a < hi
-                        and not np.abs(self.flat[max(lo, a):min(hi, b)]).max()
-                        < _F32_OVERFLOW)
-            raise NumericError(f"parameter {name!r} is not finite in float32 "
-                               "after an optimizer step; training diverged")
+            g, s = self._scratch[:, :group.hi - group.lo]
+            for name, lo, hi in group.params:
+                g[lo - group.lo:hi - group.lo] = grads[name].reshape(-1)
+            p, m = self._buf[:2, group.lo:group.hi]
+            if cfg.optimizer == "adam_decoupled_wd":
+                b1, b2 = ADAM_BETAS
+                v = self._buf[2, group.lo:group.hi]
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=s)
+                v *= b2
+                v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
+                np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
+                np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
+                g += ADAM_EPS
+                p -= np.divide(s, g, out=s)
+            else:
+                mu = cfg.momentum
+                m *= mu
+                m += g
+                s = np.add(np.multiply(m, mu, out=s), g, out=s)
+                p -= np.multiply(s, lr, out=s)
+            if cfg.weight_decay and group.decay:
+                p -= np.multiply(p, lr * cfg.weight_decay, out=s)
+            if not np.abs(p, out=s).max() < _F32_OVERFLOW:
+                name = next(name for name, lo, hi in group.params
+                            if not np.abs(self.flat[lo:hi]).max() < _F32_OVERFLOW)
+                raise NumericError(f"parameter {name!r} is not finite in float32 "
+                                   "after an optimizer step; training diverged")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -244,22 +230,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# -- loss graphs, their cache and their batches -----------------------------------
-
-
-class GraphCache:
-    """Loss graphs built once per structural key (padded length, batch
-    width, ...) and reused by every later batch with the same key."""
-
-    def __init__(self, build):
-        self._build = build
-        self._graphs: dict[tuple, Graph] = {}
-
-    def get(self, *key) -> Graph:
-        g = self._graphs.get(key)
-        if g is None:
-            g = self._graphs[key] = self._build(*key)
-        return g
+# -- loss graphs and their batches ------------------------------------------------
 
 
 def _sum(g: Graph, terms: list[int]) -> int:
@@ -299,14 +270,14 @@ def _input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
     return {"tokens": inputs.T.reshape(-1).astype(np.float64)}
 
 
-def task_batch(cache: GraphCache, model, inputs: np.ndarray,
+def task_batch(build, model, inputs: np.ndarray,
                lengths: np.ndarray | None, labels: np.ndarray,
                task_group: int | None = None) -> tuple[Graph, dict]:
-    """The cached task-loss graph for one labelled batch and its bindings;
-    a meta model's `theta` is left for the caller to bind."""
+    """The task-loss graph `build(T, B)` for one labelled batch and its
+    bindings; a meta model's `theta` is left for the caller to bind."""
     T = 0 if lengths is None else inputs.shape[1]
     B = len(inputs)
-    g = cache.get(T, B)
+    g = build(T, B)
     bindings = graph_params(model, task_group)
     bindings.update(_input_bindings(inputs, lengths))
     if T:
@@ -349,7 +320,9 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         raise TrainerError("residual family requires meta hidden dim == base hidden dim")
     g = Graph()
     w_name, b_name = readout_names(meta, task_group)
-    refs = declare_params(g, graph_params(meta, task_group))
+    # `lam` 0 weighs the output loss by nothing: the head is frozen, never stepped
+    refs = {k: g.leaf(k, a.shape, param=cfg.lam > 0 or k not in (w_name, b_name))
+            for k, a in graph_params(meta, task_group).items()}
     maps = [(g.leaf(f"vmap_w{k}", (meta.hidden_dim, base_hidden)),
              g.leaf(f"vmap_b{k}", (base_hidden,))) for k in range(max(1, meta.num_blocks))]
     theta = g.leaf("theta", (1, meta.embed_dim))
@@ -431,7 +404,7 @@ def train_base(model: BaseModel, ds: SequenceDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     opt = Optimizer({"base": model.params}, cfg)
     model.params.update(opt.params)
-    cache = GraphCache(lambda T, B: task_loss_graph(model, T, B))
+    build = cache(lambda T, B: task_loss_graph(model, T, B))
     inputs, lengths = models.model_inputs(model, ds, idxs)
     labels = ds.subset(idxs)[1]
     n_batches = int(np.ceil(len(idxs) / cfg.batch_size))
@@ -441,7 +414,7 @@ def train_base(model: BaseModel, ds: SequenceDataset, cfg: TrainConfig,
         order = rng.permutation(len(idxs))
         for k in range(n_batches):
             rows = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
-            g, bindings = task_batch(cache, model, *_take(inputs, lengths, rows),
+            g, bindings = task_batch(build, model, *_take(inputs, lengths, rows),
                                      labels[rows])
             g.forward(bindings)
             opt.step(g.backward(), cfg.lr * lr_multiplier(cfg, step, total_steps))
@@ -510,9 +483,9 @@ def init_meta_state(bases: list[BaseModel], meta_cfg: dict, seed: int) -> MetaTr
 
 
 class MetaTrainer:
-    """Holds the graph cache, the input pools and the optimizer of one joint
-    run. The meta parameters, state maps and embeddings of `state` are
-    rebound to views into the optimizer's buffer."""
+    """Holds the cached graph builder, the input pools and the optimizer of
+    one joint run. The meta parameters, state maps and embeddings of `state`
+    are rebound to views into the optimizer's buffer."""
 
     def __init__(self, state: MetaTrainState, bases: list[BaseModel],
                  datasets: list[SequenceDataset], cfg: TrainConfig):
@@ -526,7 +499,7 @@ class MetaTrainer:
         self.bases = bases
         self.datasets = datasets
         self.cfg = cfg
-        self.cache = GraphCache(lambda T, B, hidden, group: _emulation_loss_graph(
+        self.graph = cache(lambda T, B, hidden, group: _emulation_loss_graph(
             state.meta, cfg, T, B, hidden, group))
         self.rng = np.random.default_rng(cfg.seed)
         # one input pool per (dataset, input family), shared by its bases
@@ -543,6 +516,11 @@ class MetaTrainer:
         for i, vm in enumerate(state.state_maps):
             groups[f"v{i}"] = {**{f"v{i}_w{t}": w for t, w in enumerate(vm.weights)},
                                **{f"v{i}_b{t}": b for t, b in enumerate(vm.biases)}}
+        # per base: graph leaf -> optimizer name of its embedding and state-map leaves
+        self.grad_names = [{"theta": f"theta{i}", **{f"vmap_{x}{t}": f"v{i}_{x}{t}"
+                                                     for t in range(len(vm.weights))
+                                                     for x in "wb"}}
+                           for i, vm in enumerate(state.state_maps)]
         # the embeddings come last, so their rows are the buffer's tail
         thetas = {f"theta{i}": {f"theta{i}": row} for i, row in enumerate(state.embeddings)}
         self.opt = Optimizer(groups | thetas, cfg, no_decay=set(thetas))
@@ -564,7 +542,7 @@ class MetaTrainer:
         tg = base.task_group
         B = len(inputs)
         T = 0 if lengths is None else inputs.shape[1]
-        g = self.cache.get(T, B, base.hidden_dim, tg)
+        g = self.graph(T, B, base.hidden_dim, tg)
         hs_b, logits_b = rolled
         bindings = graph_params(meta, tg)
         bindings.update(_input_bindings(inputs, lengths))
@@ -602,22 +580,6 @@ class MetaTrainer:
         else:
             bindings["ob"] = logits_b
         return g, bindings
-
-    def _grad_names(self, i: int, task_group: int) -> dict[str, str]:
-        """Graph leaf name -> optimizer handle name for the sampled cohort."""
-        names = {}
-        for k in self.state.meta.params:
-            if k.startswith("head"):
-                continue
-            names[k] = k
-        if self.cfg.lam > 0:
-            names[f"head{task_group}_w"] = f"head{task_group}_w"
-            names[f"head{task_group}_b"] = f"head{task_group}_b"
-        for t in range(len(self.state.state_maps[i].weights)):
-            names[f"vmap_w{t}"] = f"v{i}_w{t}"
-            names[f"vmap_b{t}"] = f"v{i}_b{t}"
-        names["theta"] = f"theta{i}"
-        return names
 
     def _rolled(self, i: int, batches: list[np.ndarray]):
         """Base i's (hiddens, logits) on each of its scheduled `batches` in
@@ -659,9 +621,8 @@ class MetaTrainer:
             total_loss_val = float(g.forward(bindings))
             hid = float(g.value("hidden_loss"))
             out = float(g.value("output_loss"))
-            grads_graph = g.backward()
-            name_map = self._grad_names(i, self.bases[i].task_group)
-            grads = {handle: grads_graph[leaf] for leaf, handle in name_map.items()}
+            names = self.grad_names[i]
+            grads = {names.get(leaf, leaf): grad for leaf, grad in g.backward().items()}
             mult = lr_multiplier(cfg, self.state.step, cfg.max_steps)
             self.opt.step(grads, cfg.lr * mult)
             self.state.history.append((self.state.step, i, hid, out, total_loss_val))

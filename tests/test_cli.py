@@ -450,6 +450,54 @@ def test_average_command(pipeline):
                 "--ids", "base_000,missing") == 2
 
 
+_SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
+
+
+@pytest.mark.parametrize("keys,value,argv", [
+    (("seed",), -1, ("gen-data",)),
+    ((), None, ("gen-data", "--seed", "-1")),
+    (("tasks", 0, "seed"), -1, ("gen-data",)),
+    (("splits", "seed"), -1, ("gen-data",)),
+    (("population", 0, "hidden_dim"), -1, ("train-base",)),
+    (("population", 0, "input_dim"), -2, ("train-base",)),
+    (("meta", "hidden_dim"), -3, ("train-meta",)),
+    (("population", 0, "hidden_dim"), 0, ("train-meta",)),
+    (("analysis", "grid"), 0, ("analyze",)),
+    (("analysis", "svcca_sequences"), 0, ("analyze", "--svcca")),
+    (("analysis", "svcca_dims"), 0, ("analyze", "--svcca")),
+    (("analysis", "top_k"), -1, ("analyze",)),
+    (("analysis", "mds_dim"), 0, ("analyze", "--svcca")),
+    (("fixed_points", "score_grid"), 0, _SCORE_MAP),
+    (("fixed_points", "batch_sequences"), 0, _SCORE_MAP),
+    ((), None, ("fixed-points", "--theta", "nan,nan")),
+], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
+        "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
+        "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
+        "batch_sequences", "theta_nan"])
+def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
+    config, out = pipeline
+    cfg = json.loads(config.read_text())
+    if keys:
+        *parents, key = keys
+        section = cfg
+        for k in parents:
+            section = section[k]
+        section[key] = value
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
+    path = _write_config(tmp_path, cfg)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(*argv, "--config", str(path), "--out", str(run)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
+    assert sorted(tmp_path.iterdir()) == [path, run]
+
+
 @pytest.fixture(scope="module")
 def traced_analyses(traced_pipeline):
     """The pipeline's run directory after the analysis commands, and the

@@ -1,0 +1,37 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _rundiff():
+    spec = importlib.util.spec_from_file_location("rundiff", ROOT / "tools" / "rundiff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rundiff_lists_every_file_that_is_not_identical(tmp_path):
+    rundiff = _rundiff()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "base").mkdir(parents=True)
+        (root / "same.csv").write_text("1,2\n")
+        (root / "base" / "x.bin").write_bytes(b"\x00\x01")
+    (b / "base" / "x.bin").write_bytes(b"\x00\x02")
+    (a / "left.json").write_text("{}")
+    (b / "right.json").write_text("{}")
+    assert rundiff.differing(a, b) == ["left.json (only in the first tree)",
+                                       "right.json (only in the second tree)",
+                                       str(Path("base", "x.bin"))]
+    assert rundiff.differing(a, a) == []
+
+
+def test_rundiff_runs_the_recurrent_analyses_on_recurrent_workloads_only():
+    rundiff = _rundiff()
+    for name, workload in rundiff.WORKLOADS.items():
+        argv = rundiff.stages(workload)
+        assert argv[:3] == [("gen-data",), ("train-base",), ("train-meta",)]
+        recurrent = name != "train-residual"
+        assert (("analyze", "--svcca") in argv) == recurrent
+        assert any(stage[0] == "fixed-points" for stage in argv) == recurrent

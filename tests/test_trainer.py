@@ -20,7 +20,6 @@ from dynamo.numgrad import NumericError, grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
     OPTIMIZERS,
-    GraphCache,
     MetaTrainer,
     Optimizer,
     TrainConfig,
@@ -351,15 +350,15 @@ def test_task_loss_graph_passes_grad_check(kind):
     width = 12 if kind == "residual_mlp" else 3
     # base training: every parameter is trainable
     base = init_base_model(kind, 12, width, 4, 2, 0, seed=1, num_blocks=2)
-    cache = GraphCache(lambda T, B: task_loss_graph(base, T, B))
-    g, bindings = task_batch(cache, base, *model_inputs(base, ds, idxs), labels)
+    g, bindings = task_batch(lambda T, B: task_loss_graph(base, T, B), base,
+                             *model_inputs(base, ds, idxs), labels)
     assert grad_check(g, bindings, 1e-5) < 1e-4
     g.forward(bindings)
     assert set(g.backward()) == set(base.params)
     # embedding search: the meta parameters are frozen, theta alone is trainable
     meta = init_meta_model(kind, 12, width, 4, 2, {0: 3, 1: 2}, seed=2, num_blocks=2)
-    cache = GraphCache(lambda T, B: task_loss_graph(meta, T, B, 1))
-    g, bindings = task_batch(cache, meta, *model_inputs(meta, ds, idxs), labels, 1)
+    g, bindings = task_batch(lambda T, B: task_loss_graph(meta, T, B, 1), meta,
+                             *model_inputs(meta, ds, idxs), labels, 1)
     bindings["theta"] = np.random.default_rng(3).standard_normal((1, 2))
     assert grad_check(g, bindings, 1e-5) < 1e-4
     g.forward(bindings)
@@ -376,9 +375,8 @@ def test_one_step_decreases_frozen_batch_loss():
         seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
         g, bindings = _bind(trainer, *pad_tokens(seqs))
         before = float(g.forward(bindings))
-        grads_graph = g.backward()
-        name_map = trainer._grad_names(0, 0)
-        grads = {h: grads_graph[leaf] for leaf, h in name_map.items()}
+        names = trainer.grad_names[0]
+        grads = {names.get(leaf, leaf): grad for leaf, grad in g.backward().items()}
         trainer.opt.step(grads, 1e-5)
         g2, bindings2 = _bind(trainer, *pad_tokens(seqs))
         after = float(g2.forward(bindings2))
@@ -421,6 +419,9 @@ def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
              for i, kind in enumerate(["gru", "vanilla_rnn", "gru"])]
     cfg = TrainConfig(max_steps=40, batch_size=16, weight_decay=0.0, seed=2)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
+    built, emulation_loss_graph = [], trainer_module._emulation_loss_graph
+    monkeypatch.setattr(trainer_module, "_emulation_loss_graph",
+                        lambda *a: built.append(emulation_loss_graph(*a)) or built[-1])
     trainer = MetaTrainer(state, bases, [ds] * 3, cfg)
     calls, rollout_batch = [], trainer_module.rollout_batch
 
@@ -436,8 +437,8 @@ def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
         assert len(rows) == -(-steps[i] // 4), i
         assert rows == [64] * (len(rows) - 1) + [16 * (steps[i] - 4 * (len(rows) - 1))]
     # every graph the run cached has given up its last forward pass
-    assert trainer.cache._graphs
-    for g in trainer.cache._graphs.values():
+    assert built and trainer.graph.cache_info().currsize == len(built)
+    for g in built:
         assert g._values is None and g._saved == {}
 
 
@@ -499,10 +500,17 @@ def test_lambda_zero_heads_get_zero_gradient():
     g, bindings = _bind(trainer, *pad_tokens(seqs))
     g.forward(bindings)
     grads = g.backward()
-    assert np.allclose(grads["head0_w"], 0.0)
-    assert np.allclose(grads["head0_b"], 0.0)
-    # and the head is excluded from the update cohort
-    assert "head0_w" not in trainer._grad_names(0, 0)
+    assert "head0_w" not in grads and "head0_b" not in grads
+    assert "w_z" in grads and "theta" in grads
+    # weight decay would move any head a step touched
+    trainer.cfg.max_steps, trainer.cfg.weight_decay = 4, 0.1
+    params = trainer.state.meta.params
+    before = {k: v.copy() for k, v in params.items()}
+    trainer.run()
+    for k, v in params.items():
+        if k.startswith("head"):
+            assert v.tobytes() == before[k].tobytes(), k
+    assert not np.array_equal(params["w_z"], before["w_z"])
 
 
 def test_two_task_groups_use_matching_heads():
@@ -656,10 +664,9 @@ _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
 @settings(max_examples=60, deadline=None)
 @given(optimizer=st.sampled_from(OPTIMIZERS), weight_decay=st.sampled_from([0.0, 0.05]),
        layout=st.lists(st.lists(_SHAPES, min_size=1, max_size=3), min_size=1, max_size=4),
-       block=st.sampled_from([1, 3, 7, trainer_module.STEP_BLOCK]),
        data=st.data())
 def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
-        optimizer, weight_decay, layout, block, data):
+        optimizer, weight_decay, layout, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
     groups = {f"g{k}": {f"g{k}p{j}": rng.standard_normal(shape)
                         for j, shape in enumerate(shapes)}
@@ -670,23 +677,18 @@ def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
     ref = ReferenceOptimizer(
         {name: arr.copy() for params in groups.values() for name, arr in params.items()},
         cfg, {name for k in no_decay for name in groups[k]})
-    default_block = trainer_module.STEP_BLOCK
-    trainer_module.STEP_BLOCK = block  # blocks that split parameters and groups
-    try:
-        opt = Optimizer(groups, cfg, no_decay=no_decay)
-        schedule = data.draw(st.lists(st.lists(st.sampled_from(sorted(groups)), min_size=1,
-                                               unique=True), min_size=1, max_size=6),
-                             label="schedule")
-        for stepped in schedule:
-            grads = {name: rng.standard_normal(arr.shape)
-                     for k in stepped for name, arr in groups[k].items()}
-            lr = float(rng.uniform(1e-3, 0.5))
-            opt.step(grads, lr)
-            ref.step(grads, lr)
-            for name, want in ref.handles.items():
-                assert opt.params[name].tobytes() == want.tobytes(), name
-    finally:
-        trainer_module.STEP_BLOCK = default_block
+    opt = Optimizer(groups, cfg, no_decay=no_decay)
+    schedule = data.draw(st.lists(st.lists(st.sampled_from(sorted(groups)), min_size=1,
+                                           unique=True), min_size=1, max_size=6),
+                         label="schedule")
+    for stepped in schedule:
+        grads = {name: rng.standard_normal(arr.shape)
+                 for k in stepped for name, arr in groups[k].items()}
+        lr = float(rng.uniform(1e-3, 0.5))
+        opt.step(grads, lr)
+        ref.step(grads, lr)
+        for name, want in ref.handles.items():
+            assert opt.params[name].tobytes() == want.tobytes(), name
 
 
 def test_meta_trainer_binds_state_to_the_optimizer_buffer():
@@ -721,10 +723,16 @@ def test_bases_of_one_dataset_and_input_family_share_one_pool():
 @pytest.mark.parametrize("value,storable", [  # the last float64 float32 holds, the next
     (3.4028235677973362e38, True), (3.4028235677973366e38, False), (np.nan, False)])
 def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable):
-    cfg = TrainConfig(optimizer="sgd_nesterov", weight_decay=0.0)
-    opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
-    with nullcontext() if storable else pytest.raises(NumericError):
-        opt.step({"w": np.zeros(1)}, 1.0)
+    for optimizer in OPTIMIZERS:
+        cfg = TrainConfig(optimizer=optimizer, weight_decay=0.0)
+        opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
+        with nullcontext() if storable else pytest.raises(NumericError, match="'w'"):
+            opt.step({"w": np.zeros(1)}, 1.0)
+        # the bad value in the middle parameter of a three-parameter group
+        params = {"a": np.ones((2, 3)), "b": np.array([1.0, value, 1.0]), "c": np.ones(4)}
+        opt = Optimizer({"g": params}, cfg)
+        with nullcontext() if storable else pytest.raises(NumericError, match="'b'"):
+            opt.step({k: np.zeros_like(v) for k, v in params.items()}, 1.0)
 
 
 def test_diverging_meta_run_stops_at_first_bad_step():
