@@ -100,7 +100,7 @@ _META_TRAINING = {key: (kind, None) for key, kind in {
     "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool}.items()}
 _META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (int, None),
          "input_dim": (int, None), "embed_dim": (int, None)}
-_ANALYSIS = {"grid": (int, 15), "extent_scale": (_NUM, 1.5),
+_ANALYSIS = {"grid": (int, 15), "extent_scale": (_NUM, 1.5),  # the score map's too
              "variance_threshold": (_NUM, 0.95), "top_k": (int, 3),
              "svcca_dims": (int, 20), "svcca_sequences": (int, 50),
              "mds_dim": (int, 2),
@@ -175,11 +175,15 @@ def validate_config(cfg: dict) -> dict:
     fractions = _split_fractions(cfg["splits"])
     if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
-    heads = {}
+    heads, vocabs = {}, {task["name"]: task["vocab_size"] for task in cfg["tasks"]}
     for i, entry in enumerate(cfg["population"]):
         if entry["task"] not in names:
             raise ConfigError(f"population[{i}] references unknown task "
                               f"{entry['task']!r}")
+        if entry["cell_kind"] == "residual_mlp" and entry["input_dim"] != vocabs[entry["task"]]:
+            # residual features are bag-of-tokens vectors as wide as the vocabulary
+            raise ConfigError(f"population[{i}].input_dim must equal the vocab_size "
+                              f"of task {entry['task']!r} for a residual_mlp entry")
         if entry["count"] < 1:
             raise ConfigError(f"population[{i}].count must be positive")
         if heads.setdefault(entry["task"], entry["task_group"]) != entry["task_group"]:
@@ -655,6 +659,7 @@ def cmd_fixed_points(args) -> int:
         grid = dyn.score_map(state.meta, group, state.embeddings, seqs[:16], sets,
                              grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
                              tol=fp["tol"], max_steps=min(fp["max_steps"], 2000),
+                             extent_scale=run.cfg["analysis"]["extent_scale"],
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
         atlas_mod.export_grid_csv(grid, run.out / f"score_map_{label}.csv",
                                   comment=run.comment)

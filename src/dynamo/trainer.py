@@ -10,9 +10,7 @@ targets are a fixed function of the batch: the run draws its whole schedule
 first and rolls each base out without gradients once per `BASE_ROLL_ROWS`
 rows of its upcoming batches. Each rollout is split at once into per-batch
 targets and dropped, so between its steps a base holds only the batches of
-its current rollout that no step has used yet. Ragged sequence lengths are
-handled by per-row weights inside a cached unrolled graph, so per-sequence
-time averages stay exact.
+its current rollout that no step has used yet.
 
 Every graph here unrolls the model through `models.unroll_graph`, and every
 numpy rollout (the base trajectories, accuracies) goes through
@@ -20,13 +18,16 @@ numpy rollout (the base trajectories, accuracies) goes through
 (`task_loss_graph`, shared by base training and the embedding search in
 `atlas.ssl_optimize`) and the joint emulation loss (`_emulation_loss_graph`,
 the only implementation of the emulation objective). A recurrent model is
-one numgrad `recurrence` node over a time-major `tokens` leaf, and the loss
-terms are built once over its T * B states, so no node count grows with T.
-Each run builds a graph once per batch shape (`functools.cache`, whose
-`cache_info()` counts hits and misses) and binds it batch by batch through
-one binder (`_input_bindings`). A non-finite loss or gradient raises
-`NumericError` from numgrad's forward or backward pass, and so does a
-parameter update that leaves the float32 range (`Optimizer.step`).
+one numgrad `recurrence` node over a time-major `tokens` leaf. For both
+families the emulation terms are built over rows whose weights the binder
+(`MetaTrainer.bindings`) sets: a recurrent base's T * B stacked states, so
+no node count grows with T and ragged time means stay exact, or a residual
+base's B rows of each block. Each run builds a graph once per batch shape
+(`functools.cache`, whose `cache_info()` counts hits and misses) and binds
+it batch by batch through one binder (`_input_bindings`). A non-finite loss
+or gradient raises `NumericError` from numgrad's forward or backward pass,
+and so does a parameter update that leaves the float32 range
+(`Optimizer.step`).
 
 The optimizer steps update groups, not single arrays: a base model is one
 group; in meta training the meta core, each readout head, each state map and
@@ -308,12 +309,13 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     """Joint loss of the meta model at one embedding against one base batch:
     mapped hidden-state distance plus `lam` times the output divergence.
 
-    Recurrent bases: both terms are built once over the T * B stacked states
-    (row t * B + b is step t of sequence b) and weighted per row by the
-    leaves `wh`/`wo` (masked per-sequence time means), against the base's
-    stacked states `hb` and softmax `pb` (KL) or logits `ob`. Residual bases
-    use one state map per block, compare block features with the base's
-    `hb{t}` both mapped and (before the last block) unmapped, then outputs.
+    Both families build the same terms over n rows that the binder weights:
+    a recurrent base's T * B stacked states (row t * B + b is step t of
+    sequence b) or a residual base's B rows of each block. Each state that
+    `unroll_graph` yields meets its state map and the target `hb{t}` under
+    the row weights `wh`; the last one's logits meet the row-weighted softmax
+    `pb` (KL) or the logits `ob` under `wo`. Only the residual feature stream
+    (unmapped, before the last block) is a per-coordinate mean instead.
     """
     residual = meta.cell_kind == "residual_mlp"
     if residual and base_hidden != meta.hidden_dim:
@@ -326,48 +328,28 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     maps = [(g.leaf(f"vmap_w{k}", (meta.hidden_dim, base_hidden)),
              g.leaf(f"vmap_b{k}", (base_hidden,))) for k in range(max(1, meta.num_blocks))]
     theta = g.leaf("theta", (1, meta.embed_dim))
-    states = unroll_graph(g, meta, refs, T, B, theta)
+    n = B if residual else T * B
+    wh = g.leaf("wh", (n,), param=False)
+    hidden_terms, out_terms = [], []
+    for t, h in enumerate(unroll_graph(g, meta, refs, T, B, theta)):
+        hb = g.leaf(f"hb{t}", (n, base_hidden), param=False)
+        hidden_terms.append(g.reduce_sum(g.mul(_hidden_rows(g, cfg, h, maps[t], hb), wh)))
+        if t < meta.num_blocks - 1:
+            fd = g.sub(h, hb)
+            out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)),
+                                      1.0 / (B * meta.num_blocks * base_hidden)))
+    logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
     C = meta.head_dims[task_group]
-    kl = cfg.output_divergence == "KL_on_softmax"
-    if residual:
-        nb = meta.num_blocks
-        whid = 1.0 / (B * nb * base_hidden)
-        hidden_terms, out_terms = [], []
-        for t, h in enumerate(states):
-            hb = g.leaf(f"hb{t}", (B, base_hidden), param=False)
-            rows = _hidden_rows(g, cfg, h, maps[t], hb)
-            hidden_terms.append(g.affine(g.reduce_sum(rows), whid))
-            if t < nb - 1:
-                # feature stream: unmapped per-coordinate squared distance
-                fd = g.sub(h, hb)
-                out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)), whid))
-        logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
-        if kl:
-            pb = g.leaf("pb", (B, C), param=False)
-            ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0 / (B * nb))
-            out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
-        else:
-            ob = g.leaf("ob", (B, C), param=False)
-            out_terms.append(g.affine(g.squared_l2(g.sub(logits, ob)), 1.0 / (B * nb)))
-        hidden_total = _sum(g, hidden_terms)
-        out_total = _sum(g, out_terms)
+    if cfg.output_divergence == "KL_on_softmax":
+        pb = g.leaf("pb", (n, C), param=False)
+        ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0)
+        out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
     else:
-        hs = next(states)
-        TB = T * B
-        rows = _hidden_rows(g, cfg, hs, maps[0],
-                            g.leaf("hb", (TB, base_hidden), param=False))
-        hidden_total = g.reduce_sum(g.mul(rows, g.leaf("wh", (TB,), param=False)))
-        logits = g.add(g.matmul(hs, refs[w_name]), refs[b_name])
-        wo = g.leaf("wo", (TB,), param=False)
-        if kl:
-            pb = g.leaf("pb", (TB, C), param=False)
-            ce = g.softmax_log_loss(logits, pb)
-            out_total = g.add(g.reduce_sum(g.mul(ce, wo)), g.leaf("kl_const", (), param=False))
-        else:
-            ob = g.leaf("ob", (TB, C), param=False)
-            out_total = g.reduce_sum(g.mul(g.squared_l2(g.sub(logits, ob), axis=1), wo))
-    g.mark("hidden_loss", hidden_total)
-    g.mark("output_loss", out_total)
+        diff = g.sub(logits, g.leaf("ob", (n, C), param=False))
+        out_terms.append(g.reduce_sum(g.mul(g.squared_l2(diff, axis=1),
+                                            g.leaf("wo", (n,), param=False))))
+    hidden_total = g.mark("hidden_loss", _sum(g, hidden_terms))
+    out_total = g.mark("output_loss", _sum(g, out_terms))
     g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))
     return g
 
@@ -438,9 +420,11 @@ class MetaTrainState:
 def init_meta_state(bases: list[BaseModel], meta_cfg: dict, seed: int) -> MetaTrainState:
     """Build the meta model, one state map per base, and zero embeddings.
 
-    meta_cfg keys: hidden_dim, input_dim, embed_dim (optional overrides);
-    hidden defaults to twice the largest base hidden dim for recurrent
-    families and to the shared base hidden dim for the residual family.
+    meta_cfg keys: cell_kind, hidden_dim, input_dim, embed_dim (optional
+    overrides). `cell_kind` must be of the bases' family. A recurrent meta
+    model's hidden dim defaults to twice the largest base hidden dim; a
+    residual one takes its bases' hidden and input dims, which the keys may
+    only repeat.
     """
     if not bases:
         raise TrainerError("need at least one base model")
@@ -451,20 +435,19 @@ def init_meta_state(bases: list[BaseModel], meta_cfg: dict, seed: int) -> MetaTr
     vocab = bases[0].vocab_size
     if any(b.vocab_size != vocab for b in bases):
         raise TrainerError("base models must share the input vocabulary")
+    cell = meta_cfg.get("cell_kind", "residual_mlp" if residual else "gru")
+    if (cell == "residual_mlp") != residual:
+        raise TrainerError(f"meta.cell_kind {cell!r} is not of the base models' family "
+                           "(recurrent or residual)")
     if residual:
-        hiddens = {b.hidden_dim for b in bases}
-        blocks = {b.num_blocks for b in bases}
-        feats = {b.input_dim for b in bases}
-        if len(hiddens) != 1 or len(blocks) != 1 or len(feats) != 1:
+        shapes = {(b.hidden_dim, b.input_dim, b.num_blocks) for b in bases}
+        if len(shapes) != 1:
             raise TrainerError("residual bases must share widths and block count")
-        hidden_dim = meta_cfg.get("hidden_dim", bases[0].hidden_dim)
-        if hidden_dim != bases[0].hidden_dim:
-            raise TrainerError("residual family requires matching meta hidden dim")
-        input_dim = bases[0].input_dim
-        cell = "residual_mlp"
-        num_blocks = bases[0].num_blocks
+        (hidden_dim, input_dim, num_blocks), = shapes
+        for key, val in (("hidden_dim", hidden_dim), ("input_dim", input_dim)):
+            if meta_cfg.get(key, val) != val:
+                raise TrainerError(f"a residual meta model's {key} is its bases' ({val})")
     else:
-        cell = meta_cfg.get("cell_kind", "gru")
         hidden_dim = meta_cfg.get("hidden_dim", 2 * max(b.hidden_dim for b in bases))
         input_dim = meta_cfg.get("input_dim", max(b.input_dim for b in bases))
         num_blocks = 0
@@ -535,9 +518,10 @@ class MetaTrainer:
                  rolled: tuple[np.ndarray, np.ndarray]) -> tuple[Graph, dict]:
         """The joint-loss graph for base i on one `model_inputs` batch, bound
         to the current parameters and to `rolled`, the base's hiddens and
-        logits on that batch as `rollout_batch` returns them."""
+        logits on that batch as `rollout_batch` returns them. Only the family
+        sets the rows, their weights `w` and targets: masked per-sequence time
+        means over T * B recurrent states, 1 / (B * blocks) per residual row."""
         base = self.bases[i]
-        cfg = self.cfg
         meta = self.state.meta
         tg = base.task_group
         B = len(inputs)
@@ -551,34 +535,25 @@ class MetaTrainer:
         for t in range(len(vmap.weights)):
             bindings[f"vmap_w{t}"] = vmap.weights[t]
             bindings[f"vmap_b{t}"] = vmap.biases[t]
-        kl = cfg.output_divergence == "KL_on_softmax"
         if lengths is None:
-            nb = base.num_blocks
-            for t in range(nb):
-                bindings[f"hb{t}"] = hs_b[t]
-            if kl:
-                p = _softmax(logits_b[-1])
-                bindings["pb"] = p
-                plogp = (p * np.log(np.clip(p, 1e-300, None))).sum()
-                bindings["kl_const"] = float(plogp) / (B * nb)
-            else:
-                bindings["ob"] = logits_b[-1]
-            return g, bindings
-        TB = T * B
-        w = (np.arange(T)[:, None] < lengths[None, :]) * (1.0 / (lengths * B))
-        w = w.reshape(TB)
-        hscale = 1.0 / base.hidden_dim if cfg.normalize_hidden_by_dim else 1.0
-        bindings["hb"] = hs_b.reshape(TB, base.hidden_dim)
+            w = np.full(B, 1.0 / (B * base.num_blocks))
+            targets, last = hs_b, logits_b[-1]
+        else:
+            w = ((np.arange(T)[:, None] < lengths[None, :]) * (1.0 / (lengths * B))).reshape(-1)
+            targets = [hs_b.reshape(T * B, base.hidden_dim)]
+            last = logits_b.reshape(T * B, -1)
+        for t, hb in enumerate(targets):
+            bindings[f"hb{t}"] = hb
+        hscale = 1.0 / base.hidden_dim if self.cfg.normalize_hidden_by_dim else 1.0
         bindings["wh"] = w * hscale
-        bindings["wo"] = w
-        logits_b = logits_b.reshape(TB, -1)
-        if kl:
-            p = _softmax(logits_b)
-            bindings["pb"] = p
+        if self.cfg.output_divergence == "KL_on_softmax":
+            p = _softmax(last)
+            bindings["pb"] = p * w[:, None]
             plogp = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
             bindings["kl_const"] = float((plogp.sum(axis=1) * w).sum())
         else:
-            bindings["ob"] = logits_b
+            bindings["ob"] = last
+            bindings["wo"] = w
         return g, bindings
 
     def _rolled(self, i: int, batches: list[np.ndarray]):

@@ -136,7 +136,9 @@ def test_validate_config_returns_resolved_copy():
 
 @pytest.mark.parametrize("section,update,codes", [
     ("population", {"cell_kind": "lstm"}, (2, 2)),
-    ("population", {"cell_kind": "residual_mlp"}, (0, 2)),  # no num_blocks
+    ("population", {"cell_kind": "residual_mlp", "input_dim": 12}, (0, 2)),  # no num_blocks
+    # residual features are as wide as the vocabulary (12)
+    ("population", {"cell_kind": "residual_mlp", "num_blocks": 2, "input_dim": 5}, (2, 2)),
     ("meta", {"cell_kind": "lstm"}, (2, 2)),
     ("base_training", {"optimizer": "rmsprop"}, (2, 2)),
     ("meta_training", {"hidden_metric": "L3"}, (2, 2)),
@@ -145,8 +147,8 @@ def test_validate_config_returns_resolved_copy():
     ("tasks", {"name": "../escaped"}, (2, 2)),
     ("tasks", {"name": "val,ence"}, (2, 2)),
     ("tasks", {"name": "v1.5"}, (2, 2)),  # with_suffix would cut it to v1
-], ids=["unknown_base_cell", "residual_without_blocks", "unknown_meta_cell",
-        "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence",
+], ids=["unknown_base_cell", "residual_without_blocks", "residual_input_dim_not_vocab",
+        "unknown_meta_cell", "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence",
         "task_name_slash", "task_name_dotdot", "task_name_comma", "task_name_dot"])
 def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     cfg = _mini_config()
@@ -599,6 +601,24 @@ def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):
     assert seen["samples_per_seq"] == 3
 
 
+def test_score_map_spans_the_landscape_plane(pipeline, tmp_path):
+    # both grids read analysis.extent_scale
+    _, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = _mini_config()
+    cfg["analysis"]["extent_scale"] = 3.0
+    path = _write_config(tmp_path, cfg)
+    for argv in (("analyze",), ("fixed-points", "--theta", "base_000", "--score-map")):
+        assert _run(*argv, "--config", str(path), "--out", str(run)) == 0
+    extremes = []
+    for name in ("landscape.csv", "score_map_base_000.csv"):
+        rows = [ln.split(",") for ln in (run / name).read_text().splitlines()[2:]]
+        uv = np.array([[float(r[0]), float(r[1])] for r in rows])
+        extremes.append((uv.min(axis=0), uv.max(axis=0)))
+    np.testing.assert_array_equal(extremes[0], extremes[1])
+
+
 def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write_config(tmp_path, _mini_config())
@@ -697,6 +717,27 @@ def test_residual_run_commands_exit_cleanly(residual_pipeline, argv, code):
     if code:
         # a refused command leaves no partial analysis behind
         assert not [f.name for f in analysis if f.exists()]
+
+
+@pytest.mark.parametrize("fixture,meta", [
+    ("pipeline", {"cell_kind": "residual_mlp", "hidden_dim": 5}),
+    ("residual_pipeline", {"cell_kind": "gru", "embed_dim": 2}),
+    ("residual_pipeline", {"input_dim": 3, "embed_dim": 2}),
+], ids=["residual_meta_of_gru_bases", "gru_meta_of_residual_bases",
+        "residual_meta_input_dim"])
+def test_meta_model_of_the_other_family_is_config_error(request, tmp_path, capsys,
+                                                        fixture, meta):
+    path, out = request.getfixturevalue(fixture)
+    run = tmp_path / "run"
+    shutil.copytree(out, run, ignore=shutil.ignore_patterns("meta.*", "meta_loss.csv"))
+    cfg = json.loads(path.read_text())
+    cfg["meta"] = meta
+    config = _write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert _run("train-meta", "--config", str(config), "--out", str(run)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not list(run.glob("meta*"))
 
 
 def _file_in_place_of_out(out):

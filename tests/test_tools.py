@@ -35,3 +35,34 @@ def test_rundiff_runs_the_recurrent_analyses_on_recurrent_workloads_only():
         recurrent = name != "train-residual"
         assert (("analyze", "--svcca") in argv) == recurrent
         assert any(stage[0] == "fixed-points" for stage in argv) == recurrent
+
+
+def test_rundiff_reports_each_seed(tmp_path, monkeypatch, capsys):
+    rundiff = _rundiff()
+    trees = []
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "dynamo").mkdir(parents=True)
+        (tmp_path / name / "src" / "dynamo" / "cli.py").write_text("")
+        trees.append(tmp_path / name)
+
+    def fake_run(tree, config, out, argv):
+        # the change's run differs from the parent's on seed 2 only
+        out.mkdir()
+        seed2 = config.parent.parent.name == "seed2"
+        (out / "run.txt").write_text(str(tree.name == "change" and seed2))
+
+    monkeypatch.setattr(rundiff, "run_tree", fake_run)
+    work = tmp_path / "work"
+    code = rundiff.main([*map(str, trees), "--seed", "1", "--seed", "2",
+                         "--work", str(work)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-2:] == ["seed 1: 0 files differ",
+                          f"seed 2: {len(rundiff.WORKLOADS)} files differ"]
+    for name in rundiff.WORKLOADS:
+        assert f"seed 1, {name}: 0 of 1 files differ" in lines
+        assert f"seed 2, {name}: 1 of 1 files differ" in lines
+        assert (work / "seed2" / name / "change" / "run.txt").is_file()
+    capsys.readouterr()
+    assert rundiff.main([*map(str, trees), "--work", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "seed 1: 0 files differ"

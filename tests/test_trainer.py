@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from collections import Counter
 from contextlib import nullcontext
@@ -19,7 +20,9 @@ from dynamo.models import (
 from dynamo.numgrad import NumericError, grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
+    HIDDEN_METRICS,
     OPTIMIZERS,
+    OUTPUT_DIVERGENCES,
     MetaTrainer,
     Optimizer,
     TrainConfig,
@@ -53,8 +56,7 @@ def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
                 metric: str = "L2_squared", normalize_by_dim: bool = False,
                 residual: bool = False) -> float:
     """Time-mean distance between mapped meta hidden states and base hidden
-    states. The residual family uses one map per block and averages over
-    feature coordinates as well."""
+    states. The residual family uses one map per block."""
     T = len(meta_traj)
     if len(base_traj) != T:
         raise TrainerError(f"trajectory length mismatch {T} vs {len(base_traj)}")
@@ -65,7 +67,7 @@ def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
         mapped = meta_traj[t] @ vmap.weights[block] + vmap.biases[block]
         total += _metric_rows(mapped - base_traj[t], metric)
     total /= T
-    if residual or normalize_by_dim:
+    if normalize_by_dim:
         total /= dim
     return float(total)
 
@@ -315,10 +317,13 @@ def test_joint_loss_gradients_pass_grad_check(metric):
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
 
-def test_residual_graph_loss_matches_reference():
+@pytest.mark.parametrize("metric,divergence,normalize", list(itertools.product(
+    HIDDEN_METRICS, OUTPUT_DIVERGENCES, (True, False))))
+def test_residual_graph_loss_matches_reference(metric, divergence, normalize):
     ds = _tiny_dataset()
     bases = [init_base_model("residual_mlp", 12, 12, 5, 2, 0, seed=3, num_blocks=3)]
-    cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0)
+    cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0, hidden_metric=metric,
+                      output_divergence=divergence, normalize_hidden_by_dim=normalize)
     state = init_meta_state(bases, {"embed_dim": 2}, seed=1)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     feats = trainer.pools[0][0][:3]
@@ -326,6 +331,8 @@ def test_residual_graph_loss_matches_reference():
     tot_graph = float(g.forward(bindings))
     h, o, tot = meta_emulation_losses(state.meta, bases[0], state.state_maps[0],
                                       state.embeddings[0], list(feats), cfg)
+    assert float(g.value("hidden_loss")) == pytest.approx(h, abs=1e-10)
+    assert float(g.value("output_loss")) == pytest.approx(o, abs=1e-10)
     assert tot_graph == pytest.approx(tot, abs=1e-10)
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
@@ -338,7 +345,7 @@ def test_emulation_graph_node_budget_per_step():
     emulation = {T: len(_emulation_loss_graph(meta, TrainConfig(), T, 16, 16, 0)._kinds)
                  for T in (8, 24)}
     task = {T: len(task_loss_graph(base, T, 32)._kinds) for T in (8, 24)}
-    assert emulation[8] == emulation[24] == 42
+    assert emulation[8] == emulation[24] == 39
     assert task[8] == task[24] == 23
 
 

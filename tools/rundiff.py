@@ -1,16 +1,19 @@
 """Byte-identity check of two source trees on the benchmark's configs.
 
-    python3 tools/rundiff.py <parent-tree> <change-tree> [--seed 1] [--work DIR]
+    python3 tools/rundiff.py <parent-tree> <change-tree> [--seed 1 --seed 2 ...]
+                             [--work DIR]
 
 Runs the same `dynamo` pipeline from each tree's `src/` on the config of
-every workload in perfbench/workloads.py (`Workload.config(seed)`), then
-compares the two run directories of each workload file by file. The stages
-are gen-data, train-base, train-meta, analyze (with `--svcca` on recurrent
-populations), ssl, `average --ids base_000,base_001` and, on recurrent
-populations, `fixed-points --theta base_000 --score-map`. Every stage runs
-in a fresh Python process with only its tree's `src` on `PYTHONPATH`.
+every workload in perfbench/workloads.py (`Workload.config(seed)`) for each
+`--seed` (default 1), then compares the two run directories of each workload
+and seed file by file. The stages are gen-data, train-base, train-meta,
+analyze (with `--svcca` on recurrent populations), ssl, `average --ids
+base_000,base_001` and, on recurrent populations, `fixed-points --theta
+base_000 --score-map`. Every stage runs in a fresh Python process with only
+its tree's `src` on `PYTHONPATH`.
 
-Prints each file that differs or exists on one side only. Exits 0 when every
+Prints, per seed and workload, each file that differs or exists on one side
+only, then how many files differ under each seed. Exits 0 when every
 run directory is byte-identical, 1 when a file differs, and 2 when a stage
 fails or a run directory already exists. The run directories go to `--work`
 (kept) or to a temporary directory (removed at exit).
@@ -67,43 +70,55 @@ def differing(a: Path, b: Path) -> list[str]:
     return out
 
 
+def compare(trees: tuple[Path, Path], workload, seed: int,
+            root: Path) -> tuple[list[str], int]:
+    """Run `workload.config(seed)` from both `trees` into `root`; return the
+    files that differ (see `differing`) and the first run's file count. Raise
+    RuntimeError when a stage fails or a run directory already exists."""
+    root.mkdir(parents=True, exist_ok=True)
+    config = root / "config.json"
+    config.write_text(json.dumps(workload.config(seed), indent=1))
+    runs = []
+    for side, tree in zip(("parent", "change"), trees):
+        out = root / side
+        if out.exists():
+            raise RuntimeError(f"{out} exists; choose an empty --work")
+        run_tree(tree, config, out, stages(workload))
+        runs.append(out)
+    return differing(*runs), len(files(runs[0]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="first source tree")
     parser.add_argument("change", type=Path, help="second source tree")
-    parser.add_argument("--seed", type=int, default=1, help="workload config seed")
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload config seed; repeat it for more seeds (default 1)")
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for the configs and run directories (kept)")
     args = parser.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / "src" / "dynamo" / "cli.py").is_file():
             parser.error(f"no dynamo sources under {tree}")
+    seeds = list(dict.fromkeys(args.seed or [1]))
+    bad = dict.fromkeys(seeds, 0)
     with tempfile.TemporaryDirectory(prefix="rundiff-") as tmp:
         work = args.work or Path(tmp)
-        bad = 0
-        for name, workload in WORKLOADS.items():
-            root = work / name
-            root.mkdir(parents=True, exist_ok=True)
-            config = root / "config.json"
-            config.write_text(json.dumps(workload.config(args.seed), indent=1))
-            runs = []
-            for side, tree in (("parent", args.parent), ("change", args.change)):
-                out = root / side
-                if out.exists():
-                    print(f"{out} exists; choose an empty --work", file=sys.stderr)
-                    return 2
+        for seed in seeds:
+            for name, workload in WORKLOADS.items():
                 try:
-                    run_tree(tree, config, out, stages(workload))
+                    diff, total = compare((args.parent, args.change), workload, seed,
+                                          work / f"seed{seed}" / name)
                 except RuntimeError as e:
                     print(e, file=sys.stderr)
                     return 2
-                runs.append(out)
-            diff = differing(*runs)
-            print(f"{name}: {len(diff)} of {len(files(runs[0]))} files differ")
-            for line in diff:
-                print(f"  {line}")
-            bad += len(diff)
-    return 1 if bad else 0
+                print(f"seed {seed}, {name}: {len(diff)} of {total} files differ")
+                for line in diff:
+                    print(f"  {line}")
+                bad[seed] += len(diff)
+    for seed, n in bad.items():
+        print(f"seed {seed}: {n} files differ")
+    return 1 if any(bad.values()) else 0
 
 
 if __name__ == "__main__":
