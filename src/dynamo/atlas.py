@@ -375,12 +375,16 @@ def classical_mds(distances: np.ndarray, out_dim: int) -> np.ndarray:
 
 
 def silhouette(embeddings: np.ndarray, labels) -> float:
-    """Mean silhouette score with Euclidean distances; singletons score 0."""
+    """Mean silhouette score with Euclidean distances; singletons score 0.
+    It needs 2 <= clusters <= N - 1: with every point its own cluster the
+    score is 0 whatever the points are."""
     X = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if len(uniq) < 2:
         raise AtlasError("silhouette needs at least two clusters")
+    if len(uniq) == len(labels):
+        raise AtlasError("silhouette needs a cluster of at least two points")
     diff = X[:, None, :] - X[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     scores = np.zeros(len(X))

@@ -18,6 +18,12 @@ does not apply to the model family, or a task no base model was trained on),
 or an output that cannot be written), 4 numeric failure (a non-finite loss or
 gradient, or trained state that is not finite in float32, in which case no
 checkpoint is written).
+
+train-base trains the base models of each population entry together, in
+lockstep, and writes their checkpoints once the whole entry has trained. So
+an entry that diverges (exit 4) writes no checkpoint of any of its models,
+while the entries before it keep theirs; `base/metrics.csv` is written only
+after the last entry.
 """
 from __future__ import annotations
 
@@ -223,7 +229,7 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def train_config_from(section: dict, seed: int) -> TrainConfig:
+def train_config_from(section: dict, seed: int = 0) -> TrainConfig:
     kwargs = {}
     for key, val in section.items():
         if key == "lambda":
@@ -394,13 +400,19 @@ class Run(NamedTuple):
     def comment(self) -> str:
         return f"config_hash={self.chash}"
 
+    def task_rows(self, task_name: str) -> list[int]:
+        """Indices of the base models trained on `task_name`: their rows of
+        the embeddings span the plane of that task's landscape and score map."""
+        return [i for i, base in enumerate(self.mf["bases"])
+                if base.get("task") == task_name]
+
     def task_group(self, task_name: str) -> int:
         """The readout head of the base models trained on `task_name`."""
-        for base in self.mf["bases"]:
-            if base.get("task") == task_name:
-                return base.get("task_group", 0)
-        raise ConfigError(f"no base model was trained on task {task_name!r}, "
-                          "so no readout head serves it")
+        rows = self.task_rows(task_name)
+        if not rows:
+            raise ConfigError(f"no base model was trained on task {task_name!r}, "
+                              "so no readout head serves it")
+        return self.mf["bases"][rows[0]].get("task_group", 0)
 
 
 def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
@@ -423,17 +435,17 @@ def _gen_task_dataset(task: dict, splits: dict) -> SequenceDataset:
                                    seed=splits["seed"])
 
 
-def _population_models(cfg: dict) -> list[dict]:
-    """Expand population entries to one record per base model."""
-    records = []
+def _population_models(cfg: dict) -> list[list[dict]]:
+    """Expand each population entry to one record per base model."""
+    entries, idx = [], 0
     for entry in cfg["population"]:
-        for _ in range(entry["count"]):
-            idx = len(records)
-            records.append(dict(entry, model_id=f"base_{idx:03d}",
-                                seed=derived_seed(cfg["seed"], 1, idx)))
-    if not records:
+        entries.append([dict(entry, model_id=f"base_{i:03d}",
+                             seed=derived_seed(cfg["seed"], 1, i))
+                        for i in range(idx, idx + entry["count"])])
+        idx += entry["count"]
+    if not entries:
         raise ConfigError("config.population is empty")
-    return records
+    return entries
 
 
 # -- commands ------------------------------------------------------------------------
@@ -452,31 +464,34 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_base(args) -> int:
     run = _open_run(args)
-    records = _population_models(run.cfg)
     tasks = {task["name"]: task for task in run.cfg["tasks"]}
     (run.out / "base").mkdir(parents=True, exist_ok=True)
     rows = []
-    for rec in records:
-        task = tasks[rec["task"]]
-        model = init_base_model(
+    for records in _population_models(run.cfg):
+        entry = records[0]
+        task = tasks[entry["task"]]
+        bases = [init_base_model(
             rec["cell_kind"], task["vocab_size"], rec["input_dim"], rec["hidden_dim"],
             task["num_classes"], rec["task_group"], seed=rec["seed"],
             num_blocks=rec["num_blocks"],
             info={"model_id": rec["model_id"], "task": rec["task"],
                   "train_fraction": rec["train_fraction"], "seed": rec["seed"],
                   "cell_kind": rec["cell_kind"], "task_group": rec["task_group"]})
-        overrides = {k: rec[k] for k in ("lr", "epochs") if k in rec}
-        tcfg = train_config_from(dict(run.cfg["base_training"], **overrides),
-                                 seed=rec["seed"])
-        ds = run.datasets[rec["task"]]
-        train_base(model, ds, tcfg, subfraction=rec["train_fraction"])
-        acc = model_accuracy(model, ds)
-        model.info["test_accuracy"] = acc
-        save_base_checkpoint(run.out / "base" / rec["model_id"], model)
-        # train_fraction is Python's str of the float (1.0, not the cell rule's 1)
-        rows.append([rec["model_id"], rec["task"], rec["cell_kind"], rec["hidden_dim"],
-                     str(rec["train_fraction"]), rec["seed"], acc])
-        print(f"train-base: {rec['model_id']} acc={acc:.3f} (epochs={tcfg.epochs})")
+            for rec in records]
+        overrides = {k: entry[k] for k in ("lr", "epochs") if k in entry}
+        tcfg = train_config_from(dict(run.cfg["base_training"], **overrides))
+        ds = run.datasets[entry["task"]]
+        # the entry trains in lockstep; a diverging entry raises before any save
+        train_base(bases, ds, tcfg, [rec["seed"] for rec in records],
+                   subfraction=entry["train_fraction"])
+        for rec, model in zip(records, bases):
+            acc = model_accuracy(model, ds)
+            model.info["test_accuracy"] = acc
+            save_base_checkpoint(run.out / "base" / rec["model_id"], model)
+            # train_fraction is Python's str of the float (1.0, not the cell rule's 1)
+            rows.append([rec["model_id"], rec["task"], rec["cell_kind"], rec["hidden_dim"],
+                         str(rec["train_fraction"]), rec["seed"], acc])
+            print(f"train-base: {rec['model_id']} acc={acc:.3f} (epochs={tcfg.epochs})")
     header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
               "test_accuracy"]
     tasks_mod.write_csv(run.out / "base" / "metrics.csv", header, rows, run.comment)
@@ -511,6 +526,12 @@ def cmd_train_meta(args) -> int:
     return EXIT_OK
 
 
+def _clustered(labels: list) -> bool:
+    """Whether `labels` form clusters a silhouette can score: at least two,
+    and not one point each (2 <= clusters <= N - 1)."""
+    return 2 <= len(set(labels)) < len(labels)
+
+
 def cmd_analyze(args) -> int:
     run = _open_run(args, meta=True)
     out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
@@ -528,12 +549,12 @@ def cmd_analyze(args) -> int:
     coords = atlas.project(state.embeddings, 2)
     for key in ("train_fraction", "task", "cell_kind"):
         vals = [m.get(key) for m in metadata]
-        if len(set(vals)) >= 2:
+        if _clustered(vals):
             summary[f"silhouette_{key}"] = atlas_mod.silhouette(coords, vals)
 
     task_name = an["landscape_task"]
     ds = run.datasets[task_name]
-    group_rows = [i for i, m in enumerate(metadata) if m.get("task") == task_name]
+    group_rows = run.task_rows(task_name)
     if group_rows:
         best_base = max(metadata[i].get("test_accuracy", 0.0) for i in group_rows)
         grid = atlas_mod.accuracy_landscape(
@@ -559,7 +580,7 @@ def cmd_analyze(args) -> int:
             [[bases[i].info["model_id"], *coords_mds[r]] for r, i in enumerate(rows)],
             comment)
         svcca_labels = [bases[i].info.get("train_fraction") for i in rows]
-        if len(set(svcca_labels)) >= 2:
+        if _clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
                 coords_mds, svcca_labels)
 
@@ -656,7 +677,8 @@ def cmd_fixed_points(args) -> int:
                 [t for t in range(ds.vocab_size) if vals[t] < 0],
                 [t for t in range(ds.vocab_size) if vals[t] == 0])
         gsz = fp["score_grid"]
-        grid = dyn.score_map(state.meta, group, state.embeddings, seqs[:16], sets,
+        grid = dyn.score_map(state.meta, group, state.embeddings[run.task_rows(task_name)],
+                             seqs[:16], sets,
                              grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
                              tol=fp["tol"], max_steps=min(fp["max_steps"], 2000),
                              extent_scale=run.cfg["analysis"]["extent_scale"],

@@ -342,6 +342,15 @@ def declare_params(g: Graph, params: dict[str, np.ndarray],
             for name, arr in params.items()}
 
 
+def stacked_leaves(cell_kind: str, stacked: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Graph leaves of parameters stacked on a leading model axis, as views:
+    a bias that meets `add` (every 1-D one but a recurrent cell's) gets a
+    broadcast axis, (nb, 1, n)."""
+    cell = CELL_PARAMS.get(cell_kind, ())
+    return {k: v[:, None] if v.ndim == 2 and k not in cell else v
+            for k, v in stacked.items()}
+
+
 def graph_params(model, task_group: int | None = None) -> dict[str, np.ndarray]:
     """The parameters a graph of `model` reads: all but unused readout heads."""
     head = readout_names(model, task_group)
@@ -350,7 +359,7 @@ def graph_params(model, task_group: int | None = None) -> dict[str, np.ndarray]:
 
 
 def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
-                 theta: int | None = None):
+                 theta: int | None = None, nb: int = 0):
     """Graph twin of `rollout_batch`: declares the model's input leaf and
     yields hidden-state refs; a meta model passes its (1, d) embedding `theta`.
 
@@ -360,35 +369,44 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
     t * B + b for step t of sequence b. Residual cells read the feature leaf
     `feat` (B, F) through the stem and yield once per block (T is ignored),
     so callers add a block's loss nodes before the next block.
+
+    With `nb`, `refs` are the leaves of nb base models stacked on a leading
+    model axis (`stacked_leaves`), and so are the input leaves and states;
+    a recurrent stack also reads each model's step count from `steps` (nb,).
     """
     residual = model.cell_kind == "residual_mlp"
+    lead = (nb,) if nb else ()
     theta_rows = (None if theta is None
                   else g.matmul(g.const(np.ones((B if residual else T * B, 1))), theta))
     if residual:
-        feat = g.leaf("feat", (B, model.input_dim), param=False)
+        feat = g.leaf("feat", lead + (B, model.input_dim), param=False)
         h = g.add(g.matmul(feat, refs["stem_w"]), refs["stem_b"])
         for t in range(model.num_blocks):
             h = cell_step_graph(g, model.cell_kind, refs, None, h, block=t,
                                 theta_rows=theta_rows)
             yield h
         return
-    x = g.gather_rows(refs["embed"], g.leaf("tokens", (T * B,), param=False))
+    x = g.gather_rows(refs["embed"], g.leaf("tokens", lead + (T * B,), param=False))
     if theta_rows is not None:
         x = g.concat(theta_rows, x)
+    steps = g.leaf("steps", lead, param=False) if nb else None
     yield cell_step_graph(g, model.cell_kind, refs, x,
-                          g.const(np.zeros((B, model.hidden_dim))))
+                          g.const(np.zeros(lead + (B, model.hidden_dim))), steps=steps)
 
 
 def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: int,
-                    block: int = 0, theta_rows: int | None = None) -> int:
+                    block: int = 0, theta_rows: int | None = None,
+                    steps: int | None = None) -> int:
     """Graph twin of `cell_step`. Recurrent cells run one `recurrence` node
-    over all T steps of time-major `x` (T * B, cell_in) from `h` (B, H).
+    over all T steps of time-major `x` (T * B, cell_in) from `h` (B, H), or
+    of a model stack with its `steps` (`numgrad.Graph.recurrence`).
 
     For residual cells, pass the block features as `h` and the broadcast
     embedding rows as `theta_rows` (meta only); `x` is ignored.
     """
     if cell_kind in CELL_PARAMS:
-        return g.recurrence(cell_kind, x, h, [refs[n] for n in CELL_PARAMS[cell_kind]])
+        return g.recurrence(cell_kind, x, h, [refs[n] for n in CELL_PARAMS[cell_kind]],
+                            steps)
     if cell_kind == "residual_mlp":
         pre = g.add(g.matmul(h, refs[f"blk{block}_a1"]), refs[f"blk{block}_b1"])
         if theta_rows is not None:

@@ -8,8 +8,9 @@ reused across training steps. The vocabulary:
 - add/sub/mul (numpy broadcasting), affine, matmul;
 - sigmoid, tanh, relu, abs;
 - column concat of two nodes, `gather_rows` (rows of a table picked by an
-  id leaf, whose backward scatter-adds into the table);
-- sum/mean reductions and row-wise log-softmax;
+  id leaf, whose backward sums each row into the table in row order with
+  one `np.bincount`, bit for bit `np.add.at`);
+- sum/mean reductions and log-softmax along the last axis;
 - `recurrence`: all T steps of a GRU or vanilla RNN over time-major
   (T * B, .) rows as one node. `CELL_SPLITS` splits the stored [x; h]-row
   weights into gate-major input weights (G, nx, H), biases (G, 1, H) and
@@ -21,12 +22,28 @@ reused across training steps. The vocabulary:
   calls too), then forms the input gradient and each weight's input and
   state row blocks with one product over all T * B rows.
 
+The model axis: the ops a base model's task graph uses (`matmul`,
+`gather_rows`, `log_softmax`, the reductions, the elementwise ops, and
+`recurrence`) also take nodes stacked over nb models on a leading axis, so
+the models of one population entry train as one graph. `matmul` multiplies
+model by model, `gather_rows` reads one table per model, and `recurrence`
+takes each model's own step count; in the cell kernels the model axis
+follows the gate axis, so one kernel steps one model or a stack. Stacking
+alone changes no bits of any model's values or gradients, but products and
+reductions over more rows can round differently, so the exact-rows rule
+holds: every product or reduction over a model's time-major rows (the input
+projection, the input and weight gradients, the bias sums) runs per model
+over exactly its own steps * B rows. Only elementwise step work and the
+per-step state products, B rows for every model, run stacked. A model's
+padding steps get zero input shares and a zero gradient, so backward
+through them carries exact zeros and leaves its real steps unchanged.
+
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
 term for an input off such a path, so a frozen model costs no weight
 products. Backward consumes the forward pass it differentiates and frees it
 as the reverse sweep passes: each visited node's value and gradient once
-its rule has run, a recurrence's saved steps once its BPTT has. So it never
+its rule has run, a recurrence's saved step as BPTT passes it. So it never
 holds every value and every gradient at once, and a cached graph holds no
 batch between steps. Both passes run with overflow warnings off; a forward
 output or a gradient that is not finite raises NumericError.
@@ -91,26 +108,43 @@ def _broadcast_shape(sa, sb, node_label):
 
 
 def _rows(parts: list) -> np.ndarray:
-    """Row-wise concatenation; a single part is returned as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """Concatenation along the row axis (-2); a single part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _scatter_rows(shape: tuple[int, ...], ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`gather_rows`' backward: each row of `g` summed into the `shape` table
+    row its id picks. One `np.bincount` over bins (model * V + id) * n +
+    column adds each bin's rows in row order from +0, as `np.add.at` does."""
+    V, n = shape[-2:]
+    ids = ids.astype(np.intp)
+    if ids.ndim == 2:  # one table per model
+        ids = ids + V * np.arange(len(ids))[:, None]
+    bins = (ids[..., None] * n + np.arange(n)).reshape(-1)
+    return np.bincount(bins, g.reshape(-1), minlength=int(np.prod(shape))).reshape(shape)
+
+
+# A cell's arrays may carry a model axis after the gate axis (states and
+# state weights lead with it): the same kernel steps one model or a stack.
+
+
 def gru_split(nx, w_z, b_z, w_r, b_r, w_h, b_h):
     """The stored [x; h]-row GRU weights as input weights (3, nx, H) and
     biases (3, 1, H) of the z, r and hc gates, and state weights: z and r
-    as (2, H, H), hc as (H, H)."""
-    return (np.stack((w_z[:nx], w_r[:nx], w_h[:nx])), np.stack((b_z, b_r, b_h))[:, None],
-            (np.stack((w_z[nx:], w_r[nx:])), w_h[nx:]))
+    as (2, H, H), hc as (H, H). A model axis follows the gate axis."""
+    return (np.stack((w_z[..., :nx, :], w_r[..., :nx, :], w_h[..., :nx, :])),
+            np.stack((b_z, b_r, b_h))[..., None, :],
+            (np.stack((w_z[..., nx:, :], w_r[..., nx:, :])), w_h[..., nx:, :]))
 
 
 def rnn_split(nx, w_x, w_h, b):
     """The RNN weights as input weights (1, nx, H), bias (1, 1, H) and the
     state weight."""
-    return w_x[None], b[None, None], (w_h,)
+    return w_x[None], b[None, ..., None, :], (w_h,)
 
 
 def gru_step(xp, h, u_zr, u_h):
@@ -143,12 +177,12 @@ def gru_step_vjp(g, h, h_new, saved, u_zr, u_h):
     da = np.empty((3,) + g.shape)
     gz = g * zr[0]
     np.multiply(g - gz, 1.0 - hc * hc, out=da[2])
-    drh = da[2] @ u_h.T
+    drh = da[2] @ u_h.swapaxes(-1, -2)
     np.multiply(g, d, out=da[0])
     np.multiply(drh, h, out=da[1])
     da[:2] *= zr
     da[:2] *= 1.0 - zr  # z(1-z) and r(1-r)
-    dzr = np.matmul(da[:2], u_zr.transpose(0, 2, 1))
+    dzr = np.matmul(da[:2], u_zr.swapaxes(-1, -2))
     return gz + drh * zr[1] + dzr[0] + dzr[1], da
 
 
@@ -156,7 +190,7 @@ def rnn_step_vjp(g, h, h_new, saved, w_h):
     """Gradient of h for the gradient `g` of h_new = `rnn_step`(xp, h), and
     that of the pre-activation as a (1, B, H) array."""
     da = g * (1.0 - h_new * h_new)
-    return da @ w_h.T, da[None]
+    return da @ w_h.swapaxes(-1, -2), da[None]
 
 
 CELL_SPLITS = {"gru": gru_split, "vanilla_rnn": rnn_split}
@@ -229,10 +263,12 @@ class Graph:
         return self._push("affine", (a,), (float(scale), float(shift)), self._shapes[a])
 
     def matmul(self, a: int, b: int) -> int:
+        """Matrix product of 2-D nodes, or one per model of (nb, ., .) nodes."""
         sa, sb = self._shapes[a], self._shapes[b]
-        if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
+        if (len(sa) != len(sb) or len(sa) not in (2, 3) or sa[:-2] != sb[:-2]
+                or sa[-1] != sb[-2]):
             raise ShapeMismatch(f"matmul: {sa} @ {sb}")
-        return self._push("matmul", (a, b), None, (sa[0], sb[1]))
+        return self._push("matmul", (a, b), None, sa[:-1] + sb[-1:])
 
     def sigmoid(self, a: int) -> int:
         return self._push("sigmoid", (a,), None, self._shapes[a])
@@ -271,34 +307,46 @@ class Graph:
         return self._push(kind, (a,), axis, shape)
 
     def log_softmax(self, a: int) -> int:
+        """Log-softmax along the last axis of a 2-D or (nb, ., .) node."""
         sa = self._shapes[a]
-        if len(sa) != 2:
-            raise ShapeMismatch(f"log_softmax expects 2-D, got {sa}")
+        if len(sa) not in (2, 3):
+            raise ShapeMismatch(f"log_softmax expects rows, got {sa}")
         return self._push("log_softmax", (a,), None, sa)
 
     def gather_rows(self, table: int, ids: int) -> int:
         """Rows `table[ids]` of a 2-D node, `ids` a (N,) node of row indices
-        (bound as numbers, read as integers; it gets no gradient)."""
+        (bound as numbers, read as integers; it gets no gradient). With a
+        model axis, table (nb, V, n) and ids (nb, N): one table per model."""
         st, si = self._shapes[table], self._shapes[ids]
-        if len(st) != 2 or len(si) != 1:
+        if len(st) not in (2, 3) or len(si) != len(st) - 1 or st[:-2] != si[:-1]:
             raise ShapeMismatch(f"gather_rows: table {st}, ids {si}")
-        return self._push("gather_rows", (table, ids), None, (si[0], st[1]))
+        return self._push("gather_rows", (table, ids), None, si + st[-1:])
 
-    def recurrence(self, kind: str, x: int, h0: int, params) -> int:
+    def recurrence(self, kind: str, x: int, h0: int, params,
+                   steps: int | None = None) -> int:
         """T steps of the cell `kind` ("gru" or "vanilla_rnn") from h0 (B, H).
         `x` is (T * B, nx), row t * B + b the input of sequence b at step t;
         the output stacks the T states in that layout, (T * B, H). `params`
-        are (w_z, b_z, w_r, b_r, w_h, b_h) for a GRU, (w_x, w_h, b) for an RNN."""
+        are (w_z, b_z, w_r, b_r, w_h, b_h) for a GRU, (w_x, w_h, b) for an RNN.
+
+        With a leading model axis (x, h0 and every weight stacked over nb
+        models), `steps` is a (nb,) node of each model's own step count,
+        bound as numbers: model m's rows past steps[m] * B are padding."""
         sx, sh, params = self._shapes[x], self._shapes[h0], tuple(params)
-        if (kind not in CELLS or len(sx) != 2 or len(sh) != 2
-                or not 0 < sh[0] <= sx[0] or sx[0] % sh[0]):
+        lead = sx[:-2]
+        if (kind not in CELLS or len(sx) not in (2, 3) or len(sh) != len(sx)
+                or sh[:-2] != lead or not 0 < sh[-2] <= sx[-2] or sx[-2] % sh[-2]
+                or (steps is None) == bool(lead)
+                or lead and self._shapes[steps] != lead):
             raise ShapeMismatch(f"recurrence {kind}: x {sx}, h0 {sh}")
-        nx, H = sx[1], sh[1]
+        nx, H = sx[-1], sh[-1]
         want = [(nx + H, H), (H,)] * 3 if kind == "gru" else [(nx, H), (H, H), (H,)]
+        want = [lead + w for w in want]
         got = [self._shapes[p] for p in params]
         if got != want:
             raise ShapeMismatch(f"recurrence {kind}: weights {got}, expected {want}")
-        return self._push("recurrence", (x, h0) + params, kind, (sx[0], sh[1]))
+        extra = (steps,) if lead else ()
+        return self._push("recurrence", (x, h0) + params + extra, kind, sx[:-1] + (H,))
 
     # -- composites -------------------------------------------------------
 
@@ -309,8 +357,9 @@ class Graph:
         return self.reduce_sum(self.abs(a), axis)
 
     def softmax_log_loss(self, logits: int, onehot: int) -> int:
-        """Per-row cross entropy -sum(onehot * log_softmax(logits))."""
-        ce = self.reduce_sum(self.mul(self.log_softmax(logits), onehot), axis=1)
+        """Per-row cross entropy -sum(onehot * log_softmax(logits)) along the
+        last axis."""
+        ce = self.reduce_sum(self.mul(self.log_softmax(logits), onehot), axis=-1)
         return self.affine(ce, -1.0)
 
     # -- execution --------------------------------------------------------
@@ -373,21 +422,26 @@ class Graph:
                 vals[nid] = vals[ins[0]].mean(axis=aux)
             elif kind == "log_softmax":
                 x = vals[ins[0]]
-                m = x.max(axis=1, keepdims=True)
+                m = x.max(axis=-1, keepdims=True)
                 z = x - m
-                vals[nid] = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                vals[nid] = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
             elif kind == "gather_rows":
-                vals[nid] = vals[ins[0]][vals[ins[1]].astype(np.intp)]
+                table, ids = vals[ins[0]], vals[ins[1]].astype(np.intp)
+                vals[nid] = (table[ids] if ids.ndim == 1
+                             else table[np.arange(len(ids))[:, None], ids])
             elif kind == "recurrence":
                 x, h, *params = (vals[i] for i in ins)
-                w_in, b_in, state = CELL_SPLITS[aux](x.shape[1], *params)
-                xp = np.matmul(x, w_in) + b_in
-                B, hs, steps = len(h), [], []
-                for s in range(0, len(x), B):
-                    h, inter = CELLS[aux](xp[:, s:s + B], h, *state)
-                    hs.append(h)
+                B, rows = h.shape[-2], None
+                if x.ndim == 3:  # a model stack: the last input is each one's step count
+                    rows = params.pop().astype(np.intp) * B
+                w_in, b_in, state = CELL_SPLITS[aux](x.shape[-1], *params)
+                xp = _project(x, w_in, b_in, rows)
+                y, steps = np.empty(x.shape[:-1] + h.shape[-1:]), []
+                for s in range(0, x.shape[-2], B):
+                    h, inter = CELLS[aux](xp[..., s:s + B, :], h, *state)
+                    y[..., s:s + B, :] = h
                     steps.append(inter)
-                vals[nid], saved[nid] = _rows(hs), (w_in, state, steps)
+                vals[nid], saved[nid] = y, (w_in, state, steps, rows)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
         self._values = vals
@@ -424,8 +478,8 @@ class Graph:
         Only terms that reach a parameter leaf are computed; each kept sum
         runs in the same order as over the full graph. Backward consumes the
         forward pass as it sweeps: each visited node's value and gradient are
-        freed once its rule has run, and a recurrence's saved steps once its
-        BPTT has, so the graph holds no batch between steps, and `value` or a
+        freed once its rule has run, and a recurrence's saved step as BPTT
+        passes it, so the graph holds no batch between steps, and `value` or a
         second backward needs a new forward. Leaf gradients are not visited:
         they are returned, each an array of its own, sharing memory with no
         other gradient and no bound leaf. Raises NumericError if a gradient
@@ -474,9 +528,9 @@ class Graph:
             elif kind == "matmul":
                 a, b = ins
                 if needs[a]:
-                    acc(a, g @ vals[b].T)
+                    acc(a, g @ vals[b].swapaxes(-1, -2))
                 if needs[b]:
-                    acc(b, vals[a].T @ g)
+                    acc(b, vals[a].swapaxes(-1, -2) @ g)
             elif kind == "sigmoid":
                 acc(ins[0], g * y * (1.0 - y))
             elif kind == "tanh":
@@ -505,12 +559,10 @@ class Graph:
                     acc(ins[0], np.broadcast_to(np.expand_dims(g, aux) / src[aux], src))
             elif kind == "log_softmax":
                 sm = np.exp(y)
-                acc(ins[0], g - sm * g.sum(axis=1, keepdims=True))
+                acc(ins[0], g - sm * g.sum(axis=-1, keepdims=True))
             elif kind == "gather_rows":
                 if needs[ins[0]]:
-                    table = np.zeros(self._shapes[ins[0]])
-                    np.add.at(table, vals[ins[1]].astype(np.intp), g)
-                    acc(ins[0], table)
+                    acc(ins[0], _scatter_rows(self._shapes[ins[0]], vals[ins[1]], g))
             elif kind == "recurrence":
                 self._recurrence_backward(nid, g, acc, [needs[i] for i in ins],
                                           vals, y, saved.pop(nid))
@@ -537,36 +589,76 @@ class Graph:
                              vals: list, y: np.ndarray, saved: tuple) -> None:
         """BPTT through one `recurrence` node, given the node values, its
         output `y` and what its forward saved: each step back carries only the
-        state gradient through the cell's step VJP. The input gradient and the
-        input and state row blocks of each weight are then one product each
-        over all T * B rows, put back in the stored [x; h] row layout."""
+        state gradient through the cell's step VJP, for every model at once.
+        Then each model's input gradient and the input and state row blocks
+        of each weight are one product each over exactly that model's rows,
+        put back in the stored [x; h] row layout."""
         ins = self._inputs[nid]
+        kind = self._aux[nid]
         x, h0 = vals[ins[0]], vals[ins[1]]
-        w_in, state, steps = saved
-        B, vjp = len(h0), CELL_VJPS[self._aux[nid]]
-        carry, das, h_new = None, [], y[len(y) - B:]
+        w_in, state, steps, rows = saved
+        B, vjp = h0.shape[-2], CELL_VJPS[kind]
+        carry, da, h_new = None, None, y[..., -B:, :]
         for t in range(len(steps) - 1, -1, -1):
-            gt, h = g[t * B:(t + 1) * B], y[(t - 1) * B:t * B] if t else h0
-            carry, da = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *state)
-            das.append(da)
+            gt = g[..., t * B:(t + 1) * B, :]
+            h = y[..., (t - 1) * B:t * B, :] if t else h0
+            carry, da_t = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *state)
+            if da is None:  # (G, T * B, H), a model axis after G
+                da = np.empty(da_t.shape[:-2] + g.shape[-2:])
+            da[..., t * B:(t + 1) * B, :] = da_t
+            steps[t] = steps[t][1:2]  # the step is done: keep only a GRU's r*h
             h_new = h
         if need[1]:
             acc(ins[1], carry)
-        da = np.concatenate(das[::-1], axis=1)  # (G, T * B, H)
-        if need[0]:
-            acc(ins[0], np.matmul(da, w_in.transpose(0, 2, 1)).sum(axis=0))
-        if not any(need[2:]):
+        if not need[0] and not any(need[2:]):
             return
-        dw_in, db = np.matmul(x.T, da), da.sum(axis=1)
-        h_prev = np.concatenate((h0, y[:-B]))
-        if self._aux[nid] == "gru":  # state rows: h for z and r, r*h for hc
-            dw_st = [*np.matmul(h_prev.T, da[:2]), _rows([st[1] for st in steps]).T @ da[2]]
-            grads = [p for k in range(3) for p in (_rows([dw_in[k], dw_st[k]]), db[k])]
+        rh = _rows([st[0] for st in steps]) if kind == "gru" and any(need[2:]) else None
+        if rows is None:
+            parts = [(x, h0, y, da, w_in, rh)]
+        else:  # padded rows never enter a product: they would change its rounding
+            parts = [(x[m, :n], h0[m], y[m, :n], da[:, m, :n], w_in[:, m],
+                      None if rh is None else rh[m, :n]) for m, n in enumerate(rows)]
+        dxs, weights = zip(*(_cell_grads(kind, need, *part) for part in parts))
+        if rows is None:
+            dx, grads = dxs[0], weights[0]
         else:
-            grads = [dw_in[0], h_prev.T @ da[0], db[0]]
+            dx = np.zeros(x.shape) if need[0] else None
+            for m, n in enumerate(rows if need[0] else ()):
+                dx[m, :n] = dxs[m]
+            grads = [np.stack(ws) for ws in zip(*weights)]
+        if need[0]:
+            acc(ins[0], dx)
         for k, grad in enumerate(grads, 2):
             if need[k]:
                 acc(ins[k], grad)
+
+
+def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray, rows) -> np.ndarray:
+    """The input shares (G, T * B, H) of all rows of `x` in one product; with
+    a model axis (after G), one product per model over exactly its first
+    rows[m] rows, the shares of its padding left zero."""
+    if rows is None:
+        return np.matmul(x, w_in) + b_in
+    xp = np.empty(w_in.shape[:-2] + (x.shape[-2], w_in.shape[-1]))
+    for m, n in enumerate(rows):
+        np.add(np.matmul(x[m, :n], w_in[:, m]), b_in[:, m], out=xp[:, m, :n])
+        xp[:, m, n:] = 0.0
+    return xp
+
+
+def _cell_grads(kind: str, need: list[bool], x, h0, y, da, w_in, rh):
+    """One model's input gradient (None unless needed) and weight gradients
+    from its pre-activation gradients `da` (G, n, H) over its n rows of
+    inputs `x` and states `y` (`rh` the GRU's r*h rows)."""
+    dx = np.matmul(da, w_in.swapaxes(-1, -2)).sum(axis=0) if need[0] else None
+    if not any(need[2:]):
+        return dx, []
+    dw_in, db = np.matmul(x.T, da), da.sum(axis=1)
+    h_prev = np.concatenate((h0, y[:-len(h0)]))
+    if kind == "gru":  # state rows: h for z and r, r*h for hc
+        dw_st = [*np.matmul(h_prev.T, da[:2]), rh.T @ da[2]]
+        return dx, [p for k in range(3) for p in (_rows([dw_in[k], dw_st[k]]), db[k])]
+    return dx, [dw_in[0], h_prev.T @ da[0], db[0]]
 
 
 def grad_check(graph: Graph, point: dict, step: float) -> float:

@@ -1,6 +1,13 @@
 """Base-model task training and the joint meta-model / state-map / embedding
 optimization.
 
+Base training runs the models of one population entry in lockstep: they
+share shapes, data share and schedule, and differ only in seed, so each
+step binds every model's own batch to one task-loss graph over the models
+stacked on a leading axis (numgrad's model axis), and one optimizer step
+updates them all. Each model's parameters end bit for bit where training
+it alone leaves them.
+
 The joint loop follows the sampled-model scheme: each step draws one base
 model uniformly and a minibatch from that model's unlabeled split, rolls the
 meta-model out at that model's embedding, and takes one optimizer step on
@@ -29,12 +36,12 @@ or gradient raises `NumericError` from numgrad's forward or backward pass,
 and so does a parameter update that leaves the float32 range
 (`Optimizer.step`).
 
-The optimizer steps update groups, not single arrays: a base model is one
-group; in meta training the meta core, each readout head, each state map and
-each embedding are. Each group keeps one set of statistics and one
-bias-correction count, and is updated in one pass over its columns of the
-optimizer's buffer, where the parameters of every group live: the models'
-parameter arrays are views into it.
+The optimizer steps update groups, not single arrays: a population entry's
+base models, stacked, are one group; in meta training the meta core, each
+readout head, each state map and each embedding are. Each group keeps one
+set of statistics and one bias-correction count, and is updated in one pass
+over its columns of the optimizer's buffer, where the parameters of every
+group live: the models' parameter arrays are views into it.
 """
 from __future__ import annotations
 
@@ -86,8 +93,9 @@ class TrainerError(Exception):
 @dataclass
 class TrainConfig:
     """Optimizer and schedule of one training run. Base training reads
-    `epochs` and meta training reads `max_steps` plus the emulation-loss
-    fields (`lam` to `normalize_hidden_by_dim`); both read the rest.
+    `epochs` and takes each model's seed apart (`train_base`'s `seeds`);
+    meta training reads `max_steps`, `seed` and the emulation-loss fields
+    (`lam` to `normalize_hidden_by_dim`); both read the rest.
     `cli.train_config_from` fills it from the config's `base_training` or
     `meta_training` section, whose keys are these fields (`lambda` for
     `lam`)."""
@@ -148,8 +156,9 @@ class Optimizer:
     """Adam with decoupled weight decay, or Nesterov SGD, over update groups.
 
     A group is a run of named parameters that are always stepped together:
-    all of a base model's parameters, or in meta training the meta core,
-    one readout head, one base's state map or one base's embedding.
+    the stacked parameters of a population entry's base models, or in meta
+    training the meta core, one readout head, one base's state map or one
+    base's embedding.
     `groups` maps each group's name to its parameters (name -> initial
     array). The optimizer copies them, in order, into row 0 of one float64
     buffer whose rows 1 and 2 hold the first and second moments, so each
@@ -241,7 +250,8 @@ def _sum(g: Graph, terms: list[int]) -> int:
     return total
 
 
-def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Graph:
+def task_loss_graph(model, T: int, B: int, task_group: int | None = None,
+                    leaves: dict[str, np.ndarray] | None = None) -> Graph:
     """Mean cross entropy of the final-step readout against one-hot `labels`.
 
     A base model's parameters are the trainable leaves (base training). A
@@ -249,47 +259,64 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None) -> Gra
     is trainable (the semi-supervised embedding search). Recurrent rows end
     at their own length: the readout reads row `last[b]` of the stacked
     states, (lengths[b] - 1) * B + b.
+
+    With `leaves`, the `stacked_leaves` of an entry of base models shaped as
+    `model`, every leaf and node takes their leading model axis, and the
+    output is the sum of the models' mean losses, so each model's
+    parameters get exactly the gradient of its own loss.
     """
     g = Graph()
     is_meta = isinstance(model, MetaModel)
     w_name, b_name = readout_names(model, task_group)
-    refs = declare_params(g, graph_params(model, task_group), trainable=not is_meta)
+    nb = 0 if leaves is None else len(leaves[w_name])
+    lead = (nb,) if nb else ()
+    refs = declare_params(g, graph_params(model, task_group) if leaves is None else leaves,
+                          trainable=not is_meta)
     theta = g.leaf("theta", (1, model.embed_dim)) if is_meta else None
-    h_last = list(unroll_graph(g, model, refs, T, B, theta))[-1]
+    h_last = list(unroll_graph(g, model, refs, T, B, theta, nb))[-1]
     if model.cell_kind != "residual_mlp":
-        h_last = g.gather_rows(h_last, g.leaf("last", (B,), param=False))
+        h_last = g.gather_rows(h_last, g.leaf("last", lead + (B,), param=False))
     logits = g.add(g.matmul(h_last, refs[w_name]), refs[b_name])
     onehot = g.leaf("labels", g.shape(logits), param=False)
-    g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
+    loss = g.reduce_mean(g.softmax_log_loss(logits, onehot), axis=-1)
+    g.output(g.reduce_sum(loss) if nb else loss)
     return g
 
 
 def _input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
-    """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch."""
+    """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch,
+    or for one batch per model stacked on a leading axis."""
     if lengths is None:
         return {"feat": inputs}
-    return {"tokens": inputs.T.reshape(-1).astype(np.float64)}
+    tokens = inputs.swapaxes(-1, -2)  # time-major
+    return {"tokens": tokens.reshape(tokens.shape[:-2] + (-1,)).astype(np.float64)}
 
 
 def task_batch(build, model, inputs: np.ndarray,
                lengths: np.ndarray | None, labels: np.ndarray,
-               task_group: int | None = None) -> tuple[Graph, dict]:
+               task_group: int | None = None,
+               leaves: dict[str, np.ndarray] | None = None) -> tuple[Graph, dict]:
     """The task-loss graph `build(T, B)` for one labelled batch and its
-    bindings; a meta model's `theta` is left for the caller to bind."""
-    T = 0 if lengths is None else inputs.shape[1]
-    B = len(inputs)
+    bindings; a meta model's `theta` is left for the caller to bind. With
+    the `leaves` of a model stack, every batch array has a leading model
+    axis, and each model's step count is its own longest row."""
+    T = 0 if lengths is None else inputs.shape[-1]
+    B = inputs.shape[-2]
     g = build(T, B)
-    bindings = graph_params(model, task_group)
+    bindings = graph_params(model, task_group) if leaves is None else dict(leaves)
     bindings.update(_input_bindings(inputs, lengths))
     if T:
         bindings["last"] = (lengths - 1) * B + np.arange(B)
+        if leaves is not None:
+            bindings["steps"] = lengths.max(axis=-1)
     _, b_name = readout_names(model, task_group)
     bindings["labels"] = _onehot(labels, model.params[b_name].size)
     return g, bindings
 
 
 def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
-    """Rows of a `model_inputs` batch, padding trimmed to the longest row."""
+    """Rows of a `model_inputs` batch, padding trimmed to the longest row;
+    `rows` (nb, B) takes one batch per model, all padded to the longest."""
     if lengths is None:
         return inputs[rows], None
     lengths = lengths[rows]
@@ -355,9 +382,7 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
 
 
 def _onehot(ids: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((len(ids), width))
-    out[np.arange(len(ids)), ids] = 1.0
-    return out
+    return np.eye(width)[ids]
 
 
 # -- base-model training ---------------------------------------------------------
@@ -372,36 +397,45 @@ def model_accuracy(model: BaseModel, ds: SequenceDataset) -> float:
     return float((logits.argmax(axis=1) == ds.subset(idxs)[1]).mean())
 
 
-def train_base(model: BaseModel, ds: SequenceDataset, cfg: TrainConfig,
-               subfraction: float = 1.0) -> BaseModel:
-    """Minibatch training of one base model on its base_train share (optionally
-    a leading sub-fraction of it). All its parameters are one update group,
-    and `model.params` are rebound to their views in the optimizer's buffer."""
+def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
+               seeds: list[int], subfraction: float = 1.0) -> list[BaseModel]:
+    """Minibatch training, in lockstep, of one population entry's base models:
+    same shapes, data share (optionally a leading sub-fraction of base_train)
+    and schedule, each drawing its batches in the order of its own seed
+    (`seeds`; `cfg.seed` is not read). Every step runs one task-loss graph
+    over the models stacked on a leading axis, each on its own batch padded
+    to the step's longest row, so each model's parameters take bit for bit
+    the steps it would take alone. The whole entry is one update group, and
+    each model's `params` are rebound to views of its rows of the buffer."""
     cfg.validate()
     idxs = ds.base_train_subset(subfraction)
     if len(ds.indices("base_train")) == 0:
         raise TrainerError("dataset has no base_train split")
     if not idxs:
         raise TrainerError("base_train sub-fraction selected zero examples")
-    rng = np.random.default_rng(cfg.seed)
-    opt = Optimizer({"base": model.params}, cfg)
-    model.params.update(opt.params)
-    build = cache(lambda T, B: task_loss_graph(model, T, B))
-    inputs, lengths = models.model_inputs(model, ds, idxs)
+    first = bases[0]
+    opt = Optimizer({"base": {k: np.stack([b.params[k] for b in bases])
+                              for k in first.params}}, cfg)
+    for i, base in enumerate(bases):
+        base.params.update({k: v[i] for k, v in opt.params.items()})
+    leaves = models.stacked_leaves(first.cell_kind, opt.params)
+    build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves))
+    inputs, lengths = models.model_inputs(first, ds, idxs)
     labels = ds.subset(idxs)[1]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     n_batches = int(np.ceil(len(idxs) / cfg.batch_size))
     total_steps = max(1, cfg.epochs * n_batches)
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(idxs))
+        orders = np.stack([rng.permutation(len(idxs)) for rng in rngs])
         for k in range(n_batches):
-            rows = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
-            g, bindings = task_batch(build, model, *_take(inputs, lengths, rows),
-                                     labels[rows])
+            rows = orders[:, k * cfg.batch_size:(k + 1) * cfg.batch_size]
+            g, bindings = task_batch(build, first, *_take(inputs, lengths, rows),
+                                     labels[rows], leaves=leaves)
             g.forward(bindings)
             opt.step(g.backward(), cfg.lr * lr_multiplier(cfg, step, total_steps))
             step += 1
-    return model
+    return bases
 
 
 # -- meta training (the joint loop) ----------------------------------------------

@@ -363,6 +363,14 @@ def test_silhouette_degenerate_and_relabel():
         silhouette(Y, [0] * 8)
 
 
+def test_silhouette_refuses_singleton_clusters():
+    # every point its own cluster scores 0 whatever the points: no statistic
+    X = np.random.default_rng(10).standard_normal((3, 2))
+    with pytest.raises(AtlasError):
+        silhouette(X, ["gru", "vanilla_rnn", "x"])
+    assert silhouette(X, ["gru", "gru", "vanilla_rnn"]) == silhouette(X, [0, 0, 1])
+
+
 def test_hidden_state_matrix_shapes():
     m = init_base_model("gru", 12, 3, 5, 2, 0, seed=1)
     seqs = [[1, 2, 3], [4, 5]]

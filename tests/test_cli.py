@@ -619,6 +619,60 @@ def test_score_map_spans_the_landscape_plane(pipeline, tmp_path):
     np.testing.assert_array_equal(extremes[0], extremes[1])
 
 
+def test_score_map_lies_on_the_landscape_plane_of_its_task(tmp_path):
+    # with bases on two equal tasks, both grids span the plane of the first
+    # task's bases alone: the same origin, axes and extremes
+    cfg = _mini_config()
+    cfg["tasks"].append(dict(cfg["tasks"][0], name="valence2"))
+    cfg["population"].append(dict(cfg["population"][0], task="valence2", task_group=1))
+    cfg["fixed_points"]["score_grid"] = cfg["analysis"]["grid"]
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for argv in (("gen-data",), ("train-base",), ("train-meta",), ("analyze",),
+                 ("fixed-points", "--theta", "base_000", "--score-map")):
+        assert _run(*argv, "--config", str(path), "--out", str(out)) == 0, argv
+    planes = []
+    for name in ("landscape.csv", "score_map_base_000.csv"):
+        rows = [ln.split(",") for ln in (out / name).read_text().splitlines()[2:]]
+        planes.append(np.array([[float(c) for c in r[:4]] for r in rows]))  # u, v, theta
+    np.testing.assert_array_equal(planes[0], planes[1])
+
+
+@pytest.mark.parametrize("counts,scored", [((1, 1), False), ((2, 1), True)])
+def test_analyze_scores_no_silhouette_of_singletons(tmp_path, counts, scored):
+    # one GRU and one vanilla-RNN base are two one-point clusters: no score
+    cfg = _mini_config()
+    gru = cfg["population"][0]
+    cfg["population"] = [dict(gru, count=counts[0]),
+                         dict(gru, count=counts[1], cell_kind="vanilla_rnn")]
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base", "train-meta", "analyze"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0, stage
+    summary = json.loads((out / "analysis_summary.json").read_text())
+    assert ("silhouette_cell_kind" in summary) == scored
+
+
+def test_diverging_base_entry_is_numeric_failure_and_saves_none_of_its_bases(tmp_path,
+                                                                              capsys):
+    # the second entry's step leaves float32: it writes no checkpoint, while
+    # the first entry's stay
+    cfg = _mini_config()
+    cfg["population"].append(dict(cfg["population"][0], lr=1e39))
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert _run("gen-data", "--config", str(path), "--out", str(out)) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("train-base", "--config", str(path), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sorted(p.name for p in (out / "base").iterdir()) == [
+        "base_000.bin", "base_000.json", "base_001.bin", "base_001.json"]
+
+
 def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write_config(tmp_path, _mini_config())

@@ -509,6 +509,23 @@ def test_gather_rows_scatter_adds_repeated_ids(V, K, seed, data):
     onehot = np.eye(V)[ids]
     upstream = point["m"] * (1.0 - np.tanh(point["table"][ids]) ** 2)
     np.testing.assert_allclose(grad, onehot.T @ upstream, rtol=1e-12, atol=1e-15)
+    scattered = np.zeros((V, K))
+    np.add.at(scattered, ids, upstream)
+    assert grad.tobytes() == scattered.tobytes()  # summed in row order, as np.add.at
+    # one table per model: each model's rows and gradient are its own table's
+    gs = Graph()
+    tables = gs.leaf("table", (2, V, K))
+    rows = gs.gather_rows(tables, gs.leaf("ids", (2, len(ids)), param=False))
+    gs.output(gs.reduce_sum(gs.mul(gs.tanh(rows), gs.leaf("m", (2, len(ids), K), param=False))))
+    stacked = {"table": np.stack([point["table"], -point["table"]]),
+               "ids": np.stack([ids, ids[::-1]]), "m": np.stack([point["m"], point["m"]])}
+    assert grad_check(gs, stacked, 1e-5) < 1e-6
+    gs.forward(stacked)
+    grads = gs.backward()["table"]
+    assert grads[0].tobytes() == grad.tobytes()
+    scattered = np.zeros((V, K))
+    np.add.at(scattered, ids[::-1], point["m"] * (1.0 - np.tanh(-point["table"][ids[::-1]]) ** 2))
+    assert grads[1].tobytes() == scattered.tobytes()
 
 
 def _step(kind, point):

@@ -27,6 +27,29 @@ def test_rundiff_lists_every_file_that_is_not_identical(tmp_path):
     assert rundiff.differing(a, a) == []
 
 
+def test_rundiff_reports_how_large_each_difference_is(tmp_path):
+    rundiff = _rundiff()
+    a, b = tmp_path / "a", tmp_path / "b"
+    files = {
+        "close.csv": ("# c=1\nu,v\n2.0,x\n-4.0,y\n", "# c=2\nu,v\n2.0,x\n-4.00002,y\n"),
+        "small.csv": ("u\n1e-3\n", "u\n2e-3\n"),
+        "text.csv": ("u,v\n1,x\n", "u,v\n1,z\n"),
+        "rows.csv": ("u\n1\n", "u\n1\n2\n"),
+        "empty.csv": ("u,v\n1,\n", "u,v\n1,3\n"),
+        "nums.json": ('{"a": [1.0, 2.0], "b": {"c": 10.0}, "d": "s"}',
+                      '{"a": [1.0, 2.0], "b": {"c": 10.5}, "d": "s"}'),
+        "keys.json": ('{"a": 1.0}', '{"b": 1.0}'),
+    }
+    for root, side in ((a, 0), (b, 1)):
+        root.mkdir()
+        for name, texts in files.items():
+            (root / name).write_text(texts[side])
+    assert rundiff.differing(a, b) == [
+        "close.csv (relative 5e-06)", "empty.csv (non-numeric)", "keys.json (non-numeric)",
+        "nums.json (relative 0.05)", "rows.csv (non-numeric)", "small.csv (relative 0.001)",
+        "text.csv (non-numeric)"]
+
+
 def test_rundiff_runs_the_recurrent_analyses_on_recurrent_workloads_only():
     rundiff = _rundiff()
     for name, workload in rundiff.WORKLOADS.items():

@@ -345,8 +345,13 @@ def test_emulation_graph_node_budget_per_step():
     emulation = {T: len(_emulation_loss_graph(meta, TrainConfig(), T, 16, 16, 0)._kinds)
                  for T in (8, 24)}
     task = {T: len(task_loss_graph(base, T, 32)._kinds) for T in (8, 24)}
+    # base training's stack adds the step-count leaf and the sum over models
+    leaves = models.stacked_leaves("gru", {k: np.stack([v] * 4)
+                                           for k, v in base.params.items()})
+    stacked = {T: len(task_loss_graph(base, T, 32, leaves=leaves)._kinds) for T in (8, 24)}
     assert emulation[8] == emulation[24] == 39
     assert task[8] == task[24] == 23
+    assert stacked[8] == stacked[24] == 25
 
 
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
@@ -569,7 +574,7 @@ def test_train_base_zero_epochs_is_noop():
     ds = _tiny_dataset()
     model = init_base_model("gru", 12, 3, 4, 2, 0, seed=2)
     before = {k: v.copy() for k, v in model.params.items()}
-    train_base(model, ds, TrainConfig(epochs=0, seed=0))
+    train_base([model], ds, TrainConfig(epochs=0), [0])
     for k, v in before.items():
         assert np.array_equal(model.params[k], v)
 
@@ -577,8 +582,8 @@ def test_train_base_zero_epochs_is_noop():
 def test_train_base_learns_tiny_valence():
     ds = _tiny_dataset(n=200, seed=8)
     model = init_base_model("gru", 12, 4, 8, 2, 0, seed=2)
-    train_base(model, ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8,
-                                      weight_decay=0.0, seed=0))
+    train_base([model], ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8,
+                                        weight_decay=0.0), [0])
     assert model_accuracy(model, ds) > 0.7
 
 
@@ -587,26 +592,86 @@ def test_train_base_empty_split_errors():
     ds.splits["base_train"] = []
     model = init_base_model("gru", 12, 3, 4, 2, 0, seed=2)
     with pytest.raises(TrainerError):
-        train_base(model, ds, TrainConfig(epochs=1))
+        train_base([model], ds, TrainConfig(epochs=1), [0])
 
 
 def test_train_base_residual_runs():
     ds = _tiny_dataset(n=120, seed=9)
     model = init_base_model("residual_mlp", 12, 12, 6, 2, 0, seed=2, num_blocks=2)
-    train_base(model, ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8,
-                                      weight_decay=0.0, seed=0))
+    train_base([model], ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8,
+                                        weight_decay=0.0), [0])
     assert model_accuracy(model, ds) > 0.6
 
 
 def test_train_base_deterministic():
     ds = _tiny_dataset(n=100, seed=4)
-    cfg = dict(epochs=2, lr=1e-3, batch_size=8, seed=3)
+    cfg = dict(epochs=2, lr=1e-3, batch_size=8)
     m1 = init_base_model("gru", 12, 3, 4, 2, 0, seed=2)
     m2 = init_base_model("gru", 12, 3, 4, 2, 0, seed=2)
-    train_base(m1, ds, TrainConfig(**cfg))
-    train_base(m2, ds, TrainConfig(**cfg))
+    train_base([m1], ds, TrainConfig(**cfg), [3])
+    train_base([m2], ds, TrainConfig(**cfg), [3])
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k])
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
+def test_lockstep_training_equals_training_alone(kind, optimizer, monkeypatch):
+    # an entry of 3 bases trained in lockstep leaves every parameter of every
+    # base bitwise where training it alone leaves it, while the models'
+    # batches end at different longest rows. The sizes make padding visible:
+    # past about 768 rows (T * B here reaches 1,120) BLAS splits a product's
+    # sum by its row count, so a product over padded rows would round apart.
+    spec = TaskSpec("valence_sentiment", vocab_size=30, num_classes=2, t_min=30,
+                    t_max=70, noise_rate=0.05, seed=3, num_sequences=120)
+    ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=3)
+    width = 30 if kind == "residual_mlp" else 40
+    cfg = TrainConfig(optimizer=optimizer, epochs=2, lr=0.03, batch_size=16,
+                      weight_decay=1e-3)
+    seeds = [11, 12, 13]
+
+    def entry():
+        return [init_base_model(kind, 30, width, 32, 2, 0, seed=s, num_blocks=2)
+                for s in seeds]
+
+    steps = []
+    task_batch = trainer_module.task_batch
+
+    def spy(*args, **kwargs):
+        g, bindings = task_batch(*args, **kwargs)
+        steps.append(tuple(bindings.get("steps", ())))
+        return g, bindings
+
+    monkeypatch.setattr(trainer_module, "task_batch", spy)
+    together = train_base(entry(), ds, cfg, seeds)
+    if kind != "residual_mlp":
+        assert sum(len(set(t)) > 1 for t in steps) > len(steps) // 2  # most steps pad
+    for i, alone in enumerate(entry()):
+        train_base([alone], ds, cfg, [seeds[i]])
+        for name, value in alone.params.items():
+            assert together[i].params[name].tobytes() == value.tobytes(), (i, name)
+
+
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
+def test_stacked_task_loss_graph_passes_grad_check(kind):
+    ds = _tiny_dataset()
+    idxs = np.array(ds.indices("base_train")[:6])
+    width = 12 if kind == "residual_mlp" else 3
+    bases = [init_base_model(kind, 12, width, 3, 2, 0, seed=s, num_blocks=2)
+             for s in (1, 2)]
+    stacked = {k: np.stack([b.params[k] + 0.1 for b in bases]) for k in bases[0].params}
+    leaves = models.stacked_leaves(kind, stacked)
+    inputs, lengths = model_inputs(bases[0], ds, idxs)
+    rows = np.array([[0, 1, 2], [3, 4, 5]])
+    g, bindings = task_batch(lambda T, B: task_loss_graph(bases[0], T, B, leaves=leaves),
+                             bases[0], *trainer_module._take(inputs, lengths, rows),
+                             ds.subset(idxs)[1][rows], leaves=leaves)
+    if kind != "residual_mlp":
+        assert bindings["steps"][0] != bindings["steps"][1]
+    assert grad_check(g, bindings, 1e-5) < 1e-4
+    g.forward(bindings)
+    assert {k: v.shape for k, v in g.backward().items()} == {k: v.shape
+                                                             for k, v in leaves.items()}
 
 
 # -- conjugacy diagnostic ---------------------------------------------------------

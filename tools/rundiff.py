@@ -13,7 +13,11 @@ base_000 --score-map`. Every stage runs in a fresh Python process with only
 its tree's `src` on `PYTHONPATH`.
 
 Prints, per seed and workload, each file that differs or exists on one side
-only, then how many files differ under each seed. Exits 0 when every
+only, then how many files differ under each seed. A differing CSV (its `#`
+lines skipped) or JSON file also gets the largest |a - b| / max(1, |a|)
+over its numeric cells, or "non-numeric" when a text cell or the shape
+differs, so a change that only reorders floating-point work can be held to
+a relative-error bound. Exits 0 when every
 run directory is byte-identical, 1 when a file differs, and 2 when a stage
 fails or a run directory already exists. The run directories go to `--work`
 (kept) or to a temporary directory (removed at exit).
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,13 +65,62 @@ def files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def _cells(path: Path) -> list[list]:
+    """A CSV's rows of cells after its `#` lines, or a JSON file's leaves as
+    [key path, value] rows in document order."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+    rows = []
+
+    def walk(key, val):
+        if isinstance(val, (dict, list)):
+            for k, v in val.items() if isinstance(val, dict) else enumerate(val):
+                walk(f"{key}/{k}", v)
+        else:
+            rows.append([key, val])
+    walk("", json.loads(text))
+    return rows
+
+
+def largest_difference(a: Path, b: Path) -> float | None:
+    """The largest |x - y| / max(1, |x|) over the numeric cells of two CSV
+    or JSON files, x from `a`; None when a text cell, a key or the shape
+    differs."""
+    rows_a, rows_b = _cells(a), _cells(b)
+    if len(rows_a) != len(rows_b):
+        return None
+    worst = 0.0
+    for ra, rb in zip(rows_a, rows_b):
+        if len(ra) != len(rb):
+            return None
+        for x, y in zip(ra, rb):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except (TypeError, ValueError):
+                return None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return None
+            worst = max(worst, abs(x - y) / max(1.0, abs(x)))
+    return worst
+
+
 def differing(a: Path, b: Path) -> list[str]:
-    """Paths under `a` and `b` that are not byte-identical on both sides."""
+    """Paths under `a` and `b` that are not byte-identical on both sides; a
+    CSV or JSON file's line names its largest relative difference."""
     left, right = files(a), files(b)
     out = [f"{p} (only in the first tree)" for p in sorted(left - right)]
     out += [f"{p} (only in the second tree)" for p in sorted(right - left)]
-    out += [str(p) for p in sorted(left & right)
-            if not filecmp.cmp(a / p, b / p, shallow=False)]
+    for p in sorted(left & right):
+        if filecmp.cmp(a / p, b / p, shallow=False):
+            continue
+        if p.suffix in (".csv", ".json"):
+            d = largest_difference(a / p, b / p)
+            out.append(f"{p} ({'non-numeric' if d is None else f'relative {d:.3g}'})")
+        else:
+            out.append(str(p))
     return out
 
 
