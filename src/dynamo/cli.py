@@ -13,11 +13,12 @@ Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
 codes: 0 ok, 2 config error (including an unknown cell kind, an analysis that
-does not apply to the model family, or a task no base model was trained on),
-3 I/O error (including a corrupt or non-finite checkpoint, a corrupt dataset,
-or an output that cannot be written), 4 numeric failure (a non-finite loss or
-gradient, or trained state that is not finite in float32, in which case no
-checkpoint is written).
+does not apply to the model family or task, or a task no base model was
+trained on), 3 I/O error (including a corrupt or non-finite checkpoint, a
+checkpoint whose tensors are not those of the model its manifest describes, a
+corrupt dataset, or an output that cannot be written), 4 numeric failure (a
+non-finite loss or gradient, or trained state that is not finite in float32,
+in which case no checkpoint is written).
 
 train-base trains the base models of each population entry together, in
 lockstep, and writes their checkpoints once the whole entry has trained. So
@@ -42,7 +43,8 @@ import numpy as np
 from . import atlas as atlas_mod
 from . import dynamics as dyn
 from . import tasks as tasks_mod
-from .models import CELL_KINDS, BaseModel, MetaModel, ModelError, StateMap, init_base_model
+from .models import (CELL_KINDS, BaseModel, ModelError, init_base_model, init_meta_model,
+                     init_state_map)
 from .tasks import SequenceDataset, TaskSpec
 from .trainer import (
     HIDDEN_METRICS,
@@ -306,11 +308,21 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
 
 @contextmanager
 def _manifest_fields(prefix):
-    """Turn a missing or malformed manifest field into IOFailure."""
+    """Turn a missing, malformed or unknown-model manifest field into IOFailure."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, ModelError) as e:
         raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
+
+
+def _match_manifest(prefix, tensors: dict, described: dict) -> None:
+    """Raise IOFailure unless the loaded `tensors` have exactly the names and
+    shapes of `described`, the tensors of the model the manifest describes."""
+    found, want = ({k: v.shape for k, v in d.items()} for d in (tensors, described))
+    bad = [f"{k} {found.get(k, 'absent')}, manifest {want.get(k, 'absent')}"
+           for k in sorted(found.keys() | want.keys()) if found.get(k) != want.get(k)]
+    if bad:
+        raise IOFailure(f"checkpoint {prefix} does not match its manifest: {'; '.join(bad)}")
 
 
 def save_base_checkpoint(prefix, model: BaseModel) -> None:
@@ -325,20 +337,26 @@ def save_base_checkpoint(prefix, model: BaseModel) -> None:
 def load_base_checkpoint(prefix) -> BaseModel:
     tensors, mf = load_checkpoint(prefix)
     with _manifest_fields(prefix):
-        return BaseModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                         mf["hidden_dim"], mf["output_dim"], mf["task_group"],
-                         tensors, num_blocks=mf["num_blocks"], info=mf.get("info", {}))
+        model = init_base_model(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
+                                mf["hidden_dim"], mf["output_dim"], mf["task_group"],
+                                seed=0, num_blocks=mf["num_blocks"], info=mf.get("info"))
+    _match_manifest(prefix, tensors, model.params)
+    model.params = tensors
+    return model
+
+
+def _meta_tensors(state: MetaTrainState) -> dict[str, np.ndarray]:
+    """A meta checkpoint's tensors by name: meta parameters, state maps, embeddings."""
+    tensors = {f"meta/{k}": v for k, v in state.meta.params.items()}
+    for i, vm in enumerate(state.state_maps):
+        tensors.update({f"vmap{i}/{k}": a for k, a in vm.items()})
+    tensors["embeddings"] = state.embeddings
+    return tensors
 
 
 def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
                          extra: dict | None = None) -> None:
     meta = state.meta
-    tensors = {f"meta/{k}": v for k, v in meta.params.items()}
-    for i, vm in enumerate(state.state_maps):
-        for t in range(len(vm.weights)):
-            tensors[f"vmap{i}/w{t}"] = vm.weights[t]
-            tensors[f"vmap{i}/b{t}"] = vm.biases[t]
-    tensors["embeddings"] = state.embeddings
     with np.errstate(over="ignore"):  # save_checkpoint refuses what overflows
         by_model = {info["model_id"]: [float(np.float32(x)) for x in state.embeddings[i]]
                     for i, info in enumerate(base_infos)}
@@ -356,30 +374,27 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
         "steps_trained": state.step,
     }
     manifest.update(extra or {})
-    save_checkpoint(prefix, tensors, manifest)
+    save_checkpoint(prefix, _meta_tensors(state), manifest)
 
 
 def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
     tensors, mf = load_checkpoint(prefix)
     with _manifest_fields(prefix):
-        head_dims = {int(k): v for k, v in mf["head_dims"].items()}
-        params = {k[len("meta/"):]: v for k, v in tensors.items()
-                  if k.startswith("meta/")}
-        meta = MetaModel(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                         mf["hidden_dim"], mf["embed_dim"], head_dims, params,
-                         num_blocks=mf["num_blocks"])
-        n = len(mf["bases"])
-        maps = []
-        for i in range(n):
-            weights, biases, t = [], [], 0
-            while f"vmap{i}/w{t}" in tensors:
-                weights.append(tensors[f"vmap{i}/w{t}"])
-                biases.append(tensors[f"vmap{i}/b{t}"])
-                t += 1
-            maps.append(StateMap(weights, biases))
-        state = MetaTrainState(meta, maps, tensors["embeddings"],
+        meta = init_meta_model(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
+                               mf["hidden_dim"], mf["embed_dim"],
+                               {int(k): v for k, v in mf["head_dims"].items()},
+                               seed=0, num_blocks=mf["num_blocks"])
+        ids = [base["model_id"] for base in mf["bases"]]  # analyze --svcca reads them
+        # the manifest gives no base's hidden width; its state map's bias does
+        maps = [init_state_map(meta.hidden_dim, np.size(tensors.get(f"vmap{i}/b0", 0)),
+                               meta.num_blocks, seed=0) for i in range(len(ids))]
+        state = MetaTrainState(meta, maps, np.zeros((len(maps), meta.embed_dim)),
                                step=mf.get("steps_trained", 0))
-        return state, mf
+    described = _meta_tensors(state)
+    _match_manifest(prefix, tensors, described)
+    for k, a in described.items():
+        a[...] = tensors[k]
+    return state, mf
 
 
 # -- shared command plumbing --------------------------------------------------------
@@ -413,6 +428,11 @@ class Run(NamedTuple):
             raise ConfigError(f"no base model was trained on task {task_name!r}, "
                               "so no readout head serves it")
         return self.mf["bases"][rows[0]].get("task_group", 0)
+
+    def best_base_accuracy(self, task_name: str) -> float:
+        """The best test accuracy of the base models trained on `task_name`."""
+        return max(self.mf["bases"][i].get("test_accuracy", 0.0)
+                   for i in self.task_rows(task_name))
 
 
 def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
@@ -535,11 +555,15 @@ def _clustered(labels: list) -> bool:
 def cmd_analyze(args) -> int:
     run = _open_run(args, meta=True)
     out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
+    # checked and read before any output is written, so a refused run leaves none
     if args.svcca and state.meta.cell_kind == "residual_mlp":
-        # checked before any output is written, so a refused run leaves none
         raise ConfigError("--svcca compares recurrent hidden states; "
                           "this run's population is residual_mlp")
     metadata = [dict(b) for b in run.mf["bases"]]
+    task_name = an["landscape_task"]
+    group_rows = run.task_rows(task_name)
+    svcca_bases = [load_base_checkpoint(out / "base" / metadata[i]["model_id"])
+                   for i in group_rows] if args.svcca else []
     atlas = atlas_mod.fit_pca(state.embeddings, metadata)
     atlas_mod.export_atlas_csv(atlas, out / "atlas.csv", comment, top_k=an["top_k"])
     tasks_mod.write_csv(out / "spectrum.csv", *atlas.spectrum_table(), comment)
@@ -552,11 +576,9 @@ def cmd_analyze(args) -> int:
         if _clustered(vals):
             summary[f"silhouette_{key}"] = atlas_mod.silhouette(coords, vals)
 
-    task_name = an["landscape_task"]
     ds = run.datasets[task_name]
-    group_rows = run.task_rows(task_name)
     if group_rows:
-        best_base = max(metadata[i].get("test_accuracy", 0.0) for i in group_rows)
+        best_base = run.best_base_accuracy(task_name)
         grid = atlas_mod.accuracy_landscape(
             state.meta, run.task_group(task_name), ds, state.embeddings[group_rows],
             grid=(an["grid"], an["grid"]), extent_scale=an["extent_scale"],
@@ -566,20 +588,17 @@ def cmd_analyze(args) -> int:
         summary["landscape_argmax_uv"] = list(argmax_uv)
         summary["best_base_accuracy"] = best_base
 
-    if args.svcca and group_rows:
-        bases = _load_population(out)
-        rows = [i for i, b in enumerate(bases) if b.info.get("task") == task_name]
+    if svcca_bases:
         seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
         D = atlas_mod.svcca_distances(
-            [atlas_mod.hidden_state_matrix(bases[i], seqs) for i in rows],
-            an["svcca_dims"])
+            [atlas_mod.hidden_state_matrix(b, seqs) for b in svcca_bases], an["svcca_dims"])
         coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
         tasks_mod.write_csv(
             out / "svcca_mds.csv",
             ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
-            [[bases[i].info["model_id"], *coords_mds[r]] for r, i in enumerate(rows)],
+            [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)],
             comment)
-        svcca_labels = [bases[i].info.get("train_fraction") for i in rows]
+        svcca_labels = [b.info.get("train_fraction") for b in svcca_bases]
         if _clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
                 coords_mds, svcca_labels)
@@ -606,8 +625,7 @@ def cmd_ssl(args) -> int:
     rows = [[k, *th, loss, acc]
             for k, (th, loss, acc) in enumerate(zip(thetas, losses, accs))]
     tasks_mod.write_csv(run.out / "ssl_trajectory.csv", header, rows, run.comment)
-    best_base = max(b.get("test_accuracy", 0.0) for b in run.mf["bases"]
-                    if b.get("task") == task_name)
+    best_base = run.best_base_accuracy(task_name)
     delta = float(accs[-1]) - best_base
     result = {"theta_final": [float(x) for x in theta],
               "test_accuracy": float(accs[-1]),
@@ -650,6 +668,9 @@ def cmd_fixed_points(args) -> int:
     task_name = run.cfg["ssl"]["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
+    if args.score_map and not ds.valence:
+        raise ConfigError(f"--score-map scores token valences; ssl.task {task_name!r} "
+                          "has none")
     label, theta = _resolve_theta(args.theta, state, run.mf)
     pool = ds.indices("meta_unlabeled")[:fp["batch_sequences"]]
     seqs, _ = ds.subset(pool)
@@ -671,7 +692,7 @@ def cmd_fixed_points(args) -> int:
         report.update({"extent": summ.extent, "thickness": summ.thickness,
                        "extent_thickness_ratio": summ.extent_thickness_ratio,
                        "margin_spearman": rho})
-    if args.score_map and ds.valence:
+    if args.score_map:
         vals = ds.token_values()
         sets = ([t for t in range(ds.vocab_size) if vals[t] > 0],
                 [t for t in range(ds.vocab_size) if vals[t] < 0],
@@ -750,7 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--theta", required=True,
                    help="base id, centroid:<key>=<value>, or comma-separated floats")
-    p.add_argument("--score-map", action="store_true")
+    p.add_argument("--score-map", action="store_true",
+                   help="also map fixed-point valence scores over the ssl.task bases' "
+                        "embedding plane; exit 2 if that task has no token valences")
     p = sub.add_parser("average", help="evaluate the mean of base embeddings")
     common(p)
     p.add_argument("--ids", required=True, help="comma-separated base model ids")

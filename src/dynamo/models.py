@@ -68,15 +68,6 @@ class MetaModel:
     num_blocks: int = 0
 
 
-@dataclass
-class StateMap:
-    """Affine map from meta hidden space into one base model's hidden space;
-    one (weight, bias) pair per block for the residual family."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 # -- single-step cell maps ---------------------------------------------------
 
 
@@ -91,8 +82,8 @@ def residual_block_step(block_params: dict, features: np.ndarray,
     return np.maximum(features + z @ block_params["a2"] + block_params["b2"], 0.0)
 
 
-def apply_state_map(vmap: StateMap, h_meta: np.ndarray) -> np.ndarray:
-    return h_meta @ vmap.weights[0] + vmap.biases[0]
+def apply_state_map(vmap: dict[str, np.ndarray], h_meta: np.ndarray) -> np.ndarray:
+    return h_meta @ vmap["w0"] + vmap["b0"]
 
 
 def _block_params(params: dict, t: int) -> dict:
@@ -323,13 +314,14 @@ def init_meta_model(cell_kind: str, vocab_size: int, input_dim: int,
 
 
 def init_state_map(meta_hidden: int, base_hidden: int, num_blocks: int,
-                   seed: int) -> StateMap:
+                   seed: int) -> dict[str, np.ndarray]:
+    """Affine map from meta hidden space into one base model's hidden space:
+    a weight `w{t}` and bias `b{t}` per block t (one block for recurrent
+    cells), the weights first."""
     rng = np.random.default_rng(seed)
-    n = max(1, num_blocks)
-    weights = [rng.standard_normal((meta_hidden, base_hidden)) / np.sqrt(meta_hidden)
-               for _ in range(n)]
-    biases = [np.zeros(base_hidden) for _ in range(n)]
-    return StateMap(weights, biases)
+    blocks, shape = range(max(1, num_blocks)), (meta_hidden, base_hidden)
+    return ({f"w{t}": rng.standard_normal(shape) / np.sqrt(meta_hidden) for t in blocks}
+            | {f"b{t}": np.zeros(base_hidden) for t in blocks})
 
 
 # -- graph builders (mirrors of the numpy steps) -------------------------------

@@ -55,7 +55,6 @@ from . import models
 from .models import (
     BaseModel,
     MetaModel,
-    StateMap,
     apply_state_map,
     declare_params,
     final_logits,
@@ -323,14 +322,6 @@ def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
     return inputs[rows, :lengths.max()], lengths
 
 
-def _hidden_rows(g: Graph, cfg: TrainConfig, h: int, vmap: tuple[int, int],
-                 target: int) -> int:
-    """Per-row hidden metric between the mapped states `h` and the node `target`."""
-    v_w, v_b = vmap
-    diff = g.sub(g.add(g.matmul(h, v_w), v_b), target)
-    return g.l1(diff, axis=1) if cfg.hidden_metric == "L1" else g.squared_l2(diff, axis=1)
-
-
 def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
                           base_hidden: int, task_group: int) -> Graph:
     """Joint loss of the meta model at one embedding against one base batch:
@@ -360,7 +351,10 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     hidden_terms, out_terms = [], []
     for t, h in enumerate(unroll_graph(g, meta, refs, T, B, theta)):
         hb = g.leaf(f"hb{t}", (n, base_hidden), param=False)
-        hidden_terms.append(g.reduce_sum(g.mul(_hidden_rows(g, cfg, h, maps[t], hb), wh)))
+        v_w, v_b = maps[t]
+        diff = g.sub(g.add(g.matmul(h, v_w), v_b), hb)
+        rows = g.l1(diff, axis=1) if cfg.hidden_metric == "L1" else g.squared_l2(diff, axis=1)
+        hidden_terms.append(g.reduce_sum(g.mul(rows, wh)))
         if t < meta.num_blocks - 1:
             fd = g.sub(h, hb)
             out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)),
@@ -444,7 +438,7 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
 @dataclass
 class MetaTrainState:
     meta: MetaModel
-    state_maps: list[StateMap]
+    state_maps: list[dict[str, np.ndarray]]  # `models.init_state_map`'s, one per base
     embeddings: np.ndarray  # (N, d), row n is theta_n
     step: int = 0
     # (step, base index, hidden, output, total loss) per step: meta_loss.csv rows
@@ -531,20 +525,16 @@ class MetaTrainer:
         for tg in state.meta.head_dims:
             groups[f"head{tg}"] = {f"head{tg}_{x}": meta[f"head{tg}_{x}"] for x in "wb"}
         for i, vm in enumerate(state.state_maps):
-            groups[f"v{i}"] = {**{f"v{i}_w{t}": w for t, w in enumerate(vm.weights)},
-                               **{f"v{i}_b{t}": b for t, b in enumerate(vm.biases)}}
+            groups[f"v{i}"] = {f"v{i}_{k}": a for k, a in vm.items()}
         # per base: graph leaf -> optimizer name of its embedding and state-map leaves
-        self.grad_names = [{"theta": f"theta{i}", **{f"vmap_{x}{t}": f"v{i}_{x}{t}"
-                                                     for t in range(len(vm.weights))
-                                                     for x in "wb"}}
+        self.grad_names = [{"theta": f"theta{i}", **{f"vmap_{k}": f"v{i}_{k}" for k in vm}}
                            for i, vm in enumerate(state.state_maps)]
         # the embeddings come last, so their rows are the buffer's tail
         thetas = {f"theta{i}": {f"theta{i}": row} for i, row in enumerate(state.embeddings)}
         self.opt = Optimizer(groups | thetas, cfg, no_decay=set(thetas))
         meta.update({k: self.opt.params[k] for k in meta})
         for i, vm in enumerate(state.state_maps):
-            vm.weights[:] = [self.opt.params[f"v{i}_w{t}"] for t in range(len(vm.weights))]
-            vm.biases[:] = [self.opt.params[f"v{i}_b{t}"] for t in range(len(vm.biases))]
+            vm.update({k: self.opt.params[f"v{i}_{k}"] for k in vm})
         n = state.embeddings.size
         state.embeddings = self.opt.flat[len(self.opt.flat) - n:].reshape(state.embeddings.shape)
 
@@ -565,10 +555,7 @@ class MetaTrainer:
         bindings = graph_params(meta, tg)
         bindings.update(_input_bindings(inputs, lengths))
         bindings["theta"] = self.state.embeddings[i][None, :]
-        vmap = self.state.state_maps[i]
-        for t in range(len(vmap.weights)):
-            bindings[f"vmap_w{t}"] = vmap.weights[t]
-            bindings[f"vmap_b{t}"] = vmap.biases[t]
+        bindings.update({f"vmap_{k}": a for k, a in self.state.state_maps[i].items()})
         if lengths is None:
             w = np.full(B, 1.0 / (B * base.num_blocks))
             targets, last = hs_b, logits_b[-1]
@@ -650,7 +637,7 @@ def train_meta(bases: list[BaseModel], datasets: list[SequenceDataset],
 # -- diagnostics ------------------------------------------------------------------
 
 
-def conjugacy_defect(meta, base: BaseModel, vmap: StateMap,
+def conjugacy_defect(meta, base: BaseModel, vmap: dict[str, np.ndarray],
                      theta: np.ndarray, sequences: list[list[int]]) -> dict:
     """Distribution of the one-step conjugacy defect over a batch.
 

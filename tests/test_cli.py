@@ -24,7 +24,7 @@ from dynamo.cli import (
     train_config_from,
     validate_config,
 )
-from dynamo import dynamics
+from dynamo import cli, dynamics
 from dynamo import trainer as trainer_module
 from dynamo.atlas import fit_pca
 from dynamo.models import init_base_model
@@ -369,6 +369,37 @@ def test_train_meta_outputs(pipeline):
     loss_lines = (out / "meta_loss.csv").read_text().splitlines()
     assert loss_lines[1] == "step,model_id,hidden_loss,output_loss,total_loss"
     assert len(loss_lines) == 2 + 30
+
+
+_RESIDUAL_POPULATION = [{"task": "valence", "count": 2, "cell_kind": "residual_mlp",
+                         "hidden_dim": 6, "input_dim": 12, "num_blocks": 2,
+                         "task_group": 0}]
+
+
+@pytest.mark.parametrize("population,blocks", [(None, 1), (_RESIDUAL_POPULATION, 2)],
+                         ids=["gru", "residual"])
+def test_meta_checkpoint_round_trips_every_state_map(tmp_path, monkeypatch,
+                                                     population, blocks):
+    cfg = _mini_config()
+    if population:
+        cfg.update(population=population, meta={"embed_dim": 2})
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    trained = []
+    monkeypatch.setattr(cli, "train_meta", lambda *args: trained.append(
+        trainer_module.train_meta(*args)) or trained[-1])
+    for stage in ("gen-data", "train-base", "train-meta"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    state, _ = load_meta_checkpoint(out / "meta")
+    want = trained[0]
+    names = sorted(f"{x}{t}" for x in "wb" for t in range(blocks))
+    assert [sorted(vm) for vm in state.state_maps] == [names, names]
+    for vm, vm_want in zip(state.state_maps, want.state_maps):
+        for k, a in vm_want.items():
+            assert np.array_equal(vm[k], a.astype(np.float32).astype(np.float64)), k
+    assert state.embeddings.shape == want.embeddings.shape
+    assert np.array_equal(state.embeddings,
+                          want.embeddings.astype(np.float32).astype(np.float64))
 
 
 def test_meta_checkpoint_accuracy_reproducible(pipeline, tmp_path):
@@ -716,6 +747,23 @@ def test_task_without_base_models_has_no_readout_head(tmp_path):
     assert not (out / "svcca_mds.csv").exists()
 
 
+def test_score_map_of_a_task_without_valences_is_config_error(tmp_path, capsys):
+    cfg = _mini_config()
+    cfg["tasks"][0].update(kind="topic_classification", num_classes=3)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base", "train-meta"):
+        assert _run(stage, "--config", str(path), "--out", str(out)) == 0
+    written = sorted(out.iterdir())
+    capsys.readouterr()
+    assert _run(*_SCORE_MAP, "--config", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert sorted(out.iterdir()) == written  # refused before writing anything
+    assert _run("fixed-points", "--theta", "base_000", "--config", str(path),
+                "--out", str(out)) == 0
+
+
 def test_full_rerun_is_byte_identical(tmp_path):
     cfg = _mini_config()
     path = _write_config(tmp_path, cfg)
@@ -741,11 +789,7 @@ def test_full_rerun_is_byte_identical(tmp_path):
 def residual_pipeline(tmp_path_factory):
     """A tiny residual-MLP population with its meta model."""
     root = tmp_path_factory.mktemp("residual")
-    cfg = _mini_config(
-        population=[{"task": "valence", "count": 2, "cell_kind": "residual_mlp",
-                     "hidden_dim": 6, "input_dim": 12, "num_blocks": 2,
-                     "task_group": 0}],
-        meta={"embed_dim": 2})
+    cfg = _mini_config(population=_RESIDUAL_POPULATION, meta={"embed_dim": 2})
     path = _write_config(root, cfg)
     out = root / "run"
     for stage in ("gen-data", "train-base", "train-meta"):
@@ -792,6 +836,20 @@ def test_meta_model_of_the_other_family_is_config_error(request, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not list(run.glob("meta*"))
+
+
+def test_analyze_svcca_without_a_base_checkpoint_is_io_error(pipeline, tmp_path, capsys):
+    # the SVCCA baseline reads the bases the meta checkpoint names, before any output
+    path, out = pipeline
+    run = tmp_path / "run"
+    analysis = ("atlas.csv", "spectrum.csv", "landscape.csv", "svcca_mds.csv",
+                "analysis_summary.json")
+    shutil.copytree(out, run, ignore=shutil.ignore_patterns("base_001.*", *analysis))
+    capsys.readouterr()
+    assert _run("analyze", "--svcca", "--config", str(path), "--out", str(run)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "base_001" in err and "Traceback" not in err
+    assert not [f for f in analysis if (run / f).exists()]
 
 
 def _file_in_place_of_out(out):
@@ -891,11 +949,73 @@ def _nonfinite_value(ck):
     blob.write_bytes(np.array([np.inf], dtype="<f4").tobytes() + blob.read_bytes()[4:])
 
 
+def _drop_base_model_id(ck):
+    manifest = json.loads(ck.read_text())
+    del manifest["bases"][1]["model_id"]
+    ck.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_truncate_json, _drop_manifest_key,
-                                     _shape_length_mismatch, _nonfinite_value])
+                                     _shape_length_mismatch, _nonfinite_value,
+                                     _drop_base_model_id])
 def test_corrupt_meta_checkpoint_is_io_failure(pipeline, tmp_path, corrupt):
     path, out = pipeline
     run = tmp_path / "run"
     shutil.copytree(out, run)
     corrupt(run / "meta.json")
     assert _run("ssl", "--config", str(path), "--out", str(run)) == 3
+
+
+def _rewrite_checkpoint(prefix, edit):
+    """Save checkpoint `prefix` again after `edit(tensors, manifest)`."""
+    tensors, manifest = load_checkpoint(prefix)
+    del manifest["tensors"]
+    edit(tensors, manifest)
+    save_checkpoint(prefix, tensors, manifest)
+
+
+def _extra_base_entry(tensors, manifest):
+    manifest["bases"].append(dict(manifest["bases"][-1], model_id="base_999"))
+
+
+def _drop(*names):
+    def edit(tensors, manifest):
+        for name in names:
+            del tensors[name]
+    return edit
+
+
+def _wider_embeddings(tensors, manifest):
+    tensors["embeddings"] = np.pad(tensors["embeddings"], ((0, 0), (0, 1)))
+
+
+def _wider_base_hidden_dim(tensors, manifest):
+    manifest["hidden_dim"] += 1
+
+
+_AVERAGE = ("average", "--ids", "base_000,base_001")
+
+
+@pytest.mark.parametrize("fixture,checkpoint,edit,argv", [
+    ("pipeline", "meta", _extra_base_entry, ("average", "--ids", "base_000,base_999")),
+    ("pipeline", "meta", _extra_base_entry, ("analyze",)),
+    ("pipeline", "meta", _drop("meta/w_h"), _AVERAGE),
+    ("pipeline", "meta", _drop("vmap0/w0", "vmap0/b0"), _AVERAGE),
+    ("pipeline", "meta", _wider_embeddings, _AVERAGE),
+    ("residual_pipeline", "meta", _drop("vmap1/w1", "vmap1/b1"), _AVERAGE),
+    ("pipeline", "base/base_000", _drop("w_h"), ("train-meta",)),
+    ("pipeline", "base/base_001", _wider_base_hidden_dim, ("train-meta",)),
+], ids=["extra_base_entry_average", "extra_base_entry_analyze", "meta_tensor_dropped",
+        "state_map_dropped", "embedding_row_too_wide", "residual_block_map_dropped",
+        "base_tensor_dropped", "base_hidden_dim_unlike_its_tensors"])
+def test_checkpoint_unlike_its_manifest_is_io_error(request, tmp_path, capsys, fixture,
+                                                     checkpoint, edit, argv):
+    path, out = request.getfixturevalue(fixture)
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    _rewrite_checkpoint(run / checkpoint, edit)
+    capsys.readouterr()
+    assert _run(*argv, "--config", str(path), "--out", str(run)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+    assert "does not match its manifest" in err

@@ -7,7 +7,6 @@ from dynamo.models import (
     BaseModel,
     MetaModel,
     ModelError,
-    StateMap,
     apply_state_map,
     cell_step,
     cell_step_graph,
@@ -253,25 +252,31 @@ def test_residual_rollout_outputs_and_theta_zero_family():
 
 
 def test_apply_state_map():
-    v = StateMap([np.eye(3)], [np.zeros(3)])
+    v = {"w0": np.eye(3), "b0": np.zeros(3)}
     h = np.array([1.0, 2.0, 3.0])
     assert np.allclose(apply_state_map(v, h), h)
 
-    v0 = StateMap([np.zeros((3, 2))], [np.zeros(2)])
+    v0 = {"w0": np.zeros((3, 2)), "b0": np.zeros(2)}
     assert np.allclose(apply_state_map(v0, h), 0.0)
 
     rng = np.random.default_rng(8)
     w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
-    v = StateMap([w], [b])
+    v = {"w0": w, "b0": b}
     hand = np.array([sum(h[a] * w[a, j] for a in range(3)) + b[j] for j in range(2)])
     assert np.allclose(apply_state_map(v, h), hand, atol=1e-12)
 
 
 def test_init_state_map_shapes():
     v = init_state_map(6, 4, num_blocks=0, seed=0)
-    assert v.weights[0].shape == (6, 4) and v.biases[0].shape == (4,)
+    assert v["w0"].shape == (6, 4) and v["b0"].shape == (4,)
     v3 = init_state_map(6, 4, num_blocks=3, seed=0)
-    assert len(v3.weights) == 3
+    assert len([k for k in v3 if k.startswith("w")]) == 3
+    # weights first, drawn block by block from the map's seed
+    assert list(v3) == ["w0", "w1", "w2", "b0", "b1", "b2"]
+    rng = np.random.default_rng(0)
+    for t in range(3):
+        assert np.array_equal(v3[f"w{t}"], rng.standard_normal((6, 4)) / np.sqrt(6))
+        assert np.array_equal(v3[f"b{t}"], np.zeros(4))
 
 
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn"])

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from dynamo.cli import build_parser, validate_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,6 +60,21 @@ def test_rundiff_runs_the_recurrent_analyses_on_recurrent_workloads_only():
         recurrent = name != "train-residual"
         assert (("analyze", "--svcca") in argv) == recurrent
         assert any(stage[0] == "fixed-points" for stage in argv) == recurrent
+
+
+def test_rundiff_runs_every_command_on_the_recurrent_workloads():
+    # a command that no stage names would escape the byte-identity check
+    rundiff = _rundiff()
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    recurrent = [w for w in rundiff.WORKLOADS.values()
+                 if all(p["cell_kind"] != "residual_mlp" for p in w.population)]
+    assert recurrent
+    assert {stage[0] for w in recurrent for stage in rundiff.stages(w)} == set(subparsers)
+    for workload in rundiff.WORKLOADS.values():
+        # `fixed-points --score-map` needs token valences on ssl.task
+        cfg = validate_config(workload.config(1))
+        task = next(t for t in cfg["tasks"] if t["name"] == cfg["ssl"]["task"])
+        assert task["kind"] == "valence_sentiment", workload.name
 
 
 def test_rundiff_reports_each_seed(tmp_path, monkeypatch, capsys):

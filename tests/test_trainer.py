@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dynamo import models
 from dynamo import trainer as trainer_module
 from dynamo.models import (
-    StateMap,
     init_base_model,
     init_meta_model,
     model_inputs,
@@ -52,7 +51,7 @@ def _metric_rows(diff: np.ndarray, metric: str) -> np.ndarray:
     return (diff * diff).sum(axis=-1)
 
 
-def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
+def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: dict,
                 metric: str = "L2_squared", normalize_by_dim: bool = False,
                 residual: bool = False) -> float:
     """Time-mean distance between mapped meta hidden states and base hidden
@@ -64,7 +63,7 @@ def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: StateMap,
     dim = base_traj[0].shape[-1]
     for t in range(T):
         block = t if residual else 0
-        mapped = meta_traj[t] @ vmap.weights[block] + vmap.biases[block]
+        mapped = meta_traj[t] @ vmap[f"w{block}"] + vmap[f"b{block}"]
         total += _metric_rows(mapped - base_traj[t], metric)
     total /= T
     if normalize_by_dim:
@@ -93,7 +92,7 @@ def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray,
     return float(((mo - bo) ** 2).sum(axis=-1).mean())
 
 
-def meta_emulation_losses(meta, base, vmap: StateMap, theta: np.ndarray, inputs,
+def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
                           cfg: TrainConfig) -> tuple[float, float, float]:
     """(hidden, output, total) losses for one batch of token sequences (or
     residual feature rows), from plain rollouts rather than the graph."""
@@ -203,12 +202,12 @@ def _bind(trainer, inputs, lengths):
 
 def test_hidden_loss_identity_map_identical_trajectories():
     traj = np.random.default_rng(0).standard_normal((4, 3))
-    v = StateMap([np.eye(3)], [np.zeros(3)])
+    v = {"w0": np.eye(3), "b0": np.zeros(3)}
     assert hidden_loss(traj, traj, v) == pytest.approx(0.0)
 
 
 def test_hidden_loss_hand_values():
-    v = StateMap([2.0 * np.eye(2)], [np.zeros(2)])
+    v = {"w0": 2.0 * np.eye(2), "b0": np.zeros(2)}
     meta_traj = np.array([[1.0, 0.0]])
     base_traj = np.array([[1.0, 1.0]])
     assert hidden_loss(meta_traj, base_traj, v, "L2_squared") == pytest.approx(2.0)
@@ -216,7 +215,7 @@ def test_hidden_loss_hand_values():
 
 
 def test_hidden_loss_length_mismatch():
-    v = StateMap([np.eye(2)], [np.zeros(2)])
+    v = {"w0": np.eye(2), "b0": np.zeros(2)}
     with pytest.raises(TrainerError):
         hidden_loss(np.zeros((3, 2)), np.zeros((2, 2)), v)
 
@@ -274,7 +273,7 @@ def test_perfect_emulation_gives_zero_loss():
         meta.params[f"b_{gate}"] = base.params[f"b_{gate}"].copy()
     meta.params["head0_w"] = base.params["w_out"].copy()
     meta.params["head0_b"] = base.params["b_out"].copy()
-    v = StateMap([np.eye(4)], [np.zeros(4)])
+    v = {"w0": np.eye(4), "b0": np.zeros(4)}
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
     cfg = TrainConfig(weight_decay=0.0, normalize_hidden_by_dim=False)
     h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), seqs, cfg)
@@ -413,12 +412,12 @@ def test_update_locality_unsampled_models_untouched():
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i) for i in range(6)]
     cfg = TrainConfig(max_steps=3, batch_size=2, weight_decay=0.1, seed=4)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
-    maps = [[a.copy() for a in vm.weights + vm.biases] for vm in state.state_maps]
+    maps = [[a.copy() for a in vm.values()] for vm in state.state_maps]
     MetaTrainer(state, bases, [ds] * 6, cfg).run()
     sampled = {rec[1] for rec in state.history}
     assert len(sampled) < 6
     for i, vm in enumerate(state.state_maps):
-        kept = [np.array_equal(a, b) for a, b in zip(vm.weights + vm.biases, maps[i])]
+        kept = [np.array_equal(a, b) for a, b in zip(vm.values(), maps[i])]
         if i in sampled:
             assert not kept[0] and np.any(state.embeddings[i] != 0)
         else:
@@ -498,7 +497,7 @@ def test_meta_training_memory_grows_only_by_per_base_state(traced_peak):
         state = out["state"]
         assert {rec[1] for rec in state.history} == set(range(n))
         vm = state.state_maps[-1]
-        fitted = sum(a.nbytes for a in vm.weights + vm.biases) + state.embeddings[-1].nbytes
+        fitted = sum(a.nbytes for a in vm.values()) + state.embeddings[-1].nbytes
         return used, sum(a.nbytes for a in bases[-1].params.values()) + 4 * fitted
 
     small, _ = peak(2)
@@ -698,7 +697,7 @@ def test_conjugacy_zero_for_constructed_linear_pair():
     meta.params["w_x"] = wx
     meta.params["w_h"] = P @ base.params["w_h"] @ P.T
     meta.params["b"] = base.params["b"] @ P.T
-    vmap = StateMap([P], [np.zeros(H)])
+    vmap = {"w0": P, "b0": np.zeros(H)}
     seqs = [[1, 4, 2, 7], [3, 3, 9]]
     stats = conjugacy_defect(meta, base, vmap, np.zeros(d), seqs)
     assert stats["max"] < 1e-10
@@ -707,7 +706,7 @@ def test_conjugacy_zero_for_constructed_linear_pair():
 def test_conjugacy_zero_map_collapse_statistics():
     base = init_base_model("gru", 10, 3, 4, 2, 0, seed=3)
     meta = init_meta_model("gru", 10, 3, 6, 2, {0: 2}, seed=4)
-    vmap = StateMap([np.zeros((6, 4))], [np.zeros(4)])
+    vmap = {"w0": np.zeros((6, 4)), "b0": np.zeros(4)}
     seqs = [[1, 2, 3]]
     stats = conjugacy_defect(meta, base, vmap, np.zeros(2), seqs)
     emb = base.params["embed"][np.array(seqs[0])]
@@ -766,7 +765,7 @@ def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
 def test_meta_trainer_binds_state_to_the_optimizer_buffer():
     trainer, ds, _ = _tiny_setup(n_bases=3)
     state, flat = trainer.state, trainer.opt.flat
-    maps = [a for vm in state.state_maps for a in vm.weights + vm.biases]
+    maps = [a for vm in state.state_maps for a in vm.values()]
     arrays = [*state.meta.params.values(), *maps, state.embeddings]
     assert all(np.shares_memory(a, flat) for a in arrays)
     assert state.embeddings.base is flat.base
