@@ -1,6 +1,6 @@
-"""Analyses over the learned embedding space: PCA and spectra, model
-averaging, accuracy landscapes, semi-supervised embedding optimization, the
-SVCCA + classical-MDS pairwise baseline, and cluster-quality scoring.
+"""Analyses over the learned embedding space: PCA and spectra, accuracies
+and accuracy landscapes, semi-supervised embedding optimization, the SVCCA +
+classical-MDS pairwise baseline, and cluster-quality scoring.
 
 Every grid over a plane in embedding space is a `PlaneGrid` from
 `plane_grid`, the only code that turns grid coordinates into embeddings; the
@@ -28,8 +28,6 @@ class AtlasError(Exception):
 
 @dataclass
 class EmbeddingAtlas:
-    embeddings: np.ndarray          # (N, d)
-    metadata: list[dict]            # one record per row
     mean: np.ndarray                # (d,)
     axes: np.ndarray                # (d, d), rows are principal axes
     spectrum: np.ndarray            # (d,) covariance eigenvalues, descending
@@ -45,7 +43,7 @@ class EmbeddingAtlas:
         return header, list(zip(range(len(cumulative)), self.spectrum, cumulative))
 
 
-def fit_pca(embeddings: np.ndarray, metadata: list[dict] | None = None) -> EmbeddingAtlas:
+def fit_pca(embeddings: np.ndarray) -> EmbeddingAtlas:
     """Center, SVD, axes sorted by descending eigenvalue (covariance divisor N).
     Sign convention: each axis's largest-magnitude coordinate is positive."""
     X = np.asarray(embeddings, dtype=np.float64)
@@ -62,8 +60,7 @@ def fit_pca(embeddings: np.ndarray, metadata: list[dict] | None = None) -> Embed
         j = int(np.argmax(np.abs(axes[i])))
         if axes[i, j] < 0:
             axes[i] = -axes[i]
-    meta = list(metadata) if metadata is not None else [{} for _ in range(n)]
-    return EmbeddingAtlas(X.copy(), meta, mean, axes, spectrum)
+    return EmbeddingAtlas(mean, axes, spectrum)
 
 
 def components_for_variance(spectrum: np.ndarray, threshold: float) -> int:
@@ -78,13 +75,6 @@ def components_for_variance(spectrum: np.ndarray, threshold: float) -> int:
         return int((spectrum > 0).sum())
     cum = np.cumsum(spectrum) / total
     return int(np.searchsorted(cum, threshold - 1e-15) + 1)
-
-
-def average_embeddings(thetas) -> np.ndarray:
-    thetas = [np.asarray(t, dtype=np.float64) for t in thetas]
-    if not thetas:
-        raise AtlasError("cannot average an empty set of embeddings")
-    return np.mean(thetas, axis=0)
 
 
 # -- accuracy evaluation -----------------------------------------------------------
@@ -184,18 +174,16 @@ def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int],
 
 
 def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                       base_thetas: np.ndarray, grid: tuple[int, int] = (15, 15),
-                       extent_scale: float = 1.5,
-                       best_base_accuracy: float | None = None) -> PlaneGrid:
-    """Accuracy over a 2-plane in embedding space (see `plane_grid`): the
-    column `accuracy`, and `relative_accuracy` against the best base model
-    when its accuracy is given and nonzero."""
-    out = plane_grid(base_thetas, grid, extent_scale)
-    accs = grid_accuracies(meta, out.thetas, task_group, ds).reshape(grid)
-    out.values["accuracy"] = accs
+                       plane: PlaneGrid, best_base_accuracy: float | None = None
+                       ) -> PlaneGrid:
+    """Fill the `accuracy` column of `plane` (see `plane_grid`), and
+    `relative_accuracy` against the best base model when its accuracy is
+    given and nonzero, and return `plane`."""
+    accs = grid_accuracies(meta, plane.thetas, task_group, ds).reshape(len(plane.us), -1)
+    plane.values["accuracy"] = accs
     if best_base_accuracy:
-        out.values["relative_accuracy"] = accs / best_base_accuracy
-    return out
+        plane.values["relative_accuracy"] = accs / best_base_accuracy
+    return plane
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -404,18 +392,20 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
 # -- CSV exports -------------------------------------------------------------------
 
 
-def export_atlas_csv(atlas: EmbeddingAtlas, path, comment=None, top_k: int = 3) -> None:
-    d = atlas.embeddings.shape[1]
+def export_atlas_csv(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: list[dict],
+                     path, comment=None, top_k: int = 3) -> None:
+    """One row per embedding: its metadata record, theta_* and `top_k` PCA coordinates."""
+    d = embeddings.shape[1]
     k = min(top_k, d)
-    meta_keys = sorted({key for m in atlas.metadata for key in m} - {"model_id"})
+    meta_keys = sorted({key for m in metadata for key in m} - {"model_id"})
     header = (["model_id"] + meta_keys + [f"theta_{j}" for j in range(d)]
               + [f"pc_{j}" for j in range(k)])
-    proj = atlas.project(atlas.embeddings, k)
+    proj = atlas.project(embeddings, k)
     # metadata cells are Python's str of the manifest value, so train_fraction
     # reads 1.0 here as in base/metrics.csv, not the cell rule's 1
     rows = [[str(md.get("model_id", f"base_{i}"))]
             + [str(md.get(key, "")) for key in meta_keys] + [*theta, *proj[i]]
-            for i, (theta, md) in enumerate(zip(atlas.embeddings, atlas.metadata))]
+            for i, (theta, md) in enumerate(zip(embeddings, metadata))]
     write_csv(path, header, rows, comment)
 
 

@@ -9,6 +9,9 @@ run's only input: `--seed` enters the config hash, and no other flag sets a
 value that the config sets. Commands are composable and write into a shared
 run directory, `--out` or else `run_<config hash>`; the remaining flags name
 what a command reads or adds (`--theta`, `--ids`, `--svcca`, `--score-map`).
+Every command checks the whole config as it loads it, before it writes
+anything: each value against the schema, and each task and training section as
+its module builds it. An analysis command that refuses its run writes nothing.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
@@ -35,6 +38,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,9 +47,9 @@ import numpy as np
 from . import atlas as atlas_mod
 from . import dynamics as dyn
 from . import tasks as tasks_mod
-from .models import (CELL_KINDS, BaseModel, ModelError, init_base_model, init_meta_model,
-                     init_state_map)
-from .tasks import SequenceDataset, TaskSpec
+from .models import (CELL_KINDS, BaseModel, MetaModel, ModelError, init_base_model,
+                     init_meta_model, init_state_map)
+from .tasks import SequenceDataset, TaskError, TaskSpec
 from .trainer import (
     HIDDEN_METRICS,
     OPTIMIZERS,
@@ -80,9 +84,11 @@ class IOFailure(Exception):
 # one-element list holding the section of each list entry. _REQUIRED marks a
 # key the config must give. A default of None leaves the key out of the
 # resolved config, so that TrainConfig and trainer.init_meta_state supply it.
-# An int is at least 0, and at least 1 for a key that sizes an array or a grid.
+# An int is at least 0; a _SIZE, an int that sizes an array, a grid or a
+# population entry, is at least 1.
 
 _REQUIRED = object()
+_SIZE = (int,)  # told apart from int by identity
 _NUM = (int, float)
 
 _TASK = {"name": (str, _REQUIRED), "kind": (str, _REQUIRED),
@@ -92,9 +98,9 @@ _TASK = {"name": (str, _REQUIRED), "kind": (str, _REQUIRED),
          "seed": (int, 0)}
 _SPLITS = {"base_train": (_NUM, 0.44), "meta_unlabeled": (_NUM, 0.45),
            "ssl_labeled": (_NUM, 0.01), "seed": (int, 0)}
-_POPULATION = {"task": (str, _REQUIRED), "count": (int, _REQUIRED),
-               "cell_kind": (CELL_KINDS, "gru"), "hidden_dim": (int, 24),
-               "input_dim": (int, 12), "train_fraction": (_NUM, 1.0),
+_POPULATION = {"task": (str, _REQUIRED), "count": (_SIZE, _REQUIRED),
+               "cell_kind": (CELL_KINDS, "gru"), "hidden_dim": (_SIZE, 24),
+               "input_dim": (_SIZE, 12), "train_fraction": (_NUM, 1.0),
                "task_group": (int, 0), "num_blocks": (int, 0),
                # per-entry overrides of base_training
                "lr": (_NUM, None), "epochs": (int, None)}
@@ -106,19 +112,19 @@ _BASE_TRAINING = {key: (kind, None) for key, kind in {
 _META_TRAINING = {key: (kind, None) for key, kind in {
     **_TRAINING, "max_steps": int, "lambda": _NUM, "hidden_metric": HIDDEN_METRICS,
     "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool}.items()}
-_META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (int, None),
-         "input_dim": (int, None), "embed_dim": (int, None)}
-_ANALYSIS = {"grid": (int, 15), "extent_scale": (_NUM, 1.5),  # the score map's too
+_META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (_SIZE, None),
+         "input_dim": (_SIZE, None), "embed_dim": (_SIZE, None)}
+_ANALYSIS = {"grid": (_SIZE, 15), "extent_scale": (_NUM, 1.5),  # the score map's too
              "variance_threshold": (_NUM, 0.95), "top_k": (int, 3),
-             "svcca_dims": (int, 20), "svcca_sequences": (int, 50),
-             "mds_dim": (int, 2),
+             "svcca_dims": (_SIZE, 20), "svcca_sequences": (_SIZE, 50),
+             "mds_dim": (_SIZE, 2),
              "landscape_task": (str, None)}  # resolved to the first task
 _SSL = {"steps": (int, 100), "lr": (_NUM, 1.0),
         "task": (str, None)}  # resolved to the first task; fixed-points uses it too
 _FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
                  "max_steps": (int, 5000), "candidates": (int, 512),
-                 "samples_per_seq": (int, 2), "batch_sequences": (int, 64),
-                 "score_grid": (int, 7)}
+                 "samples_per_seq": (int, 2), "batch_sequences": (_SIZE, 64),
+                 "score_grid": (_SIZE, 7)}
 _CONFIG = {"seed": (int, 0), "tasks": ([_TASK], []),
            "splits": (_SPLITS, {}), "population": ([_POPULATION], []),
            "base_training": (_BASE_TRAINING, {}), "meta": (_META, {}),
@@ -155,10 +161,8 @@ def _resolve_value(val, kind, where: str):
             raise ConfigError(f"{where} must be one of {', '.join(kind)}")
     elif not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"{where} has the wrong type")
-    elif kind is int:
-        sizes = {"hidden_dim", "input_dim", "embed_dim", "grid", "svcca_dims",
-                 "svcca_sequences", "mds_dim", "batch_sequences", "score_grid"}
-        low = 1 if where.rpartition(".")[2] in sizes else 0
+    elif kind is int or kind is _SIZE:
+        low = int(kind is _SIZE)
         if val < low:
             raise ConfigError(f"{where} must be >= {low}")
     return val
@@ -168,9 +172,18 @@ def _split_fractions(splits: dict) -> tuple[float, float, float]:
     return splits["base_train"], splits["meta_unlabeled"], splits["ssl_labeled"]
 
 
+@contextmanager
+def _reraised(error: type, where: str, *caught: type):
+    """Re-raise a `caught` exception as `error`, after `where`."""
+    try:
+        yield
+    except caught as e:
+        raise error(f"{where}: {e!r}") from e
+
+
 def validate_config(cfg: dict) -> dict:
-    """Check `cfg` against the schema and return a resolved copy with every
-    section and every default filled in. Raises ConfigError."""
+    """Check `cfg`, each task and each training section as the commands build
+    them, and return a resolved copy with every default filled in. Raises ConfigError."""
     cfg = _resolve(cfg, _CONFIG, "config")
     names = [task["name"] for task in cfg["tasks"]]
     if not names:
@@ -180,6 +193,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"task name {name!r} must match [A-Za-z0-9_-]+")
         if name in names[:i]:
             raise ConfigError(f"duplicate task name {name!r}")
+        with _reraised(ConfigError, f"config.tasks[{i}]", TaskError):
+            TaskSpec(**cfg["tasks"][i]).validate()
     fractions = _split_fractions(cfg["splits"])
     if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
@@ -192,8 +207,10 @@ def validate_config(cfg: dict) -> dict:
             # residual features are bag-of-tokens vectors as wide as the vocabulary
             raise ConfigError(f"population[{i}].input_dim must equal the vocab_size "
                               f"of task {entry['task']!r} for a residual_mlp entry")
-        if entry["count"] < 1:
-            raise ConfigError(f"population[{i}].count must be positive")
+        if entry["cell_kind"] == "residual_mlp" and entry["num_blocks"] < 1:
+            raise ConfigError(f"population[{i}].num_blocks must be >= 1 for residual_mlp")
+        with _reraised(ConfigError, f"population[{i}] base_training", TrainerError):
+            train_config_from(_base_training(cfg, entry))
         if heads.setdefault(entry["task"], entry["task_group"]) != entry["task_group"]:
             raise ConfigError(f"population[{i}] gives task {entry['task']!r} a second "
                               "task_group; each task has one readout head")
@@ -201,6 +218,10 @@ def validate_config(cfg: dict) -> dict:
         name = cfg[section].setdefault(key, names[0])
         if name not in names:
             raise ConfigError(f"{section}.{key} references unknown task {name!r}")
+    with _reraised(ConfigError, "meta_training", TrainerError):
+        train_config_from(cfg["meta_training"])
+    if not 0.0 < cfg["analysis"]["variance_threshold"] <= 1.0:
+        raise ConfigError("analysis.variance_threshold must be in (0, 1]")
     return cfg
 
 
@@ -229,6 +250,11 @@ def config_hash(cfg: dict) -> str:
 
 def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def _base_training(cfg: dict, entry: dict) -> dict:
+    """The base_training section with a population entry's overrides."""
+    return dict(cfg["base_training"], **{k: entry[k] for k in ("lr", "epochs") if k in entry})
 
 
 def train_config_from(section: dict, seed: int = 0) -> TrainConfig:
@@ -306,13 +332,10 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, manifest
 
 
-@contextmanager
 def _manifest_fields(prefix):
     """Turn a missing, malformed or unknown-model manifest field into IOFailure."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError, ModelError) as e:
-        raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
+    return _reraised(IOFailure, f"corrupt checkpoint manifest {prefix}.json",
+                     KeyError, TypeError, ValueError, AttributeError, ModelError)
 
 
 def _match_manifest(prefix, tensors: dict, described: dict) -> None:
@@ -325,21 +348,22 @@ def _match_manifest(prefix, tensors: dict, described: dict) -> None:
         raise IOFailure(f"checkpoint {prefix} does not match its manifest: {'; '.join(bad)}")
 
 
+def _described(model_type) -> list[str]:
+    """The manifest fields of a model: its dataclass fields but `params`."""
+    return [f.name for f in fields(model_type) if f.name != "params"]
+
+
 def save_base_checkpoint(prefix, model: BaseModel) -> None:
-    extra = {"kind": "base_model", "cell_kind": model.cell_kind,
-             "vocab_size": model.vocab_size, "input_dim": model.input_dim,
-             "hidden_dim": model.hidden_dim, "output_dim": model.output_dim,
-             "task_group": model.task_group, "num_blocks": model.num_blocks,
-             "info": model.info}
-    save_checkpoint(prefix, model.params, extra)
+    save_checkpoint(prefix, model.params, {
+        "kind": "base_model", **{k: getattr(model, k) for k in _described(model)}})
 
 
 def load_base_checkpoint(prefix) -> BaseModel:
     tensors, mf = load_checkpoint(prefix)
     with _manifest_fields(prefix):
-        model = init_base_model(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                                mf["hidden_dim"], mf["output_dim"], mf["task_group"],
-                                seed=0, num_blocks=mf["num_blocks"], info=mf.get("info"))
+        model = init_base_model(**{k: mf[k] for k in _described(BaseModel)}, seed=0)
+    if not {"model_id", "task"} <= model.info.keys():  # train-meta reads them
+        raise IOFailure(f"base checkpoint {prefix} has no info.model_id or info.task")
     _match_manifest(prefix, tensors, model.params)
     model.params = tensors
     return model
@@ -362,12 +386,7 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
                     for i, info in enumerate(base_infos)}
     manifest = {
         "kind": "meta_model",
-        "cell_kind": meta.cell_kind,
-        "vocab_size": meta.vocab_size,
-        "input_dim": meta.input_dim,
-        "hidden_dim": meta.hidden_dim,
-        "embed_dim": meta.embed_dim,
-        "num_blocks": meta.num_blocks,
+        **{k: getattr(meta, k) for k in _described(meta)},
         "head_dims": {str(k): v for k, v in meta.head_dims.items()},
         "bases": base_infos,
         "embeddings_by_model": by_model,
@@ -380,10 +399,9 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
 def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
     tensors, mf = load_checkpoint(prefix)
     with _manifest_fields(prefix):
-        meta = init_meta_model(mf["cell_kind"], mf["vocab_size"], mf["input_dim"],
-                               mf["hidden_dim"], mf["embed_dim"],
-                               {int(k): v for k, v in mf["head_dims"].items()},
-                               seed=0, num_blocks=mf["num_blocks"])
+        kwargs = {k: mf[k] for k in _described(MetaModel)}
+        kwargs["head_dims"] = {int(k): v for k, v in kwargs["head_dims"].items()}
+        meta = init_meta_model(**kwargs, seed=0)
         ids = [base["model_id"] for base in mf["bases"]]  # analyze --svcca reads them
         # the manifest gives no base's hidden width; its state map's bias does
         maps = [init_state_map(meta.hidden_dim, np.size(tensors.get(f"vmap{i}/b0", 0)),
@@ -449,12 +467,6 @@ def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
     return Run(cfg, out, chash, loaded, state, mf)
 
 
-def _gen_task_dataset(task: dict, splits: dict) -> SequenceDataset:
-    spec = TaskSpec(**{k: v for k, v in task.items() if k != "name"})
-    return tasks_mod.split_dataset(tasks_mod.generate(spec), _split_fractions(splits),
-                                   seed=splits["seed"])
-
-
 def _population_models(cfg: dict) -> list[list[dict]]:
     """Expand each population entry to one record per base model."""
     entries, idx = [], 0
@@ -474,8 +486,10 @@ def _population_models(cfg: dict) -> list[list[dict]]:
 def cmd_gen_data(args) -> int:
     run = _open_run(args, datasets=False)
     (run.out / "data").mkdir(parents=True, exist_ok=True)
+    splits = run.cfg["splits"]
     for task in run.cfg["tasks"]:
-        ds = _gen_task_dataset(task, run.cfg["splits"])
+        ds = tasks_mod.split_dataset(tasks_mod.generate(TaskSpec(**task)),
+                                     _split_fractions(splits), seed=splits["seed"])
         tasks_mod.save_dataset(ds, run.out / "data" / task["name"])
         print(f"gen-data: wrote {task['name']} "
               f"({len(ds)} sequences, vocab {ds.vocab_size})")
@@ -485,9 +499,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train_base(args) -> int:
     run = _open_run(args)
     tasks = {task["name"]: task for task in run.cfg["tasks"]}
+    population = _population_models(run.cfg)
     (run.out / "base").mkdir(parents=True, exist_ok=True)
     rows = []
-    for records in _population_models(run.cfg):
+    for records in population:
         entry = records[0]
         task = tasks[entry["task"]]
         bases = [init_base_model(
@@ -498,8 +513,7 @@ def cmd_train_base(args) -> int:
                   "train_fraction": rec["train_fraction"], "seed": rec["seed"],
                   "cell_kind": rec["cell_kind"], "task_group": rec["task_group"]})
             for rec in records]
-        overrides = {k: entry[k] for k in ("lr", "epochs") if k in entry}
-        tcfg = train_config_from(dict(run.cfg["base_training"], **overrides))
+        tcfg = train_config_from(_base_training(run.cfg, entry))
         ds = run.datasets[entry["task"]]
         # the entry trains in lockstep; a diverging entry raises before any save
         train_base(bases, ds, tcfg, [rec["seed"] for rec in records],
@@ -555,18 +569,15 @@ def _clustered(labels: list) -> bool:
 def cmd_analyze(args) -> int:
     run = _open_run(args, meta=True)
     out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
-    # checked and read before any output is written, so a refused run leaves none
     if args.svcca and state.meta.cell_kind == "residual_mlp":
         raise ConfigError("--svcca compares recurrent hidden states; "
                           "this run's population is residual_mlp")
-    metadata = [dict(b) for b in run.mf["bases"]]
+    metadata = run.mf["bases"]
     task_name = an["landscape_task"]
     group_rows = run.task_rows(task_name)
     svcca_bases = [load_base_checkpoint(out / "base" / metadata[i]["model_id"])
                    for i in group_rows] if args.svcca else []
-    atlas = atlas_mod.fit_pca(state.embeddings, metadata)
-    atlas_mod.export_atlas_csv(atlas, out / "atlas.csv", comment, top_k=an["top_k"])
-    tasks_mod.write_csv(out / "spectrum.csv", *atlas.spectrum_table(), comment)
+    atlas = atlas_mod.fit_pca(state.embeddings)
     k95 = atlas_mod.components_for_variance(atlas.spectrum, an["variance_threshold"])
     summary = {"components_for_variance": k95,
                "variance_threshold": an["variance_threshold"]}
@@ -579,11 +590,10 @@ def cmd_analyze(args) -> int:
     ds = run.datasets[task_name]
     if group_rows:
         best_base = run.best_base_accuracy(task_name)
-        grid = atlas_mod.accuracy_landscape(
-            state.meta, run.task_group(task_name), ds, state.embeddings[group_rows],
-            grid=(an["grid"], an["grid"]), extent_scale=an["extent_scale"],
-            best_base_accuracy=best_base or None)
-        atlas_mod.export_grid_csv(grid, out / "landscape.csv", comment)
+        plane = atlas_mod.plane_grid(state.embeddings[group_rows], (an["grid"], an["grid"]),
+                                     an["extent_scale"])
+        grid = atlas_mod.accuracy_landscape(state.meta, run.task_group(task_name), ds, plane,
+                                            best_base_accuracy=best_base or None)
         argmax_uv, summary["landscape_argmax_accuracy"] = grid.argmax("accuracy")
         summary["landscape_argmax_uv"] = list(argmax_uv)
         summary["best_base_accuracy"] = best_base
@@ -593,16 +603,23 @@ def cmd_analyze(args) -> int:
         D = atlas_mod.svcca_distances(
             [atlas_mod.hidden_state_matrix(b, seqs) for b in svcca_bases], an["svcca_dims"])
         coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
-        tasks_mod.write_csv(
-            out / "svcca_mds.csv",
-            ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
-            [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)],
-            comment)
         svcca_labels = [b.info.get("train_fraction") for b in svcca_bases]
         if _clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
                 coords_mds, svcca_labels)
 
+    # every output is computed before the first is written: a refused run writes none
+    atlas_mod.export_atlas_csv(atlas, state.embeddings, metadata, out / "atlas.csv", comment,
+                               top_k=an["top_k"])
+    tasks_mod.write_csv(out / "spectrum.csv", *atlas.spectrum_table(), comment)
+    if group_rows:
+        atlas_mod.export_grid_csv(grid, out / "landscape.csv", comment)
+    if svcca_bases:
+        tasks_mod.write_csv(
+            out / "svcca_mds.csv",
+            ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
+            [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)],
+            comment)
     (out / "analysis_summary.json").write_text(
         json.dumps(summary, indent=1, sort_keys=True))
     print(f"analyze: components for 95% variance = {k95}; "
@@ -681,8 +698,6 @@ def cmd_fixed_points(args) -> int:
     cands = cands[:n_cand]
     fps = dyn.find_fixed_points(state.meta, theta, candidates=cands, tol=fp["tol"],
                                 max_steps=fp["max_steps"], dedup_radius=fp["dedup_radius"])
-    dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
-                                comment=run.comment, task_group=group)
     report = {"theta_source": args.theta, "label": label,
               "num_fixed_points": len(fps),
               "max_residual": float(fps.residuals.max()) if len(fps) else None}
@@ -698,14 +713,16 @@ def cmd_fixed_points(args) -> int:
                 [t for t in range(ds.vocab_size) if vals[t] < 0],
                 [t for t in range(ds.vocab_size) if vals[t] == 0])
         gsz = fp["score_grid"]
-        grid = dyn.score_map(state.meta, group, state.embeddings[run.task_rows(task_name)],
-                             seqs[:16], sets,
-                             grid=(gsz, gsz), samples_per_seq=fp["samples_per_seq"],
-                             tol=fp["tol"], max_steps=min(fp["max_steps"], 2000),
-                             extent_scale=run.cfg["analysis"]["extent_scale"],
+        plane = atlas_mod.plane_grid(state.embeddings[run.task_rows(task_name)], (gsz, gsz),
+                                     run.cfg["analysis"]["extent_scale"])
+        grid = dyn.score_map(state.meta, group, plane, seqs[:16], sets,
+                             samples_per_seq=fp["samples_per_seq"], tol=fp["tol"],
+                             max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
         atlas_mod.export_grid_csv(grid, run.out / f"score_map_{label}.csv",
                                   comment=run.comment)
+    dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
+                                comment=run.comment, task_group=group)
     (run.out / f"fixed_points_{label}.json").write_text(
         json.dumps(report, indent=1, sort_keys=True))
     print(f"fixed-points[{label}]: {len(fps)} points"
@@ -728,7 +745,7 @@ def cmd_average(args) -> int:
     ds = run.datasets[task_name]
     group = run.task_group(task_name)
     thetas = [run.state.embeddings[by_id[m][0]] for m in ids]
-    thetas.append(atlas_mod.average_embeddings(thetas))
+    thetas.append(np.mean(thetas, axis=0))
     accs = atlas_mod.grid_accuracies(run.state.meta, np.stack(thetas), group, ds)
     rows = [[mid, acc, by_id[mid][1].get("test_accuracy")] for mid, acc in zip(ids, accs)]
     rows.append(["average", accs[-1], None])

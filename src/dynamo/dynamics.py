@@ -254,31 +254,28 @@ def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
                  - np.abs(margins(w_neu)).sum())
 
 
-def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
+def score_map(meta: MetaModel, task_group: int, plane: atlas_mod.PlaneGrid,
               sequences: list[list[int]], token_sets: tuple[list, list, list],
-              grid: tuple[int, int] = (7, 7),
-              extent_scale: float = 1.5, samples_per_seq: int = 4,
-              tol: float = 1e-4, max_steps: int = 5000,
+              samples_per_seq: int = 4, tol: float = 1e-4, max_steps: int = 5000,
               dedup_radius: float = 1e-2, seed: int = 0) -> atlas_mod.PlaneGrid:
-    """Word score over a plane in embedding space (`atlas.plane_grid`), as
-    the grid's `score` column: per node, find fixed points of the node's
-    conditioned map, take the neutral one, and score one-step transitions.
-    Nodes where no fixed point survives are marked NaN.
+    """Fill the `score` column of `plane` (`atlas.plane_grid`) with the word
+    score of each node, and return `plane`: per node, find fixed points of
+    the node's conditioned map, take the neutral one, and score one-step
+    transitions. Nodes where no fixed point survives are marked NaN.
 
     The candidates of every node descend together in one batch, each row
     under its own node's embedding; the residual check and dedup then run
     per node, so each node gets the points `find_fixed_points` would give."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
-    out = atlas_mod.plane_grid(base_thetas, grid, extent_scale)
     w_pos, w_neg, w_neu = token_sets
-    thetas = out.thetas
+    thetas = plane.thetas
     cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
                                 task_group=task_group, seed=seed) for theta in thetas]
     u_rows = np.concatenate([np.tile(_cell_input(meta, theta), (len(c), 1))
                              for theta, c in zip(thetas, cands)])
     h, steps_used = _descend(meta, u_rows, np.concatenate(cands), tol, max_steps)
-    scores = np.full(grid, np.nan)
+    scores = np.full((len(plane.us), len(plane.vs)), np.nan)
     bounds = np.cumsum([len(c) for c in cands])[:-1]
     nodes = zip(thetas, *(np.split(a, bounds) for a in (u_rows, h, steps_used)))
     for k, (theta, u_k, h_k, steps_k) in enumerate(nodes):
@@ -286,10 +283,10 @@ def score_map(meta: MetaModel, task_group: int, base_thetas: np.ndarray,
         if len(fps) == 0:
             continue
         h_star = neutral_fixed_point(fps, meta, task_group)
-        scores[divmod(k, grid[1])] = word_score(meta, theta, h_star, w_pos, w_neg,
+        scores[divmod(k, len(plane.vs))] = word_score(meta, theta, h_star, w_pos, w_neg,
                                                 w_neu, task_group)
-    out.values["score"] = scores
-    return out
+    plane.values["score"] = scores
+    return plane
 
 
 def spearman(x, y) -> float:

@@ -251,23 +251,33 @@ def _dense(rng, fan_in, fan_out):
     return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
 
 
-def _init_cell_params(rng, cell_kind, input_dim, hidden_dim, num_blocks):
-    p = {}
+def _init_trunk(rng, cell_kind, vocab_size, input_dim, hidden_dim, num_blocks,
+                embed_dim: int | None = None) -> dict[str, np.ndarray]:
+    """A model's parameters but its readout: the residual stem or the token
+    embedding, then the cell, drawn in that order. A meta model passes its
+    `embed_dim`: a recurrent cell reads the embedding before the token, and
+    residual blocks read it through `w_theta`, drawn after the stem."""
+    if cell_kind == "residual_mlp":
+        if num_blocks < 1:
+            raise ModelError("residual_mlp needs num_blocks >= 1")
+        p = {"stem_w": _dense(rng, input_dim, hidden_dim), "stem_b": np.zeros(hidden_dim)}
+        if embed_dim is not None:
+            p["w_theta"] = _dense(rng, embed_dim, hidden_dim)
+        for t in range(num_blocks):
+            p |= {f"blk{t}_a1": _dense(rng, hidden_dim, hidden_dim),
+                  f"blk{t}_b1": np.zeros(hidden_dim),
+                  f"blk{t}_a2": _dense(rng, hidden_dim, hidden_dim),
+                  f"blk{t}_b2": np.zeros(hidden_dim)}
+        return p
+    p = {"embed": 0.5 * rng.standard_normal((vocab_size, input_dim))}
+    cell_in = input_dim + (embed_dim or 0)
     if cell_kind == "gru":
-        k = input_dim + hidden_dim
         for gate in ("z", "r", "h"):
-            p[f"w_{gate}"] = _dense(rng, k, hidden_dim)
+            p[f"w_{gate}"] = _dense(rng, cell_in + hidden_dim, hidden_dim)
             p[f"b_{gate}"] = np.zeros(hidden_dim)
     elif cell_kind == "vanilla_rnn":
-        p["w_x"] = _dense(rng, input_dim, hidden_dim)
-        p["w_h"] = _dense(rng, hidden_dim, hidden_dim)
-        p["b"] = np.zeros(hidden_dim)
-    elif cell_kind == "residual_mlp":
-        for t in range(num_blocks):
-            p[f"blk{t}_a1"] = _dense(rng, hidden_dim, hidden_dim)
-            p[f"blk{t}_b1"] = np.zeros(hidden_dim)
-            p[f"blk{t}_a2"] = _dense(rng, hidden_dim, hidden_dim)
-            p[f"blk{t}_b2"] = np.zeros(hidden_dim)
+        p |= {"w_x": _dense(rng, cell_in, hidden_dim),
+              "w_h": _dense(rng, hidden_dim, hidden_dim), "b": np.zeros(hidden_dim)}
     else:
         raise ModelError(f"unknown cell kind {cell_kind}")
     return p
@@ -277,15 +287,7 @@ def init_base_model(cell_kind: str, vocab_size: int, input_dim: int,
                     hidden_dim: int, output_dim: int, task_group: int,
                     seed: int, num_blocks: int = 0, info: dict | None = None) -> BaseModel:
     rng = np.random.default_rng(seed)
-    if cell_kind == "residual_mlp" and num_blocks < 1:
-        raise ModelError("residual_mlp needs num_blocks >= 1")
-    params = {}
-    if cell_kind == "residual_mlp":
-        params["stem_w"] = _dense(rng, input_dim, hidden_dim)
-        params["stem_b"] = np.zeros(hidden_dim)
-    else:
-        params["embed"] = 0.5 * rng.standard_normal((vocab_size, input_dim))
-    params.update(_init_cell_params(rng, cell_kind, input_dim, hidden_dim, num_blocks))
+    params = _init_trunk(rng, cell_kind, vocab_size, input_dim, hidden_dim, num_blocks)
     params["w_out"] = _dense(rng, hidden_dim, output_dim)
     params["b_out"] = np.zeros(output_dim)
     return BaseModel(cell_kind, vocab_size, input_dim, hidden_dim, output_dim,
@@ -296,16 +298,8 @@ def init_meta_model(cell_kind: str, vocab_size: int, input_dim: int,
                     hidden_dim: int, embed_dim: int, head_dims: dict[int, int],
                     seed: int, num_blocks: int = 0) -> MetaModel:
     rng = np.random.default_rng(seed)
-    params = {}
-    if cell_kind == "residual_mlp":
-        params["stem_w"] = _dense(rng, input_dim, hidden_dim)
-        params["stem_b"] = np.zeros(hidden_dim)
-        params["w_theta"] = _dense(rng, embed_dim, hidden_dim)
-        cell_in = input_dim
-    else:
-        params["embed"] = 0.5 * rng.standard_normal((vocab_size, input_dim))
-        cell_in = input_dim + embed_dim
-    params.update(_init_cell_params(rng, cell_kind, cell_in, hidden_dim, num_blocks))
+    params = _init_trunk(rng, cell_kind, vocab_size, input_dim, hidden_dim, num_blocks,
+                         embed_dim)
     for group in sorted(head_dims):
         params[f"head{group}_w"] = _dense(rng, hidden_dim, head_dims[group])
         params[f"head{group}_b"] = np.zeros(head_dims[group])

@@ -32,6 +32,7 @@ class TaskSpec:
     noise_rate: float
     seed: int
     num_sequences: int
+    name: str = ""  # the config's name for the task; no generator reads it
 
     def validate(self):
         if self.kind not in ("valence_sentiment", "topic_classification"):

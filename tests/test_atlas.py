@@ -4,7 +4,6 @@ import pytest
 from dynamo.atlas import (
     AtlasError,
     accuracy_landscape,
-    average_embeddings,
     classical_mds,
     components_for_variance,
     convex_hull_2d,
@@ -13,6 +12,7 @@ from dynamo.atlas import (
     grid_accuracies,
     hidden_state_matrix,
     in_hull_2d,
+    plane_grid,
     silhouette,
     ssl_optimize,
     svcca_distance,
@@ -92,13 +92,6 @@ def test_components_for_variance():
         components_for_variance(np.array([1.0]), 0.0)
 
 
-def test_average_embeddings():
-    assert np.allclose(average_embeddings([[2.0, 0.0], [0.0, 2.0]]), [1.0, 1.0])
-    assert np.allclose(average_embeddings([[3.0, 4.0]]), [3.0, 4.0])
-    with pytest.raises(AtlasError):
-        average_embeddings([])
-
-
 # -- evaluation -------------------------------------------------------------------
 
 
@@ -134,8 +127,9 @@ def test_landscape_contains_exact_node_values(tmp_path):
     meta = _tiny_meta()
     ds = _tiny_ds()
     base_thetas = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.4], [0.0, -0.4]])
-    grid = accuracy_landscape(meta, 0, ds, base_thetas, grid=(3, 3),
-                              extent_scale=1.0, best_base_accuracy=0.8)
+    plane = plane_grid(base_thetas, (3, 3), extent_scale=1.0)
+    grid = accuracy_landscape(meta, 0, ds, plane, best_base_accuracy=0.8)
+    assert grid is plane
     acc = grid.values["accuracy"]
     assert acc.shape == (3, 3)
     assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
@@ -161,8 +155,7 @@ def test_landscape_1x1_grid_is_single_evaluation():
     meta = _tiny_meta()
     ds = _tiny_ds()
     base_thetas = np.array([[0.3, 0.1], [-0.3, -0.1]])
-    grid = accuracy_landscape(meta, 0, ds, base_thetas, grid=(1, 1),
-                              extent_scale=1.0)
+    grid = accuracy_landscape(meta, 0, ds, plane_grid(base_thetas, (1, 1), extent_scale=1.0))
     th = grid.theta_at(grid.us[0], grid.vs[0])
     assert grid.values["accuracy"][0, 0] == grid_accuracies(meta, th, 0, ds)[0]
     assert "relative_accuracy" not in grid.values

@@ -26,9 +26,10 @@ from dynamo.cli import (
 )
 from dynamo import cli, dynamics
 from dynamo import trainer as trainer_module
-from dynamo.atlas import fit_pca
+from dynamo.atlas import fit_pca, grid_accuracies
 from dynamo.models import init_base_model
 from dynamo.numgrad import NumericError
+from dynamo.tasks import load_dataset
 from dynamo.trainer import TrainConfig
 
 
@@ -136,7 +137,7 @@ def test_validate_config_returns_resolved_copy():
 
 @pytest.mark.parametrize("section,update,codes", [
     ("population", {"cell_kind": "lstm"}, (2, 2)),
-    ("population", {"cell_kind": "residual_mlp", "input_dim": 12}, (0, 2)),  # no num_blocks
+    ("population", {"cell_kind": "residual_mlp", "input_dim": 12}, (2, 2)),  # no num_blocks
     # residual features are as wide as the vocabulary (12)
     ("population", {"cell_kind": "residual_mlp", "num_blocks": 2, "input_dim": 5}, (2, 2)),
     ("meta", {"cell_kind": "lstm"}, (2, 2)),
@@ -147,13 +148,23 @@ def test_validate_config_returns_resolved_copy():
     ("tasks", {"name": "../escaped"}, (2, 2)),
     ("tasks", {"name": "val,ence"}, (2, 2)),
     ("tasks", {"name": "v1.5"}, (2, 2)),  # with_suffix would cut it to v1
+    # refused as the config loads, not by the stage that builds the section
+    ("tasks", {"t_min": 7}, (2, 2)),  # t_max is 6
+    ("tasks", {"kind": "parity"}, (2, 2)),
+    ("tasks", {"noise_rate": 0.7}, (2, 2)),
+    ("tasks", {"num_classes": 3}, (2, 2)),  # a valence task is binary
+    ("population", {"lr": -1}, (2, 2)),
+    ("base_training", {"batch_size": 0}, (2, 2)),
+    ("meta_training", {"lr": -1}, (2, 2)),
 ], ids=["unknown_base_cell", "residual_without_blocks", "residual_input_dim_not_vocab",
         "unknown_meta_cell", "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence",
-        "task_name_slash", "task_name_dotdot", "task_name_comma", "task_name_dot"])
+        "task_name_slash", "task_name_dotdot", "task_name_comma", "task_name_dot",
+        "task_t_min_past_t_max", "unknown_task_kind", "task_noise_rate", "valence_classes",
+        "entry_lr", "base_batch_size", "meta_lr"])
 def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     cfg = _mini_config()
     (cfg[section][0] if isinstance(cfg[section], list) else cfg[section]).update(update)
-    if section == "tasks":  # keep the population on the renamed task
+    if "name" in update:  # keep the population on the renamed task
         cfg["population"][0]["task"] = update["name"]
     path = _write_config(tmp_path, cfg)
     out = tmp_path / "run"
@@ -266,15 +277,19 @@ def test_save_checkpoint_refuses_state_not_finite_in_float32(tmp_path, bad):
     assert not (tmp_path / "sub").exists()  # neither file, nor the directory
 
 
+def _model_fields(model) -> dict:
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model)
+            if f.name != "params"}
+
+
 def test_base_checkpoint_round_trip(tmp_path):
     model = init_base_model("gru", 12, 4, 5, 2, 0, seed=1,
                             info={"model_id": "base_000", "task": "valence"})
     from dynamo.cli import save_base_checkpoint
     save_base_checkpoint(tmp_path / "base_000", model)
     back = load_base_checkpoint(tmp_path / "base_000")
-    assert back.cell_kind == "gru"
-    assert back.hidden_dim == 5
-    assert back.info["model_id"] == "base_000"
+    assert _model_fields(back) == _model_fields(model)
+    assert back.cell_kind == "gru" and back.info["model_id"] == "base_000"
     for k in model.params:
         f32 = model.params[k].astype(np.float32).astype(np.float64)
         assert np.array_equal(back.params[k], f32)
@@ -392,6 +407,7 @@ def test_meta_checkpoint_round_trips_every_state_map(tmp_path, monkeypatch,
         assert _run(stage, "--config", str(path), "--out", str(out)) == 0
     state, _ = load_meta_checkpoint(out / "meta")
     want = trained[0]
+    assert _model_fields(state.meta) == _model_fields(want.meta)
     names = sorted(f"{x}{t}" for x in "wb" for t in range(blocks))
     assert [sorted(vm) for vm in state.state_maps] == [names, names]
     for vm, vm_want in zip(state.state_maps, want.state_maps):
@@ -404,8 +420,6 @@ def test_meta_checkpoint_round_trips_every_state_map(tmp_path, monkeypatch,
 
 def test_meta_checkpoint_accuracy_reproducible(pipeline, tmp_path):
     _, out = pipeline
-    from dynamo.atlas import grid_accuracies
-    from dynamo.tasks import load_dataset
     ds = load_dataset(out / "data" / "valence")
     s1, _ = load_meta_checkpoint(out / "meta")
     s2, _ = load_meta_checkpoint(out / "meta")
@@ -472,7 +486,10 @@ def test_average_command(pipeline):
                 "--ids", "base_000,base_001") == 0
     rows = (out / "average_report.csv").read_text().splitlines()
     assert rows[1] == "model_id,meta_accuracy,base_accuracy"
-    assert rows[-1].startswith("average,")
+    state, _ = load_meta_checkpoint(out / "meta")
+    ds = load_dataset(out / "data" / "valence")
+    mean_acc = grid_accuracies(state.meta, state.embeddings[[0, 1]].mean(axis=0), 0, ds)[0]
+    assert rows[-1] == f"average,{mean_acc:.10g},"
     assert _run("average", "--config", str(path), "--out", str(out),
                 "--ids", "base_000") == 0
     single = (out / "average_report.csv").read_text().splitlines()
@@ -503,10 +520,13 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("fixed_points", "score_grid"), 0, _SCORE_MAP),
     (("fixed_points", "batch_sequences"), 0, _SCORE_MAP),
     ((), None, ("fixed-points", "--theta", "nan,nan")),
+    (("analysis", "variance_threshold"), 0, ("analyze",)),
+    (("analysis", "variance_threshold"), 1.5, ("analyze",)),
 ], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
         "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
-        "batch_sequences", "theta_nan"])
+        "batch_sequences", "theta_nan", "variance_threshold_zero",
+        "variance_threshold_past_one"])
 def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
     config, out = pipeline
     cfg = json.loads(config.read_text())
@@ -1019,3 +1039,65 @@ def test_checkpoint_unlike_its_manifest_is_io_error(request, tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "Traceback" not in err
     assert "does not match its manifest" in err
+
+
+def _assert_refused(argv, config, run, code, capsys):
+    """`argv` on `run` exits `code` with its error line and no traceback, and
+    leaves `run` byte-for-byte as it was."""
+    before = {f: f.is_file() and f.read_bytes() for f in run.rglob("*")}
+    capsys.readouterr()
+    assert _run(*argv, "--config", str(config), "--out", str(run)) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 3: "i/o error: "}[code]), err
+    assert "Traceback" not in err
+    assert {f: f.is_file() and f.read_bytes() for f in run.rglob("*")} == before
+
+
+@pytest.fixture(scope="module")
+def planeless_runs(tmp_path_factory):
+    """Trained runs with no plane through the embeddings of the analysed task:
+    one base model on that task, or a one-dimensional embedding space."""
+    one_base = _mini_config()
+    one_base["tasks"].append(dict(one_base["tasks"][0], name="valence2"))
+    one_base["population"].append(dict(one_base["population"][0], task="valence2",
+                                       count=1, task_group=1))
+    one_base["analysis"]["landscape_task"] = one_base["ssl"]["task"] = "valence2"
+    one_dim = _mini_config(meta={"hidden_dim": 8, "input_dim": 4, "embed_dim": 1})
+    runs = {}
+    for name, cfg in (("one_base", one_base), ("one_dim", one_dim)):
+        root = tmp_path_factory.mktemp(name)
+        path = _write_config(root, cfg)
+        for stage in ("gen-data", "train-base", "train-meta"):
+            assert _run(stage, "--config", str(path), "--out", str(root / "run")) == 0
+        runs[name] = path, root / "run"
+    return runs
+
+
+@pytest.mark.parametrize("argv", [("analyze",), _SCORE_MAP], ids=["analyze", "score_map"])
+@pytest.mark.parametrize("name", ["one_base", "one_dim"])
+def test_no_plane_is_config_error_before_any_output(planeless_runs, tmp_path, capsys,
+                                                    name, argv):
+    path, out = planeless_runs[name]
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    _assert_refused(argv, path, run, 2, capsys)
+
+
+def _base_info_without(key):
+    def edit(tensors, manifest):
+        del manifest["info"][key]
+    return edit
+
+
+def _no_base_info(tensors, manifest):
+    del manifest["info"]
+
+
+@pytest.mark.parametrize("edit", [_base_info_without("task"), _base_info_without("model_id"),
+                                  _no_base_info], ids=["no_task", "no_model_id", "no_info"])
+def test_base_info_without_model_id_or_task_is_io_error(pipeline, tmp_path, capsys, edit):
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    _rewrite_checkpoint(run / "base" / "base_001", edit)
+    _assert_refused(("train-meta",), path, run, 3, capsys)

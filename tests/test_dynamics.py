@@ -20,7 +20,7 @@ from dynamo.dynamics import (
     summarize_attractor,
     word_score,
 )
-from dynamo.atlas import export_grid_csv
+from dynamo.atlas import export_grid_csv, plane_grid
 from dynamo.models import (
     CELL_PARAMS,
     cell_step,
@@ -250,8 +250,8 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
     seqs = [[1, 2, 3], [4, 5, 6]]
     sets = ([0], [2], [6])
-    grid = score_map(meta, 0, base_thetas, seqs, sets, grid=(1, 1),
-                     extent_scale=1.0, samples_per_seq=2, tol=1e-5, seed=1)
+    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
+                     samples_per_seq=2, tol=1e-5, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
     cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=1)
     fps = find_fixed_points(meta, theta, cands, tol=1e-5)
@@ -259,8 +259,8 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     want = word_score(meta, theta, h_star, [0], [2], [6], 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
 
-    grid2 = score_map(meta, 0, base_thetas, seqs, sets, grid=(1, 1),
-                      extent_scale=1.0, samples_per_seq=2, tol=1e-5, seed=1)
+    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
+                      samples_per_seq=2, tol=1e-5, seed=1)
     assert np.array_equal(grid.values["score"], grid2.values["score"])
 
 
@@ -272,8 +272,8 @@ def test_score_map_grid_matches_per_node_calls():
     seqs = [[1, 2, 3, 4], [5, 6, 7], [2, 2, 0, 1, 3]]
     sets = ([0, 1], [2], [6])
     kw = dict(tol=1e-4, max_steps=60, dedup_radius=1e-3)
-    grid = score_map(meta, 0, base_thetas, seqs, sets, grid=(3, 3),
-                     extent_scale=3.0, samples_per_seq=2, seed=2, **kw)
+    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3), 3.0), seqs, sets,
+                     samples_per_seq=2, seed=2, **kw)
     want = np.full((3, 3), np.nan)
     steps = set()
     for i, u in enumerate(grid.us):
@@ -349,9 +349,8 @@ def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,
 def test_score_map_missing_marker_round_trips(tmp_path):
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
-    grid = score_map(meta, 0, base_thetas, [[1, 2]], ([0], [2], [6]),
-                     grid=(2, 2), samples_per_seq=1, tol=1e-15, max_steps=0,
-                     seed=1)
+    grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2), 1.5), [[1, 2]],
+                     ([0], [2], [6]), samples_per_seq=1, tol=1e-15, max_steps=0, seed=1)
     assert list(grid.values) == ["score"]
     assert np.all(np.isnan(grid.values["score"]))
     path = tmp_path / "scores.csv"
