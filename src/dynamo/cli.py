@@ -198,11 +198,22 @@ def validate_config(cfg: dict) -> dict:
     fractions = _split_fractions(cfg["splits"])
     if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
+    n_base = {}  # each task's base_train examples
+    for task in cfg["tasks"]:
+        n = task["num_sequences"]
+        n_base[task["name"]] = tasks_mod.share(fractions[0], n)
+        n_test = n - sum(tasks_mod.share(f, n) for f in fractions)
+        for split, size in (("base_train", n_base[task["name"]]), ("test", n_test)):
+            if not size:
+                raise ConfigError(f"splits leave task {task['name']!r} an empty {split} split")
     heads, vocabs = {}, {task["name"]: task["vocab_size"] for task in cfg["tasks"]}
     for i, entry in enumerate(cfg["population"]):
         if entry["task"] not in names:
             raise ConfigError(f"population[{i}] references unknown task "
                               f"{entry['task']!r}")
+        if tasks_mod.share(entry["train_fraction"], n_base[entry["task"]]) < 1:
+            raise ConfigError(f"population[{i}].train_fraction selects no base_train "
+                              f"example of task {entry['task']!r}")
         if entry["cell_kind"] == "residual_mlp" and entry["input_dim"] != vocabs[entry["task"]]:
             # residual features are bag-of-tokens vectors as wide as the vocabulary
             raise ConfigError(f"population[{i}].input_dim must equal the vocab_size "
@@ -222,6 +233,8 @@ def validate_config(cfg: dict) -> dict:
         train_config_from(cfg["meta_training"])
     if not 0.0 < cfg["analysis"]["variance_threshold"] <= 1.0:
         raise ConfigError("analysis.variance_threshold must be in (0, 1]")
+    if not cfg["ssl"]["lr"] > 0:
+        raise ConfigError("ssl.lr must be > 0")
     return cfg
 
 

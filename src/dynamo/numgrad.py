@@ -41,7 +41,12 @@ through them carries exact zeros and leaves its real steps unchanged.
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
 term for an input off such a path, so a frozen model costs no weight
-products. Backward consumes the forward pass it differentiates and frees it
+products. Memory follows the live set: forward drops each value right after
+its last forward reader, unless it is marked, is the output, or a backward
+rule reads it (the other operand of `mul`/`matmul` whose first operand needs
+a gradient, the input of `relu`/`abs`, the output of `sigmoid`/`tanh`/
+`log_softmax`, the ids of `gather_rows`, a `recurrence`'s `x`, `h0` and
+output). Backward consumes the forward pass it differentiates and frees it
 as the reverse sweep passes: each visited node's value and gradient once
 its rule has run, a recurrence's saved step as BPTT passes it. So it never
 holds every value and every gradient at once, and a cached graph holds no
@@ -218,7 +223,7 @@ class Graph:
         self._out: int | None = None
         self._values: list | None = None
         self._saved: dict = {}
-        self._plan: tuple[list[bool], list[int]] | None = None
+        self._plan: tuple[list[bool], list[int], list[list[int]]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -365,10 +370,12 @@ class Graph:
     # -- execution --------------------------------------------------------
 
     def mark(self, name: str, node: int) -> int:
+        self._plan = None
         self._marks[name] = node
         return node
 
     def output(self, node: int) -> None:
+        self._plan = None
         self._out = node
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -378,6 +385,7 @@ class Graph:
         Raises NumericError if the output is not finite."""
         if self._out is None:
             raise NumgradError("graph has no output node")
+        drops = self._plan_passes()[2]
         vals: list = [None] * len(self._kinds)
         saved: dict = {}
         for nid, kind in enumerate(self._kinds):
@@ -444,23 +452,31 @@ class Graph:
                 vals[nid], saved[nid] = y, (w_in, state, steps, rows)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
+            for dead in drops[nid]:
+                vals[dead] = None
         self._values = vals
         self._saved = saved
         return _finite(np.array(vals[self._out], dtype=np.float64), "graph output")
 
     def value(self, ref) -> np.ndarray:
         """Value of a node (or mark name) from the latest forward pass, until
-        backward consumes it."""
+        backward consumes it. Raises NumgradError for a node whose value
+        forward dropped: mark a node before forward to read it."""
         if self._values is None:
             raise BackwardBeforeForward("no forward pass to read: none has run "
                                         "since the last backward")
         nid = self._marks[ref] if isinstance(ref, str) else ref
+        if self._values[nid] is None:
+            raise NumgradError(f"node {nid} ({self._kinds[nid]}) was dropped after its "
+                               "last forward reader; mark it before forward to read it")
         return self._values[nid]
 
-    def _backward_plan(self) -> tuple[list[bool], list[int]]:
+    def _plan_passes(self) -> tuple[list[bool], list[int], list[list[int]]]:
         """`needs[n]`: a parameter leaf is node n or one of its ancestors;
-        and the nodes backward visits, in reverse order. Kept until the
-        graph grows."""
+        the nodes backward visits, in reverse order; and `drops[n]`: the
+        values forward drops once node n has run, those that no later node
+        reads and backward, the marks and the output do not keep. Kept until
+        the graph grows or a mark or the output changes."""
         if self._plan is None:
             params = {self._leaf_id[name] for name in self._param_names}
             needs = [False] * len(self._kinds)
@@ -468,7 +484,28 @@ class Graph:
                 needs[nid] = nid in params or any(needs[i] for i in ins)
             order = [nid for nid in range(len(self._kinds) - 1, -1, -1)
                      if needs[nid] and self._inputs[nid]]
-            self._plan = (needs, order)
+            kept = {self._out, *self._marks.values()}
+            for nid in order:  # the values the rules of `backward` read
+                kind, ins = self._kinds[nid], self._inputs[nid]
+                if kind in ("mul", "matmul"):
+                    kept.update(ins[1 - k] for k in (0, 1) if needs[ins[k]])
+                elif kind in ("relu", "abs"):
+                    kept.add(ins[0])
+                elif kind in ("sigmoid", "tanh", "log_softmax"):
+                    kept.add(nid)
+                elif kind == "gather_rows" and needs[ins[0]]:
+                    kept.add(ins[1])
+                elif kind == "recurrence":
+                    kept.update((ins[0], ins[1], nid))
+            last = list(range(len(self._kinds)))  # a value nothing reads dies at once
+            for nid, ins in enumerate(self._inputs):
+                for i in ins:
+                    last[i] = nid
+            drops: list[list[int]] = [[] for _ in self._kinds]
+            for nid, at in enumerate(last):
+                if nid not in kept:
+                    drops[at].append(nid)
+            self._plan = (needs, order, drops)
         return self._plan
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -489,7 +526,7 @@ class Graph:
         out = self._out
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
-        needs, order = self._backward_plan()
+        needs, order, _ = self._plan_passes()
         vals, saved = self._values, self._saved
         self._values, self._saved = None, {}
         grads: list = [None] * len(self._kinds)

@@ -81,8 +81,7 @@ class SequenceDataset:
         nested: the 25% subset is contained in the 50% subset.
         """
         pool = self.indices("base_train")
-        n = int(np.floor(fraction * len(pool)))
-        return pool[:n]
+        return pool[:share(fraction, len(pool))]
 
     def token_values(self) -> np.ndarray:
         """Signed valence per token id (+1/-1/0); zeros if not a valence task."""
@@ -178,20 +177,22 @@ def generate(spec: TaskSpec) -> SequenceDataset:
     return gen_topic_task(spec)
 
 
+def share(fraction: float, n: int) -> int:
+    """How many of `n` examples a `fraction` takes: the floor rule of the
+    split shares and the base_train sub-fractions."""
+    return int(np.floor(fraction * n))
+
+
 def split_dataset(ds: SequenceDataset, fractions: tuple[float, float, float],
                   seed: int) -> SequenceDataset:
     """Tag every example with one of base_train / meta_unlabeled / ssl_labeled /
     test. `fractions` are whole-dataset shares of the first three tags (floor
     rule); the remainder is the test split."""
-    f_base, f_meta, f_ssl = fractions
-    if min(f_base, f_meta, f_ssl) < 0 or f_base + f_meta + f_ssl > 1.0 + 1e-12:
+    if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
         raise TaskError("split fractions must be nonnegative and sum to <= 1")
     n = len(ds)
     order = np.random.default_rng(seed).permutation(n)
-    n_base = int(np.floor(f_base * n))
-    n_meta = int(np.floor(f_meta * n))
-    n_ssl = int(np.floor(f_ssl * n))
-    cuts = np.cumsum([n_base, n_meta, n_ssl])
+    cuts = np.cumsum([share(f, n) for f in fractions])
     ds.splits = {
         "base_train": [int(i) for i in order[:cuts[0]]],
         "meta_unlabeled": [int(i) for i in order[cuts[0]:cuts[1]]],

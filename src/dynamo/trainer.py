@@ -39,9 +39,10 @@ and so does a parameter update that leaves the float32 range
 The optimizer steps update groups, not single arrays: a population entry's
 base models, stacked, are one group; in meta training the meta core, each
 readout head, each state map and each embedding are. Each group keeps one
-set of statistics and one bias-correction count, and is updated in one pass
-over its columns of the optimizer's buffer, where the parameters of every
-group live: the models' parameter arrays are views into it.
+set of statistics and one bias-correction count, and is updated in blocks
+of at most `STEP_COLUMNS` of its columns of the optimizer's buffer, where
+the parameters of every group live: the models' parameter arrays are views
+into it.
 """
 from __future__ import annotations
 
@@ -83,6 +84,9 @@ _F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
 # larger), less the batches already used.
 BASE_ROLL_ROWS = 64
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8  # fixed: no config key sets them
+# Buffer columns `Optimizer.step` updates at once, the width of its scratch
+# (see `Optimizer`): every meta group is one block, a stacked entry several.
+STEP_COLUMNS = 65536
 
 
 class TrainerError(Exception):
@@ -149,6 +153,9 @@ class _Group:
     params: list[tuple[str, int, int]]
     decay: bool
     t: int = 0  # steps taken, the bias-correction count
+    # its `STEP_COLUMNS`-wide blocks [a, b), each with the scratch and the
+    # gradient slices of every parameter that overlaps it
+    blocks: list[tuple[int, int, list[tuple[str, slice, slice]]]] = field(default_factory=list)
 
 
 class Optimizer:
@@ -169,12 +176,22 @@ class Optimizer:
     parameter of a touched group) at one learning rate, and keeps one
     bias-correction count per group, so sparsely updated groups (state maps,
     embeddings) see consistent statistics. Groups named in `no_decay` get no
-    weight decay. A group is updated in one pass over its columns: its
-    gradients are copied into a scratch row as wide as the widest group, and
-    every element goes through the same operations in the same order. A step
-    that leaves a parameter not finite in float32, the precision checkpoints
-    store, raises `NumericError` naming it, so a diverging run stops at its
-    first bad step.
+    weight decay. A group is updated `STEP_COLUMNS` columns at a time: each
+    block's gradients are copied into a scratch row at most that wide, and
+    every element goes through the same operations in the same order, so the
+    block width changes no bit. A step that leaves a parameter not finite in
+    float32, the precision checkpoints store, raises `NumericError` naming
+    it, so a diverging run stops at its first bad step.
+
+    Blocks gave way to one pass per group while the widest group was one
+    base model (35,400 columns), and came back when each population entry's
+    stacked bases became one group, 4x wider: a scratch that wide set the
+    process peak. One Adam step over 141,592 columns took 1,248 us in one
+    pass, 1,088 us in 32,768-column blocks and 1,120 us in 65,536-column
+    blocks; over 35,400 columns, 248 us in one pass, 271 us in 32,768-column
+    blocks and 247 us in 65,536-column blocks (medians of 40 interleaved
+    rounds, 2-core Xeon, 2 MiB of L2 per core). So every meta group (the
+    widest, a residual core, has 35,520 columns) stays one block.
     """
 
     def __init__(self, groups: dict[str, dict[str, np.ndarray]], cfg: TrainConfig,
@@ -197,40 +214,48 @@ class Optimizer:
                 self._group_of[name] = group
                 lo += arr.size
             group.hi = lo
-        self._scratch = np.empty((2, max(g.hi - g.lo for g in self._group_of.values())))
+            for a in range(group.lo, group.hi, STEP_COLUMNS):
+                b = min(a + STEP_COLUMNS, group.hi)
+                group.blocks.append((a, b, [
+                    (name, slice(max(p, a) - a, min(q, b) - a), slice(max(p, a) - p, min(q, b) - p))
+                    for name, p, q in group.params if p < b and a < q]))
+        widest = max(g.hi - g.lo for g in self._group_of.values())
+        self._scratch = np.empty((2, min(STEP_COLUMNS, widest)))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         cfg = self.cfg
         for group in dict.fromkeys(self._group_of[name] for name in grads):
             group.t += 1
-            g, s = self._scratch[:, :group.hi - group.lo]
-            for name, lo, hi in group.params:
-                g[lo - group.lo:hi - group.lo] = grads[name].reshape(-1)
-            p, m = self._buf[:2, group.lo:group.hi]
-            if cfg.optimizer == "adam_decoupled_wd":
-                b1, b2 = ADAM_BETAS
-                v = self._buf[2, group.lo:group.hi]
-                m *= b1
-                m += np.multiply(g, 1 - b1, out=s)
-                v *= b2
-                v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
-                np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
-                np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
-                g += ADAM_EPS
-                p -= np.divide(s, g, out=s)
-            else:
-                mu = cfg.momentum
-                m *= mu
-                m += g
-                s = np.add(np.multiply(m, mu, out=s), g, out=s)
-                p -= np.multiply(s, lr, out=s)
-            if cfg.weight_decay and group.decay:
-                p -= np.multiply(p, lr * cfg.weight_decay, out=s)
-            if not np.abs(p, out=s).max() < _F32_OVERFLOW:
-                name = next(name for name, lo, hi in group.params
-                            if not np.abs(self.flat[lo:hi]).max() < _F32_OVERFLOW)
-                raise NumericError(f"parameter {name!r} is not finite in float32 "
-                                   "after an optimizer step; training diverged")
+            for a, b, parts in group.blocks:
+                g, s = self._scratch[:, :b - a]
+                for name, to, of in parts:
+                    g[to] = grads[name].reshape(-1)[of]
+                p, m = self._buf[:2, a:b]
+                if cfg.optimizer == "adam_decoupled_wd":
+                    b1, b2 = ADAM_BETAS
+                    v = self._buf[2, a:b]
+                    m *= b1
+                    m += np.multiply(g, 1 - b1, out=s)
+                    v *= b2
+                    v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
+                    np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
+                    np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
+                    g += ADAM_EPS
+                    p -= np.divide(s, g, out=s)
+                else:
+                    mu = cfg.momentum
+                    m *= mu
+                    m += g
+                    s = np.add(np.multiply(m, mu, out=s), g, out=s)
+                    p -= np.multiply(s, lr, out=s)
+                if cfg.weight_decay and group.decay:
+                    p -= np.multiply(p, lr * cfg.weight_decay, out=s)
+                if not np.abs(p, out=s).max() < _F32_OVERFLOW:
+                    # earlier blocks passed: the first bad parameter is in this one
+                    name = next(name for name, lo, hi in group.params
+                                if not np.abs(self.flat[lo:hi]).max() < _F32_OVERFLOW)
+                    raise NumericError(f"parameter {name!r} is not finite in float32 "
+                                       "after an optimizer step; training diverged")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -400,7 +425,9 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     over the models stacked on a leading axis, each on its own batch padded
     to the step's longest row, so each model's parameters take bit for bit
     the steps it would take alone. The whole entry is one update group, and
-    each model's `params` are rebound to views of its rows of the buffer."""
+    while it trains each model's `params` are views of its rows of the
+    buffer; they end as arrays of their own, so the buffer dies with the
+    optimizer and not with the last of the models."""
     cfg.validate()
     idxs = ds.base_train_subset(subfraction)
     if len(ds.indices("base_train")) == 0:
@@ -429,6 +456,8 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
             g.forward(bindings)
             opt.step(g.backward(), cfg.lr * lr_multiplier(cfg, step, total_steps))
             step += 1
+    for i, base in enumerate(bases):
+        base.params.update({k: v[i].copy() for k, v in opt.params.items()})
     return bases
 
 

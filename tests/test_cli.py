@@ -522,20 +522,51 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     ((), None, ("fixed-points", "--theta", "nan,nan")),
     (("analysis", "variance_threshold"), 0, ("analyze",)),
     (("analysis", "variance_threshold"), 1.5, ("analyze",)),
+    (("ssl", "lr"), -1, ("ssl",)),
+    (("ssl", "lr"), 0, ("ssl",)),
 ], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
         "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
         "batch_sequences", "theta_nan", "variance_threshold_zero",
-        "variance_threshold_past_one"])
+        "variance_threshold_past_one", "ssl_lr_negative", "ssl_lr_zero"])
 def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
-    config, out = pipeline
-    cfg = json.loads(config.read_text())
+    cfg = json.loads(pipeline[0].read_text())
     if keys:
         *parents, key = keys
         section = cfg
         for k in parents:
             section = section[k]
         section[key] = value
+    _assert_refused_untouched(pipeline[1], tmp_path, capsys, cfg, argv)
+
+
+@pytest.fixture(scope="module")
+def generated(pipeline, tmp_path_factory):
+    """A run directory holding only what gen-data wrote for the shared pipeline."""
+    run = tmp_path_factory.mktemp("generated") / "run"
+    shutil.copytree(pipeline[1] / "data", run / "data")
+    return run
+
+
+@pytest.mark.parametrize("change", [
+    # 60 + 54 + 6 of the 120 sequences: the floor rule leaves no test sequence
+    lambda cfg: cfg["splits"].update(base_train=0.5, meta_unlabeled=0.45,
+                                     ssl_labeled=0.05),
+    # 0.001 of the 48 base_train sequences is none
+    lambda cfg: cfg["population"].append(dict(cfg["population"][0], train_fraction=0.001)),
+], ids=["empty_test_split", "empty_train_fraction"])
+@pytest.mark.parametrize("argv", [("gen-data",), ("train-base",)],
+                         ids=["gen_data", "train_base"])
+def test_empty_split_is_config_error_before_any_output(pipeline, generated, tmp_path,
+                                                       capsys, change, argv):
+    cfg = json.loads(pipeline[0].read_text())
+    change(cfg)
+    _assert_refused_untouched(generated, tmp_path, capsys, cfg, argv)
+
+
+def _assert_refused_untouched(out, tmp_path, capsys, cfg, argv):
+    """`argv` run with `cfg` on a copy of the run directory `out` exits 2 with
+    a config error, no traceback and no RuntimeWarning, and writes nothing."""
     run = tmp_path / "run"
     shutil.copytree(out, run)
     before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}

@@ -672,18 +672,23 @@ def _random_graph(ops, pick, frozen, B, H, V):
     return g
 
 
-@settings(max_examples=25, deadline=None)
-@given(ops=st.permutations(_PRUNE_OPS), B=st.integers(1, 3), H=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 16), data=st.data())
-def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, data):
-    V = 4
-    rng = np.random.default_rng(seed)
+def _prune_point(rng, B, H, V):
+    """A binding of every leaf of `_random_graph`."""
     point = {n: 0.5 * rng.standard_normal(s) for n, s in _prune_leaves(B, H, V).items()}
     point["k"] = rng.choice([-1.0, 1.0], (B, H)) * rng.uniform(0.5, 1.5, (B, H))
     point.update(ids=rng.integers(0, V, B).astype(float),
                  ids2=rng.integers(0, 2 * B, B).astype(float),
                  steps=rng.integers(0, B, 2 * B).astype(float),
                  m=rng.standard_normal((B, H)))
+    return point
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.permutations(_PRUNE_OPS), B=st.integers(1, 3), H=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, data):
+    V = 4
+    point = _prune_point(np.random.default_rng(seed), B, H, V)
     picks = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=2 * len(ops) + 1,
                                max_size=2 * len(ops) + 1))
     names = set(_prune_leaves(1, 1, 1))
@@ -705,3 +710,62 @@ def test_frozen_leaves_leave_other_gradients_bitwise_unchanged(ops, B, H, seed, 
         for name, grad in pruned.items():
             assert grad.tobytes() == full[name].tobytes(), name
     assert grad_check(build(frozen)[0], point, 1e-5) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.permutations(_PRUNE_OPS), B=st.integers(1, 3), H=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_dropped_values_leave_gradients_bitwise_unchanged(ops, B, H, seed, data):
+    # marking every node keeps every value: the reference for what forward drops
+    V = 4
+    point = _prune_point(np.random.default_rng(seed), B, H, V)
+    picks = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=2 * len(ops) + 1,
+                               max_size=2 * len(ops) + 1))
+    frozen = data.draw(st.sets(st.sampled_from(sorted(_prune_leaves(1, 1, 1)))))
+
+    def run(mark_all):
+        it = iter(picks)
+        g = _random_graph(ops, lambda n: next(it) % n, frozen, B, H, V)
+        for nid in range(len(g._kinds)) if mark_all else ():
+            g.mark(f"n{nid}", nid)
+        out = g.forward(point)
+        dropped = sum(v is None for v in g._values)
+        return out, g.backward(), dropped
+
+    out, grads, dropped = run(False)
+    want_out, want, none = run(True)
+    assert dropped > 0 and none == 0
+    assert out.tobytes() == want_out.tobytes()
+    assert grads.keys() == want.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == want[name].tobytes(), name
+
+
+def test_forward_drops_each_value_after_its_last_reader(traced_peak):
+    # `affine`'s backward reads no value: each link of the chain dies once
+    # the next has run, so forward holds at most 3 values at once (a link,
+    # its successor and a temporary), where keeping them all would hold k
+    k, shape = 10, (256, 256)
+    g = Graph()
+    node = g.leaf("x", shape)
+    for _ in range(k):
+        node = g.affine(node, 0.5, 1.0)
+    g.output(g.reduce_sum(node))
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, shape)
+    peak = traced_peak(lambda: g.forward({"x": x}))
+    assert peak < 4 * x.nbytes, peak / x.nbytes
+    assert np.all(g.backward()["x"] == 0.5 ** k)
+
+
+def test_value_of_a_dropped_node_is_an_error():
+    g = Graph()
+    x = g.leaf("x", (2, 2))
+    a = g.affine(x, 2.0)
+    g.output(g.reduce_sum(g.tanh(a)))  # tanh's backward reads its output, not `a`
+    point = {"x": np.array([[0.1, -0.2], [0.3, 0.4]])}
+    g.forward(point)
+    with pytest.raises(NumgradError, match=f"node {a} \\(affine\\)"):
+        g.value(a)
+    g.mark("a", a)  # a mark keeps the value from the next forward on
+    g.forward(point)
+    assert np.array_equal(g.value("a"), 2.0 * point["x"])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -6,11 +7,15 @@ from dynamo.cli import build_parser, validate_config
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _rundiff():
-    spec = importlib.util.spec_from_file_location("rundiff", ROOT / "tools" / "rundiff.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _rundiff():
+    return _tool("rundiff")
 
 
 def test_rundiff_lists_every_file_that_is_not_identical(tmp_path):
@@ -106,3 +111,25 @@ def test_rundiff_reports_each_seed(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert rundiff.main([*map(str, trees), "--work", str(tmp_path / "one")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "seed 1: 0 files differ"
+
+
+def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
+    peakmem = _tool("peakmem")
+    gru = {"cell_kind": "gru", "hidden_dim": 4, "input_dim": 4, "task": "valence",
+           "count": 2, "task_group": 0}
+    tiny = dataclasses.replace(
+        peakmem.WORKLOADS["atlas-dynamics"], name="tiny", population=(gru,),
+        num_sequences=60, base_training={"epochs": 1, "lr": 0.03, "batch_size": 8},
+        meta={"cell_kind": "gru", "hidden_dim": 4, "input_dim": 4, "embed_dim": 2},
+        meta_training={"max_steps": 3, "batch_size": 4, "lr": 0.003}, ssl_labeled=0.05,
+        extra={"analysis": {"grid": 2, "svcca_dims": 2, "svcca_sequences": 8},
+               "ssl": {"steps": 2},
+               "fixed_points": {"max_steps": 20, "candidates": 8, "batch_sequences": 4,
+                                "score_grid": 2}})
+    monkeypatch.setattr(peakmem, "WORKLOADS", {"tiny": tiny})
+    assert peakmem.main(["--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| Stage | tiny |", "|---|---|"]
+    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == [stage[0] for stage in peakmem.stages(tiny)]
+    assert all(float(row[1]) > 0 for row in rows)

@@ -2,6 +2,7 @@ import itertools
 import weakref
 from collections import Counter
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -735,9 +736,15 @@ _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
 @settings(max_examples=60, deadline=None)
 @given(optimizer=st.sampled_from(OPTIMIZERS), weight_decay=st.sampled_from([0.0, 0.05]),
        layout=st.lists(st.lists(_SHAPES, min_size=1, max_size=3), min_size=1, max_size=4),
-       data=st.data())
+       width=st.sampled_from([1, 3, 7, trainer_module.STEP_COLUMNS]), data=st.data())
 def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
-        optimizer, weight_decay, layout, data):
+        optimizer, weight_decay, layout, width, data):
+    # narrow blocks split parameters and groups; the block width changes no bit
+    with mock.patch.object(trainer_module, "STEP_COLUMNS", width):
+        _check_grouped_optimizer(optimizer, weight_decay, layout, width, data)
+
+
+def _check_grouped_optimizer(optimizer, weight_decay, layout, width, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
     groups = {f"g{k}": {f"g{k}p{j}": rng.standard_normal(shape)
                         for j, shape in enumerate(shapes)}
@@ -749,6 +756,7 @@ def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
         {name: arr.copy() for params in groups.values() for name, arr in params.items()},
         cfg, {name for k in no_decay for name in groups[k]})
     opt = Optimizer(groups, cfg, no_decay=no_decay)
+    assert opt._scratch.shape[1] <= width
     schedule = data.draw(st.lists(st.lists(st.sampled_from(sorted(groups)), min_size=1,
                                            unique=True), min_size=1, max_size=6),
                          label="schedule")
@@ -793,14 +801,18 @@ def test_bases_of_one_dataset_and_input_family_share_one_pool():
 
 @pytest.mark.parametrize("value,storable", [  # the last float64 float32 holds, the next
     (3.4028235677973362e38, True), (3.4028235677973366e38, False), (np.nan, False)])
-def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable):
-    for optimizer in OPTIMIZERS:
+def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable, monkeypatch):
+    # at width 4, the group's bad value (column 6) is in its second block of
+    # four, and `b` starts in the first
+    for optimizer, width in itertools.product(OPTIMIZERS, [trainer_module.STEP_COLUMNS, 4]):
+        monkeypatch.setattr(trainer_module, "STEP_COLUMNS", width)
         cfg = TrainConfig(optimizer=optimizer, weight_decay=0.0)
         opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
         with nullcontext() if storable else pytest.raises(NumericError, match="'w'"):
             opt.step({"w": np.zeros(1)}, 1.0)
         # the bad value in the middle parameter of a three-parameter group
-        params = {"a": np.ones((2, 3)), "b": np.array([1.0, value, 1.0]), "c": np.ones(4)}
+        params = {"a": np.ones((1, 3)), "b": np.array([1.0, 1.0, 1.0, value, 1.0]),
+                  "c": np.ones(5)}
         opt = Optimizer({"g": params}, cfg)
         with nullcontext() if storable else pytest.raises(NumericError, match="'b'"):
             opt.step({k: np.zeros_like(v) for k, v in params.items()}, 1.0)
