@@ -129,7 +129,6 @@ class PlaneGrid:
     v_axis: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    base_uv: np.ndarray             # (N, 2) projections of the base embeddings
     values: dict[str, np.ndarray] = field(default_factory=dict)
 
     def theta_at(self, u: float, v: float) -> np.ndarray:
@@ -153,24 +152,25 @@ def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int],
 
     The plane (origin, u_axis, v_axis) is the top-2 PCA plane through the
     base embeddings' mean; the grid spans `extent_scale` times the bounding
-    box of their projections."""
+    box of their projections. An axis whose spread is at most 1e-9 of the
+    other's (the second axis of two bases) holds only rounding noise and
+    takes the other's half-width; with no spread on either, each half-width
+    is 1."""
     base_thetas = np.asarray(base_thetas, dtype=np.float64)
     pca = fit_pca(base_thetas)
     if pca.axes.shape[0] < 2:
         raise AtlasError("need at least a 2-D embedding space for a plane")
     origin, u_axis, v_axis = pca.mean, pca.axes[0], pca.axes[1]
     rel = base_thetas - origin
-    base_uv = np.stack([rel @ u_axis / (u_axis @ u_axis),
-                        rel @ v_axis / (v_axis @ v_axis)], axis=1)
-
-    def _coords(vals, count):
-        lo, hi = float(vals.min()), float(vals.max())
-        c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        half = half * extent_scale if half > 0 else 1.0
-        return np.linspace(c - half, c + half, count)
-
-    return PlaneGrid(origin, u_axis, v_axis, _coords(base_uv[:, 0], grid[0]),
-                     _coords(base_uv[:, 1], grid[1]), base_uv)
+    uv = np.stack([rel @ u_axis / (u_axis @ u_axis),
+                   rel @ v_axis / (v_axis @ v_axis)], axis=1)
+    lo, hi = uv.min(axis=0), uv.max(axis=0)
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half = np.where(half <= 1e-9 * half[::-1], half[::-1], half)
+    half = np.where(half > 0, half * extent_scale, 1.0)
+    return PlaneGrid(origin, u_axis, v_axis,
+                     *(np.linspace(center[a] - half[a], center[a] + half[a], grid[a])
+                       for a in (0, 1)))
 
 
 def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
@@ -232,8 +232,7 @@ def in_hull_2d(point, hull: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                 steps: int = 100, lr: float = 1.0
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 steps: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient descent from theta = 0 on the ssl_labeled loss in theta only,
     with step-halving backoff so the recorded loss never increases.
 
@@ -362,17 +361,21 @@ def classical_mds(distances: np.ndarray, out_dim: int) -> np.ndarray:
     return evecs[:, :out_dim] * np.sqrt(top)
 
 
+def clustered(labels) -> bool:
+    """Whether `labels` form clusters a silhouette can score: at least two,
+    and not one point each (2 <= clusters <= N - 1). With every point its
+    own cluster the score is 0 whatever the points are."""
+    return 2 <= len(set(labels)) < len(labels)
+
+
 def silhouette(embeddings: np.ndarray, labels) -> float:
     """Mean silhouette score with Euclidean distances; singletons score 0.
-    It needs 2 <= clusters <= N - 1: with every point its own cluster the
-    score is 0 whatever the points are."""
+    Raises AtlasError unless the labels are `clustered`."""
+    if not clustered(labels):
+        raise AtlasError("silhouette needs 2 <= clusters <= N - 1")
     X = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     uniq = np.unique(labels)
-    if len(uniq) < 2:
-        raise AtlasError("silhouette needs at least two clusters")
-    if len(uniq) == len(labels):
-        raise AtlasError("silhouette needs a cluster of at least two points")
     diff = X[:, None, :] - X[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     scores = np.zeros(len(X))
@@ -393,7 +396,7 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
 
 
 def export_atlas_csv(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: list[dict],
-                     path, comment=None, top_k: int = 3) -> None:
+                     path, comment, top_k: int) -> None:
     """One row per embedding: its metadata record, theta_* and `top_k` PCA coordinates."""
     d = embeddings.shape[1]
     k = min(top_k, d)

@@ -11,7 +11,10 @@ run directory, `--out` or else `run_<config hash>`; the remaining flags name
 what a command reads or adds (`--theta`, `--ids`, `--svcca`, `--score-map`).
 Every command checks the whole config as it loads it, before it writes
 anything: each value against the schema, and each task and training section as
-its module builds it. An analysis command that refuses its run writes nothing.
+its module builds it. The range checks include a size of at least 1 (`_SIZE`,
+`fixed_points.candidates` and `samples_per_seq` among them) and a positive
+`ssl.lr`, `analysis.extent_scale` and `fixed_points.tol`. An analysis command
+that refuses its run writes nothing.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
@@ -122,8 +125,8 @@ _ANALYSIS = {"grid": (_SIZE, 15), "extent_scale": (_NUM, 1.5),  # the score map'
 _SSL = {"steps": (int, 100), "lr": (_NUM, 1.0),
         "task": (str, None)}  # resolved to the first task; fixed-points uses it too
 _FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
-                 "max_steps": (int, 5000), "candidates": (int, 512),
-                 "samples_per_seq": (int, 2), "batch_sequences": (_SIZE, 64),
+                 "max_steps": (int, 5000), "candidates": (_SIZE, 512),
+                 "samples_per_seq": (_SIZE, 2), "batch_sequences": (_SIZE, 64),
                  "score_grid": (_SIZE, 7)}
 _CONFIG = {"seed": (int, 0), "tasks": ([_TASK], []),
            "splits": (_SPLITS, {}), "population": ([_POPULATION], []),
@@ -233,8 +236,9 @@ def validate_config(cfg: dict) -> dict:
         train_config_from(cfg["meta_training"])
     if not 0.0 < cfg["analysis"]["variance_threshold"] <= 1.0:
         raise ConfigError("analysis.variance_threshold must be in (0, 1]")
-    if not cfg["ssl"]["lr"] > 0:
-        raise ConfigError("ssl.lr must be > 0")
+    for section, key in (("ssl", "lr"), ("analysis", "extent_scale"), ("fixed_points", "tol")):
+        if not cfg[section][key] > 0:
+            raise ConfigError(f"{section}.{key} must be > 0")
     return cfg
 
 
@@ -271,15 +275,12 @@ def _base_training(cfg: dict, entry: dict) -> dict:
 
 
 def train_config_from(section: dict, seed: int = 0) -> TrainConfig:
-    kwargs = {}
-    for key, val in section.items():
-        if key == "lambda":
-            kwargs["lam"] = float(val)
-        elif key in ("lr", "weight_decay", "cosine_freq", "momentum"):
-            kwargs[key] = float(val)
-        else:
-            kwargs[key] = val
-    cfg = TrainConfig(seed=seed, **kwargs)
+    """The TrainConfig of a training section, each key the schema marks `_NUM`
+    cast to float and `lambda` given as `lam`."""
+    kinds = _BASE_TRAINING | _META_TRAINING
+    cfg = TrainConfig(seed=seed, **{"lam" if key == "lambda" else key:
+                                    float(val) if kinds[key][0] is _NUM else val
+                                    for key, val in section.items()})
     cfg.validate()
     return cfg
 
@@ -309,8 +310,7 @@ def save_checkpoint(prefix, tensors: dict[str, np.ndarray], manifest_extra: dict
     manifest = {"format_version": 1, "tensors": index}
     manifest.update(manifest_extra)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True))
+    tasks_mod.write_json(prefix.with_suffix(".json"), manifest)
     prefix.with_suffix(".bin").write_bytes(b"".join(blobs))
 
 
@@ -573,12 +573,6 @@ def cmd_train_meta(args) -> int:
     return EXIT_OK
 
 
-def _clustered(labels: list) -> bool:
-    """Whether `labels` form clusters a silhouette can score: at least two,
-    and not one point each (2 <= clusters <= N - 1)."""
-    return 2 <= len(set(labels)) < len(labels)
-
-
 def cmd_analyze(args) -> int:
     run = _open_run(args, meta=True)
     out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
@@ -597,7 +591,7 @@ def cmd_analyze(args) -> int:
     coords = atlas.project(state.embeddings, 2)
     for key in ("train_fraction", "task", "cell_kind"):
         vals = [m.get(key) for m in metadata]
-        if _clustered(vals):
+        if atlas_mod.clustered(vals):
             summary[f"silhouette_{key}"] = atlas_mod.silhouette(coords, vals)
 
     ds = run.datasets[task_name]
@@ -617,7 +611,7 @@ def cmd_analyze(args) -> int:
             [atlas_mod.hidden_state_matrix(b, seqs) for b in svcca_bases], an["svcca_dims"])
         coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
         svcca_labels = [b.info.get("train_fraction") for b in svcca_bases]
-        if _clustered(svcca_labels):
+        if atlas_mod.clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
                 coords_mds, svcca_labels)
 
@@ -633,8 +627,7 @@ def cmd_analyze(args) -> int:
             ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
             [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)],
             comment)
-    (out / "analysis_summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True))
+    tasks_mod.write_json(out / "analysis_summary.json", summary)
     print(f"analyze: components for 95% variance = {k95}; "
           + "; ".join(f"{k}={v:.3f}" for k, v in summary.items()
                       if k.startswith("silhouette")))
@@ -662,8 +655,7 @@ def cmd_ssl(args) -> int:
               "best_base_accuracy": best_base,
               "improvement_over_best_base": delta,
               "steps": ssl_cfg["steps"]}
-    (run.out / "ssl_result.json").write_text(json.dumps(result, indent=1,
-                                                        sort_keys=True))
+    tasks_mod.write_json(run.out / "ssl_result.json", result)
     print(f"ssl: final acc {accs[-1]:.4f} vs best base {best_base:.4f} "
           f"(delta {delta:+.4f})")
     return EXIT_OK
@@ -736,8 +728,7 @@ def cmd_fixed_points(args) -> int:
                                   comment=run.comment)
     dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
                                 comment=run.comment, task_group=group)
-    (run.out / f"fixed_points_{label}.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True))
+    tasks_mod.write_json(run.out / f"fixed_points_{label}.json", report)
     print(f"fixed-points[{label}]: {len(fps)} points"
           + (f", extent/thickness={report.get('extent_thickness_ratio'):.2f}"
              if report.get("extent_thickness_ratio") else ""))

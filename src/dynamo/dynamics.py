@@ -50,11 +50,9 @@ class FixedPointSet:
 
 @dataclass
 class AttractorSummary:
-    axis: np.ndarray            # (H,) principal axis, oriented by readout margin
-    extent: float               # spread of projections along the axis
+    extent: float               # spread of projections along the principal axis
     thickness: float            # sqrt(mean variance over off-axis components)
-    positions: np.ndarray       # (K,) sorted projections along the axis
-    readouts: np.ndarray        # (K, C) head logits, ordered along the axis
+    positions: np.ndarray       # (K,) sorted projections, oriented by readout margin
     margins: np.ndarray         # (K,) scalar margins, same order
 
     @property
@@ -92,8 +90,7 @@ def _require_recurrent(model) -> None:
 
 
 def collect_candidates(model, theta, sequences: list[list[int]],
-                       samples_per_seq: int, task_group: int | None = None,
-                       seed: int = 0) -> np.ndarray:
+                       samples_per_seq: int, task_group: int | None, seed: int) -> np.ndarray:
     """Hidden states subsampled uniformly across time from rollouts."""
     _require_recurrent(model)
     if not sequences:
@@ -122,9 +119,8 @@ def _q_and_grad(kind: str, xp: np.ndarray, state: tuple,
     return q, grad
 
 
-def find_fixed_points(model, theta, candidates: np.ndarray, tol: float = 1e-4,
-                      max_steps: int = 5000, dedup_radius: float = 1e-2
-                      ) -> FixedPointSet:
+def find_fixed_points(model, theta, candidates: np.ndarray, tol: float,
+                      max_steps: int, dedup_radius: float) -> FixedPointSet:
     """Descend q(h) from each candidate; retain points with re-evaluated
     residual <= tol; deduplicate greedily keeping the lowest residual in
     each ball of `dedup_radius`."""
@@ -196,26 +192,23 @@ def _head_logits(model, points: np.ndarray, task_group: int | None) -> np.ndarra
 
 def summarize_attractor(fps: FixedPointSet, model,
                         task_group: int | None = None) -> AttractorSummary:
-    """PCA summary of the fixed-point cloud: first component axis, extent along
-    it, RMS off-axis thickness, and readouts ordered along the axis. The axis
-    is oriented so the readout margin tends to increase with position."""
+    """PCA summary of the fixed-point cloud: extent along the first component
+    axis, RMS off-axis thickness, and readout margins ordered along the axis.
+    The axis is oriented so the readout margin tends to increase with
+    position."""
     if len(fps) < 2:
         raise DynamicsError("need at least two fixed points to summarize")
     pca = atlas_mod.fit_pca(fps.points)
-    axis = pca.axes[0].copy()
-    positions = (fps.points - pca.mean) @ axis
+    positions = (fps.points - pca.mean) @ pca.axes[0]
     off = pca.spectrum[1:]
     thickness = float(np.sqrt(off.mean())) if len(off) else 0.0
     extent = float(positions.max() - positions.min())
-    logits = _head_logits(model, fps.points, task_group)
-    margins = readout_margin(logits)
+    margins = readout_margin(_head_logits(model, fps.points, task_group))
     if positions.std() > 0 and margins.std() > 0:
         if np.corrcoef(positions, margins)[0, 1] < 0:
-            axis = -axis
             positions = -positions
     order = np.argsort(positions, kind="stable")
-    return AttractorSummary(axis, extent, thickness, positions[order],
-                            logits[order], margins[order])
+    return AttractorSummary(extent, thickness, positions[order], margins[order])
 
 
 def neutral_fixed_point(fps: FixedPointSet, model,
@@ -256,8 +249,8 @@ def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
 
 def score_map(meta: MetaModel, task_group: int, plane: atlas_mod.PlaneGrid,
               sequences: list[list[int]], token_sets: tuple[list, list, list],
-              samples_per_seq: int = 4, tol: float = 1e-4, max_steps: int = 5000,
-              dedup_radius: float = 1e-2, seed: int = 0) -> atlas_mod.PlaneGrid:
+              samples_per_seq: int, tol: float, max_steps: int, dedup_radius: float,
+              seed: int) -> atlas_mod.PlaneGrid:
     """Fill the `score` column of `plane` (`atlas.plane_grid`) with the word
     score of each node, and return `plane`: per node, find fixed points of
     the node's conditioned map, take the neutral one, and score one-step

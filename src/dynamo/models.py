@@ -16,7 +16,8 @@ agree to rounding.
 family, ragged token batches by length, one embedding per row, and selects
 the readout head; every other numpy evaluation calls it. `unroll_graph`
 builds every training and embedding-search graph: one `recurrence` node over
-a time-major `tokens` leaf, or residual blocks through `cell_step_graph`.
+a time-major `tokens` leaf, or residual blocks through `cell_step_graph`;
+`input_bindings` alone binds its input leaves.
 """
 from __future__ import annotations
 
@@ -86,11 +87,6 @@ def apply_state_map(vmap: dict[str, np.ndarray], h_meta: np.ndarray) -> np.ndarr
     return h_meta @ vmap["w0"] + vmap["b0"]
 
 
-def _block_params(params: dict, t: int) -> dict:
-    return {"a1": params[f"blk{t}_a1"], "b1": params[f"blk{t}_b1"],
-            "a2": params[f"blk{t}_a2"], "b2": params[f"blk{t}_b2"]}
-
-
 def project_inputs(model, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The recurrent cell's input share of the rows `x` (G, n, H), projected
     as the `recurrence` node projects them, and its state weights."""
@@ -99,20 +95,13 @@ def project_inputs(model, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     return np.matmul(x, w_in) + b_in, state
 
 
-def cell_step(model, x: np.ndarray, h: np.ndarray, block: int = 0,
-              theta: np.ndarray | None = None) -> np.ndarray:
-    """One application of the model's transition map. For meta models, `x`
-    must already include the embedding (recurrent) or `theta` is passed
-    through to the block bias (residual)."""
-    if model.cell_kind in CELL_PARAMS:
-        h = np.asarray(h, dtype=np.float64)
-        xp, state = project_inputs(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        return numgrad.CELLS[model.cell_kind](xp, np.atleast_2d(h), *state)[0].reshape(h.shape)
-    if model.cell_kind == "residual_mlp":
-        w_theta = model.params.get("w_theta") if theta is not None else None
-        return residual_block_step(_block_params(model.params, block), h,
-                                   theta=theta, w_theta=w_theta)
-    raise ModelError(f"unknown cell kind {model.cell_kind}")
+def cell_step(model, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One step of a recurrent model's transition map (`residual_block_step`
+    is the residual family's). For meta models, `x` must already include the
+    embedding."""
+    h = np.asarray(h, dtype=np.float64)
+    xp, state = project_inputs(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    return numgrad.CELLS[model.cell_kind](xp, np.atleast_2d(h), *state)[0].reshape(h.shape)
 
 
 # -- rollouts ----------------------------------------------------------------
@@ -175,7 +164,8 @@ def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
         h = np.asarray(inputs, dtype=np.float64) @ p["stem_w"] + p["stem_b"]
         hiddens = np.empty((model.num_blocks,) + h.shape)
         for t in range(model.num_blocks):
-            h = cell_step(model, None, h, block=t, theta=theta)
+            h = residual_block_step({k: p[f"blk{t}_{k}"] for k in ("a1", "b1", "a2", "b2")},
+                                    h, theta, p.get("w_theta"))
             hiddens[t] = h
         return hiddens, hiddens @ p[w_name] + p[b_name]
 
@@ -380,12 +370,27 @@ def unroll_graph(g: Graph, model, refs: dict[str, int], T: int, B: int,
                           g.const(np.zeros(lead + (B, model.hidden_dim))), steps=steps)
 
 
+def input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Bindings of the input leaves `unroll_graph` declares, for one
+    `model_inputs` batch or for one batch per model stacked on a leading
+    axis: the residual `feat`, or the recurrent time-major `tokens` and, for
+    a stack, each model's step count `steps`, its longest row."""
+    if lengths is None:
+        return {"feat": inputs}
+    tokens = inputs.swapaxes(-1, -2)
+    bound = {"tokens": tokens.reshape(tokens.shape[:-2] + (-1,)).astype(np.float64)}
+    if lengths.ndim == 2:
+        bound["steps"] = lengths.max(axis=-1)
+    return bound
+
+
 def cell_step_graph(g: Graph, cell_kind: str, refs: dict[str, int], x: int, h: int,
                     block: int = 0, theta_rows: int | None = None,
                     steps: int | None = None) -> int:
-    """Graph twin of `cell_step`. Recurrent cells run one `recurrence` node
-    over all T steps of time-major `x` (T * B, cell_in) from `h` (B, H), or
-    of a model stack with its `steps` (`numgrad.Graph.recurrence`).
+    """Graph twin of `cell_step` and `residual_block_step`. Recurrent cells
+    run one `recurrence` node over all T steps of time-major `x`
+    (T * B, cell_in) from `h` (B, H), or of a model stack with its `steps`
+    (`numgrad.Graph.recurrence`).
 
     For residual cells, pass the block features as `h` and the broadcast
     embedding rows as `theta_rows` (meta only); `x` is ignored.

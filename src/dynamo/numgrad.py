@@ -474,9 +474,8 @@ class Graph:
     def _plan_passes(self) -> tuple[list[bool], list[int], list[list[int]]]:
         """`needs[n]`: a parameter leaf is node n or one of its ancestors;
         the nodes backward visits, in reverse order; and `drops[n]`: the
-        values forward drops once node n has run, those that no later node
-        reads and backward, the marks and the output do not keep. Kept until
-        the graph grows or a mark or the output changes."""
+        values forward drops once node n has run (the module docstring's
+        rule). Kept until the graph grows or a mark or the output changes."""
         if self._plan is None:
             params = {self._leaf_id[name] for name in self._param_names}
             needs = [False] * len(self._kinds)
@@ -513,10 +512,8 @@ class Graph:
         """Gradients of the output with respect to every parameter leaf.
 
         Only terms that reach a parameter leaf are computed; each kept sum
-        runs in the same order as over the full graph. Backward consumes the
-        forward pass as it sweeps: each visited node's value and gradient are
-        freed once its rule has run, and a recurrence's saved step as BPTT
-        passes it, so the graph holds no batch between steps, and `value` or a
+        runs in the same order as over the full graph. It consumes the forward
+        pass it differentiates (see the module docstring), so `value` or a
         second backward needs a new forward. Leaf gradients are not visited:
         they are returned, each an array of its own, sharing memory with no
         other gradient and no bound leaf. Raises NumericError if a gradient

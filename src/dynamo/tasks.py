@@ -242,6 +242,12 @@ def write_csv(path, header: list[str], rows, comment: str | None = None) -> None
         f.writelines(lines)
 
 
+def write_json(path, obj) -> None:
+    """Write a JSON output or manifest, every one in the same layout: keys
+    sorted, one space of indent."""
+    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True))
+
+
 def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
     """Write `<path>.txt` (label<TAB>comma-separated token ids per line) and
     `<path>.json` (manifest with vocab, classes, valence map, splits, seed)."""
@@ -257,7 +263,7 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
         "valence": {str(k): v for k, v in ds.valence.items()} if ds.valence else None,
         "splits": ds.splits,
     }
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_json(path.with_suffix(".json"), manifest)
 
 
 def load_dataset(path: str | Path) -> SequenceDataset:

@@ -1,48 +1,30 @@
 """Base-model task training and the joint meta-model / state-map / embedding
 optimization.
 
-Base training runs the models of one population entry in lockstep: they
-share shapes, data share and schedule, and differ only in seed, so each
-step binds every model's own batch to one task-loss graph over the models
-stacked on a leading axis (numgrad's model axis), and one optimizer step
-updates them all. Each model's parameters end bit for bit where training
-it alone leaves them.
+Base training (`train_base`) runs the models of one population entry in
+lockstep: each step binds every model's own batch to one task-loss graph over
+the models stacked on a leading axis (numgrad's model axis), and one
+optimizer step updates them all. Each model's parameters end bit for bit
+where training it alone leaves them.
 
-The joint loop follows the sampled-model scheme: each step draws one base
-model uniformly and a minibatch from that model's unlabeled split, rolls the
-meta-model out at that model's embedding, and takes one optimizer step on
-(meta params, that model's state map, that model's embedding) against
-hidden-trajectory + weighted output losses. The bases are frozen, so their
-targets are a fixed function of the batch: the run draws its whole schedule
-first and rolls each base out without gradients once per `BASE_ROLL_ROWS`
-rows of its upcoming batches. Each rollout is split at once into per-batch
-targets and dropped, so between its steps a base holds only the batches of
-its current rollout that no step has used yet.
+The joint loop (`MetaTrainer`) follows the sampled-model scheme: each step
+draws one base model uniformly and a minibatch from that model's unlabeled
+split, rolls the meta-model out at that model's embedding, and takes one
+optimizer step on (meta params, that model's state map, that model's
+embedding) against hidden-trajectory + weighted output losses. The bases are
+frozen, so their targets are rolled out without gradients ahead of the steps
+that use them (`MetaTrainer._rolled`).
 
-Every graph here unrolls the model through `models.unroll_graph`, and every
-numpy rollout (the base trajectories, accuracies) goes through
-`models.rollout_batch`. Two graphs exist: the final-step task loss
-(`task_loss_graph`, shared by base training and the embedding search in
-`atlas.ssl_optimize`) and the joint emulation loss (`_emulation_loss_graph`,
-the only implementation of the emulation objective). A recurrent model is
-one numgrad `recurrence` node over a time-major `tokens` leaf. For both
-families the emulation terms are built over rows whose weights the binder
-(`MetaTrainer.bindings`) sets: a recurrent base's T * B stacked states, so
-no node count grows with T and ragged time means stay exact, or a residual
-base's B rows of each block. Each run builds a graph once per batch shape
-(`functools.cache`, whose `cache_info()` counts hits and misses) and binds
-it batch by batch through one binder (`_input_bindings`). A non-finite loss
-or gradient raises `NumericError` from numgrad's forward or backward pass,
-and so does a parameter update that leaves the float32 range
-(`Optimizer.step`).
-
-The optimizer steps update groups, not single arrays: a population entry's
-base models, stacked, are one group; in meta training the meta core, each
-readout head, each state map and each embedding are. Each group keeps one
-set of statistics and one bias-correction count, and is updated in blocks
-of at most `STEP_COLUMNS` of its columns of the optimizer's buffer, where
-the parameters of every group live: the models' parameter arrays are views
-into it.
+Every graph here unrolls the model through `models.unroll_graph`, whose input
+leaves `models.input_bindings` binds, and every numpy rollout (the base
+trajectories, accuracies) goes through `models.rollout_batch`. Two graphs
+exist: the final-step task loss (`task_loss_graph`, shared by base training
+and the embedding search in `atlas.ssl_optimize`) and the joint emulation
+loss (`_emulation_loss_graph`, the only implementation of the emulation
+objective). Each run builds a graph once per batch shape (`functools.cache`,
+whose `cache_info()` counts hits and misses). A non-finite loss or gradient
+raises `NumericError` from numgrad's forward or backward pass, and so does a
+parameter update that leaves the float32 range (`Optimizer.step`).
 """
 from __future__ import annotations
 
@@ -169,8 +151,8 @@ class Optimizer:
     array). The optimizer copies them, in order, into row 0 of one float64
     buffer whose rows 1 and 2 hold the first and second moments, so each
     group is one contiguous run of columns; `params` maps each name to its
-    view there (of the array's shape) and `flat` is row 0 itself. Callers
-    rebind their models to these views, which every step updates in place.
+    view there (of the array's shape), which every step updates in place, and
+    `flat` is row 0 itself.
 
     Each step updates the groups that `grads` touches (it must name every
     parameter of a touched group) at one learning rate, and keeps one
@@ -183,15 +165,14 @@ class Optimizer:
     float32, the precision checkpoints store, raises `NumericError` naming
     it, so a diverging run stops at its first bad step.
 
-    Blocks gave way to one pass per group while the widest group was one
-    base model (35,400 columns), and came back when each population entry's
-    stacked bases became one group, 4x wider: a scratch that wide set the
-    process peak. One Adam step over 141,592 columns took 1,248 us in one
-    pass, 1,088 us in 32,768-column blocks and 1,120 us in 65,536-column
-    blocks; over 35,400 columns, 248 us in one pass, 271 us in 32,768-column
-    blocks and 247 us in 65,536-column blocks (medians of 40 interleaved
-    rounds, 2-core Xeon, 2 MiB of L2 per core). So every meta group (the
-    widest, a residual core, has 35,520 columns) stays one block.
+    The block width bounds the scratch, which set the process peak when it
+    was as wide as a stacked population entry, at no cost in time: one Adam
+    step over
+    141,592 columns (a stacked residual entry) took 1,248 us in one pass,
+    1,088 us in 32,768-column blocks and 1,120 us in 65,536-column blocks;
+    over 35,400 columns (one residual base), 248, 271 and 247 us (medians of
+    40 interleaved rounds, 2-core Xeon, 2 MiB of L2 per core). So every meta
+    group (the widest, a residual core, has 35,520 columns) stays one block.
     """
 
     def __init__(self, groups: dict[str, dict[str, np.ndarray]], cfg: TrainConfig,
@@ -307,15 +288,6 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None,
     return g
 
 
-def _input_bindings(inputs: np.ndarray, lengths: np.ndarray | None) -> dict:
-    """Bindings of `unroll_graph`'s input leaves for one `model_inputs` batch,
-    or for one batch per model stacked on a leading axis."""
-    if lengths is None:
-        return {"feat": inputs}
-    tokens = inputs.swapaxes(-1, -2)  # time-major
-    return {"tokens": tokens.reshape(tokens.shape[:-2] + (-1,)).astype(np.float64)}
-
-
 def task_batch(build, model, inputs: np.ndarray,
                lengths: np.ndarray | None, labels: np.ndarray,
                task_group: int | None = None,
@@ -323,16 +295,14 @@ def task_batch(build, model, inputs: np.ndarray,
     """The task-loss graph `build(T, B)` for one labelled batch and its
     bindings; a meta model's `theta` is left for the caller to bind. With
     the `leaves` of a model stack, every batch array has a leading model
-    axis, and each model's step count is its own longest row."""
+    axis."""
     T = 0 if lengths is None else inputs.shape[-1]
     B = inputs.shape[-2]
     g = build(T, B)
     bindings = graph_params(model, task_group) if leaves is None else dict(leaves)
-    bindings.update(_input_bindings(inputs, lengths))
+    bindings.update(models.input_bindings(inputs, lengths))
     if T:
         bindings["last"] = (lengths - 1) * B + np.arange(B)
-        if leaves is not None:
-            bindings["steps"] = lengths.max(axis=-1)
     _, b_name = readout_names(model, task_group)
     bindings["labels"] = _onehot(labels, model.params[b_name].size)
     return g, bindings
@@ -424,10 +394,9 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     (`seeds`; `cfg.seed` is not read). Every step runs one task-loss graph
     over the models stacked on a leading axis, each on its own batch padded
     to the step's longest row, so each model's parameters take bit for bit
-    the steps it would take alone. The whole entry is one update group, and
-    while it trains each model's `params` are views of its rows of the
-    buffer; they end as arrays of their own, so the buffer dies with the
-    optimizer and not with the last of the models."""
+    the steps it would take alone. The whole entry is one update group; each
+    model's `params` end as copies of its rows of the optimizer's buffer, so
+    the buffer dies with the optimizer and not with the last of the models."""
     cfg.validate()
     idxs = ds.base_train_subset(subfraction)
     if len(ds.indices("base_train")) == 0:
@@ -437,8 +406,6 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     first = bases[0]
     opt = Optimizer({"base": {k: np.stack([b.params[k] for b in bases])
                               for k in first.params}}, cfg)
-    for i, base in enumerate(bases):
-        base.params.update({k: v[i] for k, v in opt.params.items()})
     leaves = models.stacked_leaves(first.cell_kind, opt.params)
     build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves))
     inputs, lengths = models.model_inputs(first, ds, idxs)
@@ -582,7 +549,7 @@ class MetaTrainer:
         g = self.graph(T, B, base.hidden_dim, tg)
         hs_b, logits_b = rolled
         bindings = graph_params(meta, tg)
-        bindings.update(_input_bindings(inputs, lengths))
+        bindings.update(models.input_bindings(inputs, lengths))
         bindings["theta"] = self.state.embeddings[i][None, :]
         bindings.update({f"vmap_{k}": a for k, a in self.state.state_maps[i].items()})
         if lengths is None:

@@ -161,6 +161,17 @@ def test_landscape_1x1_grid_is_single_evaluation():
     assert "relative_accuracy" not in grid.values
 
 
+def test_plane_grid_of_two_bases_spans_v_as_far_as_u():
+    # two bases span one direction: the second axis's spread is rounding
+    # noise, so v takes u's half-width rather than a grid over +-1e-19
+    plane = plane_grid(np.array([[0.3, 0.1, -0.2], [-0.25, 0.05, 0.4]]), (3, 3), 1.5)
+    assert np.ptp(plane.us) > 0.5
+    assert np.ptp(plane.vs) == pytest.approx(np.ptp(plane.us), rel=1e-12)
+    # no spread on either axis: each keeps a half-width of 1
+    same = plane_grid(np.zeros((2, 3)), (3, 3), 1.5)
+    assert list(same.us) == list(same.vs) == [-1.0, 0.0, 1.0]
+
+
 def test_hull_helpers():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
     hull = convex_hull_2d(pts)
@@ -177,7 +188,7 @@ def test_hull_helpers():
 def test_ssl_zero_steps_returns_init():
     meta = _tiny_meta()
     ds = _tiny_ds()
-    theta, thetas, losses = ssl_optimize(meta, 0, ds, steps=0)
+    theta, thetas, losses = ssl_optimize(meta, 0, ds, steps=0, lr=1.0)
     assert np.array_equal(theta, np.zeros(2))
     assert thetas.shape == (1, 2) and losses.shape == (1,)
 
@@ -234,7 +245,7 @@ def test_ssl_empty_split_errors():
     ds = _tiny_ds()
     ds.splits["ssl_labeled"] = []
     with pytest.raises(AtlasError):
-        ssl_optimize(meta, 0, ds, steps=1)
+        ssl_optimize(meta, 0, ds, steps=1, lr=1.0)
 
 
 # -- SVCCA / MDS / silhouette -------------------------------------------------------

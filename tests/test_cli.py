@@ -524,11 +524,17 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("analysis", "variance_threshold"), 1.5, ("analyze",)),
     (("ssl", "lr"), -1, ("ssl",)),
     (("ssl", "lr"), 0, ("ssl",)),
+    # each of these four exited 0 with empty or collapsed output
+    (("fixed_points", "candidates"), 0, ("fixed-points", "--theta", "base_000")),
+    (("fixed_points", "samples_per_seq"), 0, _SCORE_MAP),
+    (("analysis", "extent_scale"), 0, ("analyze",)),
+    (("fixed_points", "tol"), 0, ("gen-data",)),  # every command checks the whole config
 ], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
         "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
         "batch_sequences", "theta_nan", "variance_threshold_zero",
-        "variance_threshold_past_one", "ssl_lr_negative", "ssl_lr_zero"])
+        "variance_threshold_past_one", "ssl_lr_negative", "ssl_lr_zero", "candidates",
+        "samples_per_seq", "extent_scale", "tol"])
 def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
     cfg = json.loads(pipeline[0].read_text())
     if keys:
@@ -537,7 +543,8 @@ def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, va
         for k in parents:
             section = section[k]
         section[key] = value
-    _assert_refused_untouched(pipeline[1], tmp_path, capsys, cfg, argv)
+    err = _assert_refused_untouched(pipeline[1], tmp_path, capsys, cfg, argv)
+    assert not keys or f".{keys[-1]} " in err  # the refusal names the key
 
 
 @pytest.fixture(scope="module")
@@ -566,7 +573,8 @@ def test_empty_split_is_config_error_before_any_output(pipeline, generated, tmp_
 
 def _assert_refused_untouched(out, tmp_path, capsys, cfg, argv):
     """`argv` run with `cfg` on a copy of the run directory `out` exits 2 with
-    a config error, no traceback and no RuntimeWarning, and writes nothing."""
+    a config error, no traceback and no RuntimeWarning, and writes nothing;
+    returns the error output."""
     run = tmp_path / "run"
     shutil.copytree(out, run)
     before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
@@ -580,6 +588,7 @@ def _assert_refused_untouched(out, tmp_path, capsys, cfg, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
     assert sorted(tmp_path.iterdir()) == [path, run]
+    return err
 
 
 @pytest.fixture(scope="module")

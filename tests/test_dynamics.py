@@ -54,7 +54,8 @@ def test_contraction_map_unique_fixed_point():
     rng = np.random.default_rng(0)
     for n_cand in (3, 25):
         cands = rng.standard_normal((n_cand, 4))
-        fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-6)
+        fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-6, max_steps=5000,
+                                dedup_radius=1e-2)
         assert len(fps) == 1
         assert np.linalg.norm(fps.points[0]) < 1e-6
         assert fps.residuals[0] <= 1e-6
@@ -63,7 +64,7 @@ def test_contraction_map_unique_fixed_point():
 def test_identity_map_every_candidate_is_fixed():
     meta = _near_identity_meta()
     cands = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 1.0, 0.0]])
-    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-4,
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-4, max_steps=5000,
                             dedup_radius=1e-2)
     # the two far-apart candidates survive; the near-duplicate collapses
     assert len(fps) == 2
@@ -72,7 +73,8 @@ def test_identity_map_every_candidate_is_fixed():
 def test_fixed_point_residuals_reevaluate_independently():
     meta = _contraction_meta(seed=3)
     cands = np.random.default_rng(1).standard_normal((10, 4))
-    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5, max_steps=5000,
+                            dedup_radius=1e-2)
     u = np.concatenate([np.zeros(2), np.zeros(3)])
     for h, r in zip(fps.points, fps.residuals):
         again = np.linalg.norm(cell_step(meta, u, h) - h)
@@ -83,41 +85,44 @@ def test_fixed_point_residuals_reevaluate_independently():
 def test_find_fixed_points_validates_inputs():
     meta = _contraction_meta()
     with pytest.raises(DynamicsError):
-        find_fixed_points(meta, np.zeros(2), np.zeros((2, 4)), tol=0.0)
+        find_fixed_points(meta, np.zeros(2), np.zeros((2, 4)), tol=0.0, max_steps=5000,
+                          dedup_radius=1e-2)
     res = init_base_model("residual_mlp", 0, 4, 4, 2, 0, seed=0, num_blocks=2)
     with pytest.raises(DynamicsError):
-        find_fixed_points(res, None, np.zeros((2, 4)))
+        find_fixed_points(res, None, np.zeros((2, 4)), tol=1e-4, max_steps=5000,
+                          dedup_radius=1e-2)
 
 
 def test_descent_from_a_state_that_is_not_finite_is_a_numeric_error():
     # the descent checks q and its gradient, and warns about nothing on the way
     cands = np.array([[np.inf, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
     with pytest.raises(NumericError):
-        find_fixed_points(_contraction_meta(), np.zeros(2), cands)
+        find_fixed_points(_contraction_meta(), np.zeros(2), cands, tol=1e-4, max_steps=5000,
+                          dedup_radius=1e-2)
 
 
 def test_empty_result_is_valid():
     # repelling-ish start far away with zero descent budget
     meta = _contraction_meta()
     fps = find_fixed_points(meta, np.zeros(2), 100 * np.ones((3, 4)),
-                            tol=1e-12, max_steps=0)
+                            tol=1e-12, max_steps=0, dedup_radius=1e-2)
     assert len(fps) == 0
 
 
 def test_collect_candidates_counts_and_determinism():
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=5)
     seqs = [[1, 2, 3, 4], [5, 6, 7]] * 5
-    c1 = collect_candidates(meta, np.zeros(2), seqs, 1, seed=4)
+    c1 = collect_candidates(meta, np.zeros(2), seqs, 1, task_group=0, seed=4)
     assert c1.shape == (10, 4)
-    c2 = collect_candidates(meta, np.zeros(2), seqs, 1, seed=4)
+    c2 = collect_candidates(meta, np.zeros(2), seqs, 1, task_group=0, seed=4)
     assert np.array_equal(c1, c2)
     with pytest.raises(DynamicsError):
-        collect_candidates(meta, np.zeros(2), [], 1)
+        collect_candidates(meta, np.zeros(2), [], 1, task_group=0, seed=0)
 
 
 def test_collect_candidates_degenerate_zero_dynamics():
     meta = _contraction_meta()
-    cands = collect_candidates(meta, np.zeros(2), [[1, 2, 3]], 5, seed=0)
+    cands = collect_candidates(meta, np.zeros(2), [[1, 2, 3]], 5, task_group=0, seed=0)
     assert np.allclose(cands, 0.0)
 
 
@@ -251,16 +256,19 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     seqs = [[1, 2, 3], [4, 5, 6]]
     sets = ([0], [2], [6])
     grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
-                     samples_per_seq=2, tol=1e-5, seed=1)
+                     samples_per_seq=2, tol=1e-5, max_steps=5000,
+                     dedup_radius=1e-2, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
     cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=1)
-    fps = find_fixed_points(meta, theta, cands, tol=1e-5)
+    fps = find_fixed_points(meta, theta, cands, tol=1e-5, max_steps=5000,
+                            dedup_radius=1e-2)
     h_star = neutral_fixed_point(fps, meta, 0)
     want = word_score(meta, theta, h_star, [0], [2], [6], 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
 
     grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
-                      samples_per_seq=2, tol=1e-5, seed=1)
+                      samples_per_seq=2, tol=1e-5, max_steps=5000,
+                      dedup_radius=1e-2, seed=1)
     assert np.array_equal(grid.values["score"], grid2.values["score"])
 
 
@@ -336,12 +344,13 @@ def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,
     # a tolerance no row reaches in 5 steps: the descent runs 5 iterations,
     # each one cell step and one VJP, plus those at the candidates and the
     # retained residuals' re-check through one more cell step
-    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-12, max_steps=5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-12, max_steps=5, dedup_radius=1e-2)
     assert len(fps) == 0
     assert counts == {"step": 5 + 1 + 1, "vjp": 5 + 1}
     # candidates already at the fixed point: no iteration
     counts.clear()
-    find_fixed_points(meta, np.zeros(2), np.zeros((3, 4)), tol=1e-6, max_steps=5)
+    find_fixed_points(meta, np.zeros(2), np.zeros((3, 4)), tol=1e-6, max_steps=5,
+                      dedup_radius=1e-2)
     assert counts == {"step": 1 + 1, "vjp": 1}
     assert pass_counts == {"forward": [], "backward": 0}  # no graph runs
 
@@ -350,7 +359,8 @@ def test_score_map_missing_marker_round_trips(tmp_path):
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
     grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2), 1.5), [[1, 2]],
-                     ([0], [2], [6]), samples_per_seq=1, tol=1e-15, max_steps=0, seed=1)
+                     ([0], [2], [6]), samples_per_seq=1, tol=1e-15, max_steps=0,
+                     dedup_radius=1e-2, seed=1)
     assert list(grid.values) == ["score"]
     assert np.all(np.isnan(grid.values["score"]))
     path = tmp_path / "scores.csv"
@@ -367,7 +377,8 @@ def test_score_map_missing_marker_round_trips(tmp_path):
 def test_export_fixed_points_csv(tmp_path):
     meta = _contraction_meta()
     cands = np.random.default_rng(0).standard_normal((6, 4))
-    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5)
+    fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5, max_steps=5000,
+                            dedup_radius=1e-2)
     path = tmp_path / "fps.csv"
     export_fixed_points_csv(fps, meta, path, comment="config_hash=w",
                             task_group=0)

@@ -15,10 +15,13 @@ from dynamo.models import (
     init_base_model,
     init_meta_model,
     init_state_map,
+    input_bindings,
     pad_tokens,
     residual_block_step,
     rollout,
     rollout_batch,
+    stacked_leaves,
+    unroll_graph,
 )
 from dynamo.numgrad import Graph
 
@@ -317,13 +320,15 @@ def test_residual_graph_matches_numpy():
 
 
 def _row_oracle(model, row, length, theta_row, head):
-    """One row stepped through `cell_step` with 1-D vectors."""
+    """One row stepped through `cell_step` or `residual_block_step` with 1-D
+    vectors."""
     p = model.params
     steps = []
     if model.cell_kind == "residual_mlp":
         h = row @ p["stem_w"] + p["stem_b"]
         for t in range(model.num_blocks):
-            h = cell_step(model, None, h, block=t, theta=theta_row)
+            blk = {k: p[f"blk{t}_{k}"] for k in ("a1", "b1", "a2", "b2")}
+            h = residual_block_step(blk, h, theta_row, p.get("w_theta"))
             steps.append(h)
     else:
         h = np.zeros(model.hidden_dim)
@@ -403,3 +408,30 @@ def test_rollout_batch_matches_the_recurrence_states(kind, meta, seed, data):
     valid = np.arange(T)[:, None] < lengths[None, :]  # the node steps through padding
     got, want = hiddens[valid], want[valid]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
+def test_input_bindings_bind_exactly_the_input_leaves_unroll_graph_declares(kind, stacked):
+    vocab, B = 12, 3
+    bases = [init_base_model(kind, vocab, vocab if kind == "residual_mlp" else 4, 5, 2, 0,
+                             seed=s, num_blocks=2) for s in (1, 2)]
+    rng = np.random.default_rng(0)
+    if kind == "residual_mlp":
+        inputs, lengths = rng.random((2, B, vocab)), None
+    else:  # one (B, T) token batch per model, each model's rows ending apart
+        inputs, lengths = rng.integers(0, vocab, (2, B, 4)), np.array([[4, 2, 3], [1, 2, 2]])
+    if stacked:
+        params = stacked_leaves(kind, {k: np.stack([b.params[k] for b in bases])
+                                       for k in bases[0].params})
+    else:
+        params, inputs = bases[0].params, inputs[0]
+        lengths = None if lengths is None else lengths[0]
+    g = Graph()
+    refs = declare_params(g, params)
+    T = 0 if lengths is None else inputs.shape[-1]
+    h = list(unroll_graph(g, bases[0], refs, T, B, nb=2 if stacked else 0))[-1]
+    bound = input_bindings(inputs, lengths)
+    assert bound.keys() == g._leaf_id.keys() - set(g._param_names)
+    g.output(g.reduce_sum(h))
+    assert np.isfinite(g.forward(dict(params) | bound))  # each at its declared shape

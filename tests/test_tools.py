@@ -113,6 +113,24 @@ def test_rundiff_reports_each_seed(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "seed 1: 0 files differ"
 
 
+def test_rundiff_summary_counts_each_trees_source_lines(tmp_path, monkeypatch, capsys):
+    rundiff = _rundiff()
+    trees = []
+    for name, lines in (("parent", 3), ("change", 2)):
+        src = tmp_path / name / "src" / "dynamo"
+        src.mkdir(parents=True)
+        (src / "cli.py").write_text("x = 1\n" * lines)
+        (src / "models.py").write_text("y = 2\n")
+        (src / "__init__.py").write_text("# not counted\n")
+        trees.append(tmp_path / name)
+    monkeypatch.setattr(rundiff, "run_tree", lambda tree, config, out, argv: out.mkdir())
+    assert rundiff.main([*map(str, trees), "--work", str(tmp_path / "work")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [f"{trees[0]}: 4 lines in src/dynamo (without __init__.py)",
+                          f"{trees[1]}: 3 lines in src/dynamo (without __init__.py)",
+                          "seed 1: 0 files differ"]
+
+
 def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
     peakmem = _tool("peakmem")
     gru = {"cell_kind": "gru", "hidden_dim": 4, "input_dim": 4, "task": "valence",

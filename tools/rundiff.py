@@ -13,11 +13,12 @@ base_000 --score-map`. Every stage runs in a fresh Python process with only
 its tree's `src` on `PYTHONPATH`.
 
 Prints, per seed and workload, each file that differs or exists on one side
-only, then how many files differ under each seed. A differing CSV (its `#`
-lines skipped) or JSON file also gets the largest |a - b| / max(1, |a|)
-over its numeric cells, or "non-numeric" when a text cell or the shape
-differs, so a change that only reorders floating-point work can be held to
-a relative-error bound. Exits 0 when every
+only; then each tree's line count of `src/dynamo` without `__init__.py` (the
+size measure of ROADMAP aim 2) and how many files differ under each seed. A
+differing CSV (its `#` lines skipped) or JSON file also gets the largest
+|a - b| / max(1, |a|) over its numeric cells, or "non-numeric" when a text
+cell or the shape differs, so a change that only reorders floating-point
+work can be held to a relative-error bound. Exits 0 when every
 run directory is byte-identical, 1 when a file differs, and 2 when a stage
 fails or a run directory already exists. The run directories go to `--work`
 (kept) or to a temporary directory (removed at exit).
@@ -59,6 +60,12 @@ def run_tree(tree: Path, config: Path, out: Path, argv: list[tuple[str, ...]]) -
         if proc.returncode != 0:
             raise RuntimeError(f"{tree}: {' '.join(stage)} exited {proc.returncode}\n"
                                f"{proc.stderr}")
+
+
+def line_count(tree: Path) -> int:
+    """Lines of `tree`'s `src/dynamo` modules, `__init__.py` left out."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "dynamo").glob("*.py")
+               if p.name != "__init__.py")
 
 
 def files(root: Path) -> set[Path]:
@@ -170,6 +177,8 @@ def main(argv=None) -> int:
                 for line in diff:
                     print(f"  {line}")
                 bad[seed] += len(diff)
+    for tree in (args.parent, args.change):
+        print(f"{tree}: {line_count(tree)} lines in src/dynamo (without __init__.py)")
     for seed, n in bad.items():
         print(f"seed {seed}: {n} files differ")
     return 1 if any(bad.values()) else 0
