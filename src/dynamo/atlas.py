@@ -5,7 +5,8 @@ classical-MDS pairwise baseline, and cluster-quality scoring.
 Every grid over a plane in embedding space is a `PlaneGrid` from
 `plane_grid`, the only code that turns grid coordinates into embeddings; the
 accuracy landscape here and `dynamics.score_map` fill value columns on one.
-Exporters pass numbers to `tasks.write_csv`, which formats every cell."""
+`atlas_table` and `grid_table` return `(header, rows)` tables of numbers,
+which the CLI hands to its run writer; `tasks.write_csv` formats every cell."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import MetaModel, final_logits, model_inputs, pad_tokens, rollout_batch
-from .tasks import SequenceDataset, write_csv
+from .tasks import SequenceDataset
 from .trainer import task_batch, task_loss_graph
 
 
@@ -186,48 +187,6 @@ def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
     return plane
 
 
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull; returns hull vertices counterclockwise."""
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points)})
-    if len(pts) <= 2:
-        return np.array(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def in_hull_2d(point, hull: np.ndarray, tol: float = 1e-12) -> bool:
-    """Point-in-convex-polygon test; boundary counts as inside."""
-    if len(hull) == 0:
-        return False
-    if len(hull) == 1:
-        return bool(np.allclose(point, hull[0], atol=1e-9))
-    if len(hull) == 2:
-        a, b = hull
-        ab, ap = b - a, np.asarray(point) - a
-        crossv = ab[0] * ap[1] - ab[1] * ap[0]
-        t = np.dot(ap, ab) / np.dot(ab, ab)
-        return bool(abs(crossv) < 1e-9 and -tol <= t <= 1 + tol)
-    x, y = point
-    for i in range(len(hull)):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % len(hull)]
-        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < -tol:
-            return False
-    return True
-
-
 # -- semi-supervised optimization of the embedding --------------------------------
 
 
@@ -392,11 +351,11 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
     return float(scores.mean())
 
 
-# -- CSV exports -------------------------------------------------------------------
+# -- tables ------------------------------------------------------------------------
 
 
-def export_atlas_csv(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: list[dict],
-                     path, comment, top_k: int) -> None:
+def atlas_table(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: list[dict],
+                top_k: int) -> tuple[list[str], list[list]]:
     """One row per embedding: its metadata record, theta_* and `top_k` PCA coordinates."""
     d = embeddings.shape[1]
     k = min(top_k, d)
@@ -409,10 +368,10 @@ def export_atlas_csv(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: li
     rows = [[str(md.get("model_id", f"base_{i}"))]
             + [str(md.get(key, "")) for key in meta_keys] + [*theta, *proj[i]]
             for i, (theta, md) in enumerate(zip(embeddings, metadata))]
-    write_csv(path, header, rows, comment)
+    return header, rows
 
 
-def export_grid_csv(grid: PlaneGrid, path, comment=None) -> None:
+def grid_table(grid: PlaneGrid) -> tuple[list[str], list[list]]:
     """One row per node, row-major over (u, v): u, v, theta_*, then each
     value column; a NaN value is an empty cell."""
     names = list(grid.values)
@@ -422,4 +381,4 @@ def export_grid_csv(grid: PlaneGrid, path, comment=None) -> None:
         i, j = divmod(k, len(grid.vs))
         rows.append([grid.us[i], grid.vs[j], *theta,
                      *(grid.values[n][i, j] for n in names)])
-    write_csv(path, header, rows, comment)
+    return header, rows

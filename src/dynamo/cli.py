@@ -9,12 +9,12 @@ run's only input: `--seed` enters the config hash, and no other flag sets a
 value that the config sets. Commands are composable and write into a shared
 run directory, `--out` or else `run_<config hash>`; the remaining flags name
 what a command reads or adds (`--theta`, `--ids`, `--svcca`, `--score-map`).
-Every command checks the whole config as it loads it, before it writes
-anything: each value against the schema, and each task and training section as
-its module builds it. The range checks include a size of at least 1 (`_SIZE`,
-`fixed_points.candidates` and `samples_per_seq` among them) and a positive
-`ssl.lr`, `analysis.extent_scale` and `fixed_points.tol`. An analysis command
-that refuses its run writes nothing.
+Every command checks the whole config as it loads it: each value against the
+schema, and each task and training section as its module builds it. The range
+checks include a size of at least 1 (`_SIZE`, `fixed_points.candidates` and
+`samples_per_seq` among them), a positive `ssl.lr`, `analysis.extent_scale` and
+`fixed_points.tol`, a `population[].train_fraction` in (0, 1] and a nonnegative
+`fixed_points.dedup_radius`.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
@@ -26,11 +26,14 @@ corrupt dataset, or an output that cannot be written), 4 numeric failure (a
 non-finite loss or gradient, or trained state that is not finite in float32,
 in which case no checkpoint is written).
 
-train-base trains the base models of each population entry together, in
-lockstep, and writes their checkpoints once the whole entry has trained. So
-an entry that diverges (exit 4) writes no checkpoint of any of its models,
-while the entries before it keep theirs; `base/metrics.csv` is written only
-after the last entry.
+Only `Run.write` puts a file in the run directory. It writes every payload it
+is handed into a staging directory there, and only then renames each file into
+place. Each command hands it all its outputs at once, but gen-data hands each
+task's dataset, and train-base each population entry's checkpoints (its models
+train in lockstep) and then `base/metrics.csv`. So a command that refuses its
+run (exit 2), diverges (exit 4) or cannot write an output (exit 3) leaves the
+run directory as it was, apart from the datasets or entries written earlier.
+A failure while renaming can leave the files renamed before it.
 """
 from __future__ import annotations
 
@@ -38,8 +41,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -214,6 +220,8 @@ def validate_config(cfg: dict) -> dict:
         if entry["task"] not in names:
             raise ConfigError(f"population[{i}] references unknown task "
                               f"{entry['task']!r}")
+        if not 0 < entry["train_fraction"] <= 1:
+            raise ConfigError(f"population[{i}].train_fraction must be in (0, 1]")
         if tasks_mod.share(entry["train_fraction"], n_base[entry["task"]]) < 1:
             raise ConfigError(f"population[{i}].train_fraction selects no base_train "
                               f"example of task {entry['task']!r}")
@@ -239,6 +247,8 @@ def validate_config(cfg: dict) -> dict:
     for section, key in (("ssl", "lr"), ("analysis", "extent_scale"), ("fixed_points", "tol")):
         if not cfg[section][key] > 0:
             raise ConfigError(f"{section}.{key} must be > 0")
+    if cfg["fixed_points"]["dedup_radius"] < 0:  # 0 still merges exact duplicates
+        raise ConfigError("fixed_points.dedup_radius must be >= 0")
     return cfg
 
 
@@ -309,7 +319,6 @@ def save_checkpoint(prefix, tensors: dict[str, np.ndarray], manifest_extra: dict
         offset += len(raw)
     manifest = {"format_version": 1, "tensors": index}
     manifest.update(manifest_extra)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     tasks_mod.write_json(prefix.with_suffix(".json"), manifest)
     prefix.with_suffix(".bin").write_bytes(b"".join(blobs))
 
@@ -366,9 +375,10 @@ def _described(model_type) -> list[str]:
     return [f.name for f in fields(model_type) if f.name != "params"]
 
 
-def save_base_checkpoint(prefix, model: BaseModel) -> None:
-    save_checkpoint(prefix, model.params, {
-        "kind": "base_model", **{k: getattr(model, k) for k in _described(model)}})
+def base_checkpoint(model: BaseModel) -> tuple[dict, dict]:
+    """A base model's checkpoint payload: its tensors and manifest."""
+    return model.params, {"kind": "base_model",
+                          **{k: getattr(model, k) for k in _described(model)}}
 
 
 def load_base_checkpoint(prefix) -> BaseModel:
@@ -391,8 +401,9 @@ def _meta_tensors(state: MetaTrainState) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
-                         extra: dict | None = None) -> None:
+def meta_checkpoint(state: MetaTrainState, base_infos: list[dict],
+                    extra: dict) -> tuple[dict, dict]:
+    """A meta-training state's checkpoint payload: its tensors and manifest."""
     meta = state.meta
     with np.errstate(over="ignore"):  # save_checkpoint refuses what overflows
         by_model = {info["model_id"]: [float(np.float32(x)) for x in state.embeddings[i]]
@@ -405,8 +416,8 @@ def save_meta_checkpoint(prefix, state: MetaTrainState, base_infos: list[dict],
         "embeddings_by_model": by_model,
         "steps_trained": state.step,
     }
-    manifest.update(extra or {})
-    save_checkpoint(prefix, _meta_tensors(state), manifest)
+    manifest.update(extra)
+    return _meta_tensors(state), manifest
 
 
 def load_meta_checkpoint(prefix) -> tuple[MetaTrainState, dict]:
@@ -442,9 +453,32 @@ class Run(NamedTuple):
     state: MetaTrainState | None
     mf: dict | None
 
-    @property
-    def comment(self) -> str:
-        return f"config_hash={self.chash}"
+    def write(self, outputs: dict) -> None:
+        """Write `outputs`, each a path relative to the run directory mapped to
+        its payload: a SequenceDataset (`tasks.save_dataset`), `(header, rows)`
+        for a `.csv` path (`tasks.write_csv`, under the config hash), an object
+        for a `.json` path (`tasks.write_json`), and `(tensors, manifest)` for
+        any other path, a checkpoint prefix (`save_checkpoint`)."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
+        try:
+            for name, payload in outputs.items():
+                path = staging / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if isinstance(payload, SequenceDataset):
+                    tasks_mod.save_dataset(payload, path)
+                elif path.suffix == ".csv":
+                    tasks_mod.write_csv(path, *payload, f"config_hash={self.chash}")
+                elif path.suffix == ".json":
+                    tasks_mod.write_json(path, payload)
+                else:
+                    save_checkpoint(path, *payload)
+            for staged in sorted(p for p in staging.rglob("*") if p.is_file()):
+                target = self.out / staged.relative_to(staging)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(staged, target)
+        finally:
+            shutil.rmtree(staging)
 
     def task_rows(self, task_name: str) -> list[int]:
         """Indices of the base models trained on `task_name`: their rows of
@@ -498,12 +532,11 @@ def _population_models(cfg: dict) -> list[list[dict]]:
 
 def cmd_gen_data(args) -> int:
     run = _open_run(args, datasets=False)
-    (run.out / "data").mkdir(parents=True, exist_ok=True)
     splits = run.cfg["splits"]
     for task in run.cfg["tasks"]:
         ds = tasks_mod.split_dataset(tasks_mod.generate(TaskSpec(**task)),
                                      _split_fractions(splits), seed=splits["seed"])
-        tasks_mod.save_dataset(ds, run.out / "data" / task["name"])
+        run.write({f"data/{task['name']}": ds})
         print(f"gen-data: wrote {task['name']} "
               f"({len(ds)} sequences, vocab {ds.vocab_size})")
     return EXIT_OK
@@ -513,7 +546,6 @@ def cmd_train_base(args) -> int:
     run = _open_run(args)
     tasks = {task["name"]: task for task in run.cfg["tasks"]}
     population = _population_models(run.cfg)
-    (run.out / "base").mkdir(parents=True, exist_ok=True)
     rows = []
     for records in population:
         entry = records[0]
@@ -528,20 +560,20 @@ def cmd_train_base(args) -> int:
             for rec in records]
         tcfg = train_config_from(_base_training(run.cfg, entry))
         ds = run.datasets[entry["task"]]
-        # the entry trains in lockstep; a diverging entry raises before any save
         train_base(bases, ds, tcfg, [rec["seed"] for rec in records],
                    subfraction=entry["train_fraction"])
         for rec, model in zip(records, bases):
             acc = model_accuracy(model, ds)
             model.info["test_accuracy"] = acc
-            save_base_checkpoint(run.out / "base" / rec["model_id"], model)
             # train_fraction is Python's str of the float (1.0, not the cell rule's 1)
             rows.append([rec["model_id"], rec["task"], rec["cell_kind"], rec["hidden_dim"],
                          str(rec["train_fraction"]), rec["seed"], acc])
             print(f"train-base: {rec['model_id']} acc={acc:.3f} (epochs={tcfg.epochs})")
+        run.write({f"base/{rec['model_id']}": base_checkpoint(model)
+                   for rec, model in zip(records, bases)})
     header = ["model_id", "task", "cell_kind", "hidden_dim", "train_fraction", "seed",
               "test_accuracy"]
-    tasks_mod.write_csv(run.out / "base" / "metrics.csv", header, rows, run.comment)
+    run.write({"base/metrics.csv": (header, rows)})
     return EXIT_OK
 
 
@@ -560,13 +592,11 @@ def cmd_train_meta(args) -> int:
                              seed=derived_seed(run.cfg["seed"], 2))
     ds_list = [run.datasets[b.info["task"]] for b in bases]
     state = train_meta(bases, ds_list, tcfg, dict(run.cfg["meta"]))
-    base_infos = [dict(b.info) for b in bases]
-    save_meta_checkpoint(run.out / "meta", state, base_infos,
-                         extra={"config_hash": run.chash, "lambda": tcfg.lam,
-                                "hidden_metric": tcfg.hidden_metric})
-    tasks_mod.write_csv(run.out / "meta_loss.csv",
-                        ["step", "model_id", "hidden_loss", "output_loss", "total_loss"],
-                        state.history, run.comment)
+    extra = {"config_hash": run.chash, "lambda": tcfg.lam,
+             "hidden_metric": tcfg.hidden_metric}
+    run.write({"meta": meta_checkpoint(state, [dict(b.info) for b in bases], extra),
+               "meta_loss.csv": (["step", "model_id", "hidden_loss", "output_loss",
+                                  "total_loss"], state.history)})
     final = state.history[-1] if state.history else (0, 0, 0.0, 0.0, 0.0)
     print(f"train-meta: {len(bases)} bases, {state.step} steps, "
           f"final total loss {final[4]:.4f}")
@@ -575,17 +605,20 @@ def cmd_train_meta(args) -> int:
 
 def cmd_analyze(args) -> int:
     run = _open_run(args, meta=True)
-    out, an, state, comment = run.out, run.cfg["analysis"], run.state, run.comment
+    an, state = run.cfg["analysis"], run.state
     if args.svcca and state.meta.cell_kind == "residual_mlp":
         raise ConfigError("--svcca compares recurrent hidden states; "
                           "this run's population is residual_mlp")
     metadata = run.mf["bases"]
     task_name = an["landscape_task"]
     group_rows = run.task_rows(task_name)
-    svcca_bases = [load_base_checkpoint(out / "base" / metadata[i]["model_id"])
+    svcca_bases = [load_base_checkpoint(run.out / "base" / metadata[i]["model_id"])
                    for i in group_rows] if args.svcca else []
     atlas = atlas_mod.fit_pca(state.embeddings)
     k95 = atlas_mod.components_for_variance(atlas.spectrum, an["variance_threshold"])
+    outputs = {"atlas.csv": atlas_mod.atlas_table(atlas, state.embeddings, metadata,
+                                                  an["top_k"]),
+               "spectrum.csv": atlas.spectrum_table()}
     summary = {"components_for_variance": k95,
                "variance_threshold": an["variance_threshold"]}
     coords = atlas.project(state.embeddings, 2)
@@ -604,6 +637,7 @@ def cmd_analyze(args) -> int:
         argmax_uv, summary["landscape_argmax_accuracy"] = grid.argmax("accuracy")
         summary["landscape_argmax_uv"] = list(argmax_uv)
         summary["best_base_accuracy"] = best_base
+        outputs["landscape.csv"] = atlas_mod.grid_table(grid)
 
     if svcca_bases:
         seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
@@ -614,20 +648,12 @@ def cmd_analyze(args) -> int:
         if atlas_mod.clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
                 coords_mds, svcca_labels)
-
-    # every output is computed before the first is written: a refused run writes none
-    atlas_mod.export_atlas_csv(atlas, state.embeddings, metadata, out / "atlas.csv", comment,
-                               top_k=an["top_k"])
-    tasks_mod.write_csv(out / "spectrum.csv", *atlas.spectrum_table(), comment)
-    if group_rows:
-        atlas_mod.export_grid_csv(grid, out / "landscape.csv", comment)
-    if svcca_bases:
-        tasks_mod.write_csv(
-            out / "svcca_mds.csv",
+        outputs["svcca_mds.csv"] = (
             ["model_id"] + [f"mds_{k}" for k in range(coords_mds.shape[1])],
-            [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)],
-            comment)
-    tasks_mod.write_json(out / "analysis_summary.json", summary)
+            [[b.info["model_id"], *coords_mds[r]] for r, b in enumerate(svcca_bases)])
+
+    outputs["analysis_summary.json"] = summary
+    run.write(outputs)
     print(f"analyze: components for 95% variance = {k95}; "
           + "; ".join(f"{k}={v:.3f}" for k, v in summary.items()
                       if k.startswith("silhouette")))
@@ -647,7 +673,6 @@ def cmd_ssl(args) -> int:
               "test_accuracy"]
     rows = [[k, *th, loss, acc]
             for k, (th, loss, acc) in enumerate(zip(thetas, losses, accs))]
-    tasks_mod.write_csv(run.out / "ssl_trajectory.csv", header, rows, run.comment)
     best_base = run.best_base_accuracy(task_name)
     delta = float(accs[-1]) - best_base
     result = {"theta_final": [float(x) for x in theta],
@@ -655,7 +680,7 @@ def cmd_ssl(args) -> int:
               "best_base_accuracy": best_base,
               "improvement_over_best_base": delta,
               "steps": ssl_cfg["steps"]}
-    tasks_mod.write_json(run.out / "ssl_result.json", result)
+    run.write({"ssl_trajectory.csv": (header, rows), "ssl_result.json": result})
     print(f"ssl: final acc {accs[-1]:.4f} vs best base {best_base:.4f} "
           f"(delta {delta:+.4f})")
     return EXIT_OK
@@ -712,6 +737,7 @@ def cmd_fixed_points(args) -> int:
         report.update({"extent": summ.extent, "thickness": summ.thickness,
                        "extent_thickness_ratio": summ.extent_thickness_ratio,
                        "margin_spearman": rho})
+    outputs = {}
     if args.score_map:
         vals = ds.token_values()
         sets = ([t for t in range(ds.vocab_size) if vals[t] > 0],
@@ -724,11 +750,10 @@ def cmd_fixed_points(args) -> int:
                              samples_per_seq=fp["samples_per_seq"], tol=fp["tol"],
                              max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
-        atlas_mod.export_grid_csv(grid, run.out / f"score_map_{label}.csv",
-                                  comment=run.comment)
-    dyn.export_fixed_points_csv(fps, state.meta, run.out / f"fixed_points_{label}.csv",
-                                comment=run.comment, task_group=group)
-    tasks_mod.write_json(run.out / f"fixed_points_{label}.json", report)
+        outputs[f"score_map_{label}.csv"] = atlas_mod.grid_table(grid)
+    outputs[f"fixed_points_{label}.csv"] = dyn.fixed_points_table(fps, state.meta, group)
+    outputs[f"fixed_points_{label}.json"] = report
+    run.write(outputs)
     print(f"fixed-points[{label}]: {len(fps)} points"
           + (f", extent/thickness={report.get('extent_thickness_ratio'):.2f}"
              if report.get("extent_thickness_ratio") else ""))
@@ -753,8 +778,7 @@ def cmd_average(args) -> int:
     accs = atlas_mod.grid_accuracies(run.state.meta, np.stack(thetas), group, ds)
     rows = [[mid, acc, by_id[mid][1].get("test_accuracy")] for mid, acc in zip(ids, accs)]
     rows.append(["average", accs[-1], None])
-    tasks_mod.write_csv(run.out / "average_report.csv",
-                        ["model_id", "meta_accuracy", "base_accuracy"], rows, run.comment)
+    run.write({"average_report.csv": (["model_id", "meta_accuracy", "base_accuracy"], rows)})
     print(f"average: {'+'.join(ids)} -> acc {accs[-1]:.4f}")
     return EXIT_OK
 

@@ -16,8 +16,8 @@ next gradient of every accepted row, while a rejected row keeps the gradient
 of its unchanged state. The same independence lets `score_map` descend the
 candidates of every grid node in one batch, each row conditioned on its own
 node's embedding, and then check residuals and deduplicate node by node. The
-map is the `score` column of an `atlas.PlaneGrid`, which
-`atlas.export_grid_csv` writes.
+map is the `score` column of an `atlas.PlaneGrid`, tabled by `atlas.grid_table`
+as the fixed points are by `fixed_points_table`.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import numpy as np
 from . import atlas as atlas_mod
 from .models import MetaModel, cell_step, pad_tokens, project_inputs, readout_names, rollout_batch
 from .numgrad import CELL_VJPS, CELLS, NumericError
-from .tasks import write_csv
 
 
 DESCENT_RATE = 0.2  # each candidate's first step size in every fixed-point descent
@@ -294,11 +293,11 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
 
 
-# -- CSV exports -------------------------------------------------------------------
+# -- tables ------------------------------------------------------------------------
 
 
-def export_fixed_points_csv(fps: FixedPointSet, model, path, comment=None,
-                            task_group: int | None = None) -> None:
+def fixed_points_table(fps: FixedPointSet, model,
+                       task_group: int | None = None) -> tuple[list[str], list[list]]:
     """Rows: index, residual, PCA projections of the cloud, margin.
 
     A cloud of K points spans at most K-1 directions, so it gets
@@ -310,5 +309,4 @@ def export_fixed_points_csv(fps: FixedPointSet, model, path, comment=None,
     margins = readout_margin(_head_logits(model, fps.points, task_group))
     rows = [[i, res, *p, m]
             for i, (res, p, m) in enumerate(zip(fps.residuals, proj, margins))]
-    write_csv(path, ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"],
-              rows, comment)
+    return ["index", "residual"] + [f"pc_{j}" for j in range(k)] + ["margin"], rows

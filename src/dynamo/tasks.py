@@ -202,14 +202,6 @@ def split_dataset(ds: SequenceDataset, fractions: tuple[float, float, float],
     return ds
 
 
-def integrator_accuracy(ds: SequenceDataset, idxs) -> float:
-    """Accuracy of the hand-coded cumulative-valence integrator baseline."""
-    vals = ds.token_values()
-    seqs, labels = ds.subset(idxs)
-    preds = np.array([1 if vals[np.array(s)].sum() > 0 else 0 for s in seqs])
-    return float((preds == labels).mean())
-
-
 def bag_of_tokens(ds: SequenceDataset, idxs) -> np.ndarray:
     """Length-normalized token count features, for the residual-MLP family."""
     seqs = [ds.sequences[i] for i in idxs]

@@ -38,7 +38,6 @@ from . import models
 from .models import (
     BaseModel,
     MetaModel,
-    apply_state_map,
     declare_params,
     final_logits,
     graph_params,
@@ -304,7 +303,8 @@ def task_batch(build, model, inputs: np.ndarray,
     if T:
         bindings["last"] = (lengths - 1) * B + np.arange(B)
     _, b_name = readout_names(model, task_group)
-    bindings["labels"] = _onehot(labels, model.params[b_name].size)
+    width = (model.params if leaves is None else leaves)[b_name].shape[-1]
+    bindings["labels"] = _onehot(labels, width)
     return g, bindings
 
 
@@ -394,9 +394,10 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     (`seeds`; `cfg.seed` is not read). Every step runs one task-loss graph
     over the models stacked on a leading axis, each on its own batch padded
     to the step's longest row, so each model's parameters take bit for bit
-    the steps it would take alone. The whole entry is one update group; each
-    model's `params` end as copies of its rows of the optimizer's buffer, so
-    the buffer dies with the optimizer and not with the last of the models."""
+    the steps it would take alone. The whole entry is one update group. Each
+    model's `params` are emptied once stacked into the optimizer's buffer and
+    end as copies of its rows of it, so the initial arrays die at the start
+    and the buffer dies with the optimizer, not with the last of the models."""
     cfg.validate()
     idxs = ds.base_train_subset(subfraction)
     if len(ds.indices("base_train")) == 0:
@@ -406,6 +407,8 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     first = bases[0]
     opt = Optimizer({"base": {k: np.stack([b.params[k] for b in bases])
                               for k in first.params}}, cfg)
+    for base in bases:  # the stack holds them now; the initial arrays die
+        base.params.clear()
     leaves = models.stacked_leaves(first.cell_kind, opt.params)
     build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves))
     inputs, lengths = models.model_inputs(first, ds, idxs)
@@ -628,25 +631,3 @@ def train_meta(bases: list[BaseModel], datasets: list[SequenceDataset],
     state = init_meta_state(bases, meta_cfg or {}, seed=cfg.seed)
     trainer = MetaTrainer(state, bases, datasets, cfg)
     return trainer.run()
-
-
-# -- diagnostics ------------------------------------------------------------------
-
-
-def conjugacy_defect(meta, base: BaseModel, vmap: dict[str, np.ndarray],
-                     theta: np.ndarray, sequences: list[list[int]]) -> dict:
-    """Distribution of the one-step conjugacy defect over a batch.
-
-    For each step t the defect compares pushing the meta state forward and
-    then mapping, against mapping first and stepping through the base cell.
-    """
-    tokens, lengths = models.pad_tokens(sequences)
-    hs_m, _ = rollout_batch(meta, tokens, theta=theta, task_group=base.task_group,
-                            lengths=lengths)
-    valid = np.arange(tokens.shape[1])[:, None] < lengths[None, :]
-    prev = np.concatenate([np.zeros_like(hs_m[:1]), hs_m[:-1]])
-    lhs = apply_state_map(vmap, hs_m[valid])
-    rhs = models.cell_step(base, base.params["embed"][tokens.T[valid]],
-                           apply_state_map(vmap, prev[valid]))
-    vals = np.linalg.norm(lhs - rhs, axis=1)
-    return {"mean": float(vals.mean()), "max": float(vals.max()), "count": len(vals)}

@@ -6,12 +6,10 @@ from dynamo.atlas import (
     accuracy_landscape,
     classical_mds,
     components_for_variance,
-    convex_hull_2d,
-    export_grid_csv,
+    grid_table,
     fit_pca,
     grid_accuracies,
     hidden_state_matrix,
-    in_hull_2d,
     plane_grid,
     silhouette,
     ssl_optimize,
@@ -141,7 +139,7 @@ def test_landscape_contains_exact_node_values(tmp_path):
     assert best == acc.max()
     assert acc[list(grid.us).index(u), list(grid.vs).index(v)] == best
     assert np.array_equal(grid.values["relative_accuracy"], acc / 0.8)
-    export_grid_csv(grid, tmp_path / "land.csv", comment="config_hash=x")
+    write_csv(tmp_path / "land.csv", *grid_table(grid), comment="config_hash=x")
     lines = (tmp_path / "land.csv").read_text().splitlines()
     assert lines[0] == "# config_hash=x"
     assert lines[1] == "u,v,theta_0,theta_1,accuracy,relative_accuracy"
@@ -170,16 +168,6 @@ def test_plane_grid_of_two_bases_spans_v_as_far_as_u():
     # no spread on either axis: each keeps a half-width of 1
     same = plane_grid(np.zeros((2, 3)), (3, 3), 1.5)
     assert list(same.us) == list(same.vs) == [-1.0, 0.0, 1.0]
-
-
-def test_hull_helpers():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
-    hull = convex_hull_2d(pts)
-    assert len(hull) == 4
-    assert in_hull_2d((0.5, 0.5), hull)
-    assert in_hull_2d((0.0, 0.0), hull)
-    assert not in_hull_2d((1.5, 0.5), hull)
-    assert not in_hull_2d((-0.1, 0.2), hull)
 
 
 # -- SSL --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dynamo.cli import (
     validate_config,
 )
 from dynamo import cli, dynamics
+from dynamo import tasks as tasks_module
 from dynamo import trainer as trainer_module
 from dynamo.atlas import fit_pca, grid_accuracies
 from dynamo.models import init_base_model
@@ -285,8 +286,8 @@ def _model_fields(model) -> dict:
 def test_base_checkpoint_round_trip(tmp_path):
     model = init_base_model("gru", 12, 4, 5, 2, 0, seed=1,
                             info={"model_id": "base_000", "task": "valence"})
-    from dynamo.cli import save_base_checkpoint
-    save_base_checkpoint(tmp_path / "base_000", model)
+    from dynamo.cli import base_checkpoint
+    save_checkpoint(tmp_path / "base_000", *base_checkpoint(model))
     back = load_base_checkpoint(tmp_path / "base_000")
     assert _model_fields(back) == _model_fields(model)
     assert back.cell_kind == "gru" and back.info["model_id"] == "base_000"
@@ -529,12 +530,17 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("fixed_points", "samples_per_seq"), 0, _SCORE_MAP),
     (("analysis", "extent_scale"), 0, ("analyze",)),
     (("fixed_points", "tol"), 0, ("gen-data",)),  # every command checks the whole config
+    # trained exactly as 1.0 but was labelled 2.0
+    (("population", 0, "train_fraction"), 2.0, ("train-base",)),
+    # switched deduplication off
+    (("fixed_points", "dedup_radius"), -0.01, ("fixed-points", "--theta", "base_000")),
 ], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
         "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
         "batch_sequences", "theta_nan", "variance_threshold_zero",
         "variance_threshold_past_one", "ssl_lr_negative", "ssl_lr_zero", "candidates",
-        "samples_per_seq", "extent_scale", "tol"])
+        "samples_per_seq", "extent_scale", "tol", "train_fraction_past_one",
+        "dedup_radius_negative"])
 def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
     cfg = json.loads(pipeline[0].read_text())
     if keys:
@@ -938,6 +944,38 @@ def test_unwritable_output_is_io_error(pipeline, tmp_path, capsys, block):
     assert _run(*argv, "--config", str(path), "--out", str(target)) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,outputs", [
+    (("train-meta",), ("meta.*", "meta_loss.csv")),
+    (("analyze", "--svcca"), ("atlas.csv", "spectrum.csv", "landscape.csv", "svcca_mds.csv",
+                              "analysis_summary.json")),
+    (("ssl",), ("ssl_trajectory.csv", "ssl_result.json")),
+    (_SCORE_MAP, ("score_map_base_000.csv", "fixed_points_base_000.csv",
+                  "fixed_points_base_000.json")),
+], ids=["train_meta", "analyze_svcca", "ssl", "score_map"])
+def test_failed_output_write_leaves_the_run_directory_as_it_was(
+        pipeline, tmp_path, capsys, monkeypatch, argv, outputs):
+    # the command's last payload cannot be written, so none of its outputs lands
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run, ignore=shutil.ignore_patterns(*outputs))
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in run.rglob("*")}
+    before = tree()
+    for name in ("write_csv", "write_json"):
+        def failing(target, *args, write=getattr(tasks_module, name)):
+            if target.name == outputs[-1]:
+                raise OSError(f"cannot write {target.name}")
+            write(target, *args)
+        monkeypatch.setattr(tasks_module, name, failing)
+    capsys.readouterr()
+    assert _run(*argv, "--config", str(path), "--out", str(run)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+    assert not list(run.glob(".staging-*"))
+    assert tree() == before
 
 
 def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):

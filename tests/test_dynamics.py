@@ -11,8 +11,8 @@ from dynamo.dynamics import (
     FixedPointSet,
     _q_and_grad,
     collect_candidates,
-    export_fixed_points_csv,
     find_fixed_points,
+    fixed_points_table,
     neutral_fixed_point,
     readout_margin,
     score_map,
@@ -20,7 +20,7 @@ from dynamo.dynamics import (
     summarize_attractor,
     word_score,
 )
-from dynamo.atlas import export_grid_csv, plane_grid
+from dynamo.atlas import grid_table, plane_grid
 from dynamo.models import (
     CELL_PARAMS,
     cell_step,
@@ -31,6 +31,7 @@ from dynamo.models import (
     project_inputs,
 )
 from dynamo.numgrad import Graph, NumericError
+from dynamo.tasks import write_csv
 
 
 def _contraction_meta(seed=0, hidden=4):
@@ -364,7 +365,7 @@ def test_score_map_missing_marker_round_trips(tmp_path):
     assert list(grid.values) == ["score"]
     assert np.all(np.isnan(grid.values["score"]))
     path = tmp_path / "scores.csv"
-    export_grid_csv(grid, path, comment="config_hash=z")
+    write_csv(path, *grid_table(grid), comment="config_hash=z")
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# config_hash=z", "u,v,theta_0,theta_1,score"]
     assert len(lines) == 2 + 4
@@ -380,8 +381,7 @@ def test_export_fixed_points_csv(tmp_path):
     fps = find_fixed_points(meta, np.zeros(2), cands, tol=1e-5, max_steps=5000,
                             dedup_radius=1e-2)
     path = tmp_path / "fps.csv"
-    export_fixed_points_csv(fps, meta, path, comment="config_hash=w",
-                            task_group=0)
+    write_csv(path, *fixed_points_table(fps, meta, task_group=0), comment="config_hash=w")
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=w"
     assert lines[1] == "index,residual,margin"  # one point spans no direction
@@ -389,7 +389,7 @@ def test_export_fixed_points_csv(tmp_path):
     # three points span at most two directions: no pc_2 column of rounding noise
     pts = np.random.default_rng(1).standard_normal((3, 4))
     three = FixedPointSet(pts, np.zeros(3), np.zeros(3, int))
-    export_fixed_points_csv(three, meta, path, task_group=0)
+    write_csv(path, *fixed_points_table(three, meta, task_group=0))
     lines = path.read_text().splitlines()
     assert lines[0] == "index,residual,pc_0,pc_1,margin"
     assert len(lines) == 1 + 3

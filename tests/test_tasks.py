@@ -10,7 +10,6 @@ from dynamo.tasks import (
     bag_of_tokens,
     gen_topic_task,
     gen_valence_task,
-    integrator_accuracy,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -138,14 +137,6 @@ def test_base_train_subfraction_floor_rule():
     assert len(sub) == 12  # floor(0.25 * 50)
     assert sub == ds.indices("base_train")[:12]
     assert ds.base_train_subset(1.0) == ds.indices("base_train")
-
-
-def test_integrator_solves_valence_task():
-    spec = _valence_spec(noise_rate=0.05, num_sequences=2000, seed=2)
-    ds = gen_valence_task(spec)
-    split_dataset(ds, (0.4, 0.4, 0.01), seed=5)
-    acc = integrator_accuracy(ds, ds.indices("test"))
-    assert acc >= 1.0 - spec.noise_rate - 0.02
 
 
 def test_round_trip_serialization(tmp_path):

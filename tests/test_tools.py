@@ -34,6 +34,17 @@ def test_rundiff_lists_every_file_that_is_not_identical(tmp_path):
     assert rundiff.differing(a, a) == []
 
 
+def test_rundiff_lists_a_directory_on_one_side_only(tmp_path):
+    # a staging directory left empty by a failed write is a difference
+    rundiff = _rundiff()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "base").mkdir(parents=True)
+        (root / "base" / "x.bin").write_bytes(b"\x00")
+    (b / ".staging-x").mkdir()
+    assert rundiff.differing(a, b) == [".staging-x (only in the second tree)"]
+
+
 def test_rundiff_reports_how_large_each_difference_is(tmp_path):
     rundiff = _rundiff()
     a, b = tmp_path / "a", tmp_path / "b"

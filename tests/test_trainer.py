@@ -27,7 +27,6 @@ from dynamo.trainer import (
     Optimizer,
     TrainConfig,
     TrainerError,
-    conjugacy_defect,
     init_meta_state,
     lr_multiplier,
     model_accuracy,
@@ -672,49 +671,6 @@ def test_stacked_task_loss_graph_passes_grad_check(kind):
     g.forward(bindings)
     assert {k: v.shape for k, v in g.backward().items()} == {k: v.shape
                                                              for k, v in leaves.items()}
-
-
-# -- conjugacy diagnostic ---------------------------------------------------------
-
-
-def _signed_permutation(rng, n):
-    p = np.zeros((n, n))
-    cols = rng.permutation(n)
-    signs = rng.choice([-1.0, 1.0], size=n)
-    for r in range(n):
-        p[r, cols[r]] = signs[r]
-    return p
-
-
-def test_conjugacy_zero_for_constructed_linear_pair():
-    rng = np.random.default_rng(12)
-    H, I, d = 5, 3, 2
-    base = init_base_model("vanilla_rnn", 10, I, H, 2, 0, seed=1)
-    meta = init_meta_model("vanilla_rnn", 10, I, H, d, {0: 2}, seed=2)
-    P = _signed_permutation(rng, H)
-    meta.params["embed"] = base.params["embed"].copy()
-    wx = np.zeros((d + I, H))
-    wx[d:] = base.params["w_x"] @ P.T
-    meta.params["w_x"] = wx
-    meta.params["w_h"] = P @ base.params["w_h"] @ P.T
-    meta.params["b"] = base.params["b"] @ P.T
-    vmap = {"w0": P, "b0": np.zeros(H)}
-    seqs = [[1, 4, 2, 7], [3, 3, 9]]
-    stats = conjugacy_defect(meta, base, vmap, np.zeros(d), seqs)
-    assert stats["max"] < 1e-10
-
-
-def test_conjugacy_zero_map_collapse_statistics():
-    base = init_base_model("gru", 10, 3, 4, 2, 0, seed=3)
-    meta = init_meta_model("gru", 10, 3, 6, 2, {0: 2}, seed=4)
-    vmap = {"w0": np.zeros((6, 4)), "b0": np.zeros(4)}
-    seqs = [[1, 2, 3]]
-    stats = conjugacy_defect(meta, base, vmap, np.zeros(2), seqs)
-    emb = base.params["embed"][np.array(seqs[0])]
-    wants = [np.linalg.norm(models.cell_step(base, emb[t], np.zeros(4)))
-             for t in range(3)]
-    assert stats["max"] == pytest.approx(max(wants))
-    assert stats["mean"] == pytest.approx(np.mean(wants))
 
 
 # -- misc -------------------------------------------------------------------------

@@ -12,9 +12,10 @@ base_000,base_001` and, on recurrent populations, `fixed-points --theta
 base_000 --score-map`. Every stage runs in a fresh Python process with only
 its tree's `src` on `PYTHONPATH`.
 
-Prints, per seed and workload, each file that differs or exists on one side
-only; then each tree's line count of `src/dynamo` without `__init__.py` (the
-size measure of ROADMAP aim 2) and how many files differ under each seed. A
+Prints, per seed and workload, each file that differs and each file or
+directory (an empty one too) that exists on one side only; then each tree's
+line count of `src/dynamo` without `__init__.py` (the size measure of
+ROADMAP aim 2) and how many files differ under each seed. A
 differing CSV (its `#` lines skipped) or JSON file also gets the largest
 |a - b| / max(1, |a|) over its numeric cells, or "non-numeric" when a text
 cell or the shape differs, so a change that only reorders floating-point
@@ -115,13 +116,14 @@ def largest_difference(a: Path, b: Path) -> float | None:
 
 
 def differing(a: Path, b: Path) -> list[str]:
-    """Paths under `a` and `b` that are not byte-identical on both sides; a
-    CSV or JSON file's line names its largest relative difference."""
-    left, right = files(a), files(b)
+    """Paths under `a` and `b` that are not byte-identical on both sides, or
+    that exist on one side only, directories too; a CSV or JSON file's line
+    names its largest relative difference."""
+    left, right = ({p.relative_to(root) for p in root.rglob("*")} for root in (a, b))
     out = [f"{p} (only in the first tree)" for p in sorted(left - right)]
     out += [f"{p} (only in the second tree)" for p in sorted(right - left)]
     for p in sorted(left & right):
-        if filecmp.cmp(a / p, b / p, shallow=False):
+        if (a / p).is_dir() and (b / p).is_dir() or filecmp.cmp(a / p, b / p, shallow=False):
             continue
         if p.suffix in (".csv", ".json"):
             d = largest_difference(a / p, b / p)
