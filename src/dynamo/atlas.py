@@ -199,7 +199,7 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     gradient is taken from the forward pass that accepted the current theta,
     which the graph still holds unless the last trial was refused at the
     step-size floor. Over `steps` steps with `b` halvings that makes
-    steps + 1 + b forward passes, plus one per refused step.
+    steps + 1 + b forward passes, plus one per step after a refused one.
 
     Returns (theta_final, thetas (steps+1, d), losses (steps+1,)).
     """

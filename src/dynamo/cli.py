@@ -31,9 +31,10 @@ is handed into a staging directory there, and only then renames each file into
 place. Each command hands it all its outputs at once, but gen-data hands each
 task's dataset, and train-base each population entry's checkpoints (its models
 train in lockstep) and then `base/metrics.csv`. So a command that refuses its
-run (exit 2), diverges (exit 4) or cannot write an output (exit 3) leaves the
-run directory as it was, apart from the datasets or entries written earlier.
-A failure while renaming can leave the files renamed before it.
+run (exit 2), diverges (exit 4) or cannot write an output (exit 3, also when a
+directory or file is in an output path's way) leaves the run directory as it
+was, apart from the datasets or entries written earlier. A rename that fails
+for another reason, such as a full disk, can leave the files renamed before it.
 """
 from __future__ import annotations
 
@@ -473,8 +474,12 @@ class Run(NamedTuple):
                     tasks_mod.write_json(path, payload)
                 else:
                     save_checkpoint(path, *payload)
-            for staged in sorted(p for p in staging.rglob("*") if p.is_file()):
-                target = self.out / staged.relative_to(staging)
+            moves = {p: self.out / p.relative_to(staging)
+                     for p in sorted(staging.rglob("*")) if p.is_file()}
+            for target in moves.values():
+                if target.is_dir() or any(d.is_file() for d in target.parents):
+                    raise IOFailure(f"cannot write {target}: a directory or file is in the way")
+            for staged, target in moves.items():
                 target.parent.mkdir(parents=True, exist_ok=True)
                 os.replace(staged, target)
         finally:
@@ -715,7 +720,7 @@ def cmd_fixed_points(args) -> int:
     task_name = run.cfg["ssl"]["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
-    if args.score_map and not ds.valence:
+    if args.score_map and ds.valence is None:
         raise ConfigError(f"--score-map scores token valences; ssl.task {task_name!r} "
                           "has none")
     label, theta = _resolve_theta(args.theta, state, run.mf)
@@ -739,14 +744,10 @@ def cmd_fixed_points(args) -> int:
                        "margin_spearman": rho})
     outputs = {}
     if args.score_map:
-        vals = ds.token_values()
-        sets = ([t for t in range(ds.vocab_size) if vals[t] > 0],
-                [t for t in range(ds.vocab_size) if vals[t] < 0],
-                [t for t in range(ds.vocab_size) if vals[t] == 0])
         gsz = fp["score_grid"]
         plane = atlas_mod.plane_grid(state.embeddings[run.task_rows(task_name)], (gsz, gsz),
                                      run.cfg["analysis"]["extent_scale"])
-        grid = dyn.score_map(state.meta, group, plane, seqs[:16], sets,
+        grid = dyn.score_map(state.meta, group, plane, seqs[:16], ds.valence,
                              samples_per_seq=fp["samples_per_seq"], tol=fp["tol"],
                              max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))

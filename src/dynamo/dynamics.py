@@ -13,11 +13,11 @@ projected once per descent (`models.project_inputs`); each iteration is then
 one state-only cell step and one step VJP (`numgrad.CELLS`/`CELL_VJPS`) at
 the trial states, with no graph: they give q for the acceptance test and the
 next gradient of every accepted row, while a rejected row keeps the gradient
-of its unchanged state. The same independence lets `score_map` descend the
-candidates of every grid node in one batch, each row conditioned on its own
-node's embedding, and then check residuals and deduplicate node by node. The
-map is the `score` column of an `atlas.PlaneGrid`, tabled by `atlas.grid_table`
-as the fixed points are by `fixed_points_table`.
+of its unchanged state. So `fixed_point_sets`, the one batched entry, descends
+the candidates of many embeddings together, each row under its own embedding,
+and retains and deduplicates per embedding; `find_fixed_points` is its
+one-embedding case and `score_map` its grid. The map is the `score` column of
+an `atlas.PlaneGrid`, tabled by `atlas.grid_table` as is `fixed_points_table`.
 """
 from __future__ import annotations
 
@@ -118,18 +118,29 @@ def _q_and_grad(kind: str, xp: np.ndarray, state: tuple,
     return q, grad
 
 
-def find_fixed_points(model, theta, candidates: np.ndarray, tol: float,
-                      max_steps: int, dedup_radius: float) -> FixedPointSet:
-    """Descend q(h) from each candidate; retain points with re-evaluated
-    residual <= tol; deduplicate greedily keeping the lowest residual in
-    each ball of `dedup_radius`."""
+def fixed_point_sets(model, thetas, candidates, tol: float, max_steps: int,
+                     dedup_radius: float) -> list[FixedPointSet]:
+    """The fixed points at each embedding of `thetas`, descended in one batch
+    from its own (N_k, H) block of `candidates` under [theta; 0]. Per
+    embedding, points with re-evaluated residual <= tol are retained and
+    deduplicated greedily, keeping the lowest residual in each ball of
+    `dedup_radius`: each set is the one its candidates give alone."""
     if tol <= 0:
         raise DynamicsError("tol must be positive")
     _require_recurrent(model)
-    candidates = np.atleast_2d(np.asarray(candidates, float))
-    u_rows = np.tile(_cell_input(model, theta), (len(candidates), 1))
-    h, steps_used = _descend(model, u_rows, candidates, tol, max_steps)
-    return _retain(model, u_rows, h, steps_used, tol, dedup_radius)
+    cands = [np.atleast_2d(np.asarray(c, float)) for c in candidates]
+    u_rows = np.concatenate([np.tile(_cell_input(model, theta), (len(c), 1))
+                             for theta, c in zip(thetas, cands)])
+    h, steps_used = _descend(model, u_rows, np.concatenate(cands), tol, max_steps)
+    bounds = np.cumsum([len(c) for c in cands])[:-1]
+    return [_retain(model, *rows, tol, dedup_radius)
+            for rows in zip(*(np.split(a, bounds) for a in (u_rows, h, steps_used)))]
+
+
+def find_fixed_points(model, theta, candidates: np.ndarray, tol: float,
+                      max_steps: int, dedup_radius: float) -> FixedPointSet:
+    """`fixed_point_sets` at one embedding (None for a base model)."""
+    return fixed_point_sets(model, [theta], [candidates], tol, max_steps, dedup_radius)[0]
 
 
 def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
@@ -222,61 +233,50 @@ def neutral_fixed_point(fps: FixedPointSet, model,
 
 
 def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
-               w_pos: list[int], w_neg: list[int], w_neu: list[int],
-               task_group: int) -> float:
-    """Sum of one-step readout margins from h* over the positive set, minus
-    the negative set, minus absolute margins over the neutral set."""
+               valence: np.ndarray, task_group: int) -> float:
+    """Sum of one-step readout margins from h* over the tokens of positive
+    `valence` (one sign per vocabulary token), minus the negative ones, minus
+    absolute margins over the neutral (zero) ones."""
     if meta.head_dims[task_group] != 2:
         raise DynamicsError("word scores need a binary readout head")
+    valence = np.asarray(valence)
+    if valence.shape != (meta.vocab_size,):
+        raise DynamicsError("valence needs one sign per vocabulary token")
     theta = np.asarray(theta, float)
 
-    def margins(tokens):
-        if not tokens:
+    def margins(toks):
+        if not len(toks):
             return np.zeros(0)
-        toks = np.asarray(tokens)
-        if toks.min() < 0 or toks.max() >= meta.vocab_size:
-            raise DynamicsError("token out of vocabulary")
         emb = meta.params["embed"][toks]
         x = np.concatenate([np.broadcast_to(theta, (len(toks), len(theta))), emb],
                            axis=1)
         h = cell_step(meta, x, np.broadcast_to(h_star, (len(toks), len(h_star))))
         return readout_margin(_head_logits(meta, h, task_group))
 
-    return float(margins(w_pos).sum() - margins(w_neg).sum()
-                 - np.abs(margins(w_neu)).sum())
+    pos, neg, neu = (np.flatnonzero(m) for m in (valence > 0, valence < 0, valence == 0))
+    return float(margins(pos).sum() - margins(neg).sum() - np.abs(margins(neu)).sum())
 
 
 def score_map(meta: MetaModel, task_group: int, plane: atlas_mod.PlaneGrid,
-              sequences: list[list[int]], token_sets: tuple[list, list, list],
+              sequences: list[list[int]], valence: np.ndarray,
               samples_per_seq: int, tol: float, max_steps: int, dedup_radius: float,
               seed: int) -> atlas_mod.PlaneGrid:
     """Fill the `score` column of `plane` (`atlas.plane_grid`) with the word
     score of each node, and return `plane`: per node, find fixed points of
     the node's conditioned map, take the neutral one, and score one-step
-    transitions. Nodes where no fixed point survives are marked NaN.
-
-    The candidates of every node descend together in one batch, each row
-    under its own node's embedding; the residual check and dedup then run
-    per node, so each node gets the points `find_fixed_points` would give."""
-    if tol <= 0:
-        raise DynamicsError("tol must be positive")
-    w_pos, w_neg, w_neu = token_sets
+    transitions under `valence`. Nodes where no fixed point survives are
+    marked NaN. Every node's candidates descend in one `fixed_point_sets`
+    batch."""
     thetas = plane.thetas
     cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
                                 task_group=task_group, seed=seed) for theta in thetas]
-    u_rows = np.concatenate([np.tile(_cell_input(meta, theta), (len(c), 1))
-                             for theta, c in zip(thetas, cands)])
-    h, steps_used = _descend(meta, u_rows, np.concatenate(cands), tol, max_steps)
+    sets = fixed_point_sets(meta, thetas, cands, tol, max_steps, dedup_radius)
     scores = np.full((len(plane.us), len(plane.vs)), np.nan)
-    bounds = np.cumsum([len(c) for c in cands])[:-1]
-    nodes = zip(thetas, *(np.split(a, bounds) for a in (u_rows, h, steps_used)))
-    for k, (theta, u_k, h_k, steps_k) in enumerate(nodes):
-        fps = _retain(meta, u_k, h_k, steps_k, tol, dedup_radius)
-        if len(fps) == 0:
-            continue
-        h_star = neutral_fixed_point(fps, meta, task_group)
-        scores[divmod(k, len(plane.vs))] = word_score(meta, theta, h_star, w_pos, w_neg,
-                                                w_neu, task_group)
+    for k, (theta, fps) in enumerate(zip(thetas, sets)):
+        if len(fps):
+            h_star = neutral_fixed_point(fps, meta, task_group)
+            scores[divmod(k, len(plane.vs))] = word_score(meta, theta, h_star, valence,
+                                                          task_group)
     plane.values["score"] = scores
     return plane
 

@@ -83,10 +83,6 @@ def residual_block_step(block_params: dict, features: np.ndarray,
     return np.maximum(features + z @ block_params["a2"] + block_params["b2"], 0.0)
 
 
-def apply_state_map(vmap: dict[str, np.ndarray], h_meta: np.ndarray) -> np.ndarray:
-    return h_meta @ vmap["w0"] + vmap["b0"]
-
-
 def project_inputs(model, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The recurrent cell's input share of the rows `x` (G, n, H), projected
     as the `recurrence` node projects them, and its state weights."""

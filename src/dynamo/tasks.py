@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 SPLIT_TAGS = ("base_train", "meta_unlabeled", "ssl_labeled", "test")
-VALENCE_SIGNS = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}
+VALENCE_SIGNS = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}  # the manifest's tags
+_VALENCE_TAGS = {sign: tag for tag, sign in VALENCE_SIGNS.items()}
 
 
 class TaskError(Exception):
@@ -59,7 +60,9 @@ class SequenceDataset:
     sequences: list[list[int]]
     labels: list[int]
     splits: dict[str, list[int]] = field(default_factory=dict)
-    valence: dict[int, str] | None = None  # token -> positive/negative/neutral
+    # one sign per token id, +1 positive, -1 negative, 0 neutral; None for a
+    # task without valences
+    valence: np.ndarray | None = None
     seed: int = 0
 
     def __len__(self) -> int:
@@ -83,14 +86,6 @@ class SequenceDataset:
         pool = self.indices("base_train")
         return pool[:share(fraction, len(pool))]
 
-    def token_values(self) -> np.ndarray:
-        """Signed valence per token id (+1/-1/0); zeros if not a valence task."""
-        vals = np.zeros(self.vocab_size)
-        if self.valence:
-            for tok, tag in self.valence.items():
-                vals[tok] = VALENCE_SIGNS[tag]
-        return vals
-
 
 def _draw_lengths(rng, spec):
     return int(rng.integers(spec.t_min, spec.t_max + 1))
@@ -108,8 +103,6 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     values = np.zeros(spec.vocab_size)
     values[:third] = 1.0
     values[third:2 * third] = -1.0
-    valence = {t: ("positive" if values[t] > 0 else "negative" if values[t] < 0
-                   else "neutral") for t in range(spec.vocab_size)}
     sequences, labels = [], []
     for _ in range(spec.num_sequences):
         while True:
@@ -124,7 +117,7 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     for i in rng.permutation(spec.num_sequences)[:n_flip]:
         labels[i] = 1 - labels[i]
     return SequenceDataset("valence_sentiment", spec.vocab_size, 2, sequences,
-                           labels, valence=valence, seed=spec.seed)
+                           labels, valence=values, seed=spec.seed)
 
 
 def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
@@ -242,7 +235,8 @@ def write_json(path, obj) -> None:
 
 def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
     """Write `<path>.txt` (label<TAB>comma-separated token ids per line) and
-    `<path>.json` (manifest with vocab, classes, valence map, splits, seed)."""
+    `<path>.json` (manifest with vocab, classes, splits, seed and the valence
+    signs as a token -> positive/negative/neutral map)."""
     path = Path(path)
     lines = [f"{lab}\t{','.join(str(t) for t in seq)}\n"
              for lab, seq in zip(ds.labels, ds.sequences)]
@@ -252,7 +246,8 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
         "vocab_size": ds.vocab_size,
         "num_classes": ds.num_classes,
         "seed": ds.seed,
-        "valence": {str(k): v for k, v in ds.valence.items()} if ds.valence else None,
+        "valence": None if ds.valence is None else {
+            str(tok): _VALENCE_TAGS[sign] for tok, sign in enumerate(ds.valence)},
         "splits": ds.splits,
     }
     write_json(path.with_suffix(".json"), manifest)
@@ -267,7 +262,7 @@ def load_dataset(path: str | Path) -> SequenceDataset:
         manifest = json.loads(path.with_suffix(".json").read_text())
         body = path.with_suffix(".txt").read_text()
         lines = [line.split("\t") for line in body.splitlines()]
-        valence = manifest.get("valence")
+        valence = [(int(k), v) for k, v in (manifest.get("valence") or {}).items()]
         ds = SequenceDataset(
             kind=manifest["kind"],
             vocab_size=manifest["vocab_size"],
@@ -275,7 +270,6 @@ def load_dataset(path: str | Path) -> SequenceDataset:
             sequences=[[int(t) for t in toks.split(",")] for _, toks in lines],
             labels=[int(lab) for lab, _ in lines],
             splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
-            valence={int(k): v for k, v in valence.items()} if valence else None,
             seed=manifest["seed"],
         )
         in_range = (all(0 <= min(s) and max(s) < ds.vocab_size for s in ds.sequences)
@@ -283,7 +277,11 @@ def load_dataset(path: str | Path) -> SequenceDataset:
                     and all(type(i) is int and 0 <= i < len(ds)
                             for idxs in ds.splits.values() for i in idxs)
                     and all(0 <= tok < ds.vocab_size and tag in VALENCE_SIGNS
-                            for tok, tag in (ds.valence or {}).items()))
+                            for tok, tag in valence))
+        if in_range and valence:  # a token the map leaves out is neutral
+            ds.valence = np.zeros(ds.vocab_size)
+            for tok, tag in valence:
+                ds.valence[tok] = VALENCE_SIGNS[tag]
     except OSError as e:
         raise TaskError(f"cannot read dataset {path}: {e}") from e
     except (ValueError, KeyError, TypeError, AttributeError) as e:

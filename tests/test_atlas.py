@@ -18,6 +18,7 @@ from dynamo.atlas import (
 )
 from dynamo import atlas
 from dynamo.models import init_base_model, init_meta_model
+from dynamo.numgrad import Graph
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset, write_csv
 
 
@@ -226,6 +227,31 @@ def test_ssl_runs_one_forward_per_trial_point(pass_counts):
     assert len(pass_counts["forward"]) == steps + 1 + backoffs
     assert pass_counts["backward"] == steps
     assert losses[-1] == cur
+
+
+def test_ssl_refused_step_keeps_theta_and_reforwards(monkeypatch, pass_counts):
+    # a real meta model's loss saturates rather than refusing a step, so the
+    # labeled loss is replaced by sum |theta - c|, c just past two lr-steps
+    # from 0: steps 1 and 2 land on 0.5, then every trial overshoots the kink
+    # down to the step-size floor and is refused, and so is every later step
+    c = 0.5 + 1e-12
+
+    def kinked(*args):
+        g = Graph()
+        g.output(g.l1(g.sub(g.leaf("theta", (1, 2)), g.const(np.full((1, 2), c)))))
+        return g, {}
+    monkeypatch.setattr(atlas, "task_batch", kinked)
+    steps, lr = 5, 0.25
+    theta, thetas, losses = ssl_optimize(_tiny_meta(), 0, _tiny_ds(), steps=steps, lr=lr)
+    assert np.array_equal(thetas[2], [0.5, 0.5])
+    assert np.array_equal(theta, thetas[2]) and (thetas[2:] == theta).all()
+    assert np.all(np.diff(losses) <= 0)
+    # the first refused step halves from lr to its floor, lr * 1e-9; each
+    # step after a refused one re-forwards at theta first
+    halvings = int(np.ceil(np.log2(1e9)))
+    after_refused = steps - 3
+    assert len(pass_counts["forward"]) == steps + 1 + halvings + after_refused
+    assert pass_counts["backward"] == steps
 
 
 def test_ssl_empty_split_errors():

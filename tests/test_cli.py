@@ -750,6 +750,25 @@ def test_analyze_scores_no_silhouette_of_singletons(tmp_path, counts, scored):
     assert ("silhouette_cell_kind" in summary) == scored
 
 
+@pytest.mark.parametrize("count,scored", [(1, False), (2, True)])
+def test_analyze_svcca_scores_train_fraction_clusters(tmp_path, count, scored):
+    # two train_fraction values: the SVCCA+MDS coordinates get a silhouette
+    # only when each value has two bases
+    cfg = _mini_config()
+    gru = cfg["population"][0]
+    cfg["population"] = [dict(gru, count=count),
+                         dict(gru, count=count, train_fraction=0.5)]
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-base", "train-meta", ("analyze", "--svcca")):
+        argv = (stage,) if isinstance(stage, str) else stage
+        assert _run(*argv, "--config", str(path), "--out", str(out)) == 0, stage
+    summary = json.loads((out / "analysis_summary.json").read_text())
+    assert ("silhouette_svcca_mds" in summary) == scored
+    if scored:
+        assert -1.0 <= summary["silhouette_svcca_mds"] <= 1.0
+
+
 def test_diverging_base_entry_is_numeric_failure_and_saves_none_of_its_bases(tmp_path,
                                                                               capsys):
     # the second entry's step leaves float32: it writes no checkpoint, while
@@ -972,6 +991,41 @@ def test_failed_output_write_leaves_the_run_directory_as_it_was(
         monkeypatch.setattr(tasks_module, name, failing)
     capsys.readouterr()
     assert _run(*argv, "--config", str(path), "--out", str(run)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+    assert not list(run.glob(".staging-*"))
+    assert tree() == before
+
+
+def _directory_in_place_of_landscape_csv(run, monkeypatch):
+    run.joinpath("landscape.csv").unlink(missing_ok=True)  # an earlier analyze's
+    run.joinpath("landscape.csv").mkdir()
+
+
+def _file_in_place_of_an_output_directory(run, monkeypatch):
+    # no command writes a top-level file and a nested one in one call, so
+    # analyze's outputs gain a nested one, which sorts after all of them
+    write = cli.Run.write
+    monkeypatch.setattr(cli.Run, "write",
+                        lambda self, outputs: write(self, {**outputs, "sub/extra.json": {}}))
+    run.joinpath("sub").write_text("a file where a directory goes")
+
+
+@pytest.mark.parametrize("block", [_directory_in_place_of_landscape_csv,
+                                   _file_in_place_of_an_output_directory])
+def test_blocked_output_path_is_refused_before_any_rename(pipeline, tmp_path, capsys,
+                                                          monkeypatch, block):
+    # the outputs that sort before the blocked path must not land either
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    block(run, monkeypatch)
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in run.rglob("*")}
+    before = tree()
+    capsys.readouterr()
+    assert _run("analyze", "--config", str(path), "--out", str(run)) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "Traceback" not in err
     assert not list(run.glob(".staging-*"))

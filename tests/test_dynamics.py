@@ -217,46 +217,75 @@ def test_neutral_fixed_point_selection_and_ties():
                                           np.zeros(0, int)), meta, 0)
 
 
+def _signs(vocab, pos=(), neg=()):
+    """A valence vector: +1 at `pos`, -1 at `neg`, every other token neutral."""
+    valence = np.zeros(vocab)
+    valence[list(pos)], valence[list(neg)] = 1.0, -1.0
+    return valence
+
+
+def _one_step_margins(meta, theta, h_star):
+    """Every token's one-step readout margin from h_star, by hand."""
+    n = meta.vocab_size
+    x = np.concatenate([np.tile(theta, (n, 1)), meta.params["embed"]], axis=1)
+    h = cell_step(meta, x, np.tile(h_star, (n, 1)))
+    logits = h @ meta.params["head0_w"] + meta.params["head0_b"]
+    return logits[:, 1] - logits[:, 0]
+
+
 def test_word_score_trivial_cases():
     meta = _contraction_meta()  # zero head -> all margins zero
     h_star = np.zeros(4)
-    assert word_score(meta, np.zeros(2), h_star, [0, 1], [2, 3], [6, 7], 0) == 0.0
+    assert word_score(meta, np.zeros(2), h_star, _signs(8, [0, 1], [2, 3]), 0) == 0.0
 
     meta2 = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=2)
-    s = word_score(meta2, np.zeros(2), np.zeros(4), [1], [], [], 0)
-    # one positive token: score equals that token's one-step margin
-    emb = meta2.params["embed"][np.array([1])]
-    x = np.concatenate([np.zeros((1, 2)), emb], axis=1)
-    h = cell_step(meta2, x, np.zeros((1, 4)))
-    margin = float((h @ meta2.params["head0_w"] + meta2.params["head0_b"])[0, 1]
-                   - (h @ meta2.params["head0_w"] + meta2.params["head0_b"])[0, 0])
-    assert s == pytest.approx(margin)
+    s = word_score(meta2, np.zeros(2), np.zeros(4), _signs(8, [1]), 0)
+    # one positive token: its one-step margin, less the absolute margins of
+    # the seven neutral ones
+    margins = _one_step_margins(meta2, np.zeros(2), np.zeros(4))
+    assert s == pytest.approx(margins[1] - np.abs(np.delete(margins, 1)).sum())
 
 
 def test_word_score_additivity_over_disjoint_sets():
     meta = init_meta_model("gru", 12, 3, 4, 2, {0: 2}, seed=3)
     h_star = np.random.default_rng(0).standard_normal(4)
     th = np.array([0.1, -0.2])
-    a = word_score(meta, th, h_star, [0, 1], [], [], 0)
-    b = word_score(meta, th, h_star, [2], [], [], 0)
-    ab = word_score(meta, th, h_star, [0, 1, 2], [], [], 0)
+
+    def score(pos=(), neg=()):
+        return word_score(meta, th, h_star, _signs(12, pos, neg), 0)
+
+    # measured from the all-neutral score, the terms of disjoint sets add up
+    base = score()
+    a = score([0, 1]) - base
+    b = score([2]) - base
+    ab = score([0, 1, 2]) - base
     assert ab == pytest.approx(a + b)
-    neg = word_score(meta, th, h_star, [], [0, 1], [], 0)
-    assert neg == pytest.approx(-a)
+    # a set counted negative instead of positive flips its margins' sign
+    margins = _one_step_margins(meta, th, h_star)
+    assert score([0, 1]) - score([], [0, 1]) == pytest.approx(2 * margins[:2].sum())
 
 
 def test_word_score_token_out_of_vocab():
+    # a valence vector longer than the vocabulary names a token past it
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=3)
     with pytest.raises(DynamicsError):
-        word_score(meta, np.zeros(2), np.zeros(4), [99], [], [], 0)
+        word_score(meta, np.zeros(2), np.zeros(4), _signs(100, [99]), 0)
+    with pytest.raises(DynamicsError):
+        word_score(meta, np.zeros(2), np.zeros(4), _signs(7, [1]), 0)
+
+
+def test_word_score_needs_a_binary_head():
+    meta = init_meta_model("gru", 8, 3, 4, 2, {0: 3}, seed=3)
+    with pytest.raises(DynamicsError):
+        word_score(meta, np.zeros(2), np.zeros(4), _signs(8, [1]), 0)
 
 
 def test_score_map_single_node_matches_direct_call(tmp_path):
     meta = _contraction_meta(seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
     seqs = [[1, 2, 3], [4, 5, 6]]
-    sets = ([0], [2], [6])
-    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
+    valence = _signs(8, [0], [2])
+    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, valence,
                      samples_per_seq=2, tol=1e-5, max_steps=5000,
                      dedup_radius=1e-2, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
@@ -264,10 +293,10 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     fps = find_fixed_points(meta, theta, cands, tol=1e-5, max_steps=5000,
                             dedup_radius=1e-2)
     h_star = neutral_fixed_point(fps, meta, 0)
-    want = word_score(meta, theta, h_star, [0], [2], [6], 0)
+    want = word_score(meta, theta, h_star, valence, 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
 
-    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, sets,
+    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, valence,
                       samples_per_seq=2, tol=1e-5, max_steps=5000,
                       dedup_radius=1e-2, seed=1)
     assert np.array_equal(grid.values["score"], grid2.values["score"])
@@ -279,9 +308,9 @@ def test_score_map_grid_matches_per_node_calls():
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=7)
     base_thetas = np.array([[0.6, 0.1], [-0.5, 0.2], [0.1, -0.7]])
     seqs = [[1, 2, 3, 4], [5, 6, 7], [2, 2, 0, 1, 3]]
-    sets = ([0, 1], [2], [6])
+    valence = _signs(8, [0, 1], [2])
     kw = dict(tol=1e-4, max_steps=60, dedup_radius=1e-3)
-    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3), 3.0), seqs, sets,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3), 3.0), seqs, valence,
                      samples_per_seq=2, seed=2, **kw)
     want = np.full((3, 3), np.nan)
     steps = set()
@@ -293,7 +322,7 @@ def test_score_map_grid_matches_per_node_calls():
             steps.update(fps.descent_steps.tolist())
             if len(fps):
                 h_star = neutral_fixed_point(fps, meta, 0)
-                want[i, j] = word_score(meta, theta, h_star, *sets, 0)
+                want[i, j] = word_score(meta, theta, h_star, valence, 0)
     assert len(steps) > 1  # the nodes converge after different step counts
     assert not np.isnan(want).all()
     assert grid.values["score"].tobytes() == want.tobytes()
@@ -360,7 +389,7 @@ def test_score_map_missing_marker_round_trips(tmp_path):
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
     grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2), 1.5), [[1, 2]],
-                     ([0], [2], [6]), samples_per_seq=1, tol=1e-15, max_steps=0,
+                     _signs(8, [0], [2]), samples_per_seq=1, tol=1e-15, max_steps=0,
                      dedup_radius=1e-2, seed=1)
     assert list(grid.values) == ["score"]
     assert np.all(np.isnan(grid.values["score"]))

@@ -7,7 +7,6 @@ from dynamo.models import (
     BaseModel,
     MetaModel,
     ModelError,
-    apply_state_map,
     cell_step,
     cell_step_graph,
     declare_params,
@@ -252,21 +251,6 @@ def test_residual_rollout_outputs_and_theta_zero_family():
     hs_b, outs_b = rollout(base, feats)
     assert np.array_equal(hs_m, hs_b)
     assert np.array_equal(outs_m[-1], outs_b[-1])
-
-
-def test_apply_state_map():
-    v = {"w0": np.eye(3), "b0": np.zeros(3)}
-    h = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(apply_state_map(v, h), h)
-
-    v0 = {"w0": np.zeros((3, 2)), "b0": np.zeros(2)}
-    assert np.allclose(apply_state_map(v0, h), 0.0)
-
-    rng = np.random.default_rng(8)
-    w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
-    v = {"w0": w, "b0": b}
-    hand = np.array([sum(h[a] * w[a, j] for a in range(3)) + b[j] for j in range(2)])
-    assert np.allclose(apply_state_map(v, h), hand, atol=1e-12)
 
 
 def test_init_state_map_shapes():

@@ -33,7 +33,8 @@ def _topic_spec(**kw):
 
 def test_valence_labels_match_token_values():
     ds = gen_valence_task(_valence_spec())
-    vals = ds.token_values()
+    vals = ds.valence
+    assert vals.shape == (ds.vocab_size,) and set(vals) == {1.0, -1.0, 0.0}
     for seq, lab in zip(ds.sequences, ds.labels):
         total = vals[np.array(seq)].sum()
         assert total != 0.0  # zero-sum sequences are regenerated
@@ -42,18 +43,23 @@ def test_valence_labels_match_token_values():
 
 def test_valence_all_positive_tokens_label_one():
     ds = gen_valence_task(_valence_spec())
-    vals = ds.token_values()
+    vals = ds.valence
     pos = [t for t in range(ds.vocab_size) if vals[t] > 0]
     # direct check of the labeling rule on a constructed sequence
     assert sum(vals[t] for t in pos[:3]) > 0
 
 
-def test_valence_noise_flips_exact_fraction():
-    clean = gen_valence_task(_valence_spec(noise_rate=0.0))
-    noisy = gen_valence_task(_valence_spec(noise_rate=0.1))
+@pytest.mark.parametrize("generate,spec", [(gen_valence_task, _valence_spec),
+                                           (gen_topic_task, _topic_spec)],
+                         ids=["valence", "topic"])
+def test_valence_noise_flips_exact_fraction(generate, spec):
+    clean = generate(spec(noise_rate=0.0))
+    noisy = generate(spec(noise_rate=0.1))
     assert clean.sequences == noisy.sequences
-    flipped = sum(a != b for a, b in zip(clean.labels, noisy.labels))
-    assert flipped == 20  # floor(0.1 * 200)
+    flipped = [(a, b) for a, b in zip(clean.labels, noisy.labels) if a != b]
+    assert len(flipped) == 20  # floor(0.1 * 200)
+    # a flipped label is another class of the task
+    assert all(0 <= b < clean.num_classes for _, b in flipped)
 
 
 def test_valence_determinism_byte_for_byte(tmp_path):
@@ -147,7 +153,7 @@ def test_round_trip_serialization(tmp_path):
     assert back.sequences == ds.sequences
     assert back.labels == ds.labels
     assert back.splits == ds.splits
-    assert back.valence == ds.valence
+    assert back.valence.tobytes() == ds.valence.tobytes()
     assert back.vocab_size == ds.vocab_size
     save_dataset(back, tmp_path / "ds2")
     assert (tmp_path / "ds.txt").read_bytes() == (tmp_path / "ds2.txt").read_bytes()

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib.util
 from pathlib import Path
 
+from dynamo import models
 from dynamo.cli import build_parser, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,12 +144,12 @@ def test_rundiff_summary_counts_each_trees_source_lines(tmp_path, monkeypatch, c
                           "seed 1: 0 files differ"]
 
 
-def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
-    peakmem = _tool("peakmem")
+def _tiny_workload(tool):
+    """atlas-dynamics cut down to a few seconds of every stage."""
     gru = {"cell_kind": "gru", "hidden_dim": 4, "input_dim": 4, "task": "valence",
            "count": 2, "task_group": 0}
-    tiny = dataclasses.replace(
-        peakmem.WORKLOADS["atlas-dynamics"], name="tiny", population=(gru,),
+    return dataclasses.replace(
+        tool.WORKLOADS["atlas-dynamics"], name="tiny", population=(gru,),
         num_sequences=60, base_training={"epochs": 1, "lr": 0.03, "batch_size": 8},
         meta={"cell_kind": "gru", "hidden_dim": 4, "input_dim": 4, "embed_dim": 2},
         meta_training={"max_steps": 3, "batch_size": 4, "lr": 0.003}, ssl_labeled=0.05,
@@ -155,6 +157,11 @@ def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
                "ssl": {"steps": 2},
                "fixed_points": {"max_steps": 20, "candidates": 8, "batch_sequences": 4,
                                 "score_grid": 2}})
+
+
+def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
+    peakmem = _tool("peakmem")
+    tiny = _tiny_workload(peakmem)
     monkeypatch.setattr(peakmem, "WORKLOADS", {"tiny": tiny})
     assert peakmem.main(["--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -162,3 +169,36 @@ def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     assert [row[0] for row in rows] == [stage[0] for stage in peakmem.stages(tiny)]
     assert all(float(row[1]) > 0 for row in rows)
+
+
+def _expand(ranges):
+    """The line numbers of a traffic range list such as "3-7, 12"."""
+    lines = []
+    for part in ranges.split(", "):
+        lo, _, hi = part.partition("-")
+        lines += range(int(lo), int(hi or lo) + 1)
+    return lines
+
+
+def test_traffic_lists_the_lines_no_stage_runs(monkeypatch, capsys):
+    traffic = _tool("traffic")
+    monkeypatch.setattr(traffic, "WORKLOADS", {"tiny": _tiny_workload(traffic)})
+    assert traffic.main(["--seed", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    module = out.index(next(line for line in out if line.startswith("models.py: ")))
+    listed = {}
+    for line in out[module + 1:]:
+        if not line.startswith("  "):
+            break
+        name, _, ranges = line.strip().partition(": ")
+        listed[name] = _expand(ranges)
+    # no stage calls rollout: its whole body after the docstring is listed
+    tree = ast.parse(Path(models.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    body = defs["rollout"].body[1:]
+    assert listed["rollout"] == list(range(body[0].lineno, body[-1].end_lineno + 1))
+    # every stage steps rollout_batch's recurrent loop
+    loop = next(node for node in ast.walk(defs["rollout_batch"])
+                if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(T)")
+    assert not set(listed.get("rollout_batch", ())) & set(range(loop.lineno,
+                                                               loop.end_lineno + 1))

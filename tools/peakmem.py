@@ -33,22 +33,34 @@ from dynamo import cli  # noqa: E402
 from rundiff import WORKLOADS, stages  # noqa: E402
 
 
+def write_config(config: dict, root: Path) -> Path:
+    path = root / "config.json"
+    path.write_text(json.dumps(config, indent=1))
+    return path
+
+
+def run_stage(stage: tuple[str, ...], path: Path, root: Path) -> None:
+    """Run one stage on the config at `path` into `root`/run through
+    `dynamo.cli.main`, its stdout discarded. Raises RuntimeError naming the
+    stage if it does not exit 0."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = cli.main([*stage, "--config", str(path), "--out", str(root / "run")])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(stage)} exited {code}")
+
+
 def stage_peaks(config: dict, argv: list[tuple[str, ...]], root: Path) -> dict[str, float]:
     """Run each stage of `argv` on `config` into `root`/run under tracemalloc
     and return each command's peak in MB above its start. Raises
     RuntimeError naming the first stage that does not exit 0."""
-    path = root / "config.json"
-    path.write_text(json.dumps(config, indent=1))
+    path = write_config(config, root)
     peaks = {}
     tracemalloc.start()
     try:
         for stage in argv:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                code = cli.main([*stage, "--config", str(path), "--out", str(root / "run")])
-            if code != 0:
-                raise RuntimeError(f"{' '.join(stage)} exited {code}")
+            run_stage(stage, path, root)
             peaks[stage[0]] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         tracemalloc.stop()
