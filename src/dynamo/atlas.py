@@ -197,9 +197,12 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
 
     A step costs one backward pass and one forward pass per trial point: the
     gradient is taken from the forward pass that accepted the current theta,
-    which the graph still holds unless the last trial was refused at the
-    step-size floor. Over `steps` steps with `b` halvings that makes
-    steps + 1 + b forward passes, plus one per step after a refused one.
+    which the graph still holds. The first step refused at the step-size
+    floor is the last one taken: theta, its gradient and the step size (never
+    raised again) would stay as they are, so every later step would be
+    refused too, and the remaining rows repeat the last theta and loss. Over
+    k <= `steps` steps taken with `b` halvings that makes k + 1 + b forward
+    passes and k backward passes.
 
     Returns (theta_final, thetas (steps+1, d), losses (steps+1,)).
     """
@@ -220,10 +223,7 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
     losses = [cur]
     lr_cur = lr
     lr_floor = lr * 1e-9
-    held = True  # the graph holds the forward pass at theta
     for _ in range(steps):
-        if not held:
-            loss_at(theta)
         grad = g.backward()["theta"].reshape(-1)
         while True:
             cand = theta - lr_cur * grad
@@ -231,12 +231,13 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
             if cand_loss <= cur or lr_cur <= lr_floor:
                 break
             lr_cur *= 0.5
-        held = cand_loss <= cur
-        if held:
-            theta, cur = cand, cand_loss
+        if cand_loss > cur:  # refused at the floor
+            break
+        theta, cur = cand, cand_loss
         thetas.append(theta.copy())
         losses.append(cur)
-    return theta, np.stack(thetas), np.array(losses)
+    rest = steps + 1 - len(thetas)
+    return theta, np.stack(thetas + [theta] * rest), np.array(losses + [cur] * rest)
 
 
 # -- pairwise representation baseline (SVCCA + classical MDS) ---------------------

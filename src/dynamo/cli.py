@@ -61,9 +61,6 @@ from .models import (CELL_KINDS, BaseModel, MetaModel, ModelError, init_base_mod
                      init_meta_model, init_state_map)
 from .tasks import SequenceDataset, TaskError, TaskSpec
 from .trainer import (
-    HIDDEN_METRICS,
-    OPTIMIZERS,
-    OUTPUT_DIVERGENCES,
     MetaTrainState,
     NumericError,
     TrainConfig,
@@ -95,7 +92,8 @@ class IOFailure(Exception):
 # key the config must give. A default of None leaves the key out of the
 # resolved config, so that TrainConfig and trainer.init_meta_state supply it.
 # An int is at least 0; a _SIZE, an int that sizes an array, a grid or a
-# population entry, is at least 1.
+# population entry, is at least 1. No key takes a bool, and a bool is refused
+# where a number goes, though it subclasses int.
 
 _REQUIRED = object()
 _SIZE = (int,)  # told apart from int by identity
@@ -115,13 +113,11 @@ _POPULATION = {"task": (str, _REQUIRED), "count": (_SIZE, _REQUIRED),
                # per-entry overrides of base_training
                "lr": (_NUM, None), "epochs": (int, None)}
 # the keys both training sections take
-_TRAINING = {"optimizer": OPTIMIZERS, "lr": _NUM, "batch_size": int,
-             "weight_decay": _NUM, "cosine_freq": _NUM, "momentum": _NUM}
+_TRAINING = {"lr": _NUM, "batch_size": int, "weight_decay": _NUM, "cosine_freq": _NUM}
 _BASE_TRAINING = {key: (kind, None) for key, kind in {
     **_TRAINING, "epochs": int}.items()}
 _META_TRAINING = {key: (kind, None) for key, kind in {
-    **_TRAINING, "max_steps": int, "lambda": _NUM, "hidden_metric": HIDDEN_METRICS,
-    "output_divergence": OUTPUT_DIVERGENCES, "normalize_hidden_by_dim": bool}.items()}
+    **_TRAINING, "max_steps": int, "lambda": _NUM}.items()}
 _META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (_SIZE, None),
          "input_dim": (_SIZE, None), "embed_dim": (_SIZE, None)}
 _ANALYSIS = {"grid": (_SIZE, 15), "extent_scale": (_NUM, 1.5),  # the score map's too
@@ -169,7 +165,7 @@ def _resolve_value(val, kind, where: str):
     if isinstance(kind, tuple) and isinstance(kind[0], str):
         if val not in kind:
             raise ConfigError(f"{where} must be one of {', '.join(kind)}")
-    elif not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
+    elif not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"{where} has the wrong type")
     elif kind is int or kind is _SIZE:
         low = int(kind is _SIZE)
@@ -597,8 +593,7 @@ def cmd_train_meta(args) -> int:
                              seed=derived_seed(run.cfg["seed"], 2))
     ds_list = [run.datasets[b.info["task"]] for b in bases]
     state = train_meta(bases, ds_list, tcfg, dict(run.cfg["meta"]))
-    extra = {"config_hash": run.chash, "lambda": tcfg.lam,
-             "hidden_metric": tcfg.hidden_metric}
+    extra = {"config_hash": run.chash, "lambda": tcfg.lam}
     run.write({"meta": meta_checkpoint(state, [dict(b.info) for b in bases], extra),
                "meta_loss.csv": (["step", "model_id", "hidden_loss", "output_loss",
                                   "total_loss"], state.history)})

@@ -6,7 +6,7 @@ reused across training steps. The vocabulary:
 
 - leaves and constants;
 - add/sub/mul (numpy broadcasting), affine, matmul;
-- sigmoid, tanh, relu, abs;
+- sigmoid, tanh, relu;
 - column concat of two nodes, `gather_rows` (rows of a table picked by an
   id leaf, whose backward sums each row into the table in row order with
   one `np.bincount`, bit for bit `np.add.at`);
@@ -44,7 +44,7 @@ term for an input off such a path, so a frozen model costs no weight
 products. Memory follows the live set: forward drops each value right after
 its last forward reader, unless it is marked, is the output, or a backward
 rule reads it (the other operand of `mul`/`matmul` whose first operand needs
-a gradient, the input of `relu`/`abs`, the output of `sigmoid`/`tanh`/
+a gradient, the input of `relu`, the output of `sigmoid`/`tanh`/
 `log_softmax`, the ids of `gather_rows`, a `recurrence`'s `x`, `h0` and
 output). Backward consumes the forward pass it differentiates and frees it
 as the reverse sweep passes: each visited node's value and gradient once
@@ -284,9 +284,6 @@ class Graph:
     def relu(self, a: int) -> int:
         return self._push("relu", (a,), None, self._shapes[a])
 
-    def abs(self, a: int) -> int:
-        return self._push("abs", (a,), None, self._shapes[a])
-
     def concat(self, a: int, b: int) -> int:
         sa, sb = self._shapes[a], self._shapes[b]
         if len(sa) != 2 or len(sb) != 2 or sa[0] != sb[0]:
@@ -358,9 +355,6 @@ class Graph:
     def squared_l2(self, a: int, axis: int | None = None) -> int:
         return self.reduce_sum(self.mul(a, a), axis)
 
-    def l1(self, a: int, axis: int | None = None) -> int:
-        return self.reduce_sum(self.abs(a), axis)
-
     def softmax_log_loss(self, logits: int, onehot: int) -> int:
         """Per-row cross entropy -sum(onehot * log_softmax(logits)) along the
         last axis."""
@@ -420,8 +414,6 @@ class Graph:
                 vals[nid] = np.tanh(vals[ins[0]])
             elif kind == "relu":
                 vals[nid] = np.maximum(vals[ins[0]], 0.0)
-            elif kind == "abs":
-                vals[nid] = np.abs(vals[ins[0]])
             elif kind == "concat":
                 vals[nid] = np.concatenate((vals[ins[0]], vals[ins[1]]), axis=1)
             elif kind == "reduce_sum":
@@ -488,7 +480,7 @@ class Graph:
                 kind, ins = self._kinds[nid], self._inputs[nid]
                 if kind in ("mul", "matmul"):
                     kept.update(ins[1 - k] for k in (0, 1) if needs[ins[k]])
-                elif kind in ("relu", "abs"):
+                elif kind == "relu":
                     kept.add(ins[0])
                 elif kind in ("sigmoid", "tanh", "log_softmax"):
                     kept.add(nid)
@@ -571,8 +563,6 @@ class Graph:
                 acc(ins[0], g * (1.0 - y * y))
             elif kind == "relu":
                 acc(ins[0], g * (vals[ins[0]] > 0.0))
-            elif kind == "abs":
-                acc(ins[0], g * np.sign(vals[ins[0]]))
             elif kind == "concat":
                 a, b = ins
                 if needs[a]:

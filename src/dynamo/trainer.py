@@ -11,9 +11,11 @@ The joint loop (`MetaTrainer`) follows the sampled-model scheme: each step
 draws one base model uniformly and a minibatch from that model's unlabeled
 split, rolls the meta-model out at that model's embedding, and takes one
 optimizer step on (meta params, that model's state map, that model's
-embedding) against hidden-trajectory + weighted output losses. The bases are
-frozen, so their targets are rolled out without gradients ahead of the steps
-that use them (`MetaTrainer._rolled`).
+embedding) against one emulation objective: the squared L2 distance of the
+mapped hidden states over the base's hidden width plus `lam` times KL on
+softmax. The bases are frozen, so their targets are rolled out without
+gradients ahead of the steps that use them (`MetaTrainer._rolled`). Both
+loops step Adam with decoupled weight decay (`Optimizer`).
 
 Every graph here unrolls the model through `models.unroll_graph`, whose input
 leaves `models.input_bindings` binds, and every numpy rollout (the base
@@ -50,9 +52,6 @@ from .models import (
 from .numgrad import Graph, NumericError
 from .tasks import SequenceDataset
 
-OPTIMIZERS = ("adam_decoupled_wd", "sgd_nesterov")
-HIDDEN_METRICS = ("L2_squared", "L1")
-OUTPUT_DIVERGENCES = ("squared_L2_on_logits", "KL_on_softmax")
 # float64 magnitudes from this one up (FLT_MAX plus half its last-place unit)
 # round to infinity in float32, the precision checkpoints store
 _F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
@@ -76,35 +75,25 @@ class TrainerError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule of one training run. Base training reads
-    `epochs` and takes each model's seed apart (`train_base`'s `seeds`);
-    meta training reads `max_steps`, `seed` and the emulation-loss fields
-    (`lam` to `normalize_hidden_by_dim`); both read the rest.
+    """Rates and schedule of one training run; the optimizer is always
+    `Optimizer`'s Adam with decoupled weight decay. Base training reads `epochs` and takes
+    each model's seed apart (`train_base`'s `seeds`); meta training reads
+    `max_steps`, `seed` and `lam`, the output loss's weight in the one
+    emulation objective (`_emulation_loss_graph`); both read the rest.
     `cli.train_config_from` fills it from the config's `base_training` or
     `meta_training` section, whose keys are these fields (`lambda` for
     `lam`)."""
 
-    optimizer: str = "adam_decoupled_wd"
     lr: float = 1e-3
     cosine_freq: float = 7.0 / 32.0
-    momentum: float = 0.9
     weight_decay: float = 1e-4
     epochs: int = 0            # base-model training
     max_steps: int = 0         # meta training
     batch_size: int = 16
     lam: float = 1.0           # output-loss weight
-    hidden_metric: str = "L2_squared"
-    output_divergence: str = "KL_on_softmax"
-    normalize_hidden_by_dim: bool = True
     seed: int = 0
 
     def validate(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise TrainerError(f"unknown optimizer {self.optimizer!r}")
-        if self.hidden_metric not in HIDDEN_METRICS:
-            raise TrainerError(f"unknown hidden metric {self.hidden_metric!r}")
-        if self.output_divergence not in OUTPUT_DIVERGENCES:
-            raise TrainerError(f"unknown divergence {self.output_divergence!r}")
         if self.lr <= 0:
             raise TrainerError("learning rate must be positive")
         if self.lam < 0:
@@ -121,7 +110,7 @@ def lr_multiplier(cfg: TrainConfig, step: int, total: int) -> float:
     return 0.5 * (1.0 + np.cos(2.0 * np.pi * cfg.cosine_freq * step / total))
 
 
-# -- optimizers ----------------------------------------------------------------
+# -- optimizer -----------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -140,7 +129,8 @@ class _Group:
 
 
 class Optimizer:
-    """Adam with decoupled weight decay, or Nesterov SGD, over update groups.
+    """Adam with decoupled weight decay (Loshchilov & Hutter, ICLR 2019) over
+    update groups.
 
     A group is a run of named parameters that are always stepped together:
     the stacked parameters of a population entry's base models, or in meta
@@ -178,7 +168,7 @@ class Optimizer:
                  no_decay: set[str] = frozenset()):
         self.cfg = cfg
         n = sum(np.size(a) for params in groups.values() for a in params.values())
-        self._buf = np.zeros((3 if cfg.optimizer == "adam_decoupled_wd" else 2, n))
+        self._buf = np.zeros((3, n))
         self.flat = self._buf[0]
         self.params: dict[str, np.ndarray] = {}
         self._group_of: dict[str, _Group] = {}
@@ -204,30 +194,22 @@ class Optimizer:
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         cfg = self.cfg
+        b1, b2 = ADAM_BETAS
         for group in dict.fromkeys(self._group_of[name] for name in grads):
             group.t += 1
             for a, b, parts in group.blocks:
                 g, s = self._scratch[:, :b - a]
                 for name, to, of in parts:
                     g[to] = grads[name].reshape(-1)[of]
-                p, m = self._buf[:2, a:b]
-                if cfg.optimizer == "adam_decoupled_wd":
-                    b1, b2 = ADAM_BETAS
-                    v = self._buf[2, a:b]
-                    m *= b1
-                    m += np.multiply(g, 1 - b1, out=s)
-                    v *= b2
-                    v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
-                    np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
-                    np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
-                    g += ADAM_EPS
-                    p -= np.divide(s, g, out=s)
-                else:
-                    mu = cfg.momentum
-                    m *= mu
-                    m += g
-                    s = np.add(np.multiply(m, mu, out=s), g, out=s)
-                    p -= np.multiply(s, lr, out=s)
+                p, m, v = self._buf[:, a:b]
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=s)
+                v *= b2
+                v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
+                np.multiply(np.divide(m, 1 - b1 ** group.t, out=s), lr, out=s)
+                np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
+                g += ADAM_EPS
+                p -= np.divide(s, g, out=s)
                 if cfg.weight_decay and group.decay:
                     p -= np.multiply(p, lr * cfg.weight_decay, out=s)
                 if not np.abs(p, out=s).max() < _F32_OVERFLOW:
@@ -320,15 +302,18 @@ def _take(inputs: np.ndarray, lengths: np.ndarray | None, rows):
 def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
                           base_hidden: int, task_group: int) -> Graph:
     """Joint loss of the meta model at one embedding against one base batch:
-    mapped hidden-state distance plus `lam` times the output divergence.
+    the squared L2 distance of the mapped hidden states to the base's, plus
+    `lam` times the KL divergence of the meta softmax from the base's.
 
     Both families build the same terms over n rows that the binder weights:
     a recurrent base's T * B stacked states (row t * B + b is step t of
     sequence b) or a residual base's B rows of each block. Each state that
     `unroll_graph` yields meets its state map and the target `hb{t}` under
-    the row weights `wh`; the last one's logits meet the row-weighted softmax
-    `pb` (KL) or the logits `ob` under `wo`. Only the residual feature stream
-    (unmapped, before the last block) is a per-coordinate mean instead.
+    the row weights `wh`; the last one's logits meet the row-weighted base
+    softmax `pb` as a cross entropy, which the constant `kl_const` (the
+    weighted sum of p log p) turns into the KL divergence. Only the residual
+    feature stream (unmapped, before the last block) is a per-coordinate
+    mean instead.
     """
     residual = meta.cell_kind == "residual_mlp"
     if residual and base_hidden != meta.hidden_dim:
@@ -348,22 +333,15 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
         hb = g.leaf(f"hb{t}", (n, base_hidden), param=False)
         v_w, v_b = maps[t]
         diff = g.sub(g.add(g.matmul(h, v_w), v_b), hb)
-        rows = g.l1(diff, axis=1) if cfg.hidden_metric == "L1" else g.squared_l2(diff, axis=1)
-        hidden_terms.append(g.reduce_sum(g.mul(rows, wh)))
+        hidden_terms.append(g.reduce_sum(g.mul(g.squared_l2(diff, axis=1), wh)))
         if t < meta.num_blocks - 1:
             fd = g.sub(h, hb)
             out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)),
                                       1.0 / (B * meta.num_blocks * base_hidden)))
     logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
-    C = meta.head_dims[task_group]
-    if cfg.output_divergence == "KL_on_softmax":
-        pb = g.leaf("pb", (n, C), param=False)
-        ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0)
-        out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
-    else:
-        diff = g.sub(logits, g.leaf("ob", (n, C), param=False))
-        out_terms.append(g.reduce_sum(g.mul(g.squared_l2(diff, axis=1),
-                                            g.leaf("wo", (n,), param=False))))
+    pb = g.leaf("pb", (n, meta.head_dims[task_group]), param=False)
+    ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0)
+    out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
     hidden_total = g.mark("hidden_loss", _sum(g, hidden_terms))
     out_total = g.mark("output_loss", _sum(g, out_terms))
     g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))
@@ -543,7 +521,9 @@ class MetaTrainer:
         to the current parameters and to `rolled`, the base's hiddens and
         logits on that batch as `rollout_batch` returns them. Only the family
         sets the rows, their weights `w` and targets: masked per-sequence time
-        means over T * B recurrent states, 1 / (B * blocks) per residual row."""
+        means over T * B recurrent states, 1 / (B * blocks) per residual row.
+        The hidden distance weighs each row by `w` over the base's hidden
+        width, and the base softmax `pb` by `w`."""
         base = self.bases[i]
         meta = self.state.meta
         tg = base.task_group
@@ -564,16 +544,11 @@ class MetaTrainer:
             last = logits_b.reshape(T * B, -1)
         for t, hb in enumerate(targets):
             bindings[f"hb{t}"] = hb
-        hscale = 1.0 / base.hidden_dim if self.cfg.normalize_hidden_by_dim else 1.0
-        bindings["wh"] = w * hscale
-        if self.cfg.output_divergence == "KL_on_softmax":
-            p = _softmax(last)
-            bindings["pb"] = p * w[:, None]
-            plogp = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
-            bindings["kl_const"] = float((plogp.sum(axis=1) * w).sum())
-        else:
-            bindings["ob"] = last
-            bindings["wo"] = w
+        bindings["wh"] = w * (1.0 / base.hidden_dim)
+        p = _softmax(last)
+        bindings["pb"] = p * w[:, None]
+        plogp = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
+        bindings["kl_const"] = float((plogp.sum(axis=1) * w).sum())
         return g, bindings
 
     def _rolled(self, i: int, batches: list[np.ndarray]):

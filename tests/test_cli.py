@@ -142,6 +142,7 @@ def test_validate_config_returns_resolved_copy():
     # residual features are as wide as the vocabulary (12)
     ("population", {"cell_kind": "residual_mlp", "num_blocks": 2, "input_dim": 5}, (2, 2)),
     ("meta", {"cell_kind": "lstm"}, (2, 2)),
+    # no section takes these keys: the optimizer and the emulation loss are fixed
     ("base_training", {"optimizer": "rmsprop"}, (2, 2)),
     ("meta_training", {"hidden_metric": "L3"}, (2, 2)),
     ("meta_training", {"output_divergence": "hellinger"}, (2, 2)),
@@ -188,6 +189,14 @@ def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     ("base_training", "cosine", False),
     ("meta_training", "cosine", True),
     (None, "out_dir", "elsewhere"),
+    # the training recipe is fixed: setting even the value it uses is refused
+    ("base_training", "optimizer", "adam_decoupled_wd"),
+    ("meta_training", "optimizer", "adam_decoupled_wd"),
+    ("base_training", "momentum", 0.9),
+    ("meta_training", "momentum", 0.9),
+    ("meta_training", "hidden_metric", "L2_squared"),
+    ("meta_training", "output_divergence", "KL_on_softmax"),
+    ("meta_training", "normalize_hidden_by_dim", True),
 ])
 def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, key, value):
     monkeypatch.chdir(tmp_path)
@@ -214,10 +223,8 @@ def test_bool_is_not_a_number_in_the_config(tmp_path, monkeypatch, section, key)
 
 # one value per key, each unlike TrainConfig's default
 _TRAINING_VALUES = {
-    "optimizer": "sgd_nesterov", "lr": 0.5, "batch_size": 3, "weight_decay": 0.5,
-    "cosine_freq": 0.5, "momentum": 0.5, "epochs": 3, "max_steps": 3,
-    "lambda": 0.5, "hidden_metric": "L1", "output_divergence": "squared_L2_on_logits",
-    "normalize_hidden_by_dim": False}
+    "lr": 0.5, "batch_size": 3, "weight_decay": 0.5, "cosine_freq": 0.5, "epochs": 3,
+    "max_steps": 3, "lambda": 0.5}
 
 
 @pytest.mark.parametrize("section", [_BASE_TRAINING, _META_TRAINING],
@@ -1044,7 +1051,7 @@ def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):
 
 def test_diverging_meta_run_is_numeric_failure_and_saves_nothing(tmp_path):
     cfg = _mini_config()
-    cfg["meta_training"].update(optimizer="sgd_nesterov", lr=1e6)
+    cfg["meta_training"]["lr"] = 2e38  # Adam passes float32's largest value in a few steps
     path = _write_config(tmp_path, cfg)
     out = tmp_path / "run"
     for stage in ("gen-data", "train-base"):

@@ -235,10 +235,9 @@ def _single_op_graphs():
     return specs
 
 
-UNARY_OPS = ["sigmoid", "tanh", "relu", "abs", "affine",
+UNARY_OPS = ["sigmoid", "tanh", "relu", "affine",
              "reduce_sum_all", "reduce_sum_rows", "reduce_mean_all",
              "reduce_mean_rows", "log_softmax"]
-KINKED_AT_0 = ("relu", "abs")
 
 
 @pytest.mark.parametrize("opname", UNARY_OPS)
@@ -254,8 +253,6 @@ def test_unary_op_gradients_match_fd(opname):
             y = g.tanh(a)
         elif opname == "relu":
             y = g.relu(a)
-        elif opname == "abs":
-            y = g.abs(a)
         elif opname == "affine":
             y = g.affine(a, -1.7, 0.3)
         elif opname == "reduce_sum_all":
@@ -275,7 +272,7 @@ def test_unary_op_gradients_match_fd(opname):
                 y = g.reduce_sum(g.mul(y, g.reduce_sum(mix, axis=1)))
         g.output(y)
         a_val = rng.standard_normal((2, 3))
-        if opname in KINKED_AT_0:
+        if opname == "relu":
             # a central difference across the kink estimates no derivative:
             # keep |a| far above the 1e-5 step, on both sides of 0
             a_val += np.copysign(0.1, a_val)
@@ -606,7 +603,7 @@ def test_fused_ops_reject_bad_shapes():
 # -- pruned backward -----------------------------------------------------------------
 
 _PRUNE_OPS = ("add", "sub", "mul", "bias", "matmul", "affine", "sigmoid", "tanh",
-              "relu", "abs", "concat", "gather", "gru", "rnn", "log_softmax")
+              "relu", "concat", "gather", "gru", "rnn", "log_softmax")
 
 
 def _prune_leaves(B, H, V):
@@ -622,8 +619,8 @@ def _prune_leaves(B, H, V):
 def _random_graph(ops, pick, frozen, B, H, V):
     """Grows a pool of (B, H) nodes from leaves `a` and `b`, one node per op
     with operands chosen by `pick(n)` in [0, n); leaves in `frozen` are
-    declared with param=False. `relu` and `abs` read only `k`, which is bound
-    away from their kinks."""
+    declared with param=False. `relu` reads only `k`, which is bound away
+    from its kink."""
     g = Graph()
     r = {n: g.leaf(n, s, param=n not in frozen)
          for n, s in _prune_leaves(B, H, V).items()}
@@ -651,8 +648,6 @@ def _random_graph(ops, pick, frozen, B, H, V):
             node = g.tanh(x)
         elif op == "relu":
             node = g.add(x, g.relu(r["k"]))
-        elif op == "abs":
-            node = g.mul(x, g.abs(r["k"]))
         elif op == "concat":
             node = g.matmul(g.concat(x, y), r["w2"])
         elif op == "gather":

@@ -59,13 +59,20 @@ def test_rundiff_reports_how_large_each_difference_is(tmp_path):
         "nums.json": ('{"a": [1.0, 2.0], "b": {"c": 10.0}, "d": "s"}',
                       '{"a": [1.0, 2.0], "b": {"c": 10.5}, "d": "s"}'),
         "keys.json": ('{"a": 1.0}', '{"b": 1.0}'),
+        # a key on one side only is named; the keys both sides have compare
+        "meta.json": ('{"lambda": 1.0, "hidden_metric": "L2_squared", "n": [2, 3]}',
+                      '{"lambda": 1.0, "n": [2, 3]}'),
+        "moved.json": ('{"a": 1.0, "b": {"c": 2.0}}', '{"a": 1.5, "b": {}, "d": "s"}'),
     }
     for root, side in ((a, 0), (b, 1)):
         root.mkdir()
         for name, texts in files.items():
             (root / name).write_text(texts[side])
     assert rundiff.differing(a, b) == [
-        "close.csv (relative 5e-06)", "empty.csv (non-numeric)", "keys.json (non-numeric)",
+        "close.csv (relative 5e-06)", "empty.csv (non-numeric)",
+        "keys.json (only in the first tree: /a; only in the second tree: /b)",
+        "meta.json (only in the first tree: /hidden_metric)",
+        "moved.json (only in the first tree: /b/c; only in the second tree: /d; relative 0.5)",
         "nums.json (relative 0.05)", "rows.csv (non-numeric)", "small.csv (relative 0.001)",
         "text.csv (non-numeric)"]
 

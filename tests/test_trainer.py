@@ -1,4 +1,3 @@
-import itertools
 import weakref
 from collections import Counter
 from contextlib import nullcontext
@@ -20,9 +19,6 @@ from dynamo.models import (
 from dynamo.numgrad import NumericError, grad_check
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
-    HIDDEN_METRICS,
-    OPTIMIZERS,
-    OUTPUT_DIVERGENCES,
     MetaTrainer,
     Optimizer,
     TrainConfig,
@@ -45,30 +41,19 @@ from dynamo.trainer import (
 # against: the same objective written with plain per-sequence rollouts.
 
 
-def _metric_rows(diff: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "L1":
-        return np.abs(diff).sum(axis=-1)
-    return (diff * diff).sum(axis=-1)
-
-
 def hidden_loss(meta_traj: np.ndarray, base_traj: np.ndarray, vmap: dict,
-                metric: str = "L2_squared", normalize_by_dim: bool = False,
                 residual: bool = False) -> float:
-    """Time-mean distance between mapped meta hidden states and base hidden
-    states. The residual family uses one map per block."""
+    """Time-mean squared L2 distance between mapped meta hidden states and
+    base hidden states. The residual family uses one map per block."""
     T = len(meta_traj)
     if len(base_traj) != T:
         raise TrainerError(f"trajectory length mismatch {T} vs {len(base_traj)}")
     total = 0.0
-    dim = base_traj[0].shape[-1]
     for t in range(T):
         block = t if residual else 0
-        mapped = meta_traj[t] @ vmap[f"w{block}"] + vmap[f"b{block}"]
-        total += _metric_rows(mapped - base_traj[t], metric)
-    total /= T
-    if normalize_by_dim:
-        total /= dim
-    return float(total)
+        diff = meta_traj[t] @ vmap[f"w{block}"] + vmap[f"b{block}"] - base_traj[t]
+        total += (diff * diff).sum(axis=-1)
+    return float(total / T)
 
 
 def kl_from_logits(base_logits: np.ndarray, meta_logits: np.ndarray) -> np.ndarray:
@@ -81,15 +66,12 @@ def kl_from_logits(base_logits: np.ndarray, meta_logits: np.ndarray) -> np.ndarr
     return (p * (lp - lq)).sum(axis=-1)
 
 
-def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray,
-                divergence: str = "KL_on_softmax") -> float:
-    """Time-mean divergence between per-step meta and base outputs."""
+def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray) -> float:
+    """Time-mean KL divergence between per-step meta and base outputs."""
     mo, bo = np.asarray(meta_outputs), np.asarray(base_outputs)
     if mo.shape != bo.shape:
         raise TrainerError(f"output shape mismatch {mo.shape} vs {bo.shape}")
-    if divergence == "KL_on_softmax":
-        return float(kl_from_logits(bo, mo).mean())
-    return float(((mo - bo) ** 2).sum(axis=-1).mean())
+    return float(kl_from_logits(bo, mo).mean())
 
 
 def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
@@ -107,15 +89,13 @@ def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
     htot = otot = 0.0
     for b in range(len(x)):
         T = base.num_blocks if residual else lengths[b]
-        htot += hidden_loss(hs_m[:T, b], hs_b[:T, b], vmap, cfg.hidden_metric,
-                            normalize_by_dim=cfg.normalize_hidden_by_dim,
-                            residual=residual)
+        htot += hidden_loss(hs_m[:T, b], hs_b[:T, b], vmap, residual=residual) / base.hidden_dim
         if residual:
             d = hs_m[:-1, b] - hs_b[:-1, b]
-            last = output_loss(out_m[-1:, b], out_b[-1:, b], cfg.output_divergence)
+            last = output_loss(out_m[-1:, b], out_b[-1:, b])
             otot += (float((d * d).sum()) / base.hidden_dim + last) / T
         else:
-            otot += output_loss(out_m[:T, b], out_b[:T, b], cfg.output_divergence)
+            otot += output_loss(out_m[:T, b], out_b[:T, b])
     htot /= len(x)
     otot /= len(x)
     return htot, otot, htot + cfg.lam * otot
@@ -124,8 +104,8 @@ def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
 # -- per-parameter reference of the optimizer ---------------------------------------
 #
 # The oracle `trainer.Optimizer` is checked against bitwise: Adam with decoupled
-# weight decay and Nesterov SGD written one array at a time, each array with
-# its own moments and bias-correction count.
+# weight decay written one array at a time, each array with its own moments
+# and bias-correction count.
 
 
 class ReferenceOptimizer:
@@ -143,29 +123,20 @@ class ReferenceOptimizer:
         for name, g in grads.items():
             p = self.handles[name]
             g = g.reshape(p.shape)
-            if cfg.optimizer == "adam_decoupled_wd":
-                b1, b2 = trainer_module.ADAM_BETAS
-                if name not in self._m:
-                    self._m[name] = np.zeros_like(p)
-                    self._v[name] = np.zeros_like(p)
-                m, v = self._m[name], self._v[name]
-                t = self._t.get(name, 0) + 1
-                self._t[name] = t
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * (g * g)
-                mhat = m / (1 - b1 ** t)
-                vhat = v / (1 - b2 ** t)
-                p -= lr * mhat / (np.sqrt(vhat) + trainer_module.ADAM_EPS)
-            else:
-                mu = cfg.momentum
-                if name not in self._m:
-                    self._m[name] = np.zeros_like(p)
-                buf = self._m[name]
-                buf *= mu
-                buf += g
-                p -= lr * (g + mu * buf)
+            b1, b2 = trainer_module.ADAM_BETAS
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            m, v = self._m[name], self._v[name]
+            t = self._t.get(name, 0) + 1
+            self._t[name] = t
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + trainer_module.ADAM_EPS)
             if cfg.weight_decay and name not in self.no_decay:
                 p -= lr * cfg.weight_decay * p
 
@@ -177,13 +148,11 @@ def _tiny_dataset(n=60, seed=3, noise=0.0):
     return split_dataset(ds, (0.4, 0.4, 0.05), seed=seed)
 
 
-def _tiny_setup(lam=1.0, divergence="KL_on_softmax", metric="L2_squared",
-                n_bases=1, seed=0):
+def _tiny_setup(lam=1.0, n_bases=1, seed=0):
     ds = _tiny_dataset()
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i)
              for i in range(n_bases)]
     cfg = TrainConfig(lr=1e-3, max_steps=0, batch_size=2, lam=lam,
-                      hidden_metric=metric, output_divergence=divergence,
                       weight_decay=0.0, seed=seed)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2, "input_dim": 3},
                             seed=seed)
@@ -210,8 +179,7 @@ def test_hidden_loss_hand_values():
     v = {"w0": 2.0 * np.eye(2), "b0": np.zeros(2)}
     meta_traj = np.array([[1.0, 0.0]])
     base_traj = np.array([[1.0, 1.0]])
-    assert hidden_loss(meta_traj, base_traj, v, "L2_squared") == pytest.approx(2.0)
-    assert hidden_loss(meta_traj, base_traj, v, "L1") == pytest.approx(2.0)
+    assert hidden_loss(meta_traj, base_traj, v) == pytest.approx(2.0)
 
 
 def test_hidden_loss_length_mismatch():
@@ -222,23 +190,16 @@ def test_hidden_loss_length_mismatch():
 
 def test_output_loss_identical_streams():
     logits = np.random.default_rng(1).standard_normal((5, 3))
-    assert output_loss(logits, logits, "KL_on_softmax") == pytest.approx(0.0)
-    assert output_loss(logits, logits, "squared_L2_on_logits") == pytest.approx(0.0)
+    assert output_loss(logits, logits) == pytest.approx(0.0)
 
 
 def test_output_loss_kl_hand_value():
     meta = np.array([[0.0, 0.0]])
     base = np.array([[np.log(3.0), 0.0]])
-    got = output_loss(meta, base, "KL_on_softmax")
+    got = output_loss(meta, base)
     want = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
     assert got == pytest.approx(want)
     assert abs(got - 0.1308) < 1e-4
-
-
-def test_output_loss_l2_mean_over_time():
-    meta = np.array([[1.0, 0.0], [np.sqrt(3.0), 0.0]])
-    base = np.zeros((2, 2))
-    assert output_loss(meta, base, "squared_L2_on_logits") == pytest.approx(2.0)
 
 
 def test_output_loss_head_mismatch_error():
@@ -275,7 +236,7 @@ def test_perfect_emulation_gives_zero_loss():
     meta.params["head0_b"] = base.params["b_out"].copy()
     v = {"w0": np.eye(4), "b0": np.zeros(4)}
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
-    cfg = TrainConfig(weight_decay=0.0, normalize_hidden_by_dim=False)
+    cfg = TrainConfig(weight_decay=0.0)
     h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), seqs, cfg)
     assert tot == pytest.approx(0.0, abs=1e-12)
     # the training graph, the only emulation loss in the package, agrees
@@ -290,10 +251,8 @@ def test_perfect_emulation_gives_zero_loss():
 # -- graph against reference --------------------------------------------------
 
 
-@pytest.mark.parametrize("divergence", ["KL_on_softmax", "squared_L2_on_logits"])
-@pytest.mark.parametrize("metric", ["L2_squared", "L1"])
-def test_graph_loss_matches_reference(divergence, metric):
-    trainer, ds, bases = _tiny_setup(divergence=divergence, metric=metric)
+def test_graph_loss_matches_reference():
+    trainer, ds, bases = _tiny_setup()
     pool = ds.indices("meta_unlabeled")
     seqs = [ds.sequences[i] for i in pool[:3]]
     g, bindings = _bind(trainer, *pad_tokens(seqs))
@@ -308,21 +267,17 @@ def test_graph_loss_matches_reference(divergence, metric):
     assert tot_graph == pytest.approx(tot, abs=1e-10)
 
 
-@pytest.mark.parametrize("metric", ["L2_squared", "L1"])
-def test_joint_loss_gradients_pass_grad_check(metric):
-    trainer, ds, _ = _tiny_setup(metric=metric)
+def test_joint_loss_gradients_pass_grad_check():
+    trainer, ds, _ = _tiny_setup()
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:2]]
     g, bindings = _bind(trainer, *pad_tokens(seqs))
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
 
-@pytest.mark.parametrize("metric,divergence,normalize", list(itertools.product(
-    HIDDEN_METRICS, OUTPUT_DIVERGENCES, (True, False))))
-def test_residual_graph_loss_matches_reference(metric, divergence, normalize):
+def test_residual_graph_loss_matches_reference():
     ds = _tiny_dataset()
     bases = [init_base_model("residual_mlp", 12, 12, 5, 2, 0, seed=3, num_blocks=3)]
-    cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0, hidden_metric=metric,
-                      output_divergence=divergence, normalize_hidden_by_dim=normalize)
+    cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0)
     state = init_meta_state(bases, {"embed_dim": 2}, seed=1)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     feats = trainer.pools[0][0][:3]
@@ -613,9 +568,8 @@ def test_train_base_deterministic():
         assert np.array_equal(m1.params[k], m2.params[k])
 
 
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
-def test_lockstep_training_equals_training_alone(kind, optimizer, monkeypatch):
+def test_lockstep_training_equals_training_alone(kind, monkeypatch):
     # an entry of 3 bases trained in lockstep leaves every parameter of every
     # base bitwise where training it alone leaves it, while the models'
     # batches end at different longest rows. The sizes make padding visible:
@@ -625,8 +579,7 @@ def test_lockstep_training_equals_training_alone(kind, optimizer, monkeypatch):
                     t_max=70, noise_rate=0.05, seed=3, num_sequences=120)
     ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=3)
     width = 30 if kind == "residual_mlp" else 40
-    cfg = TrainConfig(optimizer=optimizer, epochs=2, lr=0.03, batch_size=16,
-                      weight_decay=1e-3)
+    cfg = TrainConfig(epochs=2, lr=0.03, batch_size=16, weight_decay=1e-3)
     seeds = [11, 12, 13]
 
     def entry():
@@ -690,24 +643,24 @@ _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
 
 
 @settings(max_examples=60, deadline=None)
-@given(optimizer=st.sampled_from(OPTIMIZERS), weight_decay=st.sampled_from([0.0, 0.05]),
+@given(weight_decay=st.sampled_from([0.0, 0.05]),
        layout=st.lists(st.lists(_SHAPES, min_size=1, max_size=3), min_size=1, max_size=4),
        width=st.sampled_from([1, 3, 7, trainer_module.STEP_COLUMNS]), data=st.data())
 def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
-        optimizer, weight_decay, layout, width, data):
+        weight_decay, layout, width, data):
     # narrow blocks split parameters and groups; the block width changes no bit
     with mock.patch.object(trainer_module, "STEP_COLUMNS", width):
-        _check_grouped_optimizer(optimizer, weight_decay, layout, width, data)
+        _check_grouped_optimizer(weight_decay, layout, width, data)
 
 
-def _check_grouped_optimizer(optimizer, weight_decay, layout, width, data):
+def _check_grouped_optimizer(weight_decay, layout, width, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
     groups = {f"g{k}": {f"g{k}p{j}": rng.standard_normal(shape)
                         for j, shape in enumerate(shapes)}
               for k, shapes in enumerate(layout)}
     no_decay = set(data.draw(st.lists(st.sampled_from(sorted(groups)), unique=True),
                              label="no_decay"))
-    cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay)
+    cfg = TrainConfig(weight_decay=weight_decay)
     ref = ReferenceOptimizer(
         {name: arr.copy() for params in groups.values() for name, arr in params.items()},
         cfg, {name for k in no_decay for name in groups[k]})
@@ -760,9 +713,9 @@ def test_bases_of_one_dataset_and_input_family_share_one_pool():
 def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable, monkeypatch):
     # at width 4, the group's bad value (column 6) is in its second block of
     # four, and `b` starts in the first
-    for optimizer, width in itertools.product(OPTIMIZERS, [trainer_module.STEP_COLUMNS, 4]):
+    for width in (trainer_module.STEP_COLUMNS, 4):
         monkeypatch.setattr(trainer_module, "STEP_COLUMNS", width)
-        cfg = TrainConfig(optimizer=optimizer, weight_decay=0.0)
+        cfg = TrainConfig(weight_decay=0.0)
         opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
         with nullcontext() if storable else pytest.raises(NumericError, match="'w'"):
             opt.step({"w": np.zeros(1)}, 1.0)
@@ -777,8 +730,9 @@ def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable, monk
 def test_diverging_meta_run_stops_at_first_bad_step():
     ds = _tiny_dataset()
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10)]
-    cfg = TrainConfig(optimizer="sgd_nesterov", lr=1e6, max_steps=30, batch_size=4,
-                      weight_decay=0.0, seed=1)
+    # Adam moves a parameter by at most about lr a step: the first step stays
+    # below float32's largest value, 3.4e38, and a later one passes it
+    cfg = TrainConfig(lr=2e38, max_steps=30, batch_size=4, weight_decay=0.0, seed=1)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     with pytest.raises(NumericError, match="not finite in float32"):
@@ -790,7 +744,7 @@ def test_diverging_meta_run_stops_at_first_bad_step():
 
 def test_config_validation():
     with pytest.raises(TrainerError):
-        TrainConfig(optimizer="rmsprop").validate()
+        TrainConfig(batch_size=0).validate()
     with pytest.raises(TrainerError):
         TrainConfig(lr=0.0).validate()
     with pytest.raises(TrainerError):

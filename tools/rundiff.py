@@ -19,7 +19,10 @@ ROADMAP aim 2) and how many files differ under each seed. A
 differing CSV (its `#` lines skipped) or JSON file also gets the largest
 |a - b| / max(1, |a|) over its numeric cells, or "non-numeric" when a text
 cell or the shape differs, so a change that only reorders floating-point
-work can be held to a relative-error bound. Exits 0 when every
+work can be held to a relative-error bound. A JSON file also names the key
+paths that only one side has, as in `meta.json (only in the first tree:
+/a/b)`, and its other cells are compared as above; a difference of 0 there
+goes unsaid. Exits 0 when every
 run directory is byte-identical, 1 when a file differs, and 2 when a stage
 fails or a run directory already exists. The run directories go to `--work`
 (kept) or to a temporary directory (removed at exit).
@@ -91,11 +94,23 @@ def _cells(path: Path) -> list[list]:
     return rows
 
 
+def one_sided_keys(a: Path, b: Path) -> list[str]:
+    """For two JSON files, "only in the first tree: <key paths>" and "only in
+    the second tree: ..." for each side that has key paths the other lacks."""
+    keys_a, keys_b = ([key for key, _ in _cells(p)] for p in (a, b))
+    return [f"only in the {side} tree: {', '.join(k for k in mine if k not in theirs)}"
+            for side, mine, theirs in (("first", keys_a, keys_b), ("second", keys_b, keys_a))
+            if set(mine) - set(theirs)]
+
+
 def largest_difference(a: Path, b: Path) -> float | None:
     """The largest |x - y| / max(1, |x|) over the numeric cells of two CSV
-    or JSON files, x from `a`; None when a text cell, a key or the shape
-    differs."""
+    files, or over the key paths both of two JSON files have, x from `a`;
+    None when a text cell, a key or the shape differs."""
     rows_a, rows_b = _cells(a), _cells(b)
+    if a.suffix == ".json":
+        shared = {key for key, _ in rows_a} & {key for key, _ in rows_b}
+        rows_a, rows_b = ([row for row in rows if row[0] in shared] for rows in (rows_a, rows_b))
     if len(rows_a) != len(rows_b):
         return None
     worst = 0.0
@@ -118,7 +133,8 @@ def largest_difference(a: Path, b: Path) -> float | None:
 def differing(a: Path, b: Path) -> list[str]:
     """Paths under `a` and `b` that are not byte-identical on both sides, or
     that exist on one side only, directories too; a CSV or JSON file's line
-    names its largest relative difference."""
+    names its largest relative difference, and a JSON file's its one-sided
+    key paths."""
     left, right = ({p.relative_to(root) for p in root.rglob("*")} for root in (a, b))
     out = [f"{p} (only in the first tree)" for p in sorted(left - right)]
     out += [f"{p} (only in the second tree)" for p in sorted(right - left)]
@@ -126,8 +142,13 @@ def differing(a: Path, b: Path) -> list[str]:
         if (a / p).is_dir() and (b / p).is_dir() or filecmp.cmp(a / p, b / p, shallow=False):
             continue
         if p.suffix in (".csv", ".json"):
+            notes = one_sided_keys(a / p, b / p) if p.suffix == ".json" else []
             d = largest_difference(a / p, b / p)
-            out.append(f"{p} ({'non-numeric' if d is None else f'relative {d:.3g}'})")
+            if d is None:
+                notes.append("non-numeric")
+            elif d or not notes:
+                notes.append(f"relative {d:.3g}")
+            out.append(f"{p} ({'; '.join(notes)})")
         else:
             out.append(str(p))
     return out
