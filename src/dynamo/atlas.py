@@ -191,20 +191,21 @@ def accuracy_landscape(meta: MetaModel, task_group: int, ds: SequenceDataset,
 
 
 def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
-                 steps: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 steps: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Gradient descent from theta = 0 on the ssl_labeled loss in theta only,
     with step-halving backoff so the recorded loss never increases.
 
     A step costs one backward pass and one forward pass per trial point: the
     gradient is taken from the forward pass that accepted the current theta,
     which the graph still holds. The first step refused at the step-size
-    floor is the last one taken: theta, its gradient and the step size (never
+    floor is the last one tried: theta, its gradient and the step size (never
     raised again) would stay as they are, so every later step would be
     refused too, and the remaining rows repeat the last theta and loss. Over
-    k <= `steps` steps taken with `b` halvings that makes k + 1 + b forward
+    k <= `steps` steps tried with `b` halvings that makes k + 1 + b forward
     passes and k backward passes.
 
-    Returns (theta_final, thetas (steps+1, d), losses (steps+1,)).
+    Returns (theta_final, thetas (steps+1, d), losses (steps+1,), accepted),
+    where rows 1 to `accepted` hold the accepted steps.
     """
     idxs = ds.indices("ssl_labeled")
     if not idxs:
@@ -236,8 +237,9 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
         theta, cur = cand, cand_loss
         thetas.append(theta.copy())
         losses.append(cur)
-    rest = steps + 1 - len(thetas)
-    return theta, np.stack(thetas + [theta] * rest), np.array(losses + [cur] * rest)
+    taken = len(thetas) - 1
+    rest = steps - taken
+    return theta, np.stack(thetas + [theta] * rest), np.array(losses + [cur] * rest), taken
 
 
 # -- pairwise representation baseline (SVCCA + classical MDS) ---------------------

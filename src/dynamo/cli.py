@@ -4,17 +4,18 @@ optimization, fixed-point analysis, and model averaging.
 
 One flat JSON config drives every stage. The schema under "configuration"
 below (`_CONFIG` and its sections) is the config reference: every key, its
-type and its default. The config, with `--seed` in place of its seed, is a
-run's only input: `--seed` enters the config hash, and no other flag sets a
-value that the config sets. Commands are composable and write into a shared
-run directory, `--out` or else `run_<config hash>`; the remaining flags name
-what a command reads or adds (`--theta`, `--ids`, `--svcca`, `--score-map`).
+type and its default. The config is a run's only input, and each of its values
+has one key: no flag sets a value, and `analysis.task` names the task that
+`analyze`, `ssl` and `fixed-points` read. Commands are composable and write
+into a shared run directory, `--out` or else `run_<hash of the config as
+written>`; the remaining flags name what a command reads or adds (`--theta`,
+`--ids`, `--svcca`, `--score-map`).
 Every command checks the whole config as it loads it: each value against the
 schema, and each task and training section as its module builds it. The range
 checks include a size of at least 1 (`_SIZE`, `fixed_points.candidates` and
 `samples_per_seq` among them), a positive `ssl.lr`, `analysis.extent_scale` and
-`fixed_points.tol`, a `population[].train_fraction` in (0, 1] and a nonnegative
-`fixed_points.dedup_radius`.
+`fixed_points.tol`, a `population[].train_fraction` in (0, 1], no `num_blocks` on
+a recurrent entry and a nonnegative `fixed_points.dedup_radius`.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
@@ -96,6 +97,7 @@ class IOFailure(Exception):
 # where a number goes, though it subclasses int.
 
 _REQUIRED = object()
+_STEM = re.compile(r"[A-Za-z0-9_-]+")  # a task name or a theta label: a file stem
 _SIZE = (int,)  # told apart from int by identity
 _NUM = (int, float)
 
@@ -109,9 +111,7 @@ _SPLITS = {"base_train": (_NUM, 0.44), "meta_unlabeled": (_NUM, 0.45),
 _POPULATION = {"task": (str, _REQUIRED), "count": (_SIZE, _REQUIRED),
                "cell_kind": (CELL_KINDS, "gru"), "hidden_dim": (_SIZE, 24),
                "input_dim": (_SIZE, 12), "train_fraction": (_NUM, 1.0),
-               "task_group": (int, 0), "num_blocks": (int, 0),
-               # per-entry overrides of base_training
-               "lr": (_NUM, None), "epochs": (int, None)}
+               "task_group": (int, 0), "num_blocks": (int, 0)}
 # the keys both training sections take
 _TRAINING = {"lr": _NUM, "batch_size": int, "weight_decay": _NUM, "cosine_freq": _NUM}
 _BASE_TRAINING = {key: (kind, None) for key, kind in {
@@ -124,9 +124,8 @@ _ANALYSIS = {"grid": (_SIZE, 15), "extent_scale": (_NUM, 1.5),  # the score map'
              "variance_threshold": (_NUM, 0.95), "top_k": (int, 3),
              "svcca_dims": (_SIZE, 20), "svcca_sequences": (_SIZE, 50),
              "mds_dim": (_SIZE, 2),
-             "landscape_task": (str, None)}  # resolved to the first task
-_SSL = {"steps": (int, 100), "lr": (_NUM, 1.0),
-        "task": (str, None)}  # resolved to the first task; fixed-points uses it too
+             "task": (str, None)}  # resolved to the first task; ssl and fixed-points read it
+_SSL = {"steps": (int, 100), "lr": (_NUM, 1.0)}
 _FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
                  "max_steps": (int, 5000), "candidates": (_SIZE, 512),
                  "samples_per_seq": (_SIZE, 2), "batch_sequences": (_SIZE, 64),
@@ -195,8 +194,8 @@ def validate_config(cfg: dict) -> dict:
     if not names:
         raise ConfigError("config.tasks must list at least one task")
     for i, name in enumerate(names):
-        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):  # a file stem and a CSV cell
-            raise ConfigError(f"task name {name!r} must match [A-Za-z0-9_-]+")
+        if not _STEM.fullmatch(name):
+            raise ConfigError(f"task name {name!r} must match {_STEM.pattern}")
         if name in names[:i]:
             raise ConfigError(f"duplicate task name {name!r}")
         with _reraised(ConfigError, f"config.tasks[{i}]", TaskError):
@@ -207,9 +206,10 @@ def validate_config(cfg: dict) -> dict:
     n_base = {}  # each task's base_train examples
     for task in cfg["tasks"]:
         n = task["num_sequences"]
-        n_base[task["name"]] = tasks_mod.share(fractions[0], n)
-        n_test = n - sum(tasks_mod.share(f, n) for f in fractions)
-        for split, size in (("base_train", n_base[task["name"]]), ("test", n_test)):
+        sizes = [tasks_mod.share(f, n) for f in fractions]
+        n_base[task["name"]] = sizes[0]
+        for split, size in zip(("base_train", "meta_unlabeled", "test"),
+                               (*sizes[:2], n - sum(sizes))):
             if not size:
                 raise ConfigError(f"splits leave task {task['name']!r} an empty {split} split")
     heads, vocabs = {}, {task["name"]: task["vocab_size"] for task in cfg["tasks"]}
@@ -226,19 +226,17 @@ def validate_config(cfg: dict) -> dict:
             # residual features are bag-of-tokens vectors as wide as the vocabulary
             raise ConfigError(f"population[{i}].input_dim must equal the vocab_size "
                               f"of task {entry['task']!r} for a residual_mlp entry")
-        if entry["cell_kind"] == "residual_mlp" and entry["num_blocks"] < 1:
-            raise ConfigError(f"population[{i}].num_blocks must be >= 1 for residual_mlp")
-        with _reraised(ConfigError, f"population[{i}] base_training", TrainerError):
-            train_config_from(_base_training(cfg, entry))
+        if (entry["cell_kind"] == "residual_mlp") != (entry["num_blocks"] > 0):
+            raise ConfigError(f"population[{i}].num_blocks must be >= 1 for residual_mlp "
+                              "and 0 for a recurrent cell")
         if heads.setdefault(entry["task"], entry["task_group"]) != entry["task_group"]:
             raise ConfigError(f"population[{i}] gives task {entry['task']!r} a second "
                               "task_group; each task has one readout head")
-    for section, key in (("ssl", "task"), ("analysis", "landscape_task")):
-        name = cfg[section].setdefault(key, names[0])
-        if name not in names:
-            raise ConfigError(f"{section}.{key} references unknown task {name!r}")
-    with _reraised(ConfigError, "meta_training", TrainerError):
-        train_config_from(cfg["meta_training"])
+    if cfg["analysis"].setdefault("task", names[0]) not in names:
+        raise ConfigError(f"analysis.task references unknown task {cfg['analysis']['task']!r}")
+    for section in ("base_training", "meta_training"):
+        with _reraised(ConfigError, section, TrainerError):
+            train_config_from(cfg[section])
     if not 0.0 < cfg["analysis"]["variance_threshold"] <= 1.0:
         raise ConfigError("analysis.variance_threshold must be in (0, 1]")
     for section, key in (("ssl", "lr"), ("analysis", "extent_scale"), ("fixed_points", "tol")):
@@ -249,9 +247,9 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def load_config(path, seed: int | None = None) -> tuple[dict, str]:
-    """Read the JSON config at `path`, apply a `--seed` override, and return
-    the resolved config with the hash of the config as written (seed applied)."""
+def load_config(path) -> tuple[dict, str]:
+    """Read the JSON config at `path` and return the resolved config with the
+    hash of the config as written."""
     try:
         raw = Path(path).read_text()
     except OSError as e:
@@ -260,11 +258,7 @@ def load_config(path, seed: int | None = None) -> tuple[dict, str]:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    resolved = validate_config(cfg)
-    if seed is not None:
-        cfg = dict(cfg, seed=seed)
-        resolved["seed"] = _resolve_value(seed, int, "--seed")
-    return resolved, config_hash(cfg)
+    return validate_config(cfg), config_hash(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -274,11 +268,6 @@ def config_hash(cfg: dict) -> str:
 
 def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-def _base_training(cfg: dict, entry: dict) -> dict:
-    """The base_training section with a population entry's overrides."""
-    return dict(cfg["base_training"], **{k: entry[k] for k in ("lr", "epochs") if k in entry})
 
 
 def train_config_from(section: dict, seed: int = 0) -> TrainConfig:
@@ -502,7 +491,7 @@ class Run(NamedTuple):
 
 
 def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
-    cfg, chash = load_config(args.config, args.seed)
+    cfg, chash = load_config(args.config)
     out = Path(args.out or f"run_{chash}")
     loaded = {}
     for task in cfg["tasks"] if datasets else ():
@@ -547,6 +536,7 @@ def cmd_train_base(args) -> int:
     run = _open_run(args)
     tasks = {task["name"]: task for task in run.cfg["tasks"]}
     population = _population_models(run.cfg)
+    tcfg = train_config_from(run.cfg["base_training"])
     rows = []
     for records in population:
         entry = records[0]
@@ -559,7 +549,6 @@ def cmd_train_base(args) -> int:
                   "train_fraction": rec["train_fraction"], "seed": rec["seed"],
                   "cell_kind": rec["cell_kind"], "task_group": rec["task_group"]})
             for rec in records]
-        tcfg = train_config_from(_base_training(run.cfg, entry))
         ds = run.datasets[entry["task"]]
         train_base(bases, ds, tcfg, [rec["seed"] for rec in records],
                    subfraction=entry["train_fraction"])
@@ -610,7 +599,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--svcca compares recurrent hidden states; "
                           "this run's population is residual_mlp")
     metadata = run.mf["bases"]
-    task_name = an["landscape_task"]
+    task_name = an["task"]
     group_rows = run.task_rows(task_name)
     svcca_bases = [load_base_checkpoint(run.out / "base" / metadata[i]["model_id"])
                    for i in group_rows] if args.svcca else []
@@ -663,10 +652,10 @@ def cmd_analyze(args) -> int:
 def cmd_ssl(args) -> int:
     run = _open_run(args, meta=True)
     ssl_cfg, state = run.cfg["ssl"], run.state
-    task_name = ssl_cfg["task"]
+    task_name = run.cfg["analysis"]["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
-    theta, thetas, losses = atlas_mod.ssl_optimize(
+    theta, thetas, losses, taken = atlas_mod.ssl_optimize(
         state.meta, group, ds, steps=ssl_cfg["steps"], lr=ssl_cfg["lr"])
     accs = atlas_mod.grid_accuracies(state.meta, thetas, group, ds)
     header = ["step", *(f"theta_{j}" for j in range(len(theta))), "labeled_loss",
@@ -679,7 +668,8 @@ def cmd_ssl(args) -> int:
               "test_accuracy": float(accs[-1]),
               "best_base_accuracy": best_base,
               "improvement_over_best_base": delta,
-              "steps": ssl_cfg["steps"]}
+              "steps": ssl_cfg["steps"],
+              "steps_taken": taken}
     run.write({"ssl_trajectory.csv": (header, rows), "ssl_result.json": result})
     print(f"ssl: final acc {accs[-1]:.4f} vs best base {best_base:.4f} "
           f"(delta {delta:+.4f})")
@@ -692,10 +682,15 @@ def _resolve_theta(source: str, state: MetaTrainState, mf: dict) -> tuple[str, n
         return source, state.embeddings[by_id[source]].copy()
     if source.startswith("centroid:"):
         key, _, val = source[len("centroid:"):].partition("=")
+        label = f"centroid_{key}_{val}".replace(".", "p")
+        if not _STEM.fullmatch(label):
+            raise ConfigError(f"theta source {source!r} gives the file label {label!r}, "
+                              f"which must match {_STEM.pattern}")
+        if not any(key in b for b in mf["bases"]):
+            raise ConfigError(f"no base model record has the key {key!r}")
         rows = [i for i, b in enumerate(mf["bases"]) if str(b.get(key)) == val]
         if not rows:
             raise ConfigError(f"no base models match {source!r}")
-        label = f"centroid_{key}_{val}".replace(".", "p")
         return label, state.embeddings[rows].mean(axis=0)
     try:
         vec = np.array([float(x) for x in source.split(",")], dtype=np.float64)
@@ -712,11 +707,11 @@ def _resolve_theta(source: str, state: MetaTrainState, mf: dict) -> tuple[str, n
 def cmd_fixed_points(args) -> int:
     run = _open_run(args, meta=True)
     fp, state, seed = run.cfg["fixed_points"], run.state, run.cfg["seed"]
-    task_name = run.cfg["ssl"]["task"]
+    task_name = run.cfg["analysis"]["task"]
     group = run.task_group(task_name)
     ds = run.datasets[task_name]
     if args.score_map and ds.valence is None:
-        raise ConfigError(f"--score-map scores token valences; ssl.task {task_name!r} "
+        raise ConfigError(f"--score-map scores token valences; analysis.task {task_name!r} "
                           "has none")
     label, theta = _resolve_theta(args.theta, state, run.mf)
     pool = ds.indices("meta_unlabeled")[:fp["batch_sequences"]]
@@ -791,7 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="run directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("gen-data", help="generate and split the task datasets")
     common(p)
@@ -802,10 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="embedding-space analyses and exports")
     common(p)
     p.add_argument("--svcca", action="store_true",
-                   help="also run the pairwise SVCCA+MDS baseline (quadratic cost); "
-                        "it compares recurrent hidden states, so a residual_mlp "
-                        "run is refused with exit 2; skipped, like the landscape, "
-                        "when no base model was trained on analysis.landscape_task")
+                   help="also run the pairwise SVCCA+MDS baseline (quadratic cost) "
+                        "over the bases of analysis.task; it compares recurrent hidden "
+                        "states, so a residual_mlp run is refused with exit 2; skipped, "
+                        "like the landscape, when no base model was trained on that task")
     p = sub.add_parser("ssl", help="optimize an embedding on the labeled split")
     common(p)
     p = sub.add_parser("fixed-points", help="fixed-point / attractor analysis")
@@ -813,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True,
                    help="base id, centroid:<key>=<value>, or comma-separated floats")
     p.add_argument("--score-map", action="store_true",
-                   help="also map fixed-point valence scores over the ssl.task bases' "
+                   help="also map fixed-point valence scores over the analysis.task bases' "
                         "embedding plane; exit 2 if that task has no token valences")
     p = sub.add_parser("average", help="evaluate the mean of base embeddings")
     common(p)

@@ -177,8 +177,8 @@ def test_plane_grid_of_two_bases_spans_v_as_far_as_u():
 def test_ssl_zero_steps_returns_init():
     meta = _tiny_meta()
     ds = _tiny_ds()
-    theta, thetas, losses = ssl_optimize(meta, 0, ds, steps=0, lr=1.0)
-    assert np.array_equal(theta, np.zeros(2))
+    theta, thetas, losses, accepted = ssl_optimize(meta, 0, ds, steps=0, lr=1.0)
+    assert np.array_equal(theta, np.zeros(2)) and accepted == 0
     assert thetas.shape == (1, 2) and losses.shape == (1,)
 
 
@@ -186,7 +186,7 @@ def test_ssl_freezes_meta_and_loss_never_increases():
     meta = _tiny_meta()
     ds = _tiny_ds()
     before = {k: v.copy() for k, v in meta.params.items()}
-    theta, thetas, losses = ssl_optimize(meta, 0, ds, steps=25, lr=0.5)
+    theta, thetas, losses, _ = ssl_optimize(meta, 0, ds, steps=25, lr=0.5)
     for k, v in before.items():
         assert np.array_equal(meta.params[k], v)
     assert np.all(np.diff(losses) <= 1e-12)
@@ -203,7 +203,7 @@ def test_ssl_leaves_every_meta_parameter_unchanged(kind):
     meta = init_meta_model(kind, 12, width, 4, 2, {0: 2, 1: 3}, seed=1, num_blocks=2)
     arrays = dict(meta.params)
     before = {k: v.tobytes() for k, v in arrays.items()}
-    theta, _, _ = ssl_optimize(meta, 0, _tiny_ds(), steps=5, lr=0.5)
+    theta, _, _, _ = ssl_optimize(meta, 0, _tiny_ds(), steps=5, lr=0.5)
     assert np.any(theta != 0)
     assert meta.params.keys() == arrays.keys()
     for k, v in arrays.items():
@@ -216,14 +216,14 @@ def test_ssl_runs_one_forward_per_trial_point(pass_counts):
     meta = _tiny_meta()
     ds = _tiny_ds()
     steps = 6
-    _, _, losses = ssl_optimize(meta, 0, ds, steps=steps, lr=200.0)
+    _, _, losses, taken = ssl_optimize(meta, 0, ds, steps=steps, lr=200.0)
     cur, accepted, backoffs = pass_counts["forward"][0], 0, 0
     for loss in pass_counts["forward"][1:]:
         if loss <= cur:
             cur, accepted = loss, accepted + 1
         else:
             backoffs += 1
-    assert backoffs > 0 and accepted == steps
+    assert backoffs > 0 and accepted == taken == steps
     assert len(pass_counts["forward"]) == steps + 1 + backoffs
     assert pass_counts["backward"] == steps
     assert losses[-1] == cur
@@ -244,7 +244,9 @@ def test_ssl_stops_at_the_first_step_refused_at_the_floor(monkeypatch, pass_coun
         return g, {}
     monkeypatch.setattr(atlas, "task_batch", kinked)
     steps, lr = 5, 0.25
-    theta, thetas, losses = ssl_optimize(_tiny_meta(), 0, _tiny_ds(), steps=steps, lr=lr)
+    theta, thetas, losses, accepted = ssl_optimize(_tiny_meta(), 0, _tiny_ds(), steps=steps,
+                                                   lr=lr)
+    assert accepted == 2  # ssl_result.json's steps_taken: the search stopped after 2 of 5
     assert np.array_equal(thetas[2], [0.5, 0.5])
     assert len(thetas) == len(losses) == steps + 1
     assert np.array_equal(theta, thetas[2]) and (thetas[2:] == theta).all()

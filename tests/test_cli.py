@@ -127,11 +127,11 @@ def test_validate_config_returns_resolved_copy():
         "input_dim": 12, "train_fraction": 1.0, "task_group": 0, "num_blocks": 0}
     assert resolved["base_training"] == resolved["meta"] == {}  # trainer defaults
     assert resolved["fixed_points"]["samples_per_seq"] == 2
-    assert resolved["ssl"]["task"] == resolved["analysis"]["landscape_task"] == "valence"
+    assert resolved["analysis"]["task"] == "valence"
+    assert resolved["ssl"] == {"steps": 100, "lr": 1.0}
     second_head = [{"task": "valence", "count": 1},
                    {"task": "valence", "count": 1, "task_group": 1}]
-    for section in ({"ssl": {"task": "topic"}}, {"analysis": {"landscape_task": "x"}},
-                    {"population": second_head}):
+    for section in ({"analysis": {"task": "topic"}}, {"population": second_head}):
         with pytest.raises(ConfigError):
             validate_config(dict(cfg, **section))
 
@@ -142,10 +142,15 @@ def test_validate_config_returns_resolved_copy():
     # residual features are as wide as the vocabulary (12)
     ("population", {"cell_kind": "residual_mlp", "num_blocks": 2, "input_dim": 5}, (2, 2)),
     ("meta", {"cell_kind": "lstm"}, (2, 2)),
-    # no section takes these keys: the optimizer and the emulation loss are fixed
+    # a recurrent cell has no blocks: its checkpoint would record blocks it lacks
+    ("population", {"num_blocks": 3}, (2, 2)),
+    ("population", {"cell_kind": "vanilla_rnn", "num_blocks": 1}, (2, 2)),
+    # no section takes these keys: the optimizer and the emulation loss are
+    # fixed, and base_training alone sets every entry's training
     ("base_training", {"optimizer": "rmsprop"}, (2, 2)),
     ("meta_training", {"hidden_metric": "L3"}, (2, 2)),
     ("meta_training", {"output_divergence": "hellinger"}, (2, 2)),
+    ("population", {"lr": -1}, (2, 2)),
     ("tasks", {"name": "a/b"}, (2, 2)),  # a task name is a file stem and a CSV cell
     ("tasks", {"name": "../escaped"}, (2, 2)),
     ("tasks", {"name": "val,ence"}, (2, 2)),
@@ -155,14 +160,14 @@ def test_validate_config_returns_resolved_copy():
     ("tasks", {"kind": "parity"}, (2, 2)),
     ("tasks", {"noise_rate": 0.7}, (2, 2)),
     ("tasks", {"num_classes": 3}, (2, 2)),  # a valence task is binary
-    ("population", {"lr": -1}, (2, 2)),
     ("base_training", {"batch_size": 0}, (2, 2)),
     ("meta_training", {"lr": -1}, (2, 2)),
 ], ids=["unknown_base_cell", "residual_without_blocks", "residual_input_dim_not_vocab",
-        "unknown_meta_cell", "unknown_optimizer", "unknown_hidden_metric", "unknown_divergence",
-        "task_name_slash", "task_name_dotdot", "task_name_comma", "task_name_dot",
-        "task_t_min_past_t_max", "unknown_task_kind", "task_noise_rate", "valence_classes",
-        "entry_lr", "base_batch_size", "meta_lr"])
+        "unknown_meta_cell", "gru_with_blocks", "vanilla_rnn_with_blocks", "unknown_optimizer",
+        "unknown_hidden_metric", "unknown_divergence", "entry_lr", "task_name_slash",
+        "task_name_dotdot", "task_name_comma", "task_name_dot", "task_t_min_past_t_max",
+        "unknown_task_kind", "task_noise_rate", "valence_classes", "base_batch_size",
+        "meta_lr"])
 def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     cfg = _mini_config()
     (cfg[section][0] if isinstance(cfg[section], list) else cfg[section]).update(update)
@@ -197,11 +202,18 @@ def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     ("meta_training", "hidden_metric", "L2_squared"),
     ("meta_training", "output_divergence", "KL_on_softmax"),
     ("meta_training", "normalize_hidden_by_dim", True),
+    # each value has one setter: base_training trains every entry, and
+    # analysis.task names the task that analyze, ssl and fixed-points read
+    ("population", "lr", 3e-3),
+    ("population", "epochs", 2),
+    ("ssl", "task", "valence"),
+    ("analysis", "landscape_task", "valence"),
 ])
 def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = _mini_config()
-    (cfg[section] if section else cfg)[key] = value
+    entry = cfg[section] if section else cfg
+    (entry[0] if isinstance(entry, list) else entry)[key] = value
     path = _write_config(tmp_path, cfg)
     assert _run("gen-data", "--config", str(path)) == 2
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash>, no out_dir
@@ -239,15 +251,31 @@ def test_every_training_key_sets_its_train_config_field(section):
 
 def test_parser_options_are_run_inputs_only():
     # the config sets every value a run computes with; a flag only names the
-    # config, the run directory, the seed, or what a command reads or adds
+    # config, the run directory, or what a command reads or adds
     subparsers = build_parser()._subparsers._group_actions[0].choices
     options = {name: {opt for action in p._actions for opt in action.option_strings}
                - {"-h", "--help"} for name, p in subparsers.items()}
-    common = {"--config", "--out", "--seed"}
+    common = {"--config", "--out"}
     assert options == {"gen-data": common, "train-base": common, "train-meta": common,
                        "analyze": common | {"--svcca"}, "ssl": common,
                        "fixed-points": common | {"--theta", "--score-map"},
                        "average": common | {"--ids"}}
+    assert sum(map(len, options.values())) == 18
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--seed", "7"),  # the config's seed is the run's only seed
+    ("ssl", "--task", "valence"),
+    ("train-base", "--epochs", "2"),
+], ids=["seed_flag", "task_flag", "epochs_flag"])
+def test_unknown_option_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, _mini_config())
+    with pytest.raises(SystemExit) as exit_:
+        _run(*argv, "--config", str(path))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -466,6 +494,10 @@ def test_ssl_outputs(pipeline):
     assert len(traj) == 2 + 4  # init + 3 steps
     result = json.loads((out / "ssl_result.json").read_text())
     assert "improvement_over_best_base" in result
+    # the rows from the last accepted step on repeat its theta and loss
+    taken = result["steps_taken"]
+    assert result["steps"] == 3 and 0 <= taken <= 3
+    assert len({row.split(",", 1)[1] for row in traj[2 + taken:]}) == 1
 
 
 def test_fixed_points_theta_sources(pipeline):
@@ -486,6 +518,14 @@ def test_fixed_points_theta_sources(pipeline):
         assert float(row.split(",")[1]) <= 1e-3
     assert _run("fixed-points", "--config", str(path), "--out", str(out),
                 "--theta", "bogus,source") == 2
+    # a key no base record has matched every base through str(None); a label
+    # outside the file-stem rule wrote below the run directory
+    written = sorted(out.rglob("*"))
+    for source in ("centroid:no_such_key=None", "centroid:a/b=None",
+                   "centroid:task=../valence"):
+        assert _run("fixed-points", "--config", str(path), "--out", str(out),
+                    "--theta", source) == 2, source
+    assert sorted(out.rglob("*")) == written
 
 
 def test_average_command(pipeline):
@@ -513,7 +553,6 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
 
 @pytest.mark.parametrize("keys,value,argv", [
     (("seed",), -1, ("gen-data",)),
-    ((), None, ("gen-data", "--seed", "-1")),
     (("tasks", 0, "seed"), -1, ("gen-data",)),
     (("splits", "seed"), -1, ("gen-data",)),
     (("population", 0, "hidden_dim"), -1, ("train-base",)),
@@ -541,7 +580,7 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("population", 0, "train_fraction"), 2.0, ("train-base",)),
     # switched deduplication off
     (("fixed_points", "dedup_radius"), -0.01, ("fixed-points", "--theta", "base_000")),
-], ids=["seed", "seed_flag", "task_seed", "splits_seed", "base_hidden_dim",
+], ids=["seed", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
         "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
         "batch_sequences", "theta_nan", "variance_threshold_zero",
@@ -574,7 +613,9 @@ def generated(pipeline, tmp_path_factory):
                                      ssl_labeled=0.05),
     # 0.001 of the 48 base_train sequences is none
     lambda cfg: cfg["population"].append(dict(cfg["population"][0], train_fraction=0.001)),
-], ids=["empty_test_split", "empty_train_fraction"])
+    # train-meta, after gen-data and train-base had run, found no meta_unlabeled sequence
+    lambda cfg: cfg["splits"].update(meta_unlabeled=0.0),
+], ids=["empty_test_split", "empty_train_fraction", "empty_meta_unlabeled_split"])
 @pytest.mark.parametrize("argv", [("gen-data",), ("train-base",)],
                          ids=["gen_data", "train_base"])
 def test_empty_split_is_config_error_before_any_output(pipeline, generated, tmp_path,
@@ -776,15 +817,24 @@ def test_analyze_svcca_scores_train_fraction_clusters(tmp_path, count, scored):
         assert -1.0 <= summary["silhouette_svcca_mds"] <= 1.0
 
 
-def test_diverging_base_entry_is_numeric_failure_and_saves_none_of_its_bases(tmp_path,
-                                                                              capsys):
-    # the second entry's step leaves float32: it writes no checkpoint, while
-    # the first entry's stay
+def test_diverging_base_entry_is_numeric_failure_and_saves_none_of_its_bases(
+        tmp_path, monkeypatch, capsys):
+    # the second entry starts beyond float32, so its state is not finite
+    # there: it writes no checkpoint, while the first entry's stay
     cfg = _mini_config()
-    cfg["population"].append(dict(cfg["population"][0], lr=1e39))
+    cfg["population"].append(dict(cfg["population"][0], hidden_dim=6))
     path = _write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert _run("gen-data", "--config", str(path), "--out", str(out)) == 0
+    train = cli.train_base
+
+    def overflowing_second_entry(bases, *args, **kwargs):
+        if bases[0].hidden_dim == 6:
+            for model in bases:
+                model.params = {k: np.full_like(v, 1e39) for k, v in model.params.items()}
+        return train(bases, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_base", overflowing_second_entry)
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -796,9 +846,9 @@ def test_diverging_base_entry_is_numeric_failure_and_saves_none_of_its_bases(tmp
         "base_000.bin", "base_000.json", "base_001.bin", "base_001.json"]
 
 
-def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
+def test_config_seed_applies_to_every_command(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    path = _write_config(tmp_path, _mini_config())
+    path = _write_config(tmp_path, _mini_config(seed=7))
     seeds = []
     collect = dynamics.collect_candidates
 
@@ -810,7 +860,7 @@ def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
     for argv in (("gen-data",), ("train-base",), ("train-meta",), ("analyze",),
                  ("ssl",), ("fixed-points", "--theta", "base_000"),
                  ("average", "--ids", "base_000,base_001")):
-        assert _run(*argv, "--config", str(path), "--seed", "7") == 0, argv
+        assert _run(*argv, "--config", str(path)) == 0, argv
     runs = [p.name for p in tmp_path.glob("run_*")]
     assert runs == [f"run_{config_hash(_mini_config(seed=7))}"]
     manifest = json.loads((tmp_path / runs[0] / "base" / "base_000.json").read_text())
@@ -819,10 +869,10 @@ def test_seed_override_applies_to_every_command(tmp_path, monkeypatch):
 
 
 def test_task_without_base_models_has_no_readout_head(tmp_path):
-    cfg = _mini_config(ssl={"steps": 3, "lr": 0.5, "task": "topic"})
+    cfg = _mini_config()
     cfg["tasks"].append(dict(cfg["tasks"][0], name="topic",
                              kind="topic_classification", num_classes=3))
-    cfg["analysis"]["landscape_task"] = "topic"
+    cfg["analysis"]["task"] = "topic"
     path = _write_config(tmp_path, cfg)
     out = tmp_path / "run"
     for stage in ("gen-data", "train-base", "train-meta"):
@@ -1200,7 +1250,7 @@ def planeless_runs(tmp_path_factory):
     one_base["tasks"].append(dict(one_base["tasks"][0], name="valence2"))
     one_base["population"].append(dict(one_base["population"][0], task="valence2",
                                        count=1, task_group=1))
-    one_base["analysis"]["landscape_task"] = one_base["ssl"]["task"] = "valence2"
+    one_base["analysis"]["task"] = "valence2"
     one_dim = _mini_config(meta={"hidden_dim": 8, "input_dim": 4, "embed_dim": 1})
     runs = {}
     for name, cfg in (("one_base", one_base), ("one_dim", one_dim)):

@@ -3,7 +3,7 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
-from dynamo import models
+from dynamo import cli, models
 from dynamo.cli import build_parser, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,9 +96,9 @@ def test_rundiff_runs_every_command_on_the_recurrent_workloads():
     assert recurrent
     assert {stage[0] for w in recurrent for stage in rundiff.stages(w)} == set(subparsers)
     for workload in rundiff.WORKLOADS.values():
-        # `fixed-points --score-map` needs token valences on ssl.task
+        # `fixed-points --score-map` needs token valences on analysis.task
         cfg = validate_config(workload.config(1))
-        task = next(t for t in cfg["tasks"] if t["name"] == cfg["ssl"]["task"])
+        task = next(t for t in cfg["tasks"] if t["name"] == cfg["analysis"]["task"])
         assert task["kind"] == "valence_sentiment", workload.name
 
 
@@ -209,3 +209,48 @@ def test_traffic_lists_the_lines_no_stage_runs(monkeypatch, capsys):
                 if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(T)")
     assert not set(listed.get("rollout_batch", ())) & set(range(loop.lineno,
                                                                loop.end_lineno + 1))
+
+
+def test_traffic_lists_the_config_keys_and_options_no_workload_sets():
+    traffic = _tool("traffic")
+    workloads = traffic.WORKLOADS.values()
+    lines = traffic.knob_report([w.config(1) for w in workloads],
+                                [stage for w in workloads for stage in traffic.stages(w)])
+    options = next(i for i, line in enumerate(lines) if line.startswith("CLI options: "))
+    unset = [line.strip() for line in lines[1:options]]
+    assert lines[0] == f"config keys: {len(unset)} of 54 not set by any workload"
+    assert "meta_training.lambda" in unset and "population[].task_group" not in unset
+    assert "population[].num_blocks" not in unset  # train-residual sets it
+    # every option is passed: the runners add --config and --out, and the
+    # stages name the rest
+    assert lines[options:] == ["CLI options: 0 of 18 not passed by any stage"]
+    lines = traffic.knob_report([{"seed": 1, "population": [{"task": "a", "count": 1}]}],
+                                [("ssl",)])
+    assert "  population[].count" not in lines and "  population[].hidden_dim" in lines
+    assert "  ssl --config" not in lines and "  analyze --svcca" in lines
+
+
+def test_config_schema_keys():
+    # a new key must be added here, as a new option must be added to
+    # test_cli's parser pin
+    keys = _tool("traffic").schema_keys(cli._CONFIG)
+    assert keys == [
+        "seed",
+        *(f"tasks[].{k}" for k in ("name", "kind", "vocab_size", "num_classes", "t_min",
+                                   "t_max", "noise_rate", "num_sequences", "seed")),
+        *(f"splits.{k}" for k in ("base_train", "meta_unlabeled", "ssl_labeled", "seed")),
+        *(f"population[].{k}" for k in ("task", "count", "cell_kind", "hidden_dim",
+                                        "input_dim", "train_fraction", "task_group",
+                                        "num_blocks")),
+        *(f"base_training.{k}" for k in ("lr", "batch_size", "weight_decay", "cosine_freq",
+                                         "epochs")),
+        *(f"meta.{k}" for k in ("cell_kind", "hidden_dim", "input_dim", "embed_dim")),
+        *(f"meta_training.{k}" for k in ("lr", "batch_size", "weight_decay", "cosine_freq",
+                                         "max_steps", "lambda")),
+        *(f"analysis.{k}" for k in ("grid", "extent_scale", "variance_threshold", "top_k",
+                                    "svcca_dims", "svcca_sequences", "mds_dim", "task")),
+        *(f"ssl.{k}" for k in ("steps", "lr")),
+        *(f"fixed_points.{k}" for k in ("tol", "dedup_radius", "max_steps", "candidates",
+                                        "samples_per_seq", "batch_sequences", "score_grid")),
+    ]
+    assert len(keys) == 54

@@ -11,9 +11,14 @@ function with such lines, their line numbers as ranges of consecutive
 executable lines. A function's lines are those its code object's line table
 names, its comprehensions' and lambdas' included, without the `def` (or first
 decorator) line; a nested function is listed under its own qualified name.
-Module and class bodies count as executed, because they run at import. Exits 1
-if a stage does not exit 0. The run directories go to a temporary directory,
-removed at exit.
+Module and class bodies count as executed, because they run at import.
+
+Then it reports knob traffic, which needs no traced run: each settable key of
+the config schema (`cli._CONFIG`, a list entry's keys as `population[].count`)
+that the `config(seed)` of no workload it runs sets, and each `build_parser()`
+option that no stage passes (`--config` and `--out`, which every runner adds,
+count as passed). Exits 1 if a stage does not exit 0. The run directories go to a
+temporary directory, removed at exit.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from peakmem import run_stage, write_config  # noqa: E402
 from rundiff import WORKLOADS, stages  # noqa: E402
 
 SOURCES = sorted(p for p in Path(cli.__file__).parent.glob("*.py") if p.name != "__init__.py")
+RUNNER_OPTIONS = ("--config", "--out")  # every runner passes them to every stage
 
 
 def _lines(code: types.CodeType) -> set[int]:
@@ -102,6 +108,48 @@ def _ranges(lines: list[int], within: list[int]) -> str:
     return ", ".join(str(r[0]) if len(r) == 1 else f"{r[0]}-{r[-1]}" for r in runs)
 
 
+def schema_keys(section: dict, prefix: str = "") -> list[str]:
+    """The settable key paths of a `cli._CONFIG` section, in schema order."""
+    keys = []
+    for key, (kind, _) in section.items():
+        if isinstance(kind, list):
+            kind, key = kind[0], f"{key}[]"
+        keys += schema_keys(kind, f"{prefix}{key}.") if isinstance(kind, dict) else [prefix + key]
+    return keys
+
+
+def config_keys(cfg: dict, prefix: str = "") -> set[str]:
+    """The key paths a config sets, in the notation of `schema_keys`."""
+    keys = set()
+    for key, val in cfg.items():
+        if isinstance(val, list):
+            key, val = f"{key}[]", {k: v for entry in val for k, v in entry.items()}
+        keys |= config_keys(val, f"{prefix}{key}.") if isinstance(val, dict) else {prefix + key}
+    return keys
+
+
+def parser_options() -> list[str]:
+    """Every `build_parser()` option but `--help`, as "<command> <option>"."""
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    return [f"{name} {opt}" for name, p in commands.items() for action in p._actions
+            for opt in action.option_strings if opt not in ("-h", "--help")]
+
+
+def knob_report(configs: list[dict], argv: list[tuple[str, ...]]) -> list[str]:
+    """The lines listing each schema key no config of `configs` sets and each
+    parser option no stage of `argv` passes."""
+    set_keys = set().union(*map(config_keys, configs))
+    keys = schema_keys(cli._CONFIG)
+    unset = [key for key in keys if key not in set_keys]
+    passed = {f"{stage[0]} {arg}" for stage in argv for arg in (*stage[1:], *RUNNER_OPTIONS)}
+    options = parser_options()
+    unpassed = [opt for opt in options if opt not in passed]
+    return ([f"config keys: {len(unset)} of {len(keys)} not set by any workload"]
+            + [f"  {key}" for key in unset]
+            + [f"CLI options: {len(unpassed)} of {len(options)} not passed by any stage"]
+            + [f"  {opt}" for opt in unpassed])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="workload config seed")
@@ -109,11 +157,11 @@ def main(argv=None) -> int:
                         help="a workload to run; repeat it for more (default all)")
     args = parser.parse_args(argv)
     hits: dict[str, set[int]] = defaultdict(set)
+    workloads = {name: WORKLOADS[name] for name in args.workload or WORKLOADS}
     with tempfile.TemporaryDirectory(prefix="traffic-") as tmp:
-        for name in dict.fromkeys(args.workload or WORKLOADS):
+        for name, workload in workloads.items():
             root = Path(tmp) / name
             root.mkdir()
-            workload = WORKLOADS[name]
             try:
                 run = executed_lines(workload.config(args.seed), stages(workload), root)
             except RuntimeError as e:
@@ -129,6 +177,9 @@ def main(argv=None) -> int:
         for name, lines in unrun.items():
             if lines:
                 print(f"  {name}: {_ranges(lines, sorted(funcs[name]))}")
+    for line in knob_report([w.config(args.seed) for w in workloads.values()],
+                            [stage for w in workloads.values() for stage in stages(w)]):
+        print(line)
     return 0
 
 
