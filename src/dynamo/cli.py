@@ -15,7 +15,9 @@ schema, and each task and training section as its module builds it. The range
 checks include a size of at least 1 (`_SIZE`, `fixed_points.candidates` and
 `samples_per_seq` among them), a positive `ssl.lr`, `analysis.extent_scale` and
 `fixed_points.tol`, a `population[].train_fraction` in (0, 1], no `num_blocks` on
-a recurrent entry and a nonnegative `fixed_points.dedup_radius`.
+a recurrent entry and a nonnegative `fixed_points.dedup_radius`. An empty
+`ssl_labeled` split passes the load: only `ssl` reads it, so only `ssl`
+refuses it (exit 2, writing nothing), and a run that never calls `ssl` works.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit

@@ -683,35 +683,3 @@ def _cell_grads(kind: str, need: list[bool], x, h0, y, da, w_in, rh):
         dw_st = [*np.matmul(h_prev.T, da[:2]), rh.T @ da[2]]
         return dx, [p for k in range(3) for p in (_rows([dw_in[k], dw_st[k]]), db[k])]
     return dx, [dw_in[0], h_prev.T @ da[0], db[0]]
-
-
-def grad_check(graph: Graph, point: dict, step: float) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The numeric side only ever calls `forward`, so it stays independent of the
-    backward implementation it is checking.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    point = {k: _as_array(v).copy() for k, v in point.items()}
-    graph.forward(point)
-    analytic = graph.backward()
-    worst = 0.0
-    for name in graph._param_names:
-        base = point[name]
-        an = analytic[name]
-        num = np.zeros_like(base)
-        flat = base.reshape(-1)
-        nflat = num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(graph.forward(point))
-            flat[i] = orig - step
-            lo = float(graph.forward(point))
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * step)
-        err = np.abs(an - num) / np.maximum(1.0, np.abs(an))
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst

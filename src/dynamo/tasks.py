@@ -4,6 +4,15 @@ Two generators: a sentiment-style valence task whose ground truth is a
 running sum of per-token valences (so a plain integrator solves it), and a
 topic task labeled by the dominant token block (>= 3 classes, to exercise a
 second readout head). Both are pure functions of their seed.
+
+Each generator draws its sequences one scalar at a time from
+`np.random.default_rng(seed)`, in a fixed order, and the datasets on disk are
+that order's output. Vectorised draws would consume the stream in a new order
+and so change every dataset, so the generators keep the scalar order but take
+the scalars from `ScalarDraws`, which replays the Generator's PCG64 words in
+bulk (`random_raw`) and returns exactly what its scalar `random()` and
+`integers(lo, hi)` calls would. That costs a fraction of a Generator call per
+scalar, and the datasets stay byte-identical.
 """
 from __future__ import annotations
 
@@ -87,8 +96,74 @@ class SequenceDataset:
         return pool[:share(fraction, len(pool))]
 
 
-def _draw_lengths(rng, spec):
-    return int(rng.integers(spec.t_min, spec.t_max + 1))
+class ScalarDraws:
+    """The scalar draws of a PCG64 `np.random.Generator`, replayed in bulk.
+
+    `random()` and `integers(lo, hi)` (1 <= hi - lo < 2**32) return exactly
+    what the Generator's own scalar calls would, in the same order: both are
+    fixed functions of its 64-bit words (O'Neill 2014), which this class draws
+    in blocks of `BLOCK` through `bit_generator.random_raw`. `random()` is a
+    word's top 53 bits over 2**53. `integers` is Lemire's bounded integer
+    (Lemire 2019, ACM TOMACS) on 32-bit halves, low half first, with the high
+    half buffered for the next call, as PCG64 does; a one-value range draws
+    nothing. Used as a context manager, on exit it hands the Generator back at
+    the state those scalar calls would have left, buffered half included, so
+    later draws from the Generator itself continue the same stream.
+    """
+
+    BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._start = self._bitgen.state
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+        self._words: list[int] = []
+        self._next = 0
+        self._used = 0  # words of the blocks before the current one
+
+    def __enter__(self) -> ScalarDraws:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Hand the Generator back at the state the scalar calls leave."""
+        self._bitgen.state = self._start
+        self._bitgen.advance(self._used + self._next)  # clears the buffered half
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._used += len(self._words)
+            self._words = self._bitgen.random_raw(self.BLOCK).tolist()
+            self._next = 0
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._word()
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 0 < n < 1 << 32:
+            raise ValueError(f"integers needs 1 <= hi - lo < 2**32, got {n}")
+        if n == 1:
+            return lo
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:  # only then can it fall below the threshold
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return lo + (m >> 32)
 
 
 def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
@@ -99,25 +174,24 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     if spec.kind != "valence_sentiment":
         raise TaskError("spec.kind must be valence_sentiment")
     rng = np.random.default_rng(spec.seed)
-    third = spec.vocab_size // 3
-    values = np.zeros(spec.vocab_size)
-    values[:third] = 1.0
-    values[third:2 * third] = -1.0
+    V, third = spec.vocab_size, spec.vocab_size // 3
+    signs = [1] * third + [-1] * third + [0] * (V - 2 * third)
     sequences, labels = [], []
-    for _ in range(spec.num_sequences):
-        while True:
-            T = _draw_lengths(rng, spec)
-            toks = rng.integers(0, spec.vocab_size, size=T)
-            total = values[toks].sum()
-            if total != 0.0:
-                break
-        sequences.append([int(t) for t in toks])
-        labels.append(1 if total > 0 else 0)
+    with ScalarDraws(rng) as draw:
+        for _ in range(spec.num_sequences):
+            while True:
+                T = draw.integers(spec.t_min, spec.t_max + 1)
+                toks = [draw.integers(0, V) for _ in range(T)]
+                total = sum([signs[t] for t in toks])
+                if total != 0:
+                    break
+            sequences.append(toks)
+            labels.append(1 if total > 0 else 0)
     n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
     for i in rng.permutation(spec.num_sequences)[:n_flip]:
         labels[i] = 1 - labels[i]
-    return SequenceDataset("valence_sentiment", spec.vocab_size, 2, sequences,
-                           labels, valence=values, seed=spec.seed)
+    return SequenceDataset("valence_sentiment", V, 2, sequences, labels,
+                           valence=np.array(signs, dtype=np.float64), seed=spec.seed)
 
 
 def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
@@ -128,39 +202,40 @@ def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
     if spec.kind != "topic_classification":
         raise TaskError("spec.kind must be topic_classification")
     rng = np.random.default_rng(spec.seed)
-    C = spec.num_classes
-    block = spec.vocab_size // (C + 1)
+    V, C = spec.vocab_size, spec.num_classes
+    block = V // (C + 1)
     if block < 1:
         raise TaskError("vocab too small for topic blocks")
     # tokens [c*block, (c+1)*block) belong to topic c; the tail is noise
-    block_of = np.full(spec.vocab_size, -1, dtype=np.int64)
-    for c in range(C):
-        block_of[c * block:(c + 1) * block] = c
     sequences, labels = [], []
-    for _ in range(spec.num_sequences):
-        while True:
-            T = _draw_lengths(rng, spec)
-            topic = int(rng.integers(0, C))
-            toks = np.empty(T, dtype=np.int64)
-            for t in range(T):
-                u = rng.random()
-                if u < 0.5:
-                    toks[t] = rng.integers(topic * block, (topic + 1) * block)
-                elif u < 0.8:
-                    toks[t] = rng.integers(C * block, spec.vocab_size)
-                else:
-                    toks[t] = rng.integers(0, C * block)
-            counts = np.bincount(block_of[toks][block_of[toks] >= 0], minlength=C)
-            top = counts.max()
-            if top > 0 and (counts == top).sum() == 1:
-                break
-        sequences.append([int(t) for t in toks])
-        labels.append(int(counts.argmax()))
+    with ScalarDraws(rng) as draw:
+        for _ in range(spec.num_sequences):
+            while True:
+                T = draw.integers(spec.t_min, spec.t_max + 1)
+                topic = draw.integers(0, C)
+                toks = []
+                for _ in range(T):
+                    u = draw.random()
+                    if u < 0.5:
+                        toks.append(draw.integers(topic * block, (topic + 1) * block))
+                    elif u < 0.8:
+                        toks.append(draw.integers(C * block, V))
+                    else:
+                        toks.append(draw.integers(0, C * block))
+                counts = [0] * C
+                for t in toks:
+                    if t < C * block:
+                        counts[t // block] += 1
+                top = max(counts)
+                if top > 0 and counts.count(top) == 1:
+                    break
+            sequences.append(toks)
+            labels.append(counts.index(top))
     n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
     for i in rng.permutation(spec.num_sequences)[:n_flip]:
         old = labels[i]
         labels[i] = int((old + 1 + rng.integers(0, C - 1)) % C)
-    return SequenceDataset("topic_classification", spec.vocab_size, C, sequences,
+    return SequenceDataset("topic_classification", V, C, sequences,
                            labels, valence=None, seed=spec.seed)
 
 
@@ -238,8 +313,13 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
     `<path>.json` (manifest with vocab, classes, splits, seed and the valence
     signs as a token -> positive/negative/neutral map)."""
     path = Path(path)
-    lines = [f"{lab}\t{','.join(str(t) for t in seq)}\n"
-             for lab, seq in zip(ds.labels, ds.sequences)]
+    names = {tok: str(tok) for tok in range(ds.vocab_size)}
+    try:
+        lines = [f"{lab}\t{','.join([names[t] for t in seq])}\n"
+                 for lab, seq in zip(ds.labels, ds.sequences)]
+    except KeyError as e:
+        raise TaskError(f"token {e.args[0]!r} is outside the vocabulary "
+                        f"[0, {ds.vocab_size})") from None
     path.with_suffix(".txt").write_text("".join(lines))
     manifest = {
         "kind": ds.kind,
@@ -256,7 +336,9 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> SequenceDataset:
     """Read a dataset written by `save_dataset`. Raises TaskError on a missing
     file, bad JSON, a missing manifest key, a malformed line, a token or label
-    out of range, a split index outside the dataset, or a bad valence entry."""
+    out of range, a split index outside the dataset, a bad valence entry, an
+    unknown split tag, or an index listed twice in the splits (within one split
+    or across two, which would leak training sequences into another split)."""
     path = Path(path)
     try:
         manifest = json.loads(path.with_suffix(".json").read_text())
@@ -272,12 +354,13 @@ def load_dataset(path: str | Path) -> SequenceDataset:
             splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
             seed=manifest["seed"],
         )
+        listed = [i for idxs in ds.splits.values() for i in idxs]
         in_range = (all(0 <= min(s) and max(s) < ds.vocab_size for s in ds.sequences)
                     and all(0 <= lab < ds.num_classes for lab in ds.labels)
-                    and all(type(i) is int and 0 <= i < len(ds)
-                            for idxs in ds.splits.values() for i in idxs)
+                    and all(type(i) is int and 0 <= i < len(ds) for i in listed)
                     and all(0 <= tok < ds.vocab_size and tag in VALENCE_SIGNS
                             for tok, tag in valence))
+        splits_ok = set(ds.splits) <= set(SPLIT_TAGS) and len(set(listed)) == len(listed)
         if in_range and valence:  # a token the map leaves out is neutral
             ds.valence = np.zeros(ds.vocab_size)
             for tok, tag in valence:
@@ -289,4 +372,7 @@ def load_dataset(path: str | Path) -> SequenceDataset:
     if not in_range:
         raise TaskError(f"corrupt dataset {path}: a token, label, split index "
                         "or valence entry is out of range")
+    if not splits_ok:
+        raise TaskError(f"corrupt dataset {path}: the splits have an unknown tag "
+                        "or list an index twice")
     return ds

@@ -625,6 +625,23 @@ def test_empty_split_is_config_error_before_any_output(pipeline, generated, tmp_
     _assert_refused_untouched(generated, tmp_path, capsys, cfg, argv)
 
 
+def test_empty_ssl_labeled_split_is_refused_by_ssl_alone(tmp_path, capsys):
+    """Only `ssl` reads the ssl_labeled split, so every other command runs
+    without it, and `ssl` exits 2 naming the split and writes no file."""
+    cfg = _mini_config()
+    cfg["splits"]["ssl_labeled"] = 0.0
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    for argv in (("gen-data",), ("train-base",), ("train-meta",), ("analyze",),
+                 ("average", "--ids", "base_000,base_001")):
+        assert _run(*argv, "--config", str(path), "--out", str(out)) == 0, argv
+    assert load_dataset(out / "data" / "valence").indices("ssl_labeled") == []
+    capsys.readouterr()
+    assert _run("ssl", "--config", str(path), "--out", str(out)) == 2
+    assert "empty split 'ssl_labeled'" in capsys.readouterr().err
+    assert not list(out.glob("ssl_*"))
+
+
 def _assert_refused_untouched(out, tmp_path, capsys, cfg, argv):
     """`argv` run with `cfg` on a copy of the run directory `out` exits 2 with
     a config error, no traceback and no RuntimeWarning, and writes nothing;

@@ -18,8 +18,9 @@ from dynamo.numgrad import (
     NumgradError,
     ShapeMismatch,
     UnboundLeaf,
-    grad_check,
 )
+
+from gradcheck import grad_check
 
 
 def test_forward_and_backward_reject_nonfinite():

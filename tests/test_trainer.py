@@ -16,7 +16,7 @@ from dynamo.models import (
     model_inputs,
     pad_tokens,
 )
-from dynamo.numgrad import NumericError, grad_check
+from dynamo.numgrad import NumericError
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
 from dynamo.trainer import (
     MetaTrainer,
@@ -33,6 +33,8 @@ from dynamo.trainer import (
     train_base,
     train_meta,
 )
+
+from gradcheck import grad_check
 
 
 # -- numpy reference of the emulation loss --------------------------------------
