@@ -122,6 +122,11 @@ def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
 # -- grids over a plane in embedding space -----------------------------------------
 
 
+# Span of the landscape's and the score map's grid, in widths of the box that
+# bounds the bases' projections: the first implementation's value.
+PLANE_EXTENT = 1.5
+
+
 @dataclass
 class PlaneGrid:
     """Nodes (us[i], vs[j]) over the plane origin + u * u_axis + v * v_axis,
@@ -150,12 +155,11 @@ class PlaneGrid:
         return (float(self.us[i]), float(self.vs[j])), float(vals[i, j])
 
 
-def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int],
-               extent_scale: float) -> PlaneGrid:
+def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int]) -> PlaneGrid:
     """A grid over a plane in embedding space, with no value columns yet.
 
     The plane (origin, u_axis, v_axis) is the top-2 PCA plane through the
-    base embeddings' mean; the grid spans `extent_scale` times the bounding
+    base embeddings' mean; the grid spans `PLANE_EXTENT` times the bounding
     box of their projections. An axis whose spread is at most 1e-9 of the
     other's (the second axis of two bases) holds only rounding noise and
     takes the other's half-width; with no spread on either, each half-width
@@ -171,7 +175,7 @@ def plane_grid(base_thetas: np.ndarray, grid: tuple[int, int],
     lo, hi = uv.min(axis=0), uv.max(axis=0)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = np.where(half <= 1e-9 * half[::-1], half[::-1], half)
-    half = np.where(half > 0, half * extent_scale, 1.0)
+    half = np.where(half > 0, half * PLANE_EXTENT, 1.0)
     return PlaneGrid(origin, u_axis, v_axis,
                      *(np.linspace(center[a] - half[a], center[a] + half[a], grid[a])
                        for a in (0, 1)))
@@ -269,7 +273,13 @@ def _svd_basis(acts: np.ndarray, var_kept: float = 0.99):
     return u, rank, components_for_variance(s[:rank] ** 2, var_kept), acts.shape[1]
 
 
-def svcca_distance(acts_a: np.ndarray, acts_b: np.ndarray, dims_kept: int = 20) -> float:
+# Directions SVCCA keeps of a pair at most, the first implementation's value;
+# a pair with fewer units or samples keeps fewer (`svcca_distances`).
+SVCCA_DIMS = 20
+
+
+def svcca_distance(acts_a: np.ndarray, acts_b: np.ndarray,
+                   dims_kept: int = SVCCA_DIMS) -> float:
     """CCA-based dissimilarity between two activation matrices over the same
     samples: sqrt(mean over canonical pairs of 2*(1 - rho))."""
     A, B = np.asarray(acts_a, float), np.asarray(acts_b, float)
@@ -359,12 +369,15 @@ def silhouette(embeddings: np.ndarray, labels) -> float:
 
 # -- tables ------------------------------------------------------------------------
 
+ATLAS_PCS = 3  # PCA coordinates of each atlas.csv row: the first implementation's value
 
-def atlas_table(atlas: EmbeddingAtlas, embeddings: np.ndarray, metadata: list[dict],
-                top_k: int) -> tuple[list[str], list[list]]:
-    """One row per embedding: its metadata record, theta_* and `top_k` PCA coordinates."""
+
+def atlas_table(atlas: EmbeddingAtlas, embeddings: np.ndarray,
+                metadata: list[dict]) -> tuple[list[str], list[list]]:
+    """One row per embedding: its metadata record, theta_* and `ATLAS_PCS`
+    PCA coordinates (all of them, when the embedding is narrower)."""
     d = embeddings.shape[1]
-    k = min(top_k, d)
+    k = min(ATLAS_PCS, d)
     meta_keys = sorted({key for m in metadata for key in m} - {"model_id"})
     header = (["model_id"] + meta_keys + [f"theta_{j}" for j in range(d)]
               + [f"pc_{j}" for j in range(k)])

@@ -12,12 +12,13 @@ written>`; the remaining flags name what a command reads or adds (`--theta`,
 `--ids`, `--svcca`, `--score-map`).
 Every command checks the whole config as it loads it: each value against the
 schema, and each task and training section as its module builds it. The range
-checks include a size of at least 1 (`_SIZE`, `fixed_points.candidates` and
-`samples_per_seq` among them), a positive `ssl.lr`, `analysis.extent_scale` and
-`fixed_points.tol`, a `population[].train_fraction` in (0, 1], no `num_blocks` on
-a recurrent entry and a nonnegative `fixed_points.dedup_radius`. An empty
-`ssl_labeled` split passes the load: only `ssl` reads it, so only `ssl`
-refuses it (exit 2, writing nothing), and a run that never calls `ssl` works.
+checks include a finite value for every number (`_NUM`: no NaN or Infinity), a
+size of at least 1 (`_SIZE`, `fixed_points.candidates` and `score_grid` among
+them), a positive `ssl.lr` and `fixed_points.tol`, a
+`population[].train_fraction` in (0, 1], no `num_blocks` on a recurrent entry
+and a nonnegative `fixed_points.dedup_radius`. An empty `ssl_labeled` split
+passes the load: only `ssl` reads it, so only `ssl` refuses it (exit 2, writing
+nothing), and a run that never calls `ssl` works.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
 tensors (float64 in memory, float32 on disk). Every command is deterministic
 given its config: re-runs produce byte-identical CSVs and checkpoints. Exit
@@ -31,13 +32,15 @@ in which case no checkpoint is written).
 
 Only `Run.write` puts a file in the run directory. It writes every payload it
 is handed into a staging directory there, and only then renames each file into
-place. Each command hands it all its outputs at once, but gen-data hands each
-task's dataset, and train-base each population entry's checkpoints (its models
-train in lockstep) and then `base/metrics.csv`. So a command that refuses its
-run (exit 2), diverges (exit 4) or cannot write an output (exit 3, also when a
-directory or file is in an output path's way) leaves the run directory as it
-was, apart from the datasets or entries written earlier. A rename that fails
-for another reason, such as a full disk, can leave the files renamed before it.
+place, moving the file it replaces aside into the staging directory first. If
+a rename fails, it puts every file it replaced back and removes every file and
+directory it added. Each command hands it all its outputs at once, but gen-data
+hands each task's dataset, and train-base each population entry's checkpoints
+(its models train in lockstep) and then `base/metrics.csv`. So a command that
+refuses its run (exit 2), diverges (exit 4) or cannot write an output (exit 3,
+also when a directory or file is in an output path's way or a rename fails)
+leaves the run directory as it was, apart from the datasets or entries written
+earlier.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,8 +99,9 @@ class IOFailure(Exception):
 # key the config must give. A default of None leaves the key out of the
 # resolved config, so that TrainConfig and trainer.init_meta_state supply it.
 # An int is at least 0; a _SIZE, an int that sizes an array, a grid or a
-# population entry, is at least 1. No key takes a bool, and a bool is refused
-# where a number goes, though it subclasses int.
+# population entry, is at least 1; a _NUM is finite. No key takes a bool, and a
+# bool is refused where a number goes, though it subclasses int. A setting with
+# one value in use is a constant where it is read (`trainer.WEIGHT_DECAY`).
 
 _REQUIRED = object()
 _STEM = re.compile(r"[A-Za-z0-9_-]+")  # a task name or a theta label: a file stem
@@ -114,23 +119,16 @@ _POPULATION = {"task": (str, _REQUIRED), "count": (_SIZE, _REQUIRED),
                "cell_kind": (CELL_KINDS, "gru"), "hidden_dim": (_SIZE, 24),
                "input_dim": (_SIZE, 12), "train_fraction": (_NUM, 1.0),
                "task_group": (int, 0), "num_blocks": (int, 0)}
-# the keys both training sections take
-_TRAINING = {"lr": _NUM, "batch_size": int, "weight_decay": _NUM, "cosine_freq": _NUM}
-_BASE_TRAINING = {key: (kind, None) for key, kind in {
-    **_TRAINING, "epochs": int}.items()}
-_META_TRAINING = {key: (kind, None) for key, kind in {
-    **_TRAINING, "max_steps": int, "lambda": _NUM}.items()}
+_TRAINING = {"lr": (_NUM, None), "batch_size": (int, None)}  # both sections take them
+_BASE_TRAINING = {**_TRAINING, "epochs": (int, None)}
+_META_TRAINING = {**_TRAINING, "max_steps": (int, None), "lambda": (_NUM, None)}
 _META = {"cell_kind": (CELL_KINDS, None), "hidden_dim": (_SIZE, None),
          "input_dim": (_SIZE, None), "embed_dim": (_SIZE, None)}
-_ANALYSIS = {"grid": (_SIZE, 15), "extent_scale": (_NUM, 1.5),  # the score map's too
-             "variance_threshold": (_NUM, 0.95), "top_k": (int, 3),
-             "svcca_dims": (_SIZE, 20), "svcca_sequences": (_SIZE, 50),
-             "mds_dim": (_SIZE, 2),
+_ANALYSIS = {"grid": (_SIZE, 15), "svcca_sequences": (_SIZE, 50),
              "task": (str, None)}  # resolved to the first task; ssl and fixed-points read it
 _SSL = {"steps": (int, 100), "lr": (_NUM, 1.0)}
 _FIXED_POINTS = {"tol": (_NUM, 1e-4), "dedup_radius": (_NUM, 1e-2),
                  "max_steps": (int, 5000), "candidates": (_SIZE, 512),
-                 "samples_per_seq": (_SIZE, 2), "batch_sequences": (_SIZE, 64),
                  "score_grid": (_SIZE, 7)}
 _CONFIG = {"seed": (int, 0), "tasks": ([_TASK], []),
            "splits": (_SPLITS, {}), "population": ([_POPULATION], []),
@@ -168,6 +166,8 @@ def _resolve_value(val, kind, where: str):
             raise ConfigError(f"{where} must be one of {', '.join(kind)}")
     elif not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"{where} has the wrong type")
+    elif kind is _NUM and not abs(val) <= sys.float_info.max:  # NaN, +-Infinity
+        raise ConfigError(f"{where} must be a finite number")
     elif kind is int or kind is _SIZE:
         low = int(kind is _SIZE)
         if val < low:
@@ -239,9 +239,7 @@ def validate_config(cfg: dict) -> dict:
     for section in ("base_training", "meta_training"):
         with _reraised(ConfigError, section, TrainerError):
             train_config_from(cfg[section])
-    if not 0.0 < cfg["analysis"]["variance_threshold"] <= 1.0:
-        raise ConfigError("analysis.variance_threshold must be in (0, 1]")
-    for section, key in (("ssl", "lr"), ("analysis", "extent_scale"), ("fixed_points", "tol")):
+    for section, key in (("ssl", "lr"), ("fixed_points", "tol")):
         if not cfg[section][key] > 0:
             raise ConfigError(f"{section}.{key} must be > 0")
     if cfg["fixed_points"]["dedup_radius"] < 0:  # 0 still merges exact duplicates
@@ -446,7 +444,8 @@ class Run(NamedTuple):
         its payload: a SequenceDataset (`tasks.save_dataset`), `(header, rows)`
         for a `.csv` path (`tasks.write_csv`, under the config hash), an object
         for a `.json` path (`tasks.write_json`), and `(tensors, manifest)` for
-        any other path, a checkpoint prefix (`save_checkpoint`)."""
+        any other path, a checkpoint prefix (`save_checkpoint`). If a rename
+        fails, it undoes each rename and new directory, last first."""
         self.out.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
         try:
@@ -466,9 +465,23 @@ class Run(NamedTuple):
             for target in moves.values():
                 if target.is_dir() or any(d.is_file() for d in target.parents):
                     raise IOFailure(f"cannot write {target}: a directory or file is in the way")
-            for staged, target in moves.items():
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(staged, target)
+            undo = []  # the steps that put the run directory back
+            try:
+                for i, (staged, target) in enumerate(moves.items()):
+                    for d in reversed(target.parents):
+                        if not d.exists():
+                            d.mkdir()
+                            undo.append(d.rmdir)
+                    if target.exists():  # moved aside, out of the outputs' names
+                        os.replace(target, staging / f".replaced{i}")
+                        undo.append(partial(os.replace, staging / f".replaced{i}", target))
+                    else:
+                        undo.append(partial(target.unlink, missing_ok=True))
+                    os.replace(staged, target)
+            except OSError:
+                for step in reversed(undo):
+                    step()
+                raise
         finally:
             shutil.rmtree(staging)
 
@@ -520,6 +533,13 @@ def _population_models(cfg: dict) -> list[list[dict]]:
 
 
 # -- commands ------------------------------------------------------------------------
+
+# Settings of the analyses, each the first implementation's value: the share of
+# the embeddings' variance `analyze` counts PCA components for, the classical-MDS
+# dimensions of the SVCCA baseline, the `meta_unlabeled` sequences whose
+# rollouts give `fixed-points` its candidates, and the score map's per sequence.
+VARIANCE_THRESHOLD, MDS_DIM = 0.95, 2
+CANDIDATE_SEQUENCES, SCORE_MAP_SAMPLES = 64, 2
 
 
 def cmd_gen_data(args) -> int:
@@ -606,12 +626,10 @@ def cmd_analyze(args) -> int:
     svcca_bases = [load_base_checkpoint(run.out / "base" / metadata[i]["model_id"])
                    for i in group_rows] if args.svcca else []
     atlas = atlas_mod.fit_pca(state.embeddings)
-    k95 = atlas_mod.components_for_variance(atlas.spectrum, an["variance_threshold"])
-    outputs = {"atlas.csv": atlas_mod.atlas_table(atlas, state.embeddings, metadata,
-                                                  an["top_k"]),
+    k95 = atlas_mod.components_for_variance(atlas.spectrum, VARIANCE_THRESHOLD)
+    outputs = {"atlas.csv": atlas_mod.atlas_table(atlas, state.embeddings, metadata),
                "spectrum.csv": atlas.spectrum_table()}
-    summary = {"components_for_variance": k95,
-               "variance_threshold": an["variance_threshold"]}
+    summary = {"components_for_variance": k95, "variance_threshold": VARIANCE_THRESHOLD}
     coords = atlas.project(state.embeddings, 2)
     for key in ("train_fraction", "task", "cell_kind"):
         vals = [m.get(key) for m in metadata]
@@ -621,8 +639,7 @@ def cmd_analyze(args) -> int:
     ds = run.datasets[task_name]
     if group_rows:
         best_base = run.best_base_accuracy(task_name)
-        plane = atlas_mod.plane_grid(state.embeddings[group_rows], (an["grid"], an["grid"]),
-                                     an["extent_scale"])
+        plane = atlas_mod.plane_grid(state.embeddings[group_rows], (an["grid"], an["grid"]))
         grid = atlas_mod.accuracy_landscape(state.meta, run.task_group(task_name), ds, plane,
                                             best_base_accuracy=best_base or None)
         argmax_uv, summary["landscape_argmax_accuracy"] = grid.argmax("accuracy")
@@ -632,9 +649,9 @@ def cmd_analyze(args) -> int:
 
     if svcca_bases:
         seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
-        D = atlas_mod.svcca_distances(
-            [atlas_mod.hidden_state_matrix(b, seqs) for b in svcca_bases], an["svcca_dims"])
-        coords_mds = atlas_mod.classical_mds(D, an["mds_dim"])
+        D = atlas_mod.svcca_distances([atlas_mod.hidden_state_matrix(b, seqs)
+                                       for b in svcca_bases], atlas_mod.SVCCA_DIMS)
+        coords_mds = atlas_mod.classical_mds(D, MDS_DIM)
         svcca_labels = [b.info.get("train_fraction") for b in svcca_bases]
         if atlas_mod.clustered(svcca_labels):
             summary["silhouette_svcca_mds"] = atlas_mod.silhouette(
@@ -716,10 +733,12 @@ def cmd_fixed_points(args) -> int:
         raise ConfigError(f"--score-map scores token valences; analysis.task {task_name!r} "
                           "has none")
     label, theta = _resolve_theta(args.theta, state, run.mf)
-    pool = ds.indices("meta_unlabeled")[:fp["batch_sequences"]]
+    pool = ds.indices("meta_unlabeled")[:CANDIDATE_SEQUENCES]
     seqs, _ = ds.subset(pool)
     n_cand = fp["candidates"]
-    per_seq = max(1, int(np.ceil(n_cand / max(1, len(seqs)))))
+    # a dataset on disk may hold no meta_unlabeled sequence, whatever the config
+    # says: then `collect_candidates` refuses the empty batch
+    per_seq = int(np.ceil(n_cand / max(1, len(seqs))))
     cands = dyn.collect_candidates(state.meta, theta, seqs, per_seq,
                                    task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]
@@ -737,10 +756,9 @@ def cmd_fixed_points(args) -> int:
     outputs = {}
     if args.score_map:
         gsz = fp["score_grid"]
-        plane = atlas_mod.plane_grid(state.embeddings[run.task_rows(task_name)], (gsz, gsz),
-                                     run.cfg["analysis"]["extent_scale"])
+        plane = atlas_mod.plane_grid(state.embeddings[run.task_rows(task_name)], (gsz, gsz))
         grid = dyn.score_map(state.meta, group, plane, seqs[:16], ds.valence,
-                             samples_per_seq=fp["samples_per_seq"], tol=fp["tol"],
+                             samples_per_seq=SCORE_MAP_SAMPLES, tol=fp["tol"],
                              max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))
         outputs[f"score_map_{label}.csv"] = atlas_mod.grid_table(grid)

@@ -64,6 +64,11 @@ _F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0 ** 103
 # larger), less the batches already used.
 BASE_ROLL_ROWS = 64
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8  # fixed: no config key sets them
+# Decoupled weight decay in base and meta training, the first implementation's
+WEIGHT_DECAY = 1e-4
+# Fraction of a cosine cycle the learning rate sweeps over a run, the first
+# implementation's: the last step runs at about 0.60 of the base rate, not at 0.
+COSINE_FREQ = 7.0 / 32.0
 # Buffer columns `Optimizer.step` updates at once, the width of its scratch
 # (see `Optimizer`): every meta group is one block, a stacked entry several.
 STEP_COLUMNS = 65536
@@ -75,18 +80,17 @@ class TrainerError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Rates and schedule of one training run; the optimizer is always
-    `Optimizer`'s Adam with decoupled weight decay. Base training reads `epochs` and takes
-    each model's seed apart (`train_base`'s `seeds`); meta training reads
-    `max_steps`, `seed` and `lam`, the output loss's weight in the one
-    emulation objective (`_emulation_loss_graph`); both read the rest.
-    `cli.train_config_from` fills it from the config's `base_training` or
-    `meta_training` section, whose keys are these fields (`lambda` for
-    `lam`)."""
+    """Rate, length and batch size of one training run. The optimizer is
+    always `Optimizer`'s Adam with decoupled weight decay (`WEIGHT_DECAY`),
+    and the schedule `lr_multiplier`'s cosine (`COSINE_FREQ`). Base training
+    reads `epochs` and takes each model's seed apart (`train_base`'s
+    `seeds`); meta training reads `max_steps`, `seed` and `lam`, the output
+    loss's weight in the one emulation objective (`_emulation_loss_graph`);
+    both read the rest. `cli.train_config_from` fills it from the config's
+    `base_training` or `meta_training` section, whose keys are these fields
+    (`lambda` for `lam`)."""
 
     lr: float = 1e-3
-    cosine_freq: float = 7.0 / 32.0
-    weight_decay: float = 1e-4
     epochs: int = 0            # base-model training
     max_steps: int = 0         # meta training
     batch_size: int = 16
@@ -102,12 +106,12 @@ class TrainConfig:
             raise TrainerError("batch_size must be >= 1")
 
 
-def lr_multiplier(cfg: TrainConfig, step: int, total: int) -> float:
-    """Cosine annealing sweeping `cosine_freq` of a full cycle over the run;
-    `cosine_freq` 0 keeps the multiplier at exactly 1."""
+def lr_multiplier(step: int, total: int) -> float:
+    """Cosine annealing sweeping `COSINE_FREQ` of a full cycle over the
+    `total` steps of a run."""
     if total <= 0:
         return 1.0
-    return 0.5 * (1.0 + np.cos(2.0 * np.pi * cfg.cosine_freq * step / total))
+    return 0.5 * (1.0 + np.cos(2.0 * np.pi * COSINE_FREQ * step / total))
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -147,12 +151,12 @@ class Optimizer:
     parameter of a touched group) at one learning rate, and keeps one
     bias-correction count per group, so sparsely updated groups (state maps,
     embeddings) see consistent statistics. Groups named in `no_decay` get no
-    weight decay. A group is updated `STEP_COLUMNS` columns at a time: each
-    block's gradients are copied into a scratch row at most that wide, and
-    every element goes through the same operations in the same order, so the
-    block width changes no bit. A step that leaves a parameter not finite in
-    float32, the precision checkpoints store, raises `NumericError` naming
-    it, so a diverging run stops at its first bad step.
+    weight decay, the others `WEIGHT_DECAY`. A group is updated `STEP_COLUMNS`
+    columns at a time: each block's gradients are copied into a scratch row
+    at most that wide, and every element goes through the same operations in
+    the same order, so the block width changes no bit. A step that leaves a
+    parameter not finite in float32, the precision checkpoints store, raises
+    `NumericError` naming it, so a diverging run stops at its first bad step.
 
     The block width bounds the scratch, which set the process peak when it
     was as wide as a stacked population entry, at no cost in time: one Adam
@@ -164,9 +168,8 @@ class Optimizer:
     group (the widest, a residual core, has 35,520 columns) stays one block.
     """
 
-    def __init__(self, groups: dict[str, dict[str, np.ndarray]], cfg: TrainConfig,
+    def __init__(self, groups: dict[str, dict[str, np.ndarray]],
                  no_decay: set[str] = frozenset()):
-        self.cfg = cfg
         n = sum(np.size(a) for params in groups.values() for a in params.values())
         self._buf = np.zeros((3, n))
         self.flat = self._buf[0]
@@ -193,7 +196,6 @@ class Optimizer:
         self._scratch = np.empty((2, min(STEP_COLUMNS, widest)))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        cfg = self.cfg
         b1, b2 = ADAM_BETAS
         for group in dict.fromkeys(self._group_of[name] for name in grads):
             group.t += 1
@@ -210,8 +212,8 @@ class Optimizer:
                 np.sqrt(np.divide(v, 1 - b2 ** group.t, out=g), out=g)
                 g += ADAM_EPS
                 p -= np.divide(s, g, out=s)
-                if cfg.weight_decay and group.decay:
-                    p -= np.multiply(p, lr * cfg.weight_decay, out=s)
+                if group.decay:
+                    p -= np.multiply(p, lr * WEIGHT_DECAY, out=s)
                 if not np.abs(p, out=s).max() < _F32_OVERFLOW:
                     # earlier blocks passed: the first bad parameter is in this one
                     name = next(name for name, lo, hi in group.params
@@ -384,7 +386,7 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
         raise TrainerError("base_train sub-fraction selected zero examples")
     first = bases[0]
     opt = Optimizer({"base": {k: np.stack([b.params[k] for b in bases])
-                              for k in first.params}}, cfg)
+                              for k in first.params}})
     for base in bases:  # the stack holds them now; the initial arrays die
         base.params.clear()
     leaves = models.stacked_leaves(first.cell_kind, opt.params)
@@ -402,7 +404,7 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
             g, bindings = task_batch(build, first, *_take(inputs, lengths, rows),
                                      labels[rows], leaves=leaves)
             g.forward(bindings)
-            opt.step(g.backward(), cfg.lr * lr_multiplier(cfg, step, total_steps))
+            opt.step(g.backward(), cfg.lr * lr_multiplier(step, total_steps))
             step += 1
     for i, base in enumerate(bases):
         base.params.update({k: v[i].copy() for k, v in opt.params.items()})
@@ -508,7 +510,7 @@ class MetaTrainer:
                            for i, vm in enumerate(state.state_maps)]
         # the embeddings come last, so their rows are the buffer's tail
         thetas = {f"theta{i}": {f"theta{i}": row} for i, row in enumerate(state.embeddings)}
-        self.opt = Optimizer(groups | thetas, cfg, no_decay=set(thetas))
+        self.opt = Optimizer(groups | thetas, no_decay=set(thetas))
         meta.update({k: self.opt.params[k] for k in meta})
         for i, vm in enumerate(state.state_maps):
             vm.update({k: self.opt.params[f"v{i}_{k}"] for k in vm})
@@ -593,7 +595,7 @@ class MetaTrainer:
             out = float(g.value("output_loss"))
             names = self.grad_names[i]
             grads = {names.get(leaf, leaf): grad for leaf, grad in g.backward().items()}
-            mult = lr_multiplier(cfg, self.state.step, cfg.max_steps)
+            mult = lr_multiplier(self.state.step, cfg.max_steps)
             self.opt.step(grads, cfg.lr * mult)
             self.state.history.append((self.state.step, i, hid, out, total_loss_val))
             self.state.step += 1

@@ -126,7 +126,7 @@ def test_landscape_contains_exact_node_values(tmp_path):
     meta = _tiny_meta()
     ds = _tiny_ds()
     base_thetas = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.4], [0.0, -0.4]])
-    plane = plane_grid(base_thetas, (3, 3), extent_scale=1.0)
+    plane = plane_grid(base_thetas, (3, 3))
     grid = accuracy_landscape(meta, 0, ds, plane, best_base_accuracy=0.8)
     assert grid is plane
     acc = grid.values["accuracy"]
@@ -154,7 +154,7 @@ def test_landscape_1x1_grid_is_single_evaluation():
     meta = _tiny_meta()
     ds = _tiny_ds()
     base_thetas = np.array([[0.3, 0.1], [-0.3, -0.1]])
-    grid = accuracy_landscape(meta, 0, ds, plane_grid(base_thetas, (1, 1), extent_scale=1.0))
+    grid = accuracy_landscape(meta, 0, ds, plane_grid(base_thetas, (1, 1)))
     th = grid.theta_at(grid.us[0], grid.vs[0])
     assert grid.values["accuracy"][0, 0] == grid_accuracies(meta, th, 0, ds)[0]
     assert "relative_accuracy" not in grid.values
@@ -163,11 +163,11 @@ def test_landscape_1x1_grid_is_single_evaluation():
 def test_plane_grid_of_two_bases_spans_v_as_far_as_u():
     # two bases span one direction: the second axis's spread is rounding
     # noise, so v takes u's half-width rather than a grid over +-1e-19
-    plane = plane_grid(np.array([[0.3, 0.1, -0.2], [-0.25, 0.05, 0.4]]), (3, 3), 1.5)
+    plane = plane_grid(np.array([[0.3, 0.1, -0.2], [-0.25, 0.05, 0.4]]), (3, 3))
     assert np.ptp(plane.us) > 0.5
     assert np.ptp(plane.vs) == pytest.approx(np.ptp(plane.us), rel=1e-12)
     # no spread on either axis: each keeps a half-width of 1
-    same = plane_grid(np.zeros((2, 3)), (3, 3), 1.5)
+    same = plane_grid(np.zeros((2, 3)), (3, 3))
     assert list(same.us) == list(same.vs) == [-1.0, 0.0, 1.0]
 
 

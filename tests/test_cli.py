@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import filecmp
+import itertools
 import json
+import os
 import shutil
 import warnings
 from collections import Counter
@@ -24,7 +27,7 @@ from dynamo.cli import (
     train_config_from,
     validate_config,
 )
-from dynamo import cli, dynamics
+from dynamo import atlas, cli, dynamics
 from dynamo import tasks as tasks_module
 from dynamo import trainer as trainer_module
 from dynamo.atlas import fit_pca, grid_accuracies
@@ -49,16 +52,12 @@ def _mini_config(**overrides):
              "hidden_dim": 5, "input_dim": 4, "train_fraction": 1.0,
              "task_group": 0},
         ],
-        "base_training": {"epochs": 2, "lr": 3e-3, "batch_size": 8,
-                          "weight_decay": 0.0},
+        "base_training": {"epochs": 2, "lr": 3e-3, "batch_size": 8},
         "meta": {"hidden_dim": 8, "input_dim": 4, "embed_dim": 2},
-        "meta_training": {"max_steps": 30, "batch_size": 4, "lr": 3e-3,
-                          "weight_decay": 0.0},
-        "analysis": {"grid": 3, "top_k": 2, "svcca_dims": 4,
-                     "svcca_sequences": 10, "mds_dim": 2},
+        "meta_training": {"max_steps": 30, "batch_size": 4, "lr": 3e-3},
+        "analysis": {"grid": 3, "svcca_sequences": 10},
         "ssl": {"steps": 3, "lr": 0.5},
         "fixed_points": {"tol": 1e-3, "max_steps": 200, "candidates": 12,
-                         "batch_sequences": 6, "samples_per_seq": 2,
                          "score_grid": 2},
     }
     cfg.update(overrides)
@@ -126,7 +125,7 @@ def test_validate_config_returns_resolved_copy():
         "task": "valence", "count": 1, "cell_kind": "gru", "hidden_dim": 24,
         "input_dim": 12, "train_fraction": 1.0, "task_group": 0, "num_blocks": 0}
     assert resolved["base_training"] == resolved["meta"] == {}  # trainer defaults
-    assert resolved["fixed_points"]["samples_per_seq"] == 2
+    assert resolved["fixed_points"]["score_grid"] == 7
     assert resolved["analysis"]["task"] == "valence"
     assert resolved["ssl"] == {"steps": 100, "lr": 1.0}
     second_head = [{"task": "valence", "count": 1},
@@ -208,14 +207,30 @@ def test_bad_model_config_is_config_error(tmp_path, section, update, codes):
     ("population", "epochs", 2),
     ("ssl", "task", "valence"),
     ("analysis", "landscape_task", "valence"),
+    # a setting with one value in use is a constant at its reader, and its
+    # old key is refused even when it gives that value
+    ("base_training", "weight_decay", 1e-4),
+    ("meta_training", "weight_decay", 1e-4),
+    ("base_training", "cosine_freq", 0.21875),
+    ("meta_training", "cosine_freq", 0.21875),
+    ("analysis", "extent_scale", 1.5),
+    ("analysis", "variance_threshold", 0.95),
+    ("analysis", "top_k", 3),
+    ("analysis", "svcca_dims", 20),
+    ("analysis", "mds_dim", 2),
+    ("fixed_points", "samples_per_seq", 2),
+    ("fixed_points", "batch_sequences", 64),
 ])
-def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, section, key, value):
+def test_keys_no_stage_reads_are_config_errors(tmp_path, monkeypatch, capsys, section, key,
+                                              value):
     monkeypatch.chdir(tmp_path)
     cfg = _mini_config()
     entry = cfg[section] if section else cfg
     (entry[0] if isinstance(entry, list) else entry)[key] = value
     path = _write_config(tmp_path, cfg)
+    capsys.readouterr()
     assert _run("gen-data", "--config", str(path)) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash>, no out_dir
 
 
@@ -233,10 +248,46 @@ def test_bool_is_not_a_number_in_the_config(tmp_path, monkeypatch, section, key)
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
 
 
+def _set_key(cfg, keys, value):
+    """Set the key at the path `keys` of `cfg`, such as ("tasks", 0, "seed")."""
+    *parents, key = keys
+    for k in parents:
+        cfg = cfg[k]
+    cfg[key] = value
+
+
+def _number_keys(section, prefix=()):
+    """The path of each `_NUM` key of a schema section, a list's entry as 0."""
+    for key, (kind, _) in section.items():
+        if isinstance(kind, list):
+            yield from _number_keys(kind[0], (*prefix, key, 0))
+        elif isinstance(kind, dict):
+            yield from _number_keys(kind, (*prefix, key))
+        elif kind is cli._NUM:
+            yield (*prefix, key)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("keys", list(_number_keys(cli._CONFIG)),
+                         ids=lambda keys: ".".join(map(str, keys)))
+def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys, keys, value):
+    # JSON's NaN and Infinity parse as floats: a NaN split fraction escaped
+    # as a traceback, and a NaN dedup radius or an infinite rate ran
+    monkeypatch.chdir(tmp_path)
+    cfg = _mini_config()
+    _set_key(cfg, keys, value)
+    path = _write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert _run("gen-data", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be a finite number" in err
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
+
+
 # one value per key, each unlike TrainConfig's default
 _TRAINING_VALUES = {
-    "lr": 0.5, "batch_size": 3, "weight_decay": 0.5, "cosine_freq": 0.5, "epochs": 3,
-    "max_steps": 3, "lambda": 0.5}
+    "lr": 0.5, "batch_size": 3, "epochs": 3, "max_steps": 3, "lambda": 0.5}
 
 
 @pytest.mark.parametrize("section", [_BASE_TRAINING, _META_TRAINING],
@@ -561,20 +612,12 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("population", 0, "hidden_dim"), 0, ("train-meta",)),
     (("analysis", "grid"), 0, ("analyze",)),
     (("analysis", "svcca_sequences"), 0, ("analyze", "--svcca")),
-    (("analysis", "svcca_dims"), 0, ("analyze", "--svcca")),
-    (("analysis", "top_k"), -1, ("analyze",)),
-    (("analysis", "mds_dim"), 0, ("analyze", "--svcca")),
     (("fixed_points", "score_grid"), 0, _SCORE_MAP),
-    (("fixed_points", "batch_sequences"), 0, _SCORE_MAP),
     ((), None, ("fixed-points", "--theta", "nan,nan")),
-    (("analysis", "variance_threshold"), 0, ("analyze",)),
-    (("analysis", "variance_threshold"), 1.5, ("analyze",)),
     (("ssl", "lr"), -1, ("ssl",)),
     (("ssl", "lr"), 0, ("ssl",)),
-    # each of these four exited 0 with empty or collapsed output
+    # each of these two exited 0 with empty or collapsed output
     (("fixed_points", "candidates"), 0, ("fixed-points", "--theta", "base_000")),
-    (("fixed_points", "samples_per_seq"), 0, _SCORE_MAP),
-    (("analysis", "extent_scale"), 0, ("analyze",)),
     (("fixed_points", "tol"), 0, ("gen-data",)),  # every command checks the whole config
     # trained exactly as 1.0 but was labelled 2.0
     (("population", 0, "train_fraction"), 2.0, ("train-base",)),
@@ -582,19 +625,12 @@ _SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
     (("fixed_points", "dedup_radius"), -0.01, ("fixed-points", "--theta", "base_000")),
 ], ids=["seed", "task_seed", "splits_seed", "base_hidden_dim",
         "base_input_dim", "meta_hidden_dim", "base_hidden_dim_zero", "grid",
-        "svcca_sequences", "svcca_dims", "top_k", "mds_dim", "score_grid",
-        "batch_sequences", "theta_nan", "variance_threshold_zero",
-        "variance_threshold_past_one", "ssl_lr_negative", "ssl_lr_zero", "candidates",
-        "samples_per_seq", "extent_scale", "tol", "train_fraction_past_one",
-        "dedup_radius_negative"])
+        "svcca_sequences", "score_grid", "theta_nan", "ssl_lr_negative", "ssl_lr_zero",
+        "candidates", "tol", "train_fraction_past_one", "dedup_radius_negative"])
 def test_out_of_range_value_is_config_error(pipeline, tmp_path, capsys, keys, value, argv):
     cfg = json.loads(pipeline[0].read_text())
     if keys:
-        *parents, key = keys
-        section = cfg
-        for k in parents:
-            section = section[k]
-        section[key] = value
+        _set_key(cfg, keys, value)
     err = _assert_refused_untouched(pipeline[1], tmp_path, capsys, cfg, argv)
     assert not keys or f".{keys[-1]} " in err  # the refusal names the key
 
@@ -744,12 +780,10 @@ def test_base_roll_rows_leave_meta_outputs_unchanged(tmp_path, monkeypatch,
 
 
 def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):
-    _, out = pipeline
+    path, out = pipeline
     run = tmp_path / "run"
     shutil.copytree(out, run)
-    cfg = _mini_config()
-    cfg["fixed_points"]["samples_per_seq"] = 3
-    path = _write_config(tmp_path, cfg)
+    monkeypatch.setattr(cli, "SCORE_MAP_SAMPLES", 3)
     seen = {}
     score_map = dynamics.score_map
 
@@ -763,14 +797,12 @@ def test_score_map_reads_samples_per_seq(pipeline, tmp_path, monkeypatch):
     assert seen["samples_per_seq"] == 3
 
 
-def test_score_map_spans_the_landscape_plane(pipeline, tmp_path):
-    # both grids read analysis.extent_scale
-    _, out = pipeline
+def test_score_map_spans_the_landscape_plane(pipeline, tmp_path, monkeypatch):
+    # both grids read atlas.PLANE_EXTENT
+    path, out = pipeline
     run = tmp_path / "run"
     shutil.copytree(out, run)
-    cfg = _mini_config()
-    cfg["analysis"]["extent_scale"] = 3.0
-    path = _write_config(tmp_path, cfg)
+    monkeypatch.setattr(atlas, "PLANE_EXTENT", 3.0)
     for argv in (("analyze",), ("fixed-points", "--theta", "base_000", "--score-map")):
         assert _run(*argv, "--config", str(path), "--out", str(run)) == 0
     extremes = []
@@ -779,6 +811,23 @@ def test_score_map_spans_the_landscape_plane(pipeline, tmp_path):
         uv = np.array([[float(r[0]), float(r[1])] for r in rows])
         extremes.append((uv.min(axis=0), uv.max(axis=0)))
     np.testing.assert_array_equal(extremes[0], extremes[1])
+
+
+def test_fixed_points_refuses_a_dataset_without_meta_unlabeled(pipeline, tmp_path, capsys):
+    # the config's split fractions pass the load, but the candidates come from
+    # the dataset on disk, whose meta_unlabeled split may be empty
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    manifest = run / "data" / "valence.json"
+    data = json.loads(manifest.read_text())
+    data["splits"]["meta_unlabeled"] = []
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("fixed-points", "--config", str(path), "--out", str(run),
+                "--theta", "base_000") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: empty candidate batch\n"
 
 
 def test_score_map_lies_on_the_landscape_plane_of_its_task(tmp_path):
@@ -1104,6 +1153,48 @@ def test_blocked_output_path_is_refused_before_any_rename(pipeline, tmp_path, ca
     assert err.startswith("i/o error: ") and "Traceback" not in err
     assert not list(run.glob(".staging-*"))
     assert tree() == before
+
+
+def test_failed_rename_puts_the_run_directory_back(pipeline, tmp_path, capsys, monkeypatch):
+    # analyze replaces three files an earlier analyze wrote, adds landscape.csv
+    # and, here, a file in a directory it makes: whichever rename fails, the
+    # run directory ends as it was
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    for name in ("analysis_summary.json", "atlas.csv", "spectrum.csv"):
+        run.joinpath(name).write_text(f"an earlier {name}\n")
+    run.joinpath("landscape.csv").unlink()
+    write = cli.Run.write
+    monkeypatch.setattr(cli.Run, "write",
+                        lambda self, outputs: write(self, {**outputs, "sub/extra.json": {}}))
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in run.rglob("*")}
+    before = tree()
+    replace, renames = os.replace, []
+
+    def failing(src, dst, k):
+        renames.append(dst)
+        if len(renames) == k:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    for k in itertools.count(1):
+        renames.clear()
+        monkeypatch.setattr(os, "replace", lambda src, dst: failing(src, dst, k))
+        capsys.readouterr()
+        code = _run("analyze", "--config", str(path), "--out", str(run))
+        if len(renames) < k:  # no rename failed
+            break
+        assert code == 3, k
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert not list(run.glob(".staging-*"))
+        assert tree() == before, k
+    # three files moved aside and replaced, two added
+    assert code == 0 and k == 3 * 2 + 2 + 1
+    assert run.joinpath("sub", "extra.json").is_file()
 
 
 def test_nonfinite_base_checkpoint_is_io_failure(tmp_path):

@@ -285,7 +285,7 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
     seqs = [[1, 2, 3], [4, 5, 6]]
     valence = _signs(8, [0], [2])
-    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, valence,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), seqs, valence,
                      samples_per_seq=2, tol=1e-5, max_steps=5000,
                      dedup_radius=1e-2, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
@@ -296,7 +296,7 @@ def test_score_map_single_node_matches_direct_call(tmp_path):
     want = word_score(meta, theta, h_star, valence, 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
 
-    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1), 1.0), seqs, valence,
+    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), seqs, valence,
                       samples_per_seq=2, tol=1e-5, max_steps=5000,
                       dedup_radius=1e-2, seed=1)
     assert np.array_equal(grid.values["score"], grid2.values["score"])
@@ -310,7 +310,7 @@ def test_score_map_grid_matches_per_node_calls():
     seqs = [[1, 2, 3, 4], [5, 6, 7], [2, 2, 0, 1, 3]]
     valence = _signs(8, [0, 1], [2])
     kw = dict(tol=1e-4, max_steps=60, dedup_radius=1e-3)
-    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3), 3.0), seqs, valence,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3)), seqs, valence,
                      samples_per_seq=2, seed=2, **kw)
     want = np.full((3, 3), np.nan)
     steps = set()
@@ -388,7 +388,7 @@ def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,
 def test_score_map_missing_marker_round_trips(tmp_path):
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
-    grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2), 1.5), [[1, 2]],
+    grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2)), [[1, 2]],
                      _signs(8, [0], [2]), samples_per_seq=1, tol=1e-15, max_steps=0,
                      dedup_radius=1e-2, seed=1)
     assert list(grid.values) == ["score"]

@@ -111,17 +111,14 @@ def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
 
 
 class ReferenceOptimizer:
-    def __init__(self, handles: dict[str, np.ndarray], cfg: TrainConfig,
-                 no_decay: set[str] = frozenset()):
+    def __init__(self, handles: dict[str, np.ndarray], no_decay: set[str] = frozenset()):
         self.handles = handles
-        self.cfg = cfg
         self.no_decay = set(no_decay)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        cfg = self.cfg
         for name, g in grads.items():
             p = self.handles[name]
             g = g.reshape(p.shape)
@@ -139,8 +136,8 @@ class ReferenceOptimizer:
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             p -= lr * mhat / (np.sqrt(vhat) + trainer_module.ADAM_EPS)
-            if cfg.weight_decay and name not in self.no_decay:
-                p -= lr * cfg.weight_decay * p
+            if name not in self.no_decay:
+                p -= lr * trainer_module.WEIGHT_DECAY * p
 
 
 def _tiny_dataset(n=60, seed=3, noise=0.0):
@@ -154,8 +151,7 @@ def _tiny_setup(lam=1.0, n_bases=1, seed=0):
     ds = _tiny_dataset()
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i)
              for i in range(n_bases)]
-    cfg = TrainConfig(lr=1e-3, max_steps=0, batch_size=2, lam=lam,
-                      weight_decay=0.0, seed=seed)
+    cfg = TrainConfig(lr=1e-3, max_steps=0, batch_size=2, lam=lam, seed=seed)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2, "input_dim": 3},
                             seed=seed)
     trainer = MetaTrainer(state, bases, [ds] * n_bases, cfg)
@@ -216,7 +212,7 @@ def test_total_loss_composition():
                                       trainer.state.state_maps[0],
                                       trainer.state.embeddings[0], seqs, trainer.cfg)
     assert tot == pytest.approx(h + o)
-    cfg0 = TrainConfig(lam=0.0, weight_decay=0.0)
+    cfg0 = TrainConfig(lam=0.0)
     h0, o0, tot0 = meta_emulation_losses(trainer.state.meta, bases[0],
                                          trainer.state.state_maps[0],
                                          trainer.state.embeddings[0], seqs, cfg0)
@@ -238,7 +234,7 @@ def test_perfect_emulation_gives_zero_loss():
     meta.params["head0_b"] = base.params["b_out"].copy()
     v = {"w0": np.eye(4), "b0": np.zeros(4)}
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
-    cfg = TrainConfig(weight_decay=0.0)
+    cfg = TrainConfig()
     h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), seqs, cfg)
     assert tot == pytest.approx(0.0, abs=1e-12)
     # the training graph, the only emulation loss in the package, agrees
@@ -279,7 +275,7 @@ def test_joint_loss_gradients_pass_grad_check():
 def test_residual_graph_loss_matches_reference():
     ds = _tiny_dataset()
     bases = [init_base_model("residual_mlp", 12, 12, 5, 2, 0, seed=3, num_blocks=3)]
-    cfg = TrainConfig(batch_size=3, weight_decay=0.0, seed=0)
+    cfg = TrainConfig(batch_size=3, seed=0)
     state = init_meta_state(bases, {"embed_dim": 2}, seed=1)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     feats = trainer.pools[0][0][:3]
@@ -363,11 +359,12 @@ def test_zero_steps_leaves_state_at_init():
     assert state.history == []
 
 
-def test_update_locality_unsampled_models_untouched():
+def test_update_locality_unsampled_models_untouched(monkeypatch):
     # weight decay would move any map or embedding a step touched
+    monkeypatch.setattr(trainer_module, "WEIGHT_DECAY", 0.1)
     ds = _tiny_dataset()
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10 + i) for i in range(6)]
-    cfg = TrainConfig(max_steps=3, batch_size=2, weight_decay=0.1, seed=4)
+    cfg = TrainConfig(max_steps=3, batch_size=2, seed=4)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
     maps = [[a.copy() for a in vm.values()] for vm in state.state_maps]
     MetaTrainer(state, bases, [ds] * 6, cfg).run()
@@ -385,7 +382,7 @@ def test_each_base_rolls_once_per_four_16_row_batches(monkeypatch):
     ds = _tiny_dataset(n=100)  # 40 meta_unlabeled sequences
     bases = [init_base_model(kind, 12, 3, 3, 2, 0, seed=10 + i)
              for i, kind in enumerate(["gru", "vanilla_rnn", "gru"])]
-    cfg = TrainConfig(max_steps=40, batch_size=16, weight_decay=0.0, seed=2)
+    cfg = TrainConfig(max_steps=40, batch_size=16, seed=2)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
     built, emulation_loss_graph = [], trainer_module._emulation_loss_graph
     monkeypatch.setattr(trainer_module, "_emulation_loss_graph",
@@ -444,7 +441,7 @@ def test_meta_training_memory_grows_only_by_per_base_state(traced_peak):
     spec = TaskSpec("valence_sentiment", vocab_size=12, num_classes=2, t_min=20,
                     t_max=30, noise_rate=0.0, seed=3, num_sequences=200)
     ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=3)
-    cfg = TrainConfig(max_steps=60, batch_size=64, weight_decay=0.0, seed=2)
+    cfg = TrainConfig(max_steps=60, batch_size=64, seed=2)
 
     def peak(n):
         bases = [init_base_model("gru", 12, 3, 16, 2, 0, seed=10 + i) for i in range(n)]
@@ -462,7 +459,7 @@ def test_meta_training_memory_grows_only_by_per_base_state(traced_peak):
     assert large - small <= 8 * per_base, (large - small, per_base)
 
 
-def test_lambda_zero_heads_get_zero_gradient():
+def test_lambda_zero_heads_get_zero_gradient(monkeypatch):
     trainer, ds, _ = _tiny_setup(lam=0.0)
     seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:3]]
     g, bindings = _bind(trainer, *pad_tokens(seqs))
@@ -471,7 +468,8 @@ def test_lambda_zero_heads_get_zero_gradient():
     assert "head0_w" not in grads and "head0_b" not in grads
     assert "w_z" in grads and "theta" in grads
     # weight decay would move any head a step touched
-    trainer.cfg.max_steps, trainer.cfg.weight_decay = 4, 0.1
+    trainer.cfg.max_steps = 4
+    monkeypatch.setattr(trainer_module, "WEIGHT_DECAY", 0.1)
     params = trainer.state.meta.params
     before = {k: v.copy() for k, v in params.items()}
     trainer.run()
@@ -538,8 +536,7 @@ def test_train_base_zero_epochs_is_noop():
 def test_train_base_learns_tiny_valence():
     ds = _tiny_dataset(n=200, seed=8)
     model = init_base_model("gru", 12, 4, 8, 2, 0, seed=2)
-    train_base([model], ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8,
-                                        weight_decay=0.0), [0])
+    train_base([model], ds, TrainConfig(epochs=8, lr=5e-3, batch_size=8), [0])
     assert model_accuracy(model, ds) > 0.7
 
 
@@ -554,8 +551,7 @@ def test_train_base_empty_split_errors():
 def test_train_base_residual_runs():
     ds = _tiny_dataset(n=120, seed=9)
     model = init_base_model("residual_mlp", 12, 12, 6, 2, 0, seed=2, num_blocks=2)
-    train_base([model], ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8,
-                                        weight_decay=0.0), [0])
+    train_base([model], ds, TrainConfig(epochs=6, lr=5e-3, batch_size=8), [0])
     assert model_accuracy(model, ds) > 0.6
 
 
@@ -581,7 +577,7 @@ def test_lockstep_training_equals_training_alone(kind, monkeypatch):
                     t_max=70, noise_rate=0.05, seed=3, num_sequences=120)
     ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=3)
     width = 30 if kind == "residual_mlp" else 40
-    cfg = TrainConfig(epochs=2, lr=0.03, batch_size=16, weight_decay=1e-3)
+    cfg = TrainConfig(epochs=2, lr=0.03, batch_size=16)
     seeds = [11, 12, 13]
 
     def entry():
@@ -631,14 +627,13 @@ def test_stacked_task_loss_graph_passes_grad_check(kind):
 # -- misc -------------------------------------------------------------------------
 
 
-def test_lr_multiplier_schedule():
-    cfg = TrainConfig(cosine_freq=7 / 32)
-    assert lr_multiplier(cfg, 0, 100) == pytest.approx(1.0)
-    end = lr_multiplier(cfg, 100, 100)
+def test_lr_multiplier_schedule(monkeypatch):
+    assert lr_multiplier(0, 100) == pytest.approx(1.0)
+    end = lr_multiplier(100, 100)
     assert 0.0 < end < 1.0
-    # cosine_freq 0 is a constant learning rate, exactly
-    cfg_off = TrainConfig(cosine_freq=0.0)
-    assert all(lr_multiplier(cfg_off, step, 100) == 1.0 for step in range(101))
+    # a cosine rate of 0 is a constant learning rate, exactly
+    monkeypatch.setattr(trainer_module, "COSINE_FREQ", 0.0)
+    assert all(lr_multiplier(step, 100) == 1.0 for step in range(101))
 
 
 _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
@@ -651,22 +646,22 @@ _SHAPES = st.lists(st.integers(1, 5), max_size=2).map(tuple)
 def test_grouped_optimizer_matches_per_parameter_reference_bitwise(
         weight_decay, layout, width, data):
     # narrow blocks split parameters and groups; the block width changes no bit
-    with mock.patch.object(trainer_module, "STEP_COLUMNS", width):
-        _check_grouped_optimizer(weight_decay, layout, width, data)
+    with (mock.patch.object(trainer_module, "STEP_COLUMNS", width),
+          mock.patch.object(trainer_module, "WEIGHT_DECAY", weight_decay)):
+        _check_grouped_optimizer(layout, width, data)
 
 
-def _check_grouped_optimizer(weight_decay, layout, width, data):
+def _check_grouped_optimizer(layout, width, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
     groups = {f"g{k}": {f"g{k}p{j}": rng.standard_normal(shape)
                         for j, shape in enumerate(shapes)}
               for k, shapes in enumerate(layout)}
     no_decay = set(data.draw(st.lists(st.sampled_from(sorted(groups)), unique=True),
                              label="no_decay"))
-    cfg = TrainConfig(weight_decay=weight_decay)
     ref = ReferenceOptimizer(
         {name: arr.copy() for params in groups.values() for name, arr in params.items()},
-        cfg, {name for k in no_decay for name in groups[k]})
-    opt = Optimizer(groups, cfg, no_decay=no_decay)
+        {name for k in no_decay for name in groups[k]})
+    opt = Optimizer(groups, no_decay=no_decay)
     assert opt._scratch.shape[1] <= width
     schedule = data.draw(st.lists(st.lists(st.sampled_from(sorted(groups)), min_size=1,
                                            unique=True), min_size=1, max_size=6),
@@ -715,26 +710,29 @@ def test_bases_of_one_dataset_and_input_family_share_one_pool():
 def test_optimizer_step_refuses_values_float32_cannot_hold(value, storable, monkeypatch):
     # at width 4, the group's bad value (column 6) is in its second block of
     # four, and `b` starts in the first
+    # without decay, which would pull the first unstorable value back into range
+    monkeypatch.setattr(trainer_module, "WEIGHT_DECAY", 0.0)
     for width in (trainer_module.STEP_COLUMNS, 4):
         monkeypatch.setattr(trainer_module, "STEP_COLUMNS", width)
-        cfg = TrainConfig(weight_decay=0.0)
-        opt = Optimizer({"w": {"w": np.array([value])}}, cfg)
+        opt = Optimizer({"w": {"w": np.array([value])}})
         with nullcontext() if storable else pytest.raises(NumericError, match="'w'"):
             opt.step({"w": np.zeros(1)}, 1.0)
         # the bad value in the middle parameter of a three-parameter group
         params = {"a": np.ones((1, 3)), "b": np.array([1.0, 1.0, 1.0, value, 1.0]),
                   "c": np.ones(5)}
-        opt = Optimizer({"g": params}, cfg)
+        opt = Optimizer({"g": params})
         with nullcontext() if storable else pytest.raises(NumericError, match="'b'"):
             opt.step({k: np.zeros_like(v) for k, v in params.items()}, 1.0)
 
 
-def test_diverging_meta_run_stops_at_first_bad_step():
+def test_diverging_meta_run_stops_at_first_bad_step(monkeypatch):
     ds = _tiny_dataset()
     bases = [init_base_model("gru", 12, 3, 3, 2, 0, seed=10)]
-    # Adam moves a parameter by at most about lr a step: the first step stays
-    # below float32's largest value, 3.4e38, and a later one passes it
-    cfg = TrainConfig(lr=2e38, max_steps=30, batch_size=4, weight_decay=0.0, seed=1)
+    # without decay, Adam moves a parameter by at most about lr a step: the
+    # first step stays below float32's largest value, 3.4e38, and a later one
+    # passes it
+    monkeypatch.setattr(trainer_module, "WEIGHT_DECAY", 0.0)
+    cfg = TrainConfig(lr=2e38, max_steps=30, batch_size=4, seed=1)
     state = init_meta_state(bases, {"hidden_dim": 4, "embed_dim": 2}, seed=0)
     trainer = MetaTrainer(state, bases, [ds], cfg)
     with pytest.raises(NumericError, match="not finite in float32"):
