@@ -179,6 +179,13 @@ def _split_fractions(splits: dict) -> tuple[float, float, float]:
     return splits["base_train"], splits["meta_unlabeled"], splits["ssl_labeled"]
 
 
+def _split_sizes(splits: dict, n: int) -> dict[str, int]:
+    """Each split's size in a dataset of `n` sequences: the floor rule of
+    `tasks.split_dataset`, with the remainder in the test split."""
+    sizes = [tasks_mod.share(f, n) for f in _split_fractions(splits)]
+    return dict(zip(tasks_mod.SPLIT_TAGS, [*sizes, n - sum(sizes)]))
+
+
 @contextmanager
 def _reraised(error: type, where: str, *caught: type):
     """Re-raise a `caught` exception as `error`, after `where`."""
@@ -207,12 +214,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("split fractions must be nonnegative and sum to <= 1")
     n_base = {}  # each task's base_train examples
     for task in cfg["tasks"]:
-        n = task["num_sequences"]
-        sizes = [tasks_mod.share(f, n) for f in fractions]
-        n_base[task["name"]] = sizes[0]
-        for split, size in zip(("base_train", "meta_unlabeled", "test"),
-                               (*sizes[:2], n - sum(sizes))):
-            if not size:
+        sizes = _split_sizes(cfg["splits"], task["num_sequences"])
+        n_base[task["name"]] = sizes["base_train"]
+        for split in ("base_train", "meta_unlabeled", "test"):
+            if not sizes[split]:
                 raise ConfigError(f"splits leave task {task['name']!r} an empty {split} split")
     heads, vocabs = {}, {task["name"]: task["vocab_size"] for task in cfg["tasks"]}
     for i, entry in enumerate(cfg["population"]):
@@ -505,6 +510,21 @@ class Run(NamedTuple):
                    for i in self.task_rows(task_name))
 
 
+def _check_dataset(ds: SequenceDataset, task: dict, splits: dict) -> None:
+    """Refuse (IOFailure) a loaded dataset that the config's task entry and
+    splits would not have generated: another kind, vocabulary, class count,
+    seed, sequence count or split size."""
+    want = dict(task, **{f"splits.{tag}": size for tag, size in
+                         _split_sizes(splits, task["num_sequences"]).items()})
+    have = {"kind": ds.kind, "vocab_size": ds.vocab_size, "num_classes": ds.num_classes,
+            "seed": ds.seed, "num_sequences": len(ds),
+            **{f"splits.{tag}": len(ds.indices(tag)) for tag in tasks_mod.SPLIT_TAGS}}
+    for key, value in have.items():
+        if value != want[key]:
+            raise IOFailure(f"dataset of task {task['name']!r} has {key} {value!r}, but "
+                            f"the config gives {want[key]!r} (gen-data writes the datasets)")
+
+
 def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
     cfg, chash = load_config(args.config)
     out = Path(args.out or f"run_{chash}")
@@ -515,6 +535,7 @@ def _open_run(args, datasets: bool = True, meta: bool = False) -> Run:
             loaded[task["name"]] = tasks_mod.load_dataset(path)
         except tasks_mod.TaskError as e:
             raise IOFailure(f"{e} (gen-data writes the datasets)") from e
+        _check_dataset(loaded[task["name"]], task, cfg["splits"])
     state, mf = load_meta_checkpoint(out / "meta") if meta else (None, None)
     return Run(cfg, out, chash, loaded, state, mf)
 
@@ -736,9 +757,7 @@ def cmd_fixed_points(args) -> int:
     pool = ds.indices("meta_unlabeled")[:CANDIDATE_SEQUENCES]
     seqs, _ = ds.subset(pool)
     n_cand = fp["candidates"]
-    # a dataset on disk may hold no meta_unlabeled sequence, whatever the config
-    # says: then `collect_candidates` refuses the empty batch
-    per_seq = int(np.ceil(n_cand / max(1, len(seqs))))
+    per_seq = int(np.ceil(n_cand / len(seqs)))  # the load refuses an empty meta_unlabeled
     cands = dyn.collect_candidates(state.meta, theta, seqs, per_seq,
                                    task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]

@@ -5,20 +5,24 @@ running sum of per-token valences (so a plain integrator solves it), and a
 topic task labeled by the dominant token block (>= 3 classes, to exercise a
 second readout head). Both are pure functions of their seed.
 
-Each generator draws its sequences one scalar at a time from
-`np.random.default_rng(seed)`, in a fixed order, and the datasets on disk are
-that order's output. Vectorised draws would consume the stream in a new order
-and so change every dataset, so the generators keep the scalar order but take
-the scalars from `ScalarDraws`, which replays the Generator's PCG64 words in
-bulk (`random_raw`) and returns exactly what its scalar `random()` and
-`integers(lo, hi)` calls would. That costs a fraction of a Generator call per
-scalar, and the datasets stay byte-identical.
+Each generator's datasets are the output of scalar `random()` and
+`integers(lo, hi)` calls on `np.random.default_rng(seed)`, in a fixed order:
+per attempt a length, the topic task's topic, then the tokens, and attempts
+repeat until enough are accepted. Vectorised Generator draws would consume
+the stream in another order and change every dataset. But each scalar call
+is a fixed function of the Generator's PCG64 words (`ScalarDraws`), and
+which words and 32-bit halves it takes depends only on the calls before it,
+unless Lemire's rejection test rejects a half. So `_replay` draws the words
+in blocks (`random_raw`), walks each attempt's extent from its length alone,
+and maps every length, topic and token of a block in a few numpy passes.
+Only an attempt that holds a half the rejection test could reject is walked
+call by call, through `ScalarDraws`. The datasets stay byte-identical.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -97,56 +101,72 @@ class SequenceDataset:
 
 
 class ScalarDraws:
-    """The scalar draws of a PCG64 `np.random.Generator`, replayed in bulk.
+    """The 64-bit words of a PCG64 `np.random.Generator`, and its scalar draws
+    replayed from them.
 
-    `random()` and `integers(lo, hi)` (1 <= hi - lo < 2**32) return exactly
-    what the Generator's own scalar calls would, in the same order: both are
-    fixed functions of its 64-bit words (O'Neill 2014), which this class draws
-    in blocks of `BLOCK` through `bit_generator.random_raw`. `random()` is a
-    word's top 53 bits over 2**53. `integers` is Lemire's bounded integer
-    (Lemire 2019, ACM TOMACS) on 32-bit halves, low half first, with the high
-    half buffered for the next call, as PCG64 does; a one-value range draws
-    nothing. Used as a context manager, on exit it hands the Generator back at
-    the state those scalar calls would have left, buffered half included, so
-    later draws from the Generator itself continue the same stream.
+    The Generator's scalar `random()` and `integers(lo, hi)` (1 <= hi - lo <
+    2**32) calls are fixed functions of its words (O'Neill 2014). This class
+    draws the words in blocks through `bit_generator.random_raw` into `words`
+    (`refill`), and its `random()` and `integers` return exactly what the
+    Generator's own calls would, in the same order:
+
+    - `random()` takes the next word: its top 53 bits over 2**53.
+    - `integers` takes a 32-bit half: the buffered one if a half is buffered,
+      else the low half of the next word, buffering the high half. It maps
+      the half h to lo + (h * n >> 32), n = hi - lo, unless (h * n) mod 2**32
+      falls below (2**32 - n) mod n; then it rejects h and takes another half
+      (Lemire's bounded integer, Lemire 2019, ACM TOMACS). A one-value range
+      takes nothing.
+
+    `words[next]` is the next word, and `words[0]` is no word of the stream:
+    its high half is the half that was buffered when `words[1]` was drawn. So
+    right after an `integers` draw that leaves a half buffered, that half is
+    the high half of `words[next - 1]`. Used as a context manager, it hands
+    the Generator back on exit at the state the calls leave: the words used,
+    and the buffered half.
     """
 
-    BLOCK = 256
+    BLOCK = 1 << 12  # words: 32 kB, and a few times that while `_replay` decodes them
 
     def __init__(self, rng: np.random.Generator):
         self._bitgen = rng.bit_generator
         self._start = self._bitgen.state
-        self._has_half = bool(self._start["has_uint32"])
-        self._half = self._start["uinteger"]
-        self._words: list[int] = []
-        self._next = 0
-        self._used = 0  # words of the blocks before the current one
+        self.used, self.next = 0, 1  # words before `words[1]`; the next word
+        self.has_half, self.half = bool(self._start["has_uint32"]), self._start["uinteger"]
+        self.words = np.array([self.half << 32], dtype=np.uint64)
 
     def __enter__(self) -> ScalarDraws:
         return self
 
     def __exit__(self, *exc) -> None:
-        """Hand the Generator back at the state the scalar calls leave."""
         self._bitgen.state = self._start
-        self._bitgen.advance(self._used + self._next)  # clears the buffered half
+        self._bitgen.advance(self.used + self.next - 1)  # clears the buffered half
         state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        state["has_uint32"], state["uinteger"] = int(self.has_half), self.half
         self._bitgen.state = state
 
+    def refill(self, size: int | None = None) -> None:
+        """Drop the used words and draw words after the unused ones until
+        `size` (default `BLOCK`) are unused."""
+        self.used += self.next - 1
+        unused = self.words[self.next:]
+        fresh = self._bitgen.random_raw(max(0, (size or self.BLOCK) - len(unused)))
+        self.words = np.concatenate([np.array([self.half << 32], dtype=np.uint64),
+                                     unused, fresh])
+        self.next = 1
+
     def _word(self) -> int:
-        if self._next == len(self._words):
-            self._used += len(self._words)
-            self._words = self._bitgen.random_raw(self.BLOCK).tolist()
-            self._next = 0
-        self._next += 1
-        return self._words[self._next - 1]
+        if self.next == len(self.words):
+            self.refill()
+        self.next += 1
+        return int(self.words[self.next - 1])
 
     def _uint32(self) -> int:
-        if self._has_half:
-            self._has_half = False
-            return self._half
+        if self.has_half:
+            self.has_half = False
+            return self.half
         word = self._word()
-        self._has_half, self._half = True, word >> 32
+        self.has_half, self.half = True, word >> 32
         return word & 0xFFFFFFFF
 
     def random(self) -> float:
@@ -166,38 +186,191 @@ class ScalarDraws:
         return lo + (m >> 32)
 
 
+def _scaled(halves: np.ndarray, n) -> np.ndarray:
+    """Lemire's map of 32-bit halves (as uint64) to [0, n), for halves it
+    does not reject; `n` is one range or one per half."""
+    return ((halves * np.asarray(n, dtype=np.uint64)) >> np.uint64(32)).astype(np.int64)
+
+
+@dataclass
+class _Attempts:
+    """The attempts walked in one block of words, laid out for decoding.
+
+    Per attempt: its length, its first token's offset and the halves of its
+    lead draws. Per token: its attempt, the half its `integers` draw maps, and
+    the value of its `random()` draw when attempts pair them. The attempts
+    walked draw by draw carry their tokens in `exact`; their halves and
+    values here mean nothing."""
+    lengths: np.ndarray
+    offsets: np.ndarray
+    att: np.ndarray
+    halves: np.ndarray
+    u: np.ndarray | None
+    lead: list[np.ndarray]
+    exact: dict[int, list[int]]
+
+    def tokens(self, lo, n) -> np.ndarray:
+        """Every token: its half mapped to [lo, lo + n) (one range, or one per
+        token), or the token an exact attempt drew."""
+        tokens = lo + _scaled(self.halves, n)
+        for a, toks in self.exact.items():
+            tokens[self.offsets[a]:self.offsets[a] + len(toks)] = toks
+        return tokens
+
+
+def _walk(draw: ScalarDraws, spec: TaskSpec, need: int, lead: int, paired: bool,
+          ranges, attempt) -> _Attempts:
+    """Walk up to `need` attempts from `draw`'s position, refilled with
+    enough words for that many of the longest (at most `BLOCK`), lay out
+    their draws and leave `draw` at the end of the last one.
+
+    An attempt draws, in order: its length T by `integers(t_min, t_max + 1)`
+    (nothing when t_min == t_max), `lead` more `integers`, then per token one
+    `integers`, after one `random()` when `paired`. Unless a half is
+    rejected, where each draw falls follows from T alone. With f = 1 when a
+    half is buffered at the attempt's start, its k-th `integers` draw (k from
+    0) takes the low half of a fresh word when f + k is even, and else the
+    high half of the last word an `integers` draw took; each `random()` takes
+    a fresh word and leaves the buffered half alone. So the loop below reads
+    only T, and numpy places every draw afterwards. An attempt that touches a
+    half Lemire's test could reject, (h * n) mod 2**32 < n for a range n of
+    `ranges` or of T, is walked draw by draw instead: `attempt(draw)` draws
+    it through `ScalarDraws` and returns its tokens. Every attempt ends on an
+    `integers` draw, so a half buffered between attempts is the high half of
+    the word before the next fresh one."""
+    n_t = spec.t_max - spec.t_min + 1
+    first = lead + (n_t > 1)  # the `integers` draws before the first token
+    longest = (first + spec.t_max + 1) // 2 + paired * spec.t_max
+    draw.refill(max(longest, min(draw.BLOCK, need * longest)))
+    words = draw.words
+    halves32 = words.astype("<u8", copy=False).view("<u4")  # low half first
+    risk = np.zeros(len(halves32), dtype=bool)
+    for n in {n_t, *ranges} - {1}:
+        risk |= halves32 * np.uint32(n) < n  # the product wraps mod 2**32
+    risk[0] = False  # `words[0]`'s low half is no half of the stream
+    halves = halves32.astype(np.uint64)
+    risky = np.flatnonzero(risk).tolist() + [len(halves)]
+    n_words, n_halves = len(words), len(halves)
+    w, f, r = draw.next, int(draw.has_half), 0
+    firsts, lengths, exact = [], [], {}
+    for a in range(need):
+        p = 2 * w - f  # the half of the attempt's first `integers` draw
+        if n_t == 1:
+            T = spec.t_min
+        elif p < n_halves:
+            T = spec.t_min + (int(halves32[p]) * n_t >> 32)
+        else:
+            break
+        draws = first + T
+        end = w + (draws + 1 - f) // 2 + paired * T
+        if end > n_words:
+            break
+        while risky[r] < p:
+            r += 1
+        firsts.append(p)
+        if risky[r] < 2 * end:
+            draw.next, draw.has_half, draw.half = w, bool(f), int(halves[p])
+            exact[a] = toks = attempt(draw)
+            lengths.append(len(toks))
+            if draw.words is not words:  # it ran past the block and refilled
+                break
+            w, f = draw.next, int(draw.has_half)
+        else:
+            lengths.append(T)
+            w, f = end, (f + draws) % 2
+    if draw.words is words:
+        draw.next, draw.has_half, draw.half = w, bool(f), int(halves[2 * w - 1])
+
+    def halves_of(s, g, k):
+        """The half that the k-th `integers` draw of attempts starting at
+        word s with flag g maps: in the last word an `integers` draw took,
+        after the `random()` words before it. An exact attempt may have run
+        past the block, so its (unused) places are clipped."""
+        fresh = 1 - (g + k) % 2
+        word = s + (k + 2 - g) // 2 - 1 + paired * np.maximum(0, k - first + fresh)
+        return halves.take(2 * word + 1 - fresh, mode="clip")
+
+    lengths = np.array(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    att = np.repeat(np.arange(len(lengths)), lengths)
+    i = np.arange(len(att)) - offsets[att]  # the token's place in its attempt
+    g = np.array(firsts, dtype=np.int64) % 2  # each attempt's f and start word s,
+    s = (np.array(firsts, dtype=np.int64) + g) // 2  # from its first half 2 * s - f
+    w, f = s[att], g[att]
+    token_halves = halves_of(w, f, first + i)
+    lead_halves = [halves_of(s, g, k) for k in range(n_t > 1, first)]
+    u = None
+    if paired:  # token i's `random()` word follows the `integers` words before it
+        u = (words.take(w + (first + i + 1 - f) // 2 + i, mode="clip") >> np.uint64(11)
+             ).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return _Attempts(lengths, offsets, att, token_halves, u, lead_halves, exact)
+
+
+def _replay(rng: np.random.Generator, spec: TaskSpec, lead: int, paired: bool, ranges,
+            attempt, judge) -> tuple[list[list[int]], list[int]]:
+    """The tokens and labels of the first `spec.num_sequences` attempts that
+    `judge` accepts, replayed from `rng`'s words in blocks (see `_walk`).
+    `judge(attempts)` returns every token of a block, whether each attempt
+    is accepted, and each attempt's label. A walk takes no more attempts
+    than are still needed, so the last one ends on the last accepted
+    attempt, and `rng` is handed back where its own calls would leave it."""
+    sequences, labels = [], []
+    with ScalarDraws(rng) as draw:
+        while len(sequences) < spec.num_sequences:
+            attempts = _walk(draw, spec, spec.num_sequences - len(sequences), lead, paired,
+                             ranges, attempt)
+            tokens, accepted, label = judge(attempts)
+            kept = np.flatnonzero(accepted)
+            flat = tokens.tolist()
+            sequences += [flat[o:o + t] for o, t in zip(attempts.offsets[kept].tolist(),
+                                                        attempts.lengths[kept].tolist())]
+            labels += label[kept].tolist()
+    return sequences, labels
+
+
 def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     """Tokens carry a fixed valence in {+1,-1,0} by vocab third; the label is
     the sign of the summed valence. Zero-sum draws are regenerated and a
-    noise_rate fraction of labels is flipped afterwards."""
+    noise_rate fraction of labels is flipped afterwards.
+
+    An attempt draws its length T, then T tokens by `integers(0, V)`: T + 1
+    halves in a row (T when t_min == t_max). `_replay` maps them all in
+    bulk; `attempt` below is the same draw order, call by call, for the
+    attempts where a half may be rejected."""
     spec.validate()
     if spec.kind != "valence_sentiment":
         raise TaskError("spec.kind must be valence_sentiment")
     rng = np.random.default_rng(spec.seed)
     V, third = spec.vocab_size, spec.vocab_size // 3
-    signs = [1] * third + [-1] * third + [0] * (V - 2 * third)
-    sequences, labels = [], []
-    with ScalarDraws(rng) as draw:
-        for _ in range(spec.num_sequences):
-            while True:
-                T = draw.integers(spec.t_min, spec.t_max + 1)
-                toks = [draw.integers(0, V) for _ in range(T)]
-                total = sum([signs[t] for t in toks])
-                if total != 0:
-                    break
-            sequences.append(toks)
-            labels.append(1 if total > 0 else 0)
+    signs = np.array([1] * third + [-1] * third + [0] * (V - 2 * third))
+
+    def attempt(draw):
+        T = draw.integers(spec.t_min, spec.t_max + 1)
+        return [draw.integers(0, V) for _ in range(T)]
+
+    def judge(attempts):
+        tokens = attempts.tokens(0, V)
+        total = np.add.reduceat(signs[tokens], attempts.offsets)
+        return tokens, total != 0, (total > 0).astype(np.int64)
+
+    sequences, labels = _replay(rng, spec, 0, False, (V,), attempt, judge)
     n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
     for i in rng.permutation(spec.num_sequences)[:n_flip]:
         labels[i] = 1 - labels[i]
     return SequenceDataset("valence_sentiment", V, 2, sequences, labels,
-                           valence=np.array(signs, dtype=np.float64), seed=spec.seed)
+                           valence=signs.astype(np.float64), seed=spec.seed)
 
 
 def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
     """Vocab is split into `num_classes` topic blocks plus shared noise
     tokens; each sequence leans toward a latent topic and the label is the
-    argmax of realized block counts (ties regenerated)."""
+    argmax of realized block counts (ties regenerated).
+
+    An attempt draws its length T and its topic by `integers`, then per
+    token u = `random()` and the token by `integers` from the topic's block
+    (u < 0.5), the noise tokens (u < 0.8) or all topic blocks. `_replay`
+    places and maps these draws in bulk; `attempt` below is the same draw
+    order, call by call, for the attempts where a half may be rejected."""
     spec.validate()
     if spec.kind != "topic_classification":
         raise TaskError("spec.kind must be topic_classification")
@@ -207,30 +380,35 @@ def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
     if block < 1:
         raise TaskError("vocab too small for topic blocks")
     # tokens [c*block, (c+1)*block) belong to topic c; the tail is noise
-    sequences, labels = [], []
-    with ScalarDraws(rng) as draw:
-        for _ in range(spec.num_sequences):
-            while True:
-                T = draw.integers(spec.t_min, spec.t_max + 1)
-                topic = draw.integers(0, C)
-                toks = []
-                for _ in range(T):
-                    u = draw.random()
-                    if u < 0.5:
-                        toks.append(draw.integers(topic * block, (topic + 1) * block))
-                    elif u < 0.8:
-                        toks.append(draw.integers(C * block, V))
-                    else:
-                        toks.append(draw.integers(0, C * block))
-                counts = [0] * C
-                for t in toks:
-                    if t < C * block:
-                        counts[t // block] += 1
-                top = max(counts)
-                if top > 0 and counts.count(top) == 1:
-                    break
-            sequences.append(toks)
-            labels.append(counts.index(top))
+
+    def attempt(draw):
+        T = draw.integers(spec.t_min, spec.t_max + 1)
+        topic = draw.integers(0, C)
+        toks = []
+        for _ in range(T):
+            u = draw.random()
+            if u < 0.5:
+                toks.append(draw.integers(topic * block, (topic + 1) * block))
+            elif u < 0.8:
+                toks.append(draw.integers(C * block, V))
+            else:
+                toks.append(draw.integers(0, C * block))
+        return toks
+
+    def judge(attempts):
+        topic = _scaled(attempts.lead[0], C)[attempts.att]
+        near, noise = attempts.u < 0.5, (attempts.u >= 0.5) & (attempts.u < 0.8)
+        tokens = attempts.tokens(np.where(near, topic * block, np.where(noise, C * block, 0)),
+                                 np.where(near, block, np.where(noise, V - C * block, C * block)))
+        topical = tokens < C * block
+        counts = np.bincount(attempts.att[topical] * C + tokens[topical] // block,
+                             minlength=len(attempts.lengths) * C).reshape(-1, C)
+        top = counts.max(axis=1)
+        untied = (top > 0) & ((counts == top[:, None]).sum(axis=1) == 1)
+        return tokens, untied, counts.argmax(axis=1)
+
+    sequences, labels = _replay(rng, spec, 1, True, (C, block, V - C * block, C * block),
+                                attempt, judge)
     n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
     for i in rng.permutation(spec.num_sequences)[:n_flip]:
         old = labels[i]
@@ -335,29 +513,45 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> SequenceDataset:
     """Read a dataset written by `save_dataset`. Raises TaskError on a missing
-    file, bad JSON, a missing manifest key, a malformed line, a token or label
-    out of range, a split index outside the dataset, a bad valence entry, an
-    unknown split tag, or an index listed twice in the splits (within one split
-    or across two, which would leak training sequences into another split)."""
+    file, bad JSON, a missing manifest key, a malformed line (no tab, an empty
+    token list or a non-integer token), a token or label out of range, a split
+    index outside the dataset, a bad valence entry, an unknown split tag, or
+    an index listed twice in the splits (within one split or across two,
+    which would leak training sequences into another split).
+
+    The tokens are parsed by numpy, 256 lines a call, with `int`'s rules,
+    and their ranges are checked on the parsed array."""
     path = Path(path)
     try:
         manifest = json.loads(path.with_suffix(".json").read_text())
         body = path.with_suffix(".txt").read_text()
         lines = [line.split("\t") for line in body.splitlines()]
+        if any(len(parts) != 2 for parts in lines):
+            raise ValueError("a line is not a label, a tab and the tokens")
+        labels, texts = zip(*lines) if lines else ((), ())
+        lengths = [text.count(",") + 1 for text in texts]
+        try:  # 256 lines a call, so few token strings live at once
+            chunks = [np.array(",".join(texts[at:at + 256]).split(","), dtype=np.int64)
+                      for at in range(0, len(texts), 256)]
+            tokens = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+            label_ids = np.array(labels, dtype=np.int64)
+        except OverflowError:  # beyond int64, so beyond any range
+            tokens = label_ids = np.array([-1])
+        flat = tokens.tolist()
         valence = [(int(k), v) for k, v in (manifest.get("valence") or {}).items()]
         ds = SequenceDataset(
             kind=manifest["kind"],
             vocab_size=manifest["vocab_size"],
             num_classes=manifest["num_classes"],
-            sequences=[[int(t) for t in toks.split(",")] for _, toks in lines],
-            labels=[int(lab) for lab, _ in lines],
+            sequences=[flat[end - n:end] for end, n in zip(accumulate(lengths), lengths)],
+            labels=label_ids.tolist(),
             splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
             seed=manifest["seed"],
         )
-        listed = [i for idxs in ds.splits.values() for i in idxs]
-        in_range = (all(0 <= min(s) and max(s) < ds.vocab_size for s in ds.sequences)
-                    and all(0 <= lab < ds.num_classes for lab in ds.labels)
-                    and all(type(i) is int and 0 <= i < len(ds) for i in listed)
+        listed, n = [i for idxs in ds.splits.values() for i in idxs], len(ds)
+        in_range = (all(0 <= x.min() and x.max() < top for x, top in
+                        ((tokens, ds.vocab_size), (label_ids, ds.num_classes)) if x.size)
+                    and all(type(i) is int and 0 <= i < n for i in listed)
                     and all(0 <= tok < ds.vocab_size and tag in VALENCE_SIGNS
                             for tok, tag in valence))
         splits_ok = set(ds.splits) <= set(SPLIT_TAGS) and len(set(listed)) == len(listed)

@@ -814,8 +814,8 @@ def test_score_map_spans_the_landscape_plane(pipeline, tmp_path, monkeypatch):
 
 
 def test_fixed_points_refuses_a_dataset_without_meta_unlabeled(pipeline, tmp_path, capsys):
-    # the config's split fractions pass the load, but the candidates come from
-    # the dataset on disk, whose meta_unlabeled split may be empty
+    # the config's splits give the task 48 meta_unlabeled sequences, and the
+    # load compares the dataset on disk with that before the command runs
     path, out = pipeline
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -823,11 +823,60 @@ def test_fixed_points_refuses_a_dataset_without_meta_unlabeled(pipeline, tmp_pat
     data = json.loads(manifest.read_text())
     data["splits"]["meta_unlabeled"] = []
     manifest.write_text(json.dumps(data))
+    before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
     capsys.readouterr()
     assert _run("fixed-points", "--config", str(path), "--out", str(run),
-                "--theta", "base_000") == 2
+                "--theta", "base_000") == 3
     err = capsys.readouterr().err
-    assert err == "config error: empty candidate batch\n"
+    assert err.startswith("i/o error: dataset of task 'valence' has splits.meta_unlabeled 0, "
+                          "but the config gives 48")
+    assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
+
+
+@pytest.mark.parametrize("manifest,config,key", [
+    ({"kind": "topic_classification"}, {}, "kind"),
+    ({"vocab_size": 13}, {}, "vocab_size"),
+    ({"num_classes": 3}, {}, "num_classes"),
+    ({"seed": 4}, {}, "seed"),
+    ({}, {"num_sequences": 121}, "num_sequences"),
+], ids=["kind", "vocab_size", "num_classes", "seed", "num_sequences"])
+def test_load_refuses_a_dataset_the_config_did_not_generate(generated, tmp_path, capsys,
+                                                            manifest, config, key):
+    """Each key of the task entry that the dataset records, and each split's
+    size, must match the config: else exit 3 naming the task and the key, and
+    nothing written."""
+    run = tmp_path / "run"
+    shutil.copytree(generated, run)
+    data = json.loads((run / "data" / "valence.json").read_text())
+    (run / "data" / "valence.json").write_text(json.dumps(dict(data, **manifest)))
+    cfg = _mini_config()
+    cfg["tasks"][0].update(config)
+    path = _write_config(tmp_path, cfg)
+    before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
+    capsys.readouterr()
+    assert _run("train-base", "--config", str(path), "--out", str(run)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: dataset of task 'valence' has {key} ")
+    assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
+
+
+@pytest.mark.parametrize("splits,key", [
+    # of 120 sequences, the config that wrote them gives 48/48/6 and 18 to test
+    ({"base_train": 0.35}, "splits.base_train"),
+    ({"meta_unlabeled": 0.45}, "splits.meta_unlabeled"),
+    ({"ssl_labeled": 0.1}, "splits.ssl_labeled"),
+], ids=["base_train", "meta_unlabeled", "ssl_labeled"])
+def test_load_refuses_a_dataset_split_by_other_fractions(generated, tmp_path, capsys,
+                                                         splits, key):
+    cfg = _mini_config()
+    cfg["splits"].update(splits)
+    path = _write_config(tmp_path, cfg)
+    run = tmp_path / "run"
+    shutil.copytree(generated, run)
+    capsys.readouterr()
+    assert _run("train-base", "--config", str(path), "--out", str(run)) == 3
+    assert f"has {key} " in capsys.readouterr().err
+    assert sorted(p.name for p in run.rglob("*")) == ["data", "valence.json", "valence.txt"]
 
 
 def test_score_map_lies_on_the_landscape_plane_of_its_task(tmp_path):

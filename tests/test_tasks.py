@@ -350,6 +350,12 @@ def _task_specs(draw):
 @example(spec=_valence_spec(vocab_size=6, t_min=1, t_max=1, noise_rate=0.3, num_sequences=7))
 @example(spec=_topic_spec(num_classes=5, vocab_size=15, t_min=3, t_max=3, noise_rate=0.3))
 @example(spec=_topic_spec(num_classes=3, vocab_size=9, num_sequences=1))
+# perfbench's size: the replay walks several blocks of words
+@example(spec=_valence_spec(vocab_size=30, t_min=8, t_max=24, noise_rate=0.05,
+                            num_sequences=2400, seed=11))
+@example(spec=_topic_spec(vocab_size=30, t_min=8, t_max=24, noise_rate=0.05,
+                          num_sequences=2400, seed=12))
+@example(spec=_topic_spec(vocab_size=30, t_min=16, t_max=16, num_sequences=2400))
 def test_generators_match_their_scalar_call_reference(spec):
     """Each generated dataset, and the file `save_dataset` writes of it, is
     what the generators gave when they drew each scalar from the Generator."""
@@ -367,6 +373,80 @@ def test_generators_match_their_scalar_call_reference(spec):
         text = (Path(tmp) / "ds.txt").read_text()
     assert text == "".join(f"{lab}\t{','.join(str(t) for t in seq)}\n"
                            for lab, seq in zip(want.labels, want.sequences))
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _planted_generator(position: int, buffered: bool) -> np.random.Generator:
+    """A PCG64 Generator whose 64-bit word number `position` (from 0) is 0,
+    so both its halves are rejected by any range that is no power of two;
+    with a 32-bit half buffered at the start when `buffered`. PCG64 steps its
+    128-bit state s to s * mult + inc, then outputs rotr64(hi ^ lo, hi >> 58):
+    a state with hi ^ lo == 0 outputs 0, and stepping back from it `position`
+    + 1 times gives the start."""
+    state, inc = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF, (0xDA3E39CB94B95BDB << 1) | 1
+    for _ in range(position + 1):
+        state = (state - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": int(buffered), "uinteger": 0x9E3779B9}
+    check = np.random.PCG64()
+    check.state = bitgen.state
+    assert check.random_raw(position + 1)[-1] == 0
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("spec,position,buffered,block", [
+    # the zero word holds the 2nd and 3rd tokens of the first attempt
+    (_valence_spec(noise_rate=0.3, num_sequences=50), 1, False, None),
+    # ... its 3rd and 4th, after the buffered half gave the length
+    (_valence_spec(noise_rate=0.3, num_sequences=50), 1, True, None),
+    # ... its 1st and 2nd, after the length and topic and the 1st `random()`
+    (_topic_spec(noise_rate=0.3, num_sequences=50), 2, False, None),
+    # ... its 2nd and 3rd, after the buffered half gave the length
+    (_topic_spec(noise_rate=0.3, num_sequences=50), 3, True, None),
+    # an attempt far into the stream
+    (_valence_spec(noise_rate=0.3, num_sequences=50), 200, False, None),
+    # one attempt with t_min == t_max fills the words drawn for it, so the
+    # rejected halves run past them
+    (_valence_spec(t_min=5, t_max=5, noise_rate=0.3, num_sequences=1), 1, False, None),
+    (_topic_spec(t_min=5, t_max=5, noise_rate=0.3, num_sequences=1), 1, True, None),
+    # the last attempt of a 64-word block runs past it, and more attempts follow
+    (_topic_spec(t_min=5, t_max=5, noise_rate=0.3, num_sequences=50), 56, False, 64),
+    (_topic_spec(t_min=5, t_max=5, noise_rate=0.3, num_sequences=50), 57, True, 64),
+], ids=["valence", "valence_buffered", "topic", "topic_buffered", "valence_later",
+        "valence_past_words", "topic_past_words", "topic_past_block",
+        "topic_past_block_buffered"])
+def test_generators_replay_a_rejected_half_like_the_generator(monkeypatch, spec, position,
+                                                              buffered, block):
+    """A half that Lemire's test rejects sends its attempt draw by draw
+    through `ScalarDraws`, which draws another half, as the Generator does;
+    the attempts after it and the label flips drawn after the replay stay
+    aligned with the Generator's own calls."""
+    reference = {"valence_sentiment": _reference_valence_task,
+                 "topic_classification": _reference_topic_task}[spec.kind]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _planted_generator(position, buffered))
+    if block:
+        monkeypatch.setattr(ScalarDraws, "BLOCK", block)
+    want = reference(spec)
+    counts = {"halves": 0, "draws": 0}
+    uint32, integers = ScalarDraws._uint32, ScalarDraws.integers
+
+    def counted_uint32(self):
+        counts["halves"] += 1
+        return uint32(self)
+
+    def counted_integers(self, lo, hi):
+        counts["draws"] += hi - lo > 1
+        return integers(self, lo, hi)
+
+    monkeypatch.setattr(ScalarDraws, "_uint32", counted_uint32)
+    monkeypatch.setattr(ScalarDraws, "integers", counted_integers)
+    got = generate(spec)
+    assert got.sequences == want.sequences and got.labels == want.labels
+    assert counts["halves"] > counts["draws"] > 0  # a half was rejected
 
 
 # -- file checks ---------------------------------------------------------------------
@@ -395,3 +475,94 @@ def test_load_refuses_a_corrupt_split_manifest(tmp_path, corrupt):
     (tmp_path / "ds.json").write_text(json.dumps(manifest))
     with pytest.raises(TaskError, match="unknown tag or list an index twice"):
         load_dataset(tmp_path / "ds")
+
+
+def _edit_saved(tmp_path, lines=None, manifest=None):
+    """Save a 20-sequence valence dataset (vocab 48) at tmp_path/ds, then
+    apply `lines(list of text lines)` and `manifest(dict)` in place."""
+    ds = split_dataset(gen_valence_task(_valence_spec(num_sequences=20)),
+                       (0.4, 0.3, 0.1), seed=1)
+    save_dataset(ds, tmp_path / "ds")
+    text = (tmp_path / "ds.txt").read_text().splitlines()
+    data = json.loads((tmp_path / "ds.json").read_text())
+    if lines:
+        lines(text)
+    if manifest:
+        manifest(data)
+    (tmp_path / "ds.txt").write_text("".join(line + "\n" for line in text))
+    (tmp_path / "ds.json").write_text(json.dumps(data))
+    return tmp_path / "ds"
+
+
+def _set_line(i, line):
+    return lambda text: text.__setitem__(i, line)
+
+
+_OUT_OF_RANGE = "a token, label, split index or valence entry is out of range"
+
+
+@pytest.mark.parametrize("lines,manifest,match", [
+    (_set_line(3, "1 5,6"), None, "corrupt dataset .*ValueError"),
+    (_set_line(3, "1\t5\t6"), None, "corrupt dataset .*ValueError"),
+    (_set_line(3, "1\t"), None, "invalid literal for int.* ''"),
+    (_set_line(3, "1\t5,,6"), None, "invalid literal for int.* ''"),
+    (_set_line(3, "1\t5,x"), None, "invalid literal for int.* 'x'"),
+    (_set_line(3, "1\t5,6.0"), None, "invalid literal for int.* '6.0'"),
+    (_set_line(3, "y\t5,6"), None, "invalid literal for int.* 'y'"),
+    (_set_line(3, "1\t5,-1"), None, _OUT_OF_RANGE),
+    (_set_line(3, "1\t48,6"), None, _OUT_OF_RANGE),
+    (_set_line(3, f"1\t{10**30}"), None, _OUT_OF_RANGE),
+    (_set_line(3, "2\t5,6"), None, _OUT_OF_RANGE),
+    (_set_line(3, "-1\t5,6"), None, _OUT_OF_RANGE),
+    (None, lambda m: m["splits"]["test"].append(20), _OUT_OF_RANGE),
+    (None, lambda m: m["splits"]["test"].append("3"), _OUT_OF_RANGE),
+    (None, lambda m: m["valence"].update({"5": "happy"}), _OUT_OF_RANGE),
+    (None, lambda m: m["valence"].update({"48": "neutral"}), _OUT_OF_RANGE),
+    (None, lambda m: m.pop("kind"), "corrupt dataset .*KeyError"),
+], ids=["no_tab", "two_tabs", "no_tokens", "empty_token", "non_integer_token",
+        "float_token", "non_integer_label", "negative_token", "token_at_vocab_size",
+        "token_beyond_int64", "label_at_num_classes", "negative_label",
+        "split_index_past_the_end", "split_index_not_int", "valence_tag", "valence_token",
+        "manifest_key"])
+def test_load_refuses_what_its_docstring_lists(tmp_path, lines, manifest, match):
+    path = _edit_saved(tmp_path, lines, manifest)
+    with pytest.raises(TaskError, match=match):
+        load_dataset(path)
+
+
+def test_load_refuses_bad_json(tmp_path):
+    path = _edit_saved(tmp_path)
+    (tmp_path / "ds.json").write_text("{")
+    with pytest.raises(TaskError, match="corrupt dataset .*JSONDecodeError"):
+        load_dataset(path)
+
+
+@st.composite
+def _datasets(draw):
+    V, C = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    sequences = [draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=12))
+                 for _ in range(n)]
+    labels = [draw(st.integers(0, C - 1)) for _ in range(n)]
+    valence = draw(st.none() | st.lists(st.sampled_from([1.0, -1.0, 0.0]),
+                                        min_size=V, max_size=V))
+    ds = SequenceDataset("valence_sentiment", V, C, sequences, labels, seed=draw(st.integers(0, 99)),
+                         valence=None if valence is None else np.array(valence))
+    fractions = draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.3])] * 3))
+    return split_dataset(ds, fractions, seed=draw(st.integers(0, 99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=_datasets())
+def test_save_load_round_trip(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, Path(tmp) / "ds")
+        back = load_dataset(Path(tmp) / "ds")
+    assert back.sequences == ds.sequences and back.labels == ds.labels
+    assert all(type(t) is int for seq in back.sequences for t in seq)
+    assert all(type(lab) is int for lab in back.labels)
+    assert back.splits == ds.splits
+    assert (back.valence is None if ds.valence is None
+            else back.valence.tobytes() == ds.valence.tobytes())
+    assert (back.kind, back.vocab_size, back.num_classes, back.seed) == (
+        ds.kind, ds.vocab_size, ds.num_classes, ds.seed)
