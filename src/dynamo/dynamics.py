@@ -106,13 +106,15 @@ def _q_and_grad(kind: str, xp: np.ndarray, state: tuple,
                 h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row q at states `h` under the projected cell inputs `xp`, and its
     gradient in h: one state-only cell step and one step VJP. With d = F - h
-    the gradient is -(d + d) + vjp(d + d), summed in that order. Raises
-    NumericError if the sum of q or the gradient is not finite."""
+    the gradient is vjp(d + d) - (d + d), which is the graph's -(d + d) +
+    vjp(d + d) bit for bit. Raises NumericError if the sum of q or the
+    gradient is not finite."""
     h_new, saved = CELLS[kind](xp, h, *state)
     d = h_new - h
     q = (d * d).sum(axis=1)
     dd = d + d
-    grad = -dd + CELL_VJPS[kind](dd, h, h_new, saved, *state)[0]
+    grad = CELL_VJPS[kind](dd, h, h_new, saved, *state)[0]
+    grad -= dd
     if not (np.isfinite(q.sum()) and np.isfinite(grad).all()):
         raise NumericError("fixed-point descent left the finite range")
     return q, grad
@@ -165,13 +167,12 @@ def _descend(model, u_rows: np.ndarray, candidates: np.ndarray, tol: float,
         cand = h - step_sizes[:, None] * grad
         q_new, grad_new = _q_and_grad(kind, xp, state, cand)
         improved = active & (q_new < q)
-        h[improved] = cand[improved]
-        q[improved] = q_new[improved]
-        grad[improved] = grad_new[improved]
-        steps_used[active] += 1
-        step_sizes[improved] *= 1.1
-        stuck = active & ~improved
-        step_sizes[stuck] *= 0.5
+        np.copyto(h, cand, where=improved[:, None])
+        np.copyto(q, q_new, where=improved)
+        np.copyto(grad, grad_new, where=improved[:, None])
+        steps_used += active
+        # an improved row's step grows, an active row's that did not shrinks
+        step_sizes *= np.where(improved, 1.1, np.where(active, 0.5, 1.0))
         active = (q > stop2) & (step_sizes > 1e-16)
     return h, steps_used
 

@@ -91,10 +91,12 @@ def project_inputs(model, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     return np.matmul(x, w_in) + b_in, state
 
 
+@np.errstate(over="ignore")
 def cell_step(model, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One step of a recurrent model's transition map (`residual_block_step`
     is the residual family's). For meta models, `x` must already include the
-    embedding."""
+    embedding. A saturating gate's exp may overflow to its limit, so overflow
+    does not warn; an invalid value still does."""
     h = np.asarray(h, dtype=np.float64)
     xp, state = project_inputs(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
     return numgrad.CELLS[model.cell_kind](xp, np.atleast_2d(h), *state)[0].reshape(h.shape)
@@ -146,7 +148,8 @@ def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
     (T, B, C) at every step, T being the block count for residual cells.
 
     Meta models require `theta`, one embedding or a (B, d) matrix with one
-    embedding per row, and a valid `task_group`.
+    embedding per row, and a valid `task_group`. A recurrent step's overflow
+    does not warn, as in `cell_step`.
     """
     w_name, b_name = readout_names(model, task_group)
     p = model.params
@@ -193,13 +196,15 @@ def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,
     th = None if theta is None else np.matmul(theta, w_in[:, :d])
     h = np.zeros((B, model.hidden_dim))
     hiddens = np.empty((T, B, model.hidden_dim))
-    for t in range(T):
-        k = active[t]
-        xp = np.take(emb, tokens[:k, t], axis=1)
-        if th is not None:
-            xp += th[:, :k]
-        h[:k] = numgrad.CELLS[model.cell_kind](xp, h[:k], *state)[0]
-        hiddens[t] = h
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            k = active[t]
+            xp = np.take(emb, tokens[:k, t], axis=1)
+            if th is not None:
+                xp += th[:, :k]
+            hiddens[t, :k] = numgrad.CELLS[model.cell_kind](xp, h[:k], *state)[0]
+            hiddens[t, k:] = h[k:]
+            h = hiddens[t]
     if order is not None:
         hiddens = hiddens[:, np.argsort(order)]
     return hiddens, hiddens @ p[w_name] + p[b_name]

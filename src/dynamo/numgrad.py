@@ -140,10 +140,11 @@ def _scatter_rows(shape: tuple[int, ...], ids: np.ndarray, g: np.ndarray) -> np.
 def gru_split(nx, w_z, b_z, w_r, b_r, w_h, b_h):
     """The stored [x; h]-row GRU weights as input weights (3, nx, H) and
     biases (3, 1, H) of the z, r and hc gates, and state weights: z and r
-    as (2, H, H), hc as (H, H). A model axis follows the gate axis."""
+    negated for `gru_step`'s sigmoid, -[U_z; U_r] as (2, H, H), and hc as
+    (H, H). A model axis follows the gate axis."""
     return (np.stack((w_z[..., :nx, :], w_r[..., :nx, :], w_h[..., :nx, :])),
             np.stack((b_z, b_r, b_h))[..., None, :],
-            (np.stack((w_z[..., nx:, :], w_r[..., nx:, :])), w_h[..., nx:, :]))
+            (-np.stack((w_z[..., nx:, :], w_r[..., nx:, :])), w_h[..., nx:, :]))
 
 
 def rnn_split(nx, w_x, w_h, b):
@@ -152,20 +153,25 @@ def rnn_split(nx, w_x, w_h, b):
     return w_x[None], b[None, ..., None, :], (w_h,)
 
 
-def gru_step(xp, h, u_zr, u_h):
+def gru_step(xp, h, nu_zr, u_h):
     """One GRU step from the input share `xp` (3, B, H) of the z, r and hc
-    pre-activations: z, r = sigmoid(xp[:2] + h u_zr), hc = tanh(xp[2] +
+    pre-activations and the negated z and r state weights `nu_zr` (see
+    `gru_split`): z, r = sigmoid(xp[:2] - h nu_zr), hc = tanh(xp[2] +
     (r*h) u_h) and h' = hc + z*(h - hc); returns h' and (z and r as one
-    (2, B, H) array, r*h, hc, h - hc)."""
-    zr = np.matmul(h, u_zr)
-    zr += xp[:2]
-    np.exp(np.negative(zr, out=zr), out=zr)  # sigmoid in place, bit for bit `_sigmoid`
+    (2, B, H) array, r*h, hc, h - hc). h nu_zr - xp is -(xp + h U) bit for
+    bit (negation is exact, rounding symmetric in sign, exp(-0) = exp(0)),
+    so the in-place sigmoid equals `_sigmoid` without a negation pass."""
+    zr = np.matmul(h, nu_zr)
+    zr -= xp[:2]
+    np.exp(zr, out=zr)
     np.reciprocal(np.add(zr, 1.0, out=zr), out=zr)
     rh = zr[1] * h
     hc = rh @ u_h
     np.tanh(np.add(hc, xp[2], out=hc), out=hc)
     d = h - hc
-    return zr[0] * d + hc, (zr, rh, hc, d)
+    hn = zr[0] * d
+    hn += hc
+    return hn, (zr, rh, hc, d)
 
 
 def rnn_step(xp, h, w_h):
@@ -175,20 +181,26 @@ def rnn_step(xp, h, w_h):
     return np.tanh(np.add(a, xp[0], out=a), out=a), ()
 
 
-def gru_step_vjp(g, h, h_new, saved, u_zr, u_h):
+def gru_step_vjp(g, h, h_new, saved, nu_zr, u_h):
     """Gradient of h for the gradient `g` of h_new = `gru_step`(xp, h), and
-    those of the z, r and hc pre-activations as one (3, B, H) array."""
+    those of the z, r and hc pre-activations as one (3, B, H) array. The
+    products with the negated `nu_zr` are subtracted: x - (-y) is x + y."""
     zr, _, hc, d = saved
     da = np.empty((3,) + g.shape)
     gz = g * zr[0]
-    np.multiply(g - gz, 1.0 - hc * hc, out=da[2])
+    np.subtract(g, gz, out=da[2])
+    tanh_grad = np.multiply(hc, hc)
+    da[2] *= np.subtract(1.0, tanh_grad, out=tanh_grad)
     drh = da[2] @ u_h.swapaxes(-1, -2)
     np.multiply(g, d, out=da[0])
     np.multiply(drh, h, out=da[1])
     da[:2] *= zr
     da[:2] *= 1.0 - zr  # z(1-z) and r(1-r)
-    dzr = np.matmul(da[:2], u_zr.swapaxes(-1, -2))
-    return gz + drh * zr[1] + dzr[0] + dzr[1], da
+    dzr = np.matmul(da[:2], nu_zr.swapaxes(-1, -2))
+    gz += np.multiply(drh, zr[1], out=drh)
+    gz -= dzr[0]
+    gz -= dzr[1]
+    return gz, da
 
 
 def rnn_step_vjp(g, h, h_new, saved, w_h):

@@ -579,6 +579,24 @@ def test_fixed_points_theta_sources(pipeline):
     assert sorted(out.rglob("*")) == written
 
 
+def test_fixed_points_at_a_saturating_theta_warns_nothing(pipeline, tmp_path):
+    # theta far out saturates the gates: a sigmoid's exp overflows to its
+    # limit in the rollouts, the descent and the residual re-check, which is
+    # no fault and must not warn (pyproject's filterwarnings makes a
+    # RuntimeWarning an error)
+    path, out = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    assert _run("fixed-points", "--config", str(path), "--out", str(run),
+                "--theta", "1e5,-1e5") == 0
+    report = json.loads((run / "fixed_points_explicit.json").read_text())
+    assert report["num_fixed_points"] >= 1
+    assert np.isfinite(report["max_residual"])
+    rows = (run / "fixed_points_explicit.csv").read_text().splitlines()[2:]
+    assert len(rows) == report["num_fixed_points"]
+    assert np.isfinite([[float(c) for c in row.split(",")] for row in rows]).all()
+
+
 def test_average_command(pipeline):
     path, out = pipeline
     assert _run("average", "--config", str(path), "--out", str(out),

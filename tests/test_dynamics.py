@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from dynamo import numgrad
 from dynamo.dynamics import (
+    DESCENT_RATE,
     DynamicsError,
     FixedPointSet,
+    _descend,
     _q_and_grad,
     collect_candidates,
     find_fixed_points,
@@ -359,6 +361,77 @@ def test_q_and_grad_match_the_graph_bitwise(kind, n, H, d, seed):
     q, grad = _q_and_grad(kind, *project_inputs(meta, u), h)  # u projected as the graph does
     assert q.tobytes() == q_graph.tobytes()
     assert grad.tobytes() == grad_graph.tobytes()
+
+
+def _reference_descend(model, u_rows, candidates, tol, max_steps):
+    """`dynamics._descend` as it was written with fancy-index row updates and
+    the gradient summed as -(d + d) + vjp(d + d); also returns the final step
+    sizes, so a test can show which rows stopped at the step-size floor."""
+    kind, (xp, state) = model.cell_kind, project_inputs(model, u_rows)
+
+    def q_and_grad(h):
+        h_new, saved = numgrad.CELLS[kind](xp, h, *state)
+        d = h_new - h
+        dd = d + d
+        return (d * d).sum(axis=1), -dd + numgrad.CELL_VJPS[kind](dd, h, h_new, saved, *state)[0]
+
+    n = len(candidates)
+    h = candidates.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, grad = q_and_grad(h)
+        stop2 = (0.9 * tol) ** 2
+        step_sizes = np.full(n, DESCENT_RATE)
+        steps_used = np.zeros(n, dtype=int)
+        active = (q > stop2)
+        for _ in range(max_steps):
+            if not active.any():
+                break
+            cand = h - step_sizes[:, None] * grad
+            q_new, grad_new = q_and_grad(cand)
+            improved = active & (q_new < q)
+            h[improved] = cand[improved]
+            q[improved] = q_new[improved]
+            grad[improved] = grad_new[improved]
+            steps_used[active] += 1
+            step_sizes[improved] *= 1.1
+            stuck = active & ~improved
+            step_sizes[stuck] *= 0.5
+            active = (q > stop2) & (step_sizes > 1e-16)
+    return h, steps_used, step_sizes
+
+
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn"])
+@pytest.mark.parametrize("meta", [True, False])
+def test_descend_equals_the_reference_bitwise(kind, meta):
+    H, n = 5, 24
+    rng = np.random.default_rng(7)
+    if meta:
+        model = init_meta_model(kind, 8, 3, H, 2, {0: 2}, seed=3)
+        u = np.concatenate([rng.standard_normal((n, 2)), np.zeros((n, 3))], axis=1)
+    else:
+        model = init_base_model(kind, 8, 3, H, 2, 0, seed=3)
+        u = rng.standard_normal((n, 3))
+    for k in ("w_h", "w_z", "w_r"):  # contracting enough to have fixed points
+        if k in model.params:
+            model.params[k] *= 0.5
+    cands = 2.0 * rng.standard_normal((n, H))
+    # rows already at their fixed point, found by iterating the map
+    for _ in range(1000):
+        cands[:4] = cell_step(model, u[:4], cands[:4])
+    cases = [(1e-6, 0), (1e-6, 1), (1e-6, 7), (1e-4, 400), (1e-300, 3000)]
+    floor_rows = 0
+    for tol, max_steps in cases:
+        h, used = _descend(model, u, cands, tol, max_steps)
+        want_h, want_used, sizes = _reference_descend(model, u, cands, tol, max_steps)
+        assert h.tobytes() == want_h.tobytes(), (tol, max_steps)
+        assert used.dtype == want_used.dtype
+        assert used.tobytes() == want_used.tobytes(), (tol, max_steps)
+        if max_steps == 0:
+            assert h.tobytes() == cands.tobytes() and not used.any()
+        if tol == 1e-6:
+            assert not used[:4].any()  # converged before the first step
+        floor_rows += int(((sizes <= 1e-16) & (used < max_steps)).sum())
+    assert floor_rows > 0  # some rows stopped at the step-size floor
 
 
 def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,21 @@ def test_residual_rollout_outputs_and_theta_zero_family():
     hs_b, outs_b = rollout(base, feats)
     assert np.array_equal(hs_m, hs_b)
     assert np.array_equal(outs_m[-1], outs_b[-1])
+
+
+def test_rollout_hides_only_a_recurrent_steps_overflow():
+    # a saturating gate's exp overflows to its limit, which is no fault; a
+    # residual model's overflow at a huge theta is one and still warns
+    gru = init_meta_model("gru", 5, 6, 6, 4, {0: 3}, seed=7)
+    _, logits = rollout_batch(gru, np.array([[1, 2, 3], [4, 0, 1]]),
+                              theta=np.array([1e5, -1e5, 1e5, -1e5]), task_group=0)
+    assert np.isfinite(logits).all()
+    residual = init_meta_model("residual_mlp", 0, 6, 6, 4, {0: 3}, seed=7, num_blocks=3)
+    feats = np.random.default_rng(0).standard_normal((2, 6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rollout_batch(residual, feats, theta=np.full(4, 1e308), task_group=0)
+    assert any("overflow" in str(w.message) for w in caught)
 
 
 def test_init_state_map_shapes():

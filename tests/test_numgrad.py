@@ -582,6 +582,69 @@ def test_step_vjps_match_fd(kind, B, nx, H, seed):
                                    err_msg=name)
 
 
+# The GRU kernels as they were written before `gru_split` negated the z and r
+# state weights, kept as a bitwise oracle: positive state weights, the sigmoid
+# through `np.negative`, and a fresh array for every temporary.
+
+
+def _reference_gru_step(xp, h, u_zr, u_h):
+    zr = np.matmul(h, u_zr)
+    zr += xp[:2]
+    np.exp(np.negative(zr, out=zr), out=zr)
+    np.reciprocal(np.add(zr, 1.0, out=zr), out=zr)
+    rh = zr[1] * h
+    hc = rh @ u_h
+    np.tanh(np.add(hc, xp[2], out=hc), out=hc)
+    d = h - hc
+    return zr[0] * d + hc, (zr, rh, hc, d)
+
+
+def _reference_gru_step_vjp(g, h, h_new, saved, u_zr, u_h):
+    zr, _, hc, d = saved
+    da = np.empty((3,) + g.shape)
+    gz = g * zr[0]
+    np.multiply(g - gz, 1.0 - hc * hc, out=da[2])
+    drh = da[2] @ u_h.swapaxes(-1, -2)
+    np.multiply(g, d, out=da[0])
+    np.multiply(drh, h, out=da[1])
+    da[:2] *= zr
+    da[:2] *= 1.0 - zr
+    dzr = np.matmul(da[:2], u_zr.swapaxes(-1, -2))
+    return gz + drh * zr[1] + dzr[0] + dzr[1], da
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.integers(1, 400), H=st.integers(1, 40), nx=st.integers(1, 4),
+       models=st.sampled_from([None, 1, 3]), scale=st.floats(0.01, 30.0),
+       seed=st.integers(0, 2 ** 16))
+def test_gru_kernels_equal_the_reference_bitwise(B, H, nx, models, scale, seed):
+    # pre-activations up to |30|, far into the gates' saturation
+    rng = np.random.default_rng(seed)
+    lead = () if models is None else (models,)
+    params = {n: rng.uniform(-1.0, 1.0, lead + ((nx + H, H) if n[0] == "w" else (H,)))
+              for n in CELL_PARAMS["gru"]}
+    params |= {n: params[n] * (scale / np.sqrt(H)) for n in ("w_z", "w_r", "w_h")}
+    w_in, b_in, state = CELL_SPLITS["gru"](nx, *(params[n] for n in CELL_PARAMS["gru"]))
+    u_zr = np.stack((params["w_z"][..., nx:, :], params["w_r"][..., nx:, :]))
+    u_h = params["w_h"][..., nx:, :]
+    assert w_in.tobytes() == np.stack([params[n][..., :nx, :]
+                                       for n in ("w_z", "w_r", "w_h")]).tobytes()
+    assert state[0].tobytes() == (-u_zr).tobytes() and state[1].tobytes() == u_h.tobytes()
+    xp = rng.uniform(-scale, scale, (3,) + lead + (B, H))
+    h = rng.uniform(-1.0, 1.0, lead + (B, H))
+    g = rng.standard_normal(lead + (B, H))
+    h_new, saved = CELLS["gru"](xp, h, *state)
+    want_h, want_saved = _reference_gru_step(xp, h, u_zr, u_h)
+    assert h_new.tobytes() == want_h.tobytes()
+    assert len(saved) == len(want_saved)
+    for got, want in zip(saved, want_saved):
+        assert got.tobytes() == want.tobytes()
+    dh, da = CELL_VJPS["gru"](g, h, h_new, saved, *state)
+    want_dh, want_da = _reference_gru_step_vjp(g, h, want_h, want_saved, u_zr, u_h)
+    assert dh.tobytes() == want_dh.tobytes()
+    assert da.tobytes() == want_da.tobytes()
+
+
 def test_fused_ops_reject_bad_shapes():
     g = Graph()
     x, h = g.leaf("x", (6, 3)), g.leaf("h", (2, 4))

@@ -1,7 +1,11 @@
 import ast
 import dataclasses
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from dynamo import cli, models
 from dynamo.cli import build_parser, validate_config
@@ -12,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _tool(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -184,6 +189,47 @@ def _expand(ranges):
         lo, _, hi = part.partition("-")
         lines += range(int(lo), int(hi or lo) + 1)
     return lines
+
+
+def test_layers_times_two_copies_of_one_tree_and_finds_a_changed_kernel(tmp_path):
+    # a tiny atlas run, both trees timed once; the second tree's vanilla-RNN
+    # step is one ulp off, and only its layers may differ
+    layers = _tool("layers")
+    trees = []
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src" / "dynamo", tmp_path / name / "src" / "dynamo",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees.append(layers.load_tree(tmp_path / name))
+    assert trees[0].numgrad is not trees[1].numgrad
+    step = trees[1].numgrad.CELLS["vanilla_rnn"]
+    trees[1].numgrad.CELLS["vanilla_rnn"] = lambda *a: (np.nextafter(step(*a)[0], np.inf), ())
+    cfg = {"seed": 5,
+           "tasks": [{"name": "valence", "kind": "valence_sentiment", "vocab_size": 12,
+                      "num_classes": 2, "t_min": 3, "t_max": 6, "noise_rate": 0.0,
+                      "num_sequences": 120, "seed": 3}],
+           "splits": {"base_train": 0.4, "meta_unlabeled": 0.4, "ssl_labeled": 0.05,
+                      "seed": 2},
+           "population": [{"task": "valence", "count": 2, "cell_kind": "gru",
+                           "hidden_dim": 5, "input_dim": 4, "train_fraction": 1.0,
+                           "task_group": 0}],
+           "base_training": {"epochs": 1, "lr": 3e-3, "batch_size": 8},
+           "meta": {"hidden_dim": 6, "input_dim": 4, "embed_dim": 2},
+           "meta_training": {"max_steps": 5, "batch_size": 4, "lr": 3e-3},
+           "analysis": {"grid": 2, "svcca_sequences": 5},
+           "fixed_points": {"tol": 1e-3, "max_steps": 20, "candidates": 6, "score_grid": 2}}
+    (tmp_path / "work").mkdir()
+    found = layers.measure(layers.prepare(trees, cfg, tmp_path / "work", rows=(3, 5), calls=2),
+                           rounds=1)
+    kernels = [f"{cell}_{fn}[{n}]" for cell in ("gru", "rnn") for n in (3, 5)
+               for fn in ("step", "step_vjp")]
+    assert [layer.name for layer in found] == kernels + [
+        "grid_accuracies", "descent[fixed-points]", "descent[score-map]"]
+    assert [layer.name for layer in found if not layer.same] == kernels[4:]
+    assert all(len(t) == 1 and t[0] > 0 for layer in found for t in layer.times)
+    lines = layers.table(found)
+    assert len(lines) == 1 + len(found)
+    assert lines[1].startswith("gru_step[3] ") and lines[1].endswith("/1   same")
+    assert lines[5].endswith("DIFFER")
 
 
 def test_traffic_lists_the_lines_no_stage_runs(monkeypatch, capsys):

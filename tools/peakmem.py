@@ -18,9 +18,6 @@ directory, removed at exit.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
-import os
 import sys
 import tempfile
 import tracemalloc
@@ -30,23 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 from dynamo import cli  # noqa: E402
-from rundiff import WORKLOADS, stages  # noqa: E402
-
-
-def write_config(config: dict, root: Path) -> Path:
-    path = root / "config.json"
-    path.write_text(json.dumps(config, indent=1))
-    return path
-
-
-def run_stage(stage: tuple[str, ...], path: Path, root: Path) -> None:
-    """Run one stage on the config at `path` into `root`/run through
-    `dynamo.cli.main`, its stdout discarded. Raises RuntimeError naming the
-    stage if it does not exit 0."""
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        code = cli.main([*stage, "--config", str(path), "--out", str(root / "run")])
-    if code != 0:
-        raise RuntimeError(f"{' '.join(stage)} exited {code}")
+from rundiff import WORKLOADS, run_stage, stages, write_config  # noqa: E402
 
 
 def stage_peaks(config: dict, argv: list[tuple[str, ...]], root: Path) -> dict[str, float]:
@@ -60,7 +41,7 @@ def stage_peaks(config: dict, argv: list[tuple[str, ...]], root: Path) -> dict[s
         for stage in argv:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_stage(stage, path, root)
+            run_stage(cli, stage, path, root / "run")
             peaks[stage[0]] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         tracemalloc.stop()

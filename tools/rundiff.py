@@ -30,6 +30,7 @@ fails or a run directory already exists. The run directories go to `--work`
 from __future__ import annotations
 
 import argparse
+import contextlib
 import filecmp
 import json
 import math
@@ -64,6 +65,23 @@ def run_tree(tree: Path, config: Path, out: Path, argv: list[tuple[str, ...]]) -
         if proc.returncode != 0:
             raise RuntimeError(f"{tree}: {' '.join(stage)} exited {proc.returncode}\n"
                                f"{proc.stderr}")
+
+
+def write_config(config: dict, root: Path) -> Path:
+    """Write `config` to `root`/config.json and return its path."""
+    path = root / "config.json"
+    path.write_text(json.dumps(config, indent=1))
+    return path
+
+
+def run_stage(cli, stage: tuple[str, ...], path: Path, out: Path) -> None:
+    """Run one stage on the config at `path` into `out` in this process,
+    through the `main` of `cli` (some tree's `dynamo.cli` module), its stdout
+    discarded. Raises RuntimeError naming the stage if it does not exit 0."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = cli.main([*stage, "--config", str(path), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(stage)} exited {code}")
 
 
 def line_count(tree: Path) -> int:

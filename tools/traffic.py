@@ -34,8 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 from dynamo import cli  # noqa: E402
-from peakmem import run_stage, write_config  # noqa: E402
-from rundiff import WORKLOADS, stages  # noqa: E402
+from rundiff import WORKLOADS, run_stage, stages, write_config  # noqa: E402
 
 SOURCES = sorted(p for p in Path(cli.__file__).parent.glob("*.py") if p.name != "__init__.py")
 RUNNER_OPTIONS = ("--config", "--out")  # every runner passes them to every stage
@@ -90,7 +89,7 @@ def executed_lines(config: dict, argv: list[tuple[str, ...]], root: Path) -> dic
     sys.settrace(on_call)
     try:
         for stage in argv:
-            run_stage(stage, path, root)
+            run_stage(cli, stage, path, root / "run")
     finally:
         sys.settrace(None)
     return hits
