@@ -50,8 +50,10 @@ output). Backward consumes the forward pass it differentiates and frees it
 as the reverse sweep passes: each visited node's value and gradient once
 its rule has run, a recurrence's saved step as BPTT passes it. So it never
 holds every value and every gradient at once, and a cached graph holds no
-batch between steps. Both passes run with overflow warnings off; a forward
-output or a gradient that is not finite raises NumericError.
+batch between steps, except in a `Workspace` (see `Graph`), which keeps a
+recurrence's four largest arrays from step to step for as long as it lives.
+Both passes run with overflow warnings off; a forward output or a gradient
+that is not finite raises NumericError.
 """
 from __future__ import annotations
 
@@ -215,15 +217,43 @@ CELLS = {"gru": gru_step, "vanilla_rnn": rnn_step}
 CELL_VJPS = {"gru": gru_step_vjp, "vanilla_rnn": rnn_step_vjp}
 
 
+class Workspace:
+    """Grow-only float64 buffers, one per role, shared by the graphs built
+    with it: `take` returns a view of the front of its role's buffer, which
+    is replaced only when too small, so each holds the largest need of any
+    one pass, not the sum over the graphs. `forwards` counts the forward
+    passes run on it (see `Graph`)."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.forwards = 0
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        n = int(np.prod(shape))
+        if role not in self.buffers or self.buffers[role].size < n:
+            self.buffers[role] = np.empty(n)
+        return self.buffers[role][:n].reshape(shape)
+
+
 class Graph:
     """Static computation graph over named leaves.
 
     Nodes are appended in construction order, which is already a topological
     order; `backward` walks it once in reverse. Only leaves created with
     ``param=True`` appear in the gradient dict.
+
+    With a `Workspace`, the graph's one `recurrence` takes four arrays from
+    it: its input shares, then in backward its pre-activation gradients
+    (role "gates", as the shares die with the time loop), its states ("y")
+    and a model stack's input gradient ("dx"). So a forward pass, the
+    recurrence's value included, is valid only until the next forward of
+    any graph sharing the workspace; `value` and `backward` refuse it after
+    one.
     """
 
-    def __init__(self):
+    def __init__(self, workspace: Workspace | None = None):
+        self._workspace = workspace
+        self._pass = 0  # the workspace's `forwards` at this graph's last forward
         self._kinds: list[str] = []
         self._inputs: list[tuple[int, ...]] = []
         self._aux: list = []
@@ -359,6 +389,8 @@ class Graph:
         got = [self._shapes[p] for p in params]
         if got != want:
             raise ShapeMismatch(f"recurrence {kind}: weights {got}, expected {want}")
+        if self._workspace is not None and "recurrence" in self._kinds:
+            raise NumgradError("a graph with a workspace holds one recurrence")
         extra = (steps,) if lead else ()
         return self._push("recurrence", (x, h0) + params + extra, kind, sx[:-1] + (H,))
 
@@ -392,6 +424,9 @@ class Graph:
         if self._out is None:
             raise NumgradError("graph has no output node")
         drops = self._plan_passes()[2]
+        if self._workspace is not None:
+            self._workspace.forwards += 1
+            self._pass = self._workspace.forwards
         vals: list = [None] * len(self._kinds)
         saved: dict = {}
         for nid, kind in enumerate(self._kinds):
@@ -447,8 +482,8 @@ class Graph:
                 if x.ndim == 3:  # a model stack: the last input is each one's step count
                     rows = params.pop().astype(np.intp) * B
                 w_in, b_in, state = CELL_SPLITS[aux](x.shape[-1], *params)
-                xp = _project(x, w_in, b_in, rows)
-                y, steps = np.empty(x.shape[:-1] + h.shape[-1:]), []
+                xp = _project(x, w_in, b_in, rows, self._empty)
+                y, steps = self._empty("y", x.shape[:-1] + h.shape[-1:]), []
                 for s in range(0, x.shape[-2], B):
                     h, inter = CELLS[aux](xp[..., s:s + B, :], h, *state)
                     y[..., s:s + B, :] = h
@@ -469,11 +504,21 @@ class Graph:
         if self._values is None:
             raise BackwardBeforeForward("no forward pass to read: none has run "
                                         "since the last backward")
+        self._check_pass()
         nid = self._marks[ref] if isinstance(ref, str) else ref
         if self._values[nid] is None:
             raise NumgradError(f"node {nid} ({self._kinds[nid]}) was dropped after its "
                                "last forward reader; mark it before forward to read it")
         return self._values[nid]
+
+    def _check_pass(self) -> None:
+        if self._workspace is not None and self._pass != self._workspace.forwards:
+            raise NumgradError("another graph's forward has overwritten this forward "
+                               "pass in the shared workspace: run forward again")
+
+    def _empty(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        ws = self._workspace
+        return np.empty(shape) if ws is None else ws.take(role, shape)
 
     def _plan_passes(self) -> tuple[list[bool], list[int], list[list[int]]]:
         """`needs[n]`: a parameter leaf is node n or one of its ancestors;
@@ -524,6 +569,7 @@ class Graph:
         is not finite."""
         if self._values is None:
             raise BackwardBeforeForward("backward needs a forward pass of its own")
+        self._check_pass()
         out = self._out
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
@@ -640,7 +686,7 @@ class Graph:
             h = y[..., (t - 1) * B:t * B, :] if t else h0
             carry, da_t = vjp(gt if carry is None else gt + carry, h, h_new, steps[t], *state)
             if da is None:  # (G, T * B, H), a model axis after G
-                da = np.empty(da_t.shape[:-2] + g.shape[-2:])
+                da = self._empty("gates", da_t.shape[:-2] + g.shape[-2:])
             da[..., t * B:(t + 1) * B, :] = da_t
             steps[t] = steps[t][1:2]  # the step is done: keep only a GRU's r*h
             h_new = h
@@ -658,9 +704,10 @@ class Graph:
         if rows is None:
             dx, grads = dxs[0], weights[0]
         else:
-            dx = np.zeros(x.shape) if need[0] else None
+            dx = self._empty("dx", x.shape) if need[0] else None
             for m, n in enumerate(rows if need[0] else ()):
                 dx[m, :n] = dxs[m]
+                dx[m, n:] = 0.0
             grads = [np.stack(ws) for ws in zip(*weights)]
         if need[0]:
             acc(ins[0], dx)
@@ -669,13 +716,14 @@ class Graph:
                 acc(ins[k], grad)
 
 
-def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray, rows) -> np.ndarray:
-    """The input shares (G, T * B, H) of all rows of `x` in one product; with
-    a model axis (after G), one product per model over exactly its first
-    rows[m] rows, the shares of its padding left zero."""
+def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray, rows, empty) -> np.ndarray:
+    """The input shares (G, T * B, H) of all rows of `x` in one product, in
+    the "gates" array of `empty` (`Graph._empty`); with a model axis (after
+    G), one product per model over exactly its first rows[m] rows, the
+    shares of its padding left zero."""
+    xp = empty("gates", w_in.shape[:-2] + (x.shape[-2], w_in.shape[-1]))
     if rows is None:
-        return np.matmul(x, w_in) + b_in
-    xp = np.empty(w_in.shape[:-2] + (x.shape[-2], w_in.shape[-1]))
+        return np.add(np.matmul(x, w_in), b_in, out=xp)
     for m, n in enumerate(rows):
         np.add(np.matmul(x[m, :n], w_in[:, m]), b_in[:, m], out=xp[:, m, :n])
         xp[:, m, n:] = 0.0

@@ -49,7 +49,7 @@ from .models import (
     rollout_batch,
     unroll_graph,
 )
-from .numgrad import Graph, NumericError
+from .numgrad import Graph, NumericError, Workspace
 from .tasks import SequenceDataset
 
 # float64 magnitudes from this one up (FLT_MAX plus half its last-place unit)
@@ -239,7 +239,8 @@ def _sum(g: Graph, terms: list[int]) -> int:
 
 
 def task_loss_graph(model, T: int, B: int, task_group: int | None = None,
-                    leaves: dict[str, np.ndarray] | None = None) -> Graph:
+                    leaves: dict[str, np.ndarray] | None = None,
+                    workspace: Workspace | None = None) -> Graph:
     """Mean cross entropy of the final-step readout against one-hot `labels`.
 
     A base model's parameters are the trainable leaves (base training). A
@@ -251,9 +252,10 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None,
     With `leaves`, the `stacked_leaves` of an entry of base models shaped as
     `model`, every leaf and node takes their leading model axis, and the
     output is the sum of the models' mean losses, so each model's
-    parameters get exactly the gradient of its own loss.
+    parameters get exactly the gradient of its own loss. The graph takes
+    its recurrence's arrays from `workspace`, if given (`numgrad.Graph`).
     """
-    g = Graph()
+    g = Graph(workspace)
     is_meta = isinstance(model, MetaModel)
     w_name, b_name = readout_names(model, task_group)
     nb = 0 if leaves is None else len(leaves[w_name])
@@ -377,7 +379,11 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     the steps it would take alone. The whole entry is one update group. Each
     model's `params` are emptied once stacked into the optimizer's buffer and
     end as copies of its rows of it, so the initial arrays die at the start
-    and the buffer dies with the optimizer, not with the last of the models."""
+    and the buffer dies with the optimizer, not with the last of the models.
+    Every graph of the call shares one `numgrad.Workspace`, so a step reuses
+    the recurrence arrays of the last instead of paging them in again; it
+    holds the largest step's until the call returns, and the returned
+    parameters share no memory with it."""
     cfg.validate()
     idxs = ds.base_train_subset(subfraction)
     if len(ds.indices("base_train")) == 0:
@@ -390,7 +396,9 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     for base in bases:  # the stack holds them now; the initial arrays die
         base.params.clear()
     leaves = models.stacked_leaves(first.cell_kind, opt.params)
-    build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves))
+    workspace = Workspace()
+    build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves,
+                                               workspace=workspace))
     inputs, lengths = models.model_inputs(first, ds, idxs)
     labels = ds.subset(idxs)[1]
     rngs = [np.random.default_rng(seed) for seed in seeds]

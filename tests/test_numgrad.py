@@ -18,6 +18,7 @@ from dynamo.numgrad import (
     NumgradError,
     ShapeMismatch,
     UnboundLeaf,
+    Workspace,
 )
 
 from gradcheck import grad_check
@@ -424,11 +425,11 @@ def _composite_step(g, kind, r, x, h):
     return g.add(g.mul(g.affine(z, -1.0, 1.0), hc), g.mul(z, h))
 
 
-def _recurrence_graph(kind, point, T, B, composite):
+def _recurrence_graph(kind, point, T, B, composite, workspace=None):
     """sum(m * states) of T steps over x = [theta rows; xin], from one
     `recurrence` node or, with `composite`, from per-step oracle nodes that
     read the rows of step t through `gather_rows`."""
-    g = Graph()
+    g = Graph(workspace)
     r = {n: g.leaf(n, v.shape, param=n != "m") for n, v in point.items()}
     x = g.concat(g.matmul(g.const(np.ones((T * B, 1))), r["theta"]), r["xin"])
     if not composite:
@@ -481,9 +482,39 @@ def test_fused_cells_match_composite_and_fd(kind, T, B, d, nin, H, seed):
     composite = _recurrence_graph(kind, point, T, B, composite=True)
     composite.forward(point)
     oracle = composite.backward()
-    for name, grad in fused.backward().items():
+    grads = fused.backward()
+    for name, grad in grads.items():
         np.testing.assert_allclose(grad, oracle[name], rtol=1e-10, atol=1e-12,
                                    err_msg=name)
+    # a workspace changes no bit of the states or the gradients
+    shared = _recurrence_graph(kind, point, T, B, composite=False, workspace=Workspace())
+    shared.forward(point)
+    assert shared.value("states").tobytes() == states.tobytes()
+    for name, grad in shared.backward().items():
+        assert grad.tobytes() == grads[name].tobytes(), name
+
+
+def test_a_forward_sharing_the_workspace_overwrites_the_recurrence():
+    # graphs built with one workspace hand their recurrences the same arrays,
+    # so a forward pass is valid only until the next forward of any of them
+    ws, rng = Workspace(), np.random.default_rng(4)
+    points = [_recurrence_point(rng, "gru", T, 2, 1, 2, 3) for T in (3, 2)]
+    g1, g2 = (_recurrence_graph("gru", p, T, 2, False, ws) for p, T in zip(points, (3, 2)))
+    g1.forward(points[0])
+    states = g1.value("states")
+    want = states.copy()
+    g2.forward(points[1])
+    assert np.shares_memory(states, g2.value("states"))
+    assert states.tobytes() != want.tobytes()
+    for read in (lambda: g1.value("states"), g1.backward):
+        with pytest.raises(NumgradError, match="overwritten"):
+            read()
+    g1.forward(points[0])
+    assert g1.value("states").tobytes() == want.tobytes()
+    assert set(g1.backward()) == set(points[0]) - {"m"}
+    x, h0, *weights = g1._inputs[g1._marks["states"]]
+    with pytest.raises(NumgradError, match="one recurrence"):
+        g1.recurrence("gru", x, h0, weights)
 
 
 @settings(max_examples=30, deadline=None)

@@ -175,11 +175,15 @@ def test_peakmem_prints_each_stage_peak_of_each_workload(monkeypatch, capsys):
     tiny = _tiny_workload(peakmem)
     monkeypatch.setattr(peakmem, "WORKLOADS", {"tiny": tiny})
     assert peakmem.main(["--seed", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["| Stage | tiny |", "|---|---|"]
-    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
-    assert [row[0] for row in rows] == [stage[0] for stage in peakmem.stages(tiny)]
-    assert all(float(row[1]) > 0 for row in rows)
+    peaks, faults = capsys.readouterr().out.split("\n\n")
+    commands = [stage[0] for stage in peakmem.stages(tiny)]
+    for table, title, valid in ((peaks, "Stage", lambda c: float(c) > 0),
+                                (faults, "Minor faults", lambda c: int(c.replace(",", "")) >= 0)):
+        lines = table.splitlines()
+        assert lines[:2] == [f"| {title} | tiny |", "|---|---|"]
+        rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+        assert [row[0] for row in rows] == commands
+        assert all(valid(row[1]) for row in rows)
 
 
 def _expand(ranges):
@@ -223,7 +227,8 @@ def test_layers_times_two_copies_of_one_tree_and_finds_a_changed_kernel(tmp_path
     kernels = [f"{cell}_{fn}[{n}]" for cell in ("gru", "rnn") for n in (3, 5)
                for fn in ("step", "step_vjp")]
     assert [layer.name for layer in found] == kernels + [
-        "grid_accuracies", "descent[fixed-points]", "descent[score-map]"]
+        "train_base[entry 0]", "grid_accuracies", "descent[fixed-points]",
+        "descent[score-map]"]
     assert [layer.name for layer in found if not layer.same] == kernels[4:]
     assert all(len(t) == 1 and t[0] > 0 for layer in found for t in layer.times)
     lines = layers.table(found)

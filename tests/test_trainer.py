@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynamo import models
+from dynamo import models, numgrad
 from dynamo import trainer as trainer_module
 from dynamo.models import (
     init_base_model,
@@ -602,6 +602,78 @@ def test_lockstep_training_equals_training_alone(kind, monkeypatch):
             assert together[i].params[name].tobytes() == value.tobytes(), (i, name)
 
 
+def _entry(kind, seeds):
+    return [init_base_model(kind, 12, 3, 4, 2, 0, seed=s) for s in seeds]
+
+
+@pytest.mark.parametrize("kind", ["gru", "vanilla_rnn"])
+def test_train_base_through_a_workspace_equals_workspace_free_graphs(kind, monkeypatch):
+    # ragged lengths and a short last batch, so the workspace's views take
+    # several shapes, each step's T and B its own
+    spec = TaskSpec("valence_sentiment", vocab_size=12, num_classes=2, t_min=2,
+                    t_max=9, noise_rate=0.0, seed=5, num_sequences=65)
+    ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=5)
+    assert len(ds.indices("base_train")) % 4
+    cfg, seeds = TrainConfig(epochs=2, lr=0.03, batch_size=4), [1, 2, 3]
+    shapes = set()
+    take = numgrad.Workspace.take
+
+    def spy(self, role, shape):
+        shapes.add((role, shape))
+        return take(self, role, shape)
+
+    monkeypatch.setattr(numgrad.Workspace, "take", spy)
+    shared = train_base(_entry(kind, seeds), ds, cfg, seeds)
+    assert len({shape for role, shape in shapes if role == "y"}) > 2
+    monkeypatch.setattr(trainer_module, "Workspace", lambda: None)
+    free = train_base(_entry(kind, seeds), ds, cfg, seeds)
+    for a, b in zip(shared, free):
+        for name, value in b.params.items():
+            assert a.params[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("t_min, t_max", [(5, 5), (2, 9)])
+def test_train_base_workspace_grows_only_for_a_step_larger_than_every_earlier(
+        t_min, t_max, monkeypatch):
+    # with rows of one length the first step is the largest and alone
+    # allocates; with ragged rows a buffer is replaced only by a step that
+    # needs more than every step before it, and ends as large as the largest
+    spec = TaskSpec("valence_sentiment", vocab_size=12, num_classes=2, t_min=t_min,
+                    t_max=t_max, noise_rate=0.0, seed=4, num_sequences=70)
+    ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=4)
+    workspaces, takes = [], []
+
+    class Recording(numgrad.Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+        def take(self, role, shape):
+            before = self.buffers.get(role)
+            view = super().take(role, shape)
+            takes.append((role, view.size, self.buffers[role] is not before))
+            return view
+
+    monkeypatch.setattr(trainer_module, "Workspace", Recording)
+    trained = train_base(_entry("gru", [1, 2]), ds, TrainConfig(epochs=2, batch_size=2),
+                         [1, 2])
+    ws, = workspaces
+    assert sorted(ws.buffers) == ["dx", "gates", "y"]
+    for role, buf in ws.buffers.items():
+        needs = [(n, grew) for r, n, grew in takes if r == role]
+        largest = np.maximum.accumulate([0] + [n for n, _ in needs])
+        assert [grew for _, grew in needs] == [n > m for (n, _), m in zip(needs, largest)]
+        assert buf.size == largest[-1]
+    grown = [grew for _, _, grew in takes]
+    if t_min == t_max:  # a step takes gates, y, gates again (da), dx
+        assert grown == [True, True, False, True] + [False] * (len(takes) - 4)
+    else:
+        assert any(grown[4:])
+    for base in trained:
+        for value in base.params.values():
+            assert not any(np.shares_memory(value, buf) for buf in ws.buffers.values())
+
+
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])
 def test_stacked_task_loss_graph_passes_grad_check(kind):
     ds = _tiny_dataset()
@@ -613,15 +685,17 @@ def test_stacked_task_loss_graph_passes_grad_check(kind):
     leaves = models.stacked_leaves(kind, stacked)
     inputs, lengths = model_inputs(bases[0], ds, idxs)
     rows = np.array([[0, 1, 2], [3, 4, 5]])
-    g, bindings = task_batch(lambda T, B: task_loss_graph(bases[0], T, B, leaves=leaves),
-                             bases[0], *trainer_module._take(inputs, lengths, rows),
-                             ds.subset(idxs)[1][rows], leaves=leaves)
-    if kind != "residual_mlp":
-        assert bindings["steps"][0] != bindings["steps"][1]
-    assert grad_check(g, bindings, 1e-5) < 1e-4
-    g.forward(bindings)
-    assert {k: v.shape for k, v in g.backward().items()} == {k: v.shape
-                                                             for k, v in leaves.items()}
+    for workspace in (None, numgrad.Workspace()):
+        g, bindings = task_batch(
+            lambda T, B: task_loss_graph(bases[0], T, B, leaves=leaves, workspace=workspace),
+            bases[0], *trainer_module._take(inputs, lengths, rows),
+            ds.subset(idxs)[1][rows], leaves=leaves)
+        if kind != "residual_mlp":
+            assert bindings["steps"][0] != bindings["steps"][1]
+        assert grad_check(g, bindings, 1e-5) < 1e-4
+        g.forward(bindings)
+        assert {k: v.shape for k, v in g.backward().items()} == {k: v.shape
+                                                                 for k, v in leaves.items()}
 
 
 # -- misc -------------------------------------------------------------------------

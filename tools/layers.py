@@ -4,16 +4,21 @@
 
 Loads each tree's `src/dynamo` under its own package name, builds perfbench's
 atlas-dynamics `config(seed)` run once (gen-data, train-base and train-meta
-from the first tree), and runs `analyze --svcca` and `fixed-points --theta
-base_000 --score-map` once per tree on its own copy of that run, recording
-the arguments of the landscape's `atlas.grid_accuracies` call and of the two
-`dynamics._descend` calls (the fixed points at base_000 and the score map's
-grid). Then, for `ROUNDS` rounds, it times each layer on both trees back to
-back, the tree that goes first alternating from round to round:
+from the first tree), and runs `train-base`, `analyze --svcca` and
+`fixed-points --theta base_000 --score-map` once per tree on its own copies
+of that run, recording the arguments of the first `trainer.train_base` call
+(the first population entry, before training), of the landscape's
+`atlas.grid_accuracies` call and of the two `dynamics._descend` calls (the
+fixed points at base_000 and the score map's grid). Then, for `ROUNDS`
+rounds, it times each layer on both trees back to back, the tree that goes
+first alternating from round to round:
 
 - `CELLS` and `CELL_VJPS` of both cell kinds at each row count of `ROWS`, on
   the meta model's GRU weights and on random vanilla-RNN weights of its
   width, `CALLS` calls per timing (the time of one call is reported);
+- `train_base` on the first entry, from fresh copies of its initial bases
+  (the lockstep training of 3 stacked GRUs), its output the trained
+  parameters;
 - `grid_accuracies` on the landscape;
 - the two descents of the score-map command.
 
@@ -28,6 +33,7 @@ command fails.
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import importlib
 import importlib.util
@@ -51,6 +57,7 @@ ROWS = (16, 36, 64, 128, 256, 288, 384)
 CALLS = 300   # kernel calls per timing
 ROUNDS = 15   # timings per layer and tree
 SETUP = (("gen-data",), ("train-base",), ("train-meta",))
+TRAIN_BASE = ("train-base",)
 ANALYZE = ("analyze", "--svcca")
 SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
 _loaded = itertools.count()
@@ -96,6 +103,29 @@ def recorded_calls(tree: SimpleNamespace, argv: tuple[str, ...], config: Path, o
     return calls
 
 
+def lockstep_call(tree: SimpleNamespace, config: Path, out: Path) -> tuple:
+    """The arguments of the first `train_base` call of `train-base` on
+    `tree`, its bases copied before they train."""
+    fn, calls = tree.cli.train_base, []
+
+    def spy(bases, *args, **kwargs):
+        calls.append((copy.deepcopy(bases), args, kwargs))
+        return fn(bases, *args, **kwargs)
+
+    tree.cli.train_base = spy
+    try:
+        run_stage(tree.cli, TRAIN_BASE, config, out)
+    finally:
+        tree.cli.train_base = fn
+    return (fn, *calls[0])
+
+
+def train_entry(train_base, bases, args, kwargs) -> list:
+    """`train_base` on copies of `bases`; the trained parameters, by name."""
+    return [[b.params[k] for k in sorted(b.params)]
+            for b in train_base(copy.deepcopy(bases), *args, **kwargs)]
+
+
 def kernel_layers(trees: list[SimpleNamespace], runs: list[Path], rows, calls: int) -> list[Layer]:
     """Step and step-VJP layers of both cell kinds at each row count, fed the
     same inputs on every tree."""
@@ -130,15 +160,18 @@ def prepare(trees: list[SimpleNamespace], config: dict, work: Path, rows=ROWS,
     base = work / "setup"
     for argv in SETUP:
         run_stage(trees[0].cli, argv, path, base)
-    runs, landscape, descents = [], [], []
+    runs, entries, landscape, descents = [], [], [], []
     for i, tree in enumerate(trees):
         run = work / f"tree{i}"
         shutil.copytree(base, run)
         runs.append(run)
+        shutil.copytree(base, work / f"lockstep{i}")  # train-base rewrites base/
+        entries.append(lockstep_call(tree, path, work / f"lockstep{i}"))
         landscape.append(recorded_calls(tree, ANALYZE, path, run, tree.atlas,
                                         "grid_accuracies")[0])
         descents.append(recorded_calls(tree, SCORE_MAP, path, run, tree.dynamics, "_descend"))
     layers = kernel_layers(trees, runs, rows, calls)
+    layers.append(Layer("train_base[entry 0]", tuple((train_entry, args, 1) for args in entries)))
     layers.append(Layer("grid_accuracies", tuple(
         (tree.atlas.grid_accuracies, args, 1) for tree, args in zip(trees, landscape))))
     for k, label in enumerate(("descent[fixed-points]", "descent[score-map]")):

@@ -10,14 +10,19 @@ them by default), one after another in this process through
 `dynamo.cli.main`, from this tree's `src/`. A stage's peak is tracemalloc's
 peak while it runs, in MB (10^6 bytes) above what was allocated when it
 started; tracemalloc sees Python and numpy allocations, not the allocator's
-own overhead. Prints a Markdown table with one row per command and one
-column per workload ("—" where a workload does not run the command). Exits
-1 if a stage does not exit 0. The run directories go to a temporary
-directory, removed at exit.
+own overhead. A stage's faults are the minor page faults this process
+took while it ran (the `ru_minflt` delta of `resource.getrusage`), so heap
+memory returned to the OS and paged in again shows per stage; they count
+tracemalloc's own bookkeeping too. Prints two Markdown tables, the peaks and
+then the faults, each with one row per command and one column per workload
+("—" where a workload does not run the command). Exits 1 if a stage does
+not exit 0. The run directories go to a temporary directory, removed at
+exit.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -30,10 +35,15 @@ from dynamo import cli  # noqa: E402
 from rundiff import WORKLOADS, run_stage, stages, write_config  # noqa: E402
 
 
-def stage_peaks(config: dict, argv: list[tuple[str, ...]], root: Path) -> dict[str, float]:
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def stage_peaks(config: dict, argv: list[tuple[str, ...]],
+                root: Path) -> dict[str, tuple[float, int]]:
     """Run each stage of `argv` on `config` into `root`/run under tracemalloc
-    and return each command's peak in MB above its start. Raises
-    RuntimeError naming the first stage that does not exit 0."""
+    and return each command's peak in MB above its start and its minor page
+    faults. Raises RuntimeError naming the first stage that does not exit 0."""
     path = write_config(config, root)
     peaks = {}
     tracemalloc.start()
@@ -41,8 +51,10 @@ def stage_peaks(config: dict, argv: list[tuple[str, ...]], root: Path) -> dict[s
         for stage in argv:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            faults = _minor_faults()
             run_stage(cli, stage, path, root / "run")
-            peaks[stage[0]] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+            faults = _minor_faults() - faults
+            peaks[stage[0]] = ((tracemalloc.get_traced_memory()[1] - base) / 1e6, faults)
     finally:
         tracemalloc.stop()
     return peaks
@@ -67,11 +79,15 @@ def main(argv=None) -> int:
                 print(f"{name}: {e}", file=sys.stderr)
                 return 1
     commands = dict.fromkeys(command for peaks in table.values() for command in peaks)
-    print(f"| Stage | {' | '.join(names)} |")
-    print("|---" * (len(names) + 1) + "|")
-    for command in commands:
-        cells = [f"{table[n][command]:.2f}" if command in table[n] else "—" for n in names]
-        print(f"| {command} | {' | '.join(cells)} |")
+    for title, column, fmt in (("Stage", 0, "{:.2f}"), ("Minor faults", 1, "{:,}")):
+        if column:
+            print()
+        print(f"| {title} | {' | '.join(names)} |")
+        print("|---" * (len(names) + 1) + "|")
+        for command in commands:
+            cells = [fmt.format(table[n][command][column]) if command in table[n] else "—"
+                     for n in names]
+            print(f"| {command} | {' | '.join(cells)} |")
     return 0
 
 
