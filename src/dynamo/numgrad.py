@@ -10,7 +10,10 @@ reused across training steps. The vocabulary:
 - column concat of two nodes, `gather_rows` (rows of a table picked by an
   id leaf, whose backward sums each row into the table in row order with
   one `np.bincount`, bit for bit `np.add.at`);
-- sum/mean reductions and log-softmax along the last axis;
+- sum/mean reductions, and the two training losses as one node each:
+  `sqdist` (a sum of squared differences, optionally row-weighted) and
+  `xent` (-sum(targets * log_softmax(logits))), each running the numpy
+  calls of the primitive chain it stands for, so bit for bit that chain;
 - `recurrence`: all T steps of a GRU or vanilla RNN over time-major
   (T * B, .) rows as one node. `CELL_SPLITS` splits the stored [x; h]-row
   weights into gate-major input weights (G, nx, H), biases (G, 1, H) and
@@ -23,7 +26,7 @@ reused across training steps. The vocabulary:
   state row blocks with one product over all T * B rows.
 
 The model axis: the ops a base model's task graph uses (`matmul`,
-`gather_rows`, `log_softmax`, the reductions, the elementwise ops, and
+`gather_rows`, `xent`, the reductions, the elementwise ops, and
 `recurrence`) also take nodes stacked over nb models on a leading axis, so
 the models of one population entry train as one graph. `matmul` multiplies
 model by model, `gather_rows` reads one table per model, and `recurrence`
@@ -44,11 +47,13 @@ term for an input off such a path, so a frozen model costs no weight
 products. Memory follows the live set: forward drops each value right after
 its last forward reader, unless it is marked, is the output, or a backward
 rule reads it (the other operand of `mul`/`matmul` whose first operand needs
-a gradient, the input of `relu`, the output of `sigmoid`/`tanh`/
-`log_softmax`, the ids of `gather_rows`, a `recurrence`'s `x`, `h0` and
-output). Backward consumes the forward pass it differentiates and frees it
-as the reverse sweep passes: each visited node's value and gradient once
-its rule has run, a recurrence's saved step as BPTT passes it. So it never
+a gradient, the input of `relu`, the output of `sigmoid`/`tanh`, the ids
+of `gather_rows`, the row weights of `sqdist`, the targets of `xent`, a
+`recurrence`'s `x`, `h0` and output); `sqdist`'s difference, `xent`'s
+log-softmax and a recurrence's steps are saved apart. Backward consumes the
+forward pass it differentiates and frees it as the reverse sweep passes:
+each visited node's value and gradient once its rule has run, a
+recurrence's saved step as BPTT passes it. So it never
 holds every value and every gradient at once, and a cached graph holds no
 batch between steps, except in a `Workspace` (see `Graph`), which keeps a
 recurrence's four largest arrays from step to step for as long as it lives.
@@ -350,12 +355,24 @@ class Graph:
             shape = sa[:axis] + sa[axis + 1 :]
         return self._push(kind, (a,), axis, shape)
 
-    def log_softmax(self, a: int) -> int:
-        """Log-softmax along the last axis of a 2-D or (nb, ., .) node."""
-        sa = self._shapes[a]
-        if len(sa) not in (2, 3):
-            raise ShapeMismatch(f"log_softmax expects rows, got {sa}")
-        return self._push("log_softmax", (a,), None, sa)
+    def sqdist(self, a: int, b: int, w: int | None = None) -> int:
+        """Sum of (a - b)**2 (sub, mul, reduce_sum); with row weights `w` (n,)
+        of (n, k) nodes, sum_r w_r sum_j (a - b)_rj**2 (the row sums, mul).
+        `w` is bound as numbers and gets no gradient."""
+        sa, sb, sw = self._shapes[a], self._shapes[b], None if w is None else self._shapes[w]
+        if sa != sb or sw is not None and (len(sa) != 2 or sw != sa[:1]):
+            raise ShapeMismatch(f"sqdist: {sa} - {sb}, row weights {sw}")
+        return self._push("sqdist", (a, b) if w is None else (a, b, w), None, ())
+
+    def xent(self, logits: int, targets: int, axis: int | None = None) -> int:
+        """-sum(targets * log_softmax(logits)) (log_softmax, mul, reduce_sum,
+        affine(-1)), the softmax over the last axis of a 2-D or (nb, ., .)
+        node, summed over everything or per row (`axis` -1). `targets` is
+        bound as numbers and gets no gradient."""
+        sl, st = self._shapes[logits], self._shapes[targets]
+        if len(sl) not in (2, 3) or st != sl or axis not in (None, -1):
+            raise ShapeMismatch(f"xent: logits {sl}, targets {st}, axis {axis}")
+        return self._push("xent", (logits, targets), axis, () if axis is None else sl[:-1])
 
     def gather_rows(self, table: int, ids: int) -> int:
         """Rows `table[ids]` of a 2-D node, `ids` a (N,) node of row indices
@@ -393,17 +410,6 @@ class Graph:
             raise NumgradError("a graph with a workspace holds one recurrence")
         extra = (steps,) if lead else ()
         return self._push("recurrence", (x, h0) + params + extra, kind, sx[:-1] + (H,))
-
-    # -- composites -------------------------------------------------------
-
-    def squared_l2(self, a: int, axis: int | None = None) -> int:
-        return self.reduce_sum(self.mul(a, a), axis)
-
-    def softmax_log_loss(self, logits: int, onehot: int) -> int:
-        """Per-row cross entropy -sum(onehot * log_softmax(logits)) along the
-        last axis."""
-        ce = self.reduce_sum(self.mul(self.log_softmax(logits), onehot), axis=-1)
-        return self.affine(ce, -1.0)
 
     # -- execution --------------------------------------------------------
 
@@ -467,11 +473,18 @@ class Graph:
                 vals[nid] = vals[ins[0]].sum(axis=aux)
             elif kind == "reduce_mean":
                 vals[nid] = vals[ins[0]].mean(axis=aux)
-            elif kind == "log_softmax":
+            elif kind == "sqdist":
+                d = vals[ins[0]] - vals[ins[1]]
+                sq = d * d
+                vals[nid] = sq.sum() if len(ins) == 2 else (sq.sum(axis=1) * vals[ins[2]]).sum()
+                saved[nid] = d
+            elif kind == "xent":
                 x = vals[ins[0]]
                 m = x.max(axis=-1, keepdims=True)
                 z = x - m
-                vals[nid] = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+                ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+                # affine(-1)'s shift of 0.0 turns a -0.0 sum into +0.0
+                vals[nid], saved[nid] = (ls * vals[ins[1]]).sum(axis=aux) * -1.0 + 0.0, ls
             elif kind == "gather_rows":
                 table, ids = vals[ins[0]], vals[ins[1]].astype(np.intp)
                 vals[nid] = (table[ids] if ids.ndim == 1
@@ -539,8 +552,12 @@ class Graph:
                     kept.update(ins[1 - k] for k in (0, 1) if needs[ins[k]])
                 elif kind == "relu":
                     kept.add(ins[0])
-                elif kind in ("sigmoid", "tanh", "log_softmax"):
+                elif kind in ("sigmoid", "tanh"):
                     kept.add(nid)
+                elif kind == "sqdist":
+                    kept.update(ins[2:])
+                elif kind == "xent":
+                    kept.add(ins[1])
                 elif kind == "gather_rows" and needs[ins[0]]:
                     kept.add(ins[1])
                 elif kind == "recurrence":
@@ -639,9 +656,21 @@ class Graph:
                     acc(ins[0], np.broadcast_to(g / n, src))
                 else:
                     acc(ins[0], np.broadcast_to(np.expand_dims(g, aux) / src[aux], src))
-            elif kind == "log_softmax":
-                sm = np.exp(y)
-                acc(ins[0], g - sm * g.sum(axis=-1, keepdims=True))
+            elif kind == "sqdist":
+                # the chain's mul(d, d) adds the same product twice: t + t
+                d = saved.pop(nid)
+                t = g * d if len(ins) == 2 else (g * vals[ins[2]])[:, None] * d
+                t = t + t
+                if needs[ins[0]]:
+                    acc(ins[0], t)
+                if needs[ins[1]]:
+                    acc(ins[1], -t)
+            elif kind == "xent":
+                ls = saved.pop(nid)
+                gm = g * -1.0
+                gm = np.broadcast_to(gm if aux is None else gm[..., None], ls.shape)
+                gm = gm * vals[ins[1]]
+                acc(ins[0], gm - np.exp(ls) * gm.sum(axis=-1, keepdims=True))
             elif kind == "gather_rows":
                 if needs[ins[0]]:
                     acc(ins[0], _scatter_rows(self._shapes[ins[0]], vals[ins[1]], g))

@@ -268,7 +268,7 @@ def task_loss_graph(model, T: int, B: int, task_group: int | None = None,
         h_last = g.gather_rows(h_last, g.leaf("last", lead + (B,), param=False))
     logits = g.add(g.matmul(h_last, refs[w_name]), refs[b_name])
     onehot = g.leaf("labels", g.shape(logits), param=False)
-    loss = g.reduce_mean(g.softmax_log_loss(logits, onehot), axis=-1)
+    loss = g.reduce_mean(g.xent(logits, onehot, axis=-1), axis=-1)
     g.output(g.reduce_sum(loss) if nb else loss)
     return g
 
@@ -313,11 +313,11 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     a recurrent base's T * B stacked states (row t * B + b is step t of
     sequence b) or a residual base's B rows of each block. Each state that
     `unroll_graph` yields meets its state map and the target `hb{t}` under
-    the row weights `wh`; the last one's logits meet the row-weighted base
-    softmax `pb` as a cross entropy, which the constant `kl_const` (the
-    weighted sum of p log p) turns into the KL divergence. Only the residual
-    feature stream (unmapped, before the last block) is a per-coordinate
-    mean instead.
+    the row weights `wh` in one `sqdist` node; the last one's logits meet
+    the row-weighted base softmax `pb` in one `xent` node, which the constant
+    `kl_const` (the weighted sum of p log p) turns into the KL divergence.
+    Only the residual feature stream (unmapped, before the last block) is a
+    per-coordinate mean instead.
     """
     residual = meta.cell_kind == "residual_mlp"
     if residual and base_hidden != meta.hidden_dim:
@@ -336,16 +336,13 @@ def _emulation_loss_graph(meta: MetaModel, cfg: TrainConfig, T: int, B: int,
     for t, h in enumerate(unroll_graph(g, meta, refs, T, B, theta)):
         hb = g.leaf(f"hb{t}", (n, base_hidden), param=False)
         v_w, v_b = maps[t]
-        diff = g.sub(g.add(g.matmul(h, v_w), v_b), hb)
-        hidden_terms.append(g.reduce_sum(g.mul(g.squared_l2(diff, axis=1), wh)))
+        hidden_terms.append(g.sqdist(g.add(g.matmul(h, v_w), v_b), hb, wh))
         if t < meta.num_blocks - 1:
-            fd = g.sub(h, hb)
-            out_terms.append(g.affine(g.reduce_sum(g.mul(fd, fd)),
+            out_terms.append(g.affine(g.sqdist(h, hb),
                                       1.0 / (B * meta.num_blocks * base_hidden)))
     logits = g.add(g.matmul(h, refs[w_name]), refs[b_name])
     pb = g.leaf("pb", (n, meta.head_dims[task_group]), param=False)
-    ce = g.affine(g.reduce_sum(g.mul(g.log_softmax(logits), pb)), -1.0)
-    out_terms.append(g.add(ce, g.leaf("kl_const", (), param=False)))
+    out_terms.append(g.add(g.xent(logits, pb), g.leaf("kl_const", (), param=False)))
     hidden_total = g.mark("hidden_loss", _sum(g, hidden_terms))
     out_total = g.mark("output_loss", _sum(g, out_terms))
     g.output(g.add(hidden_total, g.affine(out_total, cfg.lam)))

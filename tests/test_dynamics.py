@@ -339,7 +339,8 @@ def _build_q_graph(model, n: int, width: int) -> Graph:
     h = g.leaf("h", (n, model.hidden_dim))
     cell_in = g.leaf("u", (n, width), param=False)
     h2 = cell_step_graph(g, model.cell_kind, refs, cell_in, h)
-    q = g.squared_l2(g.sub(h2, h), axis=1)
+    step = g.sub(h2, h)
+    q = g.reduce_sum(g.mul(step, step), axis=1)
     g.mark("q", q)
     g.output(g.reduce_sum(q))
     return g

@@ -65,7 +65,7 @@ def test_forward_squared_l2_hand_value():
     g = Graph()
     a = g.leaf("a", (1, 2))
     b = g.leaf("b", (1, 2), param=False)
-    g.output(g.squared_l2(g.sub(a, b)))
+    g.output(g.sqdist(a, b))
     out = g.forward({"a": np.array([[1.0, 2.0]]), "b": np.zeros((1, 2))})
     assert out == pytest.approx(5.0)
 
@@ -200,7 +200,7 @@ def test_backward_linear_least_squares_vs_fd():
     w = g.leaf("W", (3, 2))
     x = g.leaf("x", (1, 3), param=False)
     y = g.leaf("y", (1, 2), param=False)
-    g.output(g.squared_l2(g.sub(g.matmul(x, w), y)))
+    g.output(g.sqdist(g.matmul(x, w), y))
     point = {
         "W": rng.standard_normal((3, 2)),
         "x": rng.standard_normal((1, 3)),
@@ -212,7 +212,7 @@ def test_backward_linear_least_squares_vs_fd():
 def test_grad_check_quadratic_and_zero():
     g = Graph()
     x = g.leaf("x", (1, 4))
-    g.output(g.squared_l2(x))
+    g.output(g.sqdist(x, g.const(np.zeros((1, 4)))))
     rng = np.random.default_rng(1)
     assert grad_check(g, {"x": rng.standard_normal((1, 4))}, 1e-5) < 1e-6
 
@@ -234,12 +234,13 @@ def _single_op_graphs():
     wrap("mul", lambda g, a, b: g.mul(a, b))
     wrap("matmul", lambda g, a, b: g.matmul(a, b))
     wrap("concat", lambda g, a, b: g.concat(a, b))
+    wrap("sqdist", lambda g, a, b: g.sqdist(a, b))
     return specs
 
 
 UNARY_OPS = ["sigmoid", "tanh", "relu", "affine",
              "reduce_sum_all", "reduce_sum_rows", "reduce_mean_all",
-             "reduce_mean_rows", "log_softmax"]
+             "reduce_mean_rows", "xent_all", "xent_rows"]
 
 
 @pytest.mark.parametrize("opname", UNARY_OPS)
@@ -265,8 +266,10 @@ def test_unary_op_gradients_match_fd(opname):
             y = g.reduce_mean(a)
         elif opname == "reduce_mean_rows":
             y = g.reduce_mean(a, axis=1)
-        elif opname == "log_softmax":
-            y = g.log_softmax(a)
+        elif opname == "xent_all":
+            y = g.xent(a, mix)
+        elif opname == "xent_rows":
+            y = g.xent(a, mix, axis=-1)
         if g.shape(y) != ():
             if g.shape(y) == (2, 3):
                 y = g.reduce_sum(g.mul(y, mix))
@@ -317,7 +320,7 @@ def test_broadcast_add_bias_gradient():
     x = g.leaf("x", (4, 3), param=False)
     w = g.leaf("w", (3, 2))
     b = g.leaf("b", (2,))
-    g.output(g.squared_l2(g.add(g.matmul(x, w), b)))
+    g.output(g.sqdist(g.add(g.matmul(x, w), b), g.const(np.zeros((4, 2)))))
     point = {"x": rng.standard_normal((4, 3)), "w": rng.standard_normal((3, 2)),
              "b": rng.standard_normal(2)}
     assert grad_check(g, point, 1e-5) < 1e-6
@@ -328,7 +331,7 @@ def test_softmax_log_loss_values_and_grad():
     g = Graph()
     logits = g.leaf("z", (1, 4))
     onehot = g.leaf("y", (1, 4), param=False)
-    g.output(g.reduce_mean(g.softmax_log_loss(logits, onehot)))
+    g.output(g.reduce_mean(g.xent(logits, onehot, axis=-1)))
     y = np.zeros((1, 4))
     y[0, 2] = 1.0
     out = g.forward({"z": np.zeros((1, 4)), "y": y})
@@ -341,12 +344,16 @@ def test_softmax_log_loss_values_and_grad():
     g2 = Graph()
     logits2 = g2.leaf("z", (1, 2))
     onehot2 = g2.leaf("y", (1, 2), param=False)
-    g2.output(g2.reduce_mean(g2.softmax_log_loss(logits2, onehot2)))
+    g2.output(g2.reduce_mean(g2.xent(logits2, onehot2, axis=-1)))
     val = g2.forward({"z": np.array([[1.0, 0.0]]), "y": np.array([[1.0, 0.0]])})
     assert val == pytest.approx(np.log(1 + np.exp(-1)))
     rng = np.random.default_rng(3)
     assert grad_check(g2, {"z": rng.standard_normal((1, 2)),
                            "y": np.array([[0.0, 1.0]])}, 1e-5) < 1e-6
+
+
+def _sum_of_squares(g, a):
+    return g.reduce_sum(g.mul(a, a))
 
 
 def test_backward_linearity_of_sum():
@@ -360,7 +367,7 @@ def test_backward_linearity_of_sum():
             g = Graph()
             w = g.leaf("w", (3, 3))
             x = g.leaf("x", (2, 3), param=False)
-            return g, g.squared_l2(g.tanh(g.matmul(x, w))), w, x
+            return g, _sum_of_squares(g, g.tanh(g.matmul(x, w))), w, x
 
         def graph_two():
             g = Graph()
@@ -381,7 +388,7 @@ def test_backward_linearity_of_sum():
         gs = Graph()
         w = gs.leaf("w", (3, 3))
         x = gs.leaf("x", (2, 3), param=False)
-        s = gs.add(gs.squared_l2(gs.tanh(gs.matmul(x, w))),
+        s = gs.add(_sum_of_squares(gs, gs.tanh(gs.matmul(x, w))),
                    gs.reduce_mean(gs.sigmoid(gs.matmul(x, w))))
         gs.output(s)
         gs.forward({"w": w0, "x": x0})
@@ -676,6 +683,98 @@ def test_gru_kernels_equal_the_reference_bitwise(B, H, nx, models, scale, seed):
     assert da.tobytes() == want_da.tobytes()
 
 
+def _signed_zeros(rng, arr):
+    """`arr` with about a quarter of its entries set to +0.0 or -0.0."""
+    return np.where(rng.random(arr.shape) < 0.25, rng.choice([0.0, -0.0], arr.shape), arr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 4), weighted=st.booleans(),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_sqdist_equals_its_primitive_chain_bitwise(n, k, weighted, seed, data):
+    rng = np.random.default_rng(seed)
+    point = {"a": _signed_zeros(rng, rng.standard_normal((n, k))),
+             "b": _signed_zeros(rng, rng.standard_normal((n, k)))}
+    frozen = data.draw(st.sets(st.sampled_from(sorted(point))))
+    if weighted:  # bound data, with zero-weight rows as a recurrent batch's padding steps
+        point["w"] = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+        frozen |= {"w"}
+    scale = rng.standard_normal()
+
+    def build(fused):
+        g = Graph()
+        r = {name: g.leaf(name, v.shape, param=name not in frozen) for name, v in point.items()}
+        if fused:
+            loss = g.sqdist(r["a"], r["b"], r.get("w"))
+        else:
+            d = g.sub(r["a"], r["b"])
+            sq = g.mul(d, d)
+            loss = g.reduce_sum(g.mul(g.reduce_sum(sq, axis=1), r["w"]) if weighted else sq)
+        g.output(g.affine(loss, scale))
+        return g
+
+    fused, chain = build(True), build(False)
+    assert fused.forward(point).tobytes() == chain.forward(point).tobytes()
+    grads, want = fused.backward(), chain.backward()
+    assert grads.keys() == want.keys() == set(point) - frozen
+    for name, grad in grads.items():
+        assert grad.tobytes() == want[name].tobytes(), name
+    assert grad_check(fused, point, 1e-5) < 1e-6
+
+
+def _log_softmax(x):
+    """Log-softmax along the last axis, in the numpy calls `xent` makes."""
+    m = x.max(axis=-1, keepdims=True)
+    z = x - m
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,)]), n=st.integers(1, 5), C=st.integers(1, 4),
+       soft=st.booleans(), rows=st.booleans(), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_xent_equals_its_primitive_chain_bitwise(lead, n, C, soft, rows, seed, data):
+    # the chain: log-softmax in numpy (numgrad has no such node), then mul, reduce_sum
+    # and affine(-1) as graph nodes over its output bound as a leaf; the
+    # logits' gradient is the log-softmax backward applied to that leaf's
+    rng = np.random.default_rng(seed)
+    shape = lead + (n, C)
+    targets = (rng.dirichlet(np.ones(C), lead + (n,)) if soft
+               else np.eye(C)[rng.integers(0, C, lead + (n,))])
+    targets *= rng.random(lead + (n, 1)) < 0.7  # zero rows: weight-0 rows' targets
+    point = {"logits": _signed_zeros(rng, 3.0 * rng.standard_normal(shape)),
+             "targets": targets}
+    frozen = {"targets"} | data.draw(st.sets(st.just("logits")))  # targets are bound data
+    axis = -1 if rows else None
+    mix, scale = rng.standard_normal(shape[:-1]), rng.standard_normal()  # upstream
+
+    def build(fused):
+        g = Graph()
+        r = {name: g.leaf("ls" if name == "logits" and not fused else name, v.shape,
+                          param=name not in frozen) for name, v in point.items()}
+        if fused:
+            ce = g.xent(r["logits"], r["targets"], axis)
+        else:
+            ce = g.affine(g.reduce_sum(g.mul(r["logits"], r["targets"]), axis), -1.0)
+        g.mark("ce", ce)
+        g.output(g.reduce_sum(g.mul(ce, g.const(mix))) if rows else g.affine(ce, scale))
+        return g
+
+    fused, chain = build(True), build(False)
+    ls = _log_softmax(point["logits"])
+    chain_point = {"ls": ls, "targets": point["targets"]}
+    assert fused.forward(point).tobytes() == chain.forward(chain_point).tobytes()
+    assert fused.value("ce").tobytes() == chain.value("ce").tobytes()  # zero signs too
+    grads, want = fused.backward(), chain.backward()
+    if "ls" in want:
+        gl = want.pop("ls")
+        want["logits"] = gl - np.exp(ls) * gl.sum(axis=-1, keepdims=True)
+    assert grads.keys() == want.keys() == set(point) - frozen
+    for name, grad in grads.items():
+        assert grad.tobytes() == want[name].tobytes(), name
+    assert grad_check(fused, point, 1e-5) < 1e-6
+
+
 def test_fused_ops_reject_bad_shapes():
     g = Graph()
     x, h = g.leaf("x", (6, 3)), g.leaf("h", (2, 4))
@@ -693,17 +792,28 @@ def test_fused_ops_reject_bad_shapes():
         g.recurrence("lstm", x, h, [w, b])
     with pytest.raises(ShapeMismatch):
         g.gather_rows(x, g.leaf("ids", (2, 1), param=False))
+    rows, w = g.leaf("rows", (6, 3)), g.leaf("rw", (6,), param=False)
+    g.sqdist(x, rows, w)
+    g.xent(x, rows, axis=-1)
+    for bad in (lambda: g.sqdist(x, g.leaf("x2", (6, 2))),  # unequal shapes
+                lambda: g.sqdist(x, rows, g.leaf("rw2", (3,))),  # a weight per column
+                lambda: g.sqdist(b, b, g.leaf("rw3", (4,))),  # row weights of a vector
+                lambda: g.xent(b, b),  # no rows to take a softmax over
+                lambda: g.xent(x, g.leaf("t", (6, 4))),
+                lambda: g.xent(x, rows, axis=0)):
+        with pytest.raises(ShapeMismatch):
+            bad()
 
 
 # -- pruned backward -----------------------------------------------------------------
 
 _PRUNE_OPS = ("add", "sub", "mul", "bias", "matmul", "affine", "sigmoid", "tanh",
-              "relu", "concat", "gather", "gru", "rnn", "log_softmax")
+              "relu", "concat", "gather", "gru", "rnn", "sqdist", "xent")
 
 
 def _prune_leaves(B, H, V):
     """Float leaves of `_random_graph` and their shapes; `ids`, `ids2`,
-    `steps` and the output mix `m` are bound data."""
+    `steps`, the output mix `m` and the row weights `rw` are bound data."""
     shapes = {"a": (B, H), "b": (B, H), "k": (B, H), "bias": (H,), "w": (H, H),
               "w2": (2 * H, H), "table": (V, H), "rx": (H, H), "rh": (H, H),
               "rb": (H,)}
@@ -721,7 +831,7 @@ def _random_graph(ops, pick, frozen, B, H, V):
          for n, s in _prune_leaves(B, H, V).items()}
     ids, ids2 = g.leaf("ids", (B,), param=False), g.leaf("ids2", (B,), param=False)
     steps = g.leaf("steps", (2 * B,), param=False)
-    m = g.leaf("m", (B, H), param=False)
+    m, rw = g.leaf("m", (B, H), param=False), g.leaf("rw", (B,), param=False)
     pool = [r["a"], r["b"]]
     for op in ops:
         x, y = pool[pick(len(pool))], pool[pick(len(pool))]
@@ -753,11 +863,13 @@ def _random_graph(ops, pick, frozen, B, H, V):
                  else [r["rx"], r["rh"], r["rb"]])
             kind = "gru" if op == "gru" else "vanilla_rnn"
             node = g.gather_rows(g.recurrence(kind, g.gather_rows(x, steps), y, w), ids2)
+        elif op == "sqdist":
+            node = g.add(x, g.sqdist(x, y, rw))
         else:
-            node = g.log_softmax(x)
+            node = g.add(x, g.xent(y, m))
         pool.append(node)
     last, other = pool[-1], pool[pick(len(pool) - 1)]
-    g.output(g.add(g.reduce_sum(g.mul(g.log_softmax(last), m)),
+    g.output(g.add(g.xent(last, m),
                    g.reduce_sum(g.reduce_mean(g.mul(other, other), axis=1))))
     return g
 
@@ -769,7 +881,7 @@ def _prune_point(rng, B, H, V):
     point.update(ids=rng.integers(0, V, B).astype(float),
                  ids2=rng.integers(0, 2 * B, B).astype(float),
                  steps=rng.integers(0, B, 2 * B).astype(float),
-                 m=rng.standard_normal((B, H)))
+                 m=rng.standard_normal((B, H)), rw=rng.uniform(0.0, 1.0, B))
     return point
 
 

@@ -221,16 +221,26 @@ def test_layers_times_two_copies_of_one_tree_and_finds_a_changed_kernel(tmp_path
            "meta_training": {"max_steps": 5, "batch_size": 4, "lr": 3e-3},
            "analysis": {"grid": 2, "svcca_sequences": 5},
            "fixed_points": {"tol": 1e-3, "max_steps": 20, "candidates": 6, "score_grid": 2}}
+    residual = {**cfg, "population": [{"task": "valence", "count": 2,
+                                       "cell_kind": "residual_mlp", "num_blocks": 2,
+                                       "hidden_dim": 5, "input_dim": 12, "task_group": 0}],
+                "meta": {"hidden_dim": 5, "embed_dim": 2}}
     (tmp_path / "work").mkdir()
-    found = layers.measure(layers.prepare(trees, cfg, tmp_path / "work", rows=(3, 5), calls=2),
-                           rounds=1)
+    found = layers.measure(layers.prepare(trees, cfg, residual, tmp_path / "work", rows=(3, 5),
+                                          calls=2), rounds=1)
     kernels = [f"{cell}_{fn}[{n}]" for cell in ("gru", "rnn") for n in (3, 5)
                for fn in ("step", "step_vjp")]
     assert [layer.name for layer in found] == kernels + [
-        "train_base[entry 0]", "grid_accuracies", "descent[fixed-points]",
-        "descent[score-map]"]
+        "train_base[entry 0]", "emulation_step[gru]", "emulation_step[residual]",
+        "grid_accuracies", "descent[fixed-points]", "descent[score-map]"]
     assert [layer.name for layer in found if not layer.same] == kernels[4:]
     assert all(len(t) == 1 and t[0] > 0 for layer in found for t in layer.times)
+    assert all(len(f) == 1 and f[0] >= 0 for layer in found for f in layer.faults)
+    # a meta step's output is its loss and every gradient of the step
+    trainer, *args = found[len(kernels) + 2].runs[1][1]
+    assert trainer.state.meta.cell_kind == "residual_mlp"
+    output = layers.emulation_step(trainer, *args)
+    assert len(output) == 1 + len(trainer.bindings(*args)[0]._param_names)
     lines = layers.table(found)
     assert len(lines) == 1 + len(found)
     assert lines[1].startswith("gru_step[3] ") and lines[1].endswith("/1   same")

@@ -301,9 +301,12 @@ def test_emulation_graph_node_budget_per_step():
     leaves = models.stacked_leaves("gru", {k: np.stack([v] * 4)
                                            for k, v in base.params.items()})
     stacked = {T: len(task_loss_graph(base, T, 32, leaves=leaves)._kinds) for T in (8, 24)}
-    assert emulation[8] == emulation[24] == 39
-    assert task[8] == task[24] == 23
-    assert stacked[8] == stacked[24] == 25
+    assert emulation[8] == emulation[24] == 32
+    assert task[8] == task[24] == 20
+    assert stacked[8] == stacked[24] == 22
+    # each loss term is one fused node: train-residual's 4-block meta graph
+    residual = init_meta_model("residual_mlp", 30, 30, 64, 4, {0: 2}, seed=0, num_blocks=4)
+    assert len(_emulation_loss_graph(residual, TrainConfig(), 0, 64, 64, 0)._kinds) == 108
 
 
 @pytest.mark.parametrize("kind", ["gru", "vanilla_rnn", "residual_mlp"])

@@ -4,14 +4,18 @@
 
 Loads each tree's `src/dynamo` under its own package name, builds perfbench's
 atlas-dynamics `config(seed)` run once (gen-data, train-base and train-meta
-from the first tree), and runs `train-base`, `analyze --svcca` and
-`fixed-points --theta base_000 --score-map` once per tree on its own copies
-of that run, recording the arguments of the first `trainer.train_base` call
-(the first population entry, before training), of the landscape's
-`atlas.grid_accuracies` call and of the two `dynamics._descend` calls (the
-fixed points at base_000 and the score map's grid). Then, for `ROUNDS`
-rounds, it times each layer on both trees back to back, the tree that goes
-first alternating from round to round:
+from the first tree), and runs `train-base`, `train-meta`, `analyze --svcca`
+and `fixed-points --theta base_000 --score-map` once per tree on its own
+copies of that run, recording the arguments of the first `trainer.train_base`
+call (the first population entry, before training), of the first
+`MetaTrainer.bindings` call (with a copy of the trainer as it was then), of
+the landscape's `atlas.grid_accuracies` call and of the two
+`dynamics._descend` calls (the fixed points at base_000 and the score map's
+grid). It records the first `MetaTrainer.bindings` call of perfbench's
+train-residual `config(seed)` the same way, after gen-data and train-base
+from the first tree. Then, for `ROUNDS` rounds, it times each layer on both
+trees back to back, the tree that goes first alternating from round to
+round:
 
 - `CELLS` and `CELL_VJPS` of both cell kinds at each row count of `ROWS`, on
   the meta model's GRU weights and on random vanilla-RNN weights of its
@@ -19,13 +23,20 @@ first alternating from round to round:
 - `train_base` on the first entry, from fresh copies of its initial bases
   (the lockstep training of 3 stacked GRUs), its output the trained
   parameters;
+- one meta step's graph work, `MetaTrainer.bindings`, `forward` and
+  `backward`, on the recorded batch of the GRU meta model (atlas-dynamics)
+  and of the residual one (train-residual), `CALLS // 10` calls per timing,
+  its output the loss and every gradient;
 - `grid_accuracies` on the landscape;
 - the two descents of the score-map command.
 
-Prints, per layer, each tree's median with its quartiles, the median over
-the rounds of the change's time over the parent's in the same round (the
-host's speed drifts between rounds more than within one), and in how many
-rounds the change was faster.
+Prints, per layer, each tree's median with its quartiles, each tree's median
+minor page faults per call (`ru_minflt` around the timed calls: in this
+long-lived process the allocator's thresholds have risen, so a change that
+saves allocations may show in the faults before it shows in the times), the
+median over the rounds of the change's time over the parent's in the same
+round (the host's speed drifts between rounds more than within one), and in
+how many rounds the change was faster.
 Every layer's outputs are computed once per tree and compared bitwise; the
 tool exits 1 if any layer's outputs differ between the trees, and 2 if a
 command fails.
@@ -38,6 +49,7 @@ import gc
 import importlib
 import importlib.util
 import itertools
+import resource
 import shutil
 import sys
 import tempfile
@@ -58,6 +70,7 @@ CALLS = 300   # kernel calls per timing
 ROUNDS = 15   # timings per layer and tree
 SETUP = (("gen-data",), ("train-base",), ("train-meta",))
 TRAIN_BASE = ("train-base",)
+TRAIN_META = ("train-meta",)
 ANALYZE = ("analyze", "--svcca")
 SCORE_MAP = ("fixed-points", "--theta", "base_000", "--score-map")
 _loaded = itertools.count()
@@ -68,6 +81,7 @@ class Layer:
     name: str
     runs: tuple            # per tree: (function, args, calls per timing)
     times: tuple = ()      # per tree: seconds per call, one per round
+    faults: tuple = ()     # per tree: minor page faults per call, one per round
     same: bool = True      # the trees' outputs are bitwise equal
 
 
@@ -82,7 +96,8 @@ def load_tree(tree: Path) -> SimpleNamespace:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
-                              for m in ("atlas", "cli", "dynamics", "models", "numgrad")})
+                              for m in ("atlas", "cli", "dynamics", "models", "numgrad",
+                                        "trainer")})
 
 
 def recorded_calls(tree: SimpleNamespace, argv: tuple[str, ...], config: Path, out: Path,
@@ -120,6 +135,35 @@ def lockstep_call(tree: SimpleNamespace, config: Path, out: Path) -> tuple:
     return (fn, *calls[0])
 
 
+def emulation_call(tree: SimpleNamespace, config: Path, out: Path) -> tuple:
+    """A copy of the trainer and of the arguments of the first
+    `MetaTrainer.bindings` call of `train-meta` on `tree`, taken before that
+    step runs."""
+    cls, calls = tree.trainer.MetaTrainer, []
+    fn = cls.bindings
+
+    def spy(self, *args):
+        if not calls:
+            calls.append(copy.deepcopy((self, *args)))
+        return fn(self, *args)
+
+    cls.bindings = spy
+    try:
+        run_stage(tree.cli, TRAIN_META, config, out)
+    finally:
+        cls.bindings = fn
+    return calls[0]
+
+
+def emulation_step(trainer, *args) -> list:
+    """One meta step's graph work on `trainer.bindings(*args)`: the loss and
+    the gradients in name order."""
+    g, bindings = trainer.bindings(*args)
+    loss = g.forward(bindings)
+    grads = g.backward()
+    return [loss] + [grads[k] for k in sorted(grads)]
+
+
 def train_entry(train_base, bases, args, kwargs) -> list:
     """`train_base` on copies of `bases`; the trained parameters, by name."""
     return [[b.params[k] for k in sorted(b.params)]
@@ -153,13 +197,31 @@ def kernel_layers(trees: list[SimpleNamespace], runs: list[Path], rows, calls: i
     return layers
 
 
-def prepare(trees: list[SimpleNamespace], config: dict, work: Path, rows=ROWS,
-            calls: int = CALLS) -> list[Layer]:
-    """Build the run for `config` into `work` and every layer of both trees."""
+def meta_steps(trees: list[SimpleNamespace], path: Path, setup: Path) -> list[tuple]:
+    """Per tree, the first meta step (`emulation_call`) of `train-meta` on
+    its own copy of the run in `setup`, whose config is at `path`."""
+    steps = []
+    for i, tree in enumerate(trees):
+        run = setup.with_name(f"{setup.name}-meta{i}")
+        shutil.copytree(setup, run)
+        steps.append(emulation_call(tree, path, run))
+    return steps
+
+
+def prepare(trees: list[SimpleNamespace], config: dict, residual: dict, work: Path,
+            rows=ROWS, calls: int = CALLS) -> list[Layer]:
+    """Build the runs for `config` (recurrent) and `residual` into `work` and
+    every layer of both trees."""
     path = write_config(config, work)
     base = work / "setup"
     for argv in SETUP:
         run_stage(trees[0].cli, argv, path, base)
+    (work / "residual").mkdir()
+    residual_path = write_config(residual, work / "residual")
+    for argv in SETUP[:2]:
+        run_stage(trees[0].cli, argv, residual_path, work / "residual" / "setup")
+    steps = {"gru": meta_steps(trees, path, base),
+             "residual": meta_steps(trees, residual_path, work / "residual" / "setup")}
     runs, entries, landscape, descents = [], [], [], []
     for i, tree in enumerate(trees):
         run = work / f"tree{i}"
@@ -172,6 +234,9 @@ def prepare(trees: list[SimpleNamespace], config: dict, work: Path, rows=ROWS,
         descents.append(recorded_calls(tree, SCORE_MAP, path, run, tree.dynamics, "_descend"))
     layers = kernel_layers(trees, runs, rows, calls)
     layers.append(Layer("train_base[entry 0]", tuple((train_entry, args, 1) for args in entries)))
+    for family, recorded in steps.items():
+        layers.append(Layer(f"emulation_step[{family}]", tuple(
+            (emulation_step, args, max(1, calls // 10)) for args in recorded)))
     layers.append(Layer("grid_accuracies", tuple(
         (tree.atlas.grid_accuracies, args, 1) for tree, args in zip(trees, landscape))))
     for k, label in enumerate(("descent[fixed-points]", "descent[score-map]")):
@@ -189,15 +254,19 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def timed(fn, args, calls: int) -> float:
-    """Seconds per call of `fn(*args)` over `calls` calls, gc off (as timeit)."""
+def timed(fn, args, calls: int) -> tuple[float, float]:
+    """Seconds and minor page faults per call of `fn(*args)` over `calls`
+    calls, gc off (as timeit)."""
     gc.collect()
     gc.disable()
     try:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         for _ in range(calls):
             fn(*args)
-        return (time.perf_counter() - start) / calls
+        seconds = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return seconds / calls, faults / calls
     finally:
         gc.enable()
 
@@ -208,12 +277,14 @@ def measure(layers: list[Layer], rounds: int = ROUNDS) -> list[Layer]:
     for layer in layers:
         (fa, aa, _), (fb, ab, _) = layer.runs
         layer.same = same(fa(*aa), fb(*ab))
-        layer.times = ([], [])
+        layer.times, layer.faults = ([], []), ([], [])
     for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         for layer in layers:
             for i in order:
-                layer.times[i].append(timed(*layer.runs[i]))
+                seconds, faults = timed(*layer.runs[i])
+                layer.times[i].append(seconds)
+                layer.faults[i].append(faults)
     return layers
 
 
@@ -224,11 +295,12 @@ def table(layers: list[Layer]) -> list[str]:
         return f"{med * scale:.1f} {unit} ({q1 * scale:.1f}-{q3 * scale:.1f})"
 
     lines = [f"{'layer':24} {'parent (q1-q3)':28} {'change (q1-q3)':28} "
-             f"{'ratio':>6} {'wins':>6}  outputs"]
+             f"{'faults/call':>15} {'ratio':>6} {'wins':>6}  outputs"]
     for layer in layers:
         a, b = (np.asarray(t) for t in layer.times)
         ratio = np.median(b / a)
-        lines.append(f"{layer.name:24} {cell(a):28} {cell(b):28} {ratio:6.3f} "
+        faults = "/".join(f"{np.median(f):.1f}" for f in layer.faults)
+        lines.append(f"{layer.name:24} {cell(a):28} {cell(b):28} {faults:>15} {ratio:6.3f} "
                      f"{int((b < a).sum()):>3}/{len(a):<2}  "
                      f"{'same' if layer.same else 'DIFFER'}")
     return lines
@@ -245,9 +317,10 @@ def main(argv=None) -> int:
             parser.error(f"no dynamo sources under {tree}")
     trees = [load_tree(args.parent), load_tree(args.change)]
     config = WORKLOADS["atlas-dynamics"].config(args.seed)
+    residual = WORKLOADS["train-residual"].config(args.seed)
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
         try:
-            layers = prepare(trees, config, Path(tmp))
+            layers = prepare(trees, config, residual, Path(tmp))
         except RuntimeError as e:
             print(e, file=sys.stderr)
             return 2
