@@ -10,13 +10,13 @@ Each generator's datasets are the output of scalar `random()` and
 per attempt a length, the topic task's topic, then the tokens, and attempts
 repeat until enough are accepted. Vectorised Generator draws would consume
 the stream in another order and change every dataset. But each scalar call
-is a fixed function of the Generator's PCG64 words (`ScalarDraws`), and
-which words and 32-bit halves it takes depends only on the calls before it,
-unless Lemire's rejection test rejects a half. So `_replay` draws the words
-in blocks (`random_raw`), walks each attempt's extent from its length alone,
+is a fixed function of the Generator's PCG64 words, and which words and
+32-bit halves it takes depends only on the calls before it, unless Lemire's
+rejection test rejects a half. So `_replay` draws the words in blocks
+(`random_raw`, `_Words`), walks each attempt's extent from its length alone,
 and maps every length, topic and token of a block in a few numpy passes.
-Only an attempt that holds a half the rejection test could reject is walked
-call by call, through `ScalarDraws`. The datasets stay byte-identical.
+An attempt that holds a half the rejection test could reject is drawn by
+the Generator's own calls instead. The datasets stay byte-identical.
 """
 from __future__ import annotations
 
@@ -100,90 +100,50 @@ class SequenceDataset:
         return pool[:share(fraction, len(pool))]
 
 
-class ScalarDraws:
-    """The 64-bit words of a PCG64 `np.random.Generator`, and its scalar draws
-    replayed from them.
-
-    The Generator's scalar `random()` and `integers(lo, hi)` (1 <= hi - lo <
-    2**32) calls are fixed functions of its words (O'Neill 2014). This class
-    draws the words in blocks through `bit_generator.random_raw` into `words`
-    (`refill`), and its `random()` and `integers` return exactly what the
-    Generator's own calls would, in the same order:
-
-    - `random()` takes the next word: its top 53 bits over 2**53.
-    - `integers` takes a 32-bit half: the buffered one if a half is buffered,
-      else the low half of the next word, buffering the high half. It maps
-      the half h to lo + (h * n >> 32), n = hi - lo, unless (h * n) mod 2**32
-      falls below (2**32 - n) mod n; then it rejects h and takes another half
-      (Lemire's bounded integer, Lemire 2019, ACM TOMACS). A one-value range
-      takes nothing.
+class _Words:
+    """The 64-bit words of a PCG64 `np.random.Generator`, drawn in blocks
+    through `bit_generator.random_raw` for `_walk` to decode, and the
+    Generator's position in them.
 
     `words[next]` is the next word, and `words[0]` is no word of the stream:
-    its high half is the half that was buffered when `words[1]` was drawn. So
-    right after an `integers` draw that leaves a half buffered, that half is
-    the high half of `words[next - 1]`. Used as a context manager, it hands
-    the Generator back on exit at the state the calls leave: the words used,
-    and the buffered half.
+    its high half is the half that was buffered when `words[1]` was drawn.
+    `has_half` and `half` are the Generator's buffered 32-bit half (`half`
+    stays after it is used, as in the Generator). Used as a context manager,
+    it hands the Generator back on exit at `words[next]` with that half.
     """
 
     BLOCK = 1 << 12  # words: 32 kB, and a few times that while `_replay` decodes them
 
     def __init__(self, rng: np.random.Generator):
-        self._bitgen = rng.bit_generator
-        self._start = self._bitgen.state
-        self.used, self.next = 0, 1  # words before `words[1]`; the next word
-        self.has_half, self.half = bool(self._start["has_uint32"]), self._start["uinteger"]
-        self.words = np.array([self.half << 32], dtype=np.uint64)
+        self.rng, self._bitgen = rng, rng.bit_generator
+        self.restart()
 
-    def __enter__(self) -> ScalarDraws:
+    def __enter__(self) -> _Words:
         return self
 
     def __exit__(self, *exc) -> None:
+        self.seek()
+
+    def seek(self) -> None:
+        """Put the Generator at `words[next]`, with the buffered half."""
         self._bitgen.state = self._start
-        self._bitgen.advance(self.used + self.next - 1)  # clears the buffered half
+        self._bitgen.advance(self.next - 1)  # clears the buffered half
         state = self._bitgen.state
         state["has_uint32"], state["uinteger"] = int(self.has_half), self.half
         self._bitgen.state = state
 
-    def refill(self, size: int | None = None) -> None:
-        """Drop the used words and draw words after the unused ones until
-        `size` (default `BLOCK`) are unused."""
-        self.used += self.next - 1
-        unused = self.words[self.next:]
-        fresh = self._bitgen.random_raw(max(0, (size or self.BLOCK) - len(unused)))
-        self.words = np.concatenate([np.array([self.half << 32], dtype=np.uint64),
-                                     unused, fresh])
+    def restart(self) -> None:
+        """Start an empty block at the Generator's state."""
+        self._start = self._bitgen.state
         self.next = 1
+        self.has_half, self.half = bool(self._start["has_uint32"]), self._start["uinteger"]
+        self.words = np.array([self.half << 32], dtype=np.uint64)
 
-    def _word(self) -> int:
-        if self.next == len(self.words):
-            self.refill()
-        self.next += 1
-        return int(self.words[self.next - 1])
-
-    def _uint32(self) -> int:
-        if self.has_half:
-            self.has_half = False
-            return self.half
-        word = self._word()
-        self.has_half, self.half = True, word >> 32
-        return word & 0xFFFFFFFF
-
-    def random(self) -> float:
-        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
-
-    def integers(self, lo: int, hi: int) -> int:
-        n = hi - lo
-        if not 0 < n < 1 << 32:
-            raise ValueError(f"integers needs 1 <= hi - lo < 2**32, got {n}")
-        if n == 1:
-            return lo
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:  # only then can it fall below the threshold
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return lo + (m >> 32)
+    def refill(self, size: int) -> None:
+        """Draw `size` words from `words[next]` on."""
+        self.seek()
+        self.restart()
+        self.words = np.concatenate([self.words, self._bitgen.random_raw(size)])
 
 
 def _scaled(halves: np.ndarray, n) -> np.ndarray:
@@ -198,8 +158,8 @@ class _Attempts:
 
     Per attempt: its length, its first token's offset and the halves of its
     lead draws. Per token: its attempt, the half its `integers` draw maps, and
-    the value of its `random()` draw when attempts pair them. The attempts
-    walked draw by draw carry their tokens in `exact`; their halves and
+    the value of its `random()` draw when attempts pair them. When the
+    Generator drew the last attempt, `exact` holds its tokens; its halves and
     values here mean nothing."""
     lengths: np.ndarray
     offsets: np.ndarray
@@ -207,18 +167,18 @@ class _Attempts:
     halves: np.ndarray
     u: np.ndarray | None
     lead: list[np.ndarray]
-    exact: dict[int, list[int]]
+    exact: list[int] | None
 
     def tokens(self, lo, n) -> np.ndarray:
         """Every token: its half mapped to [lo, lo + n) (one range, or one per
-        token), or the token an exact attempt drew."""
+        token), or the token the Generator drew."""
         tokens = lo + _scaled(self.halves, n)
-        for a, toks in self.exact.items():
-            tokens[self.offsets[a]:self.offsets[a] + len(toks)] = toks
+        if self.exact is not None:
+            tokens[self.offsets[-1]:] = self.exact
         return tokens
 
 
-def _walk(draw: ScalarDraws, spec: TaskSpec, need: int, lead: int, paired: bool,
+def _walk(draw: _Words, spec: TaskSpec, need: int, lead: int, paired: bool,
           ranges, attempt) -> _Attempts:
     """Walk up to `need` attempts from `draw`'s position, refilled with
     enough words for that many of the longest (at most `BLOCK`), lay out
@@ -234,10 +194,10 @@ def _walk(draw: ScalarDraws, spec: TaskSpec, need: int, lead: int, paired: bool,
     a fresh word and leaves the buffered half alone. So the loop below reads
     only T, and numpy places every draw afterwards. An attempt that touches a
     half Lemire's test could reject, (h * n) mod 2**32 < n for a range n of
-    `ranges` or of T, is walked draw by draw instead: `attempt(draw)` draws
-    it through `ScalarDraws` and returns its tokens. Every attempt ends on an
-    `integers` draw, so a half buffered between attempts is the high half of
-    the word before the next fresh one."""
+    `ranges` or of T, is drawn by the Generator instead, handed to
+    `attempt(rng)` at the attempt's start, and the walk ends after it. Every
+    attempt ends on an `integers` draw, so a half buffered between attempts
+    is the high half of the word before the next fresh one."""
     n_t = spec.t_max - spec.t_min + 1
     first = lead + (n_t > 1)  # the `integers` draws before the first token
     longest = (first + spec.t_max + 1) // 2 + paired * spec.t_max
@@ -252,8 +212,8 @@ def _walk(draw: ScalarDraws, spec: TaskSpec, need: int, lead: int, paired: bool,
     risky = np.flatnonzero(risk).tolist() + [len(halves)]
     n_words, n_halves = len(words), len(halves)
     w, f, r = draw.next, int(draw.has_half), 0
-    firsts, lengths, exact = [], [], {}
-    for a in range(need):
+    firsts, lengths = [], []
+    for _ in range(need):
         p = 2 * w - f  # the half of the attempt's first `integers` draw
         if n_t == 1:
             T = spec.t_min
@@ -269,23 +229,22 @@ def _walk(draw: ScalarDraws, spec: TaskSpec, need: int, lead: int, paired: bool,
             r += 1
         firsts.append(p)
         if risky[r] < 2 * end:
-            draw.next, draw.has_half, draw.half = w, bool(f), int(halves[p])
-            exact[a] = toks = attempt(draw)
-            lengths.append(len(toks))
-            if draw.words is not words:  # it ran past the block and refilled
-                break
-            w, f = draw.next, int(draw.has_half)
-        else:
-            lengths.append(T)
-            w, f = end, (f + draws) % 2
-    if draw.words is words:
-        draw.next, draw.has_half, draw.half = w, bool(f), int(halves[2 * w - 1])
+            break
+        lengths.append(T)
+        w, f = end, (f + draws) % 2
+    draw.next, draw.has_half, draw.half = w, bool(f), int(halves[2 * w - 1])
+    exact = None
+    if len(lengths) < len(firsts):  # the last attempt holds a risky half
+        draw.seek()
+        exact = attempt(draw.rng)
+        draw.restart()
+        lengths.append(len(exact))
 
     def halves_of(s, g, k):
         """The half that the k-th `integers` draw of attempts starting at
         word s with flag g maps: in the last word an `integers` draw took,
-        after the `random()` words before it. An exact attempt may have run
-        past the block, so its (unused) places are clipped."""
+        after the `random()` words before it. The Generator's attempt may
+        have run past the block, so its (unused) places are clipped."""
         fresh = 1 - (g + k) % 2
         word = s + (k + 2 - g) // 2 - 1 + paired * np.maximum(0, k - first + fresh)
         return halves.take(2 * word + 1 - fresh, mode="clip")
@@ -315,7 +274,7 @@ def _replay(rng: np.random.Generator, spec: TaskSpec, lead: int, paired: bool, r
     than are still needed, so the last one ends on the last accepted
     attempt, and `rng` is handed back where its own calls would leave it."""
     sequences, labels = [], []
-    with ScalarDraws(rng) as draw:
+    with _Words(rng) as draw:
         while len(sequences) < spec.num_sequences:
             attempts = _walk(draw, spec, spec.num_sequences - len(sequences), lead, paired,
                              ranges, attempt)
@@ -335,8 +294,8 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
 
     An attempt draws its length T, then T tokens by `integers(0, V)`: T + 1
     halves in a row (T when t_min == t_max). `_replay` maps them all in
-    bulk; `attempt` below is the same draw order, call by call, for the
-    attempts where a half may be rejected."""
+    bulk; `attempt` below is the same draw order in the Generator's calls,
+    for the attempts where a half may be rejected."""
     spec.validate()
     if spec.kind != "valence_sentiment":
         raise TaskError("spec.kind must be valence_sentiment")
@@ -344,9 +303,8 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     V, third = spec.vocab_size, spec.vocab_size // 3
     signs = np.array([1] * third + [-1] * third + [0] * (V - 2 * third))
 
-    def attempt(draw):
-        T = draw.integers(spec.t_min, spec.t_max + 1)
-        return [draw.integers(0, V) for _ in range(T)]
+    def attempt(rng):
+        return rng.integers(0, V, size=rng.integers(spec.t_min, spec.t_max + 1)).tolist()
 
     def judge(attempts):
         tokens = attempts.tokens(0, V)
@@ -370,7 +328,8 @@ def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
     token u = `random()` and the token by `integers` from the topic's block
     (u < 0.5), the noise tokens (u < 0.8) or all topic blocks. `_replay`
     places and maps these draws in bulk; `attempt` below is the same draw
-    order, call by call, for the attempts where a half may be rejected."""
+    order in the Generator's calls, for the attempts where a half may be
+    rejected."""
     spec.validate()
     if spec.kind != "topic_classification":
         raise TaskError("spec.kind must be topic_classification")
@@ -381,18 +340,17 @@ def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
         raise TaskError("vocab too small for topic blocks")
     # tokens [c*block, (c+1)*block) belong to topic c; the tail is noise
 
-    def attempt(draw):
-        T = draw.integers(spec.t_min, spec.t_max + 1)
-        topic = draw.integers(0, C)
+    def attempt(rng):
+        T, topic = rng.integers(spec.t_min, spec.t_max + 1), rng.integers(0, C)
         toks = []
         for _ in range(T):
-            u = draw.random()
+            u = rng.random()
             if u < 0.5:
-                toks.append(draw.integers(topic * block, (topic + 1) * block))
+                toks.append(rng.integers(topic * block, (topic + 1) * block))
             elif u < 0.8:
-                toks.append(draw.integers(C * block, V))
+                toks.append(rng.integers(C * block, V))
             else:
-                toks.append(draw.integers(0, C * block))
+                toks.append(rng.integers(0, C * block))
         return toks
 
     def judge(attempts):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynamo import tasks
 from dynamo.tasks import (
-    ScalarDraws,
     SequenceDataset,
     TaskError,
     TaskSpec,
@@ -199,61 +199,49 @@ def test_write_csv_cell_rule(tmp_path):
         "1,12345678901,0.3,-0,1e+300,1e-20,,"]
 
 
-# -- the scalar-draw replay against the Generator it replays -------------------------
+# -- the blocks of words against the Generator they come from ------------------------
 
-# A call is (range size n, or None for `random()`; low end; repeats).
-_RANGES = st.sampled_from([1, 2, 3, 3 * 2**30, 2**32 - 1]) | st.integers(1, 2**32 - 1)
-_CALLS = st.lists(st.tuples(st.none() | _RANGES, st.integers(-50, 50), st.integers(1, 300)),
-                  max_size=12)
+# A step is (words to refill; words to skip; a 32-bit draw after).
+_STEPS = st.lists(st.tuples(st.integers(1, 3 * tasks._Words.BLOCK),
+                            st.integers(0, 300), st.booleans()), max_size=8)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(), calls=_CALLS)
-@example(seed=1, buffered=False, calls=[(None, 0, 3 * ScalarDraws.BLOCK)])
-@example(seed=2, buffered=True, calls=[(1, 4, 5), (3, 0, 2 * ScalarDraws.BLOCK)])
-@example(seed=3, buffered=True, calls=[(3 * 2**30, 0, 300), (2**32 - 1, -7, 300)])
-def test_scalar_draws_replay_the_generators_scalar_calls(seed, buffered, calls):
-    """Every value, and the Generator's state on hand-back, equal what the
-    Generator's own scalar calls give: with a half buffered at entry, across
-    blocks of words, at one-value ranges and at ranges where Lemire's
-    rejection loop runs; the Generator's own draws after hand-back agree."""
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(), steps=_STEPS)
+@example(seed=1, buffered=False, steps=[(3 * tasks._Words.BLOCK, 300, True), (1, 4, True)])
+@example(seed=2, buffered=True, steps=[(2 * tasks._Words.BLOCK, 300, False), (5, 3, True)])
+def test_words_hand_the_generator_back_where_its_own_calls_leave_it(seed, buffered, steps):
+    """Each refill holds the Generator's next words, past `BLOCK` too, after
+    a `words[0]` whose high half is the buffered half. When the position in
+    them moves as the Generator's own calls move it (a word per `random_raw`
+    word; a buffered half, else the low half of the next word, per 32-bit
+    draw), `seek` on exit leaves the Generator in the state its calls leave,
+    with or without a half buffered, and its next draws agree."""
     want, got = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:  # a 32-bit draw leaves the high half of its word buffered
         assert got.integers(0, 5) == want.integers(0, 5)
-    with ScalarDraws(got) as draw:
-        for n, lo, repeats in calls:
-            for _ in range(repeats):
-                if n is None:
-                    assert draw.random() == want.random()
+    with tasks._Words(got) as draw:
+        for size, skip, half in steps:
+            draw.refill(size)
+            ahead = np.random.PCG64()
+            ahead.state = want.bit_generator.state
+            assert draw.words[1:].tolist() == ahead.random_raw(size).tolist()
+            assert int(draw.words[0]) >> 32 == draw.half
+            skip = min(skip, len(draw.words) - draw.next - 1)
+            want.bit_generator.random_raw(skip)
+            draw.next += skip
+            if half:  # `integers(0, 2**32)` is one 32-bit draw, never rejected
+                if draw.has_half:
+                    assert want.integers(0, 2**32) == draw.half
+                    draw.has_half = False
                 else:
-                    assert draw.integers(lo, lo + n) == want.integers(lo, lo + n)
+                    word = int(draw.words[draw.next])
+                    assert want.integers(0, 2**32) == word & 0xFFFFFFFF
+                    draw.next, draw.has_half, draw.half = draw.next + 1, True, word >> 32
     assert got.bit_generator.state == want.bit_generator.state
     assert got.integers(0, 9, size=5).tolist() == want.integers(0, 9, size=5).tolist()
     assert got.permutation(40).tolist() == want.permutation(40).tolist()
     assert got.random() == want.random()
-
-
-def test_scalar_draws_reject_a_quarter_of_draws_at_three_quarters_of_the_range():
-    """At n = 3 * 2**30 a 32-bit draw u is rejected when u % 4 == 0, so the
-    loop runs on about a quarter of the draws."""
-    halves = []
-
-    class Counted(ScalarDraws):
-        def _uint32(self):
-            halves.append(super()._uint32())
-            return halves[-1]
-
-    with Counted(np.random.default_rng(4)) as draw:
-        for _ in range(2000):
-            draw.integers(0, 3 * 2**30)
-    assert 2300 < len(halves) < 2900
-    assert sum(u % 4 == 0 for u in halves) == len(halves) - 2000
-
-
-@pytest.mark.parametrize("lo,hi", [(0, 0), (3, 2), (0, 2**32)])
-def test_scalar_draws_refuse_a_range_they_do_not_replay(lo, hi):
-    with ScalarDraws(np.random.default_rng(0)) as draw, pytest.raises(ValueError):
-        draw.integers(lo, hi)
 
 
 # -- the generators against their scalar-call reference ------------------------------
@@ -376,6 +364,7 @@ def test_generators_match_their_scalar_call_reference(spec):
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_PCG_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
 
 
 def _planted_generator(position: int, buffered: bool) -> np.random.Generator:
@@ -387,7 +376,7 @@ def _planted_generator(position: int, buffered: bool) -> np.random.Generator:
     + 1 times gives the start."""
     state, inc = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF, (0xDA3E39CB94B95BDB << 1) | 1
     for _ in range(position + 1):
-        state = (state - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+        state = (state - inc) * _PCG_INVERSE % (1 << 128)
     bitgen = np.random.PCG64()
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                     "has_uint32": int(buffered), "uinteger": 0x9E3779B9}
@@ -395,6 +384,41 @@ def _planted_generator(position: int, buffered: bool) -> np.random.Generator:
     check.state = bitgen.state
     assert check.random_raw(position + 1)[-1] == 0
     return np.random.Generator(bitgen)
+
+
+def _planted_run(monkeypatch, spec, position, buffered, block=None):
+    """Generate `spec` from `_planted_generator(position, buffered)` (its
+    `_Words.BLOCK` set to `block`, if given) and check it against the
+    scalar-call reference. Returns, per walk of `_replay`, its number of
+    attempts and the words the Generator took for its last attempt, or None
+    when it decoded every attempt in bulk."""
+    reference = {"valence_sentiment": _reference_valence_task,
+                 "topic_classification": _reference_topic_task}[spec.kind]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _planted_generator(position, buffered))
+    if block:
+        monkeypatch.setattr(tasks._Words, "BLOCK", block)
+    want, walk, drawn = reference(spec), tasks._walk, []
+
+    def recorded(draw, spec, need, lead, paired, ranges, attempt):
+        words = []
+
+        def counted(rng):
+            ahead = np.random.PCG64()
+            ahead.state = rng.bit_generator.state
+            tokens = attempt(rng)
+            while ahead.state["state"] != rng.bit_generator.state["state"]:
+                words.extend(ahead.random_raw(1).tolist())
+            return tokens
+
+        attempts = walk(draw, spec, need, lead, paired, ranges, counted)
+        drawn.append((len(attempts.lengths), None if attempts.exact is None else words))
+        return attempts
+
+    monkeypatch.setattr(tasks, "_walk", recorded)
+    got = generate(spec)
+    assert got.sequences == want.sequences and got.labels == want.labels
+    return drawn
 
 
 @pytest.mark.parametrize("spec,position,buffered,block", [
@@ -420,33 +444,36 @@ def _planted_generator(position: int, buffered: bool) -> np.random.Generator:
         "topic_past_block_buffered"])
 def test_generators_replay_a_rejected_half_like_the_generator(monkeypatch, spec, position,
                                                               buffered, block):
-    """A half that Lemire's test rejects sends its attempt draw by draw
-    through `ScalarDraws`, which draws another half, as the Generator does;
-    the attempts after it and the label flips drawn after the replay stay
-    aligned with the Generator's own calls."""
-    reference = {"valence_sentiment": _reference_valence_task,
-                 "topic_classification": _reference_topic_task}[spec.kind]
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _planted_generator(position, buffered))
-    if block:
-        monkeypatch.setattr(ScalarDraws, "BLOCK", block)
-    want = reference(spec)
-    counts = {"halves": 0, "draws": 0}
-    uint32, integers = ScalarDraws._uint32, ScalarDraws.integers
+    """A half that Lemire's test rejects sends its attempt to the Generator,
+    which draws another half; the attempts after it and the label flips
+    drawn after the hand-back stay aligned with the Generator's own calls."""
+    drawn = _planted_run(monkeypatch, spec, position, buffered, block)
+    assert any(0 in words for _, words in drawn if words)  # it drew the zero word
 
-    def counted_uint32(self):
-        counts["halves"] += 1
-        return uint32(self)
 
-    def counted_integers(self, lo, hi):
-        counts["draws"] += hi - lo > 1
-        return integers(self, lo, hi)
-
-    monkeypatch.setattr(ScalarDraws, "_uint32", counted_uint32)
-    monkeypatch.setattr(ScalarDraws, "integers", counted_integers)
-    got = generate(spec)
-    assert got.sequences == want.sequences and got.labels == want.labels
-    assert counts["halves"] > counts["draws"] > 0  # a half was rejected
+@pytest.mark.parametrize("spec", [
+    _valence_spec(vocab_size=6, t_min=1, t_max=3, noise_rate=0.3, num_sequences=8),
+    _topic_spec(vocab_size=12, t_min=1, t_max=3, noise_rate=0.3, num_sequences=4),
+], ids=["valence", "topic"])
+def test_generators_hand_the_generator_back_after_any_attempt_it_drew(monkeypatch, spec):
+    """The zero word planted at each of the first 40 word positions, with
+    and without a half buffered at the start, puts a rejected half in every
+    attempt of a small dataset in turn, the last one it needs included.
+    Every run matches the scalar-call reference, so the attempts after the
+    Generator's and the label flips drawn after the hand-back stay aligned."""
+    assert spec.noise_rate * spec.num_sequences >= 1  # flips are drawn after the hand-back
+    for buffered in (False, True):
+        covered, totals, last = set(), [], 0
+        for position in range(40):
+            with monkeypatch.context() as patch:
+                drawn = _planted_run(patch, spec, position, buffered)
+            ends = np.cumsum([n for n, _ in drawn])  # each walk's attempts end there
+            totals.append(ends[-1])
+            for (_, words), end in zip(drawn, ends):
+                if words and 0 in words:  # the Generator drew the zero word
+                    covered.add(end - 1)
+                    last += end == ends[-1]
+        assert covered >= set(range(min(totals))) and last > 0
 
 
 # -- file checks ---------------------------------------------------------------------

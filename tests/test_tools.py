@@ -232,7 +232,7 @@ def test_layers_times_two_copies_of_one_tree_and_finds_a_changed_kernel(tmp_path
                for fn in ("step", "step_vjp")]
     assert [layer.name for layer in found] == kernels + [
         "train_base[entry 0]", "emulation_step[gru]", "emulation_step[residual]",
-        "grid_accuracies", "descent[fixed-points]", "descent[score-map]"]
+        "grid_accuracies", "descent[fixed-points]", "descent[score-map]", "generate[valence]"]
     assert [layer.name for layer in found if not layer.same] == kernels[4:]
     assert all(len(t) == 1 and t[0] > 0 for layer in found for t in layer.times)
     assert all(len(f) == 1 and f[0] >= 0 for layer in found for f in layer.faults)

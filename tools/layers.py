@@ -28,7 +28,9 @@ round:
   and of the residual one (train-residual), `CALLS // 10` calls per timing,
   its output the loss and every gradient;
 - `grid_accuracies` on the landscape;
-- the two descents of the score-map command.
+- the two descents of the score-map command;
+- `tasks.generate` on each task entry of the train-residual config (2,400
+  sequences each), its output the tokens and labels.
 
 Prints, per layer, each tree's median with its quartiles, each tree's median
 minor page faults per call (`ru_minflt` around the timed calls: in this
@@ -97,7 +99,7 @@ def load_tree(tree: Path) -> SimpleNamespace:
     spec.loader.exec_module(package)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
                               for m in ("atlas", "cli", "dynamics", "models", "numgrad",
-                                        "trainer")})
+                                        "tasks", "trainer")})
 
 
 def recorded_calls(tree: SimpleNamespace, argv: tuple[str, ...], config: Path, out: Path,
@@ -168,6 +170,12 @@ def train_entry(train_base, bases, args, kwargs) -> list:
     """`train_base` on copies of `bases`; the trained parameters, by name."""
     return [[b.params[k] for k in sorted(b.params)]
             for b in train_base(copy.deepcopy(bases), *args, **kwargs)]
+
+
+def generated(generate, spec) -> tuple:
+    """`generate(spec)`'s tokens and labels."""
+    ds = generate(spec)
+    return ds.sequences, ds.labels
 
 
 def kernel_layers(trees: list[SimpleNamespace], runs: list[Path], rows, calls: int) -> list[Layer]:
@@ -242,6 +250,9 @@ def prepare(trees: list[SimpleNamespace], config: dict, residual: dict, work: Pa
     for k, label in enumerate(("descent[fixed-points]", "descent[score-map]")):
         layers.append(Layer(label, tuple(
             (tree.dynamics._descend, calls_[k], 1) for tree, calls_ in zip(trees, descents))))
+    for task in residual["tasks"]:
+        layers.append(Layer(f"generate[{task['name']}]", tuple(
+            (generated, (tree.tasks.generate, tree.tasks.TaskSpec(**task)), 1) for tree in trees)))
     return layers
 
 
