@@ -3,24 +3,14 @@
 Two generators: a sentiment-style valence task whose ground truth is a
 running sum of per-token valences (so a plain integrator solves it), and a
 topic task labeled by the dominant token block (>= 3 classes, to exercise a
-second readout head). Both are pure functions of their seed.
-
-Each generator's datasets are the output of scalar `random()` and
-`integers(lo, hi)` calls on `np.random.default_rng(seed)`, in a fixed order:
-per attempt a length, the topic task's topic, then the tokens, and attempts
-repeat until enough are accepted. Vectorised Generator draws would consume
-the stream in another order and change every dataset. But each scalar call
-is a fixed function of the Generator's PCG64 words, and which words and
-32-bit halves it takes depends only on the calls before it, unless Lemire's
-rejection test rejects a half. So `_replay` draws the words in blocks
-(`random_raw`, `_Words`), walks each attempt's extent from its length alone,
-and maps every length, topic and token of a block in a few numpy passes.
-An attempt that holds a half the rejection test could reject is drawn by
-the Generator's own calls instead. The datasets stay byte-identical.
+second readout head). Both are pure functions of their seed: each draws
+blocks of attempts with `np.random.default_rng(seed)`'s bulk calls and keeps
+the ones its task accepts.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -100,202 +90,43 @@ class SequenceDataset:
         return pool[:share(fraction, len(pool))]
 
 
-class _Words:
-    """The 64-bit words of a PCG64 `np.random.Generator`, drawn in blocks
-    through `bit_generator.random_raw` for `_walk` to decode, and the
-    Generator's position in them.
-
-    `words[next]` is the next word, and `words[0]` is no word of the stream:
-    its high half is the half that was buffered when `words[1]` was drawn.
-    `has_half` and `half` are the Generator's buffered 32-bit half (`half`
-    stays after it is used, as in the Generator). Used as a context manager,
-    it hands the Generator back on exit at `words[next]` with that half.
-    """
-
-    BLOCK = 1 << 12  # words: 32 kB, and a few times that while `_replay` decodes them
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self._bitgen = rng, rng.bit_generator
-        self.restart()
-
-    def __enter__(self) -> _Words:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seek()
-
-    def seek(self) -> None:
-        """Put the Generator at `words[next]`, with the buffered half."""
-        self._bitgen.state = self._start
-        self._bitgen.advance(self.next - 1)  # clears the buffered half
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self.has_half), self.half
-        self._bitgen.state = state
-
-    def restart(self) -> None:
-        """Start an empty block at the Generator's state."""
-        self._start = self._bitgen.state
-        self.next = 1
-        self.has_half, self.half = bool(self._start["has_uint32"]), self._start["uinteger"]
-        self.words = np.array([self.half << 32], dtype=np.uint64)
-
-    def refill(self, size: int) -> None:
-        """Draw `size` words from `words[next]` on."""
-        self.seek()
-        self.restart()
-        self.words = np.concatenate([self.words, self._bitgen.random_raw(size)])
+_BLOCK = 1 << 10  # attempts drawn at once at most: gen-data's peak stays below train-base's
 
 
-def _scaled(halves: np.ndarray, n) -> np.ndarray:
-    """Lemire's map of 32-bit halves (as uint64) to [0, n), for halves it
-    does not reject; `n` is one range or one per half."""
-    return ((halves * np.asarray(n, dtype=np.uint64)) >> np.uint64(32)).astype(np.int64)
-
-
-@dataclass
-class _Attempts:
-    """The attempts walked in one block of words, laid out for decoding.
-
-    Per attempt: its length, its first token's offset and the halves of its
-    lead draws. Per token: its attempt, the half its `integers` draw maps, and
-    the value of its `random()` draw when attempts pair them. When the
-    Generator drew the last attempt, `exact` holds its tokens; its halves and
-    values here mean nothing."""
-    lengths: np.ndarray
-    offsets: np.ndarray
-    att: np.ndarray
-    halves: np.ndarray
-    u: np.ndarray | None
-    lead: list[np.ndarray]
-    exact: list[int] | None
-
-    def tokens(self, lo, n) -> np.ndarray:
-        """Every token: its half mapped to [lo, lo + n) (one range, or one per
-        token), or the token the Generator drew."""
-        tokens = lo + _scaled(self.halves, n)
-        if self.exact is not None:
-            tokens[self.offsets[-1]:] = self.exact
-        return tokens
-
-
-def _walk(draw: _Words, spec: TaskSpec, need: int, lead: int, paired: bool,
-          ranges, attempt) -> _Attempts:
-    """Walk up to `need` attempts from `draw`'s position, refilled with
-    enough words for that many of the longest (at most `BLOCK`), lay out
-    their draws and leave `draw` at the end of the last one.
-
-    An attempt draws, in order: its length T by `integers(t_min, t_max + 1)`
-    (nothing when t_min == t_max), `lead` more `integers`, then per token one
-    `integers`, after one `random()` when `paired`. Unless a half is
-    rejected, where each draw falls follows from T alone. With f = 1 when a
-    half is buffered at the attempt's start, its k-th `integers` draw (k from
-    0) takes the low half of a fresh word when f + k is even, and else the
-    high half of the last word an `integers` draw took; each `random()` takes
-    a fresh word and leaves the buffered half alone. So the loop below reads
-    only T, and numpy places every draw afterwards. An attempt that touches a
-    half Lemire's test could reject, (h * n) mod 2**32 < n for a range n of
-    `ranges` or of T, is drawn by the Generator instead, handed to
-    `attempt(rng)` at the attempt's start, and the walk ends after it. Every
-    attempt ends on an `integers` draw, so a half buffered between attempts
-    is the high half of the word before the next fresh one."""
-    n_t = spec.t_max - spec.t_min + 1
-    first = lead + (n_t > 1)  # the `integers` draws before the first token
-    longest = (first + spec.t_max + 1) // 2 + paired * spec.t_max
-    draw.refill(max(longest, min(draw.BLOCK, need * longest)))
-    words = draw.words
-    halves32 = words.astype("<u8", copy=False).view("<u4")  # low half first
-    risk = np.zeros(len(halves32), dtype=bool)
-    for n in {n_t, *ranges} - {1}:
-        risk |= halves32 * np.uint32(n) < n  # the product wraps mod 2**32
-    risk[0] = False  # `words[0]`'s low half is no half of the stream
-    halves = halves32.astype(np.uint64)
-    risky = np.flatnonzero(risk).tolist() + [len(halves)]
-    n_words, n_halves = len(words), len(halves)
-    w, f, r = draw.next, int(draw.has_half), 0
-    firsts, lengths = [], []
-    for _ in range(need):
-        p = 2 * w - f  # the half of the attempt's first `integers` draw
-        if n_t == 1:
-            T = spec.t_min
-        elif p < n_halves:
-            T = spec.t_min + (int(halves32[p]) * n_t >> 32)
-        else:
-            break
-        draws = first + T
-        end = w + (draws + 1 - f) // 2 + paired * T
-        if end > n_words:
-            break
-        while risky[r] < p:
-            r += 1
-        firsts.append(p)
-        if risky[r] < 2 * end:
-            break
-        lengths.append(T)
-        w, f = end, (f + draws) % 2
-    draw.next, draw.has_half, draw.half = w, bool(f), int(halves[2 * w - 1])
-    exact = None
-    if len(lengths) < len(firsts):  # the last attempt holds a risky half
-        draw.seek()
-        exact = attempt(draw.rng)
-        draw.restart()
-        lengths.append(len(exact))
-
-    def halves_of(s, g, k):
-        """The half that the k-th `integers` draw of attempts starting at
-        word s with flag g maps: in the last word an `integers` draw took,
-        after the `random()` words before it. The Generator's attempt may
-        have run past the block, so its (unused) places are clipped."""
-        fresh = 1 - (g + k) % 2
-        word = s + (k + 2 - g) // 2 - 1 + paired * np.maximum(0, k - first + fresh)
-        return halves.take(2 * word + 1 - fresh, mode="clip")
-
-    lengths = np.array(lengths, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    att = np.repeat(np.arange(len(lengths)), lengths)
-    i = np.arange(len(att)) - offsets[att]  # the token's place in its attempt
-    g = np.array(firsts, dtype=np.int64) % 2  # each attempt's f and start word s,
-    s = (np.array(firsts, dtype=np.int64) + g) // 2  # from its first half 2 * s - f
-    w, f = s[att], g[att]
-    token_halves = halves_of(w, f, first + i)
-    lead_halves = [halves_of(s, g, k) for k in range(n_t > 1, first)]
-    u = None
-    if paired:  # token i's `random()` word follows the `integers` words before it
-        u = (words.take(w + (first + i + 1 - f) // 2 + i, mode="clip") >> np.uint64(11)
-             ).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return _Attempts(lengths, offsets, att, token_halves, u, lead_halves, exact)
-
-
-def _replay(rng: np.random.Generator, spec: TaskSpec, lead: int, paired: bool, ranges,
-            attempt, judge) -> tuple[list[list[int]], list[int]]:
+def _accepted(rng: np.random.Generator, spec: TaskSpec,
+              draw) -> tuple[list[list[int]], list[int]]:
     """The tokens and labels of the first `spec.num_sequences` attempts that
-    `judge` accepts, replayed from `rng`'s words in blocks (see `_walk`).
-    `judge(attempts)` returns every token of a block, whether each attempt
-    is accepted, and each attempt's label. A walk takes no more attempts
-    than are still needed, so the last one ends on the last accepted
-    attempt, and `rng` is handed back where its own calls would leave it."""
+    `draw` accepts, then exactly floor(noise_rate * num_sequences) labels
+    flipped to another class.
+
+    Attempts are drawn in blocks: their lengths by one `integers` call, then
+    `draw(lengths, offsets, att)` draws every token of the block (attempt i's
+    tokens at `offsets[i]`, `att` naming each token's attempt) and returns
+    them, whether each attempt is accepted, and each attempt's label. A block
+    holds a quarter more attempts than are still needed, at most `_BLOCK`."""
     sequences, labels = [], []
-    with _Words(rng) as draw:
-        while len(sequences) < spec.num_sequences:
-            attempts = _walk(draw, spec, spec.num_sequences - len(sequences), lead, paired,
-                             ranges, attempt)
-            tokens, accepted, label = judge(attempts)
-            kept = np.flatnonzero(accepted)
-            flat = tokens.tolist()
-            sequences += [flat[o:o + t] for o, t in zip(attempts.offsets[kept].tolist(),
-                                                        attempts.lengths[kept].tolist())]
-            labels += label[kept].tolist()
-    return sequences, labels
+    while len(sequences) < spec.num_sequences:
+        need = spec.num_sequences - len(sequences)
+        size = min(_BLOCK, math.ceil(1.25 * need))
+        lengths = rng.integers(spec.t_min, spec.t_max + 1, size=size)
+        offsets = np.cumsum(lengths) - lengths
+        tokens, accepted, label = draw(lengths, offsets, np.repeat(np.arange(size), lengths))
+        kept = np.flatnonzero(accepted)[:need]
+        flat = tokens.tolist()
+        sequences += [flat[o:o + t] for o, t in zip(offsets[kept].tolist(),
+                                                    lengths[kept].tolist())]
+        labels += label[kept].tolist()
+    labels = np.array(labels, dtype=np.int64)
+    flips = rng.permutation(spec.num_sequences)[:share(spec.noise_rate, spec.num_sequences)]
+    labels[flips] = (labels[flips] + rng.integers(1, spec.num_classes, size=len(flips))
+                     ) % spec.num_classes
+    return sequences, labels.tolist()
 
 
 def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     """Tokens carry a fixed valence in {+1,-1,0} by vocab third; the label is
     the sign of the summed valence. Zero-sum draws are regenerated and a
-    noise_rate fraction of labels is flipped afterwards.
-
-    An attempt draws its length T, then T tokens by `integers(0, V)`: T + 1
-    halves in a row (T when t_min == t_max). `_replay` maps them all in
-    bulk; `attempt` below is the same draw order in the Generator's calls,
-    for the attempts where a half may be rejected."""
+    noise_rate fraction of labels is flipped afterwards."""
     spec.validate()
     if spec.kind != "valence_sentiment":
         raise TaskError("spec.kind must be valence_sentiment")
@@ -303,18 +134,12 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
     V, third = spec.vocab_size, spec.vocab_size // 3
     signs = np.array([1] * third + [-1] * third + [0] * (V - 2 * third))
 
-    def attempt(rng):
-        return rng.integers(0, V, size=rng.integers(spec.t_min, spec.t_max + 1)).tolist()
-
-    def judge(attempts):
-        tokens = attempts.tokens(0, V)
-        total = np.add.reduceat(signs[tokens], attempts.offsets)
+    def draw(lengths, offsets, att):
+        tokens = rng.integers(0, V, size=len(att))
+        total = np.add.reduceat(signs[tokens], offsets)
         return tokens, total != 0, (total > 0).astype(np.int64)
 
-    sequences, labels = _replay(rng, spec, 0, False, (V,), attempt, judge)
-    n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
-    for i in rng.permutation(spec.num_sequences)[:n_flip]:
-        labels[i] = 1 - labels[i]
+    sequences, labels = _accepted(rng, spec, draw)
     return SequenceDataset("valence_sentiment", V, 2, sequences, labels,
                            valence=signs.astype(np.float64), seed=spec.seed)
 
@@ -322,55 +147,32 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
 def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
     """Vocab is split into `num_classes` topic blocks plus shared noise
     tokens; each sequence leans toward a latent topic and the label is the
-    argmax of realized block counts (ties regenerated).
+    argmax of realized block counts (ties and all-noise draws regenerated).
 
-    An attempt draws its length T and its topic by `integers`, then per
-    token u = `random()` and the token by `integers` from the topic's block
-    (u < 0.5), the noise tokens (u < 0.8) or all topic blocks. `_replay`
-    places and maps these draws in bulk; `attempt` below is the same draw
-    order in the Generator's calls, for the attempts where a half may be
-    rejected."""
+    Each token comes from the attempt's topic block with probability 0.5,
+    from the noise tokens with 0.3, and else from all topic blocks."""
     spec.validate()
     if spec.kind != "topic_classification":
         raise TaskError("spec.kind must be topic_classification")
     rng = np.random.default_rng(spec.seed)
     V, C = spec.vocab_size, spec.num_classes
-    block = V // (C + 1)
-    if block < 1:
-        raise TaskError("vocab too small for topic blocks")
+    block = V // (C + 1)  # validate's V >= 3C makes it at least 2
     # tokens [c*block, (c+1)*block) belong to topic c; the tail is noise
 
-    def attempt(rng):
-        T, topic = rng.integers(spec.t_min, spec.t_max + 1), rng.integers(0, C)
-        toks = []
-        for _ in range(T):
-            u = rng.random()
-            if u < 0.5:
-                toks.append(rng.integers(topic * block, (topic + 1) * block))
-            elif u < 0.8:
-                toks.append(rng.integers(C * block, V))
-            else:
-                toks.append(rng.integers(0, C * block))
-        return toks
-
-    def judge(attempts):
-        topic = _scaled(attempts.lead[0], C)[attempts.att]
-        near, noise = attempts.u < 0.5, (attempts.u >= 0.5) & (attempts.u < 0.8)
-        tokens = attempts.tokens(np.where(near, topic * block, np.where(noise, C * block, 0)),
-                                 np.where(near, block, np.where(noise, V - C * block, C * block)))
+    def draw(lengths, offsets, att):
+        topic = rng.integers(0, C, size=len(lengths))[att]
+        u = rng.random(len(att))
+        near, noise = u < 0.5, (u >= 0.5) & (u < 0.8)
+        tokens = rng.integers(np.where(near, topic * block, np.where(noise, C * block, 0)),
+                              np.where(near, (topic + 1) * block, np.where(noise, V, C * block)))
         topical = tokens < C * block
-        counts = np.bincount(attempts.att[topical] * C + tokens[topical] // block,
-                             minlength=len(attempts.lengths) * C).reshape(-1, C)
+        counts = np.bincount(att[topical] * C + tokens[topical] // block,
+                             minlength=len(lengths) * C).reshape(-1, C)
         top = counts.max(axis=1)
         untied = (top > 0) & ((counts == top[:, None]).sum(axis=1) == 1)
         return tokens, untied, counts.argmax(axis=1)
 
-    sequences, labels = _replay(rng, spec, 1, True, (C, block, V - C * block, C * block),
-                                attempt, judge)
-    n_flip = int(np.floor(spec.noise_rate * spec.num_sequences))
-    for i in rng.permutation(spec.num_sequences)[:n_flip]:
-        old = labels[i]
-        labels[i] = int((old + 1 + rng.integers(0, C - 1)) % C)
+    sequences, labels = _accepted(rng, spec, draw)
     return SequenceDataset("topic_classification", V, C, sequences,
                            labels, valence=None, seed=spec.seed)
 

@@ -216,7 +216,16 @@ def test_ssl_runs_one_forward_per_trial_point(pass_counts):
     meta = _tiny_meta()
     ds = _tiny_ds()
     steps = 6
-    _, _, losses, taken = ssl_optimize(meta, 0, ds, steps=steps, lr=200.0)
+    # lr is the first power of two whose first trial raises the loss, so the
+    # search halves its step at least once
+    for lr in 2.0 ** np.arange(16):
+        ssl_optimize(meta, 0, ds, steps=1, lr=lr)
+        first, trial = pass_counts["forward"][:2]
+        pass_counts["forward"].clear()
+        pass_counts["backward"] = 0
+        if trial > first:
+            break
+    _, _, losses, taken = ssl_optimize(meta, 0, ds, steps=steps, lr=lr)
     cur, accepted, backoffs = pass_counts["forward"][0], 0, 0
     for loss in pass_counts["forward"][1:]:
         if loss <= cur:
