@@ -5,8 +5,9 @@ optimization, fixed-point analysis, and model averaging.
 One flat JSON config drives every stage. The schema under "configuration"
 below (`_CONFIG` and its sections) is the config reference: every key, its
 type and its default. The config is a run's only input, and each of its values
-has one key: no flag sets a value, and `analysis.task` names the task that
-`analyze`, `ssl` and `fixed-points` read. Commands are composable and write
+has one key, written once (a key repeated in one object is refused): no flag
+sets a value, and `analysis.task` names the task that `analyze`, `ssl` and
+`fixed-points` read. Commands are composable and write
 into a shared run directory, `--out` or else `run_<hash of the config as
 written>`; the remaining flags name what a command reads or adds (`--theta`,
 `--ids`, `--svcca`, `--score-map`).
@@ -179,13 +180,6 @@ def _split_fractions(splits: dict) -> tuple[float, float, float]:
     return splits["base_train"], splits["meta_unlabeled"], splits["ssl_labeled"]
 
 
-def _split_sizes(splits: dict, n: int) -> dict[str, int]:
-    """Each split's size in a dataset of `n` sequences: the floor rule of
-    `tasks.split_dataset`, with the remainder in the test split."""
-    sizes = [tasks_mod.share(f, n) for f in _split_fractions(splits)]
-    return dict(zip(tasks_mod.SPLIT_TAGS, [*sizes, n - sum(sizes)]))
-
-
 @contextmanager
 def _reraised(error: type, where: str, *caught: type):
     """Re-raise a `caught` exception as `error`, after `where`."""
@@ -209,12 +203,11 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"duplicate task name {name!r}")
         with _reraised(ConfigError, f"config.tasks[{i}]", TaskError):
             TaskSpec(**cfg["tasks"][i]).validate()
-    fractions = _split_fractions(cfg["splits"])
-    if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
-        raise ConfigError("split fractions must be nonnegative and sum to <= 1")
     n_base = {}  # each task's base_train examples
     for task in cfg["tasks"]:
-        sizes = _split_sizes(cfg["splits"], task["num_sequences"])
+        with _reraised(ConfigError, "config.splits", TaskError):
+            sizes = tasks_mod.split_sizes(_split_fractions(cfg["splits"]),
+                                          task["num_sequences"])
         n_base[task["name"]] = sizes["base_train"]
         for split in ("base_train", "meta_unlabeled", "test"):
             if not sizes[split]:
@@ -260,10 +253,21 @@ def load_config(path) -> tuple[dict, str]:
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return validate_config(cfg), config_hash(cfg)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """`json.loads`' hook for each object of the config: raises ConfigError on
+    a key written twice, whose first value `json.loads` would drop unsaid."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r} in one object")
+        obj[key] = val
+    return obj
 
 
 def config_hash(cfg: dict) -> str:
@@ -317,7 +321,9 @@ def save_checkpoint(prefix, tensors: dict[str, np.ndarray], manifest_extra: dict
 def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by `save_checkpoint`. Raises IOFailure on a
     missing file, bad JSON, a missing index key, a tensor whose byte range
-    does not fit its shape or the blob, or a value that is not finite."""
+    does not fit its shape, an index whose ranges do not tile the blob (a
+    gap, an overlap or trailing bytes) or that lists a name twice, or a value
+    that is not finite."""
     prefix = Path(prefix)
     try:
         raw = prefix.with_suffix(".json").read_bytes()
@@ -330,18 +336,18 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
                   int(e["length"])) for e in manifest["tensors"]]
     except (ValueError, KeyError, TypeError) as e:
         raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
-    tensors = {}
-    seen_ranges = []
-    for name, shape, lo, length in index:
-        hi = lo + length
-        if (min(shape, default=0) < 0 or length != 4 * math.prod(shape) or lo < 0
-                or hi > len(blob) or any(lo < h and o < hi for o, h in seen_ranges)):
+    tensors, end = {}, 0  # in offset order, each range starts where the last ended
+    for name, shape, lo, length in sorted(index, key=lambda entry: entry[2]):
+        if (min(shape, default=0) < 0 or length != 4 * math.prod(shape) or lo != end
+                or lo + length > len(blob) or name in tensors):
             raise IOFailure(f"corrupt tensor index in {prefix}")
-        seen_ranges.append((lo, hi))
-        flat = np.frombuffer(blob[lo:hi], dtype="<f4").astype(np.float64)
+        end = lo + length
+        flat = np.frombuffer(blob[lo:end], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(flat)):
             raise IOFailure(f"tensor {name!r} in checkpoint {prefix} is not finite")
         tensors[name] = flat.reshape(shape)
+    if end != len(blob):
+        raise IOFailure(f"corrupt tensor index in {prefix}: blob bytes past {end} in no tensor")
     return tensors, manifest
 
 
@@ -514,8 +520,8 @@ def _check_dataset(ds: SequenceDataset, task: dict, splits: dict) -> None:
     """Refuse (IOFailure) a loaded dataset that the config's task entry and
     splits would not have generated: another kind, vocabulary, class count,
     seed, sequence count or split size."""
-    want = dict(task, **{f"splits.{tag}": size for tag, size in
-                         _split_sizes(splits, task["num_sequences"]).items()})
+    sizes = tasks_mod.split_sizes(_split_fractions(splits), task["num_sequences"])
+    want = dict(task, **{f"splits.{tag}": size for tag, size in sizes.items()})
     have = {"kind": ds.kind, "vocab_size": ds.vocab_size, "num_classes": ds.num_classes,
             "seed": ds.seed, "num_sequences": len(ds),
             **{f"splits.{tag}": len(ds.indices(tag)) for tag in tasks_mod.SPLIT_TAGS}}

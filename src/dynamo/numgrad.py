@@ -44,19 +44,16 @@ through them carries exact zeros and leaves its real steps unchanged.
 Python dispatch per node, not arithmetic, dominates small graphs. Backward
 visits only nodes on a path to a parameter leaf, and computes no gradient
 term for an input off such a path, so a frozen model costs no weight
-products. Memory follows the live set: forward drops each value right after
-its last forward reader, unless it is marked, is the output, or a backward
-rule reads it (the other operand of `mul`/`matmul` whose first operand needs
-a gradient, the input of `relu`, the output of `sigmoid`/`tanh`, the ids
-of `gather_rows`, the row weights of `sqdist`, the targets of `xent`, a
-`recurrence`'s `x`, `h0` and output); `sqdist`'s difference, `xent`'s
-log-softmax and a recurrence's steps are saved apart. Backward consumes the
-forward pass it differentiates and frees it as the reverse sweep passes:
-each visited node's value and gradient once its rule has run, a
-recurrence's saved step as BPTT passes it. So it never
-holds every value and every gradient at once, and a cached graph holds no
-batch between steps, except in a `Workspace` (see `Graph`), which keeps a
-recurrence's four largest arrays from step to step for as long as it lives.
+products. Memory follows the live set, by one rule: forward drops each
+value right after its last forward reader, except the output and the
+marks, and each node backward will visit saves for itself exactly what its
+rule reads. Backward consumes the forward pass it differentiates and frees
+it as the reverse sweep passes: what each visited node saved and its
+gradient once its rule has run, a recurrence's saved step as BPTT passes
+it. So it never holds every value and every gradient at once, and a cached
+graph holds no batch between steps, except in a `Workspace` (see `Graph`),
+which keeps a recurrence's four largest arrays from step to step for as
+long as it lives.
 Both passes run with overflow warnings off; a forward output or a gradient
 that is not finite raises NumericError.
 """
@@ -429,12 +426,12 @@ class Graph:
         Raises NumericError if the output is not finite."""
         if self._out is None:
             raise NumgradError("graph has no output node")
-        drops = self._plan_passes()[2]
+        needs, _, drops = self._plan_passes()
         if self._workspace is not None:
             self._workspace.forwards += 1
             self._pass = self._workspace.forwards
         vals: list = [None] * len(self._kinds)
-        saved: dict = {}
+        saved: dict = {}  # what the rule of each node backward visits reads
         for nid, kind in enumerate(self._kinds):
             ins = self._inputs[nid]
             aux = self._aux[nid]
@@ -454,19 +451,22 @@ class Graph:
                 vals[nid] = vals[ins[0]] + vals[ins[1]]
             elif kind == "sub":
                 vals[nid] = vals[ins[0]] - vals[ins[1]]
-            elif kind == "mul":
-                vals[nid] = vals[ins[0]] * vals[ins[1]]
+            elif kind in ("mul", "matmul"):
+                a, b = ins
+                vals[nid] = vals[a] * vals[b] if kind == "mul" else vals[a] @ vals[b]
+                if needs[nid]:  # each input's gradient reads the other operand
+                    saved[nid] = (vals[b] if needs[a] else None, vals[a] if needs[b] else None)
             elif kind == "affine":
                 k, c = aux
                 vals[nid] = vals[ins[0]] * k + c
-            elif kind == "matmul":
-                vals[nid] = vals[ins[0]] @ vals[ins[1]]
-            elif kind == "sigmoid":
-                vals[nid] = _sigmoid(vals[ins[0]])
-            elif kind == "tanh":
-                vals[nid] = np.tanh(vals[ins[0]])
+            elif kind in ("sigmoid", "tanh"):
+                vals[nid] = (_sigmoid if kind == "sigmoid" else np.tanh)(vals[ins[0]])
+                if needs[nid]:
+                    saved[nid] = vals[nid]
             elif kind == "relu":
                 vals[nid] = np.maximum(vals[ins[0]], 0.0)
+                if needs[nid]:
+                    saved[nid] = vals[ins[0]]
             elif kind == "concat":
                 vals[nid] = np.concatenate((vals[ins[0]], vals[ins[1]]), axis=1)
             elif kind == "reduce_sum":
@@ -477,18 +477,23 @@ class Graph:
                 d = vals[ins[0]] - vals[ins[1]]
                 sq = d * d
                 vals[nid] = sq.sum() if len(ins) == 2 else (sq.sum(axis=1) * vals[ins[2]]).sum()
-                saved[nid] = d
+                if needs[nid]:
+                    saved[nid] = d, vals[ins[2]] if len(ins) == 3 else None
             elif kind == "xent":
                 x = vals[ins[0]]
                 m = x.max(axis=-1, keepdims=True)
                 z = x - m
                 ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
                 # affine(-1)'s shift of 0.0 turns a -0.0 sum into +0.0
-                vals[nid], saved[nid] = (ls * vals[ins[1]]).sum(axis=aux) * -1.0 + 0.0, ls
+                vals[nid] = (ls * vals[ins[1]]).sum(axis=aux) * -1.0 + 0.0
+                if needs[nid]:
+                    saved[nid] = ls, vals[ins[1]]
             elif kind == "gather_rows":
                 table, ids = vals[ins[0]], vals[ins[1]].astype(np.intp)
                 vals[nid] = (table[ids] if ids.ndim == 1
                              else table[np.arange(len(ids))[:, None], ids])
+                if needs[ins[0]]:
+                    saved[nid] = vals[ins[1]]
             elif kind == "recurrence":
                 x, h, *params = (vals[i] for i in ins)
                 B, rows = h.shape[-2], None
@@ -501,7 +506,9 @@ class Graph:
                     h, inter = CELLS[aux](xp[..., s:s + B, :], h, *state)
                     y[..., s:s + B, :] = h
                     steps.append(inter)
-                vals[nid], saved[nid] = y, (w_in, state, steps, rows)
+                vals[nid] = y
+                if needs[nid]:
+                    saved[nid] = x, vals[ins[1]], y, w_in, state, steps, rows
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
             for dead in drops[nid]:
@@ -510,18 +517,17 @@ class Graph:
         self._saved = saved
         return _finite(np.array(vals[self._out], dtype=np.float64), "graph output")
 
-    def value(self, ref) -> np.ndarray:
-        """Value of a node (or mark name) from the latest forward pass, until
-        backward consumes it. Raises NumgradError for a node whose value
-        forward dropped: mark a node before forward to read it."""
+    def value(self, name: str) -> np.ndarray:
+        """Value of the node marked `name` from the latest forward pass, until
+        backward consumes it. Only a mark set before forward outlives the
+        pass; any other name raises NumgradError."""
         if self._values is None:
             raise BackwardBeforeForward("no forward pass to read: none has run "
                                         "since the last backward")
         self._check_pass()
-        nid = self._marks[ref] if isinstance(ref, str) else ref
-        if self._values[nid] is None:
-            raise NumgradError(f"node {nid} ({self._kinds[nid]}) was dropped after its "
-                               "last forward reader; mark it before forward to read it")
+        nid = self._marks.get(name)
+        if nid is None or self._values[nid] is None:
+            raise NumgradError(f"no node marked {name!r} before this forward pass")
         return self._values[nid]
 
     def _check_pass(self) -> None:
@@ -536,8 +542,9 @@ class Graph:
     def _plan_passes(self) -> tuple[list[bool], list[int], list[list[int]]]:
         """`needs[n]`: a parameter leaf is node n or one of its ancestors;
         the nodes backward visits, in reverse order; and `drops[n]`: the
-        values forward drops once node n has run (the module docstring's
-        rule). Kept until the graph grows or a mark or the output changes."""
+        values forward drops once node n has run, each right after its last
+        reader, except the output and the marks. Kept until the graph grows
+        or a mark or the output changes."""
         if self._plan is None:
             params = {self._leaf_id[name] for name in self._param_names}
             needs = [False] * len(self._kinds)
@@ -546,22 +553,6 @@ class Graph:
             order = [nid for nid in range(len(self._kinds) - 1, -1, -1)
                      if needs[nid] and self._inputs[nid]]
             kept = {self._out, *self._marks.values()}
-            for nid in order:  # the values the rules of `backward` read
-                kind, ins = self._kinds[nid], self._inputs[nid]
-                if kind in ("mul", "matmul"):
-                    kept.update(ins[1 - k] for k in (0, 1) if needs[ins[k]])
-                elif kind == "relu":
-                    kept.add(ins[0])
-                elif kind in ("sigmoid", "tanh"):
-                    kept.add(nid)
-                elif kind == "sqdist":
-                    kept.update(ins[2:])
-                elif kind == "xent":
-                    kept.add(ins[1])
-                elif kind == "gather_rows" and needs[ins[0]]:
-                    kept.add(ins[1])
-                elif kind == "recurrence":
-                    kept.update((ins[0], ins[1], nid))
             last = list(range(len(self._kinds)))  # a value nothing reads dies at once
             for nid, ins in enumerate(self._inputs):
                 for i in ins:
@@ -591,7 +582,7 @@ class Graph:
         if self._shapes[out] != ():
             raise NonScalarOutput(f"output shape {self._shapes[out]} is not scalar")
         needs, order, _ = self._plan_passes()
-        vals, saved = self._values, self._saved
+        saved = self._saved
         self._values, self._saved = None, {}
         grads: list = [None] * len(self._kinds)
         grads[out] = np.float64(seed)
@@ -604,9 +595,9 @@ class Graph:
 
         for nid in order:
             # every consumer of nid has a higher id and was swept already, so
-            # nid's value and gradient live only while its rule runs
-            g, y = grads[nid], vals[nid]
-            vals[nid] = grads[nid] = None
+            # what nid saved and its gradient live only while its rule runs
+            g, held = grads[nid], saved.pop(nid, None)
+            grads[nid] = None
             if g is None:
                 continue
             kind = self._kinds[nid]
@@ -621,23 +612,23 @@ class Graph:
             elif kind == "mul":
                 a, b = ins
                 if needs[a]:
-                    acc(a, _unbroadcast(g * vals[b], self._shapes[a]))
+                    acc(a, _unbroadcast(g * held[0], self._shapes[a]))
                 if needs[b]:
-                    acc(b, _unbroadcast(g * vals[a], self._shapes[b]))
+                    acc(b, _unbroadcast(g * held[1], self._shapes[b]))
             elif kind == "affine":
                 acc(ins[0], g * aux[0])
             elif kind == "matmul":
                 a, b = ins
                 if needs[a]:
-                    acc(a, g @ vals[b].swapaxes(-1, -2))
+                    acc(a, g @ held[0].swapaxes(-1, -2))
                 if needs[b]:
-                    acc(b, vals[a].swapaxes(-1, -2) @ g)
+                    acc(b, held[1].swapaxes(-1, -2) @ g)
             elif kind == "sigmoid":
-                acc(ins[0], g * y * (1.0 - y))
+                acc(ins[0], g * held * (1.0 - held))
             elif kind == "tanh":
-                acc(ins[0], g * (1.0 - y * y))
+                acc(ins[0], g * (1.0 - held * held))
             elif kind == "relu":
-                acc(ins[0], g * (vals[ins[0]] > 0.0))
+                acc(ins[0], g * (held > 0.0))
             elif kind == "concat":
                 a, b = ins
                 if needs[a]:
@@ -658,25 +649,24 @@ class Graph:
                     acc(ins[0], np.broadcast_to(np.expand_dims(g, aux) / src[aux], src))
             elif kind == "sqdist":
                 # the chain's mul(d, d) adds the same product twice: t + t
-                d = saved.pop(nid)
-                t = g * d if len(ins) == 2 else (g * vals[ins[2]])[:, None] * d
+                d, w = held
+                t = g * d if w is None else (g * w)[:, None] * d
                 t = t + t
                 if needs[ins[0]]:
                     acc(ins[0], t)
                 if needs[ins[1]]:
                     acc(ins[1], -t)
             elif kind == "xent":
-                ls = saved.pop(nid)
+                ls, targets = held
                 gm = g * -1.0
                 gm = np.broadcast_to(gm if aux is None else gm[..., None], ls.shape)
-                gm = gm * vals[ins[1]]
+                gm = gm * targets
                 acc(ins[0], gm - np.exp(ls) * gm.sum(axis=-1, keepdims=True))
             elif kind == "gather_rows":
                 if needs[ins[0]]:
-                    acc(ins[0], _scatter_rows(self._shapes[ins[0]], vals[ins[1]], g))
+                    acc(ins[0], _scatter_rows(self._shapes[ins[0]], held, g))
             elif kind == "recurrence":
-                self._recurrence_backward(nid, g, acc, [needs[i] for i in ins],
-                                          vals, y, saved.pop(nid))
+                self._recurrence_backward(nid, g, acc, [needs[i] for i in ins], held)
             else:  # pragma: no cover
                 raise NumgradError(f"unknown op {kind}")
 
@@ -697,17 +687,16 @@ class Graph:
         return out_grads
 
     def _recurrence_backward(self, nid: int, g: np.ndarray, acc, need: list[bool],
-                             vals: list, y: np.ndarray, saved: tuple) -> None:
-        """BPTT through one `recurrence` node, given the node values, its
-        output `y` and what its forward saved: each step back carries only the
-        state gradient through the cell's step VJP, for every model at once.
-        Then each model's input gradient and the input and state row blocks
-        of each weight are one product each over exactly that model's rows,
-        put back in the stored [x; h] row layout."""
+                             saved: tuple) -> None:
+        """BPTT through one `recurrence` node from what its forward saved (`x`,
+        `h0`, the states `y`, the split weights and each step's intermediates):
+        each step back carries only the state gradient through the cell's step
+        VJP, for every model at once. Then each model's input gradient and the
+        input and state row blocks of each weight are one product each over
+        exactly that model's rows, put back in the stored [x; h] row layout."""
         ins = self._inputs[nid]
         kind = self._aux[nid]
-        x, h0 = vals[ins[0]], vals[ins[1]]
-        w_in, state, steps, rows = saved
+        x, h0, y, w_in, state, steps, rows = saved
         B, vjp = h0.shape[-2], CELL_VJPS[kind]
         carry, da, h_new = None, None, y[..., -B:, :]
         for t in range(len(steps) - 1, -1, -1):

@@ -189,22 +189,26 @@ def share(fraction: float, n: int) -> int:
     return int(np.floor(fraction * n))
 
 
+def split_sizes(fractions: tuple[float, float, float], n: int) -> dict[str, int]:
+    """The size of each split (`SPLIT_TAGS`) of `n` examples: `fractions` are
+    whole-dataset shares of the first three tags (floor rule); the remainder
+    is the test split. Raises TaskError unless the fractions are nonnegative
+    and sum to <= 1."""
+    if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
+        raise TaskError("split fractions must be nonnegative and sum to <= 1")
+    sizes = [share(f, n) for f in fractions]
+    return dict(zip(SPLIT_TAGS, [*sizes, n - sum(sizes)]))
+
+
 def split_dataset(ds: SequenceDataset, fractions: tuple[float, float, float],
                   seed: int) -> SequenceDataset:
     """Tag every example with one of base_train / meta_unlabeled / ssl_labeled /
-    test. `fractions` are whole-dataset shares of the first three tags (floor
-    rule); the remainder is the test split."""
-    if min(fractions) < 0 or sum(fractions) > 1.0 + 1e-12:
-        raise TaskError("split fractions must be nonnegative and sum to <= 1")
-    n = len(ds)
-    order = np.random.default_rng(seed).permutation(n)
-    cuts = np.cumsum([share(f, n) for f in fractions])
-    ds.splits = {
-        "base_train": [int(i) for i in order[:cuts[0]]],
-        "meta_unlabeled": [int(i) for i in order[cuts[0]:cuts[1]]],
-        "ssl_labeled": [int(i) for i in order[cuts[1]:cuts[2]]],
-        "test": [int(i) for i in order[cuts[2]:]],
-    }
+    test, in the sizes `split_sizes` gives, after one seeded permutation."""
+    sizes = split_sizes(fractions, len(ds))
+    order = np.random.default_rng(seed).permutation(len(ds))
+    cuts = np.cumsum([0, *sizes.values()])
+    ds.splits = {tag: [int(i) for i in order[lo:hi]]
+                 for tag, lo, hi in zip(SPLIT_TAGS, cuts, cuts[1:])}
     return ds
 
 

@@ -285,6 +285,28 @@ def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys, keys, 
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
 
 
+@pytest.mark.parametrize("key,written,repeated", [
+    ("seed", '{"seed": 5,', '{"seed": 7, "seed": 5,'),
+    ("count", '{"task": "valence", "count": 2,', '{"task": "valence", "count": 3, "count": 2,'),
+], ids=["top_level", "population_entry"])
+def test_repeated_config_key_is_config_error(tmp_path, monkeypatch, capsys, key, written,
+                                             repeated):
+    # json.loads keeps the last of a repeated key: the file ran as the one
+    # without the first, under the same run_<hash>
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(_mini_config())
+    assert text.count(written) == 1
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert load_config(path)[1] == config_hash(_mini_config())
+    path.write_text(text.replace(written, repeated))
+    capsys.readouterr()
+    assert _run("gen-data", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"repeats key {key!r}" in err
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
+
+
 # one value per key, each unlike TrainConfig's default
 _TRAINING_VALUES = {
     "lr": 0.5, "batch_size": 3, "epochs": 3, "max_steps": 3, "lambda": 0.5}
@@ -1339,9 +1361,23 @@ def _drop_base_model_id(ck):
     ck.write_text(json.dumps(manifest))
 
 
+def _trailing_blob_bytes(ck):  # a stale or appended blob: bytes no tensor covers
+    blob = ck.with_suffix(".bin")
+    blob.write_bytes(blob.read_bytes() + bytes(4))
+
+
+def _tensor_listed_twice(ck):  # the copy, at its own byte range, would replace the first
+    manifest, blob = json.loads(ck.read_text()), ck.with_suffix(".bin")
+    first, raw = manifest["tensors"][0], blob.read_bytes()
+    manifest["tensors"].append(dict(first, offset=len(raw)))
+    blob.write_bytes(raw + raw[first["offset"]:first["offset"] + first["length"]])
+    ck.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_truncate_json, _drop_manifest_key,
                                      _shape_length_mismatch, _nonfinite_value,
-                                     _drop_base_model_id])
+                                     _drop_base_model_id, _trailing_blob_bytes,
+                                     _tensor_listed_twice])
 def test_corrupt_meta_checkpoint_is_io_failure(pipeline, tmp_path, corrupt):
     path, out = pipeline
     run = tmp_path / "run"

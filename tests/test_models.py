@@ -401,10 +401,10 @@ def test_rollout_batch_matches_the_recurrence_states(kind, meta, seed, data):
     if meta:
         bind["theta_rows"] = np.tile(theta, (T, 1))
         x = g.concat(g.leaf("theta_rows", (T * B, d), param=False), x)
-    states = cell_step_graph(g, kind, refs, x, g.const(np.zeros((B, 4))))
+    states = g.mark("states", cell_step_graph(g, kind, refs, x, g.const(np.zeros((B, 4)))))
     g.output(g.reduce_sum(states))
     g.forward(bind)
-    want = g.value(states).reshape(T, B, 4)
+    want = g.value("states").reshape(T, B, 4)
     hiddens, _ = rollout_batch(model, tokens, theta=theta, task_group=0, lengths=lengths)
     valid = np.arange(T)[:, None] < lengths[None, :]  # the node steps through padding
     got, want = hiddens[valid], want[valid]

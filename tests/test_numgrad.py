@@ -931,6 +931,9 @@ def test_dropped_values_leave_gradients_bitwise_unchanged(ops, B, H, seed, data)
         for nid in range(len(g._kinds)) if mark_all else ():
             g.mark(f"n{nid}", nid)
         out = g.forward(point)
+        # backward reads what its nodes saved: only the output and the marks outlive forward
+        assert {nid for nid, v in enumerate(g._values) if v is not None} == {
+            g._out, *g._marks.values()}
         dropped = sum(v is None for v in g._values)
         return out, g.backward(), dropped
 
@@ -963,11 +966,14 @@ def test_value_of_a_dropped_node_is_an_error():
     g = Graph()
     x = g.leaf("x", (2, 2))
     a = g.affine(x, 2.0)
-    g.output(g.reduce_sum(g.tanh(a)))  # tanh's backward reads its output, not `a`
+    g.output(g.reduce_sum(g.tanh(a)))  # only a mark set before forward outlives it
     point = {"x": np.array([[0.1, -0.2], [0.3, 0.4]])}
     g.forward(point)
-    with pytest.raises(NumgradError, match=f"node {a} \\(affine\\)"):
-        g.value(a)
+    for ref in ("a", a):  # an unknown name, and the node-id form, which is gone
+        with pytest.raises(NumgradError, match="no node marked"):
+            g.value(ref)
     g.mark("a", a)  # a mark keeps the value from the next forward on
+    with pytest.raises(NumgradError, match="no node marked 'a'"):
+        g.value("a")
     g.forward(point)
     assert np.array_equal(g.value("a"), 2.0 * point["x"])
