@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import MetaModel, final_logits, model_inputs, pad_tokens, rollout_batch
+from .models import MetaModel, final_logits, model_inputs, rollout_batch
 from .tasks import SequenceDataset
 from .trainer import task_batch, task_loss_graph
 
@@ -100,7 +100,7 @@ def grid_accuracies(meta: MetaModel, thetas: np.ndarray, task_group: int,
     if not idxs:
         raise AtlasError("empty split 'test'")
     inputs, lengths = model_inputs(meta, ds, idxs)
-    labels = ds.subset(idxs)[1]
+    labels = ds.labels[idxs]
     if lengths is not None:
         # rows longest first, so rollout_batch has no permutation to undo
         order = np.argsort(-lengths, kind="stable")
@@ -219,7 +219,7 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
         raise AtlasError("empty split 'ssl_labeled'")
     inputs, lengths = model_inputs(meta, ds, idxs)
     g, bindings = task_batch(lambda T, B: task_loss_graph(meta, T, B, task_group),
-                             meta, inputs, lengths, ds.subset(idxs)[1], task_group)
+                             meta, inputs, lengths, ds.labels[idxs], task_group)
 
     def loss_at(th):
         bindings["theta"] = th[None, :]
@@ -252,12 +252,11 @@ def ssl_optimize(meta: MetaModel, task_group: int, ds: SequenceDataset,
 # -- pairwise representation baseline (SVCCA + classical MDS) ---------------------
 
 
-def hidden_state_matrix(model, sequences: list[list[int]]) -> np.ndarray:
-    """A base model's hidden states over a common sequence set, rows ordered
-    by (seq, t)."""
+def hidden_state_matrix(model, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A base model's hidden states over a common sequence set (`ds.rows`),
+    rows ordered by (seq, t)."""
     if model.cell_kind == "residual_mlp":
         raise AtlasError("the SVCCA baseline compares recurrent hidden states")
-    tokens, lengths = pad_tokens(sequences)
     hs, _ = rollout_batch(model, tokens, lengths=lengths)
     return hs.swapaxes(0, 1)[np.arange(tokens.shape[1]) < lengths[:, None]]
 

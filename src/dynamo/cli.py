@@ -13,11 +13,12 @@ written>`; the remaining flags name what a command reads or adds (`--theta`,
 `--ids`, `--svcca`, `--score-map`).
 Every command checks the whole config as it loads it: each value against the
 schema, and each task and training section as its module builds it. The range
-checks include a finite value for every number (`_NUM`: no NaN or Infinity), a
-size of at least 1 (`_SIZE`, `fixed_points.candidates` and `score_grid` among
-them), a positive `ssl.lr` and `fixed_points.tol`, a
-`population[].train_fraction` in (0, 1], no `num_blocks` on a recurrent entry
-and a nonnegative `fixed_points.dedup_radius`. An empty `ssl_labeled` split
+checks include a finite value for every number (`_NUM`: no NaN or Infinity),
+an integer below 2**63, a size of at least 1 (`_SIZE`,
+`fixed_points.candidates` and `score_grid` among them), a positive `ssl.lr`
+and `fixed_points.tol`, a `population[].train_fraction` in (0, 1], no
+`num_blocks` on a recurrent entry and a nonnegative
+`fixed_points.dedup_radius`. An empty `ssl_labeled` split
 passes the load: only `ssl` reads it, so only `ssl` refuses it (exit 2, writing
 nothing), and a run that never calls `ssl` works.
 Checkpoints are a JSON manifest next to a blob of little-endian float32
@@ -99,9 +100,9 @@ class IOFailure(Exception):
 # one-element list holding the section of each list entry. _REQUIRED marks a
 # key the config must give. A default of None leaves the key out of the
 # resolved config, so that TrainConfig and trainer.init_meta_state supply it.
-# An int is at least 0; a _SIZE, an int that sizes an array, a grid or a
-# population entry, is at least 1; a _NUM is finite. No key takes a bool, and a
-# bool is refused where a number goes, though it subclasses int. A setting with
+# An int is at least 0 and below 2**63; a _SIZE, an int that sizes an array, a
+# grid or a population entry, is at least 1; a _NUM is finite. No key takes a
+# bool, and a bool is refused where a number goes, though it subclasses int. A setting with
 # one value in use is a constant where it is read (`trainer.WEIGHT_DECAY`).
 
 _REQUIRED = object()
@@ -173,6 +174,8 @@ def _resolve_value(val, kind, where: str):
         low = int(kind is _SIZE)
         if val < low:
             raise ConfigError(f"{where} must be >= {low}")
+        if val >= 2**63:  # numpy and `tasks.share` read it as an int64 or a float
+            raise ConfigError(f"{where} must be < 2**63")
     return val
 
 
@@ -322,8 +325,8 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by `save_checkpoint`. Raises IOFailure on a
     missing file, bad JSON, a missing index key, a tensor whose byte range
     does not fit its shape, an index whose ranges do not tile the blob (a
-    gap, an overlap or trailing bytes) or that lists a name twice, or a value
-    that is not finite."""
+    gap, an overlap or trailing bytes) or that lists a name twice or a name
+    that is not a string, or a value that is not finite."""
     prefix = Path(prefix)
     try:
         raw = prefix.with_suffix(".json").read_bytes()
@@ -334,12 +337,12 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(raw)
         index = [(e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"]),
                   int(e["length"])) for e in manifest["tensors"]]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise IOFailure(f"corrupt checkpoint manifest {prefix}.json: {e!r}") from e
     tensors, end = {}, 0  # in offset order, each range starts where the last ended
     for name, shape, lo, length in sorted(index, key=lambda entry: entry[2]):
         if (min(shape, default=0) < 0 or length != 4 * math.prod(shape) or lo != end
-                or lo + length > len(blob) or name in tensors):
+                or lo + length > len(blob) or not isinstance(name, str) or name in tensors):
             raise IOFailure(f"corrupt tensor index in {prefix}")
         end = lo + length
         flat = np.frombuffer(blob[lo:end], dtype="<f4").astype(np.float64)
@@ -675,8 +678,8 @@ def cmd_analyze(args) -> int:
         outputs["landscape.csv"] = atlas_mod.grid_table(grid)
 
     if svcca_bases:
-        seqs, _ = ds.subset(ds.indices("test")[:an["svcca_sequences"]])
-        D = atlas_mod.svcca_distances([atlas_mod.hidden_state_matrix(b, seqs)
+        rows = ds.rows(ds.indices("test")[:an["svcca_sequences"]])
+        D = atlas_mod.svcca_distances([atlas_mod.hidden_state_matrix(b, *rows)
                                        for b in svcca_bases], atlas_mod.SVCCA_DIMS)
         coords_mds = atlas_mod.classical_mds(D, MDS_DIM)
         svcca_labels = [b.info.get("train_fraction") for b in svcca_bases]
@@ -761,10 +764,9 @@ def cmd_fixed_points(args) -> int:
                           "has none")
     label, theta = _resolve_theta(args.theta, state, run.mf)
     pool = ds.indices("meta_unlabeled")[:CANDIDATE_SEQUENCES]
-    seqs, _ = ds.subset(pool)
     n_cand = fp["candidates"]
-    per_seq = int(np.ceil(n_cand / len(seqs)))  # the load refuses an empty meta_unlabeled
-    cands = dyn.collect_candidates(state.meta, theta, seqs, per_seq,
+    per_seq = int(np.ceil(n_cand / len(pool)))  # the load refuses an empty meta_unlabeled
+    cands = dyn.collect_candidates(state.meta, theta, *ds.rows(pool), per_seq,
                                    task_group=group, seed=derived_seed(seed, 3))
     cands = cands[:n_cand]
     fps = dyn.find_fixed_points(state.meta, theta, candidates=cands, tol=fp["tol"],
@@ -782,7 +784,7 @@ def cmd_fixed_points(args) -> int:
     if args.score_map:
         gsz = fp["score_grid"]
         plane = atlas_mod.plane_grid(state.embeddings[run.task_rows(task_name)], (gsz, gsz))
-        grid = dyn.score_map(state.meta, group, plane, seqs[:16], ds.valence,
+        grid = dyn.score_map(state.meta, group, plane, *ds.rows(pool[:16]), ds.valence,
                              samples_per_seq=SCORE_MAP_SAMPLES, tol=fp["tol"],
                              max_steps=min(fp["max_steps"], 2000),
                              dedup_radius=fp["dedup_radius"], seed=derived_seed(seed, 4))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import atlas as atlas_mod
-from .models import MetaModel, cell_step, pad_tokens, project_inputs, readout_names, rollout_batch
+from .models import MetaModel, cell_step, project_inputs, readout_names, rollout_batch
 from .numgrad import CELL_VJPS, CELLS, NumericError
 
 
@@ -88,14 +88,14 @@ def _require_recurrent(model) -> None:
         raise DynamicsError("fixed-point analysis applies to recurrent cells")
 
 
-def collect_candidates(model, theta, sequences: list[list[int]],
+def collect_candidates(model, theta, tokens: np.ndarray, lengths: np.ndarray,
                        samples_per_seq: int, task_group: int | None, seed: int) -> np.ndarray:
-    """Hidden states subsampled uniformly across time from rollouts."""
+    """Hidden states subsampled uniformly across time from rollouts of the
+    sequences `ds.rows` gives as `tokens` and `lengths`."""
     _require_recurrent(model)
-    if not sequences:
+    if not len(lengths):
         raise DynamicsError("empty candidate batch")
     rng = np.random.default_rng(seed)
-    tokens, lengths = pad_tokens(sequences)
     hs, _ = rollout_batch(model, tokens, theta, task_group, lengths=lengths)
     return np.concatenate([hs[rng.integers(0, n, size=samples_per_seq), b]
                            for b, n in enumerate(lengths)], axis=0)
@@ -259,7 +259,7 @@ def word_score(meta: MetaModel, theta: np.ndarray, h_star: np.ndarray,
 
 
 def score_map(meta: MetaModel, task_group: int, plane: atlas_mod.PlaneGrid,
-              sequences: list[list[int]], valence: np.ndarray,
+              tokens: np.ndarray, lengths: np.ndarray, valence: np.ndarray,
               samples_per_seq: int, tol: float, max_steps: int, dedup_radius: float,
               seed: int) -> atlas_mod.PlaneGrid:
     """Fill the `score` column of `plane` (`atlas.plane_grid`) with the word
@@ -269,7 +269,7 @@ def score_map(meta: MetaModel, task_group: int, plane: atlas_mod.PlaneGrid,
     marked NaN. Every node's candidates descend in one `fixed_point_sets`
     batch."""
     thetas = plane.thetas
-    cands = [collect_candidates(meta, theta, sequences, samples_per_seq,
+    cands = [collect_candidates(meta, theta, tokens, lengths, samples_per_seq,
                                 task_group=task_group, seed=seed) for theta in thetas]
     sets = fixed_point_sets(meta, thetas, cands, tol, max_steps, dedup_radius)
     scores = np.full((len(plane.us), len(plane.vs)), np.nan)

@@ -14,10 +14,11 @@ each projects its own block of rows, so graph and numpy forward values
 agree to rounding.
 `rollout_batch` is the only numpy rollout loop: it runs either
 family, ragged token batches by length, one embedding per row, and selects
-the readout head; every other numpy evaluation calls it. `unroll_graph`
-builds every training and embedding-search graph: one `recurrence` node over
-a time-major `tokens` leaf, or residual blocks through `cell_step_graph`;
-`input_bindings` alone binds its input leaves.
+the readout head; every other numpy evaluation calls it, on token batches
+from `SequenceDataset.rows`. `unroll_graph` builds every training and
+embedding-search graph: one `recurrence` node over a time-major `tokens`
+leaf, or residual blocks through `cell_step_graph`; `input_bindings` alone
+binds its input leaves.
 """
 from __future__ import annotations
 
@@ -119,21 +120,13 @@ def readout_names(model, task_group: int | None = None) -> tuple[str, str]:
     return f"head{task_group}_w", f"head{task_group}_b"
 
 
-def pad_tokens(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a ragged token batch with token 0; returns (B, T) ids and lengths."""
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    mat = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
-    for b, s in enumerate(sequences):
-        mat[b, :len(s)] = s
-    return mat, lengths
-
-
 def model_inputs(model, ds: SequenceDataset, idxs) -> tuple[np.ndarray, np.ndarray | None]:
-    """Dataset rows as `rollout_batch` inputs: padded token ids and lengths
-    for recurrent cells, bag-of-token features (lengths None) for residual."""
+    """Dataset rows as `rollout_batch` inputs: `ds.rows` (padded token ids
+    and lengths) for recurrent cells, bag-of-token features (lengths None)
+    for residual."""
     if model.cell_kind == "residual_mlp":
         return bag_of_tokens(ds, idxs), None
-    return pad_tokens([ds.sequences[i] for i in idxs])
+    return ds.rows(idxs)
 
 
 def rollout_batch(model, inputs: np.ndarray, theta: np.ndarray | None = None,

@@ -6,13 +6,16 @@ topic task labeled by the dominant token block (>= 3 classes, to exercise a
 second readout head). Both are pure functions of their seed: each draws
 blocks of attempts with `np.random.default_rng(seed)`'s bulk calls and keeps
 the ones its task accepts.
+
+A dataset holds its sequences as int64 arrays from the draw on: `tokens` (N,
+longest), each row zero past its `lengths` entry, and `labels` (N,);
+`SequenceDataset.rows` slices from them the batch `rollout_batch` takes.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +63,9 @@ class SequenceDataset:
     kind: str
     vocab_size: int
     num_classes: int
-    sequences: list[list[int]]
-    labels: list[int]
+    tokens: np.ndarray  # (N, longest) int64, zero past each row's length
+    lengths: np.ndarray  # (N,) int64
+    labels: np.ndarray  # (N,) int64
     splits: dict[str, list[int]] = field(default_factory=dict)
     # one sign per token id, +1 positive, -1 negative, 0 neutral; None for a
     # task without valences
@@ -69,16 +73,18 @@ class SequenceDataset:
     seed: int = 0
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.lengths)
 
     def indices(self, tag: str) -> list[int]:
         if tag not in SPLIT_TAGS:
             raise TaskError(f"unknown split tag {tag!r}")
         return self.splits.get(tag, [])
 
-    def subset(self, idxs) -> tuple[list[list[int]], np.ndarray]:
-        return [self.sequences[i] for i in idxs], np.array(
-            [self.labels[i] for i in idxs], dtype=np.int64)
+    def rows(self, idxs) -> tuple[np.ndarray, np.ndarray]:
+        """The sequences `idxs`, in that order, as `rollout_batch` takes them:
+        (B, T) token ids zero-padded to the longest of them, and lengths."""
+        lengths = self.lengths[idxs]
+        return self.tokens[idxs, :lengths.max(initial=0)], lengths
 
     def base_train_subset(self, fraction: float) -> list[int]:
         """First floor(fraction * |base_train|) indices of the base share.
@@ -90,37 +96,43 @@ class SequenceDataset:
         return pool[:share(fraction, len(pool))]
 
 
+def padded(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sequences laid end to end in `flat` as one int64 row each, in order,
+    zero-padded to the longest of `lengths`."""
+    mat = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
+    mat[np.arange(mat.shape[1]) < lengths[:, None]] = flat
+    return mat
+
+
 _BLOCK = 1 << 10  # attempts drawn at once at most: gen-data's peak stays below train-base's
 
 
 def _accepted(rng: np.random.Generator, spec: TaskSpec,
-              draw) -> tuple[list[list[int]], list[int]]:
-    """The tokens and labels of the first `spec.num_sequences` attempts that
-    `draw` accepts, then exactly floor(noise_rate * num_sequences) labels
-    flipped to another class.
+              draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The padded tokens, lengths and labels of the first `spec.num_sequences`
+    attempts that `draw` accepts, then exactly floor(noise_rate *
+    num_sequences) labels flipped to another class.
 
     Attempts are drawn in blocks: their lengths by one `integers` call, then
     `draw(lengths, offsets, att)` draws every token of the block (attempt i's
     tokens at `offsets[i]`, `att` naming each token's attempt) and returns
     them, whether each attempt is accepted, and each attempt's label. A block
     holds a quarter more attempts than are still needed, at most `_BLOCK`."""
-    sequences, labels = [], []
-    while len(sequences) < spec.num_sequences:
-        need = spec.num_sequences - len(sequences)
+    flats, lengths, labels = [], [], []
+    while (need := spec.num_sequences - sum(map(len, labels))) > 0:
         size = min(_BLOCK, math.ceil(1.25 * need))
-        lengths = rng.integers(spec.t_min, spec.t_max + 1, size=size)
-        offsets = np.cumsum(lengths) - lengths
-        tokens, accepted, label = draw(lengths, offsets, np.repeat(np.arange(size), lengths))
-        kept = np.flatnonzero(accepted)[:need]
-        flat = tokens.tolist()
-        sequences += [flat[o:o + t] for o, t in zip(offsets[kept].tolist(),
-                                                    lengths[kept].tolist())]
-        labels += label[kept].tolist()
-    labels = np.array(labels, dtype=np.int64)
+        drawn = rng.integers(spec.t_min, spec.t_max + 1, size=size)
+        att = np.repeat(np.arange(size), drawn)
+        tokens, accepted, label = draw(drawn, np.cumsum(drawn) - drawn, att)
+        kept = accepted & (np.cumsum(accepted) <= need)
+        flats.append(tokens[kept[att]])
+        lengths.append(drawn[kept])
+        labels.append(label[kept])
+    labels, lengths = np.concatenate(labels), np.concatenate(lengths)
     flips = rng.permutation(spec.num_sequences)[:share(spec.noise_rate, spec.num_sequences)]
     labels[flips] = (labels[flips] + rng.integers(1, spec.num_classes, size=len(flips))
                      ) % spec.num_classes
-    return sequences, labels.tolist()
+    return padded(np.concatenate(flats), lengths), lengths, labels
 
 
 def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
@@ -139,8 +151,7 @@ def gen_valence_task(spec: TaskSpec) -> SequenceDataset:
         total = np.add.reduceat(signs[tokens], offsets)
         return tokens, total != 0, (total > 0).astype(np.int64)
 
-    sequences, labels = _accepted(rng, spec, draw)
-    return SequenceDataset("valence_sentiment", V, 2, sequences, labels,
+    return SequenceDataset("valence_sentiment", V, 2, *_accepted(rng, spec, draw),
                            valence=signs.astype(np.float64), seed=spec.seed)
 
 
@@ -172,9 +183,8 @@ def gen_topic_task(spec: TaskSpec) -> SequenceDataset:
         untied = (top > 0) & ((counts == top[:, None]).sum(axis=1) == 1)
         return tokens, untied, counts.argmax(axis=1)
 
-    sequences, labels = _accepted(rng, spec, draw)
-    return SequenceDataset("topic_classification", V, C, sequences,
-                           labels, valence=None, seed=spec.seed)
+    return SequenceDataset("topic_classification", V, C, *_accepted(rng, spec, draw),
+                           valence=None, seed=spec.seed)
 
 
 def generate(spec: TaskSpec) -> SequenceDataset:
@@ -214,12 +224,10 @@ def split_dataset(ds: SequenceDataset, fractions: tuple[float, float, float],
 
 def bag_of_tokens(ds: SequenceDataset, idxs) -> np.ndarray:
     """Length-normalized token count features, for the residual-MLP family."""
-    seqs = [ds.sequences[i] for i in idxs]
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
-    rows = np.repeat(np.arange(len(seqs)), lengths)
-    counts = np.bincount(rows * ds.vocab_size + tokens, minlength=len(seqs) * ds.vocab_size)
-    return counts.reshape(len(seqs), ds.vocab_size) / lengths[:, None]
+    tokens, lengths = ds.rows(idxs)
+    B, V = len(lengths), ds.vocab_size
+    ids = (np.arange(B)[:, None] * V + tokens)[np.arange(tokens.shape[1]) < lengths[:, None]]
+    return np.bincount(ids, minlength=B * V).reshape(B, V) / lengths[:, None]
 
 
 # -- file format ---------------------------------------------------------------
@@ -255,13 +263,15 @@ def save_dataset(ds: SequenceDataset, path: str | Path) -> None:
     `<path>.json` (manifest with vocab, classes, splits, seed and the valence
     signs as a token -> positive/negative/neutral map)."""
     path = Path(path)
-    names = {tok: str(tok) for tok in range(ds.vocab_size)}
-    try:
-        lines = [f"{lab}\t{','.join([names[t] for t in seq])}\n"
-                 for lab, seq in zip(ds.labels, ds.sequences)]
-    except KeyError as e:
-        raise TaskError(f"token {e.args[0]!r} is outside the vocabulary "
-                        f"[0, {ds.vocab_size})") from None
+    real = ds.tokens[np.arange(ds.tokens.shape[1]) < ds.lengths[:, None]]
+    outside = real[(real < 0) | (real >= ds.vocab_size)]
+    if outside.size:
+        raise TaskError(f"token {int(outside[0])} is outside the vocabulary "
+                        f"[0, {ds.vocab_size})")
+    names = [str(tok) for tok in range(ds.vocab_size)]
+    flat, ends = [names[t] for t in real.tolist()], np.cumsum(ds.lengths).tolist()
+    lines = [f"{lab}\t{','.join(flat[end - n:end])}\n"
+             for lab, end, n in zip(ds.labels.tolist(), ends, ds.lengths.tolist())]
     path.with_suffix(".txt").write_text("".join(lines))
     manifest = {
         "kind": ds.kind,
@@ -293,25 +303,19 @@ def load_dataset(path: str | Path) -> SequenceDataset:
         if any(len(parts) != 2 for parts in lines):
             raise ValueError("a line is not a label, a tab and the tokens")
         labels, texts = zip(*lines) if lines else ((), ())
-        lengths = [text.count(",") + 1 for text in texts]
+        lengths = np.array([text.count(",") + 1 for text in texts], dtype=np.int64)
         try:  # 256 lines a call, so few token strings live at once
             chunks = [np.array(",".join(texts[at:at + 256]).split(","), dtype=np.int64)
                       for at in range(0, len(texts), 256)]
             tokens = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
             label_ids = np.array(labels, dtype=np.int64)
-        except OverflowError:  # beyond int64, so beyond any range
-            tokens = label_ids = np.array([-1])
-        flat = tokens.tolist()
+        except OverflowError:  # beyond int64, so beyond any range: read as -1
+            tokens, label_ids = np.full(lengths.sum(), -1), np.full(len(labels), -1)
         valence = [(int(k), v) for k, v in (manifest.get("valence") or {}).items()]
         ds = SequenceDataset(
-            kind=manifest["kind"],
-            vocab_size=manifest["vocab_size"],
-            num_classes=manifest["num_classes"],
-            sequences=[flat[end - n:end] for end, n in zip(accumulate(lengths), lengths)],
-            labels=label_ids.tolist(),
-            splits={k: list(v) for k, v in manifest.get("splits", {}).items()},
-            seed=manifest["seed"],
-        )
+            manifest["kind"], manifest["vocab_size"], manifest["num_classes"],
+            padded(tokens, lengths), lengths, label_ids, seed=manifest["seed"],
+            splits={k: list(v) for k, v in manifest.get("splits", {}).items()})
         listed, n = [i for idxs in ds.splits.values() for i in idxs], len(ds)
         in_range = (all(0 <= x.min() and x.max() < top for x, top in
                         ((tokens, ds.vocab_size), (label_ids, ds.num_classes)) if x.size)

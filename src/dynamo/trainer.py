@@ -362,7 +362,7 @@ def model_accuracy(model: BaseModel, ds: SequenceDataset) -> float:
         raise TrainerError("empty split 'test'")
     inputs, lengths = models.model_inputs(model, ds, idxs)
     logits = final_logits(model, inputs, lengths=lengths)
-    return float((logits.argmax(axis=1) == ds.subset(idxs)[1]).mean())
+    return float((logits.argmax(axis=1) == ds.labels[idxs]).mean())
 
 
 def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
@@ -397,7 +397,7 @@ def train_base(bases: list[BaseModel], ds: SequenceDataset, cfg: TrainConfig,
     build = cache(lambda T, B: task_loss_graph(first, T, B, leaves=leaves,
                                                workspace=workspace))
     inputs, lengths = models.model_inputs(first, ds, idxs)
-    labels = ds.subset(idxs)[1]
+    labels = ds.labels[idxs]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n_batches = int(np.ceil(len(idxs) / cfg.batch_size))
     total_steps = max(1, cfg.epochs * n_batches)

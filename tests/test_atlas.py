@@ -405,8 +405,7 @@ def test_silhouette_refuses_singleton_clusters():
 
 def test_hidden_state_matrix_shapes():
     m = init_base_model("gru", 12, 3, 5, 2, 0, seed=1)
-    seqs = [[1, 2, 3], [4, 5]]
-    acts = hidden_state_matrix(m, seqs)
+    acts = hidden_state_matrix(m, np.array([[1, 2, 3], [4, 5, 0]]), np.array([3, 2]))
     assert acts.shape == (5, 5)
 
 

@@ -256,20 +256,21 @@ def _set_key(cfg, keys, value):
     cfg[key] = value
 
 
-def _number_keys(section, prefix=()):
-    """The path of each `_NUM` key of a schema section, a list's entry as 0."""
+def _keys_of(kinds, section, prefix=()):
+    """The path of each key of a schema section whose type is one of `kinds`
+    (by identity), a list's entry as 0."""
     for key, (kind, _) in section.items():
         if isinstance(kind, list):
-            yield from _number_keys(kind[0], (*prefix, key, 0))
+            yield from _keys_of(kinds, kind[0], (*prefix, key, 0))
         elif isinstance(kind, dict):
-            yield from _number_keys(kind, (*prefix, key))
-        elif kind is cli._NUM:
+            yield from _keys_of(kinds, kind, (*prefix, key))
+        elif any(kind is k for k in kinds):
             yield (*prefix, key)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "minus_inf"])
-@pytest.mark.parametrize("keys", list(_number_keys(cli._CONFIG)),
+@pytest.mark.parametrize("keys", list(_keys_of((cli._NUM,), cli._CONFIG)),
                          ids=lambda keys: ".".join(map(str, keys)))
 def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys, keys, value):
     # JSON's NaN and Infinity parse as floats: a NaN split fraction escaped
@@ -282,6 +283,22 @@ def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys, keys, 
     assert _run("gen-data", "--config", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "must be a finite number" in err
+    assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
+
+
+@pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+@pytest.mark.parametrize("keys", list(_keys_of((int, cli._SIZE), cli._CONFIG)),
+                         ids=lambda keys: ".".join(map(str, keys)))
+def test_integer_past_int64_is_config_error(tmp_path, monkeypatch, capsys, keys, value):
+    # a count past a float's range escaped `tasks.share` as an OverflowError
+    monkeypatch.chdir(tmp_path)
+    cfg = _mini_config()
+    _set_key(cfg, keys, value)
+    path = _write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert _run("gen-data", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be < 2**63" in err
     assert sorted(tmp_path.iterdir()) == [path]  # no run_<hash> written
 
 
@@ -1374,10 +1391,35 @@ def _tensor_listed_twice(ck):  # the copy, at its own byte range, would replace 
     ck.write_text(json.dumps(manifest))
 
 
+def _set_first_entry(ck, key, text):
+    """Set the first tensor index entry's `key` to the JSON `text`."""
+    manifest = json.loads(ck.read_text())
+    manifest["tensors"][0][key] = "@"
+    ck.write_text(json.dumps(manifest).replace('"@"', text))
+
+
+def _list_as_tensor_name(ck):  # an unhashable name escaped as a TypeError
+    _set_first_entry(ck, "name", '["a"]')
+
+
+def _dict_as_tensor_name(ck):
+    _set_first_entry(ck, "name", '{"x": 1}')
+
+
+def _shape_past_float(ck):  # json reads 1e999 as inf, and int(inf) overflows
+    _set_first_entry(ck, "shape", "[1e999]")
+
+
+def _offset_past_float(ck):
+    _set_first_entry(ck, "offset", "1e999")
+
+
 @pytest.mark.parametrize("corrupt", [_truncate_json, _drop_manifest_key,
                                      _shape_length_mismatch, _nonfinite_value,
                                      _drop_base_model_id, _trailing_blob_bytes,
-                                     _tensor_listed_twice])
+                                     _tensor_listed_twice, _list_as_tensor_name,
+                                     _dict_as_tensor_name, _shape_past_float,
+                                     _offset_past_float])
 def test_corrupt_meta_checkpoint_is_io_failure(pipeline, tmp_path, corrupt):
     path, out = pipeline
     run = tmp_path / "run"

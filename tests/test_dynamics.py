@@ -114,18 +114,20 @@ def test_empty_result_is_valid():
 
 def test_collect_candidates_counts_and_determinism():
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=5)
-    seqs = [[1, 2, 3, 4], [5, 6, 7]] * 5
-    c1 = collect_candidates(meta, np.zeros(2), seqs, 1, task_group=0, seed=4)
+    rows = np.array([[1, 2, 3, 4], [5, 6, 7, 0]] * 5), np.array([4, 3] * 5)
+    c1 = collect_candidates(meta, np.zeros(2), *rows, 1, task_group=0, seed=4)
     assert c1.shape == (10, 4)
-    c2 = collect_candidates(meta, np.zeros(2), seqs, 1, task_group=0, seed=4)
+    c2 = collect_candidates(meta, np.zeros(2), *rows, 1, task_group=0, seed=4)
     assert np.array_equal(c1, c2)
     with pytest.raises(DynamicsError):
-        collect_candidates(meta, np.zeros(2), [], 1, task_group=0, seed=0)
+        collect_candidates(meta, np.zeros(2), np.zeros((0, 0), dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), 1, task_group=0, seed=0)
 
 
 def test_collect_candidates_degenerate_zero_dynamics():
     meta = _contraction_meta()
-    cands = collect_candidates(meta, np.zeros(2), [[1, 2, 3]], 5, task_group=0, seed=0)
+    cands = collect_candidates(meta, np.zeros(2), np.array([[1, 2, 3]]), np.array([3]), 5,
+                               task_group=0, seed=0)
     assert np.allclose(cands, 0.0)
 
 
@@ -285,20 +287,20 @@ def test_word_score_needs_a_binary_head():
 def test_score_map_single_node_matches_direct_call(tmp_path):
     meta = _contraction_meta(seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
-    seqs = [[1, 2, 3], [4, 5, 6]]
+    rows = np.array([[1, 2, 3], [4, 5, 6]]), np.array([3, 3])
     valence = _signs(8, [0], [2])
-    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), seqs, valence,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), *rows, valence,
                      samples_per_seq=2, tol=1e-5, max_steps=5000,
                      dedup_radius=1e-2, seed=1)
     theta = grid.theta_at(grid.us[0], grid.vs[0])
-    cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=1)
+    cands = collect_candidates(meta, theta, *rows, 2, task_group=0, seed=1)
     fps = find_fixed_points(meta, theta, cands, tol=1e-5, max_steps=5000,
                             dedup_radius=1e-2)
     h_star = neutral_fixed_point(fps, meta, 0)
     want = word_score(meta, theta, h_star, valence, 0)
     assert grid.values["score"][0, 0] == pytest.approx(want)
 
-    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), seqs, valence,
+    grid2 = score_map(meta, 0, plane_grid(base_thetas, (1, 1)), *rows, valence,
                       samples_per_seq=2, tol=1e-5, max_steps=5000,
                       dedup_radius=1e-2, seed=1)
     assert np.array_equal(grid.values["score"], grid2.values["score"])
@@ -309,17 +311,18 @@ def test_score_map_grid_matches_per_node_calls():
     # bitwise, what its own find_fixed_points call gives
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=7)
     base_thetas = np.array([[0.6, 0.1], [-0.5, 0.2], [0.1, -0.7]])
-    seqs = [[1, 2, 3, 4], [5, 6, 7], [2, 2, 0, 1, 3]]
+    rows = (np.array([[1, 2, 3, 4, 0], [5, 6, 7, 0, 0], [2, 2, 0, 1, 3]]),
+            np.array([4, 3, 5]))
     valence = _signs(8, [0, 1], [2])
     kw = dict(tol=1e-4, max_steps=60, dedup_radius=1e-3)
-    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3)), seqs, valence,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (3, 3)), *rows, valence,
                      samples_per_seq=2, seed=2, **kw)
     want = np.full((3, 3), np.nan)
     steps = set()
     for i, u in enumerate(grid.us):
         for j, v in enumerate(grid.vs):
             theta = grid.theta_at(u, v)
-            cands = collect_candidates(meta, theta, seqs, 2, task_group=0, seed=2)
+            cands = collect_candidates(meta, theta, *rows, 2, task_group=0, seed=2)
             fps = find_fixed_points(meta, theta, cands, **kw)
             steps.update(fps.descent_steps.tolist())
             if len(fps):
@@ -462,8 +465,8 @@ def test_find_fixed_points_runs_one_cell_step_and_vjp_per_iteration(monkeypatch,
 def test_score_map_missing_marker_round_trips(tmp_path):
     meta = init_meta_model("gru", 8, 3, 4, 2, {0: 2}, seed=4)
     base_thetas = np.array([[0.2, 0.0], [-0.2, 0.0]])
-    grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2)), [[1, 2]],
-                     _signs(8, [0], [2]), samples_per_seq=1, tol=1e-15, max_steps=0,
+    grid = score_map(meta, 0, plane_grid(base_thetas, (2, 2)), np.array([[1, 2]]),
+                     np.array([2]), _signs(8, [0], [2]), samples_per_seq=1, tol=1e-15, max_steps=0,
                      dedup_radius=1e-2, seed=1)
     assert list(grid.values) == ["score"]
     assert np.all(np.isnan(grid.values["score"]))

@@ -17,7 +17,6 @@ from dynamo.models import (
     init_meta_model,
     init_state_map,
     input_bindings,
-    pad_tokens,
     residual_block_step,
     rollout,
     rollout_batch,
@@ -227,7 +226,7 @@ def test_rollout_batch_matches_single():
 def test_final_logits_ragged():
     m = init_base_model("gru", 8, 3, 4, 2, 0, seed=6)
     seqs = [[1, 2, 3], [4, 5], [6, 1, 2]]
-    tokens, lengths = pad_tokens(seqs)
+    tokens, lengths = np.array([[1, 2, 3], [4, 5, 0], [6, 1, 2]]), np.array([3, 2, 3])
     out = final_logits(m, tokens, lengths=lengths)
     for i, s in enumerate(seqs):
         _, logits = rollout(m, s)

@@ -17,6 +17,7 @@ from dynamo.tasks import (
     gen_valence_task,
     generate,
     load_dataset,
+    padded,
     save_dataset,
     split_dataset,
     write_csv,
@@ -37,11 +38,34 @@ def _topic_spec(**kw):
     return TaskSpec(**base)
 
 
+def _dataset(V, C, sequences, labels, **kw) -> SequenceDataset:
+    """A valence-kind dataset of the given token lists, laid out as the
+    generators and the loader lay one out."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    flat = np.array([t for seq in sequences for t in seq], dtype=np.int64)
+    return SequenceDataset("valence_sentiment", V, C, padded(flat, lengths), lengths,
+                           np.array(labels, dtype=np.int64), **kw)
+
+
+def _sequences(ds) -> list[list[int]]:
+    """Each sequence of `ds` as the list of its token ids."""
+    return [row[:n].tolist() for row, n in zip(ds.tokens, ds.lengths)]
+
+
+def _assert_layout(ds):
+    """int64 arrays, one token row per length and label, each zero past its
+    length and the longest row unpadded."""
+    assert ds.tokens.dtype == ds.lengths.dtype == ds.labels.dtype == np.int64
+    assert ds.tokens.shape == (len(ds.lengths), ds.lengths.max(initial=0))
+    assert ds.labels.shape == ds.lengths.shape
+    assert not ds.tokens[np.arange(ds.tokens.shape[1]) >= ds.lengths[:, None]].any()
+
+
 def test_valence_labels_match_token_values():
     ds = gen_valence_task(_valence_spec())
     vals = ds.valence
     assert vals.shape == (ds.vocab_size,) and set(vals) == {1.0, -1.0, 0.0}
-    for seq, lab in zip(ds.sequences, ds.labels):
+    for seq, lab in zip(_sequences(ds), ds.labels):
         total = vals[np.array(seq)].sum()
         assert total != 0.0  # zero-sum sequences are regenerated
         assert lab == (1 if total > 0 else 0)
@@ -61,7 +85,7 @@ def test_valence_all_positive_tokens_label_one():
 def test_valence_noise_flips_exact_fraction(generate, spec):
     clean = generate(spec(noise_rate=0.0))
     noisy = generate(spec(noise_rate=0.1))
-    assert clean.sequences == noisy.sequences
+    assert _sequences(clean) == _sequences(noisy)
     flipped = [(a, b) for a, b in zip(clean.labels, noisy.labels) if a != b]
     assert len(flipped) == 20  # floor(0.1 * 200)
     # a flipped label is another class of the task
@@ -90,7 +114,7 @@ def test_topic_labels_are_argmax_without_ties():
     ds = gen_topic_task(_topic_spec())
     C = ds.num_classes
     block = ds.vocab_size // (C + 1)
-    for seq, lab in zip(ds.sequences, ds.labels):
+    for seq, lab in zip(_sequences(ds), ds.labels):
         counts = np.zeros(C, dtype=int)
         for t in seq:
             if t < C * block:
@@ -156,8 +180,9 @@ def test_round_trip_serialization(tmp_path):
     split_dataset(ds, (0.4, 0.4, 0.02), seed=1)
     save_dataset(ds, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
-    assert back.sequences == ds.sequences
-    assert back.labels == ds.labels
+    assert back.tokens.tobytes() == ds.tokens.tobytes()
+    assert back.lengths.tobytes() == ds.lengths.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
     assert back.splits == ds.splits
     assert back.valence.tobytes() == ds.valence.tobytes()
     assert back.vocab_size == ds.vocab_size
@@ -171,9 +196,19 @@ def test_load_missing_file_raises(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
+def test_rows_trim_to_the_longest_selected_row_in_idxs_order():
+    ds = _dataset(9, 2, [[1, 2, 3, 4, 5], [6], [7, 8], [3, 3, 3]], [0, 1, 0, 1])
+    tokens, lengths = ds.rows([2, 1, 3, 2])
+    assert tokens.tolist() == [[7, 8, 0], [6, 0, 0], [3, 3, 3], [7, 8, 0]]
+    assert lengths.tolist() == [2, 1, 3, 2]
+    assert tokens.dtype == lengths.dtype == np.int64
+    assert ds.rows(np.array([0]))[0].tolist() == [[1, 2, 3, 4, 5]]
+    tokens, lengths = ds.rows([])
+    assert tokens.shape == (0, 0) and lengths.shape == (0,)
+
+
 def test_bag_of_tokens_features():
-    ds = SequenceDataset("valence_sentiment", 6, 2,
-                         sequences=[[0, 0, 1], [5, 5]], labels=[1, 0])
+    ds = _dataset(6, 2, [[0, 0, 1], [5, 5]], [1, 0])
     feats = bag_of_tokens(ds, [0, 1])
     assert np.allclose(feats[0], [2 / 3, 1 / 3, 0, 0, 0, 0])
     assert np.allclose(feats[1], [0, 0, 0, 0, 0, 1.0])
@@ -182,7 +217,7 @@ def test_bag_of_tokens_features():
 def test_bag_of_tokens_matches_per_row_counts_bitwise():
     rng = np.random.default_rng(5)
     seqs = [list(rng.integers(0, 9, size=rng.integers(1, 30))) for _ in range(40)]
-    ds = SequenceDataset("valence_sentiment", 9, 2, sequences=seqs, labels=[0] * 40)
+    ds = _dataset(9, 2, seqs, [0] * 40)
     idxs = [int(i) for i in rng.permutation(40)[:25]] + [3, 3]
     want = np.array([np.bincount(seqs[i], minlength=9) / len(seqs[i]) for i in idxs])
     assert bag_of_tokens(ds, idxs).tobytes() == want.tobytes()
@@ -239,18 +274,20 @@ def test_generators_obey_their_spec(spec):
     calls with one spec write identical files."""
     ds, V, C = generate(spec), spec.vocab_size, spec.num_classes
     assert (ds.kind, ds.vocab_size, ds.num_classes, ds.seed) == (spec.kind, V, C, spec.seed)
-    assert len(ds.sequences) == len(ds.labels) == spec.num_sequences
-    assert all(spec.t_min <= len(seq) <= spec.t_max for seq in ds.sequences)
-    assert all(type(t) is int and 0 <= t < V for seq in ds.sequences for t in seq)
-    assert all(type(lab) is int and 0 <= lab < C for lab in ds.labels)
+    _assert_layout(ds)
+    seqs = _sequences(ds)
+    assert len(seqs) == spec.num_sequences
+    assert all(spec.t_min <= len(seq) <= spec.t_max for seq in seqs)
+    assert all(0 <= t < V for seq in seqs for t in seq)
+    assert all(0 <= lab < C for lab in ds.labels)
     if spec.kind == "valence_sentiment":
-        totals = np.array([ds.valence[seq].sum() for seq in ds.sequences])
+        totals = np.array([ds.valence[seq].sum() for seq in seqs])
         assert np.all(totals != 0)
         rule = (totals > 0).astype(int)
     else:
         block = V // (C + 1)
         counts = np.array([np.bincount([t // block for t in seq if t < C * block], minlength=C)
-                           for seq in ds.sequences])
+                           for seq in seqs])
         top = counts.max(axis=1)
         assert np.all(top > 0) and np.all((counts == top[:, None]).sum(axis=1) == 1)
         rule = counts.argmax(axis=1)
@@ -281,10 +318,10 @@ def test_generators_keep_the_task_statistics():
     mean lengths are 16.03 (topic) and 16.13 (valence)."""
     topic = generate(TaskSpec("topic_classification", 30, 3, 8, 24, 0.0, 1, 20_000))
     valence = generate(TaskSpec("valence_sentiment", 30, 2, 8, 24, 0.0, 1, 20_000))
-    tokens = np.concatenate([np.array(seq) for seq in topic.sequences])
+    tokens = np.concatenate(_sequences(topic))
     assert abs(np.mean(tokens >= 3 * (30 // 4)) - 0.2994) < 0.004
-    assert abs(np.mean([len(seq) for seq in topic.sequences]) - 16.03) < 0.15
-    assert abs(np.mean([len(seq) for seq in valence.sequences]) - 16.13) < 0.15
+    assert abs(topic.lengths.mean() - 16.03) < 0.15
+    assert abs(valence.lengths.mean() - 16.13) < 0.15
 
 
 # -- file checks ---------------------------------------------------------------------
@@ -292,8 +329,7 @@ def test_generators_keep_the_task_statistics():
 
 @pytest.mark.parametrize("token", [-1, 6])
 def test_save_refuses_a_token_outside_the_vocabulary(tmp_path, token):
-    ds = SequenceDataset("valence_sentiment", 6, 2, sequences=[[0, 5], [1, token]],
-                         labels=[1, 0])
+    ds = _dataset(6, 2, [[0, 5], [1, token]], [1, 0])
     with pytest.raises(TaskError, match="outside the vocabulary"):
         save_dataset(ds, tmp_path / "ds")
     assert not list(tmp_path.iterdir())
@@ -384,8 +420,8 @@ def _datasets(draw):
     labels = [draw(st.integers(0, C - 1)) for _ in range(n)]
     valence = draw(st.none() | st.lists(st.sampled_from([1.0, -1.0, 0.0]),
                                         min_size=V, max_size=V))
-    ds = SequenceDataset("valence_sentiment", V, C, sequences, labels, seed=draw(st.integers(0, 99)),
-                         valence=None if valence is None else np.array(valence))
+    ds = _dataset(V, C, sequences, labels, seed=draw(st.integers(0, 99)),
+                  valence=None if valence is None else np.array(valence))
     fractions = draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.3])] * 3))
     return split_dataset(ds, fractions, seed=draw(st.integers(0, 99)))
 
@@ -396,9 +432,8 @@ def test_save_load_round_trip(ds):
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(ds, Path(tmp) / "ds")
         back = load_dataset(Path(tmp) / "ds")
-    assert back.sequences == ds.sequences and back.labels == ds.labels
-    assert all(type(t) is int for seq in back.sequences for t in seq)
-    assert all(type(lab) is int for lab in back.labels)
+    _assert_layout(back)
+    assert _sequences(back) == _sequences(ds) and back.labels.tolist() == ds.labels.tolist()
     assert back.splits == ds.splits
     assert (back.valence is None if ds.valence is None
             else back.valence.tobytes() == ds.valence.tobytes())

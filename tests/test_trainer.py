@@ -14,7 +14,6 @@ from dynamo.models import (
     init_base_model,
     init_meta_model,
     model_inputs,
-    pad_tokens,
 )
 from dynamo.numgrad import NumericError
 from dynamo.tasks import TaskSpec, gen_valence_task, split_dataset
@@ -76,15 +75,12 @@ def output_loss(meta_outputs: np.ndarray, base_outputs: np.ndarray) -> float:
     return float(kl_from_logits(bo, mo).mean())
 
 
-def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, inputs,
+def meta_emulation_losses(meta, base, vmap: dict, theta: np.ndarray, x, lengths,
                           cfg: TrainConfig) -> tuple[float, float, float]:
-    """(hidden, output, total) losses for one batch of token sequences (or
-    residual feature rows), from plain rollouts rather than the graph."""
+    """(hidden, output, total) losses for one `rollout_batch` batch, padded
+    token ids and lengths (or residual feature rows and None), from plain
+    rollouts rather than the graph."""
     residual = base.cell_kind == "residual_mlp"
-    if residual:
-        x, lengths = np.asarray(inputs, dtype=np.float64), None
-    else:
-        x, lengths = pad_tokens(inputs)
     hs_b, out_b = models.rollout_batch(base, x, lengths=lengths)
     hs_m, out_m = models.rollout_batch(meta, x, theta=theta, task_group=base.task_group,
                                        lengths=lengths)
@@ -207,15 +203,15 @@ def test_output_loss_head_mismatch_error():
 
 def test_total_loss_composition():
     trainer, ds, bases = _tiny_setup(lam=1.0)
-    seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:3]]
+    rows = ds.rows(ds.indices("meta_unlabeled")[:3])
     h, o, tot = meta_emulation_losses(trainer.state.meta, bases[0],
                                       trainer.state.state_maps[0],
-                                      trainer.state.embeddings[0], seqs, trainer.cfg)
+                                      trainer.state.embeddings[0], *rows, trainer.cfg)
     assert tot == pytest.approx(h + o)
     cfg0 = TrainConfig(lam=0.0)
     h0, o0, tot0 = meta_emulation_losses(trainer.state.meta, bases[0],
                                          trainer.state.state_maps[0],
-                                         trainer.state.embeddings[0], seqs, cfg0)
+                                         trainer.state.embeddings[0], *rows, cfg0)
     assert tot0 == pytest.approx(h0)
 
 
@@ -233,16 +229,16 @@ def test_perfect_emulation_gives_zero_loss():
     meta.params["head0_w"] = base.params["w_out"].copy()
     meta.params["head0_b"] = base.params["b_out"].copy()
     v = {"w0": np.eye(4), "b0": np.zeros(4)}
-    seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
+    rows = ds.rows(ds.indices("meta_unlabeled")[:4])
     cfg = TrainConfig()
-    h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), seqs, cfg)
+    h, o, tot = meta_emulation_losses(meta, base, v, np.zeros(2), *rows, cfg)
     assert tot == pytest.approx(0.0, abs=1e-12)
     # the training graph, the only emulation loss in the package, agrees
     state = init_meta_state([base], {"hidden_dim": 4, "embed_dim": 2, "input_dim": 3},
                             seed=0)
     state.meta, state.state_maps[0] = meta, v
     trainer = MetaTrainer(state, [base], [ds], cfg)
-    g, bindings = _bind(trainer, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *rows)
     assert float(g.forward(bindings)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -252,14 +248,14 @@ def test_perfect_emulation_gives_zero_loss():
 def test_graph_loss_matches_reference():
     trainer, ds, bases = _tiny_setup()
     pool = ds.indices("meta_unlabeled")
-    seqs = [ds.sequences[i] for i in pool[:3]]
-    g, bindings = _bind(trainer, *pad_tokens(seqs))
+    rows = ds.rows(pool[:3])
+    g, bindings = _bind(trainer, *rows)
     tot_graph = float(g.forward(bindings))
     h_graph = float(g.value("hidden_loss"))
     o_graph = float(g.value("output_loss"))
     h, o, tot = meta_emulation_losses(trainer.state.meta, bases[0],
                                       trainer.state.state_maps[0],
-                                      trainer.state.embeddings[0], seqs, trainer.cfg)
+                                      trainer.state.embeddings[0], *rows, trainer.cfg)
     assert h_graph == pytest.approx(h, abs=1e-10)
     assert o_graph == pytest.approx(o, abs=1e-10)
     assert tot_graph == pytest.approx(tot, abs=1e-10)
@@ -267,8 +263,7 @@ def test_graph_loss_matches_reference():
 
 def test_joint_loss_gradients_pass_grad_check():
     trainer, ds, _ = _tiny_setup()
-    seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:2]]
-    g, bindings = _bind(trainer, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *ds.rows(ds.indices("meta_unlabeled")[:2]))
     assert grad_check(g, bindings, 1e-5) < 1e-4
 
 
@@ -282,7 +277,7 @@ def test_residual_graph_loss_matches_reference():
     g, bindings = _bind(trainer, feats, None)
     tot_graph = float(g.forward(bindings))
     h, o, tot = meta_emulation_losses(state.meta, bases[0], state.state_maps[0],
-                                      state.embeddings[0], list(feats), cfg)
+                                      state.embeddings[0], feats, None, cfg)
     assert float(g.value("hidden_loss")) == pytest.approx(h, abs=1e-10)
     assert float(g.value("output_loss")) == pytest.approx(o, abs=1e-10)
     assert tot_graph == pytest.approx(tot, abs=1e-10)
@@ -339,7 +334,7 @@ def test_task_loss_graph_passes_grad_check(kind):
         clear = _off_relu_kinks(base.params, x) & _off_relu_kinks(meta.params, x, theta)
         idxs = [i for i, keep in zip(idxs, clear) if keep]
     idxs = idxs[:3]
-    labels = ds.subset(idxs)[1]
+    labels = ds.labels[idxs]
     # base training: every parameter is trainable
     g, bindings = task_batch(lambda T, B: task_loss_graph(base, T, B), base,
                              *model_inputs(base, ds, idxs), labels)
@@ -362,13 +357,13 @@ def test_one_step_decreases_frozen_batch_loss():
     for seed in range(5):
         trainer, ds, _ = _tiny_setup(seed=seed)
         trainer.cfg.lr = 1e-5
-        seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:4]]
-        g, bindings = _bind(trainer, *pad_tokens(seqs))
+        rows = ds.rows(ds.indices("meta_unlabeled")[:4])
+        g, bindings = _bind(trainer, *rows)
         before = float(g.forward(bindings))
         names = trainer.grad_names[0]
         grads = {names.get(leaf, leaf): grad for leaf, grad in g.backward().items()}
         trainer.opt.step(grads, 1e-5)
-        g2, bindings2 = _bind(trainer, *pad_tokens(seqs))
+        g2, bindings2 = _bind(trainer, *rows)
         after = float(g2.forward(bindings2))
         assert after < before
 
@@ -487,8 +482,7 @@ def test_meta_training_memory_grows_only_by_per_base_state(traced_peak):
 
 def test_lambda_zero_heads_get_zero_gradient(monkeypatch):
     trainer, ds, _ = _tiny_setup(lam=0.0)
-    seqs = [ds.sequences[i] for i in ds.indices("meta_unlabeled")[:3]]
-    g, bindings = _bind(trainer, *pad_tokens(seqs))
+    g, bindings = _bind(trainer, *ds.rows(ds.indices("meta_unlabeled")[:3]))
     g.forward(bindings)
     grads = g.backward()
     assert "head0_w" not in grads and "head0_b" not in grads
@@ -642,7 +636,7 @@ def test_train_base_through_a_workspace_equals_workspace_free_graphs(kind, monke
     ds = split_dataset(gen_valence_task(spec), (0.4, 0.4, 0.05), seed=5)
     # base_train: the 25 shortest rows and the longest, so the steps without
     # that row are shorter than those with it, and the last batch has 2 rows
-    by_length = sorted(range(len(ds)), key=lambda i: len(ds.sequences[i]))
+    by_length = sorted(range(len(ds)), key=lambda i: ds.lengths[i])
     ds.splits["base_train"] = by_length[:25] + by_length[-1:]
     assert len(ds.indices("base_train")) % 4
     cfg, seeds = TrainConfig(epochs=2, lr=0.03, batch_size=4), [1, 2, 3]
@@ -711,8 +705,8 @@ def test_stacked_task_loss_graph_passes_grad_check(kind):
     # the first model's three rows are shorter than t_max, the second's are
     # of t_max, so each model runs its own number of steps
     pool = ds.indices("base_train")
-    idxs = np.array([i for i in pool if len(ds.sequences[i]) < 6][:3]
-                    + [i for i in pool if len(ds.sequences[i]) == 6][:3])
+    idxs = np.array([i for i in pool if ds.lengths[i] < 6][:3]
+                    + [i for i in pool if ds.lengths[i] == 6][:3])
     width = 12 if kind == "residual_mlp" else 3
     bases = [init_base_model(kind, 12, width, 3, 2, 0, seed=s, num_blocks=2)
              for s in (1, 2)]
@@ -724,7 +718,7 @@ def test_stacked_task_loss_graph_passes_grad_check(kind):
         g, bindings = task_batch(
             lambda T, B: task_loss_graph(bases[0], T, B, leaves=leaves, workspace=workspace),
             bases[0], *trainer_module._take(inputs, lengths, rows),
-            ds.subset(idxs)[1][rows], leaves=leaves)
+            ds.labels[idxs][rows], leaves=leaves)
         if kind != "residual_mlp":
             assert bindings["steps"][0] != bindings["steps"][1]
         assert grad_check(g, bindings, 1e-5) < 1e-4

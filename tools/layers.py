@@ -30,7 +30,9 @@ round:
 - `grid_accuracies` on the landscape;
 - the two descents of the score-map command;
 - `tasks.generate` on each task entry of the train-residual config (2,400
-  sequences each), its output the tokens and labels.
+  sequences each), its output compared as the bytes each tree's
+  `save_dataset` writes for it (not timed), so trees that hold a dataset in
+  different layouts compare equal when they would write the same files.
 
 Prints, per layer, each tree's median with its quartiles, each tree's median
 minor page faults per call (`ru_minflt` around the timed calls: in this
@@ -57,6 +59,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,6 +88,7 @@ class Layer:
     times: tuple = ()      # per tree: seconds per call, one per round
     faults: tuple = ()     # per tree: minor page faults per call, one per round
     same: bool = True      # the trees' outputs are bitwise equal
+    compared: tuple = ()   # per tree: what of an output is compared, if not all of it
 
 
 def load_tree(tree: Path) -> SimpleNamespace:
@@ -172,10 +176,13 @@ def train_entry(train_base, bases, args, kwargs) -> list:
             for b in train_base(copy.deepcopy(bases), *args, **kwargs)]
 
 
-def generated(generate, spec) -> tuple:
-    """`generate(spec)`'s tokens and labels."""
-    ds = generate(spec)
-    return ds.sequences, ds.labels
+def saved(save_dataset, ds) -> tuple[bytes, bytes]:
+    """The bytes `save_dataset` writes for `ds`: its .txt and .json files.
+    They are the same for two trees that hold a dataset in different layouts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds"
+        save_dataset(ds, path)
+        return path.with_suffix(".txt").read_bytes(), path.with_suffix(".json").read_bytes()
 
 
 def kernel_layers(trees: list[SimpleNamespace], runs: list[Path], rows, calls: int) -> list[Layer]:
@@ -252,7 +259,8 @@ def prepare(trees: list[SimpleNamespace], config: dict, residual: dict, work: Pa
             (tree.dynamics._descend, calls_[k], 1) for tree, calls_ in zip(trees, descents))))
     for task in residual["tasks"]:
         layers.append(Layer(f"generate[{task['name']}]", tuple(
-            (generated, (tree.tasks.generate, tree.tasks.TaskSpec(**task)), 1) for tree in trees)))
+            (tree.tasks.generate, (tree.tasks.TaskSpec(**task),), 1) for tree in trees),
+            compared=tuple(partial(saved, tree.tasks.save_dataset) for tree in trees)))
     return layers
 
 
@@ -286,8 +294,10 @@ def measure(layers: list[Layer], rounds: int = ROUNDS) -> list[Layer]:
     """Compare each layer's outputs across the trees, then time it `rounds`
     times per tree, alternating which tree goes first."""
     for layer in layers:
-        (fa, aa, _), (fb, ab, _) = layer.runs
-        layer.same = same(fa(*aa), fb(*ab))
+        outputs = [fn(*args) for fn, args, _ in layer.runs]
+        if layer.compared:
+            outputs = [part(out) for part, out in zip(layer.compared, outputs)]
+        layer.same = same(*outputs)
         layer.times, layer.faults = ([], []), ([], [])
     for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)

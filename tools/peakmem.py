@@ -9,8 +9,10 @@ fixed-points --score-map; analyze with --svcca on those) on perfbench
 them by default), one after another in this process through
 `dynamo.cli.main`, from this tree's `src/`. A stage's peak is tracemalloc's
 peak while it runs, in MB (10^6 bytes) above what was allocated when it
-started; tracemalloc sees Python and numpy allocations, not the allocator's
-own overhead. A stage's faults are the minor page faults this process
+started, printed to three decimals: identical runs of one tree jitter by up
+to about 0.003 MB, so a bound read off the table should be wider than that.
+Tracemalloc sees Python and numpy allocations, not the allocator's own
+overhead. A stage's faults are the minor page faults this process
 took while it ran (the `ru_minflt` delta of `resource.getrusage`), so heap
 memory returned to the OS and paged in again shows per stage; they count
 tracemalloc's own bookkeeping too. Prints two Markdown tables, the peaks and
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
                 print(f"{name}: {e}", file=sys.stderr)
                 return 1
     commands = dict.fromkeys(command for peaks in table.values() for command in peaks)
-    for title, column, fmt in (("Stage", 0, "{:.2f}"), ("Minor faults", 1, "{:,}")):
+    for title, column, fmt in (("Stage", 0, "{:.3f}"), ("Minor faults", 1, "{:,}")):
         if column:
             print()
         print(f"| {title} | {' | '.join(names)} |")
